@@ -1,7 +1,7 @@
 // P3 — streaming XDM: the pull-based ItemStream pipeline vs the eager
-// vector-sequence baseline (EvalOptions::stream_pipeline off). Like
-// bench_p2_fastpath this is a self-timed runner emitting machine-
-// readable JSON (BENCH_P3.json) with an on/off ablation per scenario.
+// vector-sequence baseline (EvalOptions::stream_pipeline off). A
+// self-timed runner emitting machine-readable JSON (BENCH_P3.json) with
+// an on/off ablation per scenario.
 //
 // Usage:
 //   bench_p3_streaming [--iters N] [--out FILE] [--check]

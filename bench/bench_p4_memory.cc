@@ -1,36 +1,29 @@
 // P4 — the memory layer: interned QNames, the arena-backed stream
 // pipeline, and the mutation-versioned pure-listener memo cache.
-// Self-timed runner emitting BENCH_P4.json, same schema as P2/P3.
+// Self-timed runner emitting BENCH_P4.json, same schema as P3.
 //
 // Usage:
 //   bench_p4_memory [--iters N] [--out FILE] [--check] [--baseline FILE]
 //
-// Scenarios:
+// Scenario:
 //   fig1_dispatch_memo     repeated identical clicks on a page whose
 //                          listener the analyzer proved memoizable;
 //                          arms = memo cache on vs off.
-//   fig1_dispatch_updating the honest arm: the standard updating
-//                          listener (never memoizable); arms = arena
-//                          allocation on vs heap.
-//   deep_flwor_arena       query-level: the P3 deep FLWOR with stream
-//                          operators arena- vs heap-allocated.
 //
-// Besides timing, the runner counts global operator-new calls per
-// dispatch (full memory layer vs none) and reports the memo hit rate.
+// Besides timing, the runner reports the memo hit rate and the arena
+// counters of one evaluated (memo-off) dispatch.
 //
-// --check exits non-zero unless every ablation's results match, the
-// memo hit rate is >= 90%, allocations per dispatch drop >= 5x with the
-// memory layer on, and the fresh memo-arm fig1 dispatch beats the
-// checked-in PR 3 stream-arm baseline (148817 ns) by >= 1.5x.
+// --check exits non-zero unless both arms' results match, the memo hit
+// rate is >= 90%, the fresh memo-arm fig1 dispatch beats the
+// stream-arm fig1 dispatch time measured before the memory layer
+// existed (148817 ns, kPr3Fig1Ns) by >= 1.5x, and the evaluated
+// dispatch allocated from and reset its arena.
 // --baseline FILE additionally compares the fresh fig1_dispatch_memo
 // ns/op against the checked-in BENCH_P4.json within +/-25% — the CI
 // regression guard.
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,43 +32,15 @@
 #include "bench_util.h"
 #include "xml/interning.h"
 
-// ------------------------------------------------ allocation counter ---
-// Global operator-new override: every heap allocation in the process
-// bumps g_allocs, so per-op deltas measure exactly what the arena and
-// the memo cache keep off the heap.
-
-static std::atomic<uint64_t> g_allocs{0};
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n ? n : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n) { return operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace {
 
 using xqib::app::BrowserEnvironment;
 using xqib::bench::Args;
 using xqib::bench::ScenarioResult;
-using xqib::xquery::Evaluator;
 
 // The PR 3 stream-arm fig1 dispatch time this PR must beat by >= 1.5x
 // (checked-in BENCH_P3.json before the memory layer landed).
 constexpr double kPr3Fig1Ns = 148817.0;
-
-Evaluator::EvalOptions MemOn() { return Evaluator::EvalOptions(); }
-
-Evaluator::EvalOptions ArenaOff() {
-  Evaluator::EvalOptions off;
-  off.arena_streams = false;
-  return off;
-}
 
 // The Figure 1 page with a NON-updating listener: recomputes the row
 // count into its result instead of writing it back, so the analyzer
@@ -120,15 +85,6 @@ struct DispatchEnv {
   }
 };
 
-// Heap allocations per op: 3 warmup calls, then a counted loop.
-double AllocsPerOp(const std::function<void()>& op, int iters) {
-  for (int i = 0; i < 3; ++i) op();
-  uint64_t before = g_allocs.load(std::memory_order_relaxed);
-  for (int i = 0; i < iters; ++i) op();
-  uint64_t after = g_allocs.load(std::memory_order_relaxed);
-  return static_cast<double>(after - before) / iters;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -142,13 +98,13 @@ int main(int argc, char** argv) {
   // --- fig1_dispatch_memo: memo cache on vs off, identical clicks. ---
   xqib::plugin::XqibPlugin::MemoStats memo_delta;
   double memo_hit_rate = 0;
+  xqib::plugin::XqibPlugin::EventStats evaluated;
   {
     DispatchEnv d;
     ok &= d.Load(MakePureDispatchPage(300));
     if (ok) {
       ScenarioResult sr;
       sr.name = "fig1_dispatch_memo";
-      d.env.plugin().set_eval_options(MemOn());
       d.env.plugin().set_memo_enabled(true);
       auto before = d.env.plugin().memo_stats();
       sr.on_ns = xqib::bench::NsPerOp([&] { d.Click(); }, iters);
@@ -163,6 +119,7 @@ int main(int argc, char** argv) {
       std::string memo_result = d.env.plugin().last_listener_result();
       d.env.plugin().set_memo_enabled(false);
       sr.off_ns = xqib::bench::NsPerOp([&] { d.Click(); }, iters);
+      evaluated = d.env.plugin().last_event_stats();
       std::string fresh_result = d.env.plugin().last_listener_result();
       sr.results_match = memo_result == fresh_result && memo_result == "301";
       if (!sr.results_match) {
@@ -173,47 +130,6 @@ int main(int argc, char** argv) {
       results.push_back(sr);
     }
   }
-
-  // --- fig1_dispatch_updating: arena vs heap on the updating page. ---
-  xqib::plugin::XqibPlugin::EventStats ev;
-  ok &= xqib::bench::RunDispatchScenario("fig1_dispatch_updating", 300, iters,
-                                         MemOn(), ArenaOff(), &results, &ev);
-
-  // --- deep_flwor_arena: stream operators arena- vs heap-allocated. ---
-  std::ostringstream page;
-  page << "<page>";
-  for (int s = 0; s < 30; ++s) {
-    page << "<sec>";
-    for (int i = 0; i < 20; ++i) {
-      page << "<item>";
-      for (int l = 0; l < 5; ++l) page << "<leaf/>";
-      page << "</item>";
-    }
-    page << "</sec>";
-  }
-  page << "</page>";
-  Evaluator::EvalStats qstats;
-  ok &= xqib::bench::RunQueryScenario(
-      "deep_flwor_arena",
-      "count(for $s in //sec, $i in $s/item, $l in $i/leaf return $l)",
-      page.str(), iters, MemOn(), ArenaOff(), &results, &qstats);
-
-  // --- allocations per dispatch: full memory layer vs none. ---
-  double allocs_on = 0, allocs_off = 0;
-  {
-    DispatchEnv d;
-    ok &= d.Load(MakePureDispatchPage(300));
-    if (ok) {
-      d.env.plugin().set_eval_options(MemOn());
-      d.env.plugin().set_memo_enabled(true);
-      allocs_on = AllocsPerOp([&] { d.Click(); }, iters);
-      d.env.plugin().set_memo_enabled(false);
-      d.env.plugin().set_eval_options(ArenaOff());
-      allocs_off = AllocsPerOp([&] { d.Click(); }, iters);
-    }
-  }
-  double alloc_reduction = allocs_on > 0 ? allocs_off / allocs_on
-                                         : allocs_off;
 
   double fig1_fresh_ns = results.empty() ? 0 : results[0].on_ns;
   double fig1_vs_pr3 = fig1_fresh_ns > 0 ? kPr3Fig1Ns / fig1_fresh_ns : 0;
@@ -233,11 +149,6 @@ int main(int argc, char** argv) {
                 memo_hit_rate);
   json << buf;
   std::snprintf(buf, sizeof(buf),
-                "  \"allocations\": {\"on_allocs_per_op\": %.1f, "
-                "\"off_allocs_per_op\": %.1f, \"reduction\": %.1f},\n",
-                allocs_on, allocs_off, alloc_reduction);
-  json << buf;
-  std::snprintf(buf, sizeof(buf),
                 "  \"fig1_vs_pr3\": {\"pr3_stream_ns\": %.1f, "
                 "\"fresh_ns\": %.1f, \"speedup\": %.2f},\n",
                 kPr3Fig1Ns, fig1_fresh_ns, fig1_vs_pr3);
@@ -246,8 +157,8 @@ int main(int argc, char** argv) {
       buf, sizeof(buf),
       "  \"counters\": {\"arena_bytes_used\": %llu, \"arena_resets\": "
       "%llu, \"intern_hits\": %llu, \"intern_strings\": %llu}\n}\n",
-      static_cast<unsigned long long>(qstats.arena_bytes_used),
-      static_cast<unsigned long long>(qstats.arena_resets),
+      static_cast<unsigned long long>(evaluated.arena_bytes_used),
+      static_cast<unsigned long long>(evaluated.arena_resets),
       static_cast<unsigned long long>(intern.hits),
       static_cast<unsigned long long>(intern.strings));
   json << buf;
@@ -264,13 +175,6 @@ int main(int argc, char** argv) {
                    memo_hit_rate);
       return 1;
     }
-    if (alloc_reduction < 5.0) {
-      std::fprintf(stderr,
-                   "FAIL: allocation reduction %.1fx below 5x "
-                   "(on=%.1f off=%.1f)\n",
-                   alloc_reduction, allocs_on, allocs_off);
-      return 1;
-    }
     if (fig1_vs_pr3 < 1.5) {
       std::fprintf(stderr,
                    "FAIL: fig1 dispatch %.1f ns only %.2fx over the PR 3 "
@@ -278,7 +182,7 @@ int main(int argc, char** argv) {
                    fig1_fresh_ns, fig1_vs_pr3, kPr3Fig1Ns);
       return 1;
     }
-    if (qstats.arena_bytes_used == 0 || qstats.arena_resets == 0) {
+    if (evaluated.arena_bytes_used == 0 || evaluated.arena_resets == 0) {
       std::fprintf(stderr, "FAIL: arena counters never fired\n");
       return 1;
     }

@@ -1,5 +1,5 @@
 // Shared machinery for the self-timed JSON benchmark runners
-// (bench_p2_fastpath, bench_p3_streaming, bench_p4_memory): argument
+// (bench_p3_streaming, bench_p4_memory, and later runners): argument
 // parsing, the warmup+timing loop, query/dispatch ablation scenarios,
 // and the common JSON results schema
 //   {"name": ..., "<on>_ns_per_op": ..., "<off>_ns_per_op": ...,

@@ -118,11 +118,9 @@ void PrintCounters(const xml::Document* context_doc) {
               (unsigned long long)s.http.prefetch_hits,
               (unsigned long long)s.http.scatter_batches);
   if (context_doc != nullptr) {
-    std::printf("  document: %llu index builds, %llu fine-grained hits, "
-                "%llu index splices, %llu rebuilds avoided, %llu order "
-                "rebuilds\n",
+    std::printf("  document: %llu index builds, %llu index splices, "
+                "%llu rebuilds avoided, %llu order rebuilds\n",
                 (unsigned long long)context_doc->name_index_builds(),
-                (unsigned long long)context_doc->name_index_fine_hits(),
                 (unsigned long long)context_doc->index_splices(),
                 (unsigned long long)context_doc->bucket_rebuilds_avoided(),
                 (unsigned long long)context_doc->order_rebuilds());

@@ -175,8 +175,9 @@ Status XqibPlugin::InitializePage(Window* window) {
                                page->prefetcher.get());
   }
   pages_[window] = page;
-  window->document()->set_fine_grained_versions(fine_grained_invalidation_);
-  window->document()->set_delta_tracking(eval_options_.delta_propagation);
+  // Page documents always track deltas: the name index splices off them
+  // and dispatch skips memoized listeners the delta provably missed.
+  window->document()->set_delta_tracking(true);
 
   // Step 2: extract scripts and inline handlers.
   double t0 = NowMicros();
@@ -263,8 +264,8 @@ Status XqibPlugin::InitializePage(Window* window) {
       }
     }
     // Effect summaries feed two consumers: the dispatcher's staged-run
-    // interference check (every listener) and the memo cache's per-name
-    // validity records (memoizable listeners with fully named reads).
+    // interference check (every listener) and the delta-skip dirty
+    // classification (listeners with fully named reads).
     for (const auto& [key, eff] : result.facts.function_effects) {
       size_t arity = 0;
       const xml::InternedName* token = ParseFunctionKeyToken(key, &arity);
@@ -454,12 +455,11 @@ Status XqibPlugin::RegisterXQueryInlineHandler(PageContext* page,
 }
 
 Status XqibPlugin::ApplyAfterRun(PageContext* page) {
-  // With delta propagation on, capture the structured write set of the
-  // apply pass. The document's own dispatch/index windows accumulate the
-  // same information for their consumers; the capture feeds the emitted
-  // counter and keeps the update layer's API honest in tests.
-  const bool track =
-      eval_options_.delta_propagation && !page->ctx->pul().empty();
+  // Capture the structured write set of the apply pass. The document's
+  // own dispatch/index windows accumulate the same information for their
+  // consumers; the capture feeds the emitted counter and keeps the update
+  // layer's API honest in tests.
+  const bool track = !page->ctx->pul().empty();
   xml::DomDelta delta;
   XQ_RETURN_NOT_OK(page->ctx->pul().ApplyAll(track ? &delta : nullptr));
   if (track && !delta.Empty()) ++delta_stats_.emitted;
@@ -471,7 +471,6 @@ Status XqibPlugin::ApplyAfterRun(PageContext* page) {
 
 void XqibPlugin::PropagateDelta(PageContext* page) {
   xml::Document* doc = page->window->document();
-  if (!eval_options_.delta_propagation || !doc->delta_tracking()) return;
   // Every recorded op bumps the document mutation version, so an
   // unchanged version since the last sync means the dispatch window is
   // provably empty — skip the lock-and-drain. This is the common case:
@@ -499,17 +498,35 @@ void XqibPlugin::PropagateDelta(PageContext* page) {
   page->delta_synced_version = doc->mutation_version();
 }
 
-bool XqibPlugin::DeltaSkipValid(const PageContext* page,
-                                const PageContext::ListenerKey& key,
-                                const PageContext::MemoEntry& entry,
-                                uint64_t doc_version) {
-  if (entry.delta_fill_seq == 0) return false;  // ⊤ reads: never skip
+XqibPlugin::MemoValidity XqibPlugin::ProbeMemo(
+    const PageContext* page, const PageContext::ListenerKey& key,
+    const PageContext::MemoEntry& entry, uint64_t doc_version) {
+  if (entry.doc_version == doc_version) return MemoValidity::kFresh;
+  // ⊤ reads: the listener cannot be classified against deltas.
+  if (entry.delta_fill_seq == 0) return MemoValidity::kStale;
   // Mutations since the last PropagateDelta have not been classified;
-  // the dirty map says nothing about them, so the probe disarms.
-  if (page->delta_synced_version != doc_version) return false;
-  if (page->all_dirty_seq > entry.delta_fill_seq) return false;
+  // the dirty map says nothing about them, so the skip disarms.
+  if (page->delta_synced_version != doc_version) return MemoValidity::kStale;
+  if (page->all_dirty_seq > entry.delta_fill_seq) return MemoValidity::kStale;
   auto it = page->dirty_seq.find(key);
-  return it == page->dirty_seq.end() || it->second <= entry.delta_fill_seq;
+  return it == page->dirty_seq.end() || it->second <= entry.delta_fill_seq
+             ? MemoValidity::kDeltaSkip
+             : MemoValidity::kStale;
+}
+
+void XqibPlugin::CommitMemoHit(PageContext* page, const std::string& serialized,
+                               bool delta_skip) {
+  ++memo_stats_.hits;
+  last_listener_result_ = serialized;
+  last_event_stats_ = EventStats{};
+  last_event_stats_.memo_hits = 1;
+  if (delta_skip) {
+    ++delta_stats_.listeners_skipped;
+    last_event_stats_.delta_listeners_skipped = 1;
+    ++page->evaluator->mutable_delta_stats().listeners_skipped;
+  }
+  // Memoizable implies pure: nothing to apply, nothing to render.
+  ++pure_listener_skips_;
 }
 
 xml::Node* XqibPlugin::MaterializeEvent(DynamicContext* ctx,
@@ -587,19 +604,18 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
 
   // Memo cache: a listener the analyzer proved memoizable (DOM-pure AND
   // free of observable host calls) can only read the event payload and
-  // the document snapshot, so (payload hash, mutation version) fully
+  // the document snapshot, so (payload hash, document state) fully
   // determines its result — replay the recorded serialization instead of
-  // re-evaluating. A stale version means the DOM mutated since the entry
-  // was recorded: discard it and run fresh.
+  // re-evaluating. A stale entry means the DOM mutated since it was
+  // recorded in a way the delta check cannot rule out: discard it and
+  // run fresh.
+  const PageContext::ListenerKey lkey{function.token(), arity};
   const bool memoizable =
-      memo_enabled_ && page->memoizable_functions.count(
-                           PageContext::ListenerKey{function.token(),
-                                                    arity}) > 0;
+      memo_enabled_ && page->memoizable_functions.count(lkey) > 0;
   const uint64_t doc_version = page->window->document()->mutation_version();
   const PageContext::MemoKey memo_key{function.token(), arity,
                                       HashEventPayload(event)};
   uint64_t memo_invalidated = 0;
-  uint64_t memo_invalidated_name = 0;
   if (memoizable) {
     // Exclusive lock: the serial path both reads and erases. Staged
     // listeners probe under a shared lock from pool workers, but only
@@ -608,70 +624,22 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
     std::unique_lock<std::shared_mutex> lk(page->memo_mu);
     auto it = page->memo_cache.find(memo_key);
     if (it != page->memo_cache.end()) {
-      bool valid = it->second.doc_version == doc_version;
-      uint64_t fine_survival = 0;
-      uint64_t delta_skip = 0;
-      // The delta probe rides on the same effect analysis as the
-      // per-name counters, so the fine-grained ablation switch (which
-      // restores pre-effect-analysis behavior exactly) disables it too.
-      if (!valid && eval_options_.delta_propagation &&
-          fine_grained_invalidation_ &&
-          DeltaSkipValid(page,
-                         PageContext::ListenerKey{function.token(), arity},
-                         it->second, doc_version)) {
-        // Every mutation batch since fill time missed the listener's read
-        // set (PropagateDelta above synced the window), so the recorded
-        // result is exact without probing per-name counters. Re-anchor so
-        // the next probe takes the one-compare fast path.
-        valid = true;
-        delta_skip = 1;
-        ++delta_stats_.listeners_skipped;
-        it->second.doc_version = doc_version;
-        it->second.delta_fill_seq = page->delta_seq;
-      }
-      if (!valid && fine_grained_invalidation_ && it->second.fine_grained) {
-        // Globally stale, but if none of the names the listener reads
-        // were touched since fill time, the recorded result is still
-        // exact (PERFORMANCE.md §6).
-        const xml::Document* doc = page->window->document();
-        valid = true;
-        for (const auto& [token, version] : it->second.read_versions) {
-          if (doc->name_version(token) != version) {
-            valid = false;
-            break;
-          }
-        }
-        if (valid) {
-          fine_survival = 1;
-          ++memo_stats_.fine_grained_survivals;
-          // Re-anchor to the current global version so the next probe
-          // takes the one-compare fast path again.
+      const MemoValidity validity =
+          ProbeMemo(page, lkey, it->second, doc_version);
+      if (validity != MemoValidity::kStale) {
+        const bool delta_skip = validity == MemoValidity::kDeltaSkip;
+        if (delta_skip) {
+          // Every batch since fill time missed the listener's read set
+          // (PropagateDelta above synced the window). Re-anchor so the
+          // next probe takes the one-compare fast path.
           it->second.doc_version = doc_version;
+          it->second.delta_fill_seq = page->delta_seq;
         }
-      }
-      if (valid) {
-        ++memo_stats_.hits;
-        last_listener_result_ = it->second.serialized;
-        last_event_stats_ = EventStats{};
-        last_event_stats_.memo_hits = 1;
-        last_event_stats_.memo_fine_survivals = fine_survival;
-        last_event_stats_.delta_listeners_skipped = delta_skip;
-        if (delta_skip != 0) {
-          ++page->evaluator->mutable_delta_stats().listeners_skipped;
-        }
-        // Memoizable implies pure: nothing to apply, nothing to render.
-        ++pure_listener_skips_;
+        CommitMemoHit(page, it->second.serialized, delta_skip);
         return;
       }
-      memo_invalidated_name =
-          fine_grained_invalidation_ && it->second.fine_grained ? 1 : 0;
       page->memo_cache.erase(it);
       ++memo_stats_.invalidations;
-      if (memo_invalidated_name != 0) {
-        ++memo_stats_.invalidations_name;
-      } else {
-        ++memo_stats_.invalidations_global;
-      }
       memo_invalidated = 1;
     } else {
       ++memo_stats_.misses;
@@ -749,9 +717,6 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
       xml::GetInternStats().hits - intern_before.hits;
   last_event_stats_.memo_misses = memoizable && memo_invalidated == 0 ? 1 : 0;
   last_event_stats_.memo_invalidations = memo_invalidated;
-  last_event_stats_.memo_invalidations_name = memo_invalidated_name;
-  last_event_stats_.memo_invalidations_global =
-      memo_invalidated - memo_invalidated_name;
   last_event_stats_.plan_hits = after.plan_hits - before.plan_hits;
   last_event_stats_.plan_misses = after.plan_misses - before.plan_misses;
   last_event_stats_.plan_compiles = after.plan_compiles - before.plan_compiles;
@@ -799,8 +764,7 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
     // on a clean run (no error, empty PUL) — errors are never cached.
     if (memoizable) {
       PageContext::MemoEntry entry =
-          MakeMemoEntry(page, PageContext::ListenerKey{function.token(), arity},
-                        doc_version, last_listener_result_);
+          MakeMemoEntry(page, lkey, doc_version, last_listener_result_);
       std::unique_lock<std::shared_mutex> lk(page->memo_mu);
       page->memo_cache[memo_key] = std::move(entry);
     }
@@ -845,27 +809,15 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
 }
 
 XqibPlugin::PageContext::MemoEntry XqibPlugin::MakeMemoEntry(
-    PageContext* page, const PageContext::ListenerKey& key,
-    uint64_t doc_version, std::string serialized) const {
+    const PageContext* page, const PageContext::ListenerKey& key,
+    uint64_t doc_version, std::string serialized) {
   PageContext::MemoEntry entry;
   entry.doc_version = doc_version;
   entry.serialized = std::move(serialized);
-  const xml::Document* doc = page->window->document();
-  if (fine_grained_invalidation_ && doc->fine_grained_versions()) {
-    auto names = page->listener_read_names.find(key);
-    if (names != page->listener_read_names.end()) {
-      entry.fine_grained = true;
-      entry.read_versions.reserve(names->second.size());
-      for (const xml::InternedName* token : names->second) {
-        entry.read_versions.emplace_back(token, doc->name_version(token));
-      }
-    }
-  }
   // Stamp the delta sequence at fill time: the entry survives delta-skip
   // probes as long as no later batch dirtied this listener. ⊤-read
   // listeners record no name list and keep the 0 stamp (never skipped).
-  if (eval_options_.delta_propagation &&
-      page->listener_read_names.count(key) > 0) {
+  if (page->listener_read_names.count(key) > 0) {
     entry.delta_fill_seq = page->delta_seq;
   }
   return entry;
@@ -893,14 +845,13 @@ std::function<void()> XqibPlugin::StageListener(
   // moment; re-verify against today's — a later script may have added an
   // overload that resolves first and was NOT proved parallel-safe.
   // Updating listeners take the staged path only with fully analyzed
-  // effects AND fine-grained invalidation on (the ablation switch also
-  // restores serial updating dispatch).
+  // effects.
   const PageContext::ListenerKey lkey{function.token(), arity};
   const bool pure_safe =
       resolved && raw->parallel_safe_functions.count(lkey) > 0;
-  const bool updating_safe = resolved && !pure_safe &&
-                             fine_grained_invalidation_ &&
-                             raw->stageable_updating_functions.count(lkey) > 0;
+  const bool updating_safe =
+      resolved && !pure_safe &&
+      raw->stageable_updating_functions.count(lkey) > 0;
   if (!pure_safe && !updating_safe) {
     return [this, page, function, event]() {
       ++parallel_fallbacks_;
@@ -910,69 +861,30 @@ std::function<void()> XqibPlugin::StageListener(
 
   // Memo probe, shared lock: concurrent staged listeners may probe in
   // parallel; erasure and insertion happen exclusively at commit time.
+  // The dirty-seq state ProbeMemo reads only moves on the loop thread,
+  // which is parked inside the dispatch batch. A mutation an earlier
+  // serial listener made in this same dispatch is not yet synced, so the
+  // delta skip disarms and the entry re-evaluates.
   const bool memoizable =
-      memo_enabled_ && raw->memoizable_functions.count(
-                           PageContext::ListenerKey{function.token(),
-                                                    arity}) > 0;
+      memo_enabled_ && raw->memoizable_functions.count(lkey) > 0;
   const uint64_t doc_version = raw->window->document()->mutation_version();
   const PageContext::MemoKey memo_key{function.token(), arity,
                                       HashEventPayload(event)};
   bool memo_stale = false;
-  bool memo_stale_name = false;
   if (memoizable) {
     std::shared_lock<std::shared_mutex> lk(raw->memo_mu);
     auto it = raw->memo_cache.find(memo_key);
     if (it != raw->memo_cache.end()) {
-      bool valid = it->second.doc_version == doc_version;
-      uint64_t fine_survival = 0;
-      uint64_t delta_skip = 0;
-      if (!valid && eval_options_.delta_propagation &&
-          fine_grained_invalidation_ &&
-          DeltaSkipValid(raw, lkey, it->second, doc_version)) {
-        // Read-only delta-skip probe: the dirty-seq state only moves on
-        // the loop thread, which is parked inside the dispatch batch.
-        // (No re-anchor under the shared lock; the serial path refreshes.)
-        valid = true;
-        delta_skip = 1;
-        ++delta_stats_.listeners_skipped;
-      }
-      if (!valid && fine_grained_invalidation_ && it->second.fine_grained) {
-        // Name-granular rescue under the shared lock: the name-version
-        // map only moves on the loop thread, which is parked inside the
-        // dispatch batch. (No doc_version re-anchor here — that would
-        // write under a shared lock; the serial path refreshes.)
-        const xml::Document* doc = raw->window->document();
-        valid = true;
-        for (const auto& [token, version] : it->second.read_versions) {
-          if (doc->name_version(token) != version) {
-            valid = false;
-            break;
-          }
-        }
-        if (valid) {
-          fine_survival = 1;
-          ++memo_stats_.fine_grained_survivals;
-        }
-      }
-      if (valid) {
-        ++memo_stats_.hits;  // relaxed counter: safe off-thread
-        std::string serialized = it->second.serialized;
-        return [this, page, serialized = std::move(serialized), fine_survival,
-                delta_skip]() {
-          last_listener_result_ = serialized;
-          last_event_stats_ = EventStats{};
-          last_event_stats_.memo_hits = 1;
-          last_event_stats_.memo_fine_survivals = fine_survival;
-          last_event_stats_.delta_listeners_skipped = delta_skip;
-          if (delta_skip != 0) {
-            ++page->evaluator->mutable_delta_stats().listeners_skipped;
-          }
-          ++pure_listener_skips_;
+      const MemoValidity validity =
+          ProbeMemo(raw, lkey, it->second, doc_version);
+      if (validity != MemoValidity::kStale) {
+        // No re-anchor under the shared lock; the serial path refreshes.
+        return [this, page, serialized = it->second.serialized,
+                delta_skip = validity == MemoValidity::kDeltaSkip]() {
+          CommitMemoHit(page.get(), serialized, delta_skip);
         };
       }
       memo_stale = true;  // discard exclusively at commit
-      memo_stale_name =
-          fine_grained_invalidation_ && it->second.fine_grained;
     }
   }
 
@@ -1071,7 +983,7 @@ std::function<void()> XqibPlugin::StageListener(
 
   return [this, page, function, event, slot, clean, updating_safe, docs, pul,
           serialized = std::move(serialized), delta, memoizable, memo_stale,
-          memo_stale_name, memo_key, doc_version]() {
+          memo_key, doc_version]() {
     if (!clean) {
       // Worker-side surprise (error, or a PUL that slipped past the
       // analyzer's proof): discard the staged run and replay serially —
@@ -1096,9 +1008,6 @@ std::function<void()> XqibPlugin::StageListener(
     last_event_stats_.intern_hits = 0;  // see EventStats comment
     last_event_stats_.memo_misses = memoizable && !memo_stale ? 1 : 0;
     last_event_stats_.memo_invalidations = memo_stale ? 1 : 0;
-    last_event_stats_.memo_invalidations_name = memo_stale_name ? 1 : 0;
-    last_event_stats_.memo_invalidations_global =
-        memo_stale && !memo_stale_name ? 1 : 0;
     last_event_stats_.plan_hits = delta.plan_hits;
     last_event_stats_.plan_misses = delta.plan_misses;
     last_event_stats_.plan_compiles = delta.plan_compiles;
@@ -1144,11 +1053,6 @@ std::function<void()> XqibPlugin::StageListener(
       std::unique_lock<std::shared_mutex> lk(page->memo_mu);
       if (memo_stale) {
         ++memo_stats_.invalidations;
-        if (memo_stale_name) {
-          ++memo_stats_.invalidations_name;
-        } else {
-          ++memo_stats_.invalidations_global;
-        }
       } else {
         ++memo_stats_.misses;
       }
@@ -1253,29 +1157,11 @@ void XqibPlugin::WireThreadPool(base::ThreadPool* pool) {
   }
 }
 
-void XqibPlugin::set_fine_grained_invalidation(bool on) {
-  fine_grained_invalidation_ = on;
-  // Toggling the document's counter mode drops stale counters and
-  // forces the next name-index lookup through a full rebuild, so flips
-  // mid-session stay sound.
-  for (auto& [window, page] : pages_) {
-    page->window->document()->set_fine_grained_versions(on);
-  }
-}
-
 void XqibPlugin::set_eval_options(
     const xquery::Evaluator::EvalOptions& options) {
   eval_options_ = options;
   for (auto& [window, page] : pages_) {
     if (page->evaluator != nullptr) page->evaluator->set_options(options);
-    // Delta tracking follows the ablation switch. Any toggle (either
-    // direction) invalidates the page's accumulated dirty-seq state —
-    // mutations that happened untracked were never classified — so mark
-    // everything dirty and disarm skips until the next sync.
-    page->window->document()->set_delta_tracking(options.delta_propagation);
-    page->delta_synced_version = 0;
-    page->dirty_seq.clear();
-    page->all_dirty_seq = ++page->delta_seq;
   }
 }
 
@@ -1333,8 +1219,7 @@ Status XqibPlugin::AttachListener(const std::string& event_name,
     auto fx = page->listener_effects.find(lkey);
     if (fx != page->listener_effects.end()) l.effects = fx->second;
     if (page->parallel_safe_functions.count(lkey) > 0 ||
-        (fine_grained_invalidation_ &&
-         page->stageable_updating_functions.count(lkey) > 0)) {
+        page->stageable_updating_functions.count(lkey) > 0) {
       l.stage = [this, weak, listener](const Event& event)
           -> std::function<void()> {
         std::shared_ptr<PageContext> page = weak.lock();

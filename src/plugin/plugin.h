@@ -116,21 +116,14 @@ class XqibPlugin : public xquery::BrowserBinding {
   size_t pure_listener_skips() const { return pure_listener_skips_; }
 
   // Memo cache over pure listeners: dispatches answered from cache
-  // without re-running the listener body, cache misses (first sight of a
-  // (listener, payload) pair), and stale entries discarded because the
-  // document mutated since they were recorded.
+  // without re-running the listener body (delta skips included), cache
+  // misses (first sight of a (listener, payload) pair), and stale
+  // entries discarded because the document mutated since they were
+  // recorded and the delta check could not prove them exact.
   struct MemoStats {
     base::RelaxedCounter hits;
     base::RelaxedCounter misses;
-    base::RelaxedCounter invalidations;  // total: global + name causes
-    // Cause split: entries killed by the whole-document version moving
-    // with no per-name record to consult, vs entries whose recorded
-    // read names were actually touched by a mutation.
-    base::RelaxedCounter invalidations_global;
-    base::RelaxedCounter invalidations_name;
-    // Globally-stale entries rescued (and counted as hits) because none
-    // of the name counters they recorded at fill time moved.
-    base::RelaxedCounter fine_grained_survivals;
+    base::RelaxedCounter invalidations;
   };
   const MemoStats& memo_stats() const { return memo_stats_; }
 
@@ -143,23 +136,13 @@ class XqibPlugin : public xquery::BrowserBinding {
   // Delta propagation (PERFORMANCE.md §8): structured PUL deltas drive
   // the index splice inside the Document; here they drive skip-dispatch
   // — a memoized listener whose static read names miss every name the
-  // delta wrote replays its cached result without probing versions at
-  // all. Counted across all pages.
+  // delta wrote replays its cached result without re-running. Counted
+  // across all pages.
   struct DeltaStats {
     base::RelaxedCounter emitted;            // structured PUL deltas
     base::RelaxedCounter listeners_skipped;  // replays via delta check
   };
   const DeltaStats& delta_stats() const { return delta_stats_; }
-
-  // Ablation switch for name-granular invalidation (PERFORMANCE.md §6).
-  // Off restores the pre-effect-analysis behavior exactly: the memo
-  // cache and the element-name index validate against the whole-document
-  // version only, and updating listeners never take the staged path.
-  // Applies to live pages and pages loaded later.
-  void set_fine_grained_invalidation(bool on);
-  bool fine_grained_invalidation() const {
-    return fine_grained_invalidation_;
-  }
 
   // Serialized value of the most recent listener invocation (whether
   // evaluated or replayed from the memo cache). Tests compare replayed
@@ -194,11 +177,6 @@ class XqibPlugin : public xquery::BrowserBinding {
     base::RelaxedCounter memo_hits;
     base::RelaxedCounter memo_misses;
     base::RelaxedCounter memo_invalidations;
-    // Cause split of memo_invalidations (see MemoStats), plus hits that
-    // were only possible through per-name counters.
-    base::RelaxedCounter memo_invalidations_global;
-    base::RelaxedCounter memo_invalidations_name;
-    base::RelaxedCounter memo_fine_survivals;
     // Compiled-plan deltas for the dispatch: calls executed through a
     // register plan, compiled_plans-on calls that tree-walked instead,
     // and compilation work (zero on every warm dispatch — a memo hit
@@ -333,8 +311,8 @@ class XqibPlugin : public xquery::BrowserBinding {
                        std::shared_ptr<const browser::ListenerEffects>,
                        ListenerKeyHash>
         listener_effects;
-    // For memoizable listeners whose read set the analyzer fully named:
-    // the names whose counters a memo entry records at fill time.
+    // Listeners whose read set the analyzer fully named: the names
+    // PropagateDelta intersects each delta batch's write names with.
     std::unordered_map<ListenerKey, std::vector<const xml::InternedName*>,
                        ListenerKeyHash>
         listener_read_names;
@@ -359,10 +337,11 @@ class XqibPlugin : public xquery::BrowserBinding {
     // Mutation-versioned memo cache for pure listeners. Keyed on the
     // interned listener name (pointer identity), arity, and a hash of
     // the full event payload (including target node identities). An
-    // entry is valid only while the page document's mutation version
-    // matches — any insert/delete/rename/replace bumps the version and
-    // strands the entry, which is discarded (counted as invalidation)
-    // on next lookup.
+    // entry is fresh while the page document's mutation version matches;
+    // after a mutation it survives only when the delta check proves no
+    // batch since fill time touched the listener's reads (ProbeMemo).
+    // Otherwise it is stale: discarded (counted as invalidation) on the
+    // lookup that finds it.
     struct MemoKey {
       const xml::InternedName* name = nullptr;
       size_t arity = 0;
@@ -383,14 +362,6 @@ class XqibPlugin : public xquery::BrowserBinding {
     struct MemoEntry {
       uint64_t doc_version = 0;
       std::string serialized;  // SequenceToString of the listener result
-      // Name-granular validity (PERFORMANCE.md §6): the per-name
-      // mutation counter of every name the listener reads, captured at
-      // fill time on the loop thread. A globally-stale entry whose
-      // counters all still match is provably exact — served as a hit
-      // (a fine_grained_survival) instead of being discarded.
-      bool fine_grained = false;
-      std::vector<std::pair<const xml::InternedName*, uint64_t>>
-          read_versions;
       // Delta-skip validity (PERFORMANCE.md §8): the page's delta_seq at
       // fill time. The entry is exact iff the listener was not dirtied
       // by any delta batch after this sequence number. 0 = the listener's
@@ -412,10 +383,9 @@ class XqibPlugin : public xquery::BrowserBinding {
     // while max(all_dirty_seq, dirty_seq[listener]) <= delta_fill_seq
     // AND delta_synced_version still matches the document — the second
     // check catches mutations that happened after the last sync point
-    // (the skip path then disables itself; the PR 6 per-name probe is
-    // the always-sound fallback). Written on the loop thread; workers
-    // read while the loop thread is barriered (same discipline as the
-    // name-version map).
+    // (the skip path then disables itself and the entry re-evaluates).
+    // Written on the loop thread; workers read while the loop thread is
+    // barriered inside the dispatch batch.
     uint64_t delta_seq = 1;
     uint64_t all_dirty_seq = 0;  // ⊤ batch: every listener dirty
     std::unordered_map<ListenerKey, uint64_t, ListenerKeyHash> dirty_seq;
@@ -461,28 +431,33 @@ class XqibPlugin : public xquery::BrowserBinding {
   // PUL and syncing the BOM afterwards.
   void InvokeListener(PageContext* page, const xml::QName& function,
                       const browser::Event& event);
-  // Builds a memo entry for a clean run of `function`, recording the
-  // per-name mutation counters of its read set when fine-grained
-  // invalidation is on and the analyzer fully named the reads. Runs on
-  // the loop thread (the name-version map is loop-thread-only).
-  PageContext::MemoEntry MakeMemoEntry(PageContext* page,
-                                       const PageContext::ListenerKey& key,
-                                       uint64_t doc_version,
-                                       std::string serialized) const;
+  // Builds a memo entry for a clean run of `function`, stamped with the
+  // page's delta_seq when the analyzer fully named the listener's reads.
+  // Runs on the loop thread (delta_seq is loop-thread-only).
+  static PageContext::MemoEntry MakeMemoEntry(
+      const PageContext* page, const PageContext::ListenerKey& key,
+      uint64_t doc_version, std::string serialized);
+  // Loop-thread bookkeeping for a dispatch answered from the memo cache
+  // (serially, or at a staged listener's commit).
+  void CommitMemoHit(PageContext* page, const std::string& serialized,
+                     bool delta_skip);
   Status ApplyAfterRun(PageContext* page);
 
   // Drains the page document's dispatch delta window and folds it into
   // the page's dirty-listener state (delta_seq/dirty_seq). Called at
-  // every dispatch sync point on the loop thread. No-op when delta
-  // propagation is off.
+  // every dispatch sync point on the loop thread.
   void PropagateDelta(PageContext* page);
-  // The skip-dispatch probe: true when `entry` provably cannot have
-  // been dirtied by any delta batch since it was filled. Read-only —
-  // safe from pool workers while the loop thread is barriered.
-  static bool DeltaSkipValid(const PageContext* page,
-                             const PageContext::ListenerKey& key,
-                             const PageContext::MemoEntry& entry,
-                             uint64_t doc_version);
+  // The memo probe shared by the serial and staged dispatch paths:
+  // kFresh when `entry` was filled at `doc_version`, kDeltaSkip when the
+  // document moved but no delta batch since fill time can have dirtied
+  // the listener (the skip-dispatch check), kStale otherwise. Read-only
+  // — safe from pool workers while the loop thread is barriered; each
+  // caller keeps its own lock mode and handles a stale entry itself.
+  enum class MemoValidity { kFresh, kDeltaSkip, kStale };
+  static MemoValidity ProbeMemo(const PageContext* page,
+                                const PageContext::ListenerKey& key,
+                                const PageContext::MemoEntry& entry,
+                                uint64_t doc_version);
 
   // The parallel path of InvokeListener: runs on a pool worker against
   // the DOM snapshot (the loop thread is barriered inside the dispatch
@@ -539,7 +514,6 @@ class XqibPlugin : public xquery::BrowserBinding {
   std::vector<xquery::analysis::Diagnostic> last_diagnostics_;
   size_t pure_listener_skips_ = 0;
   bool memo_enabled_ = true;
-  bool fine_grained_invalidation_ = true;
   MemoStats memo_stats_;
   DeltaStats delta_stats_;
   std::string last_listener_result_;

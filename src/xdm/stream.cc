@@ -56,19 +56,19 @@ class RangeStreamImpl : public ItemStream {
 
 }  // namespace
 
-StreamPtr EmptyStream(Arena* arena) {
+StreamPtr EmptyStream(Arena& arena) {
   return MakeStream<EmptyStreamImpl>(arena);
 }
 
-StreamPtr SingletonStream(Item item, Arena* arena) {
+StreamPtr SingletonStream(Item item, Arena& arena) {
   return MakeStream<SingletonStreamImpl>(arena, std::move(item));
 }
 
-StreamPtr SequenceStream(Sequence seq, Arena* arena) {
+StreamPtr SequenceStream(Sequence seq, Arena& arena) {
   return MakeStream<SequenceStreamImpl>(arena, std::move(seq));
 }
 
-StreamPtr RangeStream(int64_t lo, int64_t hi, Arena* arena) {
+StreamPtr RangeStream(int64_t lo, int64_t hi, Arena& arena) {
   return MakeStream<RangeStreamImpl>(arena, lo, hi);
 }
 

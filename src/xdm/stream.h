@@ -49,57 +49,39 @@ class ItemStream {
  public:
   virtual ~ItemStream() = default;
   virtual Result<bool> Next(Item* out) = 0;
-
-  // Set by MakeStream when the operator lives in an Arena: the deleter
-  // then runs the destructor without freeing (Arena::Reset reclaims).
-  bool arena_backed() const { return arena_backed_; }
-  void set_arena_backed(bool v) { arena_backed_ = v; }
-
- private:
-  bool arena_backed_ = false;
 };
 
-// Destroys a stream promptly (so held resources — input streams, buffers
-// — release at the usual unique_ptr points) but returns arena-backed
-// operators' memory only at the owning Arena's Reset.
+// Every stream operator lives in an Arena. The deleter destroys a stream
+// promptly (so held resources — input streams, buffers — release at the
+// usual unique_ptr points) but its memory returns only at the owning
+// Arena's Reset.
 struct StreamDeleter {
   void operator()(ItemStream* s) const {
-    if (s == nullptr) return;
-    if (s->arena_backed()) {
-      s->~ItemStream();
-    } else {
-      delete s;
-    }
+    if (s != nullptr) s->~ItemStream();
   }
 };
 
 using StreamPtr = std::unique_ptr<ItemStream, StreamDeleter>;
 
-// Allocates a stream operator on `arena` when non-null (bump pointer,
-// reclaimed wholesale at Reset) or on the heap otherwise.
+// Allocates a stream operator on `arena` (bump pointer, reclaimed
+// wholesale at Reset).
 template <typename T, typename... Args>
-StreamPtr MakeStream(Arena* arena, Args&&... args) {
-  if (arena != nullptr) {
-    T* p = arena->New<T>(std::forward<Args>(args)...);
-    p->set_arena_backed(true);
-    return StreamPtr(p);
-  }
-  return StreamPtr(new T(std::forward<Args>(args)...));
+StreamPtr MakeStream(Arena& arena, Args&&... args) {
+  return StreamPtr(arena.New<T>(std::forward<Args>(args)...));
 }
 
-// The empty sequence. Factories take an optional arena, threaded from
-// EvalOptions::arena_streams through the evaluator.
-StreamPtr EmptyStream(Arena* arena = nullptr);
+// The empty sequence. The evaluator passes its per-dispatch arena.
+StreamPtr EmptyStream(Arena& arena);
 
 // Exactly one item.
-StreamPtr SingletonStream(Item item, Arena* arena = nullptr);
+StreamPtr SingletonStream(Item item, Arena& arena);
 
 // Streams an owned, already materialized sequence.
-StreamPtr SequenceStream(Sequence seq, Arena* arena = nullptr);
+StreamPtr SequenceStream(Sequence seq, Arena& arena);
 
 // Lazy integer range lo..hi (empty when hi < lo) — `1 to 1000000`
 // never materializes unless a consumer buffers it.
-StreamPtr RangeStream(int64_t lo, int64_t hi, Arena* arena = nullptr);
+StreamPtr RangeStream(int64_t lo, int64_t hi, Arena& arena);
 
 // Materialization boundary: drains `s` into a Sequence. Every item
 // drained is counted into stats->items_materialized (when stats is

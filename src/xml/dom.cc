@@ -508,11 +508,10 @@ Node* Document::GetElementById(std::string_view id) const {
 }
 
 const std::vector<Node*>& Document::ElementsByName(const QName& name) const {
-  // Same wholesale scheme as the id cache: renames, inserts, detaches and
-  // value edits all bump mutation_version_, so a stale index can never be
-  // observed. Rebuilding is one DFS of the attached tree; lookup bursts
-  // between mutations (the plug-in's per-event listener paths) are O(1)
-  // plus the size of the answer.
+  // Renames, inserts, detaches and value edits all bump
+  // mutation_version_, so a stale index can never be observed. Lookup
+  // bursts between mutations (the plug-in's per-event listener paths) are
+  // O(1) plus the size of the answer.
   static const std::vector<Node*> kNoNodes;
   const uint64_t mv = mutation_version();
   if (name_index_version_.load(std::memory_order_acquire) != mv) {
@@ -526,23 +525,6 @@ const std::vector<Node*>& Document::ElementsByName(const QName& name) const {
           name_index_version_.load(std::memory_order_relaxed) != 0 &&
           TrySpliceNameIndex();
       if (!spliced) {
-        // Fine-grained survival: the index is globally stale, but if this
-        // name's counter has not moved since the last rebuild, its bucket
-        // is still exact — membership, attachment, and relative document
-        // order of `name` elements cannot change without a mutation that
-        // bumps the name (ancestor moves bump every subtree name). Serve
-        // the bucket without rebuilding and leave the index stale for
-        // other names to check the same way.
-        if (fine_grained_ && index_names_snapshot_) {
-          auto snap = index_name_versions_.find(name.token());
-          const uint64_t recorded =
-              snap == index_name_versions_.end() ? 0 : snap->second;
-          if (recorded == name_version(name.token())) {
-            ++name_index_fine_hits_;
-            auto hit = name_index_.find(name.token());
-            return hit == name_index_.end() ? kNoNodes : hit->second;
-          }
-        }
         name_index_.clear();
         std::function<void(const Node*)> visit = [&](const Node* n) {
           for (const Node* c : n->children_) {
@@ -557,10 +539,6 @@ const std::vector<Node*>& Document::ElementsByName(const QName& name) const {
         // The rebuild observed the current tree; the pending delta is
         // subsumed by it.
         pending_index_delta_.Clear();
-        if (fine_grained_) {
-          index_name_versions_ = name_versions_;
-          index_names_snapshot_ = true;
-        }
       }
       name_index_version_.store(mv, std::memory_order_release);
     }
@@ -634,23 +612,16 @@ bool Document::TrySpliceNameIndex() const {
       ++index_splices_;
     }
   }
-  // Buckets are exact again under the current counters: refresh the
-  // snapshot for the touched names so per-name survival keeps working.
-  if (fine_grained_ && index_names_snapshot_) {
-    for (const InternedName* token : d.touched) {
-      index_name_versions_[token] = name_version(token);
-    }
-  }
   pending_index_delta_.Clear();
   ++bucket_rebuilds_avoided_;
   return true;
 }
 
 void Document::NotifyMutation(Node* target) {
-  // One shared recording gate for every mutation path: the per-name
-  // counters and every delta sink observe exactly the same attached
-  // mutations (the site's ancestor-chain names here; subtree names and
-  // membership ops at the attach/detach sites).
+  // One shared recording gate for every mutation path: every delta sink
+  // observes exactly the same attached mutations (the site's
+  // ancestor-chain names here; subtree names and membership ops at the
+  // attach/detach sites).
   if (RecordingActive() && AttachedToRoot(target)) {
     RecordSiteNames(target);
     CountDeltaMutation();
@@ -676,17 +647,6 @@ void Document::TakeDispatchDelta(DomDelta* out) {
   pending_dispatch_delta_.Clear();
 }
 
-void Document::set_fine_grained_versions(bool on) {
-  if (on == fine_grained_) return;
-  fine_grained_ = on;
-  // Counters accumulated under the previous mode miss every mutation
-  // made while tracking was off; drop them and force the next lookup
-  // through a full rebuild before per-name survival is trusted again.
-  name_versions_.clear();
-  index_name_versions_.clear();
-  index_names_snapshot_ = false;
-}
-
 bool Document::AttachedToRoot(const Node* n) const {
   while (n != nullptr) {
     if (n == root_) return true;
@@ -696,7 +656,6 @@ bool Document::AttachedToRoot(const Node* n) const {
 }
 
 void Document::TouchName(const InternedName* token) {
-  if (fine_grained_) ++name_versions_[token];
   if (delta_tracking_) {
     pending_index_delta_.Touch(token);
     pending_dispatch_delta_.Touch(token);

@@ -137,9 +137,7 @@ class Node {
 // between two sync points (PERFORMANCE.md §8). The update layer emits
 // one per PUL application; the Document keeps two rolling windows of its
 // own (one consumed by the element-name index splice, one by the
-// plug-in's dispatch skip), all fed by the same recording walk that
-// maintains the per-name mutation counters — the counters are a derived
-// view of this delta.
+// plug-in's dispatch skip), all fed by the same recording walk.
 struct DomDelta {
   // Details stop being recorded past this many touched names / ops in
   // one window; the delta degrades to whole_tree (conservative).
@@ -151,11 +149,10 @@ struct DomDelta {
   // splicing re-inserts it at its new document-order position.
   std::unordered_map<const InternedName*, std::unordered_map<Node*, bool>>
       element_ops;
-  // Every name whose per-name mutation counter bumped in the window:
-  // each mutation's ancestor-chain element/attribute names plus the
-  // names inside attached/detached subtrees (value edits included).
-  // This is the write-name set dispatch intersects listener read sets
-  // against.
+  // Every name a mutation in the window touched: each mutation's
+  // ancestor-chain element/attribute names plus the names inside
+  // attached/detached subtrees (value edits included). This is the
+  // write-name set dispatch intersects listener read sets against.
   std::unordered_set<const InternedName*> touched;
   // Conservative escape hatch: recording was off for part of the window
   // or the window overflowed kTrackingCap. Consumers must treat every
@@ -208,11 +205,12 @@ class Document {
   Node* GetElementById(std::string_view id) const;
 
   // All attached elements with expanded name `name`, in document order.
-  // Backed by a lazily rebuilt whole-tree index with the same wholesale
-  // invalidation scheme as the id cache: any mutation drops it, the next
-  // lookup rebuilds it in one DFS. The evaluator routes whole-tree
-  // descendant name steps (//name) through this so per-event path
-  // evaluation touches only matching nodes.
+  // Backed by a lazily maintained whole-tree index validated against
+  // mutation_version(): the first lookup after a mutation splices the
+  // pending delta into the touched buckets when the document tracks
+  // deltas, and otherwise rebuilds the whole index in one DFS. The
+  // evaluator routes whole-tree descendant name steps (//name) through
+  // this so per-event path evaluation touches only matching nodes.
   const std::vector<Node*>& ElementsByName(const QName& name) const;
   // Number of times the name index has been (re)built (tests/benchmarks).
   uint64_t name_index_builds() const { return name_index_builds_; }
@@ -243,39 +241,16 @@ class Document {
     return mutation_version_.load(std::memory_order_acquire);
   }
 
-  // --- Name-granular invalidation ------------------------------------
-  //
-  // When enabled, every ATTACHED mutation additionally bumps a per-name
-  // counter for each element/attribute name on the mutation site's
-  // ancestor chain, plus the names inside any subtree the mutation
-  // attaches or detaches. A cached result that recorded the counters of
-  // every name it reads stays provably valid across mutations touching
-  // disjoint names, even though mutation_version() moved. Detached
-  // construction (worker-built update content) bumps only the global
-  // version, never the per-name map, so the map stays loop-thread-only.
-  void set_fine_grained_versions(bool on);
-  bool fine_grained_versions() const { return fine_grained_; }
-  // Mutation counter for one interned name: 0 until the first attached
-  // mutation touches the name. Same read discipline as the name index
-  // (loop thread, or barriered workers).
-  uint64_t name_version(const InternedName* token) const {
-    auto it = name_versions_.find(token);
-    return it == name_versions_.end() ? 0 : it->second;
-  }
-  // Globally-stale ElementsByName lookups served from a per-name bucket
-  // whose name counter did not move (tests/benchmarks).
-  uint64_t name_index_fine_hits() const { return name_index_fine_hits_; }
-
   // --- Delta propagation (PERFORMANCE.md §8) --------------------------
   //
-  // When enabled, the same recording walk that bumps the per-name
-  // counters also appends structured membership/touch ops to two rolling
-  // DomDelta windows: one consumed by ElementsByName (bucket splicing
-  // instead of full rebuilds), one drained by the plug-in's dispatch
-  // loop (listener skip). Recording is loop-thread-only and gated on
-  // AttachedToRoot, exactly like the counters.
+  // When enabled, every attached mutation appends structured
+  // membership/touch ops to two rolling DomDelta windows: one consumed
+  // by ElementsByName (bucket splicing instead of full rebuilds), one
+  // drained by the plug-in's dispatch loop (listener skip). The plug-in
+  // turns this on for every page document. Recording is loop-thread-only
+  // and gated on AttachedToRoot: detached construction (worker-built
+  // update content) records nothing.
   void set_delta_tracking(bool on);
-  bool delta_tracking() const { return delta_tracking_; }
   // Moves the accumulated dispatch-window delta into `out` and resets
   // the window. Loop-thread-only (the window is written by mutations).
   void TakeDispatchDelta(DomDelta* out);
@@ -303,13 +278,12 @@ class Document {
   bool AttachedToRoot(const Node* n) const;
 
   // --- Unified mutation recording ------------------------------------
-  // One shared core for every mutation path: the per-name counters and
-  // every DomDelta sink are fed from the same walks, so the counters are
-  // a derived view of the delta and the two can never drift.
+  // One shared core for every mutation path: every DomDelta sink is fed
+  // from the same walks, so the windows and the capture never drift.
   bool RecordingActive() const {
-    return fine_grained_ || delta_tracking_ || capture_ != nullptr;
+    return delta_tracking_ || capture_ != nullptr;
   }
-  // Counter bump + touched-set insertion for one name.
+  // Touched-set insertion for one name on every delta sink.
   void TouchName(const InternedName* token);
   // Element membership op on every delta sink.
   void RecordElementOp(const Node* node, const InternedName* token,
@@ -363,20 +337,6 @@ class Document {
   // from a listener whose read set is ⊤, which the interference gate
   // keeps out of any staged run containing an updater.
   mutable std::mutex alloc_mu_;
-
-  // Per-name mutation counters (fine-grained mode; see accessors).
-  bool fine_grained_ = false;
-  std::unordered_map<const InternedName*, uint64_t> name_versions_;
-  // Snapshot of name_versions_ taken when name_index_ was last rebuilt:
-  // a globally-stale bucket whose name counter matches the snapshot is
-  // still exact and can be served without a rebuild.
-  mutable std::unordered_map<const InternedName*, uint64_t>
-      index_name_versions_;
-  // True once a full rebuild has snapshotted under the current mode;
-  // cleared on mode toggles so per-name survival is never trusted across
-  // a window where counters were not being maintained.
-  mutable bool index_names_snapshot_ = false;
-  mutable base::RelaxedCounter name_index_fine_hits_;
 
   // Delta-propagation state (see the public accessors). The two rolling
   // windows and the capture sink are written only from mutation paths

@@ -1365,7 +1365,7 @@ class ModuleAnalyzer {
                    " has an unanalyzable read set (wildcard step, reverse "
                    "axis, or dynamic access): every DOM mutation "
                    "invalidates its memo entry; name the elements it "
-                   "reads to enable fine-grained invalidation",
+                   "reads so disjoint mutations can skip it",
                offset, length);
       }
       // Group synchronous attaches with literal event names for the

@@ -783,13 +783,12 @@ class FlworStream : public ItemStream {
   size_t pending_idx_ = 0;
 };
 
-// Allocates a stream operator on the context's dispatch arena (or the
-// heap under the arena_streams=false ablation), accounting the bytes.
+// Allocates a stream operator on the context's dispatch arena,
+// accounting the bytes.
 template <typename T, typename... Args>
 StreamPtr MakeOp(Evaluator* ev, DynamicContext& ctx, Args&&... args) {
-  xdm::Arena* arena = ev->StreamArena(ctx);
-  if (arena != nullptr) ev->CountArenaAlloc(ctx, sizeof(T));
-  return xdm::MakeStream<T>(arena, std::forward<Args>(args)...);
+  ev->CountArenaAlloc(ctx, sizeof(T));
+  return xdm::MakeStream<T>(ctx.arena(), std::forward<Args>(args)...);
 }
 
 }  // namespace
@@ -1110,7 +1109,9 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
   // The initial context sequence is small (usually the focus item or a
   // variable) — evaluate it eagerly, then stream the steps off it.
   XQ_ASSIGN_OR_RETURN(Sequence current, PathInput(e, ctx));
-  if (e.steps.empty()) return xdm::SequenceStream(std::move(current), StreamArena(ctx));
+  if (e.steps.empty()) {
+    return xdm::SequenceStream(std::move(current), ctx.arena());
+  }
 
   size_t start = 0;
   xdm::StreamPtr s;
@@ -1119,8 +1120,7 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
   // With a worker pool, //name[pred] also qualifies: the bucket is
   // partitioned across the pool and each slice filters with globally
   // correct position()/last() (ParallelStepStream path).
-  if (options_.use_name_index && current.size() == 1 &&
-      current[0].is_node()) {
+  if (current.size() == 1 && current[0].is_node()) {
     bool skip_origin = false;
     const std::vector<xml::Node*>* bucket =
         IndexedStepBucket(e.steps[0], current[0].node(), &skip_origin);
@@ -1203,12 +1203,12 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
           ++ctx.profiler->fast_path().sorts_elided;
         }
         CountMaterialized(ctx, hits.size());
-        s = xdm::SequenceStream(std::move(hits), StreamArena(ctx));
+        s = xdm::SequenceStream(std::move(hits), ctx.arena());
         start = consumed;
       }
     }
   }
-  if (s == nullptr) s = xdm::SequenceStream(std::move(current), StreamArena(ctx));
+  if (s == nullptr) s = xdm::SequenceStream(std::move(current), ctx.arena());
 
   for (size_t si = start; si < e.steps.size(); ++si) {
     const Step& step = e.steps[si];
@@ -1246,7 +1246,7 @@ Result<Sequence> Evaluator::EvalPathEager(const Expr& e, DynamicContext& ctx) {
     Sequence next;
     bool indexed = false;
 
-    if (options_.use_name_index && TryIndexedStep(step, current, &next)) {
+    if (TryIndexedStep(step, current, &next)) {
       indexed = true;
       ++stats_.name_index_hits;
       if (ctx.profiler != nullptr) {
@@ -1382,7 +1382,7 @@ Result<xdm::StreamPtr> Evaluator::EvalStreamOrdered(const Expr& e,
                                                     bool ordered_required) {
   if (!options_.stream_pipeline || exit_flag_) {
     XQ_ASSIGN_OR_RETURN(Sequence v, Eval(e, ctx));
-    return xdm::SequenceStream(std::move(v), StreamArena(ctx));
+    return xdm::SequenceStream(std::move(v), ctx.arena());
   }
   switch (e.kind) {
     case ExprKind::kPath:
@@ -1403,7 +1403,7 @@ Result<xdm::StreamPtr> Evaluator::EvalStreamOrdered(const Expr& e,
     case ExprKind::kRange: {
       XQ_ASSIGN_OR_RETURN(Sequence lo_seq, Eval(*e.kids[0], ctx));
       XQ_ASSIGN_OR_RETURN(Sequence hi_seq, Eval(*e.kids[1], ctx));
-      if (lo_seq.empty() || hi_seq.empty()) return xdm::EmptyStream(StreamArena(ctx));
+      if (lo_seq.empty() || hi_seq.empty()) return xdm::EmptyStream(ctx.arena());
       XQ_ASSIGN_OR_RETURN(AtomicValue lo_a,
                           RequireSingleAtomic(lo_seq, "range"));
       XQ_ASSIGN_OR_RETURN(AtomicValue hi_a,
@@ -1411,7 +1411,7 @@ Result<xdm::StreamPtr> Evaluator::EvalStreamOrdered(const Expr& e,
       XQ_ASSIGN_OR_RETURN(int64_t lo, lo_a.ToInteger());
       XQ_ASSIGN_OR_RETURN(int64_t hi, hi_a.ToInteger());
       CountBuffersAvoided(ctx);
-      return xdm::RangeStream(lo, hi, StreamArena(ctx));
+      return xdm::RangeStream(lo, hi, ctx.arena());
     }
     case ExprKind::kIf: {
       XQ_ASSIGN_OR_RETURN(bool b, EvalBool(*e.kids[0], ctx));
@@ -1421,23 +1421,23 @@ Result<xdm::StreamPtr> Evaluator::EvalStreamOrdered(const Expr& e,
     case ExprKind::kEnclosed:
       return EvalStreamOrdered(*e.kids[0], ctx, ordered_required);
     case ExprKind::kLiteral:
-      return xdm::SingletonStream(Item::Atomic(e.atom), StreamArena(ctx));
+      return xdm::SingletonStream(Item::Atomic(e.atom), ctx.arena());
     case ExprKind::kContextItem: {
       if (!ctx.focus().has_item) {
         return Status::Error("XPDY0002", "context item is undefined");
       }
-      return xdm::SingletonStream(ctx.focus().item, StreamArena(ctx));
+      return xdm::SingletonStream(ctx.focus().item, ctx.arena());
     }
     case ExprKind::kVarRef: {
       XQ_ASSIGN_OR_RETURN(Sequence v, ctx.env().Lookup(e.qname));
-      return xdm::SequenceStream(std::move(v), StreamArena(ctx));
+      return xdm::SequenceStream(std::move(v), ctx.arena());
     }
     default:
       break;
   }
   // Everything else evaluates eagerly and streams the buffer.
   XQ_ASSIGN_OR_RETURN(Sequence v, Eval(e, ctx));
-  return xdm::SequenceStream(std::move(v), StreamArena(ctx));
+  return xdm::SequenceStream(std::move(v), ctx.arena());
 }
 
 Result<Sequence> Evaluator::MaterializeFrom(xdm::StreamPtr s,
@@ -1477,7 +1477,7 @@ Result<xdm::StreamPtr> Evaluator::BuildFilterStream(const Expr& e,
     const Expr& pred = *pred_ptr;
     // E[N]: a literal integer predicate over a (sorted) stream needs N
     // pulls, not the full sequence.
-    if (options_.bounded_eval && pred.kind == ExprKind::kLiteral &&
+    if (pred.kind == ExprKind::kLiteral &&
         pred.atom.type() == AtomicType::kInteger) {
       s = MakeOp<TakeNthStream>(this, ctx, this, &ctx, pred.atom.int_value(),
                                 std::move(s));
@@ -1489,7 +1489,7 @@ Result<xdm::StreamPtr> Evaluator::BuildFilterStream(const Expr& e,
                    pred.qname.local() == "last" &&
                    sctx_.FindFunction(pred.qname, 0) == nullptr &&
                    ctx.FindExternal(pred.qname, 0) == nullptr;
-    if (options_.bounded_eval && is_last) {
+    if (is_last) {
       s = MakeOp<TakeLastStream>(this, ctx, this, &ctx, std::move(s));
       continue;
     }
@@ -1498,7 +1498,7 @@ Result<xdm::StreamPtr> Evaluator::BuildFilterStream(const Expr& e,
       // carries the true size.
       XQ_ASSIGN_OR_RETURN(Sequence buf, MaterializeFrom(std::move(s), ctx));
       XQ_ASSIGN_OR_RETURN(buf, ApplyOnePredicate(pred, std::move(buf), ctx));
-      s = xdm::SequenceStream(std::move(buf), StreamArena(ctx));
+      s = xdm::SequenceStream(std::move(buf), ctx.arena());
       continue;
     }
     s = MakeOp<PredicateStream>(this, ctx, this, &ctx, &pred, std::move(s));
@@ -1595,7 +1595,7 @@ Result<bool> Evaluator::EvalBool(const Expr& e, DynamicContext& ctx) {
   // Lazy kinds stream to their first EBV witness: a path yields only
   // nodes, so one pull decides (XQuery §2.3.4 allows skipping the rest
   // of the evaluation); atomic producers need at most two pulls.
-  if (options_.stream_pipeline && options_.bounded_eval) {
+  if (options_.stream_pipeline) {
     switch (e.kind) {
       case ExprKind::kPath:
       case ExprKind::kFilter:
@@ -2131,8 +2131,8 @@ Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e,
       e.qname.ns() == xml::kFnNamespace && !e.kids.empty() &&
       sctx_.FindFunction(e.qname, e.kids.size()) == nullptr &&
       ctx.FindExternal(e.qname, e.kids.size()) == nullptr;
-  if (builtin_unshadowed && options_.use_name_index &&
-      e.qname.local() == "count" && e.kids.size() == 1) {
+  if (builtin_unshadowed && e.qname.local() == "count" &&
+      e.kids.size() == 1) {
     int64_t n = 0;
     if (TryFastCount(*e.kids[0], ctx, &n)) {
       return Sequence{Item::Integer(n)};
@@ -2141,10 +2141,7 @@ Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e,
   if (builtin_unshadowed) {
     StreamFnClass cls = ClassifyStreamBuiltin(e.qname, e.kids.size());
     if (options_.stream_pipeline && cls != StreamFnClass::kNone) {
-      // Skipping the final sort barrier for existence tests is part of
-      // the bounded-evaluation ablation axis, so it stays tied to it.
-      const bool ordered = StreamBuiltinNeedsOrderedArg(e.qname.local()) ||
-                           !options_.bounded_eval;
+      const bool ordered = StreamBuiltinNeedsOrderedArg(e.qname.local());
       XQ_ASSIGN_OR_RETURN(xdm::StreamPtr arg0,
                           EvalStreamOrdered(*e.kids[0], ctx, ordered));
       std::vector<Sequence> rest;

@@ -37,28 +37,21 @@ class Evaluator {
  public:
   explicit Evaluator(const StaticContext& sctx) : sctx_(sctx) {}
 
-  // Runtime toggles for the path fast paths. All on by default; the
-  // benchmark ablations flip them off to measure each axis in isolation.
+  // Runtime toggles, all on by default. Each off position is a
+  // reference implementation the tests compare against (PERFORMANCE.md,
+  // "Evaluator switches"). Whole-tree //name steps always route through
+  // the document's element-name index, bounded consumers (existence
+  // tests, [N], [last()], head/subsequence) always stop early, and
+  // stream operators always live in the DynamicContext's per-dispatch
+  // arena.
   struct EvalOptions {
     // Skip SortDocumentOrderDedup for steps the optimizer annotated
-    // order-preserving + duplicate-free.
+    // order-preserving + duplicate-free. Off: the always-sort reference.
     bool honor_sort_elision = true;
-    // Route whole-tree descendant name steps (//name) through the
-    // document's lazily built element-name index.
-    bool use_name_index = true;
-    // Stop evaluation early for bounded consumers: existence tests
-    // ([pred], exists, empty, and/or/if/where conditions), positional
-    // [1]/[last()], head/subsequence prefixes.
-    bool bounded_eval = true;
     // Compose path steps, FLWOR clauses and sequence-valued builtins as
     // lazy pull streams (xdm::ItemStream). Off: every operator edge
-    // re-materializes a full Sequence — the PR 2-era eager baseline the
-    // benchmarks ablate against.
+    // re-materializes a full Sequence — the eager reference.
     bool stream_pipeline = true;
-    // Allocate stream operators out of the DynamicContext's per-dispatch
-    // arena instead of the heap. Off: every operator is a malloc/free
-    // pair — the ablation baseline for the memory benchmarks.
-    bool arena_streams = true;
     // Split whole-tree //name steps across the worker pool: the
     // element-name-index bucket is partitioned, each worker evaluates
     // the first predicate over its slice (with globally correct
@@ -75,13 +68,6 @@ class Evaluator {
     // traversal. Off: every call tree-walks — the oracle the plan
     // ablation tests compare against.
     bool compiled_plans = true;
-    // Propagate structured DOM deltas through the mutation pipeline:
-    // PUL applications emit per-name membership deltas, the element-name
-    // index splices touched buckets instead of rebuilding them, and
-    // dispatch skips memoized listeners whose static read sets are
-    // disjoint from the delta's write names without re-running them.
-    // Off: the PR 6 survive-or-recompute path — the ablation oracle.
-    bool delta_propagation = true;
     // Scatter-gather over remote sources: FLWOR bodies whose http:get
     // URLs are statically expressible (literals, or templates over the
     // loop variable) and provably free of reachable fabric writes issue
@@ -198,12 +184,6 @@ class Evaluator {
   // apply pass, when no streams are live) and refreshes the arena /
   // interning snapshots in EvalStats and the profiler.
   void ResetDispatchArena(DynamicContext& ctx);
-
-  // The arena stream operators allocate from under the current options
-  // (null = heap, the ablation baseline).
-  xdm::Arena* StreamArena(DynamicContext& ctx) {
-    return options_.arena_streams ? &ctx.arena() : nullptr;
-  }
 
   // Invokes a user-declared or external function with pre-evaluated
   // arguments. Used by the plugin to dispatch event listeners.

@@ -859,43 +859,23 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
                                    std::vector<Sequence>& rest, Evaluator& ev,
                                    DynamicContext& ctx) {
   const std::string& fn = name.local();
-  const bool bounded = ev.options().bounded_eval;
   Item item;
 
   if (fn == "exists" || fn == "empty") {
-    bool any = false;
-    while (true) {
-      XQ_ASSIGN_OR_RETURN(bool more, arg0.Next(&item));
-      if (!more) break;
-      any = true;
-      if (bounded) {
-        ev.CountEarlyExit(ctx);
-        break;
-      }
-    }
+    XQ_ASSIGN_OR_RETURN(bool any, arg0.Next(&item));
+    if (any) ev.CountEarlyExit(ctx);
     return Sequence{Item::Boolean(fn == "exists" ? any : !any)};
   }
   if (fn == "boolean" || fn == "not") {
-    bool b = false;
-    if (bounded) {
-      XQ_ASSIGN_OR_RETURN(b, ev.StreamEBV(arg0, ctx));
-    } else {
-      XQ_ASSIGN_OR_RETURN(Sequence v, xdm::MaterializeStream(arg0, nullptr));
-      ev.CountMaterialized(ctx, v.size());
-      XQ_ASSIGN_OR_RETURN(b, xdm::EffectiveBooleanValue(v));
-    }
+    XQ_ASSIGN_OR_RETURN(bool b, ev.StreamEBV(arg0, ctx));
     return Sequence{Item::Boolean(fn == "boolean" ? b : !b)};
   }
   if (fn == "head") {
     Sequence out;
-    while (true) {
-      XQ_ASSIGN_OR_RETURN(bool more, arg0.Next(&item));
-      if (!more) break;
-      if (out.empty()) out.push_back(std::move(item));
-      if (bounded) {
-        ev.CountEarlyExit(ctx);
-        break;
-      }
+    XQ_ASSIGN_OR_RETURN(bool any, arg0.Next(&item));
+    if (any) {
+      out.push_back(std::move(item));
+      ev.CountEarlyExit(ctx);
     }
     return out;
   }
@@ -920,7 +900,7 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
       if (pos >= from && pos < to) out.push_back(std::move(item));
       // Past the window: nothing later can match (to is monotone in pos;
       // NaN bounds keep every comparison false and drain harmlessly).
-      if (bounded && pos + 1 >= to) {
+      if (pos + 1 >= to) {
         stopped = true;
         break;
       }

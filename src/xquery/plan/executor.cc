@@ -33,9 +33,6 @@ struct PlanEvaluatorAccess {
                            DynamicContext& ctx, int64_t* out) {
     return ev.TryFastCount(arg, ctx, out);
   }
-  static const Evaluator::EvalOptions& Options(const Evaluator& ev) {
-    return ev.options_;
-  }
   static Evaluator::EvalStats& Stats(Evaluator& ev) { return ev.stats_; }
   static bool Exited(const Evaluator& ev) { return ev.exit_flag_; }
 };
@@ -270,23 +267,17 @@ Result<Sequence> Run(const FunctionPlan& fp, const ModulePlans& plans,
       }
       case OpCode::kPathIndexed: {
         const Expr& path = *fp.exprs[op.imm];
-        bool hit = false;
-        if (Access::Options(ev).use_name_index) {
-          XQ_ASSIGN_OR_RETURN(Sequence origin,
-                              Access::PathInput(ev, path, ctx));
-          if (Access::TryIndexedStep(ev, path.steps[0], origin,
-                                     &(*regs)[op.dst])) {
-            hit = true;
-            Evaluator::EvalStats& stats = Access::Stats(ev);
-            ++stats.name_index_hits;
-            ++stats.sorts_elided;
-            if (ctx.profiler != nullptr) {
-              ++ctx.profiler->fast_path().name_index_hits;
-              ++ctx.profiler->fast_path().sorts_elided;
-            }
+        XQ_ASSIGN_OR_RETURN(Sequence origin, Access::PathInput(ev, path, ctx));
+        if (Access::TryIndexedStep(ev, path.steps[0], origin,
+                                   &(*regs)[op.dst])) {
+          Evaluator::EvalStats& stats = Access::Stats(ev);
+          ++stats.name_index_hits;
+          ++stats.sorts_elided;
+          if (ctx.profiler != nullptr) {
+            ++ctx.profiler->fast_path().name_index_hits;
+            ++ctx.profiler->fast_path().sorts_elided;
           }
-        }
-        if (!hit) {
+        } else {
           XQ_ASSIGN_OR_RETURN((*regs)[op.dst], ev.Eval(path, ctx));
         }
         break;
@@ -296,8 +287,7 @@ Result<Sequence> Run(const FunctionPlan& fp, const ModulePlans& plans,
         int64_t n = 0;
         // Runtime re-check of the shadowing the compiler could not rule
         // out statically: a host external registered under fn:count.
-        if (Access::Options(ev).use_name_index &&
-            ctx.FindExternal(fp.names[op.b], 1) == nullptr &&
+        if (ctx.FindExternal(fp.names[op.b], 1) == nullptr &&
             Access::TryFastCount(ev, *call.kids[0], ctx, &n)) {
           AssignSingle(&(*regs)[op.dst], Item::Integer(n));
           break;

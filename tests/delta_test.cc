@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "plugin/plugin.h"
 #include "xml/interning.h"
@@ -48,11 +52,38 @@ Status RunUpdateCapturing(const std::string& query, xml::Document* doc,
   return ctx.pul().ApplyAll(delta);
 }
 
+// The splice reference: every ElementsByName bucket must equal a fresh
+// document-order walk of the attached tree. `gone` lists names the walk
+// no longer finds whose buckets must therefore be empty (the index may
+// not keep a bucket for a name the tree lost).
+void ExpectIndexMatchesWalk(xml::Document* doc,
+                            const std::vector<const char*>& gone = {}) {
+  std::map<const xml::InternedName*, std::vector<xml::Node*>> walk;
+  std::map<const xml::InternedName*, xml::QName> names;
+  std::function<void(xml::Node*)> visit = [&](xml::Node* n) {
+    for (xml::Node* c : n->children()) {
+      if (!c->is_element()) continue;
+      walk[c->name().token()].push_back(c);
+      names.emplace(c->name().token(), c->name());
+      visit(c);
+    }
+  };
+  visit(doc->root());
+  for (const auto& [token, nodes] : walk) {
+    EXPECT_EQ(doc->ElementsByName(names.at(token)), nodes)
+        << "bucket <" << *token->local << "> differs from the tree walk";
+  }
+  for (const char* local : gone) {
+    if (walk.count(Tok(local)) != 0) continue;
+    EXPECT_TRUE(doc->ElementsByName(xml::QName(local)).empty())
+        << "bucket <" << local << "> outlived its last element";
+  }
+}
+
 // ------------------------------------------- PUL delta edge cases ---
 
 TEST(PulDelta, ReplaceValueOfAttribute) {
   auto doc = std::move(xml::ParseDocument("<a><b v=\"1\"/></a>")).value();
-  doc->set_fine_grained_versions(true);
   xml::DomDelta delta;
   Status st = RunUpdateCapturing("replace value of node /a/b/@v with \"9\"",
                                  doc.get(), &delta);
@@ -64,24 +95,15 @@ TEST(PulDelta, ReplaceValueOfAttribute) {
   EXPECT_FALSE(delta.whole_tree);
   EXPECT_EQ(delta.mutations, 1u);
   EXPECT_TRUE(delta.element_ops.empty());
-  EXPECT_EQ(delta.touched.size(), 3u);
-  EXPECT_EQ(delta.touched.count(Tok("v")), 1u);
-  EXPECT_EQ(delta.touched.count(Tok("b")), 1u);
-  EXPECT_EQ(delta.touched.count(Tok("a")), 1u);
-
-  // The per-name counters moved for the same names and no others — they
-  // are a derived view of the delta.
-  EXPECT_EQ(doc->name_version(Tok("v")), 1u);
-  EXPECT_EQ(doc->name_version(Tok("b")), 1u);
-  EXPECT_EQ(doc->name_version(Tok("a")), 1u);
-  EXPECT_EQ(doc->name_version(Tok("other")), 0u);
+  const std::unordered_set<const xml::InternedName*> want{Tok("v"), Tok("b"),
+                                                          Tok("a")};
+  EXPECT_EQ(delta.touched, want);
 }
 
 TEST(PulDelta, InsertBeforeAndAfterSiblingOrdering) {
   auto doc = std::move(
                  xml::ParseDocument("<a><b i=\"1\"/><b i=\"3\"/></a>"))
                  .value();
-  doc->set_fine_grained_versions(true);
   xml::DomDelta delta;
   Status st = RunUpdateCapturing(
       "insert node <b i=\"0\"/> before /a/b[1],"
@@ -102,9 +124,11 @@ TEST(PulDelta, InsertBeforeAndAfterSiblingOrdering) {
     EXPECT_TRUE(inserted);
     EXPECT_EQ(node->name().token(), Tok("b"));
   }
-  EXPECT_EQ(delta.touched.count(Tok("b")), 1u);
-  EXPECT_EQ(delta.touched.count(Tok("a")), 1u);
-  EXPECT_EQ(delta.touched.count(Tok("i")), 1u);  // attrs in the subtrees
+  // The inserted subtrees' names (attributes included) plus the site
+  // chain, and nothing else.
+  const std::unordered_set<const xml::InternedName*> want{Tok("b"), Tok("a"),
+                                                          Tok("i")};
+  EXPECT_EQ(delta.touched, want);
 }
 
 TEST(PulDelta, DeleteOfAncestorOfPendingInsertTarget) {
@@ -112,7 +136,6 @@ TEST(PulDelta, DeleteOfAncestorOfPendingInsertTarget) {
   // the delete detaches the whole <b> subtree including it. Last op
   // wins, so every element resolves to "removed".
   auto doc = std::move(xml::ParseDocument("<a><b><c/></b></a>")).value();
-  doc->set_fine_grained_versions(true);
   xml::Node* b = doc->DocumentElement()->children()[0];
   xml::Node* c = b->children()[0];
   xml::DomDelta delta;
@@ -131,15 +154,11 @@ TEST(PulDelta, DeleteOfAncestorOfPendingInsertTarget) {
   const auto& d_ops = delta.element_ops.at(Tok("d"));
   ASSERT_EQ(d_ops.size(), 1u);
   EXPECT_FALSE(d_ops.begin()->second);  // inserted, then swept out
-  EXPECT_EQ(delta.touched.count(Tok("a")), 1u);
-  EXPECT_EQ(delta.touched.size(), 4u);
-
-  // Counters: the insert bumped d/c/b/a, the delete bumped b/c/d (the
-  // detached subtree) and a (the site chain).
-  EXPECT_EQ(doc->name_version(Tok("a")), 2u);
-  EXPECT_EQ(doc->name_version(Tok("b")), 2u);
-  EXPECT_EQ(doc->name_version(Tok("c")), 2u);
-  EXPECT_EQ(doc->name_version(Tok("d")), 2u);
+  // The insert touched d/c/b/a, the delete b/c/d (the detached
+  // subtree) and a (the site chain).
+  const std::unordered_set<const xml::InternedName*> want{
+      Tok("a"), Tok("b"), Tok("c"), Tok("d")};
+  EXPECT_EQ(delta.touched, want);
 }
 
 // ------------------------------------------------ index splicing ---
@@ -164,6 +183,7 @@ TEST(IndexSplice, InsertSplicesInsteadOfRebuilding) {
 
   const auto& bucket1 = doc->ElementsByName(xml::QName("b"));
   ASSERT_EQ(bucket1.size(), 3u);
+  ExpectIndexMatchesWalk(doc.get());
   EXPECT_EQ(doc->name_index_builds(), 1u);  // spliced, not rebuilt
   EXPECT_GE(doc->bucket_rebuilds_avoided(), 1u);
   EXPECT_GE(doc->index_splices(), 1u);
@@ -193,6 +213,11 @@ TEST(IndexSplice, RemovalAndUntouchedBucketsSpliceToo) {
   EXPECT_EQ(b[0]->GetAttributeValue("i"), "2");
   // The <c> bucket was untouched by the delta and survived verbatim.
   EXPECT_EQ(doc->ElementsByName(xml::QName("c")).size(), 2u);
+  ExpectIndexMatchesWalk(doc.get());
+
+  // Removing the last <b> must leave no bucket behind.
+  a->RemoveChild(b[0]);
+  ExpectIndexMatchesWalk(doc.get(), {"b"});
   EXPECT_EQ(doc->name_index_builds(), 1u);
 }
 
@@ -207,11 +232,19 @@ TEST(IndexSplice, RenameMovesNodeBetweenBuckets) {
 
   EXPECT_EQ(doc->ElementsByName(xml::QName("b")).size(), 1u);
   EXPECT_EQ(doc->ElementsByName(xml::QName("z")).size(), 1u);
+  ExpectIndexMatchesWalk(doc.get());
+
+  // Renamed twice in one window: only the final name keeps the node.
+  xml::Node* second = a->children()[1];
+  second->Rename(xml::QName("y"));
+  second->Rename(xml::QName("z"));
+  ExpectIndexMatchesWalk(doc.get(), {"b", "y"});
   EXPECT_EQ(doc->name_index_builds(), 1u);
 }
 
 TEST(IndexSplice, GapKeysKeepDocumentOrderWithoutRebuilds) {
   auto doc = std::move(xml::ParseDocument("<a><b/><b/></a>")).value();
+  doc->set_delta_tracking(true);
   doc->root()->OrderKey();
   const uint64_t rebuilds = doc->order_rebuilds();
   xml::Node* a = doc->DocumentElement();
@@ -219,11 +252,13 @@ TEST(IndexSplice, GapKeysKeepDocumentOrderWithoutRebuilds) {
   xml::Node* last = a->children()[1];
 
   // A run of inserts at both ends and the middle, all absorbed by the
-  // neighbor-gap assignment.
+  // neighbor-gap assignment; each one is spliced into the <m> bucket.
   for (int i = 0; i < 8; ++i) {
     xml::Node* n = doc->CreateElement(xml::QName("m"));
     a->InsertBefore(n, a->children()[a->children().size() / 2]);
+    ExpectIndexMatchesWalk(doc.get());
   }
+  EXPECT_EQ(doc->name_index_builds(), 1u);
   EXPECT_EQ(doc->order_rebuilds(), rebuilds);
   EXPECT_LT(first->CompareDocumentOrder(last), 0);
   const std::vector<xml::Node*>& kids = a->children();
@@ -299,8 +334,6 @@ TEST_F(DeltaDispatchTest, DisjointWriteSkipsListenerWithoutEvaluation) {
   EXPECT_EQ(plugin_.last_event_stats().memo_hits, 1u);
   EXPECT_EQ(plugin_.last_event_stats().delta_listeners_skipped, 1u);
   EXPECT_EQ(plugin_.delta_stats().listeners_skipped, 1u);
-  // The skip happened BEFORE the per-name probes: no fine survival.
-  EXPECT_EQ(plugin_.memo_stats().fine_grained_survivals, 0u);
   EXPECT_EQ(plugin_.memo_stats().hits, 1u);
   EXPECT_EQ(plugin_.memo_stats().invalidations, 0u);
 }
@@ -318,22 +351,47 @@ TEST_F(DeltaDispatchTest, IntersectingWriteStillRuns) {
   EXPECT_EQ(plugin_.memo_stats().invalidations, 1u);
 }
 
-TEST_F(DeltaDispatchTest, AblationFallsBackToFineGrainedProbes) {
-  // delta_propagation off: the PR 6 per-name counter probe must absorb
-  // the same disjoint mutation (the survive-or-recompute oracle).
-  xquery::Evaluator::EvalOptions opts = plugin_.eval_options();
-  opts.delta_propagation = false;
-  plugin_.set_eval_options(opts);
-  Window* w = LoadPeekAndMutate("insert node <note/> into //aside");
-  xml::Node* peek = w->document()->GetElementById("peek");
-  xml::Node* mut = w->document()->GetElementById("mut");
-  Click(peek);
-  Click(mut);
-  Click(peek);
+TEST_F(DeltaDispatchTest, IndexMatchesTreeWalkAfterEveryClick) {
+  // Every click inserts an <li>, renames the first <li> to <item> and
+  // deletes the first <item>, with readers between the updaters forcing
+  // the index to splice mid-dispatch. The fresh tree walk is the
+  // reference for the spliced buckets.
+  Window* w = Load(R"(<html><body>
+<input id="go"/>
+<ul><li>a</li><li>b</li></ul><aside/>
+<script type="text/xqueryp"><![CDATA[
+declare function local:lis($evt, $obj) { string(count(//li)) };
+declare function local:items($evt, $obj) { string(count(//item)) };
+declare function local:tail($evt, $obj) { string(count(//ul/li)) };
+declare updating function local:grow($evt, $obj) {
+  insert node <li>n</li> into //ul
+};
+declare updating function local:move($evt, $obj) {
+  rename node (//li)[1] as "item"
+};
+declare updating function local:drop($evt, $obj) {
+  delete node (//item)[1]
+};
+on event "onclick" at //input[@id="go"] attach listener local:grow;
+on event "onclick" at //input[@id="go"] attach listener local:lis;
+on event "onclick" at //input[@id="go"] attach listener local:move;
+on event "onclick" at //input[@id="go"] attach listener local:items;
+on event "onclick" at //input[@id="go"] attach listener local:drop;
+on event "onclick" at //input[@id="go"] attach listener local:tail
+]]></script></body></html>)");
+  xml::Document* doc = w->document();
+  xml::Node* go = doc->GetElementById("go");
+  ASSERT_NE(go, nullptr);
+  const uint64_t splices_before = doc->index_splices();
+  for (int click = 0; click < 4; ++click) {
+    Click(go);
+    ASSERT_TRUE(plugin_.last_script_error().ok())
+        << plugin_.last_script_error().ToString();
+    ExpectIndexMatchesWalk(doc, {"li", "item"});
+  }
+  // Two <li> to start, one more per click, one renamed away per click.
   EXPECT_EQ(plugin_.last_listener_result(), "2");
-  EXPECT_EQ(plugin_.delta_stats().listeners_skipped, 0u);
-  EXPECT_EQ(plugin_.memo_stats().fine_grained_survivals, 1u);
-  EXPECT_EQ(plugin_.memo_stats().hits, 1u);
+  EXPECT_GT(doc->index_splices(), splices_before);
 }
 
 TEST_F(DeltaDispatchTest, SecondSkipAfterReanchorStillWorks) {

@@ -256,110 +256,6 @@ TEST_F(MemoTest, InvalidatesOnReplace) {
       "replace node //li[@id=\"l1\"] with <li id=\"l1\">z</li>", "2", "2");
 }
 
-TEST_F(MemoTest, EntriesSurviveDisjointMutations) {
-  // local:peek reads only li; local:mut writes note/aside (plus the
-  // ancestor chain). With fine-grained invalidation the memo entry
-  // records peek's read names at fill time and stays valid across the
-  // mutation: the global version no longer matches, but every recorded
-  // per-name counter does.
-  //
-  // Delta propagation off: with it on, the cheaper delta-skip probe
-  // absorbs the disjoint mutation before the per-name counters are ever
-  // consulted (covered in delta_test.cc); this test pins the PR 6
-  // fine-grained survival path itself.
-  xquery::Evaluator::EvalOptions opts = plugin_.eval_options();
-  opts.delta_propagation = false;
-  plugin_.set_eval_options(opts);
-  Window* w = Load(R"(<html><body>
-<input id="peek"/><input id="mut"/>
-<ul><li>a</li><li>b</li></ul><aside/>
-<script type="text/xqueryp"><![CDATA[
-declare function local:peek($evt, $obj) { string(count(//li)) };
-declare updating function local:mut($evt, $obj) {
-  insert node <note/> into //aside
-};
-on event "onclick" at //input[@id="peek"] attach listener local:peek;
-on event "onclick" at //input[@id="mut"] attach listener local:mut
-]]></script></body></html>)");
-  xml::Node* peek = ById(w, "peek");
-  xml::Node* mut = ById(w, "mut");
-  ASSERT_NE(peek, nullptr);
-  ASSERT_NE(mut, nullptr);
-
-  Click(peek);  // miss, recorded with read names {li}
-  Click(mut);   // bumps the global version and note/aside/body/html
-  ASSERT_TRUE(plugin_.last_script_error().ok())
-      << plugin_.last_script_error().ToString();
-  Click(peek);  // li untouched: fine-grained survival, served from memo
-  auto s = plugin_.memo_stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.fine_grained_survivals, 1u);
-  EXPECT_EQ(s.invalidations, 0u);
-  EXPECT_EQ(plugin_.last_listener_result(), "2");
-  EXPECT_EQ(plugin_.last_event_stats().memo_fine_survivals, 1u);
-  EXPECT_EQ(plugin_.last_event_stats().memo_hits, 1u);
-
-  // The survival re-anchored the entry: another clean click is a plain
-  // version-match hit, no second survival.
-  Click(peek);
-  auto s2 = plugin_.memo_stats();
-  EXPECT_EQ(s2.hits, 2u);
-  EXPECT_EQ(s2.fine_grained_survivals, 1u);
-}
-
-TEST_F(MemoTest, InvalidationCausesAreSplitByName) {
-  // A mutation that DOES touch the recorded read set invalidates the
-  // entry with cause "name-granular miss", not "global bump".
-  Window* w = LoadPeekAndMutate("insert node <li>c</li> into //ul");
-  xml::Node* peek = ById(w, "peek");
-  xml::Node* mut = ById(w, "mut");
-  ASSERT_NE(peek, nullptr);
-  ASSERT_NE(mut, nullptr);
-  Click(peek);
-  Click(mut);
-  Click(peek);
-  auto s = plugin_.memo_stats();
-  EXPECT_EQ(s.invalidations, 1u);
-  EXPECT_EQ(s.invalidations_name, 1u);
-  EXPECT_EQ(s.invalidations_global, 0u);
-  EXPECT_EQ(s.fine_grained_survivals, 0u);
-  EXPECT_EQ(plugin_.last_event_stats().memo_invalidations_name, 1u);
-  EXPECT_EQ(plugin_.last_listener_result(), "3");
-}
-
-TEST_F(MemoTest, AblationRestoresGlobalInvalidation) {
-  // With set_fine_grained_invalidation(false), entries carry no read
-  // versions: the same disjoint mutation that survives above now
-  // evicts, attributed to the global version bump.
-  plugin_.set_fine_grained_invalidation(false);
-  Window* w = Load(R"(<html><body>
-<input id="peek"/><input id="mut"/>
-<ul><li>a</li><li>b</li></ul><aside/>
-<script type="text/xqueryp"><![CDATA[
-declare function local:peek($evt, $obj) { string(count(//li)) };
-declare updating function local:mut($evt, $obj) {
-  insert node <note/> into //aside
-};
-on event "onclick" at //input[@id="peek"] attach listener local:peek;
-on event "onclick" at //input[@id="mut"] attach listener local:mut
-]]></script></body></html>)");
-  xml::Node* peek = ById(w, "peek");
-  xml::Node* mut = ById(w, "mut");
-  ASSERT_NE(peek, nullptr);
-  ASSERT_NE(mut, nullptr);
-  Click(peek);
-  Click(mut);
-  Click(peek);
-  auto s = plugin_.memo_stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.fine_grained_survivals, 0u);
-  EXPECT_EQ(s.invalidations, 1u);
-  EXPECT_EQ(s.invalidations_global, 1u);
-  EXPECT_EQ(s.invalidations_name, 0u);
-  EXPECT_EQ(plugin_.last_event_stats().memo_invalidations_global, 1u);
-  EXPECT_EQ(plugin_.last_listener_result(), "2");
-}
-
 TEST_F(MemoTest, ObservableListenerNeverHitsMemo) {
   // browser:alert is DOM-pure but user-visible: the analyzer keeps the
   // listener OUT of the memoizable set, so every click re-runs it and

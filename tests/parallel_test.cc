@@ -375,8 +375,7 @@ struct DispatchOutcome {
 };
 
 DispatchOutcome RunDispatchScenario(size_t workers, uint32_t seed,
-                                    int clicks, bool compiled_plans = true,
-                                    bool delta_propagation = true) {
+                                    int clicks, bool compiled_plans = true) {
   net::HttpFabric fabric;
   net::XmlStore store;
   net::ServiceHost services(&fabric, &store);
@@ -384,10 +383,9 @@ DispatchOutcome RunDispatchScenario(size_t workers, uint32_t seed,
   plugin::XqibPlugin plugin(&browser, &fabric, &services);
   plugin.Install();
   plugin.EnableParallelDispatch(workers);
-  if (!compiled_plans || !delta_propagation) {
+  if (!compiled_plans) {
     xquery::Evaluator::EvalOptions options;
-    options.compiled_plans = compiled_plans;
-    options.delta_propagation = delta_propagation;
+    options.compiled_plans = false;
     plugin.set_eval_options(options);
   }
   Status st = browser.top_window()->LoadSource(
@@ -457,31 +455,135 @@ TEST(DispatchDeterminism, PlanAblationIsUnobservableAtEveryPoolSize) {
   }
 }
 
-// The delta-propagation ablation crossed with every pool size: the
-// delta-off serial run (PR 6 survive-or-recompute behavior) is the
-// oracle. Index splicing, listener skipping and the dirty-seq protocol
-// are pure caching — neither they nor any pool size may change one byte
-// of what the page observes.
-TEST(DispatchDeterminism, DeltaAblationIsUnobservableAtEveryPoolSize) {
-  for (uint32_t seed : {1u, 7u, 42u}) {
-    DispatchOutcome reference = RunDispatchScenario(
-        0, seed, 3, /*compiled_plans=*/true, /*delta_propagation=*/false);
-    ASSERT_EQ(reference.alerts.size(), 24u) << "seed " << seed;
-    for (bool delta : {false, true}) {
-      for (size_t workers : {0u, 1u, 4u, 8u}) {
-        if (!delta && workers == 0) continue;  // that's the reference
-        DispatchOutcome got = RunDispatchScenario(
-            workers, seed, 3, /*compiled_plans=*/true, delta);
-        EXPECT_EQ(got.alerts, reference.alerts)
-            << "seed " << seed << " workers " << workers
-            << " delta " << delta;
-        EXPECT_EQ(got.dom, reference.dom)
-            << "seed " << seed << " workers " << workers
-            << " delta " << delta;
-        EXPECT_EQ(got.fallbacks, 0u)
-            << "seed " << seed << " workers " << workers
-            << " delta " << delta;
-      }
+// -------------------------------------------- memo ablation oracle ---
+
+// Four buttons. #go runs an alerting tally, two memoizable readers (one
+// of <li>, which the updater writes, one of <aside>, which it does not),
+// an updater whose computed element name makes its write set ⊤ — the
+// analyzer cannot stage it, so it always runs serially — then a second
+// tally and two more readers. The updater only inserts while an <armed/>
+// marker exists, which #arm and #disarm toggle, so a reader entry filled
+// on an unarmed click (nothing pending) meets an armed click's unsynced
+// mutation later. At pool sizes of one and up, the listeners after the
+// updater form a staged run that probes the memo cache before the
+// updater's mutation is synced into the delta window: the delta skip
+// must disarm there and the entries re-evaluate. #peek runs two readers
+// with the window synced, so the <aside> reader replays through the
+// delta skip while the <li> reader re-runs.
+std::string MemoOraclePage() {
+  std::string script =
+      "declare function local:tally($evt, $obj) {\n"
+      "  browser:alert(concat(\"t=\", string(count(//li))))\n"
+      "};\n"
+      "declare function local:tally2($evt, $obj) {\n"
+      "  browser:alert(concat(\"u=\", string(count(//li))))\n"
+      "};\n"
+      "declare function local:li1($evt, $obj) { string(count(//li)) };\n"
+      "declare function local:li2($evt, $obj) {\n"
+      "  string-join(//li, \",\")\n"
+      "};\n"
+      "declare function local:aside1($evt, $obj) { string(//aside/@n) };\n"
+      "declare function local:aside2($evt, $obj) { count(//aside) };\n"
+      "declare updating function local:grow($evt, $obj) {\n"
+      "  if (exists(//armed))\n"
+      "  then insert node element {concat(\"l\", \"i\")} {\"n\"} "
+      "into //ul\n"
+      "  else ()\n"
+      "};\n"
+      "declare updating function local:arm($evt, $obj) {\n"
+      "  insert node <armed/> into //aside\n"
+      "};\n"
+      "declare updating function local:disarm($evt, $obj) {\n"
+      "  delete node //armed\n"
+      "};\n{ ";
+  auto attach = [&script](const char* id, const char* fn) {
+    script += std::string("on event \"onclick\" at //input[@id=\"") + id +
+              "\"] attach listener local:" + fn + ";\n";
+  };
+  for (const char* fn : {"tally", "li1", "aside1", "grow", "tally2", "aside2",
+                         "li2"}) {
+    attach("go", fn);
+  }
+  attach("peek", "aside1");
+  attach("peek", "li1");
+  attach("arm", "arm");
+  attach("disarm", "disarm");
+  script += "() }";
+  return "<html><head><script type=\"text/xqueryp\"><![CDATA[\n" + script +
+         "\n]]></script></head><body>"
+         "<input id=\"go\"/><input id=\"peek\"/><input id=\"arm\"/>"
+         "<input id=\"disarm\"/><ul><li>a</li></ul><aside n=\"7\"/>"
+         "</body></html>";
+}
+
+struct MemoOutcome {
+  // Observed after every click.
+  std::vector<std::string> results;  // last_listener_result()
+  std::vector<std::string> doms;
+  std::vector<std::string> alerts;
+  size_t fallbacks = 0;
+  uint64_t staged = 0;
+  uint64_t memo_hits = 0;
+  uint64_t delta_skips = 0;
+};
+
+MemoOutcome RunMemoScenario(size_t workers, bool memo) {
+  net::HttpFabric fabric;
+  net::XmlStore store;
+  net::ServiceHost services(&fabric, &store);
+  browser::Browser browser;
+  plugin::XqibPlugin plugin(&browser, &fabric, &services);
+  plugin.Install();
+  plugin.EnableParallelDispatch(workers);
+  plugin.set_memo_enabled(memo);
+  Status st = browser.top_window()->LoadSource(
+      "http://app.example.com/index.xhtml", MemoOraclePage());
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(plugin.last_script_error().ok())
+      << plugin.last_script_error().ToString();
+  xml::Document* doc = browser.top_window()->document();
+  MemoOutcome out;
+  for (const char* id : {"go", "peek", "arm", "go", "go", "peek", "disarm",
+                         "go", "peek", "go", "arm", "go", "peek"}) {
+    xml::Node* target = doc->GetElementById(id);
+    EXPECT_NE(target, nullptr) << id;
+    browser::Event e;
+    e.type = "onclick";
+    plugin.FireEvent(target, e);
+    EXPECT_TRUE(plugin.last_script_error().ok())
+        << plugin.last_script_error().ToString();
+    out.results.push_back(plugin.last_listener_result());
+    out.doms.push_back(xml::Serialize(doc->root()));
+  }
+  out.alerts = plugin.alerts();
+  out.fallbacks = plugin.parallel_fallbacks();
+  out.staged = browser.events().staged_invocations();
+  out.memo_hits = plugin.memo_stats().hits;
+  out.delta_skips = plugin.delta_stats().listeners_skipped;
+  return out;
+}
+
+// Memo off at pool 0 is the reference: every listener re-runs. The memo
+// cache — fresh hits, delta skips and stale re-evaluation, probed
+// serially or from staged runs — must not change one byte the page
+// observes at any pool size.
+TEST(DispatchDeterminism, MemoAblationIsUnobservableAtEveryPoolSize) {
+  MemoOutcome reference = RunMemoScenario(0, /*memo=*/false);
+  EXPECT_EQ(reference.memo_hits, 0u);
+  ASSERT_EQ(reference.alerts.size(), 12u);  // two tallies x six #go clicks
+  EXPECT_EQ(reference.results.back(), "4");  // one <li> + three armed #go
+  for (size_t workers : {0u, 1u, 4u, 8u}) {
+    MemoOutcome got = RunMemoScenario(workers, /*memo=*/true);
+    EXPECT_EQ(got.results, reference.results) << "workers " << workers;
+    EXPECT_EQ(got.doms, reference.doms) << "workers " << workers;
+    EXPECT_EQ(got.alerts, reference.alerts) << "workers " << workers;
+    EXPECT_EQ(got.fallbacks, 0u) << "workers " << workers;
+    // The cache genuinely answered dispatches, some through the delta
+    // skip, and the pooled runs genuinely staged.
+    EXPECT_GT(got.memo_hits, 0u) << "workers " << workers;
+    EXPECT_GT(got.delta_skips, 0u) << "workers " << workers;
+    if (workers > 0) {
+      EXPECT_GT(got.staged, 0u) << "workers " << workers;
     }
   }
 }
@@ -522,14 +624,13 @@ std::string UpdaterPage(bool interfering) {
 }
 
 DispatchOutcome RunUpdaterScenario(size_t workers, bool interfering,
-                                   bool fine_grained, int clicks) {
+                                   int clicks) {
   net::HttpFabric fabric;
   net::XmlStore store;
   net::ServiceHost services(&fabric, &store);
   browser::Browser browser;
   plugin::XqibPlugin plugin(&browser, &fabric, &services);
   plugin.Install();
-  plugin.set_fine_grained_invalidation(fine_grained);
   plugin.EnableParallelDispatch(workers);
   Status st = browser.top_window()->LoadSource(
       "http://app.example.com/index.xhtml", UpdaterPage(interfering));
@@ -645,11 +746,11 @@ TEST(DispatchDeterminism, AsyncFederationIsUnobservableAtEveryPoolSize) {
 
 TEST(DispatchDeterminism, DisjointUpdatersStageBitIdentically) {
   const std::vector<std::string> expected_alerts{"t=1:1", "t=2:2", "t=3:3"};
-  DispatchOutcome reference = RunUpdaterScenario(0, false, true, 3);
+  DispatchOutcome reference = RunUpdaterScenario(0, false, 3);
   EXPECT_EQ(reference.staged, 0u);  // no pool, no staging
   EXPECT_EQ(reference.alerts, expected_alerts);
   for (size_t workers : {1u, 4u, 8u}) {
-    DispatchOutcome got = RunUpdaterScenario(workers, false, true, 3);
+    DispatchOutcome got = RunUpdaterScenario(workers, false, 3);
     EXPECT_EQ(got.alerts, reference.alerts) << "workers " << workers;
     EXPECT_EQ(got.dom, reference.dom) << "workers " << workers;
     EXPECT_EQ(got.fallbacks, 0u) << "workers " << workers;
@@ -663,24 +764,13 @@ TEST(DispatchDeterminism, DisjointUpdatersStageBitIdentically) {
 TEST(DispatchDeterminism, InterferingUpdatersStaySerial) {
   // Both updaters write loga: the conflict matrix (writes ∩ writes)
   // must veto staging entirely — every run collapses to size one.
-  DispatchOutcome reference = RunUpdaterScenario(0, true, true, 3);
+  DispatchOutcome reference = RunUpdaterScenario(0, true, 3);
   for (size_t workers : {4u, 8u}) {
-    DispatchOutcome got = RunUpdaterScenario(workers, true, true, 3);
+    DispatchOutcome got = RunUpdaterScenario(workers, true, 3);
     EXPECT_EQ(got.alerts, reference.alerts) << "workers " << workers;
     EXPECT_EQ(got.dom, reference.dom) << "workers " << workers;
     EXPECT_EQ(got.staged, 0u) << "workers " << workers;
   }
-}
-
-TEST(DispatchDeterminism, AblationKeepsUpdatersOnTheSerialPath) {
-  // set_fine_grained_invalidation(false) restores the pre-effect-
-  // analysis behavior: updating listeners never stage, results
-  // unchanged.
-  DispatchOutcome reference = RunUpdaterScenario(0, false, true, 3);
-  DispatchOutcome got = RunUpdaterScenario(4, false, false, 3);
-  EXPECT_EQ(got.alerts, reference.alerts);
-  EXPECT_EQ(got.dom, reference.dom);
-  EXPECT_EQ(got.staged, 0u);
 }
 
 // ------------------------------------------ memo under staged probes ---

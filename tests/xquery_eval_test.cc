@@ -242,8 +242,8 @@ TEST(Paths, PathFromAtomicFails) {
 
 // ------------------------------------------------- path fast paths ---
 
-// Evaluates `query` with explicit evaluator options (the fast-path
-// ablation switches) and returns the result string; on success the
+// Evaluates `query` with explicit evaluator options (the reference
+// switches) and returns the result string; on success the
 // evaluator's fast-path counters are copied into *stats if given.
 std::string EvalWithOptions(const std::string& query,
                             const std::string& context_xml,
@@ -274,11 +274,12 @@ std::string EvalWithOptions(const std::string& query,
   return xdm::SequenceToString(*result);
 }
 
+// The eager, always-sort reference: no stream pipeline (so no early
+// exit) and no sort elision. The element-name index has no switch.
 Evaluator::EvalOptions AllFastPathsOff() {
   Evaluator::EvalOptions off;
   off.honor_sort_elision = false;
-  off.use_name_index = false;
-  off.bounded_eval = false;
+  off.stream_pipeline = false;
   return off;
 }
 
@@ -345,14 +346,24 @@ TEST(FastPaths, NameIndexCounters) {
                             Evaluator::EvalOptions(), &stats),
             "4");
   EXPECT_GT(stats.name_index_hits, 0u);
-  EXPECT_EQ(EvalWithOptions("count(//author)", kBooks, AllFastPathsOff(),
-                            &stats),
+  // The eager reference routes //name through the index too.
+  EXPECT_EQ(EvalWithOptions("//author", kBooks, AllFastPathsOff(), &stats),
+            "Ann Bob Cid Dan");
+  EXPECT_GT(stats.name_index_hits, 0u);
+  // A wildcard step with a self:: filter is the index-ineligible twin.
+  EXPECT_EQ(EvalWithOptions("count(//*[self::author])", kBooks,
+                            Evaluator::EvalOptions(), &stats),
             "4");
   EXPECT_EQ(stats.name_index_hits, 0u);
 }
 
 TEST(FastPaths, EarlyExitCounters) {
   Evaluator::EvalStats stats;
+  // The eager reference drains every producer.
+  EXPECT_EQ(EvalWithOptions("exists(//author)", kBooks, AllFastPathsOff(),
+                            &stats),
+            "true");
+  EXPECT_EQ(stats.early_exits, 0u);
   EXPECT_EQ(EvalWithOptions("exists(//author)", kBooks,
                             Evaluator::EvalOptions(), &stats),
             "true");
