@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
   // --- server_parity: the session runtime's overhead over direct
   // dispatch, both arms resolving the target and firing the identical
   // listener. Alternating rounds, per-arm minima (the load-robust
-  // estimator, as in P5's parity gate). ---
+  // estimator). ---
   double server_ns = 0, direct_ns = 0;
   {
     // Fixed sample size, independent of --iters: the 1.10 parity gate
@@ -316,16 +316,16 @@ int main(int argc, char** argv) {
                 "\"p50_us\": %.1f, \"p99_us\": %.1f},\n",
                 guard_cell.ns_per_op, guard_cell.latency.p50,
                 guard_cell.latency.p99);
+  json << "  ],\n" << guard_line;
   char buf[400];
   std::snprintf(
       buf, sizeof(buf),
-      "  ],\n%s"
       "  \"parity\": {\"name\": \"server_parity\", "
       "\"server_ns_per_op\": %.1f, "
       "\"direct_ns_per_op\": %.1f, \"parity_ratio\": %.3f},\n"
       "  \"determinism\": %s,\n  \"hardware_concurrency\": %u,\n"
       "  \"plan_cache\": {\"inserts\": %llu, \"hits\": %llu}\n}\n",
-      guard_line, server_ns, direct_ns, parity,
+      server_ns, direct_ns, parity,
       deterministic ? "true" : "false",
       std::thread::hardware_concurrency(),
       static_cast<unsigned long long>(plans.inserts),

@@ -61,7 +61,6 @@ void AccumulateStats(const xquery::Evaluator::EvalStats& s) {
   d.arena_bytes_used += s.arena_bytes_used;
   d.arena_resets += s.arena_resets;
   d.intern_hits = s.intern_hits;  // pool snapshot, not a delta
-  d.parallel_predicate_chunks += s.parallel_predicate_chunks;
   d.plan_compiles += s.plan_compiles;
   d.plan_hits += s.plan_hits;
   d.plan_misses += s.plan_misses;

@@ -1,13 +1,15 @@
-// Statistics counters that stay accurate when bumped from worker
+// Statistics counters that stay accurate when bumped from several
 // threads. Every stats struct in the tree (EvalStats, StreamStats,
 // EventStats, arena / intern-pool / HTTP accounting) holds these instead
-// of raw integers: the parallel dispatch runtime bumps them from pool
-// workers concurrently, and a torn or lost increment would silently
-// corrupt the benchmark numbers the CI regression guard compares.
+// of raw integers. A per-session struct is bumped by one session strand
+// at a time, but the process-wide substrates (HTTP fabric, response
+// cache, intern pool) count work from every strand the shared pool runs
+// concurrently, and a torn or lost increment would silently corrupt the
+// benchmark numbers.
 //
 // All operations use relaxed ordering — the counters carry no
-// synchronization duty (the dispatch scheduler's own commit protocol
-// orders the *data*); they only need atomicity. Copying a stats struct
+// synchronization duty (each session's strand mutex orders the
+// *data*); they only need atomicity. Copying a stats struct
 // (the before/after delta idiom all over the plugin) snapshots each
 // counter with a relaxed load, which is exactly the old plain-integer
 // semantics on the thread that owns the struct.

@@ -1,14 +1,13 @@
-// A small work-stealing worker pool — the execution substrate of the
-// parallel dispatch runtime (PERFORMANCE.md §5). Each worker owns a
-// deque: its own work pops LIFO (cache-warm), idle workers steal FIFO
-// from victims (oldest task first, the classic Chase-Lev discipline in
-// mutex-guarded form — task bodies here are whole listener evaluations,
-// microseconds to milliseconds, so lock cost is noise).
+// A small work-stealing worker pool — the page server's shared pool,
+// which runs session strand drains (PERFORMANCE.md §5, §9). Each worker
+// owns a deque: its own work pops LIFO (cache-warm), idle workers steal
+// FIFO from victims (oldest task first, the classic Chase-Lev
+// discipline in mutex-guarded form — task bodies here are whole session
+// drains, microseconds to milliseconds, so lock cost is noise).
 //
 // The pool is deliberately oblivious to XQuery: it runs closures. All
-// ordering guarantees (registration-order commits, document-order
-// merges) live in the callers — the event-loop batcher, the dispatch
-// scheduler, and ParallelStepStream.
+// ordering guarantees (per-session FIFO, one drain at a time) live in
+// the caller, server::Session.
 
 #ifndef XQIB_BASE_THREAD_POOL_H_
 #define XQIB_BASE_THREAD_POOL_H_

@@ -51,20 +51,12 @@ bool EventLoop::RunOne() {
   }
 
   // Off-thread batch: all works execute against the state at batch
-  // start (concurrently when a pool is attached, sequentially
-  // otherwise — same reads either way), then the commits run here in
-  // posting order. The loop thread blocks inside ParallelFor, so no
-  // mutation can interleave with the works.
+  // start, in posting order, then the commits run in posting order.
   ++offthread_batches_;
   offthread_tasks_ += batch.size();
   std::vector<Task> commits(batch.size());
-  auto run_work = [&](size_t i) {
+  for (size_t i = 0; i < batch.size(); ++i) {
     if (batch[i].work != nullptr) commits[i] = batch[i].work();
-  };
-  if (pool_ != nullptr && batch.size() > 1) {
-    pool_->ParallelFor(batch.size(), run_work);
-  } else {
-    for (size_t i = 0; i < batch.size(); ++i) run_work(i);
   }
   for (Task& commit : commits) {
     if (commit != nullptr) commit();

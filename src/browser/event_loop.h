@@ -3,16 +3,13 @@
 // calls behind the paper's "behind" construct) here; benchmarks advance
 // simulated time deterministically.
 //
-// Threading model (PERFORMANCE.md §5): tasks always EXECUTE on the loop
-// thread — it is the only thread that may mutate the DOM — but the
-// queue is MPSC so pool workers can Post completions, and off-thread
-// entries (PostOffThread) split into a read-only `work` closure that
-// runs on a pool worker and a `commit` task that runs on the loop
-// thread. Consecutive off-thread entries due at the same simulated
-// instant form one batch: all works run concurrently against the state
-// at batch start, then all commits run in posting order. Batch
-// formation depends only on queue contents, never on the pool size, so
-// results are identical whether the works ran on 0, 1 or 8 workers.
+// Threading model (PERFORMANCE.md §5): every task executes on the loop
+// thread — the only thread that may mutate the DOM. The queue itself is
+// MPSC, so any thread may Post. Off-thread entries (PostOffThread)
+// split into a read-only `work` closure and the `commit` task it
+// returns. Consecutive off-thread entries due at the same simulated
+// instant form one batch: all works run in posting order against the
+// state at batch start, then all commits run in posting order.
 
 #ifndef XQIB_BROWSER_EVENT_LOOP_H_
 #define XQIB_BROWSER_EVENT_LOOP_H_
@@ -23,31 +20,22 @@
 #include <queue>
 #include <vector>
 
-#include "base/thread_pool.h"
-
 namespace xqib::browser {
 
 class EventLoop {
  public:
   using Task = std::function<void()>;
-  // Off-thread unit: `work` runs on a pool worker (concurrently with
-  // the rest of its batch; it must only read shared state) and returns
-  // the commit to run on the loop thread — or an empty Task for "nothing
-  // to commit".
+  // Off-thread unit: `work` runs before every commit of its batch (it
+  // must only read shared state) and returns the commit to run after
+  // the batch's works — or an empty Task for "nothing to commit".
   using OffThreadWork = std::function<Task()>;
 
   // Schedules `task` to run `delay_ms` of simulated time from now. Tasks
   // with equal due time run in posting order. Thread-safe.
   void Post(Task task, double delay_ms = 0.0);
 
-  // Schedules an off-thread unit (see above). Without a thread pool the
-  // work simply runs on the loop thread right before its commit — the
-  // serial baseline with identical observable behaviour. Thread-safe.
+  // Schedules an off-thread unit (see above). Thread-safe.
   void PostOffThread(OffThreadWork work, double delay_ms = 0.0);
-
-  // Worker pool for off-thread batches (null = serial). Not owned.
-  void set_thread_pool(base::ThreadPool* pool) { pool_ = pool; }
-  base::ThreadPool* thread_pool() const { return pool_; }
 
   // Runs the next due task (or the next batch of equal-due off-thread
   // entries), advancing simulated time to its deadline. Returns false
@@ -68,8 +56,8 @@ class EventLoop {
   }
   double now_ms() const { return now_ms_; }
 
-  // Off-thread accounting (tests / EXPERIMENTS.md §P5): entries executed
-  // through PostOffThread and the batches they were grouped into.
+  // Off-thread accounting (tests): entries executed through
+  // PostOffThread and the batches they were grouped into.
   uint64_t offthread_tasks() const { return offthread_tasks_; }
   uint64_t offthread_batches() const { return offthread_batches_; }
 
@@ -91,7 +79,6 @@ class EventLoop {
   uint64_t next_seq_ = 0;
   // Loop-thread-only state.
   double now_ms_ = 0.0;
-  base::ThreadPool* pool_ = nullptr;
   uint64_t offthread_tasks_ = 0;
   uint64_t offthread_batches_ = 0;
 };

@@ -4,58 +4,6 @@
 
 namespace xqib::browser {
 
-namespace {
-
-// Two-pointer scan over pointer-sorted interned-name lists.
-bool Intersects(const std::vector<const xml::InternedName*>& a,
-                const std::vector<const xml::InternedName*>& b) {
-  size_t i = 0, j = 0;
-  std::less<const xml::InternedName*> lt;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) return true;
-    if (lt(a[i], b[j])) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
-
-// Could `w` committing its updates change something `r` read from the
-// snapshot? A child read conflicts with names whose node sets the
-// update changes; a value read conflicts with any name whose content
-// the update affects (the target and its ancestors).
-bool ReadsWrites(const ListenerEffects& r, const ListenerEffects& w) {
-  if (!w.updating) return false;
-  if (w.writes_top || w.scope_top || r.reads_top) return true;
-  return Intersects(r.child_reads, w.writes) ||
-         Intersects(r.value_reads, w.write_scope);
-}
-
-}  // namespace
-
-bool Compatible(const ListenerEffects* a, const ListenerEffects* b) {
-  // No published effects: pure (the engine only stages non-updating
-  // listeners without a summary) but with unknown reads.
-  static const ListenerEffects kUnknownReader = [] {
-    ListenerEffects e;
-    e.reads_top = true;
-    return e;
-  }();
-  const ListenerEffects& ea = a != nullptr ? *a : kUnknownReader;
-  const ListenerEffects& eb = b != nullptr ? *b : kUnknownReader;
-  if (!ea.updating && !eb.updating) return true;
-  if (ReadsWrites(ea, eb) || ReadsWrites(eb, ea)) return false;
-  // Two updaters of the same name: commit order decides the final node
-  // set, so serial visibility could differ — keep them serialized.
-  // (writes_top on either side already failed the read/write check.)
-  if (ea.updating && eb.updating && Intersects(ea.writes, eb.writes)) {
-    return false;
-  }
-  return true;
-}
-
 void EventSystem::AddListener(xml::Node* target, const std::string& type,
                               Listener listener) {
   auto& vec = listeners_[Key{target, type}];
@@ -94,62 +42,12 @@ size_t EventSystem::Dispatch(xml::Node* target, Event event) {
     // Copy: listeners may mutate the registry while running.
     std::vector<Listener> snapshot = it->second;
     bool want_capture = phase == Event::Phase::kCapture;
-    auto applies = [&](const Listener& l) {
-      return phase == Event::Phase::kTarget || l.capture == want_capture;
-    };
-    for (size_t i = 0; i < snapshot.size(); ++i) {
-      const Listener& l = snapshot[i];
-      if (!applies(l)) continue;
+    for (const Listener& l : snapshot) {
+      if (phase != Event::Phase::kTarget && l.capture != want_capture) {
+        continue;
+      }
       event.current_target = node;
       event.phase = phase;
-
-      // Parallel path: collect the maximal run of consecutive stageable
-      // listeners on this hop. Staged listeners see a const snapshot of
-      // the event (they cannot stop propagation — nor could they
-      // observably, being read-only), so the whole run executes
-      // concurrently and its commits replay in registration order.
-      // A single stageable listener just runs its serial callback: the
-      // staging machinery would add overhead without concurrency.
-      if (pool_ != nullptr && pool_->size() > 0 && l.stage != nullptr) {
-        std::vector<const Listener*> run;
-        run.push_back(&l);
-        size_t j = i + 1;
-        for (; j < snapshot.size(); ++j) {
-          if (!applies(snapshot[j])) continue;
-          if (snapshot[j].stage == nullptr) break;
-          // Interference admission: a candidate joins only when its
-          // effects are compatible with every listener already in the
-          // run. An interfering listener ends the run — it must observe
-          // the committed effects of everything before it.
-          bool admitted = true;
-          for (const Listener* member : run) {
-            if (!Compatible(member->effects.get(),
-                            snapshot[j].effects.get())) {
-              admitted = false;
-              break;
-            }
-          }
-          if (!admitted) break;
-          run.push_back(&snapshot[j]);
-        }
-        if (run.size() > 1) {
-          const Event staged_event = event;  // one immutable copy for all
-          std::vector<std::function<void()>> commits(run.size());
-          pool_->ParallelFor(run.size(), [&](size_t k) {
-            commits[k] = run[k]->stage(staged_event);
-          });
-          for (auto& commit : commits) {
-            if (commit != nullptr) commit();
-          }
-          invocations += run.size();
-          staged_invocations_ += run.size();
-          // Resume after the run; j-1 is the last staged (or skipped)
-          // listener consumed into the run.
-          i = j - 1;
-          continue;
-        }
-      }
-
       l.callback(event);
       ++invocations;
       if (event.stop_propagation) break;

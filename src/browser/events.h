@@ -7,14 +7,11 @@
 #ifndef XQIB_BROWSER_EVENTS_H_
 #define XQIB_BROWSER_EVENTS_H_
 
-#include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "base/thread_pool.h"
 #include "xml/dom.h"
 
 namespace xqib::browser {
@@ -42,56 +39,12 @@ struct Event {
   bool default_prevented = false;
 };
 
-// Static effect summary of a listener, produced by the engine's effect
-// analysis. The dispatcher uses it to decide which staged listeners may
-// share one concurrent run: an updating listener (its update list is
-// applied at commit, on the loop thread) may run beside peers only when
-// no peer reads what it writes and no two updaters write the same
-// names — then snapshot evaluation plus registration-order commits is
-// observably identical to the serial walk.
-struct ListenerEffects {
-  bool updating = false;   // produces update primitives at commit
-  bool reads_top = false;  // read set unanalyzable (anything may be read)
-  bool writes_top = false;  // set of written names unanalyzable
-  bool scope_top = false;   // set of affected names unanalyzable
-  // Interned-name identity, each list sorted by pointer. `child_reads`
-  // are names whose element membership the listener navigates by;
-  // `value_reads` are names whose content it observes. `writes` are
-  // names whose node sets an update adds/removes; `write_scope` adds
-  // every name whose content is affected (ancestors of the target).
-  std::vector<const xml::InternedName*> child_reads;
-  std::vector<const xml::InternedName*> value_reads;
-  std::vector<const xml::InternedName*> writes;
-  std::vector<const xml::InternedName*> write_scope;
-};
-
-// True when two staged listeners may evaluate in the same concurrent
-// run. nullptr means "pure, unknown reads": compatible with any other
-// non-updater, never with an updater.
-bool Compatible(const ListenerEffects* a, const ListenerEffects* b);
-
 // One registered listener. `id` identifies it for removal: engines use
 // "<engine>:<function-name>" so detaching by name works across calls.
 struct Listener {
   std::string id;
   bool capture = false;
   std::function<void(Event&)> callback;
-  // Effect summary for staged-run admission; null for listeners whose
-  // engine published none (treated as pure with unknown reads).
-  std::shared_ptr<const ListenerEffects> effects;
-  // Optional parallel path (PERFORMANCE.md §5). When set, the
-  // dispatcher MAY run `stage` on a pool worker, concurrently with the
-  // stages of adjacent stageable listeners on the same (node, phase)
-  // hop; it returns the commit closure the dispatcher then runs on the
-  // loop thread in registration order. The engine sets this only for
-  // listeners its analyzer proved parallel-safe (read-only against the
-  // DOM snapshot, no interactive host calls) or effect-stageable
-  // updating (fully analyzed read/write sets; updates transfer at
-  // commit); such listeners receive a const Event and therefore cannot
-  // stop propagation. Listeners without a stage are serialization
-  // barriers — `callback` remains the semantics of record and the
-  // serial execution path.
-  std::function<std::function<void()>(const Event&)> stage;
 };
 
 class EventSystem {
@@ -105,20 +58,10 @@ class EventSystem {
   void RemoveListener(xml::Node* target, const std::string& type,
                       const std::string& id);
 
-  // Synchronous DOM dispatch along capture → target → bubble. Returns
-  // the number of listener invocations. With a thread pool attached,
-  // maximal runs of consecutive stageable listeners within one
-  // (node, phase) hop evaluate concurrently and commit in registration
-  // order — observably identical to the serial walk.
+  // Synchronous DOM dispatch along capture → target → bubble: every
+  // listener runs on the calling thread, one at a time, in registration
+  // order. Returns the number of listener invocations.
   size_t Dispatch(xml::Node* target, Event event);
-
-  // Worker pool for staged listener runs (null = serial). Not owned.
-  void set_thread_pool(base::ThreadPool* pool) { pool_ = pool; }
-  base::ThreadPool* thread_pool() const { return pool_; }
-
-  // Listener invocations that went through the staged parallel path
-  // (diagnostics for tests and EXPERIMENTS.md §P5).
-  uint64_t staged_invocations() const { return staged_invocations_; }
 
   // Total listeners registered (diagnostics).
   size_t listener_count() const;
@@ -141,8 +84,6 @@ class EventSystem {
     }
   };
   std::unordered_map<Key, std::vector<Listener>, KeyHash> listeners_;
-  base::ThreadPool* pool_ = nullptr;
-  uint64_t staged_invocations_ = 0;
 };
 
 }  // namespace xqib::browser

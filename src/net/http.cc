@@ -32,12 +32,10 @@ Result<HttpResponse> HttpFuture::Await() {
 
 void HttpFuture::Then(browser::EventLoop* loop,
                       std::function<void(Result<HttpResponse>)> callback) {
-  // The completion is an off-thread unit: a pool worker materializes the
-  // delivery (the shared state is this completion's private payload) and
-  // the loop thread commits by running the callback — callbacks may
-  // mutate the DOM, so they stay on the loop thread. Without a pool the
-  // work runs serially at the same queue position: identical observable
-  // behaviour at every pool size.
+  // The completion is an off-thread unit, so it batches with the other
+  // completions due at the same instant: its work is empty and its
+  // commit runs the callback (which may mutate the DOM) on the loop
+  // thread after every work of the batch.
   std::shared_ptr<State> st = state_;
   loop->PostOffThread(
       [st, cb = std::move(callback)]() -> browser::EventLoop::Task {

@@ -102,9 +102,9 @@ class HttpFabric {
     double per_kb_ms = 0.5;   // transfer cost
   };
 
-  // Relaxed atomics: with a worker pool on the event loop, completions
-  // account from pool threads; window accounting itself is guarded by
-  // the fabric's clock mutex and only published through these.
+  // Relaxed atomics: one fabric serves every session, so concurrently
+  // running strands account here; window accounting itself is guarded
+  // by the fabric's clock mutex and only published through these.
   struct Stats {
     base::RelaxedCounter requests;
     base::RelaxedCounter bytes_served;
@@ -204,9 +204,9 @@ class HttpFabric {
     std::string body;
     std::string content_type;
   };
-  // REST handlers running on pool workers mutate these tables (e.g. a
-  // PUT handler calling PutResource) while other workers and server
-  // sessions resolve concurrently.
+  // REST handlers running on session strands mutate these tables (e.g.
+  // a PUT handler calling PutResource) while other strands resolve
+  // concurrently.
   mutable std::shared_mutex tables_mu_;
   std::unordered_map<std::string, Resource> resources_;
   // Ordered map so the longest matching prefix can be found reliably.

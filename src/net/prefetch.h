@@ -30,7 +30,7 @@ class HttpPrefetcher : public xquery::UrlPrefetcher {
   explicit HttpPrefetcher(HttpFabric* fabric) : fabric_(fabric) {}
 
   // Issues one overlapping fetch for `url`; a URL already in flight is
-  // not re-issued. Safe from pool workers.
+  // not re-issued. Thread-safe.
   void Prefetch(const std::string& url) override;
 
   // Claims the in-flight future for `url` (each issue satisfies exactly

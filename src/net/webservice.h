@@ -61,8 +61,8 @@ class ServiceHost {
     xquery::Engine engine;
     std::unique_ptr<xquery::CompiledQuery> compiled;
     const xquery::Module* module = nullptr;
-    // Client stubs may be called from pool workers (staged listeners)
-    // and from many hosted page sessions at once; each Invoke shares
+    // Client stubs may be called from many hosted page sessions at
+    // once; each Invoke shares
     // THIS service's compiled query, so execution serializes per
     // deployed service (per host) — the single-threaded server of the
     // paper's model — instead of across the whole host: one session's

@@ -254,36 +254,14 @@ Status XqibPlugin::InitializePage(Window* window) {
             PageContext::ListenerKey{token, arity});
       }
     }
-    for (const std::string& key :
-         result.facts.stageable_updating_functions) {
-      size_t arity = 0;
-      const xml::InternedName* token = ParseFunctionKeyToken(key, &arity);
-      if (token != nullptr) {
-        page->stageable_updating_functions.insert(
-            PageContext::ListenerKey{token, arity});
-      }
-    }
-    // Effect summaries feed two consumers: the dispatcher's staged-run
-    // interference check (every listener) and the delta-skip dirty
-    // classification (listeners with fully named reads).
+    // Effect summaries feed the delta-skip dirty classification
+    // (listeners with fully named reads).
     for (const auto& [key, eff] : result.facts.function_effects) {
       size_t arity = 0;
       const xml::InternedName* token = ParseFunctionKeyToken(key, &arity);
-      if (token == nullptr) continue;
-      PageContext::ListenerKey lkey{token, arity};
-      auto fx = std::make_shared<browser::ListenerEffects>();
-      fx->updating = eff.has_update;
-      fx->reads_top = eff.reads_top();
-      fx->writes_top = eff.writes.top;
-      fx->scope_top = eff.write_scope.top;
-      fx->child_reads = eff.child_reads.names;
-      fx->value_reads = eff.value_reads.names;
-      fx->writes = eff.writes.names;
-      fx->write_scope = eff.write_scope.names;
-      page->listener_effects[lkey] = std::move(fx);
-      if (!eff.reads_top()) {
-        page->listener_read_names[lkey] = eff.ReadNames();
-      }
+      if (token == nullptr || eff.reads_top()) continue;
+      page->listener_read_names[PageContext::ListenerKey{token, arity}] =
+          eff.ReadNames();
     }
     for (auto& d : result.diagnostics) {
       last_diagnostics_.push_back(std::move(d));
@@ -303,9 +281,6 @@ Status XqibPlugin::InitializePage(Window* window) {
                                           mf.memoizable_functions.end());
       merged->parallel_safe_functions.insert(
           mf.parallel_safe_functions.begin(), mf.parallel_safe_functions.end());
-      merged->stageable_updating_functions.insert(
-          mf.stageable_updating_functions.begin(),
-          mf.stageable_updating_functions.end());
       merged->function_effects.insert(mf.function_effects.begin(),
                                       mf.function_effects.end());
     }
@@ -360,7 +335,6 @@ Status XqibPlugin::RunXQueryModule(PageContext* page,
   // (Re)build the evaluator: the static context gained declarations.
   page->evaluator = std::make_unique<xquery::Evaluator>(*page->sctx);
   page->evaluator->set_options(eval_options_);
-  page->evaluator->set_thread_pool(active_pool_);
   page->evaluator->set_analysis_facts(page->facts);
   if (services_ != nullptr) {
     services_->RegisterStubsForImports(*module, page->ctx.get());
@@ -514,21 +488,6 @@ XqibPlugin::MemoValidity XqibPlugin::ProbeMemo(
              : MemoValidity::kStale;
 }
 
-void XqibPlugin::CommitMemoHit(PageContext* page, const std::string& serialized,
-                               bool delta_skip) {
-  ++memo_stats_.hits;
-  last_listener_result_ = serialized;
-  last_event_stats_ = EventStats{};
-  last_event_stats_.memo_hits = 1;
-  if (delta_skip) {
-    ++delta_stats_.listeners_skipped;
-    last_event_stats_.delta_listeners_skipped = 1;
-    ++page->evaluator->mutable_delta_stats().listeners_skipped;
-  }
-  // Memoizable implies pure: nothing to apply, nothing to render.
-  ++pure_listener_skips_;
-}
-
 xml::Node* XqibPlugin::MaterializeEvent(DynamicContext* ctx,
                                         const Event& event) {
   xml::Document* doc = ctx->scratch_document();
@@ -551,7 +510,6 @@ xml::Node* XqibPlugin::MaterializeEvent(DynamicContext* ctx,
 }
 
 void XqibPlugin::ScatterListenerPrefetch(PageContext* page,
-                                         net::HttpPrefetcher* prefetcher,
                                          const xml::QName& function,
                                          size_t arity) {
   if (!eval_options_.async_federation) return;
@@ -565,8 +523,7 @@ void XqibPlugin::ScatterListenerPrefetch(PageContext* page,
     if (it != page->listener_fetch_plans.end()) plan = it->second;
   }
   if (plan == nullptr) {
-    // Analyze outside the lock (the reachability walk can be deep); a
-    // racing loser finds an identical plan already inserted.
+    // Analyze outside the lock: the reachability walk can be deep.
     auto computed =
         std::make_shared<const xquery::federation::StaticFetchPlan>(
             xquery::federation::CollectListenerFetchUrls(*decl, *page->sctx));
@@ -578,7 +535,7 @@ void XqibPlugin::ScatterListenerPrefetch(PageContext* page,
   // runs code we cannot see), so fetching early observes the same bytes
   // as fetching in evaluation order.
   if (!plan->safe) return;
-  for (const std::string& url : plan->urls) prefetcher->Prefetch(url);
+  for (const std::string& url : plan->urls) page->prefetcher->Prefetch(url);
 }
 
 void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
@@ -617,25 +574,28 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
                                       HashEventPayload(event)};
   uint64_t memo_invalidated = 0;
   if (memoizable) {
-    // Exclusive lock: the serial path both reads and erases. Staged
-    // listeners probe under a shared lock from pool workers, but only
-    // while the loop thread is parked inside the dispatch batch — the
-    // lock mainly keeps the protocol uniform (and TSan quiet).
     std::unique_lock<std::shared_mutex> lk(page->memo_mu);
     auto it = page->memo_cache.find(memo_key);
     if (it != page->memo_cache.end()) {
       const MemoValidity validity =
           ProbeMemo(page, lkey, it->second, doc_version);
       if (validity != MemoValidity::kStale) {
-        const bool delta_skip = validity == MemoValidity::kDeltaSkip;
-        if (delta_skip) {
+        ++memo_stats_.hits;
+        last_listener_result_ = it->second.serialized;
+        last_event_stats_ = EventStats{};
+        last_event_stats_.memo_hits = 1;
+        if (validity == MemoValidity::kDeltaSkip) {
           // Every batch since fill time missed the listener's read set
           // (PropagateDelta above synced the window). Re-anchor so the
           // next probe takes the one-compare fast path.
           it->second.doc_version = doc_version;
           it->second.delta_fill_seq = page->delta_seq;
+          ++delta_stats_.listeners_skipped;
+          last_event_stats_.delta_listeners_skipped = 1;
+          ++page->evaluator->mutable_delta_stats().listeners_skipped;
         }
-        CommitMemoHit(page, it->second.serialized, delta_skip);
+        // Memoizable implies pure: nothing to apply, nothing to render.
+        ++pure_listener_skips_;
         return;
       }
       page->memo_cache.erase(it);
@@ -678,7 +638,7 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
   // virtual-time window overlaps their latencies instead of paying the
   // round trips one after another.
   if (page->prefetcher != nullptr) {
-    ScatterListenerPrefetch(page, page->prefetcher.get(), function, arity);
+    ScatterListenerPrefetch(page, function, arity);
   }
   xquery::Evaluator::EvalStats before = page->evaluator->stats();
   xml::InternPoolStats intern_before = xml::GetInternStats();
@@ -763,8 +723,16 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
     // Record the result only for genuinely memoizable listeners and only
     // on a clean run (no error, empty PUL) — errors are never cached.
     if (memoizable) {
-      PageContext::MemoEntry entry =
-          MakeMemoEntry(page, lkey, doc_version, last_listener_result_);
+      PageContext::MemoEntry entry;
+      entry.doc_version = doc_version;
+      entry.serialized = last_listener_result_;
+      // Stamp the delta sequence at fill time: the entry survives
+      // delta-skip probes as long as no later batch dirtied this
+      // listener. ⊤-read listeners record no name list and keep the 0
+      // stamp (never skipped).
+      if (page->listener_read_names.count(lkey) > 0) {
+        entry.delta_fill_seq = page->delta_seq;
+      }
       std::unique_lock<std::shared_mutex> lk(page->memo_mu);
       page->memo_cache[memo_key] = std::move(entry);
     }
@@ -808,266 +776,8 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
   ++last_event_stats_.arena_resets;
 }
 
-XqibPlugin::PageContext::MemoEntry XqibPlugin::MakeMemoEntry(
-    const PageContext* page, const PageContext::ListenerKey& key,
-    uint64_t doc_version, std::string serialized) {
-  PageContext::MemoEntry entry;
-  entry.doc_version = doc_version;
-  entry.serialized = std::move(serialized);
-  // Stamp the delta sequence at fill time: the entry survives delta-skip
-  // probes as long as no later batch dirtied this listener. ⊤-read
-  // listeners record no name list and keep the 0 stamp (never skipped).
-  if (page->listener_read_names.count(key) > 0) {
-    entry.delta_fill_seq = page->delta_seq;
-  }
-  return entry;
-}
-
-std::function<void()> XqibPlugin::StageListener(
-    std::shared_ptr<PageContext> page, const xml::QName& function,
-    const Event& event) {
-  PageContext* raw = page.get();
-
-  // Arity resolution mirrors InvokeListener. The static context is
-  // immutable for the whole dispatch (the loop thread is parked inside
-  // the staged run), so concurrent lookups are safe.
-  size_t arity = 0;
-  bool resolved = true;
-  if (raw->sctx->FindFunction(function, 2) != nullptr) {
-    arity = 2;
-  } else if (raw->sctx->FindFunction(function, 1) != nullptr) {
-    arity = 1;
-  } else if (raw->sctx->FindFunction(function, 0) == nullptr) {
-    resolved = false;
-  }
-
-  // The attach-time eligibility check used the arity resolution of that
-  // moment; re-verify against today's — a later script may have added an
-  // overload that resolves first and was NOT proved parallel-safe.
-  // Updating listeners take the staged path only with fully analyzed
-  // effects.
-  const PageContext::ListenerKey lkey{function.token(), arity};
-  const bool pure_safe =
-      resolved && raw->parallel_safe_functions.count(lkey) > 0;
-  const bool updating_safe =
-      resolved && !pure_safe &&
-      raw->stageable_updating_functions.count(lkey) > 0;
-  if (!pure_safe && !updating_safe) {
-    return [this, page, function, event]() {
-      ++parallel_fallbacks_;
-      InvokeListener(page.get(), function, event);
-    };
-  }
-
-  // Memo probe, shared lock: concurrent staged listeners may probe in
-  // parallel; erasure and insertion happen exclusively at commit time.
-  // The dirty-seq state ProbeMemo reads only moves on the loop thread,
-  // which is parked inside the dispatch batch. A mutation an earlier
-  // serial listener made in this same dispatch is not yet synced, so the
-  // delta skip disarms and the entry re-evaluates.
-  const bool memoizable =
-      memo_enabled_ && raw->memoizable_functions.count(lkey) > 0;
-  const uint64_t doc_version = raw->window->document()->mutation_version();
-  const PageContext::MemoKey memo_key{function.token(), arity,
-                                      HashEventPayload(event)};
-  bool memo_stale = false;
-  if (memoizable) {
-    std::shared_lock<std::shared_mutex> lk(raw->memo_mu);
-    auto it = raw->memo_cache.find(memo_key);
-    if (it != raw->memo_cache.end()) {
-      const MemoValidity validity =
-          ProbeMemo(raw, lkey, it->second, doc_version);
-      if (validity != MemoValidity::kStale) {
-        // No re-anchor under the shared lock; the serial path refreshes.
-        return [this, page, serialized = it->second.serialized,
-                delta_skip = validity == MemoValidity::kDeltaSkip]() {
-          CommitMemoHit(page.get(), serialized, delta_skip);
-        };
-      }
-      memo_stale = true;  // discard exclusively at commit
-    }
-  }
-
-  std::shared_ptr<PageContext::WorkerSlot> slot = AcquireWorkerSlot(raw);
-  // Fresh environment/focus per staging: globals may rebind between
-  // events. The page context is read-only for the whole staged run, so
-  // the copy races with nothing.
-  slot->ctx->env() = raw->ctx->env();
-  slot->ctx->set_focus(raw->ctx->focus());
-  slot->alerts.clear();
-  slot->traces.clear();
-  slot->ctx->pul().Clear();
-
-  std::vector<Sequence> args;
-  if (arity >= 1) {
-    args.push_back(
-        Sequence{Item::Node(MaterializeEvent(slot->ctx.get(), event))});
-  }
-  if (arity == 2) {
-    xml::Node* obj = event.current_target != nullptr ? event.current_target
-                                                     : event.target;
-    args.push_back(obj != nullptr ? Sequence{Item::Node(obj)} : Sequence{});
-  }
-
-  // Scatter-gather on the worker: the slot prefetcher issues the
-  // listener's statically known GETs before the body runs, so staged
-  // peers' round trips overlap in the fabric's virtual-time window.
-  net::HttpPrefetcher::Stats prefetch_before;
-  if (slot->prefetcher != nullptr) {
-    prefetch_before = slot->prefetcher->stats();
-    ScatterListenerPrefetch(raw, slot->prefetcher.get(), function, arity);
-  }
-  xquery::Evaluator::EvalStats before = slot->evaluator->stats();
-  Result<Sequence> result =
-      slot->evaluator->CallFunction(function, std::move(args), *slot->ctx);
-  if (slot->prefetcher != nullptr) slot->prefetcher->Drain();
-  if (slot->evaluator->exited()) slot->evaluator->TakeExitValue();
-  const xquery::Evaluator::EvalStats& after = slot->evaluator->stats();
-
-  // Per-listener delta of the slot evaluator's counters — merged into
-  // the page evaluator at commit so cumulative numbers match serial
-  // execution.
-  xquery::Evaluator::EvalStats delta;
-  delta.sorts_elided = after.sorts_elided - before.sorts_elided;
-  delta.sorts_performed = after.sorts_performed - before.sorts_performed;
-  delta.name_index_hits = after.name_index_hits - before.name_index_hits;
-  delta.early_exits = after.early_exits - before.early_exits;
-  delta.count_index_hits = after.count_index_hits - before.count_index_hits;
-  delta.streams.items_pulled =
-      after.streams.items_pulled - before.streams.items_pulled;
-  delta.streams.items_materialized =
-      after.streams.items_materialized - before.streams.items_materialized;
-  delta.streams.buffers_avoided =
-      after.streams.buffers_avoided - before.streams.buffers_avoided;
-  delta.arena_bytes_used = after.arena_bytes_used - before.arena_bytes_used;
-  delta.plan_hits = after.plan_hits - before.plan_hits;
-  delta.plan_misses = after.plan_misses - before.plan_misses;
-  delta.plan_compiles = after.plan_compiles - before.plan_compiles;
-  delta.plan_invalidations =
-      after.plan_invalidations - before.plan_invalidations;
-  delta.plan_bytes = after.plan_bytes - before.plan_bytes;
-  // Slot-exact federation counters. Fabric-shared numbers (requests,
-  // cache traffic, makespan) stay 0 per staged dispatch, like
-  // intern_hits: concurrently staged peers share the fabric, so a
-  // per-slot window cannot be exact — the fabric's own totals are.
-  delta.http.scatter_batches =
-      after.http.scatter_batches - before.http.scatter_batches;
-  if (slot->prefetcher != nullptr) {
-    const net::HttpPrefetcher::Stats& pf = slot->prefetcher->stats();
-    delta.http.prefetch_issued = pf.issued - prefetch_before.issued;
-    delta.http.prefetch_hits = pf.hits - prefetch_before.hits;
-  }
-
-  // A pure listener must come back with an empty PUL (anything else
-  // means the analyzer's proof was wrong — fall back to serial); an
-  // updating listener's PUL is the point, and transfers at commit.
-  const bool clean =
-      result.ok() && (updating_safe || slot->ctx->pul().empty());
-  std::string serialized;
-  if (clean) serialized = xdm::SequenceToString(*result);
-  std::shared_ptr<std::vector<std::unique_ptr<xml::Document>>> docs;
-  std::shared_ptr<std::vector<xquery::PendingUpdateList::Primitive>> pul;
-  if (updating_safe && clean) {
-    // The PUL's content nodes live in the slot's scratch documents:
-    // both transfer to the page context at commit, exactly as behind
-    // completions hand over their results.
-    docs = std::make_shared<std::vector<std::unique_ptr<xml::Document>>>(
-        slot->ctx->TakeScratchDocuments());
-    pul = std::make_shared<std::vector<xquery::PendingUpdateList::Primitive>>(
-        slot->ctx->pul().Take());
-  }
-  // The serialized string is self-contained: reclaim the slot's stream
-  // transients off-thread, keeping the commit cheap.
-  slot->evaluator->ResetDispatchArena(*slot->ctx);
-  slot->ctx->pul().Clear();
-
-  return [this, page, function, event, slot, clean, updating_safe, docs, pul,
-          serialized = std::move(serialized), delta, memoizable, memo_stale,
-          memo_key, doc_version]() {
-    if (!clean) {
-      // Worker-side surprise (error, or a PUL that slipped past the
-      // analyzer's proof): discard the staged run and replay serially —
-      // semantics are InvokeListener's by construction.
-      ReleaseWorkerSlot(page.get(), slot);
-      ++parallel_fallbacks_;
-      InvokeListener(page.get(), function, event);
-      return;
-    }
-    page->evaluator->AddStats(delta);
-    last_event_stats_ = EventStats{};
-    last_event_stats_.sorts_elided = delta.sorts_elided;
-    last_event_stats_.sorts_performed = delta.sorts_performed;
-    last_event_stats_.name_index_hits = delta.name_index_hits;
-    last_event_stats_.early_exits = delta.early_exits;
-    last_event_stats_.count_index_hits = delta.count_index_hits;
-    last_event_stats_.items_pulled = delta.streams.items_pulled;
-    last_event_stats_.items_materialized = delta.streams.items_materialized;
-    last_event_stats_.buffers_avoided = delta.streams.buffers_avoided;
-    last_event_stats_.arena_bytes_used = delta.arena_bytes_used;
-    last_event_stats_.arena_resets = 1;
-    last_event_stats_.intern_hits = 0;  // see EventStats comment
-    last_event_stats_.memo_misses = memoizable && !memo_stale ? 1 : 0;
-    last_event_stats_.memo_invalidations = memo_stale ? 1 : 0;
-    last_event_stats_.plan_hits = delta.plan_hits;
-    last_event_stats_.plan_misses = delta.plan_misses;
-    last_event_stats_.plan_compiles = delta.plan_compiles;
-    last_event_stats_.plan_invalidations = delta.plan_invalidations;
-    last_event_stats_.http_prefetch_issued = delta.http.prefetch_issued;
-    last_event_stats_.http_prefetch_hits = delta.http.prefetch_hits;
-    if (page->ctx->profiler != nullptr) {
-      xquery::Profiler::FastPathCounters& fp =
-          page->ctx->profiler->fast_path();
-      fp.http_prefetch_issued += delta.http.prefetch_issued;
-      fp.http_prefetch_hits += delta.http.prefetch_hits;
-    }
-    last_listener_result_ = serialized;
-    // Replay buffered host output in registration order.
-    for (std::string& a : slot->alerts) alerts_.push_back(std::move(a));
-    if (page->ctx->trace_sink != nullptr) {
-      for (const std::string& t : slot->traces) page->ctx->trace_sink(t);
-    }
-    if (updating_safe) {
-      // Adopt the worker's scratch documents (they own the PUL's
-      // content trees), transfer the primitives, and apply — exactly
-      // where the updates would have landed had the listener run
-      // serially on the page evaluator.
-      if (docs != nullptr) {
-        for (std::unique_ptr<xml::Document>& doc : *docs) {
-          page->ctx->AdoptDocument(std::move(doc));
-        }
-      }
-      if (pul != nullptr) {
-        for (auto& p : *pul) page->ctx->pul().Add(std::move(p));
-      }
-      Status st = ApplyAfterRun(page.get());
-      if (!st.ok()) last_script_error_ = st;
-      ReleaseWorkerSlot(page.get(), slot);
-      return;
-    }
-    // Parallel-safe implies pure: nothing to apply, nothing to render.
-    ++pure_listener_skips_;
-    if (memoizable) {
-      PageContext::MemoEntry entry = MakeMemoEntry(
-          page.get(), PageContext::ListenerKey{memo_key.name, memo_key.arity},
-          doc_version, last_listener_result_);
-      std::unique_lock<std::shared_mutex> lk(page->memo_mu);
-      if (memo_stale) {
-        ++memo_stats_.invalidations;
-      } else {
-        ++memo_stats_.misses;
-      }
-      page->memo_cache[memo_key] = std::move(entry);
-    }
-    ReleaseWorkerSlot(page.get(), slot);
-  };
-}
-
 std::shared_ptr<XqibPlugin::PageContext::WorkerSlot>
 XqibPlugin::AcquireWorkerSlot(PageContext* page) {
-  // Effective options for slot evaluators: no nested parallelism — the
-  // slot already runs on a worker, and its evaluator has no pool.
-  xquery::Evaluator::EvalOptions opts = eval_options_;
-  opts.parallel_streams = false;
   {
     std::lock_guard<std::mutex> lk(page->slots_mu);
     if (!page->free_slots.empty()) {
@@ -1075,7 +785,7 @@ XqibPlugin::AcquireWorkerSlot(PageContext* page) {
           std::move(page->free_slots.back());
       page->free_slots.pop_back();
       // Options may have changed since the slot was built.
-      slot->evaluator->set_options(opts);
+      slot->evaluator->set_options(eval_options_);
       slot->evaluator->set_analysis_facts(page->facts);
       return slot;
     }
@@ -1084,18 +794,18 @@ XqibPlugin::AcquireWorkerSlot(PageContext* page) {
   slot->ctx = std::make_unique<DynamicContext>();
   slot->ctx->browser_profile = true;
   // The slot context is not registered in pages_, so binding calls that
-  // reach it (impossible for parallel-safe listeners — belt and braces)
-  // fail with BRWS0001 and trigger the serial fallback.
+  // reach it (impossible for parallel-safe callees — belt and braces)
+  // fail with BRWS0001.
   slot->ctx->browser_binding = this;
   slot->ctx->clock = page->ctx->clock;
   PageContext::WorkerSlot* raw = slot.get();
   slot->ctx->trace_sink = [raw](const std::string& s) {
     raw->traces.push_back(s);
   };
-  // browser:alert buffers worker-side and replays at commit; the
-  // blocking dialogs error out (the analyzer keeps interactive listeners
-  // off the pool, so hitting one here means the proof was wrong — fall
-  // back to serial, where the real responder runs).
+  // browser:alert buffers in the slot and replays at commit; the
+  // blocking dialogs error out (the analyzer keeps interactive callees
+  // off the off-thread path, so hitting one here means the proof was
+  // wrong).
   slot->ctx->RegisterExternal(
       BrowserQName("alert"), 1,
       [raw](std::vector<Sequence>& args,
@@ -1107,13 +817,12 @@ XqibPlugin::AcquireWorkerSlot(PageContext* page) {
   auto interactive_error = [](std::vector<Sequence>&,
                               DynamicContext&) -> Result<Sequence> {
     return Status::Error("BRWS0005",
-                         "interactive dialog on a pool worker");
+                         "interactive dialog in an off-thread work");
   };
   slot->ctx->RegisterExternal(BrowserQName("prompt"), 1, interactive_error);
   slot->ctx->RegisterExternal(BrowserQName("confirm"), 1, interactive_error);
   // Same REST surface as the page context, but consuming a slot-private
-  // prefetcher: a staged listener's scatter must not be drained by (or
-  // hand stale responses to) a concurrently staged peer.
+  // prefetcher, so the work's scatters never reach the page's.
   if (fabric_ != nullptr) {
     slot->prefetcher = std::make_unique<net::HttpPrefetcher>(fabric_);
     slot->ctx->prefetcher = slot->prefetcher.get();
@@ -1121,7 +830,7 @@ XqibPlugin::AcquireWorkerSlot(PageContext* page) {
                                slot->prefetcher.get());
   }
   slot->evaluator = std::make_unique<xquery::Evaluator>(*page->sctx);
-  slot->evaluator->set_options(opts);
+  slot->evaluator->set_options(eval_options_);
   slot->evaluator->set_analysis_facts(page->facts);
   return slot;
 }
@@ -1130,31 +839,6 @@ void XqibPlugin::ReleaseWorkerSlot(
     PageContext* page, std::shared_ptr<PageContext::WorkerSlot> slot) {
   std::lock_guard<std::mutex> lk(page->slots_mu);
   page->free_slots.push_back(std::move(slot));
-}
-
-void XqibPlugin::EnableParallelDispatch(size_t workers) {
-  // Unwire first: the loop/event system must never point at a dead pool.
-  WireThreadPool(nullptr);
-  pool_.reset();
-  if (workers == 0) return;  // the serial baseline
-  pool_ = std::make_unique<base::ThreadPool>(workers);
-  WireThreadPool(pool_.get());
-}
-
-void XqibPlugin::UseSharedThreadPool(base::ThreadPool* pool) {
-  WireThreadPool(nullptr);
-  pool_.reset();  // any owned pool is superseded by the shared one
-  if (pool == nullptr || pool->size() == 0) return;
-  WireThreadPool(pool);
-}
-
-void XqibPlugin::WireThreadPool(base::ThreadPool* pool) {
-  active_pool_ = pool;
-  browser_->loop().set_thread_pool(pool);
-  browser_->events().set_thread_pool(pool);
-  for (auto& [window, page] : pages_) {
-    if (page->evaluator != nullptr) page->evaluator->set_thread_pool(pool);
-  }
 }
 
 void XqibPlugin::set_eval_options(
@@ -1168,8 +852,8 @@ void XqibPlugin::set_eval_options(
 Status XqibPlugin::FireEvent(xml::Node* target, Event event) {
   browser_->loop().Post([this, target, event]() mutable {
     // Classify mutations made since the last sync point (script runs,
-    // direct DOM pokes from the host) before the dispatcher stages any
-    // listener: staged probes read the dirty state as of this moment.
+    // direct DOM pokes from the host) before the dispatcher runs any
+    // listener.
     PageContext* page = FindPageByDocument(target->document());
     if (page != nullptr) PropagateDelta(page);
     browser_->events().Dispatch(target, std::move(event));
@@ -1202,31 +886,6 @@ Status XqibPlugin::AttachListener(const std::string& event_name,
       if (page == nullptr) return;
       InvokeListener(page.get(), listener, event);
     };
-    // Listeners the analyzer proved parallel-safe (pure, no interactive
-    // host calls) or effect-stageable updating (fully analyzed
-    // read/write sets) get the staged path: the dispatcher may evaluate
-    // them on a pool worker and commit on the loop thread, admitting
-    // them into concurrent runs by the interference check over the
-    // attached effect summaries. StageListener re-verifies eligibility
-    // at dispatch time.
-    size_t arity = 0;
-    if (page->sctx->FindFunction(listener, 2) != nullptr) {
-      arity = 2;
-    } else if (page->sctx->FindFunction(listener, 1) != nullptr) {
-      arity = 1;
-    }
-    const PageContext::ListenerKey lkey{listener.token(), arity};
-    auto fx = page->listener_effects.find(lkey);
-    if (fx != page->listener_effects.end()) l.effects = fx->second;
-    if (page->parallel_safe_functions.count(lkey) > 0 ||
-        page->stageable_updating_functions.count(lkey) > 0) {
-      l.stage = [this, weak, listener](const Event& event)
-          -> std::function<void()> {
-        std::shared_ptr<PageContext> page = weak.lock();
-        if (page == nullptr) return nullptr;
-        return StageListener(std::move(page), listener, event);
-      };
-    }
     browser_->events().AddListener(item.node(), event_name, std::move(l));
   }
   return Status();
@@ -1323,12 +982,11 @@ Status XqibPlugin::AttachBehind(const std::string& event_name,
   // main flow (§4.4: "the user keeps control").
   //
   // When the callee is a declared function the analyzer proved
-  // parallel-safe, the completion is an off-thread unit: a pool worker
-  // evaluates the call against the DOM snapshot and the loop thread
-  // commits (adopts result documents, replays buffered output, delivers
-  // to the listener). Off-thread eligibility is a static property of the
-  // callee, so the same path runs at every pool size — with no pool the
-  // work simply executes serially at the same queue position.
+  // parallel-safe, the completion is an off-thread unit: its work
+  // evaluates the call on a worker slot against the DOM snapshot, and
+  // its commit adopts the result documents, replays buffered output and
+  // delivers to the listener. Eligibility is a static property of the
+  // callee.
   const bool off_thread =
       is_call && page->parallel_safe_functions.count(PageContext::ListenerKey{
                      call->qname.token(), call->kids.size()}) > 0;

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "base/counters.h"
-#include "base/thread_pool.h"
 #include "browser/bom.h"
 #include "browser/events.h"
 #include "browser/page.h"
@@ -166,11 +165,9 @@ class XqibPlugin : public xquery::BrowserBinding {
     base::RelaxedCounter buffers_avoided;
     // Memory-layer deltas for the dispatch: arena bytes/resets from the
     // evaluator that ran the listener, intern-pool hits across the call,
-    // and memo cache traffic. Staged listeners evaluate on private
-    // worker-slot evaluators, so these deltas stay exact per listener
-    // under the pool too (intern hits aside: the pool is process-wide,
-    // so concurrent listeners' hits land in whichever dispatch window is
-    // open — totals remain accurate).
+    // and memo cache traffic. The intern pool is process-wide, so
+    // another session's hits can land in this dispatch's window —
+    // totals remain accurate.
     base::RelaxedCounter arena_bytes_used;
     base::RelaxedCounter arena_resets;
     base::RelaxedCounter intern_hits;
@@ -187,9 +184,8 @@ class XqibPlugin : public xquery::BrowserBinding {
     base::RelaxedCounter plan_invalidations;
     // Delta-propagation work for the dispatch: structured PUL deltas
     // emitted by the apply pass, index splices / avoided rebuilds the
-    // listener's own lookups triggered (staged listeners report 0 here,
-    // like intern_hits: the Document counters are process-shared), and
-    // whether this dispatch was answered by the delta skip check.
+    // listener's own lookups triggered, and whether this dispatch was
+    // answered by the delta skip check.
     base::RelaxedCounter delta_emitted;
     base::RelaxedCounter delta_index_splices;
     base::RelaxedCounter delta_bucket_rebuilds_avoided;
@@ -209,26 +205,10 @@ class XqibPlugin : public xquery::BrowserBinding {
   };
   const EventStats& last_event_stats() const { return last_event_stats_; }
 
-  // --- parallel dispatch runtime (PERFORMANCE.md §5) ---
-  // Creates a worker pool of `workers` threads and wires it into the
-  // event loop (off-thread `behind` completions), the event system
-  // (staged parallel listeners) and every page evaluator (parallel
-  // stream operators). workers == 0 tears the pool down: the serial
-  // baseline, observably identical by construction.
-  void EnableParallelDispatch(size_t workers);
-  // Wires an externally owned pool instead (the multi-tenant page
-  // server's one-pool-N-sessions substrate, PERFORMANCE.md §9): same
-  // wiring as EnableParallelDispatch, but the pool is shared across
-  // plug-ins and never torn down here. nullptr restores the serial
-  // baseline. Any previously owned pool is destroyed.
-  void UseSharedThreadPool(base::ThreadPool* pool);
-  base::ThreadPool* thread_pool() { return active_pool_; }
-  size_t parallel_dispatch_workers() const {
-    return active_pool_ != nullptr ? active_pool_->size() : 0;
-  }
-  // Listener stagings that fell back to serial re-execution (worker-side
-  // error or a PUL that slipped past the analyzer's proof).
-  size_t parallel_fallbacks() const { return parallel_fallbacks_; }
+  // Always 0: listeners run one at a time on the loop thread, so no run
+  // falls back to serial re-execution (PERFORMANCE.md §5). Kept because
+  // the end-to-end bench reports it.
+  size_t parallel_fallbacks() const { return 0; }
 
   // Applies `options` to every live page evaluator and to evaluators of
   // pages loaded later (benchmark ablations flip the fast paths off).
@@ -295,22 +275,10 @@ class XqibPlugin : public xquery::BrowserBinding {
     std::unordered_set<ListenerKey, ListenerKeyHash> memoizable_functions;
     // The parallel-safe superset: pure AND free of *interactive* host
     // calls (prompt/confirm block on the user; alert and fn:trace only
-    // emit, so their output can be buffered worker-side and replayed in
-    // registration order at commit). Only these listeners are staged on
-    // the worker pool.
+    // emit, so a worker slot buffers their output and the commit
+    // replays it). A `behind` call to one of these completes as an
+    // off-thread unit (AttachBehind).
     std::unordered_set<ListenerKey, ListenerKeyHash> parallel_safe_functions;
-    // Updating listeners with fully analyzed effect sets: not pure, but
-    // safe to evaluate on a worker against the DOM snapshot (the PUL
-    // transfers to the page context and applies at commit) whenever the
-    // dispatcher's interference check admits them into a staged run.
-    std::unordered_set<ListenerKey, ListenerKeyHash>
-        stageable_updating_functions;
-    // Static effect summaries (from AnalysisFacts::function_effects),
-    // attached to registered listeners for staged-run admission.
-    std::unordered_map<ListenerKey,
-                       std::shared_ptr<const browser::ListenerEffects>,
-                       ListenerKeyHash>
-        listener_effects;
     // Listeners whose read set the analyzer fully named: the names
     // PropagateDelta intersects each delta batch's write names with.
     std::unordered_map<ListenerKey, std::vector<const xml::InternedName*>,
@@ -323,10 +291,10 @@ class XqibPlugin : public xquery::BrowserBinding {
     std::shared_ptr<const xquery::analysis::AnalysisFacts> facts;
 
     // Scatter-gather federation (PERFORMANCE.md §10): the page-level
-    // prefetcher http:get consults (serial dispatch and the main body),
-    // and per-listener static fetch plans cached by declaration. Plans
-    // are computed lazily under fetch_plans_mu — staged listeners probe
-    // from pool workers.
+    // prefetcher http:get consults (listener dispatch and the main
+    // body), and per-listener static fetch plans cached by declaration,
+    // computed lazily. Every access runs on the session strand, so
+    // fetch_plans_mu is never contended.
     std::unique_ptr<net::HttpPrefetcher> prefetcher;
     std::unordered_map<const void*,
                        std::shared_ptr<const xquery::federation::
@@ -368,9 +336,8 @@ class XqibPlugin : public xquery::BrowserBinding {
       // read set was not fully named (⊤ reads) — never delta-skipped.
       uint64_t delta_fill_seq = 0;
     };
-    // Guarded by memo_mu: staged listeners probe concurrently from pool
-    // workers (shared lock); inserts and invalidations run exclusively
-    // on the loop thread's commit slot.
+    // Guarded by memo_mu. Probes, inserts and invalidations all run on
+    // the session strand, so the lock is never contended.
     std::unordered_map<MemoKey, MemoEntry, MemoKeyHash> memo_cache;
     mutable std::shared_mutex memo_mu;
 
@@ -384,30 +351,31 @@ class XqibPlugin : public xquery::BrowserBinding {
     // AND delta_synced_version still matches the document — the second
     // check catches mutations that happened after the last sync point
     // (the skip path then disables itself and the entry re-evaluates).
-    // Written on the loop thread; workers read while the loop thread is
-    // barriered inside the dispatch batch.
+    // Loop thread only.
     uint64_t delta_seq = 1;
     uint64_t all_dirty_seq = 0;  // ⊤ batch: every listener dirty
     std::unordered_map<ListenerKey, uint64_t, ListenerKeyHash> dirty_seq;
     uint64_t delta_synced_version = 0;
 
-    // One worker slot per concurrently staged listener: a private
+    // One worker slot per off-thread `behind` work: a private
     // DynamicContext + Evaluator (own arena, own stats, own scratch
-    // documents) that evaluates against the shared read-only DOM
-    // snapshot. Slots are pooled so steady-state dispatch allocates
-    // nothing; the environment is re-copied from the page context per
-    // staging (globals may rebind between events).
+    // documents) that evaluates the call against the read-only DOM
+    // snapshot, so the work's result and output stay apart from the
+    // page context until its commit. Slots are pooled so steady-state
+    // completions allocate nothing; the environment is re-copied from
+    // the page context per work (globals may rebind between events).
     struct WorkerSlot {
       std::unique_ptr<xquery::DynamicContext> ctx;
       std::unique_ptr<xquery::Evaluator> evaluator;
-      // Slot-private prefetcher: staged listeners scatter and drain
-      // without racing prefetches issued by concurrently staged peers.
+      // Slot-private prefetcher: the work's scatters drain into its own
+      // prefetcher, never into the page's.
       std::unique_ptr<net::HttpPrefetcher> prefetcher;
       std::vector<std::string> alerts;  // buffered browser:alert output
       std::vector<std::string> traces;  // buffered fn:trace output
     };
-    // shared_ptr because the staged commit closure (a copyable
-    // std::function) carries the slot from the worker to the loop thread.
+    // shared_ptr because the commit closure (a copyable std::function)
+    // carries the slot from the work to the commit. Works and commits
+    // run on the session strand, so slots_mu is never contended.
     std::vector<std::shared_ptr<WorkerSlot>> free_slots;
     std::mutex slots_mu;
   };
@@ -431,47 +399,24 @@ class XqibPlugin : public xquery::BrowserBinding {
   // PUL and syncing the BOM afterwards.
   void InvokeListener(PageContext* page, const xml::QName& function,
                       const browser::Event& event);
-  // Builds a memo entry for a clean run of `function`, stamped with the
-  // page's delta_seq when the analyzer fully named the listener's reads.
-  // Runs on the loop thread (delta_seq is loop-thread-only).
-  static PageContext::MemoEntry MakeMemoEntry(
-      const PageContext* page, const PageContext::ListenerKey& key,
-      uint64_t doc_version, std::string serialized);
-  // Loop-thread bookkeeping for a dispatch answered from the memo cache
-  // (serially, or at a staged listener's commit).
-  void CommitMemoHit(PageContext* page, const std::string& serialized,
-                     bool delta_skip);
   Status ApplyAfterRun(PageContext* page);
 
   // Drains the page document's dispatch delta window and folds it into
   // the page's dirty-listener state (delta_seq/dirty_seq). Called at
   // every dispatch sync point on the loop thread.
   void PropagateDelta(PageContext* page);
-  // The memo probe shared by the serial and staged dispatch paths:
-  // kFresh when `entry` was filled at `doc_version`, kDeltaSkip when the
-  // document moved but no delta batch since fill time can have dirtied
-  // the listener (the skip-dispatch check), kStale otherwise. Read-only
-  // — safe from pool workers while the loop thread is barriered; each
-  // caller keeps its own lock mode and handles a stale entry itself.
+  // The memo probe: kFresh when `entry` was filled at `doc_version`,
+  // kDeltaSkip when the document moved but no delta batch since fill
+  // time can have dirtied the listener (the skip-dispatch check),
+  // kStale otherwise. Read-only; the caller handles a stale entry.
   enum class MemoValidity { kFresh, kDeltaSkip, kStale };
   static MemoValidity ProbeMemo(const PageContext* page,
                                 const PageContext::ListenerKey& key,
                                 const PageContext::MemoEntry& entry,
                                 uint64_t doc_version);
 
-  // The parallel path of InvokeListener: runs on a pool worker against
-  // the DOM snapshot (the loop thread is barriered inside the dispatch
-  // batch, so the snapshot cannot move) and returns the commit closure
-  // the dispatcher runs on the loop thread in registration order. Any
-  // worker-side surprise (error, non-empty PUL, interactive call) makes
-  // the commit fall back to a serial InvokeListener re-run — semantics
-  // are InvokeListener's by construction.
-  std::function<void()> StageListener(std::shared_ptr<PageContext> page,
-                                      const xml::QName& function,
-                                      const browser::Event& event);
-  // Worker-slot pool management (PageContext::free_slots). Acquire may
-  // run on a pool worker (slot creation is self-contained); Release runs
-  // wherever the commit closure is destroyed.
+  // Worker-slot pool management (PageContext::free_slots): an
+  // off-thread `behind` work acquires a slot and its commit releases it.
   std::shared_ptr<PageContext::WorkerSlot> AcquireWorkerSlot(
       PageContext* page);
   void ReleaseWorkerSlot(PageContext* page,
@@ -480,23 +425,15 @@ class XqibPlugin : public xquery::BrowserBinding {
   // Scatter-gather prefetch (PERFORMANCE.md §10): resolves `function`'s
   // static fetch plan (cached per declaration) and, when the listener
   // body is provably fabric-read-only, issues every statically known GET
-  // through `prefetcher` before the body runs — the fetches overlap in
-  // the fabric's virtual-time window instead of serializing. Safe from
-  // pool workers (plan cache is mutex-guarded, fabric/prefetcher are
-  // thread-safe).
-  void ScatterListenerPrefetch(PageContext* page,
-                               net::HttpPrefetcher* prefetcher,
-                               const xml::QName& function, size_t arity);
+  // through the page prefetcher before the body runs — the fetches
+  // overlap in the fabric's virtual-time window instead of serializing.
+  void ScatterListenerPrefetch(PageContext* page, const xml::QName& function,
+                               size_t arity);
 
   // Builds the <event> element passed as $evt (paper §4.3.2) in `ctx`'s
-  // scratch document — the page context serially, a worker slot's
-  // context when staged.
+  // scratch document.
   xml::Node* MaterializeEvent(xquery::DynamicContext* ctx,
                               const browser::Event& event);
-
-  // Points the event loop, event system, and every page evaluator at
-  // `pool` (null = serial) and records it as the active pool.
-  void WireThreadPool(base::ThreadPool* pool);
 
   static std::string ListenerId(const xml::QName& fn) {
     return "xquery:" + fn.Clark();
@@ -519,12 +456,6 @@ class XqibPlugin : public xquery::BrowserBinding {
   std::string last_listener_result_;
   EventStats last_event_stats_;
   xquery::Evaluator::EvalOptions eval_options_;
-  // Owned pool (EnableParallelDispatch mode). In shared mode
-  // (UseSharedThreadPool) this stays null and active_pool_ points at
-  // the caller's pool; all wiring goes through active_pool_.
-  std::unique_ptr<base::ThreadPool> pool_;
-  base::ThreadPool* active_pool_ = nullptr;
-  size_t parallel_fallbacks_ = 0;
 };
 
 }  // namespace xqib::plugin

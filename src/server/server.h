@@ -2,9 +2,9 @@
 // "millions of users" pivot; PERFORMANCE.md §9, DESIGN.md "Server
 // architecture"). Hosts many concurrent Page/XqibPlugin sessions in
 // one process, executes XQuery pages server-side, and routes every
-// session's events through ONE shared work-stealing thread pool:
-// session-level parallelism layered on top of the intra-dispatch
-// staging of PR 5/6.
+// session's events through ONE shared work-stealing thread pool. Each
+// session is one serial strand; the pool runs strands concurrently and
+// is the only concurrency in the process.
 //
 // The front end reuses the net/http primitives: InstallHttpFrontEnd
 // registers REST handlers on a fabric, so anything that can Perform a

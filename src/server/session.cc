@@ -25,9 +25,6 @@ Session::Session(std::string id, uint64_t seq, net::HttpFabric* backend,
     js_ = std::make_unique<minijs::DomBinding>(&browser_);
     plugin_->set_foreign_engine(js_.get());
   }
-  // One pool, N sessions: intra-dispatch staging, off-thread behind
-  // completions and partitioned scans all draw from the shared pool.
-  plugin_->UseSharedThreadPool(pool_);
 }
 
 Status Session::Navigate(const std::string& url) {

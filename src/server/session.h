@@ -13,13 +13,14 @@
 // shared: N sessions compile each plan once and pointer-compare each
 // other's names.
 //
-// Concurrency model: the session is a strand. Events enqueue from any
-// thread; at most one drain runs at a time, on a shared-pool worker
-// (or inline when the server is serial), and that drain thread IS the
-// session's "loop thread" for the duration — the single-mutator
-// discipline every lower layer (PR 5-8) was built on carries over
-// unchanged, so per-session execution stays deterministic at every
-// pool size.
+// Concurrency model: the session is one serial strand. Events enqueue
+// from any thread; at most one drain runs at a time, on a shared-pool
+// worker (or inline when the server is serial), and that drain thread
+// IS the session's "loop thread" for the duration. Everything inside a
+// drain — listener dispatch, `behind` completions, path scans — runs
+// on that one thread, so per-session execution is deterministic at
+// every pool size. The shared pool's only job is to run drains: it is
+// the sole source of concurrency in the process.
 
 #ifndef XQIB_SERVER_SESSION_H_
 #define XQIB_SERVER_SESSION_H_
@@ -67,9 +68,8 @@ class Session : public std::enable_shared_from_this<Session> {
   using Completion = std::function<void(const Status&, double latency_us)>;
 
   // `backend` serves the pages' own REST traffic, `services` their
-  // web-service imports, `pool` the shared worker substrate — all
-  // owned by the PageServer, shared across sessions, never by this
-  // session. Sessions must be owned by shared_ptr (the PageServer
+  // web-service imports, `pool` runs this session's drains — all owned
+  // by the PageServer, shared across sessions, never by this session. Sessions must be owned by shared_ptr (the PageServer
   // creates them): pool drains keep the session alive via
   // shared_from_this.
   Session(std::string id, uint64_t seq, net::HttpFabric* backend,

@@ -37,8 +37,7 @@ namespace xqib::xdm {
 // boundaries; "materialized" counts items copied into Sequence buffers
 // (intermediate barriers and final results alike); "buffers avoided"
 // counts operator edges that stayed lazy end to end.
-// Relaxed atomics: ParallelStepStream's partition workers feed the
-// owning evaluator's counters concurrently.
+// Relaxed atomics, like every stats struct (base/counters.h).
 struct StreamStats {
   base::RelaxedCounter items_pulled;
   base::RelaxedCounter items_materialized;

@@ -353,9 +353,9 @@ uint64_t Node::OrderKey() const {
     // Attached nodes get keys 1..n from one DFS of the document tree;
     // detached subtrees get keys lazily, offset by their tree id, so a
     // session that detaches many fragments (every replaced text node)
-    // never pays for them again. Racing readers (pool workers comparing
-    // document order concurrently) serialize on the rebuild; the losers
-    // re-check under the lock and find their key already published.
+    // never pays for them again. Racing readers serialize on the
+    // rebuild; the losers re-check under the lock and find their key
+    // already published.
     std::lock_guard<std::mutex> lk(document_->lazy_mu_);
     if (order_version_.load(std::memory_order_relaxed) != doc_version) {
       Node* root = const_cast<Node*>(this)->Root();
@@ -386,9 +386,8 @@ Document::Document() {
 Node* Document::NewNode(NodeKind kind) {
   Node* n;
   {
-    // Staged updating listeners construct detached update content from
-    // pool workers; the deque push must not race them or the id-cache
-    // scan in GetElementById.
+    // The deque push must not race another allocating thread or the
+    // id-cache scan in GetElementById.
     std::lock_guard<std::mutex> lk(alloc_mu_);
     nodes_.push_back(std::unique_ptr<Node>(new Node(this, kind)));
     n = nodes_.back().get();
@@ -489,8 +488,8 @@ Node* Document::GetElementById(std::string_view id) const {
     std::lock_guard<std::mutex> lk(lazy_mu_);
     if (id_cache_version_.load(std::memory_order_relaxed) != mv) {
       id_cache_.clear();
-      // The scan walks the whole node pool, which concurrent staged
-      // updaters may be growing; hold alloc_mu_ (always after lazy_mu_).
+      // The scan walks the whole node pool, which a concurrent
+      // allocation may be growing; hold alloc_mu_ (always after lazy_mu_).
       std::lock_guard<std::mutex> alk(alloc_mu_);
       for (const auto& n : nodes_) {
         if (n->kind() == NodeKind::kElement && n->parent() != nullptr) {
@@ -750,8 +749,8 @@ void Document::RecomputeOrder() const {
   // valid across churn and lets the name index splice by key.
   uint64_t pool = 0;
   {
-    // nodes_ may be growing under concurrent staged-updater allocation;
-    // lock order lazy_mu_ (held by our callers) then alloc_mu_ matches
+    // nodes_ may be growing under a concurrent allocation; lock order
+    // lazy_mu_ (held by our callers) then alloc_mu_ matches
     // GetElementById.
     std::lock_guard<std::mutex> lk(alloc_mu_);
     pool = nodes_.size();

@@ -124,9 +124,8 @@ class Node {
   Node* parent_ = nullptr;
   std::vector<Node*> children_;    // element/document content
   std::vector<Node*> attributes_;  // element attributes
-  // Atomics: pool workers compare document order concurrently while the
-  // loop thread is barriered inside a dispatch batch. The recompute
-  // publishes each key with a release store on order_version_; readers
+  // Atomics keep concurrent readers race-free. The recompute publishes
+  // each key with a release store on order_version_; readers
   // acquire-load the version before touching the key (see OrderKey).
   mutable std::atomic<uint64_t> order_key_{0};
   mutable std::atomic<uint64_t> order_version_{0};
@@ -329,13 +328,10 @@ class Document {
   std::atomic<uint64_t> next_tree_id_{1};
   std::vector<MutationHook> mutation_hooks_;
 
-  // Guards nodes_ (and the id-cache scan over it): staged updating
-  // listeners allocate detached update content into the page document
-  // from pool workers concurrently. Node FIELDS need no lock — a
-  // worker's fresh nodes are unreachable from the attached tree, and
-  // the only whole-pool scan (GetElementById) can only run concurrently
-  // from a listener whose read set is ⊤, which the interference gate
-  // keeps out of any staged run containing an updater.
+  // Guards nodes_ (and the id-cache scan over it) against allocation
+  // from more than one thread. Node FIELDS need no lock — fresh nodes
+  // are unreachable from the attached tree until an update attaches
+  // them on the loop thread.
   mutable std::mutex alloc_mu_;
 
   // Delta-propagation state (see the public accessors). The two rolling
@@ -351,12 +347,11 @@ class Document {
   mutable base::RelaxedCounter order_rebuilds_;
 
   // Serializes the lazy rebuilds (order keys, id cache, name index) when
-  // several pool workers race to be the first reader after a mutation.
-  // Each rebuild publishes with a release store on its version counter;
-  // readers that acquire-load a matching version then use the cache
-  // without the lock — mutation is loop-thread-only and the loop thread
-  // is barriered while workers read, so a validated cache cannot change
-  // underneath them.
+  // several readers race to be the first after a mutation. Each rebuild
+  // publishes with a release store on its version counter; readers that
+  // acquire-load a matching version then use the cache without the lock
+  // — mutation is loop-thread-only, so a validated cache cannot change
+  // underneath a reader.
   mutable std::mutex lazy_mu_;
 
   // id -> element cache; valid while mutation_version_ matches.

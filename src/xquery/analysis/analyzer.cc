@@ -1296,20 +1296,13 @@ class ModuleAnalyzer {
   // --------------------------------------------------------- effects ---
 
   // Runs the effect-analysis fixpoint (effects.h) over the joint module
-  // set and publishes the summaries: per-function read/write sets, the
-  // page-wide observed-read union, and the set of updating listeners
-  // whose effects are finite enough for staged parallel dispatch.
+  // set and publishes the summaries: per-function read/write sets and
+  // the page-wide observed-read union.
   void ComputeEffects() {
     for (const Module* m : context_) effects_.AddContextModule(m);
     effects_.Run(module_);
     result_->facts.function_effects = effects_.function_effects();
     result_->facts.all_reads = effects_.all_reads();
-    for (const auto& [key, eff] : result_->facts.function_effects) {
-      if (eff.has_update && !eff.interacts && !eff.writes.top &&
-          !eff.write_scope.top) {
-        result_->facts.stageable_updating_functions.insert(key);
-      }
-    }
   }
 
   // Merged effect summary of a listener function across its declared
@@ -1398,8 +1391,7 @@ class ModuleAnalyzer {
                      second.site->qname.Lexical() + " on event \"" +
                      event +
                      "\" have interfering effects; their registration "
-                     "order is semantically load-bearing and they cannot "
-                     "be dispatched in parallel",
+                     "order is semantically load-bearing",
                  offset, length);
         }
       }
@@ -1549,7 +1541,7 @@ class ModuleAnalyzer {
   // captured per-function by ComputePurity.
   bool observes_host_ = false;
   // Set alongside observes_host_ for the blocking subset
-  // (prompt/confirm): these cannot be buffered by a pool worker.
+  // (prompt/confirm): a worker slot cannot buffer these.
   bool interacts_host_ = false;
   // `behind` attach sites recorded during the walk, linted by
   // LintBehindListeners once purity facts exist.

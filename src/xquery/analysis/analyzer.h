@@ -21,8 +21,7 @@
 //      their asynchronous completions delivered off-thread (XQSA033).
 //   5. effects — the read/write-set abstract interpretation of
 //      effects.h, published in AnalysisFacts (function_effects,
-//      stageable_updating_functions, all_reads) and consumed by three
-//      lints: same-event listeners with interfering effects (XQSA034),
+//      all_reads) and consumed by three lints: same-event listeners with interfering effects (XQSA034),
 //      memoizable listeners whose read set is ⊤ so every mutation
 //      evicts them (XQSA035), and updates writing names nothing in the
 //      page reads (XQSA036).

@@ -25,10 +25,8 @@
 // finite, so recursion converges without widening.
 //
 // Consumers: delta-skip dispatch (the plug-in intersects each DOM
-// delta's touched names with memoized listeners' read sets), the
-// listener interference matrix that lets provably disjoint updating
-// listeners join parallel staged runs (browser::ListenerEffects), and
-// lints XQSA034/035/036.
+// delta's touched names with memoized listeners' read sets) and lints
+// XQSA034/035/036.
 
 #ifndef XQIB_XQUERY_ANALYSIS_EFFECTS_H_
 #define XQIB_XQUERY_ANALYSIS_EFFECTS_H_

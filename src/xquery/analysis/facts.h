@@ -57,21 +57,14 @@ struct AnalysisFacts {
 
   // The subset of pure_functions additionally free of INTERACTIVE host
   // calls (browser:prompt/confirm, which block on user input). Dialogs
-  // and fn:trace output are fine: a worker can buffer them and the
-  // commit replays them in registration order. Listeners in this set
-  // may be evaluated concurrently on pool workers against a DOM
-  // snapshot (PERFORMANCE.md §5).
+  // and fn:trace output are fine: a worker slot buffers them and the
+  // commit replays them in order. A `behind` call to a function in this
+  // set completes as an off-thread unit (PERFORMANCE.md §5).
   std::unordered_set<std::string> parallel_safe_functions;
 
   // Inferred read/write effect summaries per declared function (same
   // keys). Ordered map so `xq_lint --effects` dumps deterministically.
   std::map<std::string, Effects> function_effects;
-
-  // Updating listeners whose effects are statically finite (writes and
-  // write scope below ⊤, no interactive host calls): candidates for
-  // parallel staged dispatch when pairwise non-interfering with the
-  // rest of their run (browser plug-in checks Interferes per event).
-  std::unordered_set<std::string> stageable_updating_functions;
 
   // Union of every name read anywhere in the page's modules; ⊤ when any
   // read is unanalyzable. Drives the XQSA036 dead-update lint.

@@ -1027,38 +1027,6 @@ void Evaluator::ResetDispatchArena(DynamicContext& ctx) {
   }
 }
 
-void Evaluator::AddStats(const EvalStats& delta) {
-  stats_.sorts_performed += delta.sorts_performed;
-  stats_.sorts_elided += delta.sorts_elided;
-  stats_.name_index_hits += delta.name_index_hits;
-  stats_.early_exits += delta.early_exits;
-  stats_.count_index_hits += delta.count_index_hits;
-  stats_.streams.items_pulled += delta.streams.items_pulled;
-  stats_.streams.items_materialized += delta.streams.items_materialized;
-  stats_.streams.buffers_avoided += delta.streams.buffers_avoided;
-  stats_.arena_bytes_used += delta.arena_bytes_used;
-  stats_.arena_resets += delta.arena_resets;
-  stats_.parallel_predicate_chunks += delta.parallel_predicate_chunks;
-  stats_.plan_compiles += delta.plan_compiles;
-  stats_.plan_hits += delta.plan_hits;
-  stats_.plan_misses += delta.plan_misses;
-  stats_.plan_invalidations += delta.plan_invalidations;
-  stats_.plan_bytes += delta.plan_bytes;
-  stats_.delta.emitted += delta.delta.emitted;
-  stats_.delta.index_splices += delta.delta.index_splices;
-  stats_.delta.bucket_rebuilds_avoided += delta.delta.bucket_rebuilds_avoided;
-  stats_.delta.listeners_skipped += delta.delta.listeners_skipped;
-  stats_.http.cache_hits += delta.http.cache_hits;
-  stats_.http.cache_misses += delta.http.cache_misses;
-  stats_.http.prefetch_issued += delta.http.prefetch_issued;
-  stats_.http.prefetch_hits += delta.http.prefetch_hits;
-  stats_.http.scatter_batches += delta.http.scatter_batches;
-  // intern_hits is a snapshot of the process-wide pool (see
-  // ResetDispatchArena), not a cumulative counter: refresh it rather
-  // than add the delta.
-  stats_.intern_hits = xml::GetInternStats().hits;
-}
-
 void Evaluator::EnsurePlans() {
   uint64_t source_hash = sctx_.plan_source_hash();
   uint64_t fingerprint = sctx_.plan_fingerprint();
@@ -1117,41 +1085,26 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
   xdm::StreamPtr s;
   // First-step name-index shortcut: //name answers straight from the
   // document's element index — already in doc order, duplicate-free.
-  // With a worker pool, //name[pred] also qualifies: the bucket is
-  // partitioned across the pool and each slice filters with globally
-  // correct position()/last() (ParallelStepStream path).
+  // Predicated steps (//name[pred]) keep the per-step stream below.
   if (current.size() == 1 && current[0].is_node()) {
     bool skip_origin = false;
     const std::vector<xml::Node*>* bucket =
         IndexedStepBucket(e.steps[0], current[0].node(), &skip_origin);
     size_t consumed = 1;
-    const std::vector<ExprPtr>* preds =
-        bucket != nullptr ? &e.steps[0].predicates : nullptr;
-    // A collapsed descendant::name step has one origin, so predicate
-    // positions over the bucket are the real XPath positions. The
-    // uncollapsed `//name[preds]` form below does NOT: there the child
-    // step re-positions per parent, so only position-free predicates may
-    // run over the bucket (TryParallelPredicate abandons at runtime on a
-    // numeric predicate value).
-    bool global_positions = true;
     if (bucket == nullptr && e.steps.size() >= 2 &&
         e.steps[0].axis == Axis::kDescendantOrSelf &&
         e.steps[0].test.kind == NodeTest::Kind::kAnyKind &&
         e.steps[0].predicates.empty() && e.steps[1].axis == Axis::kChild) {
-      // `//name[preds]`: descendant-or-self::node()/child::name equals
+      // `//name`: descendant-or-self::node()/child::name equals
       // descendant::name, and the whole-tree descendant bucket is the
       // element-name index (already doc-ordered, duplicate-free).
       Step synth;
       synth.axis = Axis::kDescendant;
       synth.test = e.steps[1].test;
       bucket = IndexedStepBucket(synth, current[0].node(), &skip_origin);
-      if (bucket != nullptr) {
-        consumed = 2;
-        preds = &e.steps[1].predicates;
-        global_positions = false;
-      }
+      if (bucket != nullptr) consumed = 2;
     }
-    if (bucket != nullptr) {
+    if (bucket != nullptr && e.steps[consumed - 1].predicates.empty()) {
       xml::Node* origin = current[0].node();
       Sequence hits;
       hits.reserve(bucket->size());
@@ -1159,53 +1112,15 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
         if (skip_origin && h == origin) continue;
         hits.push_back(Item::Node(h));
       }
-      bool handled = preds->empty();
-      if (!handled && options_.parallel_streams && pool_ != nullptr &&
-          pool_->size() > 0 && hits.size() >= options_.parallel_cutoff) {
-        bool safe = true;
-        for (const ExprPtr& pred : *preds) {
-          if (!ParallelSafePredicate(*pred)) {
-            safe = false;
-            break;
-          }
-        }
-        if (safe) {
-          Sequence work = std::move(hits);
-          bool all = true;
-          for (const ExprPtr& pred : *preds) {
-            Result<Sequence> filtered = Sequence{};
-            if (!TryParallelPredicate(*pred, work, ctx, global_positions,
-                                      &filtered)) {
-              all = false;
-              break;
-            }
-            XQ_RETURN_NOT_OK(filtered.status());
-            work = std::move(filtered).value();
-          }
-          if (all) {
-            hits = std::move(work);
-            handled = true;
-          } else {
-            // Rebuild: `hits` was consumed by the abandoned attempt.
-            hits.clear();
-            for (xml::Node* h : *bucket) {
-              if (skip_origin && h == origin) continue;
-              hits.push_back(Item::Node(h));
-            }
-          }
-        }
+      ++stats_.name_index_hits;
+      ++stats_.sorts_elided;
+      if (ctx.profiler != nullptr) {
+        ++ctx.profiler->fast_path().name_index_hits;
+        ++ctx.profiler->fast_path().sorts_elided;
       }
-      if (handled) {
-        ++stats_.name_index_hits;
-        ++stats_.sorts_elided;
-        if (ctx.profiler != nullptr) {
-          ++ctx.profiler->fast_path().name_index_hits;
-          ++ctx.profiler->fast_path().sorts_elided;
-        }
-        CountMaterialized(ctx, hits.size());
-        s = xdm::SequenceStream(std::move(hits), ctx.arena());
-        start = consumed;
-      }
+      CountMaterialized(ctx, hits.size());
+      s = xdm::SequenceStream(std::move(hits), ctx.arena());
+      start = consumed;
     }
   }
   if (s == nullptr) s = xdm::SequenceStream(std::move(current), ctx.arena());
@@ -1679,7 +1594,7 @@ Result<Sequence> Evaluator::ApplyOnePredicate(const Expr& pred,
   return output;
 }
 
-// ------------------------------------------------- parallel predicates ---
+// ------------------------------------------------ scatter-safe exprs ---
 
 bool Evaluator::ParallelSafePredicate(const Expr& e) {
   auto cached = parallel_safe_cache_.find(&e);
@@ -1688,10 +1603,9 @@ bool Evaluator::ParallelSafePredicate(const Expr& e) {
   bool safe = true;
   switch (e.kind) {
     // Anything that mutates, constructs persistent state, or leaves the
-    // analyzable world keeps the predicate on the caller's thread. Node
-    // constructors are excluded too: they are harmless per-chunk (each
-    // chunk owns its context), but predicates building elements are rare
-    // enough that proving their allocation discipline isn't worth it.
+    // analyzable world is unsafe to evaluate twice. Node constructors
+    // are excluded too: a second evaluation would build fresh node
+    // identities.
     case ExprKind::kInsert:
     case ExprKind::kDelete:
     case ExprKind::kReplace:
@@ -1720,10 +1634,8 @@ bool Evaluator::ParallelSafePredicate(const Expr& e) {
       const std::string& ns = e.qname.ns();
       if (ns == xml::kFnNamespace) {
         // Builtins minus the document-touching / host-observing /
-        // time-dependent ones. fn:position/fn:last are also out: the
-        // partitioned scan renumbers the focus with bucket-global
-        // positions, which only coincide with the per-parent positions
-        // the spec demands for the collapsed single-origin form.
+        // time-dependent ones, and fn:position/fn:last, which read a
+        // focus the early evaluation need not share.
         const std::string& local = e.qname.local();
         if (local == "doc" || local == "doc-available" || local == "put" ||
             local == "trace" || local == "current-dateTime" ||
@@ -1765,152 +1677,6 @@ bool Evaluator::ParallelSafePredicate(const Expr& e) {
   }
   parallel_safe_cache_[&e] = safe;
   return safe;
-}
-
-bool Evaluator::TryParallelPredicate(const Expr& pred, const Sequence& input,
-                                     DynamicContext& ctx,
-                                     bool global_positions,
-                                     Result<Sequence>* out) {
-  if (!options_.parallel_streams || pool_ == nullptr || pool_->size() == 0) {
-    return false;
-  }
-  if (!ParallelSafePredicate(pred)) return false;
-
-  const size_t n = input.size();
-  const int64_t size64 = static_cast<int64_t>(n);
-
-  // Evaluates `pred` for input[i] on (eval, cctx). keep/abandon out-params;
-  // abandon fires when a numeric predicate value appears without
-  // global-position semantics (the uncollapsed //name form, where the
-  // real positions are per-parent and this whole fast path is invalid).
-  auto eval_one = [&](Evaluator& eval, DynamicContext& cctx, size_t i,
-                      bool* keep, bool* abandon) -> Status {
-    DynamicContext::Focus f;
-    f.item = input[i];
-    f.position = static_cast<int64_t>(i) + 1;
-    f.size = size64;
-    f.has_item = true;
-    cctx.set_focus(f);
-    *keep = false;
-    if (pred.kind == ExprKind::kPath) {
-      // Existence test: one witness suffices (mirrors ApplyOnePredicate).
-      XQ_ASSIGN_OR_RETURN(*keep, eval.EvalBool(pred, cctx));
-      return Status();
-    }
-    XQ_ASSIGN_OR_RETURN(Sequence v, eval.Eval(pred, cctx));
-    if (v.size() == 1 && !v[0].is_node() && v[0].atomic().is_numeric()) {
-      if (!global_positions) {
-        *abandon = true;
-        return Status();
-      }
-      XQ_ASSIGN_OR_RETURN(double d, v[0].atomic().ToDouble());
-      *keep = (d == static_cast<double>(i + 1));
-      return Status();
-    }
-    XQ_ASSIGN_OR_RETURN(*keep, xdm::EffectiveBooleanValue(v));
-    return Status();
-  };
-
-  // Chained predicates shrink the input; below the cutoff the fork/join
-  // overhead dominates, so finish serially (same semantics either way).
-  if (n < options_.parallel_cutoff) {
-    if (global_positions) {
-      *out = ApplyOnePredicate(pred, input, ctx);
-      return true;
-    }
-    DynamicContext::Focus saved = ctx.focus();
-    Sequence result;
-    bool abandon = false;
-    Status st;
-    for (size_t i = 0; i < n && st.ok() && !abandon; ++i) {
-      bool keep = false;
-      st = eval_one(*this, ctx, i, &keep, &abandon);
-      if (st.ok() && keep) result.push_back(input[i]);
-    }
-    ctx.set_focus(saved);
-    if (abandon) return false;
-    if (!st.ok()) {
-      *out = st;
-      return true;
-    }
-    *out = std::move(result);
-    return true;
-  }
-
-  const size_t nchunks = std::min(n, (pool_->size() + 1) * 2);
-  const size_t chunk = (n + nchunks - 1) / nchunks;
-  struct ChunkResult {
-    std::vector<char> keep;
-    Status error;
-    bool failed = false;
-    bool abandoned = false;
-    EvalStats stats;
-  };
-  std::vector<ChunkResult> chunks(nchunks);
-
-  pool_->ParallelFor(nchunks, [&](size_t c) {
-    const size_t lo = c * chunk;
-    const size_t hi = std::min(n, lo + chunk);
-    ChunkResult& res = chunks[c];
-    res.keep.assign(hi - lo, 0);
-    // Private evaluator + context per chunk: copied environment, own
-    // arena/scratch space, no pool (no nested parallelism), no
-    // profiler. The shared document is read-only for the whole scan —
-    // lazy index/order rebuilds synchronize internally (xml::Document).
-    Evaluator eval(sctx_);
-    EvalOptions opts = options_;
-    opts.parallel_streams = false;
-    eval.set_options(opts);
-    DynamicContext cctx;
-    cctx.env() = ctx.env();
-    cctx.browser_profile = ctx.browser_profile;
-    cctx.clock = ctx.clock;
-    for (size_t i = lo; i < hi; ++i) {
-      bool keep = false;
-      bool abandon = false;
-      Status st = eval_one(eval, cctx, i, &keep, &abandon);
-      if (abandon) {
-        res.abandoned = true;
-        break;
-      }
-      if (!st.ok()) {
-        res.error = std::move(st);
-        res.failed = true;
-        break;
-      }
-      if (keep) res.keep[i - lo] = 1;
-    }
-    res.stats = eval.stats();
-  });
-
-  // A positional abandon anywhere invalidates the whole attempt: the
-  // caller re-runs the sequential stream, which also restores the
-  // first-error-in-document-order guarantee for that case.
-  for (const ChunkResult& res : chunks) {
-    if (res.abandoned) return false;
-  }
-
-  // Merge on the caller's thread. Chunks are contiguous slices, so the
-  // first failed chunk holds the first error in input order (the
-  // predicate is pure: evaluating past a would-be-serial error point is
-  // unobservable). Kept nodes concatenate back in document order.
-  for (const ChunkResult& res : chunks) AddStats(res.stats);
-  stats_.parallel_predicate_chunks += nchunks;
-  for (const ChunkResult& res : chunks) {
-    if (res.failed) {
-      *out = res.error;
-      return true;
-    }
-  }
-  Sequence result;
-  for (size_t c = 0; c < nchunks; ++c) {
-    const size_t lo = c * chunk;
-    for (size_t k = 0; k < chunks[c].keep.size(); ++k) {
-      if (chunks[c].keep[k]) result.push_back(input[lo + k]);
-    }
-  }
-  *out = std::move(result);
-  return true;
 }
 
 // -------------------------------------------------------------- FLWOR ---

@@ -12,7 +12,6 @@
 
 #include "base/counters.h"
 #include "base/result.h"
-#include "base/thread_pool.h"
 #include "xdm/item.h"
 #include "xdm/stream.h"
 #include "xquery/ast.h"
@@ -52,15 +51,6 @@ class Evaluator {
     // lazy pull streams (xdm::ItemStream). Off: every operator edge
     // re-materializes a full Sequence — the eager reference.
     bool stream_pipeline = true;
-    // Split whole-tree //name steps across the worker pool: the
-    // element-name-index bucket is partitioned, each worker evaluates
-    // the first predicate over its slice (with globally correct
-    // position()/last()), and the kept nodes merge back in document
-    // order. Requires a thread pool (set_thread_pool) and a bucket of
-    // at least parallel_cutoff nodes; smaller buckets stay sequential —
-    // the fork/join overhead would dominate.
-    bool parallel_streams = true;
-    size_t parallel_cutoff = 2048;
     // Dispatch user-declared function calls through compiled register
     // plans (xquery/plan/): the body is lowered once into flat bytecode
     // specialized by analyzer facts, cached process-wide on (source
@@ -82,10 +72,9 @@ class Evaluator {
   void set_options(const EvalOptions& options) { options_ = options; }
 
   // Cumulative fast-path counters across all Eval/CallFunction calls.
-  // Relaxed atomics: parallel stream partitions and worker-slot commits
-  // bump these from pool threads; copying the struct snapshots every
-  // counter (the before/after delta idiom stays valid on the loop
-  // thread).
+  // Relaxed atomics, so another thread may read them while the session
+  // strand bumps them; copying the struct snapshots every counter (the
+  // before/after delta idiom).
   struct EvalStats {
     base::RelaxedCounter sorts_performed;
     base::RelaxedCounter sorts_elided;
@@ -105,8 +94,6 @@ class Evaluator {
     base::RelaxedCounter arena_bytes_used;
     base::RelaxedCounter arena_resets;
     base::RelaxedCounter intern_hits;
-    // Partitioned //name[pred] scans: chunks evaluated on pool workers.
-    base::RelaxedCounter parallel_predicate_chunks;
     // Compiled-plan counters: function plans compiled by this evaluator
     // (zero on every warm dispatch — asserted by the regression tests),
     // dispatches executed through a plan, compiled_plans-on dispatches
@@ -145,13 +132,8 @@ class Evaluator {
   };
   const EvalStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EvalStats{}; }
-  // Folds another evaluator's counters into this one — the dispatch
-  // scheduler merges each worker slot's per-listener delta back into the
-  // page evaluator so cumulative numbers match serial execution.
-  void AddStats(const EvalStats& delta);
   // Direct access to the delta-propagation block: the plugin's dispatch
-  // fast paths bump one or two of these per skipped listener, where a
-  // full-struct AddStats merge would dominate the skip itself.
+  // fast paths bump one or two of these per skipped listener.
   EvalStats::DeltaStats& mutable_delta_stats() { return stats_.delta; }
   // Same idiom for the federation block: the plugin diffs fabric /
   // prefetcher counters around each dispatch and folds the delta here.
@@ -212,12 +194,6 @@ class Evaluator {
   const analysis::AnalysisFacts* analysis_facts() const {
     return facts_.get();
   }
-
-  // Worker pool for EvalOptions::parallel_streams (null = sequential).
-  // Worker-slot evaluators run with a null pool: a listener already
-  // executing on a worker thread must not fork again.
-  void set_thread_pool(base::ThreadPool* pool) { pool_ = pool; }
-  base::ThreadPool* thread_pool() const { return pool_; }
 
  private:
   friend struct EvaluatorStreams;
@@ -309,25 +285,13 @@ class Evaluator {
   Result<bool> MatchesSequenceType(const xdm::Sequence& value,
                                    const SequenceType& st);
 
-  // Conservative static scan for the parallel-stream gate: is `e` safe
-  // to evaluate concurrently against a read-only document snapshot?
-  // (No updates/scripting/host effects, no fn:position/fn:last — chunk
-  // focus positions are an implementation detail — and declared-function
-  // calls only to nothing: builtins of fn:/xs: minus doc/put/trace and
-  // the interactive browser dialogs.) Memoized per node.
+  // Conservative static scan for the FLWOR scatter gate: may `e` be
+  // evaluated an extra time, ahead of the tuple loop, without anyone
+  // noticing? (No updates/scripting/host effects, no node
+  // construction, no fn:position/fn:last, and calls only to builtins
+  // of fn:/xs: minus doc/put/trace and the time functions.) Memoized
+  // per node.
   bool ParallelSafePredicate(const Expr& e);
-  // Parallel predicate evaluation over an indexed //name bucket:
-  // partitions `input` across the pool, evaluates `pred` per node, and
-  // fills `out` with the kept nodes in document order. With
-  // `global_positions` (single-origin descendant::name step) a numeric
-  // predicate value selects by global index; without it (the
-  // uncollapsed //name form, where positions are per-parent) a numeric
-  // value makes the whole call abandon — the caller falls back to the
-  // sequential stream. Returns false when the gate declines (no pool,
-  // bucket under cutoff, unsafe predicate, runtime positional abandon).
-  bool TryParallelPredicate(const Expr& pred, const xdm::Sequence& input,
-                            DynamicContext& ctx, bool global_positions,
-                            Result<xdm::Sequence>* out);
 
   // Async federation: if `e` is a FLWOR whose remote GETs are templated
   // over the loop variable (federation::AnalyzeFlworScatter, memoized
@@ -341,7 +305,6 @@ class Evaluator {
   xdm::Sequence exit_value_;
   EvalOptions options_;
   EvalStats stats_;
-  base::ThreadPool* pool_ = nullptr;
   std::unordered_map<const Expr*, bool> needs_last_cache_;
   std::unordered_map<const Expr*, bool> parallel_safe_cache_;
   // Memoized federation::AnalyzeFlworScatter results (the analysis walks

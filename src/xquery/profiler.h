@@ -47,9 +47,9 @@ class Profiler {
   // evaluator alongside its own stats whenever a profiler is attached,
   // and appended to Report() so hot-spot dumps show how often the fast
   // paths fired and how lazy the pipeline stayed.
-  // Relaxed atomics: parallel stream workers mirror their pulls into the
-  // attached profiler concurrently. (Per-expression Entry records stay
-  // loop-thread-only — worker evaluators detach the profiler.)
+  // Relaxed atomics, like every stats struct (base/counters.h).
+  // Per-expression Entry records are loop-thread-only; worker-slot
+  // evaluators run without a profiler.
   struct FastPathCounters {
     base::RelaxedCounter sorts_performed;
     base::RelaxedCounter sorts_elided;

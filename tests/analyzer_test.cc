@@ -244,10 +244,9 @@ TEST(LintPass, UncollapsibleDescendantPath) {
 }
 
 TEST(LintPass, BehindListenerAppliesUpdates) {
-  // §4.4 "behind": an updating completion listener pins the asynchronous
-  // delivery to the event-loop thread, so the parallel dispatch runtime
-  // cannot move the call off-thread. The span points at the listener
-  // name token, not the whole attach expression.
+  // §4.4 "behind": an updating completion listener's updates apply on
+  // the event-loop thread. The span points at the listener name token,
+  // not the whole attach expression.
   AnalysisResult r = Analyze(
       "declare updating function local:done($s, $r) "
       "{ delete nodes //a };\n"
@@ -302,7 +301,7 @@ TEST(LintPass, InterferingSameEventListeners) {
   EXPECT_NE(d.message.find("local:b"), std::string::npos);
 
   // Disjoint write targets: the same pair of listeners with separate
-  // logs can commute (and run in parallel) — no warning.
+  // logs can commute — no warning.
   AnalysisResult disjoint = Analyze(
       "declare updating function local:a($e, $o) "
       "{ insert node <entrya/> into /html/body/loga };\n"

@@ -1,8 +1,7 @@
 // Tests for the static effect analysis: read/write set inference
 // (including the convergence and ⊤ corner cases), the Interferes
-// conflict predicate, the browser-side ListenerEffects compatibility
-// matrix, deterministic rendering, and the xq_lint surfaces that expose
-// the analysis (--effects lines, --json shape).
+// conflict predicate, deterministic rendering, and the xq_lint surfaces
+// that expose the analysis (--effects lines, --json shape).
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "browser/events.h"
 #include "xml/interning.h"
 #include "xquery/analysis/analyzer.h"
 #include "xquery/analysis/lint.h"
@@ -36,13 +34,6 @@ Effects FunctionEffects(const AnalysisResult& r, const std::string& name,
   auto it = r.facts.function_effects.find(key);
   EXPECT_NE(it, r.facts.function_effects.end()) << "no summary for " << key;
   return it == r.facts.function_effects.end() ? Effects() : it->second;
-}
-
-bool Stageable(const AnalysisResult& r, const std::string& name,
-               size_t arity) {
-  const std::string key =
-      std::string(kLocal) + name + "#" + std::to_string(arity);
-  return r.facts.stageable_updating_functions.count(key) > 0;
 }
 
 const xml::InternedName* N(const char* local) {
@@ -187,6 +178,12 @@ TEST(EffectInference, DynamicUpdateTargetIsTopScope) {
   Effects e = FunctionEffects(r, "dyn", 1);
   EXPECT_TRUE(e.has_update);
   EXPECT_TRUE(e.write_scope.top);
+  // A descendant-axis target is not a root-anchored chain either.
+  AnalysisResult coarse = Analyze(
+      "declare updating function local:coarse($e, $o) {\n"
+      "  insert node <entry/> into //loga\n"
+      "};\n1");
+  EXPECT_TRUE(FunctionEffects(coarse, "coarse", 2).write_scope.top);
 }
 
 TEST(EffectInference, RootAnchoredTargetScopeIsAncestorChain) {
@@ -203,21 +200,6 @@ TEST(EffectInference, RootAnchoredTargetScopeIsAncestorChain) {
   EXPECT_TRUE(e.write_scope.Contains(N("html")));
   EXPECT_TRUE(e.write_scope.Contains(N("body")));
   EXPECT_TRUE(e.write_scope.Contains(N("loga")));
-}
-
-TEST(EffectInference, StageableClassification) {
-  AnalysisResult r = Analyze(
-      "declare updating function local:fine($e, $o) {\n"
-      "  insert node <entry/> into /html/body/loga\n"
-      "};\n"
-      "declare updating function local:coarse($e, $o) {\n"
-      "  insert node <entry/> into //loga\n"
-      "};\n1");
-  EXPECT_TRUE(Stageable(r, "fine", 2));
-  // A descendant-axis target is not a root-anchored chain: scope is ⊤,
-  // so the listener must stay on the serial path.
-  EXPECT_FALSE(Stageable(r, "coarse", 2));
-  EXPECT_TRUE(FunctionEffects(r, "coarse", 2).write_scope.top);
 }
 
 // ----------------------------------------------------- interference ---
@@ -289,40 +271,6 @@ TEST(InterferesTest, TopPoisons) {
   top_writer.writes.MakeTop();
   top_writer.write_scope.MakeTop();
   EXPECT_TRUE(Interferes(Reader({N("x")}), top_writer));
-}
-
-// ------------------------------------------- browser compatibility ---
-
-browser::ListenerEffects FromEffects(const Effects& e) {
-  browser::ListenerEffects fx;
-  fx.updating = e.has_update;
-  fx.reads_top = e.reads_top();
-  fx.writes_top = e.writes.top;
-  fx.scope_top = e.write_scope.top;
-  fx.child_reads = e.child_reads.names;
-  fx.value_reads = e.value_reads.names;
-  fx.writes = e.writes.names;
-  fx.write_scope = e.write_scope.names;
-  return fx;
-}
-
-TEST(ListenerCompatibility, MirrorsInterferes) {
-  browser::ListenerEffects reader = FromEffects(Reader({N("loga")}));
-  browser::ListenerEffects wa = FromEffects(
-      Writer({N("loga"), N("entrya")},
-             {N("html"), N("body"), N("loga"), N("entrya")}));
-  browser::ListenerEffects wb = FromEffects(
-      Writer({N("logb"), N("entryb")},
-             {N("html"), N("body"), N("logb"), N("entryb")}));
-  EXPECT_FALSE(browser::Compatible(&reader, &wa));
-  EXPECT_TRUE(browser::Compatible(&wa, &wb));
-  EXPECT_FALSE(browser::Compatible(&wa, &wa));
-  // Unknown effects (no summary) are a conservative ⊤-reader: fine next
-  // to other pure listeners, a barrier next to any updater.
-  browser::ListenerEffects pure = FromEffects(Reader({N("item")}));
-  EXPECT_TRUE(browser::Compatible(nullptr, &pure));
-  EXPECT_FALSE(browser::Compatible(nullptr, &wa));
-  EXPECT_FALSE(browser::Compatible(&wa, nullptr));
 }
 
 // -------------------------------------------------------- rendering ---

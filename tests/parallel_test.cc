@@ -1,10 +1,8 @@
-// Parallel dispatch runtime tests (PERFORMANCE.md §5): thread-pool
-// basics, the event loop's off-thread batching, the parallel predicate
-// operator's agreement with the serial path, the memo cache under
-// concurrent staged probes, off-thread `behind` completions, and the
-// dispatch-determinism oracle — randomized pages dispatched at pool
-// sizes {0, 1, 4, 8} must produce identical DOMs and identical
-// observable output in identical order.
+// Concurrency-substrate and dispatch-determinism tests (PERFORMANCE.md
+// §5): thread-pool basics, the event loop's off-thread batching,
+// off-thread `behind` completions, and the ablation oracles — the
+// compiled-plan, memo and async-federation switches must not change one
+// byte of the DOM or the observable output of a dispatch.
 
 #include <gtest/gtest.h>
 
@@ -18,13 +16,12 @@
 #include "base/thread_pool.h"
 #include "browser/bom.h"
 #include "browser/event_loop.h"
+#include "dispatch_pages.h"
 #include "net/http.h"
 #include "net/webservice.h"
 #include "net/xml_store.h"
 #include "plugin/plugin.h"
 #include "xml/serializer.h"
-#include "xml/xml_parser.h"
-#include "xquery/engine.h"
 
 namespace xqib {
 namespace {
@@ -91,8 +88,6 @@ TEST(ThreadPoolTest, ParallelForBalancesUnevenWork) {
 
 TEST(EventLoopOffThread, EqualDueEntriesFormOneBatch) {
   EventLoop loop;
-  ThreadPool pool(4);
-  loop.set_thread_pool(&pool);
   int committed = 0;
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
@@ -118,8 +113,6 @@ TEST(EventLoopOffThread, EqualDueEntriesFormOneBatch) {
 
 TEST(EventLoopOffThread, PlainTaskSplitsTheBatch) {
   EventLoop loop;
-  ThreadPool pool(2);
-  loop.set_thread_pool(&pool);
   std::vector<std::string> order;
   auto off = [&loop, &order](const std::string& tag) {
     loop.PostOffThread(
@@ -142,8 +135,6 @@ TEST(EventLoopOffThread, PlainTaskSplitsTheBatch) {
 
 TEST(EventLoopOffThread, LaterDueTimesNeverJoinTheBatch) {
   EventLoop loop;
-  ThreadPool pool(2);
-  loop.set_thread_pool(&pool);
   std::vector<int> order;
   for (int i = 0; i < 4; ++i) {
     loop.PostOffThread(
@@ -157,28 +148,20 @@ TEST(EventLoopOffThread, LaterDueTimesNeverJoinTheBatch) {
   EXPECT_EQ(loop.offthread_batches(), 2u);
 }
 
-TEST(EventLoopOffThread, SerialBaselineBehavesIdentically) {
-  // No pool attached: works still run before their batch's commits, so
-  // the observable interleaving is the same as with 8 workers.
+TEST(EventLoopOffThread, WorksRunInPostingOrderBeforeCommits) {
   EventLoop loop;
-  int committed = 0;
-  std::vector<int> order;
-  for (int i = 0; i < 6; ++i) {
+  std::vector<std::string> log;
+  for (int i = 0; i < 3; ++i) {
     loop.PostOffThread(
-        [&committed, &order, i]() -> EventLoop::Task {
-          int seen = committed;
-          return [&committed, &order, i, seen] {
-            order.push_back(i * 100 + seen);
-            ++committed;
-          };
+        [&log, i]() -> EventLoop::Task {
+          log.push_back("w" + std::to_string(i));
+          return [&log, i] { log.push_back("c" + std::to_string(i)); };
         },
         0.0);
   }
   loop.RunUntilIdle();
-  ASSERT_EQ(order.size(), 6u);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(order[static_cast<size_t>(i)], i * 100);
-  }
+  EXPECT_EQ(log, (std::vector<std::string>{"w0", "w1", "w2", "c0", "c1",
+                                           "c2"}));
 }
 
 TEST(EventLoopOffThread, PostIsThreadSafe) {
@@ -197,199 +180,29 @@ TEST(EventLoopOffThread, PostIsThreadSafe) {
   EXPECT_EQ(ran.load(), 200);
 }
 
-// ------------------------------------- parallel predicate evaluation ---
-
-std::string BigItems(size_t n) {
-  uint32_t state = 12345;
-  std::string xml = "<page>";
-  for (size_t i = 0; i < n; ++i) {
-    state = state * 1664525u + 1013904223u;
-    xml += "<item v=\"" + std::to_string((state >> 16) % 1000) + "\"/>";
-  }
-  xml += "</page>";
-  return xml;
-}
-
-std::string EvalWithPool(const std::string& query, const std::string& xml,
-                         const xquery::Evaluator::EvalOptions& options,
-                         ThreadPool* pool,
-                         xquery::Evaluator::EvalStats* stats = nullptr) {
-  xquery::Engine engine;
-  auto compiled = engine.Compile(query);
-  if (!compiled.ok()) return "PARSE-ERROR: " + compiled.status().ToString();
-  (*compiled)->evaluator().set_options(options);
-  (*compiled)->evaluator().set_thread_pool(pool);
-  xquery::DynamicContext ctx;
-  auto parsed = xml::ParseDocument(xml);
-  if (!parsed.ok()) return "XML-ERROR: " + parsed.status().ToString();
-  std::unique_ptr<xml::Document> doc = std::move(parsed).value();
-  xquery::DynamicContext::Focus f;
-  f.item = xdm::Item::Node(doc->root());
-  f.position = 1;
-  f.size = 1;
-  f.has_item = true;
-  ctx.set_focus(f);
-  Status bound = (*compiled)->BindGlobals(ctx);
-  if (!bound.ok()) return "BIND-ERROR: " + bound.ToString();
-  auto result = (*compiled)->Run(ctx);
-  if (stats != nullptr) *stats = (*compiled)->evaluator().stats();
-  if (!result.ok()) return "ERROR: " + result.status().code();
-  return xdm::SequenceToString(*result);
-}
-
-TEST(ParallelPredicates, AgreeWithSerialAcrossQueryShapes) {
-  // Value predicates partition across workers; `//item[pred]` is the
-  // uncollapsed descendant-or-self::node()/child::item form, and the
-  // explicit /descendant::item form is the single-origin collapsed one.
-  const char* partitioned[] = {
-      "string-join(//item[@v > 500]/@v, \",\")",
-      "count(//item[@v > 500])",
-      "string-join(//item[@v > 300][@v < 600]/@v, \",\")",  // chained
-      "sum(//item[@v < 100]/@v)",
-      "count(/descendant::item[@v > 500])",
-      // Single-origin form: bucket positions ARE the spec positions, so
-      // a numeric predicate partitions and selects by global index.
-      "string-join(/descendant::item[17]/@v, \",\")",
-  };
-  // Positional predicates over the uncollapsed form must NOT partition:
-  // positions are per-parent there, and fn:position/fn:last are
-  // excluded statically everywhere. They still have to agree with
-  // serial via the sequential fallback.
-  const char* positional[] = {
-      "string-join(//item[17]/@v, \",\")",     // numeric → runtime abandon
-      "string-join(//item[position() = 1234]/@v, \",\")",
-      "string-join(//item[last()]/@v, \",\")",  // needs the real size
-  };
-  ThreadPool pool(4);
-  const std::string page = BigItems(3000);
-  auto run = [&](const char* q, xquery::Evaluator::EvalStats* stats) {
-    xquery::Evaluator::EvalOptions par;
-    par.parallel_cutoff = 64;
-    return EvalWithPool(q, page, par, &pool, stats);
-  };
-  auto run_serial = [&](const char* q) {
-    xquery::Evaluator::EvalOptions serial;
-    serial.parallel_streams = false;
-    return EvalWithPool(q, page, serial, nullptr);
-  };
-  for (const char* q : partitioned) {
-    xquery::Evaluator::EvalStats stats;
-    std::string got = run(q, &stats);
-    EXPECT_EQ(got.rfind("ERROR", 0), std::string::npos) << q;
-    EXPECT_EQ(got, run_serial(q)) << q;
-    EXPECT_GT(stats.parallel_predicate_chunks, 0u) << q;
-  }
-  for (const char* q : positional) {
-    xquery::Evaluator::EvalStats stats;
-    std::string got = run(q, &stats);
-    EXPECT_EQ(got.rfind("ERROR", 0), std::string::npos) << q;
-    EXPECT_EQ(got, run_serial(q)) << q;
-    EXPECT_EQ(stats.parallel_predicate_chunks, 0u) << q;
-  }
-}
-
-TEST(ParallelPredicates, CutoffKeepsSmallBucketsSequential) {
-  ThreadPool pool(4);
-  xquery::Evaluator::EvalOptions par;
-  par.parallel_cutoff = 1u << 20;  // far above the bucket size
-  xquery::Evaluator::EvalStats stats;
-  std::string got = EvalWithPool("count(//item[@v > 500])", BigItems(500),
-                                 par, &pool, &stats);
-  EXPECT_EQ(stats.parallel_predicate_chunks, 0u);
-
-  xquery::Evaluator::EvalOptions serial;
-  serial.parallel_streams = false;
-  EXPECT_EQ(got, EvalWithPool("count(//item[@v > 500])", BigItems(500),
-                              serial, nullptr));
-}
-
-TEST(ParallelPredicates, ErrorsSurfaceLikeSerial) {
-  ThreadPool pool(4);
-  xquery::Evaluator::EvalOptions par;
-  par.parallel_cutoff = 64;
-  std::string parallel =
-      EvalWithPool("//item[@v idiv 0 = 1]", BigItems(1000), par, &pool);
-  xquery::Evaluator::EvalOptions serial;
-  serial.parallel_streams = false;
-  std::string reference =
-      EvalWithPool("//item[@v idiv 0 = 1]", BigItems(1000), serial, nullptr);
-  EXPECT_EQ(parallel, reference);
-  EXPECT_EQ(parallel, "ERROR: FOAR0001");
-}
-
 // -------------------------------------------- plugin dispatch oracle ---
-
-// Deterministic pseudo-random page: a data div with LCG-sized content,
-// eight parallel-safe listeners (pure, alerting — alerts are buffered
-// worker-side and replayed at commit) and one updating listener at an
-// LCG-chosen registration slot, so staged runs split around a serial
-// barrier differently per seed.
-std::string RandomDispatchPage(uint32_t seed) {
-  uint32_t state = seed;
-  auto next = [&state]() {
-    state = state * 1664525u + 1013904223u;
-    return (state >> 16) & 0x7fff;
-  };
-  std::string items;
-  int n = 10 + static_cast<int>(next() % 20);
-  for (int i = 0; i < n; ++i) {
-    items += "<item v=\"" + std::to_string(next() % 100) + "\"/>";
-  }
-  std::string script;
-  for (int l = 0; l < 8; ++l) {
-    int threshold = static_cast<int>(next() % 100);
-    script += "declare function local:p" + std::to_string(l) +
-              "($evt, $obj) { browser:alert(concat(\"p" + std::to_string(l) +
-              "=\", string(count(//item[@v > " + std::to_string(threshold) +
-              "])))) };\n";
-  }
-  script +=
-      "declare updating function local:mut($evt, $obj) {\n"
-      "  insert node <item v=\"" + std::to_string(next() % 100) +
-      "\"/> into //div[@id=\"data\"]\n"
-      "};\n{ ";
-  // Attach the 8 pure listeners with the mutator spliced in at a
-  // seed-dependent slot (a serialization barrier inside the run).
-  int mut_slot = static_cast<int>(next() % 9);
-  int attached = 0;
-  for (int slot = 0; slot < 9; ++slot) {
-    std::string fn = slot == mut_slot
-                         ? "local:mut"
-                         : "local:p" + std::to_string(attached++);
-    script += "on event \"onclick\" at //input[@id=\"btn\"] "
-              "attach listener " + fn + ";\n";
-  }
-  script += "() }";
-  return "<html><head><script type=\"text/xqueryp\"><![CDATA[\n" + script +
-         "\n]]></script></head><body>"
-         "<input type=\"button\" id=\"btn\" value=\"Go\"/>"
-         "<div id=\"data\">" + items + "</div>"
-         "</body></html>";
-}
 
 struct DispatchOutcome {
   std::vector<std::string> alerts;
   std::string dom;
-  size_t fallbacks = 0;
-  uint64_t staged = 0;
 };
 
-DispatchOutcome RunDispatchScenario(size_t workers, uint32_t seed,
-                                    int clicks, bool compiled_plans = true) {
+DispatchOutcome RunDispatchScenario(uint32_t seed, int clicks,
+                                    bool compiled_plans) {
   net::HttpFabric fabric;
   net::XmlStore store;
   net::ServiceHost services(&fabric, &store);
   browser::Browser browser;
   plugin::XqibPlugin plugin(&browser, &fabric, &services);
   plugin.Install();
-  plugin.EnableParallelDispatch(workers);
   if (!compiled_plans) {
     xquery::Evaluator::EvalOptions options;
     options.compiled_plans = false;
     plugin.set_eval_options(options);
   }
   Status st = browser.top_window()->LoadSource(
-      "http://app.example.com/index.xhtml", RandomDispatchPage(seed));
+      "http://app.example.com/index.xhtml",
+      testing_pages::RandomDispatchPage(seed));
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_TRUE(plugin.last_script_error().ok())
       << plugin.last_script_error().ToString();
@@ -403,55 +216,19 @@ DispatchOutcome RunDispatchScenario(size_t workers, uint32_t seed,
   DispatchOutcome out;
   out.alerts = plugin.alerts();
   out.dom = xml::Serialize(browser.top_window()->document()->root());
-  out.fallbacks = plugin.parallel_fallbacks();
-  out.staged = browser.events().staged_invocations();
   return out;
 }
 
-TEST(DispatchDeterminism, PoolSizeIsUnobservable) {
-  for (uint32_t seed : {1u, 7u, 42u}) {
-    DispatchOutcome reference = RunDispatchScenario(0, seed, 3);
-    EXPECT_EQ(reference.staged, 0u);  // no pool, no staging
-    ASSERT_EQ(reference.alerts.size(), 24u) << "seed " << seed;
-    for (size_t workers : {1u, 4u, 8u}) {
-      DispatchOutcome got = RunDispatchScenario(workers, seed, 3);
-      EXPECT_EQ(got.alerts, reference.alerts)
-          << "seed " << seed << " workers " << workers;
-      EXPECT_EQ(got.dom, reference.dom)
-          << "seed " << seed << " workers " << workers;
-      EXPECT_EQ(got.fallbacks, 0u)
-          << "seed " << seed << " workers " << workers;
-      // The pure listeners actually took the staged path.
-      EXPECT_GT(got.staged, 0u)
-          << "seed " << seed << " workers " << workers;
-    }
-  }
-}
-
-// The compiled-plan ablation crossed with every pool size: the
-// tree-walking serial run is the oracle, and neither the plan layer nor
-// the worker pool (nor their combination) may change what the page
-// observes.
-TEST(DispatchDeterminism, PlanAblationIsUnobservableAtEveryPoolSize) {
+// The compiled-plan ablation: the tree-walking run is the oracle, and
+// the plan layer may not change what the page observes.
+TEST(DispatchDeterminism, PlanAblationIsUnobservable) {
   for (uint32_t seed : {1u, 7u, 42u}) {
     DispatchOutcome reference =
-        RunDispatchScenario(0, seed, 3, /*compiled_plans=*/false);
+        RunDispatchScenario(seed, 3, /*compiled_plans=*/false);
     ASSERT_EQ(reference.alerts.size(), 24u) << "seed " << seed;
-    for (bool plans : {false, true}) {
-      for (size_t workers : {0u, 1u, 4u, 8u}) {
-        if (!plans && workers == 0) continue;  // that's the reference
-        DispatchOutcome got = RunDispatchScenario(workers, seed, 3, plans);
-        EXPECT_EQ(got.alerts, reference.alerts)
-            << "seed " << seed << " workers " << workers
-            << " plans " << plans;
-        EXPECT_EQ(got.dom, reference.dom)
-            << "seed " << seed << " workers " << workers
-            << " plans " << plans;
-        EXPECT_EQ(got.fallbacks, 0u)
-            << "seed " << seed << " workers " << workers
-            << " plans " << plans;
-      }
-    }
+    DispatchOutcome got = RunDispatchScenario(seed, 3, /*compiled_plans=*/true);
+    EXPECT_EQ(got.alerts, reference.alerts) << "seed " << seed;
+    EXPECT_EQ(got.dom, reference.dom) << "seed " << seed;
   }
 }
 
@@ -459,17 +236,14 @@ TEST(DispatchDeterminism, PlanAblationIsUnobservableAtEveryPoolSize) {
 
 // Four buttons. #go runs an alerting tally, two memoizable readers (one
 // of <li>, which the updater writes, one of <aside>, which it does not),
-// an updater whose computed element name makes its write set ⊤ — the
-// analyzer cannot stage it, so it always runs serially — then a second
-// tally and two more readers. The updater only inserts while an <armed/>
-// marker exists, which #arm and #disarm toggle, so a reader entry filled
-// on an unarmed click (nothing pending) meets an armed click's unsynced
-// mutation later. At pool sizes of one and up, the listeners after the
-// updater form a staged run that probes the memo cache before the
-// updater's mutation is synced into the delta window: the delta skip
-// must disarm there and the entries re-evaluate. #peek runs two readers
-// with the window synced, so the <aside> reader replays through the
-// delta skip while the <li> reader re-runs.
+// an updater whose computed element name makes its write set ⊤, then a
+// second tally and two more readers. The updater only inserts while an
+// <armed/> marker exists, which #arm and #disarm toggle, so reader
+// entries filled on an unarmed click meet an armed click's mutation
+// later: the readers after the updater probe the memo cache right after
+// its insert, and #peek runs two readers between #go clicks, so the
+// <aside> reader replays through the delta skip while the <li> reader
+// re-runs.
 std::string MemoOraclePage() {
   std::string script =
       "declare function local:tally($evt, $obj) {\n"
@@ -521,20 +295,17 @@ struct MemoOutcome {
   std::vector<std::string> results;  // last_listener_result()
   std::vector<std::string> doms;
   std::vector<std::string> alerts;
-  size_t fallbacks = 0;
-  uint64_t staged = 0;
   uint64_t memo_hits = 0;
   uint64_t delta_skips = 0;
 };
 
-MemoOutcome RunMemoScenario(size_t workers, bool memo) {
+MemoOutcome RunMemoScenario(bool memo) {
   net::HttpFabric fabric;
   net::XmlStore store;
   net::ServiceHost services(&fabric, &store);
   browser::Browser browser;
   plugin::XqibPlugin plugin(&browser, &fabric, &services);
   plugin.Install();
-  plugin.EnableParallelDispatch(workers);
   plugin.set_memo_enabled(memo);
   Status st = browser.top_window()->LoadSource(
       "http://app.example.com/index.xhtml", MemoOraclePage());
@@ -556,109 +327,32 @@ MemoOutcome RunMemoScenario(size_t workers, bool memo) {
     out.doms.push_back(xml::Serialize(doc->root()));
   }
   out.alerts = plugin.alerts();
-  out.fallbacks = plugin.parallel_fallbacks();
-  out.staged = browser.events().staged_invocations();
   out.memo_hits = plugin.memo_stats().hits;
   out.delta_skips = plugin.delta_stats().listeners_skipped;
   return out;
 }
 
-// Memo off at pool 0 is the reference: every listener re-runs. The memo
-// cache — fresh hits, delta skips and stale re-evaluation, probed
-// serially or from staged runs — must not change one byte the page
-// observes at any pool size.
-TEST(DispatchDeterminism, MemoAblationIsUnobservableAtEveryPoolSize) {
-  MemoOutcome reference = RunMemoScenario(0, /*memo=*/false);
+// Memo off is the reference: every listener re-runs. The memo cache —
+// fresh hits, delta skips and stale re-evaluation — must not change one
+// byte the page observes.
+TEST(DispatchDeterminism, MemoAblationIsUnobservable) {
+  MemoOutcome reference = RunMemoScenario(/*memo=*/false);
   EXPECT_EQ(reference.memo_hits, 0u);
   ASSERT_EQ(reference.alerts.size(), 12u);  // two tallies x six #go clicks
   EXPECT_EQ(reference.results.back(), "4");  // one <li> + three armed #go
-  for (size_t workers : {0u, 1u, 4u, 8u}) {
-    MemoOutcome got = RunMemoScenario(workers, /*memo=*/true);
-    EXPECT_EQ(got.results, reference.results) << "workers " << workers;
-    EXPECT_EQ(got.doms, reference.doms) << "workers " << workers;
-    EXPECT_EQ(got.alerts, reference.alerts) << "workers " << workers;
-    EXPECT_EQ(got.fallbacks, 0u) << "workers " << workers;
-    // The cache genuinely answered dispatches, some through the delta
-    // skip, and the pooled runs genuinely staged.
-    EXPECT_GT(got.memo_hits, 0u) << "workers " << workers;
-    EXPECT_GT(got.delta_skips, 0u) << "workers " << workers;
-    if (workers > 0) {
-      EXPECT_GT(got.staged, 0u) << "workers " << workers;
-    }
-  }
+  MemoOutcome got = RunMemoScenario(/*memo=*/true);
+  EXPECT_EQ(got.results, reference.results);
+  EXPECT_EQ(got.doms, reference.doms);
+  EXPECT_EQ(got.alerts, reference.alerts);
+  // The cache genuinely answered dispatches, some through the delta skip.
+  EXPECT_GT(got.memo_hits, 0u);
+  EXPECT_GT(got.delta_skips, 0u);
 }
 
-// -------------------------------- disjoint updating listeners, staged ---
-
-// Two updating listeners plus a reader on one button. In the disjoint
-// variant addA/addB write separate logs (loga vs logb): the effect
-// analysis proves the pair commutes, so both may leave the serial
-// barrier and evaluate concurrently against the run-start DOM, with
-// their pending update lists committed in registration order. In the
-// interfering variant both write loga — the conflict matrix must keep
-// every run at size one (fully serial). The tally reader observes both
-// entry names, so it always ends the updaters' run and sees their
-// committed state.
-std::string UpdaterPage(bool interfering) {
-  std::string target_b = interfering ? "loga" : "logb";
-  std::string script =
-      "declare updating function local:addA($evt, $obj) {\n"
-      "  insert node <entrya/> into /html/body/loga\n"
-      "};\n"
-      "declare updating function local:addB($evt, $obj) {\n"
-      "  insert node <entryb/> into /html/body/" + target_b + "\n"
-      "};\n"
-      "declare function local:tally($evt, $obj) {\n"
-      "  browser:alert(concat(\"t=\", string(count(//entrya)), \":\", "
-      "string(count(//entryb))))\n"
-      "};\n"
-      "{ on event \"onclick\" at //input[@id=\"btn\"] "
-      "attach listener local:addA;\n"
-      "  on event \"onclick\" at //input[@id=\"btn\"] "
-      "attach listener local:addB;\n"
-      "  on event \"onclick\" at //input[@id=\"btn\"] "
-      "attach listener local:tally; }";
-  return "<html><head><script type=\"text/xqueryp\"><![CDATA[\n" + script +
-         "\n]]></script></head><body>"
-         "<input id=\"btn\"/><loga/><logb/></body></html>";
-}
-
-DispatchOutcome RunUpdaterScenario(size_t workers, bool interfering,
-                                   int clicks) {
-  net::HttpFabric fabric;
-  net::XmlStore store;
-  net::ServiceHost services(&fabric, &store);
-  browser::Browser browser;
-  plugin::XqibPlugin plugin(&browser, &fabric, &services);
-  plugin.Install();
-  plugin.EnableParallelDispatch(workers);
-  Status st = browser.top_window()->LoadSource(
-      "http://app.example.com/index.xhtml", UpdaterPage(interfering));
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  EXPECT_TRUE(plugin.last_script_error().ok())
-      << plugin.last_script_error().ToString();
-  xml::Node* btn = browser.top_window()->document()->GetElementById("btn");
-  EXPECT_NE(btn, nullptr);
-  for (int c = 0; c < clicks; ++c) {
-    browser::Event e;
-    e.type = "onclick";
-    plugin.FireEvent(btn, e);
-  }
-  EXPECT_TRUE(plugin.last_script_error().ok())
-      << plugin.last_script_error().ToString();
-  DispatchOutcome out;
-  out.alerts = plugin.alerts();
-  out.dom = xml::Serialize(browser.top_window()->document()->root());
-  out.fallbacks = plugin.parallel_fallbacks();
-  out.staged = browser.events().staged_invocations();
-  return out;
-}
-
-// The async-federation ablation crossed with every pool size: the
-// scatter-off serial run is the oracle. Prefetched futures must carry
-// exactly the bytes the in-line round trips would have seen — neither
-// the listener-level scatter, the FLWOR template scatter, nor any pool
-// size may change one byte of what the page observes.
+// The async-federation ablation: the scatter-off run is the oracle.
+// Prefetched futures must carry exactly the bytes the in-line round
+// trips would have seen — neither the listener-level scatter nor the
+// FLWOR template scatter may change one byte of what the page observes.
 
 std::string FederatedMashupPage() {
   std::string script =
@@ -691,8 +385,7 @@ struct FederationOutcome {
   std::string dom;
 };
 
-FederationOutcome RunFederationScenario(size_t workers,
-                                        bool async_federation, int clicks) {
+FederationOutcome RunFederationScenario(bool async_federation, int clicks) {
   net::HttpFabric fabric;
   for (int s = 0; s < 4; ++s) {
     fabric.PutResource(
@@ -704,7 +397,6 @@ FederationOutcome RunFederationScenario(size_t workers,
   browser::Browser browser;
   plugin::XqibPlugin plugin(&browser, &fabric, &services);
   plugin.Install();
-  plugin.EnableParallelDispatch(workers);
   xquery::Evaluator::EvalOptions options;
   options.async_federation = async_federation;
   plugin.set_eval_options(options);
@@ -726,54 +418,18 @@ FederationOutcome RunFederationScenario(size_t workers,
   return out;
 }
 
-TEST(DispatchDeterminism, AsyncFederationIsUnobservableAtEveryPoolSize) {
+TEST(DispatchDeterminism, AsyncFederationIsUnobservable) {
   FederationOutcome reference =
-      RunFederationScenario(0, /*async_federation=*/false, 2);
+      RunFederationScenario(/*async_federation=*/false, 2);
   ASSERT_EQ(reference.alerts.size(), 4u);  // 2 listeners x 2 clicks
   EXPECT_EQ(reference.alerts[0], "w0;w1;w2;w3");
   EXPECT_EQ(reference.alerts[1], "w0,w1,w2,w3");
-  for (bool async_fed : {false, true}) {
-    for (size_t workers : {0u, 1u, 4u, 8u}) {
-      if (!async_fed && workers == 0) continue;  // that's the reference
-      FederationOutcome got = RunFederationScenario(workers, async_fed, 2);
-      EXPECT_EQ(got.alerts, reference.alerts)
-          << "workers " << workers << " async " << async_fed;
-      EXPECT_EQ(got.dom, reference.dom)
-          << "workers " << workers << " async " << async_fed;
-    }
-  }
+  FederationOutcome got = RunFederationScenario(/*async_federation=*/true, 2);
+  EXPECT_EQ(got.alerts, reference.alerts);
+  EXPECT_EQ(got.dom, reference.dom);
 }
 
-TEST(DispatchDeterminism, DisjointUpdatersStageBitIdentically) {
-  const std::vector<std::string> expected_alerts{"t=1:1", "t=2:2", "t=3:3"};
-  DispatchOutcome reference = RunUpdaterScenario(0, false, 3);
-  EXPECT_EQ(reference.staged, 0u);  // no pool, no staging
-  EXPECT_EQ(reference.alerts, expected_alerts);
-  for (size_t workers : {1u, 4u, 8u}) {
-    DispatchOutcome got = RunUpdaterScenario(workers, false, 3);
-    EXPECT_EQ(got.alerts, reference.alerts) << "workers " << workers;
-    EXPECT_EQ(got.dom, reference.dom) << "workers " << workers;
-    EXPECT_EQ(got.fallbacks, 0u) << "workers " << workers;
-    // The [addA, addB] pair genuinely left the serial barrier: one
-    // staged run of two per click (tally ends the run and stays serial
-    // in a size-one run).
-    EXPECT_EQ(got.staged, 6u) << "workers " << workers;
-  }
-}
-
-TEST(DispatchDeterminism, InterferingUpdatersStaySerial) {
-  // Both updaters write loga: the conflict matrix (writes ∩ writes)
-  // must veto staging entirely — every run collapses to size one.
-  DispatchOutcome reference = RunUpdaterScenario(0, true, 3);
-  for (size_t workers : {4u, 8u}) {
-    DispatchOutcome got = RunUpdaterScenario(workers, true, 3);
-    EXPECT_EQ(got.alerts, reference.alerts) << "workers " << workers;
-    EXPECT_EQ(got.dom, reference.dom) << "workers " << workers;
-    EXPECT_EQ(got.staged, 0u) << "workers " << workers;
-  }
-}
-
-// ------------------------------------------ memo under staged probes ---
+// ------------------------------------------- off-thread `behind` ---
 
 class ParallelPluginTest : public ::testing::Test {
  protected:
@@ -805,49 +461,11 @@ class ParallelPluginTest : public ::testing::Test {
   plugin::XqibPlugin plugin_;
 };
 
-TEST_F(ParallelPluginTest, StagedListenersRaceTheMemoCacheSafely) {
-  // Eight memoizable listeners (pure, silent) on one node: staged
-  // concurrently, they probe the memo cache from pool workers under the
-  // shared lock. The first click misses for all eight, the second click
-  // (no mutation in between) answers all eight from cache.
-  plugin_.EnableParallelDispatch(4);
-  std::string script;
-  for (int l = 0; l < 8; ++l) {
-    script += "declare function local:m" + std::to_string(l) +
-              "($evt, $obj) { concat(\"m" + std::to_string(l) +
-              ":\", string(count(//item))) };\n";
-  }
-  script += "{ ";
-  for (int l = 0; l < 8; ++l) {
-    script += "on event \"onclick\" at //input[@id=\"btn\"] "
-              "attach listener local:m" + std::to_string(l) + ";\n";
-  }
-  script += "() }";
-  browser::Window* w = Load(
-      "<html><head><script type=\"text/xqueryp\"><![CDATA[\n" + script +
-      "\n]]></script></head><body>"
-      "<input id=\"btn\"/><item/><item/><item/>"
-      "</body></html>");
-  xml::Node* btn = w->document()->GetElementById("btn");
-  ASSERT_NE(btn, nullptr);
-
-  Click(btn);
-  EXPECT_GE(plugin_.memo_stats().misses, 8u);
-  EXPECT_EQ(plugin_.memo_stats().hits, 0u);
-  EXPECT_EQ(plugin_.last_listener_result(), "m7:3");
-
-  Click(btn);
-  EXPECT_GE(plugin_.memo_stats().hits, 8u);
-  EXPECT_EQ(plugin_.last_listener_result(), "m7:3");
-  EXPECT_EQ(plugin_.parallel_fallbacks(), 0u);
-}
-
 TEST_F(ParallelPluginTest, BehindCompletionRunsOffThread) {
   // A `behind` call to an analyzer-proven parallel-safe local function is
   // delivered as an off-thread unit; the pure completion listener alerts
-  // from the loop-thread commit. Observable result matches the serial
-  // AJAX-suggest behaviour.
-  plugin_.EnableParallelDispatch(4);
+  // from the commit. Observable result matches the AJAX-suggest
+  // behaviour.
   browser::Window* w = Load(R"XQ(<html><head>
       <script type="text/xquery"><![CDATA[
       declare function local:compute($s) { concat("hint for ", $s) };

@@ -3,8 +3,7 @@
 // ablation oracle across expression shapes, the process-wide plan
 // cache (warm compiles are zero; fingerprint changes invalidate), the
 // memo-cache interaction (a memo hit never consults the plan layer),
-// and cross-thread compile/probe races — both raw engine threads and
-// staged listeners on the parallel dispatch pool.
+// and cross-thread compile/probe races on raw engine threads.
 
 #include <gtest/gtest.h>
 
@@ -354,52 +353,6 @@ TEST(PlanCacheTest, RacingEnginesAgreeAndShareOneEntry) {
   }
   // Racing compilers may all have compiled, but exactly one Insert won.
   EXPECT_EQ(plan::PlanCache::Global().size(), 1u);
-}
-
-TEST(PlanCacheTest, StagedPoolListenersDispatchThroughPlans) {
-  // Four pure listeners on a 4-worker pool with the memo disabled, so
-  // every staged run executes its plan on a worker-slot evaluator —
-  // concurrent probes of the page plans and the global cache.
-  std::string script;
-  for (int l = 0; l < 4; ++l) {
-    script += "declare function local:p" + std::to_string(l) +
-              "($evt, $obj) { browser:alert(concat(\"p" +
-              std::to_string(l) + "=\", string(count(//item) + " +
-              std::to_string(l) + "))) };\n";
-  }
-  script += "{ ";
-  for (int l = 0; l < 4; ++l) {
-    script += "on event \"onclick\" at //input[@id=\"btn\"] "
-              "attach listener local:p" + std::to_string(l) + ";\n";
-  }
-  script += "() }";
-  const std::string page =
-      "<html><head><script type=\"text/xqueryp\"><![CDATA[\n" + script +
-      "\n]]></script></head><body><input id=\"btn\"/>"
-      "<item/><item/></body></html>";
-
-  BrowserEnvironment env;
-  env.plugin().set_memo_enabled(false);
-  env.plugin().EnableParallelDispatch(4);
-  ASSERT_TRUE(env.LoadPage("http://plans.example.com/", page).ok());
-  ASSERT_TRUE(env.ScriptErrors().empty()) << env.ScriptErrors();
-  xml::Node* btn = env.ById("btn");
-  ASSERT_NE(btn, nullptr);
-  for (int c = 0; c < 3; ++c) {
-    browser::Event e;
-    e.type = "onclick";
-    (void)env.plugin().FireEvent(btn, e);
-  }
-  ASSERT_TRUE(env.ScriptErrors().empty()) << env.ScriptErrors();
-  const std::vector<std::string> expected = {"p0=2", "p1=3", "p2=4", "p3=5",
-                                             "p0=2", "p1=3", "p2=4", "p3=5",
-                                             "p0=2", "p1=3", "p2=4", "p3=5"};
-  EXPECT_EQ(env.plugin().alerts(), expected);
-  // Every staged listener call executed through a plan; the warm
-  // dispatches compiled nothing.
-  const auto& stats = env.plugin().last_event_stats();
-  EXPECT_GE(stats.plan_hits, 1u);
-  EXPECT_EQ(stats.plan_compiles, 0u);
 }
 
 }  // namespace

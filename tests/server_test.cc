@@ -2,8 +2,8 @@
 // architecture"): session lifecycle and event dispatch, the HTTP front
 // end, the sharing/isolation split (sessions share the plan cache but
 // never each other's memo entries or DOMs), racing sessions on the
-// shared pool (the TSan target), and per-service web-service
-// serialization.
+// shared pool (the TSan target), pool-size independence of one
+// session's dispatches, and per-service web-service serialization.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "base/thread_pool.h"
+#include "dispatch_pages.h"
 #include "net/http.h"
 #include "net/webservice.h"
 #include "net/xml_store.h"
@@ -315,6 +317,58 @@ TEST(ServerRacing, ConcurrentSessionsMatchSerialDoms) {
     for (size_t s = 0; s < serial.size(); ++s) {
       EXPECT_EQ(pooled[s], serial[s])
           << "session " << s << " diverged at pool " << workers;
+    }
+  }
+}
+
+// The seeded fan-out page (eight pure alerting listeners and one
+// updater, all on one button) dispatched through the server at every
+// pool size. A session is one serial strand: the pool decides which
+// thread runs a drain, never what the page observes, and no dispatch
+// forks work onto the pool.
+TEST(ServerDeterminism, PoolSizeIsUnobservable) {
+  struct Outcome {
+    std::string dom;
+    std::string last_result;
+    uint64_t alerts = 0;
+  };
+  auto run = [](size_t workers, uint32_t seed) {
+    PageServer::Options options;
+    options.workers = workers;
+    PageServer srv(options);
+    auto session = srv.CreateSessionFromSource(
+        "http://app.example.com/index.xhtml",
+        testing_pages::RandomDispatchPage(seed));
+    Outcome out;
+    EXPECT_TRUE(session.ok()) << session.status().ToString();
+    if (!session.ok()) return out;
+    const uint64_t forks_before =
+        srv.pool() != nullptr ? srv.pool()->stats().parallel_fors.value() : 0;
+    SessionEvent click;
+    click.target_id = "btn";
+    for (int c = 0; c < 3; ++c) (*session)->Submit(click);
+    srv.DrainAll();
+    if (srv.pool() != nullptr) {
+      EXPECT_EQ(srv.pool()->stats().parallel_fors.value(), forks_before)
+          << "seed " << seed << " workers " << workers;
+    }
+    EXPECT_EQ((*session)->stats().errors, 0u);
+    out.dom = (*session)->SerializeDom();
+    out.last_result = (*session)->plugin().last_listener_result();
+    out.alerts = (*session)->stats().alerts;
+    return out;
+  };
+  for (uint32_t seed : {1u, 7u, 42u}) {
+    const Outcome reference = run(0, seed);
+    EXPECT_EQ(reference.alerts, 24u) << "seed " << seed;  // 8 x 3 clicks
+    for (size_t workers : {1u, 4u, 8u}) {
+      const Outcome got = run(workers, seed);
+      EXPECT_EQ(got.dom, reference.dom)
+          << "seed " << seed << " workers " << workers;
+      EXPECT_EQ(got.last_result, reference.last_result)
+          << "seed " << seed << " workers " << workers;
+      EXPECT_EQ(got.alerts, reference.alerts)
+          << "seed " << seed << " workers " << workers;
     }
   }
 }
