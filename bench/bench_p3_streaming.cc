@@ -57,7 +57,7 @@ std::string MakeNestedPage(int secs, int items, int leaves) {
 }
 
 std::string ToJson(const std::vector<ScenarioResult>& results, int iters,
-                   const Evaluator::EvalStats& counters,
+                   const xqib::xquery::Counters& counters,
                    uint64_t flwor_stream_mat, uint64_t flwor_eager_mat) {
   std::ostringstream out;
   out << "{\n  \"bench\": \"bench_p3_streaming\",\n  \"iters\": " << iters
@@ -77,9 +77,9 @@ std::string ToJson(const std::vector<ScenarioResult>& results, int iters,
                 static_cast<unsigned long long>(flwor_stream_mat),
                 static_cast<unsigned long long>(flwor_eager_mat), reduction);
   out << buf;
-  out << "  \"counters\": {\"items_pulled\": " << counters.streams.items_pulled
-      << ", \"items_materialized\": " << counters.streams.items_materialized
-      << ", \"buffers_avoided\": " << counters.streams.buffers_avoided
+  out << "  \"counters\": {\"items_pulled\": " << counters.items_pulled
+      << ", \"items_materialized\": " << counters.items_materialized
+      << ", \"buffers_avoided\": " << counters.buffers_avoided
       << ", \"count_index_hits\": " << counters.count_index_hits
       << ", \"early_exits\": " << counters.early_exits << "}\n}\n";
   return out.str();
@@ -96,54 +96,44 @@ int main(int argc, char** argv) {
   const std::string deep_flwor =
       "count(for $s in //sec, $i in $s/item, $l in $i/leaf return $l)";
   std::vector<ScenarioResult> results;
-  // Accumulated stream-arm counters across scenarios; --check asserts
+  // The stream arms' counters summed over the scenarios; --check asserts
   // the pipeline's counter families all fired somewhere.
-  Evaluator::EvalStats totals;
-  Evaluator::EvalStats s;
+  xqib::xquery::Counters totals;
+  xqib::xquery::Counters s;
   bool ok = true;
 
   auto query = [&](const std::string& name, const std::string& q,
                    const std::string& xml) {
-    return xqib::bench::RunQueryScenario(name, q, xml, iters, StreamOn(),
-                                         StreamOff(), &results, &s);
+    bool ran = xqib::bench::RunQueryScenario(name, q, xml, iters, StreamOn(),
+                                             StreamOff(), &results, &s);
+    totals += s;
+    return ran;
   };
   ok &= query("deep_flwor_count", deep_flwor, page);
-  totals.streams.items_pulled += s.streams.items_pulled;
-  totals.streams.buffers_avoided += s.streams.buffers_avoided;
   ok &= query("micro_exists_where",
               "exists(for $i in 1 to 100000 "
               "where $i mod 2 = 0 return $i)",
               "");
-  totals.streams.items_pulled += s.streams.items_pulled;
-  totals.early_exits += s.early_exits;
   ok &= query("micro_head_flwor", "head(for $i in 1 to 100000 return $i * 2)",
               "");
-  totals.streams.items_pulled += s.streams.items_pulled;
-  totals.early_exits += s.early_exits;
   ok &= query("micro_count_fold", "count(//item/@v)", page);
-  totals.streams.items_pulled += s.streams.items_pulled;
-  totals.streams.buffers_avoided += s.streams.buffers_avoided;
   ok &= query("micro_count_index", "count(//leaf)", page);
-  totals.count_index_hits += s.count_index_hits;
 
-  xqib::plugin::XqibPlugin::EventStats ev;
   ok &= xqib::bench::RunDispatchScenario("fig1_event_dispatch", 300, iters,
                                          StreamOn(), StreamOff(), &results,
-                                         &ev);
-  totals.streams.items_pulled += ev.items_pulled;
-  totals.streams.buffers_avoided += ev.buffers_avoided;
+                                         &s);
+  totals += s;
 
   // Peak-intermediate-materialization ratio on the deep FLWOR: one
   // fresh run per arm so the counters are per-execution, not per
   // timing loop.
-  Evaluator::EvalStats flwor_on, flwor_off;
+  xqib::xquery::Counters flwor_on, flwor_off;
   ok &= xqib::bench::MeasureStats(deep_flwor, page, StreamOn(), &flwor_on);
   ok &= xqib::bench::MeasureStats(deep_flwor, page, StreamOff(), &flwor_off);
-  totals.streams.items_materialized += flwor_on.streams.items_materialized;
 
   xqib::bench::EmitJson(
-      ToJson(results, iters, totals, flwor_on.streams.items_materialized,
-             flwor_off.streams.items_materialized),
+      ToJson(results, iters, totals, flwor_on.items_materialized,
+             flwor_off.items_materialized),
       args.out_path);
 
   if (!ok) {
@@ -152,23 +142,21 @@ int main(int argc, char** argv) {
   }
   if (args.check) {
     if (!xqib::bench::AllResultsMatch(results)) return 1;
-    if (totals.streams.items_pulled == 0 ||
-        totals.streams.buffers_avoided == 0 ||
+    if (totals.items_pulled == 0 || totals.buffers_avoided == 0 ||
         totals.count_index_hits == 0 || totals.early_exits == 0) {
       std::fprintf(stderr, "FAIL: a streaming counter never fired\n");
       return 1;
     }
-    if (flwor_off.streams.items_materialized <
-        5 * (flwor_on.streams.items_materialized == 0
+    if (flwor_off.items_materialized <
+        5 * (flwor_on.items_materialized == 0
                  ? uint64_t{1}
-                 : flwor_on.streams.items_materialized.value())) {
+                 : flwor_on.items_materialized.value())) {
       std::fprintf(stderr,
                    "FAIL: deep-FLWOR materialization reduction below 5x "
                    "(on=%llu off=%llu)\n",
+                   static_cast<unsigned long long>(flwor_on.items_materialized),
                    static_cast<unsigned long long>(
-                       flwor_on.streams.items_materialized),
-                   static_cast<unsigned long long>(
-                       flwor_off.streams.items_materialized));
+                       flwor_off.items_materialized));
       return 1;
     }
     std::fputs("CHECK OK\n", stderr);

@@ -96,9 +96,9 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   // --- fig1_dispatch_memo: memo cache on vs off, identical clicks. ---
-  xqib::plugin::XqibPlugin::MemoStats memo_delta;
+  xqib::xquery::Counters memo_delta;
   double memo_hit_rate = 0;
-  xqib::plugin::XqibPlugin::EventStats evaluated;
+  xqib::xquery::Counters evaluated;
   {
     DispatchEnv d;
     ok &= d.Load(MakePureDispatchPage(300));
@@ -106,16 +106,14 @@ int main(int argc, char** argv) {
       ScenarioResult sr;
       sr.name = "fig1_dispatch_memo";
       d.env.plugin().set_memo_enabled(true);
-      auto before = d.env.plugin().memo_stats();
+      const xqib::xquery::Counters before = d.env.plugin().counters();
       sr.on_ns = xqib::bench::NsPerOp([&] { d.Click(); }, iters);
-      auto after = d.env.plugin().memo_stats();
-      memo_delta.hits = after.hits - before.hits;
-      memo_delta.misses = after.misses - before.misses;
-      memo_delta.invalidations = after.invalidations - before.invalidations;
-      uint64_t lookups =
-          memo_delta.hits + memo_delta.misses + memo_delta.invalidations;
+      memo_delta = d.env.plugin().counters() - before;
+      uint64_t lookups = memo_delta.memo_hits + memo_delta.memo_misses +
+                         memo_delta.memo_invalidations;
       memo_hit_rate =
-          lookups > 0 ? static_cast<double>(memo_delta.hits) / lookups : 0;
+          lookups > 0 ? static_cast<double>(memo_delta.memo_hits) / lookups
+                      : 0;
       std::string memo_result = d.env.plugin().last_listener_result();
       d.env.plugin().set_memo_enabled(false);
       sr.off_ns = xqib::bench::NsPerOp([&] { d.Click(); }, iters);
@@ -143,9 +141,9 @@ int main(int argc, char** argv) {
   std::snprintf(buf, sizeof(buf),
                 "  \"memo\": {\"hits\": %llu, \"misses\": %llu, "
                 "\"invalidations\": %llu, \"hit_rate\": %.3f},\n",
-                static_cast<unsigned long long>(memo_delta.hits),
-                static_cast<unsigned long long>(memo_delta.misses),
-                static_cast<unsigned long long>(memo_delta.invalidations),
+                static_cast<unsigned long long>(memo_delta.memo_hits),
+                static_cast<unsigned long long>(memo_delta.memo_misses),
+                static_cast<unsigned long long>(memo_delta.memo_invalidations),
                 memo_hit_rate);
   json << buf;
   std::snprintf(buf, sizeof(buf),

@@ -68,12 +68,12 @@ std::string MakePlanWorkPage(int n) {
 
 // Times one event dispatch on `page` with compiled plans flipped
 // between the arms; `on_stats` receives the last warm on-arm dispatch's
-// EventStats (its plan_compiles must be zero: the cache-hit path).
+// counters (its plan_compiles must be zero: the cache-hit path).
 bool RunPlanDispatch(const std::string& name, const std::string& page,
                      int iters, const Evaluator::EvalOptions& on,
                      const Evaluator::EvalOptions& off,
                      std::vector<ScenarioResult>* results,
-                     xqib::plugin::XqibPlugin::EventStats* on_stats) {
+                     xqib::xquery::Counters* on_stats) {
   BrowserEnvironment env;
   xqib::Status st = env.LoadPage("http://bench.example.com/", page);
   if (!st.ok() || !env.ScriptErrors().empty()) {
@@ -126,11 +126,11 @@ int main(int argc, char** argv) {
   std::vector<ScenarioResult> results;
   bool ok = true;
 
-  xqib::plugin::XqibPlugin::EventStats plan_stats;
+  xqib::xquery::Counters plan_stats;
   ok &= RunPlanDispatch("memomiss_dispatch", MakePlanWorkPage(4000), iters,
                         on, off, &results, &plan_stats);
 
-  xqib::plugin::XqibPlugin::EventStats fig1_stats;
+  xqib::xquery::Counters fig1_stats;
   ok &= xqib::bench::RunDispatchScenario("fig1_dispatch", 2000, iters, on,
                                          off, &results, &fig1_stats);
 

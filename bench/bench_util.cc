@@ -53,7 +53,7 @@ double NsPerOp(const std::function<void()>& op, int iters) {
 bool TimeQuery(const std::string& query, const std::string& xml,
                const Evaluator::EvalOptions& options, int iters,
                double* ns_per_op, std::string* result,
-               Evaluator::EvalStats* stats) {
+               xquery::Counters* stats) {
   Engine engine;
   auto compiled = engine.Compile(query);
   if (!compiled.ok()) {
@@ -87,13 +87,13 @@ bool TimeQuery(const std::string& query, const std::string& xml,
         *result = xdm::SequenceToString(*r);
       },
       iters);
-  *stats = (*compiled)->evaluator().stats();
+  *stats = (*compiled)->evaluator().counters();
   return ok;
 }
 
 bool MeasureStats(const std::string& query, const std::string& xml,
                   const Evaluator::EvalOptions& options,
-                  Evaluator::EvalStats* stats) {
+                  xquery::Counters* stats) {
   double ns;
   std::string result;
   return TimeQuery(query, xml, options, 1, &ns, &result, stats);
@@ -104,11 +104,11 @@ bool RunQueryScenario(const std::string& name, const std::string& query,
                       const Evaluator::EvalOptions& on,
                       const Evaluator::EvalOptions& off,
                       std::vector<ScenarioResult>* results,
-                      Evaluator::EvalStats* on_stats) {
+                      xquery::Counters* on_stats) {
   ScenarioResult sr;
   sr.name = name;
   std::string on_result, off_result;
-  Evaluator::EvalStats off_stats;
+  xquery::Counters off_stats;
   if (!TimeQuery(query, xml, on, iters, &sr.on_ns, &on_result, on_stats) ||
       !TimeQuery(query, xml, off, iters, &sr.off_ns, &off_result,
                  &off_stats)) {
@@ -145,7 +145,7 @@ bool RunDispatchScenario(const std::string& name, int rows, int iters,
                          const Evaluator::EvalOptions& on,
                          const Evaluator::EvalOptions& off,
                          std::vector<ScenarioResult>* results,
-                         plugin::XqibPlugin::EventStats* on_stats) {
+                         xquery::Counters* on_stats) {
   BrowserEnvironment env;
   Status st =
       env.LoadPage("http://bench.example.com/", MakeDispatchPage(rows));

@@ -47,13 +47,13 @@ double NsPerOp(const std::function<void()>& op, int iters);
 bool TimeQuery(const std::string& query, const std::string& xml,
                const xquery::Evaluator::EvalOptions& options, int iters,
                double* ns_per_op, std::string* result,
-               xquery::Evaluator::EvalStats* stats);
+               xquery::Counters* stats);
 
 // Fresh engine, fixed number of executions, so two arms' counters are
 // directly comparable regardless of --iters.
 bool MeasureStats(const std::string& query, const std::string& xml,
                   const xquery::Evaluator::EvalOptions& options,
-                  xquery::Evaluator::EvalStats* stats);
+                  xquery::Counters* stats);
 
 // Runs `query` under `on` and `off` options, appends the timing pair
 // (on-arm counters via `on_stats`), and verifies both arms serialize to
@@ -63,7 +63,7 @@ bool RunQueryScenario(const std::string& name, const std::string& query,
                       const xquery::Evaluator::EvalOptions& on,
                       const xquery::Evaluator::EvalOptions& off,
                       std::vector<ScenarioResult>* results,
-                      xquery::Evaluator::EvalStats* on_stats);
+                      xquery::Counters* on_stats);
 
 // The Figure 1 dispatch page: a button, a status span, `rows` table
 // rows, and an XQuery listener that re-counts the rows on every click.
@@ -75,7 +75,7 @@ bool RunDispatchScenario(const std::string& name, int rows, int iters,
                          const xquery::Evaluator::EvalOptions& on,
                          const xquery::Evaluator::EvalOptions& off,
                          std::vector<ScenarioResult>* results,
-                         plugin::XqibPlugin::EventStats* on_stats);
+                         xquery::Counters* on_stats);
 
 // The shared scenarios array; `on_key`/`off_key` label the two arms
 // (e.g. "fast"/"slow", "stream"/"eager", "arena"/"heap").

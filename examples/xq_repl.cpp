@@ -22,6 +22,7 @@
 #include "xml/interning.h"
 #include "xml/serializer.h"
 #include "xml/xml_parser.h"
+#include "xquery/counters.h"
 #include "xquery/engine.h"
 #include "xquery/plan/plan.h"
 #include "xquery/profiler.h"
@@ -43,87 +44,20 @@ void PrintResult(const xdm::Sequence& result) {
   std::printf("\n");
 }
 
-// Counters accumulated across every query this process ran — the
-// interactive loop recompiles per line, so per-evaluator stats are
-// folded in here after each run and dumped by `:counters`.
-xquery::Evaluator::EvalStats g_session_stats;
+// Counters accumulated across every query this process ran: the
+// interactive loop recompiles per line, so each run's evaluator set is
+// added here and `:counters` prints the sum.
+xquery::Counters g_session_counters;
 
-void AccumulateStats(const xquery::Evaluator::EvalStats& s) {
-  xquery::Evaluator::EvalStats& d = g_session_stats;
-  d.sorts_performed += s.sorts_performed;
-  d.sorts_elided += s.sorts_elided;
-  d.name_index_hits += s.name_index_hits;
-  d.early_exits += s.early_exits;
-  d.count_index_hits += s.count_index_hits;
-  d.streams.items_pulled += s.streams.items_pulled;
-  d.streams.items_materialized += s.streams.items_materialized;
-  d.streams.buffers_avoided += s.streams.buffers_avoided;
-  d.arena_bytes_used += s.arena_bytes_used;
-  d.arena_resets += s.arena_resets;
-  d.intern_hits = s.intern_hits;  // pool snapshot, not a delta
-  d.plan_compiles += s.plan_compiles;
-  d.plan_hits += s.plan_hits;
-  d.plan_misses += s.plan_misses;
-  d.plan_invalidations += s.plan_invalidations;
-  d.plan_bytes += s.plan_bytes;
-  d.delta.emitted += s.delta.emitted;
-  d.delta.index_splices += s.delta.index_splices;
-  d.delta.bucket_rebuilds_avoided += s.delta.bucket_rebuilds_avoided;
-  d.delta.listeners_skipped += s.delta.listeners_skipped;
-  d.http.cache_hits += s.http.cache_hits;
-  d.http.cache_misses += s.http.cache_misses;
-  d.http.prefetch_issued += s.http.prefetch_issued;
-  d.http.prefetch_hits += s.http.prefetch_hits;
-  d.http.scatter_batches += s.http.scatter_batches;
-}
-
-void PrintCounters(const xml::Document* context_doc) {
-  const xquery::Evaluator::EvalStats& s = g_session_stats;
-  std::printf("--- session counters ---\n");
-  std::printf("  eval: %llu sorts performed, %llu elided, %llu name-index "
-              "hits, %llu early exits, %llu count-index hits\n",
-              (unsigned long long)s.sorts_performed,
-              (unsigned long long)s.sorts_elided,
-              (unsigned long long)s.name_index_hits,
-              (unsigned long long)s.early_exits,
-              (unsigned long long)s.count_index_hits);
-  std::printf("  streams: %llu pulled, %llu materialized, %llu buffers "
-              "avoided\n",
-              (unsigned long long)s.streams.items_pulled,
-              (unsigned long long)s.streams.items_materialized,
-              (unsigned long long)s.streams.buffers_avoided);
-  std::printf("  memory: %llu arena bytes, %llu resets, %llu intern hits\n",
-              (unsigned long long)s.arena_bytes_used,
-              (unsigned long long)s.arena_resets,
-              (unsigned long long)s.intern_hits);
-  std::printf("  plans: %llu compiles, %llu dispatches, %llu fallbacks, "
-              "%llu invalidations, %llu bytes\n",
-              (unsigned long long)s.plan_compiles,
-              (unsigned long long)s.plan_hits,
-              (unsigned long long)s.plan_misses,
-              (unsigned long long)s.plan_invalidations,
-              (unsigned long long)s.plan_bytes);
-  std::printf("  delta: %llu emitted, %llu index splices, %llu rebuilds "
-              "avoided, %llu listeners skipped\n",
-              (unsigned long long)s.delta.emitted,
-              (unsigned long long)s.delta.index_splices,
-              (unsigned long long)s.delta.bucket_rebuilds_avoided,
-              (unsigned long long)s.delta.listeners_skipped);
-  std::printf("  http: %llu cache hits, %llu cache misses, %llu prefetches "
-              "issued, %llu prefetch hits, %llu scatter batches\n",
-              (unsigned long long)s.http.cache_hits,
-              (unsigned long long)s.http.cache_misses,
-              (unsigned long long)s.http.prefetch_issued,
-              (unsigned long long)s.http.prefetch_hits,
-              (unsigned long long)s.http.scatter_batches);
-  if (context_doc != nullptr) {
-    std::printf("  document: %llu index builds, %llu index splices, "
-                "%llu rebuilds avoided, %llu order rebuilds\n",
-                (unsigned long long)context_doc->name_index_builds(),
-                (unsigned long long)context_doc->index_splices(),
-                (unsigned long long)context_doc->bucket_rebuilds_avoided(),
-                (unsigned long long)context_doc->order_rebuilds());
-  }
+// Prints every dispatch counter that moved, with its meaning.
+void PrintCounters(const xquery::Counters& counters) {
+  counters.ForEach([](const char* name, const char* meaning,
+                      const auto& value) {
+    if (value == 0) return;
+    std::ostringstream shown;
+    shown << value;
+    std::printf("  %-30s %12s  %s\n", name, shown.str().c_str(), meaning);
+  });
 }
 
 // `:http [fabric]` — federation stats. Prints a fabric's two clock
@@ -276,7 +210,16 @@ int RunQuery(const std::string& query, xml::Document* context_doc,
   // the counters accumulated by every query run so far.
   std::string trimmed(TrimWhitespace(query));
   if (trimmed == ":counters") {
-    PrintCounters(context_doc);
+    std::printf("--- session counters ---\n");
+    PrintCounters(g_session_counters);
+    if (context_doc != nullptr) {
+      std::printf("  document: %llu index builds, %llu index splices, "
+                  "%llu rebuilds avoided, %llu order rebuilds\n",
+                  (unsigned long long)context_doc->name_index_builds(),
+                  (unsigned long long)context_doc->index_splices(),
+                  (unsigned long long)context_doc->bucket_rebuilds_avoided(),
+                  (unsigned long long)context_doc->order_rebuilds());
+    }
     return 0;
   }
   if (trimmed.rfind(":sessions", 0) == 0) {
@@ -320,7 +263,7 @@ int RunQuery(const std::string& query, xml::Document* context_doc,
     return 1;
   }
   auto result = (*compiled)->Run(ctx);
-  AccumulateStats((*compiled)->evaluator().stats());
+  g_session_counters += (*compiled)->evaluator().counters();
   if (!result.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  result.status().ToString().c_str());
@@ -330,6 +273,8 @@ int RunQuery(const std::string& query, xml::Document* context_doc,
   if (profile) {
     std::printf("--- profile (hottest expressions by self time) ---\n%s",
                 profiler.Report(15).c_str());
+    std::printf("--- counters this query moved ---\n");
+    PrintCounters((*compiled)->evaluator().counters());
   }
   if (print_doc_after && context_doc != nullptr) {
     std::printf("--- document after updates ---\n%s\n",
@@ -375,13 +320,15 @@ int main(int argc, char** argv) {
       std::printf("usage: xq_repl [-d context.xml] [-p] [query]\n"
                   "Without a query argument, reads queries from stdin "
                   "(one per line\nwhen interactive, whole input when "
-                  "piped).\nA query of the form ':plan <query>' dumps "
+                  "piped).\n-p prints each query's hottest expressions "
+                  "by self time and the\ndispatch counters it moved.\n"
+                  "A query of the form ':plan <query>' dumps "
                   "the compiled bytecode plans\nof the query's "
                   "user-declared functions instead of evaluating it.\n"
-                  "A query of ':counters' dumps the evaluation counters "
-                  "accumulated\nacross the session (eval/stream/memory/"
-                  "plan/delta plus the context\ndocument's index "
-                  "counters).\n"
+                  "A query of ':counters' prints every dispatch counter "
+                  "(src/xquery/counters.h)\nthat moved across the "
+                  "session, one per line with its meaning, plus the\n"
+                  "context document's index counters.\n"
                   "A query of ':sessions' dumps the shared-substrate "
                   "stats (intern pool,\nplan cache); ':sessions "
                   "<page-file> [n [events [target-id]]]' hosts n\ncopies "

@@ -1,18 +1,17 @@
 // Statistics counters that stay accurate when bumped from several
-// threads. Every stats struct in the tree (EvalStats, StreamStats,
-// EventStats, arena / intern-pool / HTTP accounting) holds these instead
-// of raw integers. A per-session struct is bumped by one session strand
-// at a time, but the process-wide substrates (HTTP fabric, response
-// cache, intern pool) count work from every strand the shared pool runs
+// threads. The dispatch counter set (xquery/counters.h) and the
+// substrate stats (arena, HTTP fabric, response cache, thread pool)
+// hold these instead of raw integers. A session's set is
+// bumped by one session strand at a time, but the process-wide
+// substrates count work from every strand the shared pool runs
 // concurrently, and a torn or lost increment would silently corrupt the
 // benchmark numbers.
 //
 // All operations use relaxed ordering — the counters carry no
 // synchronization duty (each session's strand mutex orders the
-// *data*); they only need atomicity. Copying a stats struct
-// (the before/after delta idiom all over the plugin) snapshots each
-// counter with a relaxed load, which is exactly the old plain-integer
-// semantics on the thread that owns the struct.
+// *data*); they only need atomicity. Copying a struct of them snapshots
+// each counter with a relaxed load, which is what the dispatch set's
+// `after - before` difference relies on.
 
 #ifndef XQIB_BASE_COUNTERS_H_
 #define XQIB_BASE_COUNTERS_H_

@@ -7,7 +7,6 @@
 #include "net/rest.h"
 #include "xquery/analysis/effects.h"
 #include "xquery/optimizer.h"
-#include "xquery/profiler.h"
 #include "xquery/update.h"
 
 namespace xqib::plugin {
@@ -333,7 +332,8 @@ Status XqibPlugin::RunXQueryModule(PageContext* page,
   xquery::OptimizeModule(module.get(), xquery::OptimizerOptions(), facts);
   page->sctx->AddModule(*module);
   // (Re)build the evaluator: the static context gained declarations.
-  page->evaluator = std::make_unique<xquery::Evaluator>(*page->sctx);
+  page->evaluator =
+      std::make_unique<xquery::Evaluator>(*page->sctx, &counters_);
   page->evaluator->set_options(eval_options_);
   page->evaluator->set_analysis_facts(page->facts);
   if (services_ != nullptr) {
@@ -429,14 +429,7 @@ Status XqibPlugin::RegisterXQueryInlineHandler(PageContext* page,
 }
 
 Status XqibPlugin::ApplyAfterRun(PageContext* page) {
-  // Capture the structured write set of the apply pass. The document's
-  // own dispatch/index windows accumulate the same information for their
-  // consumers; the capture feeds the emitted counter and keeps the update
-  // layer's API honest in tests.
-  const bool track = !page->ctx->pul().empty();
-  xml::DomDelta delta;
-  XQ_RETURN_NOT_OK(page->ctx->pul().ApplyAll(track ? &delta : nullptr));
-  if (track && !delta.Empty()) ++delta_stats_.emitted;
+  XQ_RETURN_NOT_OK(page->evaluator->ApplyUpdates(*page->ctx));
   for (const Browser::BomTree& tree : page->bom_trees) {
     XQ_RETURN_NOT_OK(browser_->SyncFromBomTree(tree, page->window->url()));
   }
@@ -538,8 +531,40 @@ void XqibPlugin::ScatterListenerPrefetch(PageContext* page,
   for (const std::string& url : plan->urls) page->prefetcher->Prefetch(url);
 }
 
+xquery::Counters XqibPlugin::ReadOutsideSources(
+    const PageContext& page) const {
+  // The fabric and the intern pool are shared by every session, so with
+  // concurrent sessions a dispatch window also counts a neighbor's
+  // traffic.
+  xquery::Counters c;
+  const xml::Document& doc = *page.window->document();
+  c.delta_index_splices = doc.index_splices();
+  c.delta_bucket_rebuilds_avoided = doc.bucket_rebuilds_avoided();
+  c.intern_hits = xml::GetInternStats().hits;
+  if (fabric_ != nullptr) {
+    const net::HttpFabric::Stats& f = fabric_->stats();
+    c.http_requests = f.requests;
+    c.http_cache_hits = f.cache_hits;
+    c.http_cache_misses = f.cache_misses;
+    c.http_makespan_ms = f.makespan_ms;
+    c.http_overlapped_ms = f.overlapped_ms;
+  }
+  if (page.prefetcher != nullptr) {
+    c.http_prefetch_issued = page.prefetcher->stats().issued;
+    c.http_prefetch_hits = page.prefetcher->stats().hits;
+  }
+  return c;
+}
+
 void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
                                 const Event& event) {
+  const xquery::Counters before = counters_;
+  RunListener(page, function, event);
+  last_event_stats_ = counters_ - before;
+}
+
+void XqibPlugin::RunListener(PageContext* page, const xml::QName& function,
+                             const Event& event) {
   // Fold any document mutations since the last sync point into the
   // dirty-listener state before probing: the delta-skip check below is
   // only sound against a synced window.
@@ -572,7 +597,6 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
   const uint64_t doc_version = page->window->document()->mutation_version();
   const PageContext::MemoKey memo_key{function.token(), arity,
                                       HashEventPayload(event)};
-  uint64_t memo_invalidated = 0;
   if (memoizable) {
     std::unique_lock<std::shared_mutex> lk(page->memo_mu);
     auto it = page->memo_cache.find(memo_key);
@@ -580,29 +604,24 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
       const MemoValidity validity =
           ProbeMemo(page, lkey, it->second, doc_version);
       if (validity != MemoValidity::kStale) {
-        ++memo_stats_.hits;
+        ++counters_.memo_hits;
         last_listener_result_ = it->second.serialized;
-        last_event_stats_ = EventStats{};
-        last_event_stats_.memo_hits = 1;
         if (validity == MemoValidity::kDeltaSkip) {
           // Every batch since fill time missed the listener's read set
           // (PropagateDelta above synced the window). Re-anchor so the
           // next probe takes the one-compare fast path.
           it->second.doc_version = doc_version;
           it->second.delta_fill_seq = page->delta_seq;
-          ++delta_stats_.listeners_skipped;
-          last_event_stats_.delta_listeners_skipped = 1;
-          ++page->evaluator->mutable_delta_stats().listeners_skipped;
+          ++counters_.delta_listeners_skipped;
         }
         // Memoizable implies pure: nothing to apply, nothing to render.
-        ++pure_listener_skips_;
+        ++counters_.pure_listener_skips;
         return;
       }
       page->memo_cache.erase(it);
-      ++memo_stats_.invalidations;
-      memo_invalidated = 1;
+      ++counters_.memo_invalidations;
     } else {
-      ++memo_stats_.misses;
+      ++counters_.memo_misses;
     }
   }
 
@@ -619,20 +638,10 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
     args.push_back(obj != nullptr ? Sequence{Item::Node(obj)} : Sequence{});
   }
 
-  // The page evaluator's counters accumulate across its whole lifetime,
-  // so per-event numbers MUST be before/after deltas — overwriting (not
-  // adding to) last_event_stats_ each dispatch keeps events independent.
-  // Intern-pool hits come straight from the process-wide pool because
-  // EvalStats only snapshots them at arena resets.
-  // Fabric and prefetcher counters are snapshotted BEFORE the scatter so
-  // the prefetch issuance is charged to this dispatch. (The fabric is
-  // shared across pages, so concurrent sessions' traffic can land in
-  // whichever dispatch window is open — totals remain accurate, like
-  // intern_hits.)
-  net::HttpFabric::Stats http_before;
-  net::HttpPrefetcher::Stats prefetch_before;
-  if (fabric_ != nullptr) http_before = fabric_->stats();
-  if (page->prefetcher != nullptr) prefetch_before = page->prefetcher->stats();
+  // The page evaluator counts into counters_ directly; the sources it
+  // does not own are read before and after. The reading starts BEFORE
+  // the scatter so the prefetch issuance is charged to this dispatch.
+  const xquery::Counters outside_before = ReadOutsideSources(*page);
   // Scatter-gather federation (PERFORMANCE.md §10): issue every
   // statically known GET in the listener body up front, so the fabric's
   // virtual-time window overlaps their latencies instead of paying the
@@ -640,14 +649,6 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
   if (page->prefetcher != nullptr) {
     ScatterListenerPrefetch(page, function, arity);
   }
-  xquery::Evaluator::EvalStats before = page->evaluator->stats();
-  xml::InternPoolStats intern_before = xml::GetInternStats();
-  // Delta counters live on the document (splices) and the plugin
-  // (emissions), not the evaluator: diff them the same way.
-  const xml::Document* doc = page->window->document();
-  const uint64_t delta_emitted_before = delta_stats_.emitted;
-  const uint64_t splices_before = doc->index_splices();
-  const uint64_t avoided_before = doc->bucket_rebuilds_avoided();
   Result<Sequence> result =
       page->evaluator->CallFunction(function, std::move(args), *page->ctx);
   // Await any prefetch the body never consumed: a leftover future must
@@ -655,59 +656,11 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
   // latency still settles into the fabric's virtual clock as overlapped
   // (speculation wasted bandwidth, not wall-clock).
   if (page->prefetcher != nullptr) page->prefetcher->Drain();
-  const xquery::Evaluator::EvalStats& after = page->evaluator->stats();
-  last_event_stats_ = EventStats{};
-  last_event_stats_.sorts_elided = after.sorts_elided - before.sorts_elided;
-  last_event_stats_.sorts_performed =
-      after.sorts_performed - before.sorts_performed;
-  last_event_stats_.name_index_hits =
-      after.name_index_hits - before.name_index_hits;
-  last_event_stats_.early_exits = after.early_exits - before.early_exits;
-  last_event_stats_.count_index_hits =
-      after.count_index_hits - before.count_index_hits;
-  last_event_stats_.items_pulled =
-      after.streams.items_pulled - before.streams.items_pulled;
-  last_event_stats_.items_materialized =
-      after.streams.items_materialized - before.streams.items_materialized;
-  last_event_stats_.buffers_avoided =
-      after.streams.buffers_avoided - before.streams.buffers_avoided;
-  last_event_stats_.arena_bytes_used =
-      after.arena_bytes_used - before.arena_bytes_used;
-  last_event_stats_.intern_hits =
-      xml::GetInternStats().hits - intern_before.hits;
-  last_event_stats_.memo_misses = memoizable && memo_invalidated == 0 ? 1 : 0;
-  last_event_stats_.memo_invalidations = memo_invalidated;
-  last_event_stats_.plan_hits = after.plan_hits - before.plan_hits;
-  last_event_stats_.plan_misses = after.plan_misses - before.plan_misses;
-  last_event_stats_.plan_compiles = after.plan_compiles - before.plan_compiles;
-  last_event_stats_.plan_invalidations =
-      after.plan_invalidations - before.plan_invalidations;
-  last_event_stats_.delta_index_splices = doc->index_splices() - splices_before;
-  last_event_stats_.delta_bucket_rebuilds_avoided =
-      doc->bucket_rebuilds_avoided() - avoided_before;
-  if (fabric_ != nullptr) {
-    const net::HttpFabric::Stats& hf = fabric_->stats();
-    last_event_stats_.http_requests = hf.requests - http_before.requests;
-    last_event_stats_.http_cache_hits =
-        hf.cache_hits - http_before.cache_hits;
-    last_event_stats_.http_cache_misses =
-        hf.cache_misses - http_before.cache_misses;
-    last_event_stats_.http_makespan_ms =
-        hf.makespan_ms - http_before.makespan_ms;
-    last_event_stats_.http_overlapped_ms =
-        hf.overlapped_ms - http_before.overlapped_ms;
-  }
-  if (page->prefetcher != nullptr) {
-    const net::HttpPrefetcher::Stats& pf = page->prefetcher->stats();
-    last_event_stats_.http_prefetch_issued =
-        pf.issued - prefetch_before.issued;
-    last_event_stats_.http_prefetch_hits = pf.hits - prefetch_before.hits;
-  }
+  counters_ += ReadOutsideSources(*page) - outside_before;
   if (page->evaluator->exited()) page->evaluator->TakeExitValue();
   if (!result.ok()) {
     last_script_error_ = result.status();
     page->evaluator->ResetDispatchArena(*page->ctx);
-    ++last_event_stats_.arena_resets;
     return;
   }
   last_listener_result_ = xdm::SequenceToString(*result);
@@ -719,7 +672,7 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
           function.Clark(), arity)) > 0 &&
       page->ctx->pul().empty();
   if (pure_skip) {
-    ++pure_listener_skips_;
+    ++counters_.pure_listener_skips;
     // Record the result only for genuinely memoizable listeners and only
     // on a clean run (no error, empty PUL) — errors are never cached.
     if (memoizable) {
@@ -740,40 +693,9 @@ void XqibPlugin::InvokeListener(PageContext* page, const xml::QName& function,
     Status st = ApplyAfterRun(page);
     if (!st.ok()) last_script_error_ = st;
   }
-  last_event_stats_.delta_emitted = delta_stats_.emitted - delta_emitted_before;
-  // Fold the delta counters into the evaluator's cumulative EvalStats and
-  // the profiler fast-path block so `:stats` and profile reports carry
-  // them alongside the PR 5/6/7 counters.
-  {
-    xquery::Evaluator::EvalStats::DeltaStats& ds =
-        page->evaluator->mutable_delta_stats();
-    ds.emitted += last_event_stats_.delta_emitted;
-    ds.index_splices += last_event_stats_.delta_index_splices;
-    ds.bucket_rebuilds_avoided +=
-        last_event_stats_.delta_bucket_rebuilds_avoided;
-    xquery::Evaluator::EvalStats::HttpStats& hs =
-        page->evaluator->mutable_http_stats();
-    hs.cache_hits += last_event_stats_.http_cache_hits;
-    hs.cache_misses += last_event_stats_.http_cache_misses;
-    hs.prefetch_issued += last_event_stats_.http_prefetch_issued;
-    hs.prefetch_hits += last_event_stats_.http_prefetch_hits;
-    if (page->ctx->profiler != nullptr) {
-      xquery::Profiler::FastPathCounters& fp =
-          page->ctx->profiler->fast_path();
-      fp.delta_emitted += last_event_stats_.delta_emitted;
-      fp.delta_index_splices += last_event_stats_.delta_index_splices;
-      fp.delta_bucket_rebuilds_avoided +=
-          last_event_stats_.delta_bucket_rebuilds_avoided;
-      fp.http_cache_hits += last_event_stats_.http_cache_hits;
-      fp.http_cache_misses += last_event_stats_.http_cache_misses;
-      fp.http_prefetch_issued += last_event_stats_.http_prefetch_issued;
-      fp.http_prefetch_hits += last_event_stats_.http_prefetch_hits;
-    }
-  }
   // The dispatch is over and its result is materialized: reclaim every
   // stream operator this event allocated in one wholesale reset.
   page->evaluator->ResetDispatchArena(*page->ctx);
-  ++last_event_stats_.arena_resets;
 }
 
 std::shared_ptr<XqibPlugin::PageContext::WorkerSlot>
@@ -829,7 +751,8 @@ XqibPlugin::AcquireWorkerSlot(PageContext* page) {
     net::RegisterRestFunctions(slot->ctx.get(), fabric_,
                                slot->prefetcher.get());
   }
-  slot->evaluator = std::make_unique<xquery::Evaluator>(*page->sctx);
+  slot->evaluator =
+      std::make_unique<xquery::Evaluator>(*page->sctx, &counters_);
   slot->evaluator->set_options(eval_options_);
   slot->evaluator->set_analysis_facts(page->facts);
   return slot;

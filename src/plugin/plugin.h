@@ -28,7 +28,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "base/counters.h"
 #include "browser/bom.h"
 #include "browser/events.h"
 #include "browser/page.h"
@@ -37,6 +36,7 @@
 #include "net/prefetch.h"
 #include "net/webservice.h"
 #include "xquery/analysis/analyzer.h"
+#include "xquery/counters.h"
 #include "xquery/evaluator.h"
 #include "xquery/federation.h"
 #include "xquery/parser.h"
@@ -110,38 +110,11 @@ class XqibPlugin : public xquery::BrowserBinding {
     return last_diagnostics_;
   }
 
-  // Number of listener invocations whose post-run apply/re-render pass
-  // was skipped because the analyzer proved the listener DOM-pure.
-  size_t pure_listener_skips() const { return pure_listener_skips_; }
-
-  // Memo cache over pure listeners: dispatches answered from cache
-  // without re-running the listener body (delta skips included), cache
-  // misses (first sight of a (listener, payload) pair), and stale
-  // entries discarded because the document mutated since they were
-  // recorded and the delta check could not prove them exact.
-  struct MemoStats {
-    base::RelaxedCounter hits;
-    base::RelaxedCounter misses;
-    base::RelaxedCounter invalidations;
-  };
-  const MemoStats& memo_stats() const { return memo_stats_; }
-
   // Ablation switch for benchmarks: with the memo disabled every
   // dispatch re-runs the listener even when the analyzer proved it
   // memoizable.
   void set_memo_enabled(bool enabled) { memo_enabled_ = enabled; }
   bool memo_enabled() const { return memo_enabled_; }
-
-  // Delta propagation (PERFORMANCE.md §8): structured PUL deltas drive
-  // the index splice inside the Document; here they drive skip-dispatch
-  // — a memoized listener whose static read names miss every name the
-  // delta wrote replays its cached result without re-running. Counted
-  // across all pages.
-  struct DeltaStats {
-    base::RelaxedCounter emitted;            // structured PUL deltas
-    base::RelaxedCounter listeners_skipped;  // replays via delta check
-  };
-  const DeltaStats& delta_stats() const { return delta_stats_; }
 
   // Serialized value of the most recent listener invocation (whether
   // evaluated or replayed from the memo cache). Tests compare replayed
@@ -150,60 +123,22 @@ class XqibPlugin : public xquery::BrowserBinding {
     return last_listener_result_;
   }
 
-  // Path fast-path work done by the most recent listener invocation
-  // (delta of the page evaluator's counters across the call). Benchmarks
-  // assert the per-event dispatch actually hit the fast paths.
-  struct EventStats {
-    base::RelaxedCounter sorts_elided;
-    base::RelaxedCounter sorts_performed;
-    base::RelaxedCounter name_index_hits;
-    base::RelaxedCounter early_exits;
-    base::RelaxedCounter count_index_hits;
-    // Streaming-pipeline deltas for the dispatch.
-    base::RelaxedCounter items_pulled;
-    base::RelaxedCounter items_materialized;
-    base::RelaxedCounter buffers_avoided;
-    // Memory-layer deltas for the dispatch: arena bytes/resets from the
-    // evaluator that ran the listener, intern-pool hits across the call,
-    // and memo cache traffic. The intern pool is process-wide, so
-    // another session's hits can land in this dispatch's window —
-    // totals remain accurate.
-    base::RelaxedCounter arena_bytes_used;
-    base::RelaxedCounter arena_resets;
-    base::RelaxedCounter intern_hits;
-    base::RelaxedCounter memo_hits;
-    base::RelaxedCounter memo_misses;
-    base::RelaxedCounter memo_invalidations;
-    // Compiled-plan deltas for the dispatch: calls executed through a
-    // register plan, compiled_plans-on calls that tree-walked instead,
-    // and compilation work (zero on every warm dispatch — a memo hit
-    // never even consults the plan layer).
-    base::RelaxedCounter plan_hits;
-    base::RelaxedCounter plan_misses;
-    base::RelaxedCounter plan_compiles;
-    base::RelaxedCounter plan_invalidations;
-    // Delta-propagation work for the dispatch: structured PUL deltas
-    // emitted by the apply pass, index splices / avoided rebuilds the
-    // listener's own lookups triggered, and whether this dispatch was
-    // answered by the delta skip check.
-    base::RelaxedCounter delta_emitted;
-    base::RelaxedCounter delta_index_splices;
-    base::RelaxedCounter delta_bucket_rebuilds_avoided;
-    base::RelaxedCounter delta_listeners_skipped;
-    // Async-federation deltas for the dispatch: fabric round trips the
-    // listener issued, response-cache traffic, scatter-gather prefetches
-    // (issued before the body ran / consumed by http:get inside it), and
-    // the virtual-time cost split — makespan (wall-clock charged) vs
-    // latency overlapped away by in-flight concurrency.
-    base::RelaxedCounter http_requests;
-    base::RelaxedCounter http_cache_hits;
-    base::RelaxedCounter http_cache_misses;
-    base::RelaxedCounter http_prefetch_issued;
-    base::RelaxedCounter http_prefetch_hits;
-    base::RelaxedDouble http_makespan_ms;
-    base::RelaxedDouble http_overlapped_ms;
-  };
-  const EventStats& last_event_stats() const { return last_event_stats_; }
+  // The plug-in's cumulative dispatch counters (xquery/counters.h).
+  // Every page and worker-slot evaluator counts straight into this one
+  // set; the plug-in adds its memo and delta-skip counts and, for each
+  // listener invocation, what the call moved in the sources no evaluator
+  // owns: the page document's name index, the shared fabric, the page
+  // prefetcher and the intern pool. Counted across all pages.
+  const xquery::Counters& counters() const { return counters_; }
+
+  // What the most recent listener invocation moved: the difference of
+  // counters() across the call, whether it ran or replayed from the
+  // memo. Benchmarks read it after every dispatch; the end-to-end one
+  // (perfbench/) names the set by the EventStats alias.
+  using EventStats = xquery::Counters;
+  const xquery::Counters& last_event_stats() const {
+    return last_event_stats_;
+  }
 
   // Always 0: listeners run one at a time on the loop thread, so no run
   // falls back to serial re-execution (PERFORMANCE.md §5). Kept because
@@ -396,9 +331,17 @@ class XqibPlugin : public xquery::BrowserBinding {
                                      const browser::InlineHandler& handler);
 
   // Calls an XQuery listener function with ($evt, $obj), applying the
-  // PUL and syncing the BOM afterwards.
+  // PUL and syncing the BOM afterwards. InvokeListener records what the
+  // call moved as last_event_stats_; RunListener does the call.
   void InvokeListener(PageContext* page, const xml::QName& function,
                       const browser::Event& event);
+  void RunListener(PageContext* page, const xml::QName& function,
+                   const browser::Event& event);
+  // Running totals of the counters a listener call moves in sources the
+  // page evaluator does not own (the page document's name index, the
+  // shared fabric, the page prefetcher, the intern pool), laid over the
+  // fields they feed: the difference of two readings is what moved.
+  xquery::Counters ReadOutsideSources(const PageContext& page) const;
   Status ApplyAfterRun(PageContext* page);
 
   // Drains the page document's dispatch delta window and folds it into
@@ -449,12 +392,10 @@ class XqibPlugin : public xquery::BrowserBinding {
   InitTiming last_init_timing_;
   Status last_script_error_;
   std::vector<xquery::analysis::Diagnostic> last_diagnostics_;
-  size_t pure_listener_skips_ = 0;
   bool memo_enabled_ = true;
-  MemoStats memo_stats_;
-  DeltaStats delta_stats_;
   std::string last_listener_result_;
-  EventStats last_event_stats_;
+  xquery::Counters counters_;
+  xquery::Counters last_event_stats_;
   xquery::Evaluator::EvalOptions eval_options_;
 };
 

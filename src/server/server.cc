@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "xml/interning.h"
+#include "xml/serializer.h"
 #include "xml/xml_parser.h"
 #include "xquery/plan/plan.h"
 
@@ -53,9 +54,12 @@ std::string QueryParam(const std::string& query, const std::string& key) {
   return std::string();
 }
 
+// The message often quotes request text (paths, session ids, parse
+// errors), so it is escaped: every error body is well-formed XML.
 net::HttpResponse ErrorResponse(int status, const std::string& message) {
-  return net::HttpResponse{status, "<error>" + message + "</error>",
-                           "application/xml"};
+  return net::HttpResponse{
+      status, "<error>" + xml::EscapeText(message) + "</error>",
+      "application/xml"};
 }
 
 std::string AttrOr(const xml::Node* elem, const char* name,

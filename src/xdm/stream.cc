@@ -72,7 +72,7 @@ StreamPtr RangeStream(int64_t lo, int64_t hi, Arena& arena) {
   return MakeStream<RangeStreamImpl>(arena, lo, hi);
 }
 
-Result<Sequence> MaterializeStream(ItemStream& s, StreamStats* stats) {
+Result<Sequence> MaterializeStream(ItemStream& s) {
   Sequence out;
   Item item;
   while (true) {
@@ -80,7 +80,6 @@ Result<Sequence> MaterializeStream(ItemStream& s, StreamStats* stats) {
     if (!more) break;
     out.push_back(std::move(item));
   }
-  if (stats != nullptr) stats->items_materialized += out.size();
   return out;
 }
 

@@ -5,7 +5,7 @@
 // concatenation) holds O(operators) state instead of materializing a
 // full std::vector<Item> between every operator. Materialization stays
 // an explicit, well-defined boundary: MaterializeStream drains a stream
-// into a Sequence (and accounts the copy in the evaluation counters);
+// into a Sequence (the evaluator counts the copy as items_materialized);
 // variable bindings, document-order sort barriers, XQUF snapshot
 // application, serialization and the plugin API surface all live on the
 // materialized side.
@@ -25,24 +25,11 @@
 #include <memory>
 #include <utility>
 
-#include "base/counters.h"
 #include "base/result.h"
 #include "xdm/arena.h"
 #include "xdm/item.h"
 
 namespace xqib::xdm {
-
-// Counters for the streaming pipeline, shared by every stream of one
-// evaluator. "Pulled" counts items yielded through Next() at consumer
-// boundaries; "materialized" counts items copied into Sequence buffers
-// (intermediate barriers and final results alike); "buffers avoided"
-// counts operator edges that stayed lazy end to end.
-// Relaxed atomics, like every stats struct (base/counters.h).
-struct StreamStats {
-  base::RelaxedCounter items_pulled;
-  base::RelaxedCounter items_materialized;
-  base::RelaxedCounter buffers_avoided;
-};
 
 class ItemStream {
  public:
@@ -82,10 +69,8 @@ StreamPtr SequenceStream(Sequence seq, Arena& arena);
 // never materializes unless a consumer buffers it.
 StreamPtr RangeStream(int64_t lo, int64_t hi, Arena& arena);
 
-// Materialization boundary: drains `s` into a Sequence. Every item
-// drained is counted into stats->items_materialized (when stats is
-// non-null).
-Result<Sequence> MaterializeStream(ItemStream& s, StreamStats* stats);
+// Materialization boundary: drains `s` into a Sequence.
+Result<Sequence> MaterializeStream(ItemStream& s);
 
 }  // namespace xqib::xdm
 

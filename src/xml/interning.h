@@ -34,7 +34,8 @@ const std::string* InternString(std::string_view s);
 const InternedName* InternName(std::string_view ns, std::string_view local);
 
 // Cumulative, process-wide pool statistics. hits/misses are monotone
-// counters (benchmarks and EventStats report per-window deltas).
+// counters (benchmarks and the dispatch counters' intern_hits report
+// per-window deltas).
 struct InternPoolStats {
   uint64_t hits = 0;     // lookups that found an existing entry
   uint64_t misses = 0;   // lookups that had to insert

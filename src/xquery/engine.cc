@@ -38,7 +38,7 @@ Result<xdm::Sequence> CompiledQuery::Run(DynamicContext& ctx,
                       evaluator_.Eval(*module_->body, ctx));
   if (evaluator_.exited()) result = evaluator_.TakeExitValue();
   if (apply_updates) {
-    XQ_RETURN_NOT_OK(ctx.pul().ApplyAll());
+    XQ_RETURN_NOT_OK(evaluator_.ApplyUpdates(ctx));
   }
   // The result is materialized and the apply pass is done: no stream
   // operator allocated this run can still be live, so the whole dispatch
@@ -54,7 +54,7 @@ Result<xdm::Sequence> CompiledQuery::Call(const xml::QName& function,
       xdm::Sequence result,
       evaluator_.CallFunction(function, std::move(args), ctx));
   if (evaluator_.exited()) result = evaluator_.TakeExitValue();
-  XQ_RETURN_NOT_OK(ctx.pul().ApplyAll());
+  XQ_RETURN_NOT_OK(evaluator_.ApplyUpdates(ctx));
   evaluator_.ResetDispatchArena(ctx);
   return result;
 }

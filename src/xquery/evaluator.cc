@@ -298,7 +298,7 @@ class StepStream : public ItemStream {
         while (xml::Node* n = cursor_.NextNode()) {
           if (MatchesNodeTest(step_->test, n, step_->axis)) {
             *out = Item::Node(n);
-            ev_->CountPulled(*ctx_);
+            ++ev_->counters().items_pulled;
             return true;
           }
         }
@@ -306,7 +306,7 @@ class StepStream : public ItemStream {
       }
       if (buf_pos_ < buffered_.size()) {
         *out = buffered_[buf_pos_++];
-        ev_->CountPulled(*ctx_);
+        ++ev_->counters().items_pulled;
         return true;
       }
       Item origin;
@@ -324,7 +324,7 @@ class StepStream : public ItemStream {
             buffered_, EvaluatorStreams::Step(*ev_, *step_, origin.node(),
                                               *ctx_));
         buf_pos_ = 0;
-        ev_->CountMaterialized(*ctx_, buffered_.size());
+        ev_->counters().items_materialized += buffered_.size();
       }
     }
   }
@@ -351,8 +351,8 @@ class SortBarrierStream : public ItemStream {
 
   Result<bool> Next(Item* out) override {
     if (!sorted_) {
-      XQ_ASSIGN_OR_RETURN(buf_, xdm::MaterializeStream(*input_, nullptr));
-      ev_->CountMaterialized(*ctx_, buf_.size());
+      XQ_ASSIGN_OR_RETURN(buf_, xdm::MaterializeStream(*input_));
+      ev_->counters().items_materialized += buf_.size();
       XQ_RETURN_NOT_OK(xdm::SortDocumentOrderDedup(&buf_));
       sorted_ = true;
       input_.reset();
@@ -402,7 +402,7 @@ class PredicateStream : public ItemStream {
       if (!keep.ok()) return keep.status();
       if (*keep) {
         *out = std::move(item);
-        ev_->CountPulled(*ctx_);
+        ++ev_->counters().items_pulled;
         return true;
       }
     }
@@ -448,8 +448,8 @@ class TakeNthStream : public ItemStream {
       if (!more) return false;
     }
     input_.reset();
-    ev_->CountPulled(*ctx_);
-    ev_->CountEarlyExit(*ctx_);
+    ++ev_->counters().items_pulled;
+    ++ev_->counters().early_exits;
     *out = std::move(item);
     return true;
   }
@@ -483,9 +483,9 @@ class TakeLastStream : public ItemStream {
     }
     input_.reset();
     if (!any) return false;
-    ev_->CountPulled(*ctx_);
-    ev_->CountBuffersAvoided(*ctx_);
-    ev_->CountEarlyExit(*ctx_);
+    ++ev_->counters().items_pulled;
+    ++ev_->counters().buffers_avoided;
+    ++ev_->counters().early_exits;
     *out = std::move(last);
     return true;
   }
@@ -510,7 +510,7 @@ class ConcatStream : public ItemStream {
       if (cur_ != nullptr) {
         XQ_ASSIGN_OR_RETURN(bool more, cur_->Next(out));
         if (more) {
-          ev_->CountPulled(*ctx_);
+          ++ev_->counters().items_pulled;
           return true;
         }
         cur_.reset();
@@ -628,7 +628,7 @@ class FlworStream : public ItemStream {
         XQ_ASSIGN_OR_RETURN(bool more, ret_->Next(&item));
         if (more) {
           *out = std::move(item);
-          ev_->CountPulled(*ctx_);
+          ++ev_->counters().items_pulled;
           return true;
         }
         ret_.reset();
@@ -644,7 +644,7 @@ class FlworStream : public ItemStream {
       }
       if (ret_expr_ == nullptr) {  // tuple mode
         *out = Item::Boolean(true);
-        ev_->CountPulled(*ctx_);
+        ++ev_->counters().items_pulled;
         return true;
       }
       XQ_ASSIGN_OR_RETURN(ret_, ev_->EvalStream(*ret_expr_, *ctx_));
@@ -659,7 +659,7 @@ class FlworStream : public ItemStream {
     while (true) {
       if (pending_idx_ < pending_.size()) {
         *out = pending_[pending_idx_++];
-        ev_->CountPulled(*ctx_);
+        ++ev_->counters().items_pulled;
         return true;
       }
       XQ_ASSIGN_OR_RETURN(bool tuple, AdvanceTuple());
@@ -676,7 +676,7 @@ class FlworStream : public ItemStream {
       }
       if (v->size() == 1) {
         *out = (*v)[0];
-        ev_->CountPulled(*ctx_);
+        ++ev_->counters().items_pulled;
         return true;
       }
       pending_.assign(v->begin(), v->end());
@@ -749,7 +749,7 @@ class FlworStream : public ItemStream {
         continue;
       }
       XQ_ASSIGN_OR_RETURN(st.stream, ev_->EvalStream(*c.expr, *ctx_));
-      ev_->CountBuffersAvoided(*ctx_);
+      ++ev_->counters().buffers_avoided;
       Item item;
       XQ_ASSIGN_OR_RETURN(bool more, st.stream->Next(&item));
       if (!more) {
@@ -787,7 +787,7 @@ class FlworStream : public ItemStream {
 // accounting the bytes.
 template <typename T, typename... Args>
 StreamPtr MakeOp(Evaluator* ev, DynamicContext& ctx, Args&&... args) {
-  ev->CountArenaAlloc(ctx, sizeof(T));
+  ev->counters().arena_bytes_used += sizeof(T);
   return xdm::MakeStream<T>(ctx.arena(), std::forward<Args>(args)...);
 }
 
@@ -849,7 +849,7 @@ Result<Sequence> Evaluator::EvalImpl(const Expr& e, DynamicContext& ctx) {
       Sequence out;
       if (hi >= lo) out.reserve(static_cast<size_t>(hi - lo + 1));
       for (int64_t v = lo; v <= hi; ++v) out.push_back(Item::Integer(v));
-      CountMaterialized(ctx, out.size());
+      counters_->items_materialized += out.size();
       return out;
     }
     case ExprKind::kArith:
@@ -869,14 +869,14 @@ Result<Sequence> Evaluator::EvalImpl(const Expr& e, DynamicContext& ctx) {
         XQ_ASSIGN_OR_RETURN(
             xdm::StreamPtr s,
             BuildPathStream(e, ctx, /*ordered_required=*/true));
-        return MaterializeFrom(std::move(s), ctx);
+        return MaterializeFrom(std::move(s));
       }
       return EvalPathEager(e, ctx);
     }
     case ExprKind::kFilter: {
       if (options_.stream_pipeline) {
         XQ_ASSIGN_OR_RETURN(xdm::StreamPtr s, BuildFilterStream(e, ctx));
-        return MaterializeFrom(std::move(s), ctx);
+        return MaterializeFrom(std::move(s));
       }
       XQ_ASSIGN_OR_RETURN(Sequence input, Eval(*e.kids[0], ctx));
       return ApplyPredicates(e.predicates, std::move(input), ctx);
@@ -888,7 +888,7 @@ Result<Sequence> Evaluator::EvalImpl(const Expr& e, DynamicContext& ctx) {
         xdm::StreamPtr s =
             MakeOp<FlworStream>(this, ctx, this, &ctx, &e, where,
                                 e.kids[0].get(), /*negate_where=*/false);
-        return MaterializeFrom(std::move(s), ctx);
+        return MaterializeFrom(std::move(s));
       }
       return EvalFLWOR(e, ctx);
     }
@@ -982,49 +982,17 @@ Result<Sequence> Evaluator::EvalImpl(const Expr& e, DynamicContext& ctx) {
 
 // -------------------------------------------------------------- paths ---
 
-// Counter hooks: every bump mirrors into the profiler's fast-path block
-// so per-event reports and plugin EventStats see the same numbers.
-void Evaluator::CountPulled(DynamicContext& ctx, uint64_t n) {
-  stats_.streams.items_pulled += n;
-  if (ctx.profiler != nullptr) {
-    ctx.profiler->fast_path().items_pulled += n;
-  }
-}
-
-void Evaluator::CountMaterialized(DynamicContext& ctx, uint64_t n) {
-  stats_.streams.items_materialized += n;
-  if (ctx.profiler != nullptr) {
-    ctx.profiler->fast_path().items_materialized += n;
-  }
-}
-
-void Evaluator::CountBuffersAvoided(DynamicContext& ctx, uint64_t n) {
-  stats_.streams.buffers_avoided += n;
-  if (ctx.profiler != nullptr) {
-    ctx.profiler->fast_path().buffers_avoided += n;
-  }
-}
-
-void Evaluator::CountEarlyExit(DynamicContext& ctx) {
-  ++stats_.early_exits;
-  if (ctx.profiler != nullptr) ++ctx.profiler->fast_path().early_exits;
-}
-
-void Evaluator::CountArenaAlloc(DynamicContext& ctx, uint64_t bytes) {
-  stats_.arena_bytes_used += bytes;
-  if (ctx.profiler != nullptr) {
-    ctx.profiler->fast_path().arena_bytes_used += bytes;
-  }
+Status Evaluator::ApplyUpdates(DynamicContext& ctx) {
+  if (ctx.pul().empty()) return Status();
+  xml::DomDelta delta;
+  XQ_RETURN_NOT_OK(ctx.pul().ApplyAll(&delta));
+  if (!delta.Empty()) ++counters_->delta_emitted;
+  return Status();
 }
 
 void Evaluator::ResetDispatchArena(DynamicContext& ctx) {
   ctx.arena().Reset();
-  ++stats_.arena_resets;
-  stats_.intern_hits = xml::GetInternStats().hits;
-  if (ctx.profiler != nullptr) {
-    ++ctx.profiler->fast_path().arena_resets;
-    ctx.profiler->fast_path().intern_hits = stats_.intern_hits;
-  }
+  ++counters_->arena_resets;
 }
 
 void Evaluator::EnsurePlans() {
@@ -1041,12 +1009,12 @@ void Evaluator::EnsurePlans() {
   std::shared_ptr<const plan::ModulePlans> plans =
       cache.Probe(source_hash, fingerprint, &invalidated);
   if (invalidated) {
-    ++stats_.plan_invalidations;
+    ++counters_->plan_invalidations;
   }
   if (plans == nullptr) {
     plans = plan::CompileModulePlans(sctx_, facts_.get());
-    stats_.plan_compiles += plans->fns.size();
-    stats_.plan_bytes += plans->total_bytes;
+    counters_->plan_compiles += plans->fns.size();
+    counters_->plan_bytes += plans->total_bytes;
     // First insert wins: a racing evaluator that compiled the same key
     // adopts the winner's plans so both execute identical objects.
     plans = cache.Insert(source_hash, fingerprint, std::move(plans));
@@ -1112,13 +1080,9 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
         if (skip_origin && h == origin) continue;
         hits.push_back(Item::Node(h));
       }
-      ++stats_.name_index_hits;
-      ++stats_.sorts_elided;
-      if (ctx.profiler != nullptr) {
-        ++ctx.profiler->fast_path().name_index_hits;
-        ++ctx.profiler->fast_path().sorts_elided;
-      }
-      CountMaterialized(ctx, hits.size());
+      ++counters_->name_index_hits;
+      ++counters_->sorts_elided;
+      counters_->items_materialized += hits.size();
       s = xdm::SequenceStream(std::move(hits), ctx.arena());
       start = consumed;
     }
@@ -1135,14 +1099,10 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
     // skip its barrier even without an elision proof. Everything that
     // counts, aggregates or positions must see sorted, deduped output.
     if (elide || (last_step && !ordered_required)) {
-      ++stats_.sorts_elided;
-      if (ctx.profiler != nullptr) ++ctx.profiler->fast_path().sorts_elided;
-      if (!elide) CountBuffersAvoided(ctx);
+      ++counters_->sorts_elided;
+      if (!elide) ++counters_->buffers_avoided;
     } else {
-      ++stats_.sorts_performed;
-      if (ctx.profiler != nullptr) {
-        ++ctx.profiler->fast_path().sorts_performed;
-      }
+      ++counters_->sorts_performed;
       s = MakeOp<SortBarrierStream>(this, ctx, this, &ctx, std::move(s));
     }
   }
@@ -1163,10 +1123,7 @@ Result<Sequence> Evaluator::EvalPathEager(const Expr& e, DynamicContext& ctx) {
 
     if (TryIndexedStep(step, current, &next)) {
       indexed = true;
-      ++stats_.name_index_hits;
-      if (ctx.profiler != nullptr) {
-        ++ctx.profiler->fast_path().name_index_hits;
-      }
+      ++counters_->name_index_hits;
       if (!step.predicates.empty()) {
         XQ_ASSIGN_OR_RETURN(
             next, ApplyPredicates(step.predicates, std::move(next), ctx));
@@ -1183,16 +1140,12 @@ Result<Sequence> Evaluator::EvalPathEager(const Expr& e, DynamicContext& ctx) {
     }
 
     if (indexed || elide) {
-      ++stats_.sorts_elided;
-      if (ctx.profiler != nullptr) ++ctx.profiler->fast_path().sorts_elided;
+      ++counters_->sorts_elided;
     } else {
-      ++stats_.sorts_performed;
-      if (ctx.profiler != nullptr) {
-        ++ctx.profiler->fast_path().sorts_performed;
-      }
+      ++counters_->sorts_performed;
       XQ_RETURN_NOT_OK(xdm::SortDocumentOrderDedup(&next));
     }
-    CountMaterialized(ctx, next.size());
+    counters_->items_materialized += next.size();
     current = std::move(next);
   }
   return current;
@@ -1275,13 +1228,9 @@ bool Evaluator::TryFastCount(const Expr& arg, DynamicContext& ctx,
     }
   }
   *out = n;
-  ++stats_.count_index_hits;
-  ++stats_.name_index_hits;
-  if (ctx.profiler != nullptr) {
-    ++ctx.profiler->fast_path().count_index_hits;
-    ++ctx.profiler->fast_path().name_index_hits;
-  }
-  CountBuffersAvoided(ctx);
+  ++counters_->count_index_hits;
+  ++counters_->name_index_hits;
+  ++counters_->buffers_avoided;
   return true;
 }
 
@@ -1325,7 +1274,7 @@ Result<xdm::StreamPtr> Evaluator::EvalStreamOrdered(const Expr& e,
                           RequireSingleAtomic(hi_seq, "range"));
       XQ_ASSIGN_OR_RETURN(int64_t lo, lo_a.ToInteger());
       XQ_ASSIGN_OR_RETURN(int64_t hi, hi_a.ToInteger());
-      CountBuffersAvoided(ctx);
+      ++counters_->buffers_avoided;
       return xdm::RangeStream(lo, hi, ctx.arena());
     }
     case ExprKind::kIf: {
@@ -1355,20 +1304,19 @@ Result<xdm::StreamPtr> Evaluator::EvalStreamOrdered(const Expr& e,
   return xdm::SequenceStream(std::move(v), ctx.arena());
 }
 
-Result<Sequence> Evaluator::MaterializeFrom(xdm::StreamPtr s,
-                                            DynamicContext& ctx) {
-  XQ_ASSIGN_OR_RETURN(Sequence out, xdm::MaterializeStream(*s, nullptr));
-  CountMaterialized(ctx, out.size());
+Result<Sequence> Evaluator::MaterializeFrom(xdm::StreamPtr s) {
+  XQ_ASSIGN_OR_RETURN(Sequence out, xdm::MaterializeStream(*s));
+  counters_->items_materialized += out.size();
   return out;
 }
 
-Result<bool> Evaluator::StreamEBV(xdm::ItemStream& s, DynamicContext& ctx) {
+Result<bool> Evaluator::StreamEBV(xdm::ItemStream& s) {
   Item first;
   XQ_ASSIGN_OR_RETURN(bool any, s.Next(&first));
   if (!any) return false;
   if (first.is_node()) {
     // A node witness decides regardless of what follows (§2.4.3).
-    CountEarlyExit(ctx);
+    ++counters_->early_exits;
     return true;
   }
   // Singleton atomic: the EBV of the item itself. A second item would
@@ -1411,7 +1359,7 @@ Result<xdm::StreamPtr> Evaluator::BuildFilterStream(const Expr& e,
     if (NeedsLast(pred)) {
       // The predicate may observe fn:last(): materialize so the focus
       // carries the true size.
-      XQ_ASSIGN_OR_RETURN(Sequence buf, MaterializeFrom(std::move(s), ctx));
+      XQ_ASSIGN_OR_RETURN(Sequence buf, MaterializeFrom(std::move(s)));
       XQ_ASSIGN_OR_RETURN(buf, ApplyOnePredicate(pred, std::move(buf), ctx));
       s = xdm::SequenceStream(std::move(buf), ctx.arena());
       continue;
@@ -1520,7 +1468,7 @@ Result<bool> Evaluator::EvalBool(const Expr& e, DynamicContext& ctx) {
         XQ_ASSIGN_OR_RETURN(
             xdm::StreamPtr s,
             EvalStreamOrdered(e, ctx, /*ordered_required=*/false));
-        return StreamEBV(*s, ctx);
+        return StreamEBV(*s);
       }
       default:
         break;
@@ -1709,7 +1657,7 @@ void Evaluator::MaybeScatterFlwor(const Expr& e, DynamicContext& ctx) {
       ctx.prefetcher->Prefetch(federation::InstantiateUrl(t, value));
     }
   }
-  ++stats_.http.scatter_batches;
+  ++counters_->http_scatter_batches;
 }
 
 Result<Sequence> Evaluator::EvalFLWOR(const Expr& e, DynamicContext& ctx) {
@@ -1815,7 +1763,7 @@ Result<Sequence> Evaluator::EvalQuantified(const Expr& e,
                        /*ret=*/nullptr, /*negate_where=*/every);
     Item marker;
     XQ_ASSIGN_OR_RETURN(bool witness, tuples.Next(&marker));
-    if (witness) CountEarlyExit(ctx);
+    if (witness) ++counters_->early_exits;
     return Sequence{Item::Boolean(every ? !witness : witness)};
   }
   bool result = every;
@@ -1916,7 +1864,7 @@ Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e,
         XQ_ASSIGN_OR_RETURN(Sequence arg, Eval(*e.kids[i], ctx));
         rest.push_back(std::move(arg));
       }
-      return CallStreamBuiltin(e.qname, *arg0, rest, *this, ctx);
+      return CallStreamBuiltin(e.qname, *arg0, rest, *this);
     }
   }
   std::vector<Sequence> args;
@@ -1956,8 +1904,7 @@ Result<Sequence> Evaluator::CallFunction(const xml::QName& name,
       EnsurePlans();
       if (const plan::FunctionPlan* fp =
               plans_->Find(name.token(), args.size())) {
-        ++stats_.plan_hits;
-        if (ctx.profiler != nullptr) ++ctx.profiler->fast_path().plan_hits;
+        ++counters_->plan_hits;
         Result<Sequence> result =
             plan::ExecutePlan(*fp, *plans_, std::move(args), *this, ctx);
         --ctx.call_depth;
@@ -1965,8 +1912,7 @@ Result<Sequence> Evaluator::CallFunction(const xml::QName& name,
         if (exit_flag_) return TakeExitValue();
         return result;
       }
-      ++stats_.plan_misses;
-      if (ctx.profiler != nullptr) ++ctx.profiler->fast_path().plan_misses;
+      ++counters_->plan_misses;
     }
     ctx.env().PushScope(/*barrier=*/true);
     for (size_t i = 0; i < fn->params.size(); ++i) {

@@ -10,12 +10,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "base/counters.h"
 #include "base/result.h"
 #include "xdm/item.h"
 #include "xdm/stream.h"
 #include "xquery/ast.h"
 #include "xquery/context.h"
+#include "xquery/counters.h"
 
 namespace xqib::xquery {
 
@@ -34,7 +34,14 @@ struct EvaluatorStreams;
 
 class Evaluator {
  public:
-  explicit Evaluator(const StaticContext& sctx) : sctx_(sctx) {}
+  // `counters` receives every count this evaluator makes; null keeps
+  // them in the evaluator's own set. The plug-in passes its cumulative
+  // set, so its page and worker-slot evaluators count straight into it.
+  explicit Evaluator(const StaticContext& sctx, Counters* counters = nullptr)
+      : sctx_(sctx),
+        counters_(counters != nullptr ? counters : &own_counters_) {}
+  Evaluator(const Evaluator&) = delete;
+  Evaluator& operator=(const Evaluator&) = delete;
 
   // Runtime toggles, all on by default. Each off position is a
   // reference implementation the tests compare against (PERFORMANCE.md,
@@ -71,73 +78,11 @@ class Evaluator {
   const EvalOptions& options() const { return options_; }
   void set_options(const EvalOptions& options) { options_ = options; }
 
-  // Cumulative fast-path counters across all Eval/CallFunction calls.
-  // Relaxed atomics, so another thread may read them while the session
-  // strand bumps them; copying the struct snapshots every counter (the
-  // before/after delta idiom).
-  struct EvalStats {
-    base::RelaxedCounter sorts_performed;
-    base::RelaxedCounter sorts_elided;
-    base::RelaxedCounter name_index_hits;
-    // Bounded consumers (EBV witness, [N], [last()], exists/empty/head)
-    // that stopped pulling before their producer was exhausted.
-    base::RelaxedCounter early_exits;
-    // fn:count answered from Document::ElementsByName without
-    // instantiating any items.
-    base::RelaxedCounter count_index_hits;
-    // Streaming-pipeline counters (items pulled across operator edges,
-    // items copied into Sequence buffers, operator edges kept lazy).
-    xdm::StreamStats streams;
-    // Memory-layer counters: bytes bump-allocated for stream operators,
-    // wholesale arena resets, and interning-pool hits (snapshotted from
-    // the process-wide pool at each arena reset).
-    base::RelaxedCounter arena_bytes_used;
-    base::RelaxedCounter arena_resets;
-    base::RelaxedCounter intern_hits;
-    // Compiled-plan counters: function plans compiled by this evaluator
-    // (zero on every warm dispatch — asserted by the regression tests),
-    // dispatches executed through a plan, compiled_plans-on dispatches
-    // that fell back to the tree walker, process-wide cache entries
-    // discarded on a static-context fingerprint mismatch, and bytes of
-    // plan code + pools compiled.
-    base::RelaxedCounter plan_compiles;
-    base::RelaxedCounter plan_hits;
-    base::RelaxedCounter plan_misses;
-    base::RelaxedCounter plan_invalidations;
-    base::RelaxedCounter plan_bytes;
-    // Delta-propagation counters: structured deltas emitted by PUL
-    // applications, per-bucket index splice operations, full index
-    // rebuilds avoided by splicing, and memoized listeners skipped
-    // without evaluation because their read sets missed the delta's
-    // write names.
-    struct DeltaStats {
-      base::RelaxedCounter emitted;
-      base::RelaxedCounter index_splices;
-      base::RelaxedCounter bucket_rebuilds_avoided;
-      base::RelaxedCounter listeners_skipped;
-    };
-    DeltaStats delta;
-    // Async-federation counters: response-cache traffic (diffed from the
-    // fabric by the dispatch host) and scatter-gather prefetch activity
-    // (urls issued ahead of need, issued fetches consumed by http:get,
-    // whole FLWOR batches scattered).
-    struct HttpStats {
-      base::RelaxedCounter cache_hits;
-      base::RelaxedCounter cache_misses;
-      base::RelaxedCounter prefetch_issued;
-      base::RelaxedCounter prefetch_hits;
-      base::RelaxedCounter scatter_batches;
-    };
-    HttpStats http;
-  };
-  const EvalStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = EvalStats{}; }
-  // Direct access to the delta-propagation block: the plugin's dispatch
-  // fast paths bump one or two of these per skipped listener.
-  EvalStats::DeltaStats& mutable_delta_stats() { return stats_.delta; }
-  // Same idiom for the federation block: the plugin diffs fabric /
-  // prefetcher counters around each dispatch and folds the delta here.
-  EvalStats::HttpStats& mutable_http_stats() { return stats_.http; }
+  // The dispatch counters this evaluator bumps (xquery/counters.h),
+  // cumulative across every Eval/CallFunction. Relaxed atomics, so
+  // another thread may read them while the session strand bumps them.
+  const Counters& counters() const { return *counters_; }
+  Counters& counters() { return *counters_; }
 
   // Evaluates an expression. Updating sub-expressions append to
   // ctx.pul(); the caller decides when to apply (snapshot vs scripting).
@@ -152,19 +97,14 @@ class Evaluator {
 
   // Effective boolean value of a stream: pulls at most two items (the
   // second only to reproduce FORG0006 on multi-atomic sequences).
-  Result<bool> StreamEBV(xdm::ItemStream& s, DynamicContext& ctx);
+  Result<bool> StreamEBV(xdm::ItemStream& s);
 
-  // Counter hooks shared by the stream operators and the builtin
-  // library when it drains argument streams (profiler-mirrored).
-  void CountPulled(DynamicContext& ctx, uint64_t n = 1);
-  void CountMaterialized(DynamicContext& ctx, uint64_t n);
-  void CountBuffersAvoided(DynamicContext& ctx, uint64_t n = 1);
-  void CountEarlyExit(DynamicContext& ctx);
-  void CountArenaAlloc(DynamicContext& ctx, uint64_t bytes);
+  // Applies ctx's pending update list at the host's snapshot point and
+  // counts the structured delta the pass emitted (delta_emitted).
+  Status ApplyUpdates(DynamicContext& ctx);
 
   // Resets ctx's per-dispatch arena (the host calls this after the XQUF
-  // apply pass, when no streams are live) and refreshes the arena /
-  // interning snapshots in EvalStats and the profiler.
+  // apply pass, when no streams are live) and counts the reset.
   void ResetDispatchArena(DynamicContext& ctx);
 
   // Invokes a user-declared or external function with pre-evaluated
@@ -213,7 +153,7 @@ class Evaluator {
   Result<xdm::StreamPtr> EvalStreamOrdered(const Expr& e, DynamicContext& ctx,
                                            bool ordered_required);
   // Drains a stream into a Sequence, accounting the buffer.
-  Result<xdm::Sequence> MaterializeFrom(xdm::StreamPtr s, DynamicContext& ctx);
+  Result<xdm::Sequence> MaterializeFrom(xdm::StreamPtr s);
   // Composes one pull stream per path step (axis cursor + optional sort
   // barrier); the initial context sequence evaluates eagerly.
   Result<xdm::StreamPtr> BuildPathStream(const Expr& e, DynamicContext& ctx,
@@ -304,7 +244,8 @@ class Evaluator {
   bool exit_flag_ = false;
   xdm::Sequence exit_value_;
   EvalOptions options_;
-  EvalStats stats_;
+  Counters own_counters_;
+  Counters* counters_;
   std::unordered_map<const Expr*, bool> needs_last_cache_;
   std::unordered_map<const Expr*, bool> parallel_safe_cache_;
   // Memoized federation::AnalyzeFlworScatter results (the analysis walks
@@ -345,7 +286,7 @@ bool StreamBuiltinNeedsOrderedArg(const std::string& local);
 Result<xdm::Sequence> CallStreamBuiltin(const xml::QName& name,
                                         xdm::ItemStream& arg0,
                                         std::vector<xdm::Sequence>& rest,
-                                        Evaluator& ev, DynamicContext& ctx);
+                                        Evaluator& ev);
 
 }  // namespace xqib::xquery
 

@@ -856,18 +856,17 @@ bool StreamBuiltinNeedsOrderedArg(const std::string& local) {
 
 Result<Sequence> CallStreamBuiltin(const xml::QName& name,
                                    xdm::ItemStream& arg0,
-                                   std::vector<Sequence>& rest, Evaluator& ev,
-                                   DynamicContext& ctx) {
+                                   std::vector<Sequence>& rest, Evaluator& ev) {
   const std::string& fn = name.local();
   Item item;
 
   if (fn == "exists" || fn == "empty") {
     XQ_ASSIGN_OR_RETURN(bool any, arg0.Next(&item));
-    if (any) ev.CountEarlyExit(ctx);
+    if (any) ++ev.counters().early_exits;
     return Sequence{Item::Boolean(fn == "exists" ? any : !any)};
   }
   if (fn == "boolean" || fn == "not") {
-    XQ_ASSIGN_OR_RETURN(bool b, ev.StreamEBV(arg0, ctx));
+    XQ_ASSIGN_OR_RETURN(bool b, ev.StreamEBV(arg0));
     return Sequence{Item::Boolean(fn == "boolean" ? b : !b)};
   }
   if (fn == "head") {
@@ -875,7 +874,7 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
     XQ_ASSIGN_OR_RETURN(bool any, arg0.Next(&item));
     if (any) {
       out.push_back(std::move(item));
-      ev.CountEarlyExit(ctx);
+      ++ev.counters().early_exits;
     }
     return out;
   }
@@ -905,7 +904,7 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
         break;
       }
     }
-    if (stopped) ev.CountEarlyExit(ctx);
+    if (stopped) ++ev.counters().early_exits;
     return out;
   }
   if (fn == "count") {
@@ -915,7 +914,7 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
       if (!more) break;
       ++n;
     }
-    ev.CountBuffersAvoided(ctx);
+    ++ev.counters().buffers_avoided;
     return Sequence{Item::Integer(n)};
   }
   if (fn == "sum" || fn == "avg") {
@@ -941,7 +940,7 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
       }
       return Sequence{};
     }
-    ev.CountBuffersAvoided(ctx);
+    ++ev.counters().buffers_avoided;
     if (fn == "avg") {
       return Sequence{Item::Double(acc / static_cast<double>(n))};
     }
@@ -958,7 +957,7 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
       Sequence atoms = xdm::Atomize(Sequence{std::move(item)});
       for (Item& a : atoms) data.push_back(std::move(a));
     }
-    ev.CountMaterialized(ctx, data.size());
+    ev.counters().items_materialized += data.size();
     if (data.empty()) return Sequence{};
     bool numeric = true;
     for (const Item& i : data) {

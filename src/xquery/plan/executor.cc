@@ -11,7 +11,6 @@
 #include "xdm/item.h"
 #include "xquery/evaluator.h"
 #include "xquery/plan/plan.h"
-#include "xquery/profiler.h"
 #include "xquery/value_ops.h"
 
 namespace xqib::xquery::plan {
@@ -33,7 +32,6 @@ struct PlanEvaluatorAccess {
                            DynamicContext& ctx, int64_t* out) {
     return ev.TryFastCount(arg, ctx, out);
   }
-  static Evaluator::EvalStats& Stats(Evaluator& ev) { return ev.stats_; }
   static bool Exited(const Evaluator& ev) { return ev.exit_flag_; }
 };
 
@@ -110,7 +108,7 @@ Result<Sequence> Run(const FunctionPlan& fp, const ModulePlans& plans,
         XQ_ASSIGN_OR_RETURN(int64_t hi, hi_a.ToInteger());
         if (hi >= lo) dst.reserve(static_cast<size_t>(hi - lo + 1));
         for (int64_t v = lo; v <= hi; ++v) dst.push_back(Item::Integer(v));
-        ev.CountMaterialized(ctx, dst.size());
+        ev.counters().items_materialized += dst.size();
         break;
       }
       case OpCode::kArithInt: {
@@ -248,10 +246,7 @@ Result<Sequence> Run(const FunctionPlan& fp, const ModulePlans& plans,
         // value, mirroring the tree walker's function-call boundary.
         (*regs)[op.dst] = Access::Exited(ev) ? ev.TakeExitValue()
                                              : std::move(*r);
-        ++Access::Stats(ev).plan_hits;
-        if (ctx.profiler != nullptr) {
-          ++ctx.profiler->fast_path().plan_hits;
-        }
+        ++ev.counters().plan_hits;
         break;
       }
       case OpCode::kCallDyn: {
@@ -270,13 +265,8 @@ Result<Sequence> Run(const FunctionPlan& fp, const ModulePlans& plans,
         XQ_ASSIGN_OR_RETURN(Sequence origin, Access::PathInput(ev, path, ctx));
         if (Access::TryIndexedStep(ev, path.steps[0], origin,
                                    &(*regs)[op.dst])) {
-          Evaluator::EvalStats& stats = Access::Stats(ev);
-          ++stats.name_index_hits;
-          ++stats.sorts_elided;
-          if (ctx.profiler != nullptr) {
-            ++ctx.profiler->fast_path().name_index_hits;
-            ++ctx.profiler->fast_path().sorts_elided;
-          }
+          ++ev.counters().name_index_hits;
+          ++ev.counters().sorts_elided;
         } else {
           XQ_ASSIGN_OR_RETURN((*regs)[op.dst], ev.Eval(path, ctx));
         }

@@ -183,9 +183,9 @@ class PlanCache {
   size_t size() const;
   void Clear();  // test isolation
 
-  // Cache-level accounting, distinct from the per-evaluator plan
-  // counters in EvalStats: with N page sessions sharing this cache the
-  // per-evaluator numbers fragment across sessions, while these stay
+  // Cache-level accounting, distinct from the plan_* dispatch counters
+  // (xquery/counters.h): with N page sessions sharing this cache the
+  // per-session numbers fragment across sessions, while these stay
   // whole-process — the page server's `:sessions` / GET /server/sessions
   // introspection reads them. hits/misses/invalidations are cumulative;
   // resident_bytes tracks live entries only.

@@ -123,55 +123,6 @@ std::string Profiler::Report(size_t limit) const {
                   e.total_us, DescribeExpr(*e.expr).c_str());
     out += line;
   }
-  std::snprintf(line, sizeof(line),
-                "  path fast path: %llu sorts elided, %llu performed, "
-                "%llu index hits, %llu early exits, %llu count-index hits\n",
-                static_cast<unsigned long long>(fast_path_.sorts_elided),
-                static_cast<unsigned long long>(fast_path_.sorts_performed),
-                static_cast<unsigned long long>(fast_path_.name_index_hits),
-                static_cast<unsigned long long>(fast_path_.early_exits),
-                static_cast<unsigned long long>(fast_path_.count_index_hits));
-  out += line;
-  std::snprintf(
-      line, sizeof(line),
-      "  streaming: %llu items pulled, %llu materialized, "
-      "%llu buffers avoided\n",
-      static_cast<unsigned long long>(fast_path_.items_pulled),
-      static_cast<unsigned long long>(fast_path_.items_materialized),
-      static_cast<unsigned long long>(fast_path_.buffers_avoided));
-  out += line;
-  std::snprintf(
-      line, sizeof(line),
-      "  memory: %llu arena bytes used, %llu arena resets, "
-      "%llu intern hits\n",
-      static_cast<unsigned long long>(fast_path_.arena_bytes_used),
-      static_cast<unsigned long long>(fast_path_.arena_resets),
-      static_cast<unsigned long long>(fast_path_.intern_hits));
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "  plans: %llu plan dispatches, %llu tree fallbacks\n",
-                static_cast<unsigned long long>(fast_path_.plan_hits),
-                static_cast<unsigned long long>(fast_path_.plan_misses));
-  out += line;
-  std::snprintf(
-      line, sizeof(line),
-      "  delta: %llu emitted, %llu index splices, %llu rebuilds avoided, "
-      "%llu listeners skipped\n",
-      static_cast<unsigned long long>(fast_path_.delta_emitted),
-      static_cast<unsigned long long>(fast_path_.delta_index_splices),
-      static_cast<unsigned long long>(
-          fast_path_.delta_bucket_rebuilds_avoided),
-      static_cast<unsigned long long>(fast_path_.delta_listeners_skipped));
-  out += line;
-  std::snprintf(
-      line, sizeof(line),
-      "  http: %llu cache hits, %llu cache misses, %llu prefetches issued, "
-      "%llu prefetch hits\n",
-      static_cast<unsigned long long>(fast_path_.http_cache_hits),
-      static_cast<unsigned long long>(fast_path_.http_cache_misses),
-      static_cast<unsigned long long>(fast_path_.http_prefetch_issued),
-      static_cast<unsigned long long>(fast_path_.http_prefetch_hits));
-  out += line;
   return out;
 }
 

@@ -541,11 +541,11 @@ TEST_F(AnalyzerPluginTest, PureListenerSkipsApplyPass) {
     e.type = "onclick";
     plugin_.FireEvent(target, e);
   };
-  EXPECT_EQ(plugin_.pure_listener_skips(), 0u);
+  EXPECT_EQ(plugin_.counters().pure_listener_skips, 0u);
   click(pure);
-  EXPECT_EQ(plugin_.pure_listener_skips(), 1u);
+  EXPECT_EQ(plugin_.counters().pure_listener_skips, 1u);
   click(dirty);
-  EXPECT_EQ(plugin_.pure_listener_skips(), 1u);  // mutator not skipped
+  EXPECT_EQ(plugin_.counters().pure_listener_skips, 1u);  // mutator not skipped
   EXPECT_EQ(dirty->children().size(), 1u);       // and its update applied
   EXPECT_TRUE(plugin_.last_script_error().ok())
       << plugin_.last_script_error().ToString();

@@ -327,15 +327,15 @@ TEST_F(DeltaDispatchTest, DisjointWriteSkipsListenerWithoutEvaluation) {
   ASSERT_TRUE(plugin_.last_script_error().ok())
       << plugin_.last_script_error().ToString();
   EXPECT_EQ(plugin_.last_event_stats().delta_emitted, 1u);
-  EXPECT_GE(plugin_.delta_stats().emitted, 1u);
+  EXPECT_GE(plugin_.counters().delta_emitted, 1u);
 
   Click(peek);  // delta skip: replay with ZERO evaluation
   EXPECT_EQ(plugin_.last_listener_result(), "2");
   EXPECT_EQ(plugin_.last_event_stats().memo_hits, 1u);
   EXPECT_EQ(plugin_.last_event_stats().delta_listeners_skipped, 1u);
-  EXPECT_EQ(plugin_.delta_stats().listeners_skipped, 1u);
-  EXPECT_EQ(plugin_.memo_stats().hits, 1u);
-  EXPECT_EQ(plugin_.memo_stats().invalidations, 0u);
+  EXPECT_EQ(plugin_.counters().delta_listeners_skipped, 1u);
+  EXPECT_EQ(plugin_.counters().memo_hits, 1u);
+  EXPECT_EQ(plugin_.counters().memo_invalidations, 0u);
 }
 
 TEST_F(DeltaDispatchTest, IntersectingWriteStillRuns) {
@@ -347,8 +347,8 @@ TEST_F(DeltaDispatchTest, IntersectingWriteStillRuns) {
   Click(peek);
   EXPECT_EQ(plugin_.last_listener_result(), "3");
   EXPECT_EQ(plugin_.last_event_stats().delta_listeners_skipped, 0u);
-  EXPECT_EQ(plugin_.delta_stats().listeners_skipped, 0u);
-  EXPECT_EQ(plugin_.memo_stats().invalidations, 1u);
+  EXPECT_EQ(plugin_.counters().delta_listeners_skipped, 0u);
+  EXPECT_EQ(plugin_.counters().memo_invalidations, 1u);
 }
 
 TEST_F(DeltaDispatchTest, IndexMatchesTreeWalkAfterEveryClick) {
@@ -406,9 +406,9 @@ TEST_F(DeltaDispatchTest, SecondSkipAfterReanchorStillWorks) {
   Click(mut);
   Click(peek);
   EXPECT_EQ(plugin_.last_listener_result(), "2");
-  EXPECT_EQ(plugin_.delta_stats().listeners_skipped, 2u);
-  EXPECT_EQ(plugin_.memo_stats().hits, 2u);
-  EXPECT_EQ(plugin_.memo_stats().invalidations, 0u);
+  EXPECT_EQ(plugin_.counters().delta_listeners_skipped, 2u);
+  EXPECT_EQ(plugin_.counters().memo_hits, 2u);
+  EXPECT_EQ(plugin_.counters().memo_invalidations, 0u);
 }
 
 }  // namespace

@@ -131,9 +131,9 @@ TEST(Arena, ResetSafeAcrossXqufSnapshots) {
   auto update = engine.Compile(
       "for $a in //a where $a/@v = '1' return insert node <b/> into $a");
   ASSERT_TRUE(update.ok());
-  uint64_t resets_before = (*update)->evaluator().stats().arena_resets;
+  uint64_t resets_before = (*update)->evaluator().counters().arena_resets;
   ASSERT_TRUE((*update)->Run(ctx).ok());
-  EXPECT_GT((*update)->evaluator().stats().arena_resets, resets_before);
+  EXPECT_GT((*update)->evaluator().counters().arena_resets, resets_before);
 
   auto count = engine.Compile("count(//b)");
   ASSERT_TRUE(count.ok());
@@ -201,14 +201,14 @@ on event "onclick" at //input[@id="mut"] attach listener local:mut
     xml::Node* mut = ById(w, "mut");
     ASSERT_NE(peek, nullptr);
     ASSERT_NE(mut, nullptr);
-    auto s0 = plugin_.memo_stats();
+    auto s0 = plugin_.counters();
 
     Click(peek);  // first sight: miss, recorded
     EXPECT_EQ(plugin_.last_listener_result(), count_before);
     Click(peek);  // identical payload, unmutated doc: hit
-    auto s1 = plugin_.memo_stats();
-    EXPECT_EQ(s1.misses, s0.misses + 1);
-    EXPECT_EQ(s1.hits, s0.hits + 1);
+    auto s1 = plugin_.counters();
+    EXPECT_EQ(s1.memo_misses, s0.memo_misses + 1);
+    EXPECT_EQ(s1.memo_hits, s0.memo_hits + 1);
     EXPECT_EQ(plugin_.last_listener_result(), count_before);
     EXPECT_EQ(plugin_.last_event_stats().memo_hits, 1u);
 
@@ -217,14 +217,14 @@ on event "onclick" at //input[@id="mut"] attach listener local:mut
         << plugin_.last_script_error().ToString();
 
     Click(peek);  // stale entry: invalidation + fresh evaluation
-    auto s2 = plugin_.memo_stats();
-    EXPECT_EQ(s2.invalidations, s1.invalidations + 1);
+    auto s2 = plugin_.counters();
+    EXPECT_EQ(s2.memo_invalidations, s1.memo_invalidations + 1);
     EXPECT_EQ(plugin_.last_listener_result(), count_after);
     EXPECT_EQ(plugin_.last_event_stats().memo_invalidations, 1u);
 
     Click(peek);  // re-recorded at the new version: hit again
-    auto s3 = plugin_.memo_stats();
-    EXPECT_EQ(s3.hits, s2.hits + 1);
+    auto s3 = plugin_.counters();
+    EXPECT_EQ(s3.memo_hits, s2.memo_hits + 1);
     EXPECT_EQ(plugin_.last_listener_result(), count_after);
   }
 
@@ -267,13 +267,13 @@ on event "onclick" at //input[@id="p"] attach listener local:shout
 ]]></script></body></html>)");
   xml::Node* p = ById(w, "p");
   ASSERT_NE(p, nullptr);
-  auto before = plugin_.memo_stats();
+  auto before = plugin_.counters();
   Click(p);
   Click(p);
   Click(p);
-  auto after = plugin_.memo_stats();
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
+  auto after = plugin_.counters();
+  EXPECT_EQ(after.memo_hits, before.memo_hits);
+  EXPECT_EQ(after.memo_misses, before.memo_misses);
   EXPECT_EQ(plugin_.alerts().size(), 3u);  // the alert was never skipped
 }
 
@@ -288,12 +288,12 @@ on event "onclick" at //input[@id="p"] attach listener local:bump
 ]]></script></body></html>)");
   xml::Node* p = ById(w, "p");
   ASSERT_NE(p, nullptr);
-  auto before = plugin_.memo_stats();
+  auto before = plugin_.counters();
   Click(p);
   Click(p);
-  auto after = plugin_.memo_stats();
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
+  auto after = plugin_.counters();
+  EXPECT_EQ(after.memo_hits, before.memo_hits);
+  EXPECT_EQ(after.memo_misses, before.memo_misses);
   // The listener genuinely ran twice.
   EXPECT_EQ(ById(w, "n")->StringValue(), "2");
 }
@@ -302,7 +302,7 @@ TEST_F(MemoTest, DifferentPayloadsAreDifferentEntries) {
   Window* w = LoadPeekAndMutate("delete node //li[1]");
   xml::Node* peek = ById(w, "peek");
   ASSERT_NE(peek, nullptr);
-  auto s0 = plugin_.memo_stats();
+  auto s0 = plugin_.counters();
   Event a;
   a.type = "onclick";
   plugin_.FireEvent(peek, a);  // miss
@@ -311,9 +311,9 @@ TEST_F(MemoTest, DifferentPayloadsAreDifferentEntries) {
   b.value = "different-payload";
   plugin_.FireEvent(peek, b);  // different hash: its own miss
   plugin_.FireEvent(peek, a);  // original entry still valid: hit
-  auto s1 = plugin_.memo_stats();
-  EXPECT_EQ(s1.misses, s0.misses + 2);
-  EXPECT_EQ(s1.hits, s0.hits + 1);
+  auto s1 = plugin_.counters();
+  EXPECT_EQ(s1.memo_misses, s0.memo_misses + 2);
+  EXPECT_EQ(s1.memo_hits, s0.memo_hits + 1);
 }
 
 }  // namespace

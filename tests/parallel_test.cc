@@ -327,8 +327,8 @@ MemoOutcome RunMemoScenario(bool memo) {
     out.doms.push_back(xml::Serialize(doc->root()));
   }
   out.alerts = plugin.alerts();
-  out.memo_hits = plugin.memo_stats().hits;
-  out.delta_skips = plugin.delta_stats().listeners_skipped;
+  out.memo_hits = plugin.counters().memo_hits;
+  out.delta_skips = plugin.counters().delta_listeners_skipped;
   return out;
 }
 

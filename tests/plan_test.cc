@@ -178,7 +178,7 @@ TEST(PlanOracle, ShapesAgreeWithTreeWalker) {
 
 // Calls local:f#0 on a fresh engine and returns the evaluator's
 // lifetime stats (plan counters included).
-Evaluator::EvalStats CallOnFreshEngine(Engine& engine,
+Counters CallOnFreshEngine(Engine& engine,
                                        const std::string& source,
                                        std::string* result) {
   auto compiled = engine.Compile(source);
@@ -188,7 +188,7 @@ Evaluator::EvalStats CallOnFreshEngine(Engine& engine,
   auto r = (*compiled)->Call(xml::QName("http://www.w3.org/2005/xquery-local-functions", "f"), {}, ctx);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   if (result != nullptr && r.ok()) *result = xdm::SequenceToString(*r);
-  return (*compiled)->evaluator().stats();
+  return (*compiled)->evaluator().counters();
 }
 
 TEST(PlanCacheTest, WarmDispatchCompilesZeroPlans) {
@@ -198,7 +198,7 @@ TEST(PlanCacheTest, WarmDispatchCompilesZeroPlans) {
       "declare function local:f() { sum(1 to 37) + 1000 }; local:f()";
   Engine e1;
   std::string r1;
-  Evaluator::EvalStats cold = CallOnFreshEngine(e1, source, &r1);
+  Counters cold = CallOnFreshEngine(e1, source, &r1);
   EXPECT_GT(cold.plan_compiles, 0u);
   EXPECT_GE(cold.plan_hits, 1u);
   EXPECT_EQ(r1, "1703");
@@ -206,7 +206,7 @@ TEST(PlanCacheTest, WarmDispatchCompilesZeroPlans) {
   // perform zero compilations and still dispatch through a plan.
   Engine e2;
   std::string r2;
-  Evaluator::EvalStats warm = CallOnFreshEngine(e2, source, &r2);
+  Counters warm = CallOnFreshEngine(e2, source, &r2);
   EXPECT_EQ(warm.plan_compiles, 0u);
   EXPECT_EQ(warm.plan_invalidations, 0u);
   EXPECT_GE(warm.plan_hits, 1u);
@@ -230,13 +230,13 @@ TEST(PlanCacheTest, ChangedLibraryBodyInvalidates) {
   Engine e1;
   ASSERT_TRUE(e1.LoadLibrary(lib_v1).ok());
   std::string r1;
-  Evaluator::EvalStats s1 = CallOnFreshEngine(e1, main_src, &r1);
+  Counters s1 = CallOnFreshEngine(e1, main_src, &r1);
   EXPECT_EQ(r1, "101");
   EXPECT_GT(s1.plan_compiles, 0u);
   Engine e2;
   ASSERT_TRUE(e2.LoadLibrary(lib_v2).ok());
   std::string r2;
-  Evaluator::EvalStats s2 = CallOnFreshEngine(e2, main_src, &r2);
+  Counters s2 = CallOnFreshEngine(e2, main_src, &r2);
   // The stale v1 plans must not serve the v2 page: invalidation fired,
   // a recompile happened, and the result reflects the new library.
   EXPECT_EQ(r2, "102");
@@ -265,7 +265,7 @@ TEST(PlanCacheTest, ChangedLibraryOptionsAndNamespacesInvalidate) {
   Engine e2;
   ASSERT_TRUE(e2.LoadLibrary(lib_v2).ok());
   std::string r2;
-  Evaluator::EvalStats s2 = CallOnFreshEngine(e2, main_src, &r2);
+  Counters s2 = CallOnFreshEngine(e2, main_src, &r2);
   EXPECT_EQ(s2.plan_invalidations, 1u);
   EXPECT_EQ(r2, r1);
 }
@@ -285,7 +285,7 @@ TEST(PlanCacheTest, AblationOffNeverTouchesTheCache) {
   auto r = (*compiled)->Call(xml::QName("http://www.w3.org/2005/xquery-local-functions", "f"), {}, ctx);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(xdm::SequenceToString(*r), "42");
-  const Evaluator::EvalStats& stats = (*compiled)->evaluator().stats();
+  const Counters& stats = (*compiled)->evaluator().counters();
   EXPECT_EQ(stats.plan_compiles, 0u);
   EXPECT_EQ(stats.plan_hits, 0u);
   EXPECT_EQ(stats.plan_misses, 0u);

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "app/environment.h"
 #include "browser/css.h"
 #include "net/rest.h"
 #include "net/webservice.h"
@@ -156,13 +163,13 @@ TEST_F(PluginTest, EventStatsDoNotLeakAcrossDispatches) {
       on event "onclick" at //input[@id="b"] attach listener local:onClick
       </script></body></html>)");
   Click(ById(w, "b"));
-  XqibPlugin::EventStats first = plugin_.last_event_stats();
+  xquery::Counters first = plugin_.last_event_stats();
   EXPECT_GT(first.name_index_hits, 0u);
   EXPECT_GT(first.items_pulled + first.items_materialized +
                 first.buffers_avoided,
             0u);
   Click(ById(w, "b"));
-  XqibPlugin::EventStats second = plugin_.last_event_stats();
+  xquery::Counters second = plugin_.last_event_stats();
   EXPECT_EQ(second.sorts_elided, first.sorts_elided);
   EXPECT_EQ(second.sorts_performed, first.sorts_performed);
   EXPECT_EQ(second.name_index_hits, first.name_index_hits);
@@ -536,6 +543,144 @@ TEST_F(PluginTest, ScriptErrorsDoNotCrashThePage) {
       1 idiv 0
       </script></body></html>)");
   EXPECT_EQ(plugin_.last_script_error().code(), "FOAR0001");
+}
+
+// ------------------------------------------- one counter set, two views ---
+
+// Every counter of the set as (name, value), in list order.
+std::vector<std::pair<std::string, double>> Flatten(
+    const xquery::Counters& counters) {
+  std::vector<std::pair<std::string, double>> out;
+  counters.ForEach([&out](const char* name, const char*, const auto& value) {
+    out.emplace_back(name, static_cast<double>(value));
+  });
+  return out;
+}
+
+// Clicks each id in turn (one XQuery listener each) and checks, for every
+// counter of the list, that the per-invocation views summed over the
+// clicks equal how much the plug-in's cumulative set grew. Returns the
+// sum so callers can check which counters the script reached.
+xquery::Counters ExpectViewsAgree(app::BrowserEnvironment& env,
+                                  const std::vector<std::string>& ids) {
+  const xquery::Counters before = env.plugin().counters();
+  xquery::Counters summed;
+  for (const std::string& id : ids) {
+    EXPECT_TRUE(env.ClickId(id).ok()) << env.ScriptErrors();
+    EXPECT_EQ(env.ScriptErrors(), "") << id;
+    summed += env.plugin().last_event_stats();
+  }
+  const auto sum = Flatten(summed);
+  const auto grown = Flatten(env.plugin().counters() - before);
+  for (size_t i = 0; i < sum.size(); ++i) {
+    // The two virtual-time counters are doubles: the cumulative total
+    // rounds differently from the per-call differences.
+    EXPECT_NEAR(sum[i].second, grown[i].second,
+                1e-9 * std::max(1.0, std::abs(grown[i].second)))
+        << sum[i].first;
+  }
+  return summed;
+}
+
+TEST(CounterViews, CartDispatchesSumToTheCumulativeSet) {
+  app::BrowserEnvironment env;
+  ASSERT_TRUE(env.LoadPage("http://shop.example.com/cart.xhtml", R"(<html>
+<head><script type="text/xqueryp"><![CDATA[
+declare updating function local:buy($evt, $obj) {
+  insert node <p>{string($obj/@id)}</p> as first
+    into //div[@id="shoppingcart"]
+};
+declare function local:cartSize($evt, $obj) {
+  count(//div[@id="shoppingcart"]/p)
+};
+declare function local:catalogTotal($evt, $obj) {
+  sum(//ul[@id="catalog"]/li/@price)
+};
+on event "onclick" at //div[@id="productlist"]//input
+  attach listener local:buy;
+on event "onclick" at //input[@id="show-cart"]
+  attach listener local:cartSize;
+on event "onclick" at //input[@id="show-catalog"]
+  attach listener local:catalogTotal
+]]></script></head><body>
+<div id="productlist"><input type="button" id="laptop" value="Buy"/>
+<input type="button" id="mouse" value="Buy"/></div>
+<ul id="catalog"><li price="1200">laptop</li><li price="25">mouse</li></ul>
+<p><input type="button" id="show-cart" value="Cart"/>
+<input type="button" id="show-catalog" value="Catalog"/></p>
+<div id="shoppingcart"/>
+</body></html>)")
+                  .ok())
+      << env.ScriptErrors();
+  const xquery::Counters summed = ExpectViewsAgree(
+      env, {"show-cart", "show-cart", "show-catalog", "laptop",
+            "show-catalog", "show-cart", "show-cart", "mouse"});
+  // The script reached every dispatch outcome the memo and delta paths
+  // have: a miss, a hit, a delta skip, a stale entry and two buys.
+  EXPECT_EQ(summed.memo_misses, 2u);
+  EXPECT_EQ(summed.memo_hits, 3u);
+  EXPECT_EQ(summed.delta_listeners_skipped, 1u);
+  EXPECT_EQ(summed.memo_invalidations, 1u);
+  EXPECT_EQ(summed.delta_emitted, 2u);
+  EXPECT_EQ(summed.pure_listener_skips, 6u);
+  EXPECT_GT(summed.items_pulled, 0u);
+  EXPECT_EQ(summed.arena_resets, 5u);  // every evaluated call resets
+  EXPECT_EQ(env.ById("shoppingcart")->children().size(), 2u);
+}
+
+TEST(CounterViews, MashupDispatchesSumToTheCumulativeSet) {
+  app::BrowserEnvironment env;
+  for (const char* source : {"http://weather.example.com/zurich",
+                             "http://weather.example.com/geneva"}) {
+    env.fabric().PutResource(source,
+                             "<weather><summary>sunny</summary></weather>");
+  }
+  env.fabric().PutResource("http://webcams.example.com/zurich",
+                           "<cams><cam url=\"u1\"/><cam url=\"u2\"/></cams>");
+  ASSERT_TRUE(env.LoadPage("http://mashup.example.com/", R"(<html><head>
+<script type="text/javascript"><![CDATA[
+function showMap(e) {
+  document.getElementById('map').textContent = 'Map of Zurich';
+}
+document.getElementById('searchbtn')
+    .addEventListener('onclick', showMap, false);
+]]></script>
+<script type="text/xqueryp"><![CDATA[
+declare updating function local:onSearch($evt, $obj) {
+  let $replies :=
+    for $u in ("http://weather.example.com/zurich",
+               "http://weather.example.com/geneva",
+               "http://webcams.example.com/zurich")
+    return http:get($u)
+  return (
+    delete nodes //div[@id="weather"]/*,
+    delete nodes //div[@id="webcams"]/*,
+    insert node <div>{
+      for $r in $replies, $s in $r//summary return <p>{string($s)}</p>
+    }</div> into //div[@id="weather"],
+    insert node <ul>{
+      for $r in $replies, $cam in $r//cam return <li>{string($cam/@url)}</li>
+    }</ul> into //div[@id="webcams"]
+  )
+};
+on event "onclick" at //input[@id="searchbtn"]
+  attach listener local:onSearch
+]]></script>
+</head><body>
+<p><input type="button" id="searchbtn" value="Search"/></p>
+<div id="map"/><div id="weather"/><div id="webcams"/>
+</body></html>)")
+                  .ok())
+      << env.ScriptErrors();
+  const xquery::Counters summed =
+      ExpectViewsAgree(env, {"searchbtn", "searchbtn", "searchbtn"});
+  EXPECT_EQ(summed.http_requests, 9u);
+  EXPECT_GT(summed.http_prefetch_issued, 0u);
+  EXPECT_GT(summed.http_prefetch_hits, 0u);
+  EXPECT_GT(summed.http_makespan_ms, 0.0);
+  EXPECT_EQ(summed.delta_emitted, 3u);
+  EXPECT_EQ(env.ById("map")->StringValue(), "Map of Zurich");
+  EXPECT_EQ(env.ById("webcams")->StringValue(), "u1u2");
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "xml/xml_parser.h"
+#include "xquery/counters.h"
 #include "xquery/engine.h"
 #include "xquery/parser.h"
 #include "xquery/profiler.h"
@@ -101,29 +105,46 @@ TEST(Profiler, ClearResets) {
 }
 
 TEST(Profiler, TracksPathFastPathCounters) {
+  // The fast paths count into the evaluator's dispatch counter set
+  // (xquery/counters.h); attaching a profiler changes none of the counts.
   Engine engine;
-  auto q = engine.Compile("count(//a) + count(/r/a) + number(exists(//b))");
-  ASSERT_TRUE(q.ok());
+  const char* query = "count(//a) + count(/r/a) + number(exists(//b))";
+  auto profiled = engine.Compile(query);
+  auto plain = engine.Compile(query);
+  ASSERT_TRUE(profiled.ok() && plain.ok());
   auto doc =
       std::move(xml::ParseDocument("<r><a/><b/><a/><b/></r>")).value();
-  DynamicContext ctx;
-  DynamicContext::Focus f;
-  f.item = xdm::Item::Node(doc->root());
-  f.position = 1;
-  f.size = 1;
-  f.has_item = true;
-  ctx.set_focus(f);
+  auto run = [&](CompiledQuery& q, Profiler* profiler) {
+    DynamicContext ctx;
+    DynamicContext::Focus f;
+    f.item = xdm::Item::Node(doc->root());
+    f.position = 1;
+    f.size = 1;
+    f.has_item = true;
+    ctx.set_focus(f);
+    ctx.profiler = profiler;
+    auto r = q.Run(ctx);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(xdm::SequenceToString(*r), "5");
+  };
   Profiler profiler;
-  ctx.profiler = &profiler;
-  auto r = (*q)->Run(ctx);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(xdm::SequenceToString(*r), "5");
-  EXPECT_GT(profiler.fast_path().sorts_elided, 0u);
-  EXPECT_GT(profiler.fast_path().name_index_hits, 0u);
-  EXPECT_GT(profiler.fast_path().early_exits, 0u);
-  EXPECT_NE(profiler.Report().find("path fast path"), std::string::npos);
-  profiler.Clear();
-  EXPECT_EQ(profiler.fast_path().sorts_elided, 0u);
+  run(**profiled, &profiler);
+  run(**plain, nullptr);
+  const Counters& counters = (*profiled)->evaluator().counters();
+  EXPECT_GT(counters.sorts_elided, 0u);
+  EXPECT_GT(counters.name_index_hits, 0u);
+  EXPECT_GT(counters.early_exits, 0u);
+  EXPECT_NE(profiler.Report().find("call count"), std::string::npos);
+
+  std::vector<uint64_t> with, without;
+  counters.ForEach([&with](const char*, const char*, const auto& value) {
+    with.push_back(static_cast<uint64_t>(value));
+  });
+  (*plain)->evaluator().counters().ForEach(
+      [&without](const char*, const char*, const auto& value) {
+        without.push_back(static_cast<uint64_t>(value));
+      });
+  EXPECT_EQ(with, without);
 }
 
 TEST(Profiler, NoProfilerMeansNoOverheadPath) {

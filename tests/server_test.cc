@@ -18,6 +18,7 @@
 #include "net/webservice.h"
 #include "net/xml_store.h"
 #include "server/server.h"
+#include "xml/xml_parser.h"
 #include "xdm/item.h"
 #include "xquery/plan/plan.h"
 
@@ -176,6 +177,41 @@ TEST(ServerSmoke, HttpFrontEndRoundTrip) {
   EXPECT_EQ(srv->session_count(), 0u);
 }
 
+TEST(ServerSmoke, ErrorBodiesEscapeRequestText) {
+  // Paths and session ids reach the <error> body verbatim in meaning:
+  // every body parses, and its text is the original request text.
+  auto srv = MakeCartServer(0);
+  srv->InstallHttpFrontEnd(&srv->backend(), "http://xqib.server");
+  net::HttpFabric& web = srv->backend();
+  for (const std::string hostile : {"a<b", "x&y", "nope<", "]]>", "&amp;"}) {
+    for (const std::string& url :
+         {"http://xqib.server/sessions/" + hostile + "/dom",
+          "http://xqib.server/" + hostile}) {
+      auto response = web.Get(url);
+      ASSERT_TRUE(response.ok()) << url;
+      EXPECT_EQ(response->status, 404) << url;
+      auto body = xml::ParseDocument(response->body);
+      ASSERT_TRUE(body.ok()) << response->body;
+      const xml::Node* error = (*body)->DocumentElement();
+      ASSERT_NE(error, nullptr);
+      EXPECT_NE(error->StringValue().find(hostile), std::string::npos)
+          << error->StringValue();
+    }
+  }
+  // A malformed event body: the parse error quotes it back.
+  auto created = web.Perform(
+      {"POST", "http://xqib.server/sessions", kCartPage});
+  ASSERT_TRUE(created.ok());
+  auto bad = web.Perform(
+      {"POST", "http://xqib.server/sessions/s1/events", "<event a=\"<&\""});
+  ASSERT_TRUE(bad.ok());
+  EXPECT_EQ(bad->status, 400);
+  auto body = xml::ParseDocument(bad->body);
+  ASSERT_TRUE(body.ok()) << bad->body;
+  EXPECT_NE((*body)->DocumentElement()->StringValue().find("event body:"),
+            std::string::npos);
+}
+
 // ---------------------------------------------- sharing vs isolation ---
 
 TEST(ServerSharing, SecondSessionHitsTheSharedPlanCache) {
@@ -244,15 +280,15 @@ TEST(ServerIsolation, MemoEntriesStayPerSession) {
   (*a)->Submit(Buy("btn"));
   (*a)->Submit(Buy("btn"));
   srv->DrainAll();
-  EXPECT_GE((*a)->plugin().memo_stats().misses, 1u);
-  EXPECT_GE((*a)->plugin().memo_stats().hits, 1u);
+  EXPECT_GE((*a)->plugin().counters().memo_misses, 1u);
+  EXPECT_GE((*a)->plugin().counters().memo_hits, 1u);
 
   // B fires the byte-identical listener on the byte-identical DOM; if
   // memo entries leaked across sessions this would be a hit.
   (*b)->Submit(Buy("btn"));
   srv->DrainAll();
-  EXPECT_GE((*b)->plugin().memo_stats().misses, 1u);
-  EXPECT_EQ((*b)->plugin().memo_stats().hits, 0u);
+  EXPECT_GE((*b)->plugin().counters().memo_misses, 1u);
+  EXPECT_EQ((*b)->plugin().counters().memo_hits, 0u);
 }
 
 TEST(ServerIsolation, DomMutationsNeverCrossSessions) {

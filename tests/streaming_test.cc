@@ -22,7 +22,7 @@ using xdm::Sequence;
 
 std::string EvalWith(const std::string& query, const std::string& xml,
                      const Evaluator::EvalOptions& options,
-                     Evaluator::EvalStats* stats = nullptr) {
+                     Counters* stats = nullptr) {
   Engine engine;
   auto compiled = engine.Compile(query);
   if (!compiled.ok()) return "PARSE-ERROR: " + compiled.status().ToString();
@@ -43,7 +43,7 @@ std::string EvalWith(const std::string& query, const std::string& xml,
   Status bound = (*compiled)->BindGlobals(ctx);
   if (!bound.ok()) return "BIND-ERROR: " + bound.ToString();
   auto result = (*compiled)->Run(ctx);
-  if (stats != nullptr) *stats = (*compiled)->evaluator().stats();
+  if (stats != nullptr) *stats = (*compiled)->evaluator().counters();
   if (!result.ok()) return "ERROR: " + result.status().code();
   return xdm::SequenceToString(*result);
 }
@@ -147,7 +147,7 @@ TEST(StreamingOracle, AllSwitchCombosAgreeOnRandomPages) {
         o.honor_sort_elision = (mask & 2) != 0;
         EXPECT_EQ(EvalWith(q.query, page, o), reference)
             << "seed " << seed << " mask " << mask << " query: " << q.query;
-        Evaluator::EvalStats twin_stats;
+        Counters twin_stats;
         EXPECT_EQ(EvalWith(q.twin, page, o, &twin_stats), reference)
             << "seed " << seed << " mask " << mask << " twin: " << q.twin;
         EXPECT_EQ(twin_stats.name_index_hits, 0u) << "twin: " << q.twin;
@@ -203,47 +203,47 @@ TEST(StreamingFocus, UserFunctionPredicateSeesTrueLast) {
 // ------------------------------------------------------------ laziness ---
 
 TEST(StreamingLazy, HeadOfHugeFlworPullsO1) {
-  Evaluator::EvalStats stats;
+  Counters stats;
   EXPECT_EQ(EvalWith("head(for $i in 1 to 1000000 return $i * 2)", "",
                      Evaluator::EvalOptions(), &stats),
             "2");
   // The range never expands: a handful of pulls, no million-item buffer.
-  EXPECT_LT(stats.streams.items_pulled, 100u);
-  EXPECT_LT(stats.streams.items_materialized, 100u);
+  EXPECT_LT(stats.items_pulled, 100u);
+  EXPECT_LT(stats.items_materialized, 100u);
   EXPECT_GT(stats.early_exits, 0u);
 }
 
 TEST(StreamingLazy, PositionalFilterOverHugeFlworStopsPulling) {
-  Evaluator::EvalStats stats;
+  Counters stats;
   EXPECT_EQ(
       EvalWith("(for $i in 1 to 1000000 where $i mod 7 = 0 return $i)[3]",
                "", Evaluator::EvalOptions(), &stats),
       "21");
-  EXPECT_LT(stats.streams.items_pulled, 100u);
+  EXPECT_LT(stats.items_pulled, 100u);
 }
 
 TEST(StreamingLazy, WhereShortCircuitStopsClauseStreams) {
   // `where` rejects tuples before the return stream is built, and the
   // existence consumer stops at the first accepted tuple — the deeper
   // clause stream is pulled a bounded number of times.
-  Evaluator::EvalStats stats;
+  Counters stats;
   EXPECT_EQ(EvalWith("exists(for $i in 1 to 1000000 "
                      "where $i >= 5 return $i)",
                      "", Evaluator::EvalOptions(), &stats),
             "true");
-  EXPECT_LT(stats.streams.items_pulled, 100u);
+  EXPECT_LT(stats.items_pulled, 100u);
 }
 
 TEST(StreamingLazy, QuantifiersStopAtWitness) {
-  Evaluator::EvalStats stats;
+  Counters stats;
   EXPECT_EQ(EvalWith("some $x in 1 to 1000000 satisfies $x = 42", "",
                      Evaluator::EvalOptions(), &stats),
             "true");
-  EXPECT_LT(stats.streams.items_pulled, 200u);
+  EXPECT_LT(stats.items_pulled, 200u);
   EXPECT_EQ(EvalWith("every $x in 1 to 1000000 satisfies $x < 10", "",
                      Evaluator::EvalOptions(), &stats),
             "false");
-  EXPECT_LT(stats.streams.items_pulled, 200u);
+  EXPECT_LT(stats.items_pulled, 200u);
 }
 
 TEST(StreamingLazy, EagerBaselineMaterializesMore) {
@@ -252,18 +252,18 @@ TEST(StreamingLazy, EagerBaselineMaterializesMore) {
   const std::string q =
       "count(for $s in //sec, $i in $s/item return $i/leaf)";
   std::string page = RandomPage(11, 12);
-  Evaluator::EvalStats on_stats, off_stats;
+  Counters on_stats, off_stats;
   std::string want = EvalWith(q, page, Eager(), &off_stats);
   EXPECT_EQ(EvalWith(q, page, Evaluator::EvalOptions(), &on_stats), want);
-  EXPECT_LT(on_stats.streams.items_materialized,
-            off_stats.streams.items_materialized);
+  EXPECT_LT(on_stats.items_materialized,
+            off_stats.items_materialized);
 }
 
 // -------------------------------------------------- count() fast path ---
 
 TEST(CountFastPath, AnswersFromNameIndex) {
   std::string page = RandomPage(5, 10);
-  Evaluator::EvalStats stats;
+  Counters stats;
   std::string want = EvalWith("count(//item)", page, Eager());
   EXPECT_EQ(EvalWith("count(//item)", page, Evaluator::EvalOptions(),
                      &stats),
@@ -286,7 +286,7 @@ TEST(CountFastPath, InvalidatedByMutation) {
       "($before, count(//item)) }";
   std::string page = "<page><sec><item v=\"1\"/><item v=\"2\"/></sec>"
                      "<sec><item v=\"3\"/></sec></page>";
-  Evaluator::EvalStats stats;
+  Counters stats;
   EXPECT_EQ(EvalWith(q, page, Evaluator::EvalOptions(), &stats), "3 4");
   EXPECT_GT(stats.count_index_hits, 0u);
   // Deletion invalidates too.

@@ -248,7 +248,7 @@ TEST(Paths, PathFromAtomicFails) {
 std::string EvalWithOptions(const std::string& query,
                             const std::string& context_xml,
                             const Evaluator::EvalOptions& options,
-                            Evaluator::EvalStats* stats = nullptr) {
+                            Counters* stats = nullptr) {
   Engine engine;
   auto compiled = engine.Compile(query);
   if (!compiled.ok()) return "PARSE-ERROR: " + compiled.status().ToString();
@@ -270,7 +270,7 @@ std::string EvalWithOptions(const std::string& query,
   if (!bound.ok()) return "BIND-ERROR: " + bound.ToString();
   auto result = (*compiled)->Run(ctx);
   if (!result.ok()) return "ERROR: " + result.status().ToString();
-  if (stats != nullptr) *stats = (*compiled)->evaluator().stats();
+  if (stats != nullptr) *stats = (*compiled)->evaluator().counters();
   return xdm::SequenceToString(*result);
 }
 
@@ -324,7 +324,7 @@ TEST(FastPaths, AgreeWithForcedSortOracle) {
 }
 
 TEST(FastPaths, SortElisionCounters) {
-  Evaluator::EvalStats stats;
+  Counters stats;
   // A pure child chain from the root never needs sorting.
   EXPECT_EQ(EvalWithOptions("/books/book/title", kBooks,
                             Evaluator::EvalOptions(), &stats),
@@ -341,7 +341,7 @@ TEST(FastPaths, SortElisionCounters) {
 }
 
 TEST(FastPaths, NameIndexCounters) {
-  Evaluator::EvalStats stats;
+  Counters stats;
   EXPECT_EQ(EvalWithOptions("count(//author)", kBooks,
                             Evaluator::EvalOptions(), &stats),
             "4");
@@ -358,7 +358,7 @@ TEST(FastPaths, NameIndexCounters) {
 }
 
 TEST(FastPaths, EarlyExitCounters) {
-  Evaluator::EvalStats stats;
+  Counters stats;
   // The eager reference drains every producer.
   EXPECT_EQ(EvalWithOptions("exists(//author)", kBooks, AllFastPathsOff(),
                             &stats),
@@ -382,7 +382,7 @@ TEST(FastPaths, EarlyExitCounters) {
 // non-element test, and //name must still see mutations made upstream
 // in the same query (snapshot taken per evaluation).
 TEST(FastPaths, NameIndexScopeLimits) {
-  Evaluator::EvalStats stats;
+  Counters stats;
   EXPECT_EQ(EvalWithOptions("count(//*)", kBooks, Evaluator::EvalOptions(),
                             &stats),
             "14");
