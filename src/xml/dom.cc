@@ -507,43 +507,107 @@ Node* Document::GetElementById(std::string_view id) const {
 }
 
 const std::vector<Node*>& Document::ElementsByName(const QName& name) const {
+  static const std::vector<Node*> kNoNodes;
+  RefreshNameIndex();
+  auto it = name_index_.find(name.token());
+  return it == name_index_.end() ? kNoNodes : it->second;
+}
+
+void Document::RefreshNameIndex() const {
   // Renames, inserts, detaches and value edits all bump
   // mutation_version_, so a stale index can never be observed. Lookup
   // bursts between mutations (the plug-in's per-event listener paths) are
   // O(1) plus the size of the answer.
-  static const std::vector<Node*> kNoNodes;
   const uint64_t mv = mutation_version();
-  if (name_index_version_.load(std::memory_order_acquire) != mv) {
-    std::lock_guard<std::mutex> lk(lazy_mu_);
-    if (name_index_version_.load(std::memory_order_relaxed) != mv) {
-      // Delta splice: when tracking is on and a previous build exists,
-      // apply the accumulated membership delta to the touched buckets in
-      // place — the whole index becomes exact again without a rebuild.
-      const bool spliced =
-          delta_tracking_ &&
-          name_index_version_.load(std::memory_order_relaxed) != 0 &&
-          TrySpliceNameIndex();
-      if (!spliced) {
-        name_index_.clear();
-        std::function<void(const Node*)> visit = [&](const Node* n) {
-          for (const Node* c : n->children_) {
-            if (c->kind_ == NodeKind::kElement) {
-              name_index_[c->name_.token()].push_back(const_cast<Node*>(c));
-              visit(c);
-            }
-          }
-        };
-        visit(root_);
-        ++name_index_builds_;
-        // The rebuild observed the current tree; the pending delta is
-        // subsumed by it.
-        pending_index_delta_.Clear();
+  if (name_index_version_.load(std::memory_order_acquire) == mv) return;
+  std::lock_guard<std::mutex> lk(lazy_mu_);
+  if (name_index_version_.load(std::memory_order_relaxed) == mv) return;
+  // Delta splice: when tracking is on and a previous build exists,
+  // apply the accumulated membership delta to the touched buckets in
+  // place — the whole index becomes exact again without a rebuild.
+  const bool spliced =
+      delta_tracking_ &&
+      name_index_version_.load(std::memory_order_relaxed) != 0 &&
+      TrySpliceNameIndex();
+  if (!spliced) {
+    name_index_.clear();
+    std::function<void(const Node*)> visit = [&](const Node* n) {
+      for (const Node* c : n->children_) {
+        if (c->kind_ == NodeKind::kElement) {
+          name_index_[c->name_.token()].push_back(const_cast<Node*>(c));
+          visit(c);
+        }
       }
-      name_index_version_.store(mv, std::memory_order_release);
+    };
+    visit(root_);
+    ++name_index_builds_;
+    // The rebuild observed the current tree; the pending delta is
+    // subsumed by it.
+    pending_index_delta_.Clear();
+  }
+  name_index_version_.store(mv, std::memory_order_release);
+}
+
+std::span<Node* const> Document::ElementsByNameIn(const Node* origin,
+                                                  const QName& name,
+                                                  bool or_self) const {
+  const std::vector<Node*>& bucket = ElementsByName(name);
+  // The whole tree needs no keys: the document node is in no bucket.
+  if (origin == root_ || bucket.empty()) return bucket;
+  const uint64_t first_key = origin->OrderKey() + (or_self ? 0 : 1);
+  const uint64_t last_key = PreorderLast(origin)->OrderKey();
+  auto first = std::lower_bound(
+      bucket.begin(), bucket.end(), first_key,
+      [](const Node* n, uint64_t key) { return n->OrderKey() < key; });
+  auto last = std::upper_bound(
+      first, bucket.end(), last_key,
+      [](uint64_t key, const Node* n) { return key < n->OrderKey(); });
+  return {first, last};
+}
+
+Status Document::CheckInvariants() const {
+  uint64_t prev_key = 0;
+  const Node* prev = nullptr;
+  std::unordered_map<const InternedName*, std::vector<Node*>> walk;
+  Status bad;
+  std::function<void(const Node*)> visit = [&](const Node* n) {
+    if (!bad.ok()) return;
+    const uint64_t key = n->OrderKey();
+    if (prev != nullptr && key <= prev_key) {
+      bad = Status::Error(
+          "XQIB0003", "order key " + std::to_string(key) + " of <" +
+                          n->name_.local() + "> does not follow " +
+                          std::to_string(prev_key) + " of <" +
+                          prev->name_.local() + "> in preorder");
+      return;
+    }
+    prev = n;
+    prev_key = key;
+    if (n->kind_ == NodeKind::kElement) {
+      walk[n->name_.token()].push_back(const_cast<Node*>(n));
+    }
+    for (const Node* a : n->attributes_) visit(a);
+    for (const Node* c : n->children_) visit(c);
+  };
+  visit(root_);
+  if (!bad.ok()) return bad;
+  RefreshNameIndex();
+  std::lock_guard<std::mutex> lk(lazy_mu_);
+  for (const auto& [token, nodes] : name_index_) {
+    auto it = walk.find(token);
+    if (it == walk.end() || it->second != nodes) {
+      return Status::Error("XQIB0003", "element-name bucket <" +
+                                           *token->local +
+                                           "> differs from a fresh walk");
     }
   }
-  auto it = name_index_.find(name.token());
-  return it == name_index_.end() ? kNoNodes : it->second;
+  for (const auto& [token, nodes] : walk) {
+    if (name_index_.count(token) == 0) {
+      return Status::Error("XQIB0003", "element-name index has no bucket for <" +
+                                           *token->local + ">");
+    }
+  }
+  return Status();
 }
 
 bool Document::TrySpliceNameIndex() const {

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "base/counters.h"
+#include "base/status.h"
 #include "xml/qname.h"
 
 namespace xqib::xml {
@@ -208,11 +210,29 @@ class Document {
   // mutation_version(): the first lookup after a mutation splices the
   // pending delta into the touched buckets when the document tracks
   // deltas, and otherwise rebuilds the whole index in one DFS. The
-  // evaluator routes whole-tree descendant name steps (//name) through
-  // this so per-event path evaluation touches only matching nodes.
+  // evaluator answers descendant name steps (//name, $s//name) from
+  // slices of it (ElementsByNameIn), so per-event path evaluation
+  // touches only matching nodes.
   const std::vector<Node*>& ElementsByName(const QName& name) const;
+  // The elements named `name` inside `origin`'s subtree, in document
+  // order: the contiguous slice of the ElementsByName bucket whose
+  // order keys lie between `origin`'s key and its last descendant's
+  // (preorder keys make every subtree one key interval), found by
+  // binary search. `origin` is this document's root node or an element
+  // attached under it; `or_self` admits `origin` itself
+  // (descendant-or-self). The slice is valid until the next mutation.
+  std::span<Node* const> ElementsByNameIn(const Node* origin,
+                                          const QName& name,
+                                          bool or_self) const;
   // Number of times the name index has been (re)built (tests/benchmarks).
   uint64_t name_index_builds() const { return name_index_builds_; }
+
+  // Checks the two properties the index slices rely on: order keys
+  // strictly increase in preorder over the attached tree, and every
+  // element-name bucket (after any pending splice) equals a fresh
+  // document-order walk, in content and in order. OK or the first
+  // violation found.
+  Status CheckInvariants() const;
 
   // The document URI (doc("...") key / page URL).
   const std::string& uri() const { return uri_; }
@@ -311,6 +331,9 @@ class Document {
   // the index splice inserted entries in document order without a
   // wholesale key recomputation.
   bool TryAssignGapKeys(const Node* parent, const Node* node, size_t index);
+  // Brings the name index up to the current mutation version: splices
+  // the pending delta when it can, else rebuilds in one DFS.
+  void RefreshNameIndex() const;
   // Applies the pending index delta to the touched buckets in place of a
   // full rebuild. Caller holds lazy_mu_. Returns false (nothing changed)
   // when the delta is conservative or insertions lack valid order keys.

@@ -11,6 +11,7 @@
 
 #include "base/strings.h"
 #include "xquery/analysis/builtins.h"
+#include "xquery/optimizer.h"
 
 namespace xqib::xquery::analysis {
 
@@ -342,6 +343,7 @@ class ModuleAnalyzer {
       for (const ExprPtr& pred : e->predicates) push(pred.get());
       for (const Step& step : e->steps) {
         for (const ExprPtr& pred : step.predicates) push(pred.get());
+        push(step.expr.get());
       }
       for (const Clause& clause : e->clauses) push(clause.expr.get());
       push(e->where.get());
@@ -611,14 +613,19 @@ class ModuleAnalyzer {
 
       case ExprKind::kPath: {
         WalkKids(e, ctx.Operand());
+        bool nodes = true;
         for (const Step& step : e.steps) {
           for (const ExprPtr& pred : step.predicates) {
             Walk(*pred, ctx.Operand());
           }
+          if (step.expr != nullptr) {
+            Walk(*step.expr, ctx.Operand());
+            nodes = false;  // an expression step may yield atomics
+          }
         }
         LintDescendantSteps(e);
         InferredType t;
-        t.cls = ItemClass::kNode;
+        if (nodes) t.cls = ItemClass::kNode;
         return t;
       }
 
@@ -1128,21 +1135,31 @@ class ModuleAnalyzer {
     if (!options_.lint) return;
     for (size_t i = 0; i < path.steps.size(); ++i) {
       const Step& step = path.steps[i];
-      bool is_dos = step.axis == Axis::kDescendantOrSelf &&
+      bool is_dos = step.expr == nullptr &&
+                    step.axis == Axis::kDescendantOrSelf &&
                     step.test.kind == NodeTest::Kind::kAnyKind &&
                     step.predicates.empty();
       if (!is_dos) continue;
       // Mirrors the optimizer's CollapseDescendantSteps precondition:
-      // the '//' collapses only into a following predicate-free child
-      // step.
-      bool collapsible = i + 1 < path.steps.size() &&
-                         path.steps[i + 1].axis == Axis::kChild &&
-                         path.steps[i + 1].predicates.empty();
+      // the '//' collapses only into a following child step whose
+      // predicates are absent or position-free.
+      bool collapsible = false;
+      if (i + 1 < path.steps.size()) {
+        const Step& next = path.steps[i + 1];
+        collapsible = next.expr == nullptr && next.axis == Axis::kChild;
+        for (const ExprPtr& pred : next.predicates) {
+          collapsible = collapsible &&
+                        PositionFreePredicate(*pred, [this](const std::string& key) {
+                          return functions_.count(key) != 0;
+                        });
+        }
+      }
       if (!collapsible) {
         Report("XQSA032", Severity::kInfo,
                "descendant step '//' cannot be collapsed by the "
-               "optimizer here (following step is predicated or not a "
-               "child step); consider an explicit axis",
+               "optimizer here (following step has a positional "
+               "predicate or is not a child step); consider an explicit "
+               "axis",
                path.source_pos, 2);
       }
     }
@@ -1472,6 +1489,9 @@ class ModuleAnalyzer {
     for (const Step& step : e.steps) {
       for (const ExprPtr& pred : step.predicates) {
         if (!SyntacticallyPure(*pred, calls)) return false;
+      }
+      if (step.expr != nullptr && !SyntacticallyPure(*step.expr, calls)) {
+        return false;
       }
     }
     for (const ExprPtr& pred : e.predicates) {

@@ -309,6 +309,16 @@ class EffectWalker {
     for (size_t i = 0; i < e.steps.size(); ++i) {
       const Step& step = e.steps[i];
       const bool is_last = i + 1 == e.steps.size();
+      if (step.expr != nullptr) {
+        // An expression step may read anything about its context nodes
+        // (string(), name(), a further path): untrackable.
+        ReadsTop();
+        context_names_.push_back(nullptr);
+        Walk(*step.expr, true);
+        context_names_.pop_back();
+        prev = nullptr;
+        continue;
+      }
       if (IsGlueStep(step, is_last)) continue;  // the // connector
       const xml::InternedName* cur = nullptr;
       if (!IsForwardNamedAxis(step.axis)) {
@@ -858,6 +868,7 @@ void CollectAssigns(const Expr& e, std::set<std::string>* assigned) {
     for (const ExprPtr& pred : step.predicates) {
       CollectAssigns(*pred, assigned);
     }
+    if (step.expr != nullptr) CollectAssigns(*step.expr, assigned);
   }
   for (const ExprPtr& pred : e.predicates) CollectAssigns(*pred, assigned);
   for (const Clause& c : e.clauses) {

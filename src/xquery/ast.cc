@@ -22,4 +22,16 @@ const char* AxisName(Axis axis) {
 
 ExprPtr MakeExpr(ExprKind kind) { return std::make_unique<Expr>(kind); }
 
+bool IsExactNameDescendantStep(const Step& step) {
+  if (step.expr != nullptr) return false;
+  if (step.axis != Axis::kDescendant &&
+      step.axis != Axis::kDescendantOrSelf) {
+    return false;
+  }
+  const NodeTest& t = step.test;
+  return (t.kind == NodeTest::Kind::kName ||
+          t.kind == NodeTest::Kind::kElement) &&
+         !t.any_name && !t.any_ns && !t.any_local && !t.name.local().empty();
+}
+
 }  // namespace xqib::xquery

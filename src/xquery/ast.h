@@ -115,13 +115,29 @@ struct Step {
   Axis axis = Axis::kChild;
   NodeTest test;
   std::vector<ExprPtr> predicates;
+  // An expression step (XQuery's StepExpr ::= FilterExpr | AxisStep):
+  // `a/name()`, `(x)[1]/@v/string()`. When set, axis, test and
+  // predicates are unused; the expression is evaluated once per context
+  // node, with that node as the focus.
+  ExprPtr expr;
   // Set by the optimizer's ordering pass: the step's raw output (before
   // the evaluator's per-step sort) is statically known to be in document
   // order / duplicate-free given the proven context state. When both
   // hold the evaluator elides SortDocumentOrderDedup for the step.
   bool preserves_order = false;
   bool no_duplicates = false;
+  // Set by the optimizer's path pass: the step has predicates and every
+  // one is provably position-free (PositionFreePredicate in
+  // optimizer.h), so it selects the same nodes whether its predicates
+  // see per-parent or per-subtree positions. That is what lets //N[P]
+  // fuse into descendant::N[P].
+  bool position_free = false;
 };
+
+// True for an exact-name element step on the descendant or
+// descendant-or-self axis: the steps the element-name index can answer
+// (Document::ElementsByNameIn).
+bool IsExactNameDescendantStep(const Step& step);
 
 // FLWOR / quantified binding clause.
 struct Clause {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <type_traits>
 #include <unordered_map>
 
 #include "base/strings.h"
@@ -180,6 +181,12 @@ struct EvaluatorStreams {
                                        DynamicContext& ctx, bool ordered) {
     return ev.EvalStreamOrdered(e, ctx, ordered);
   }
+  static Result<xdm::StreamPtr> IndexedStep(Evaluator& ev,
+                                            const xquery::Step& step,
+                                            xml::Node* origin,
+                                            DynamicContext& ctx) {
+    return ev.IndexedStepStream(step, origin, ctx);
+  }
 };
 
 namespace {
@@ -285,7 +292,11 @@ class AxisCursor {
 // exotic axes) buffer one origin's output at a time via EvalStep, so
 // peak memory is bounded by per-origin fan-out, never total step output
 // — and predicate position()/last() semantics match the eager engine
-// exactly.
+// exactly. kIndexable marks an exact-name descendant step: when its
+// input is a single node it is answered from the element-name index
+// instead (IndexedStepStream), and the first pull looks one origin
+// ahead to tell. Other steps carry none of that state.
+template <bool kIndexable>
 class StepStream : public ItemStream {
  public:
   StepStream(Evaluator* ev, DynamicContext* ctx, const Step* step,
@@ -294,6 +305,14 @@ class StepStream : public ItemStream {
 
   Result<bool> Next(Item* out) override {
     while (true) {
+      if constexpr (kIndexable) {
+        if (index_.sliced != nullptr) {
+          // The single origin's whole answer: nothing follows it.
+          XQ_ASSIGN_OR_RETURN(bool more, index_.sliced->Next(out));
+          if (more) ++ev_->counters().items_pulled;
+          return more;
+        }
+      }
       if (walking_) {
         while (xml::Node* n = cursor_.NextNode()) {
           if (MatchesNodeTest(step_->test, n, step_->axis)) {
@@ -310,11 +329,19 @@ class StepStream : public ItemStream {
         return true;
       }
       Item origin;
-      XQ_ASSIGN_OR_RETURN(bool more, input_->Next(&origin));
+      XQ_ASSIGN_OR_RETURN(bool more, NextOrigin(&origin));
       if (!more) return false;
       if (!origin.is_node()) {
         return Status::Error("XPTY0019",
                              "path step applied to an atomic value");
+      }
+      if constexpr (kIndexable) {
+        if (index_.single_origin) {
+          XQ_ASSIGN_OR_RETURN(index_.sliced,
+                              EvaluatorStreams::IndexedStep(
+                                  *ev_, *step_, origin.node(), *ctx_));
+          if (index_.sliced != nullptr) continue;
+        }
       }
       if (step_->predicates.empty() && AxisCursor::CanStream(step_->axis)) {
         cursor_.Reset(step_->axis, origin.node());
@@ -330,6 +357,52 @@ class StepStream : public ItemStream {
   }
 
  private:
+  // Lookahead state of an indexable step.
+  struct IndexState {
+    StreamPtr sliced;  // the single origin's index answer, once taken
+    xml::Node* ahead = nullptr;  // the second origin (null if atomic)
+    bool has_ahead = false;
+    bool looked_ahead = false;
+    bool single_origin = false;
+    bool input_done = false;
+  };
+  struct NoIndexState {};
+
+  // Next origin. For an indexable step the first pull also pulls the
+  // second origin, so a single-node input is known before the step
+  // starts.
+  Result<bool> NextOrigin(Item* out) {
+    if constexpr (!kIndexable) {
+      return input_->Next(out);
+    } else {
+      IndexState& st = index_;
+      if (st.has_ahead) {
+        // Only a node is kept; an atomic lookahead fails when its turn
+        // comes, as it would have without the lookahead.
+        if (st.ahead == nullptr) {
+          return Status::Error("XPTY0019",
+                               "path step applied to an atomic value");
+        }
+        *out = Item::Node(st.ahead);
+        st.has_ahead = false;
+        return true;
+      }
+      if (st.input_done) return false;
+      XQ_ASSIGN_OR_RETURN(bool more, input_->Next(out));
+      if (!more || st.looked_ahead) {
+        st.input_done = !more;
+        return more;
+      }
+      st.looked_ahead = true;
+      Item ahead;
+      XQ_ASSIGN_OR_RETURN(st.has_ahead, input_->Next(&ahead));
+      st.ahead = ahead.node();
+      st.single_origin = !st.has_ahead;
+      st.input_done = !st.has_ahead;
+      return true;
+    }
+  }
+
   Evaluator* ev_;
   DynamicContext* ctx_;
   const Step* step_;
@@ -338,6 +411,8 @@ class StepStream : public ItemStream {
   bool walking_ = false;
   Sequence buffered_;
   size_t buf_pos_ = 0;
+  [[no_unique_address]] std::conditional_t<kIndexable, IndexState,
+                                           NoIndexState> index_;
 };
 
 // Mandatory materialization boundary: drains the upstream on first pull,
@@ -346,8 +421,8 @@ class StepStream : public ItemStream {
 // and duplicate-free.
 class SortBarrierStream : public ItemStream {
  public:
-  SortBarrierStream(Evaluator* ev, DynamicContext* ctx, StreamPtr input)
-      : ev_(ev), ctx_(ctx), input_(std::move(input)) {}
+  SortBarrierStream(Evaluator* ev, StreamPtr input)
+      : ev_(ev), input_(std::move(input)) {}
 
   Result<bool> Next(Item* out) override {
     if (!sorted_) {
@@ -366,7 +441,6 @@ class SortBarrierStream : public ItemStream {
 
  private:
   Evaluator* ev_;
-  DynamicContext* ctx_;
   StreamPtr input_;
   Sequence buf_;
   size_t pos_ = 0;
@@ -434,9 +508,8 @@ class PredicateStream : public ItemStream {
 // pulling — the stream-native successor of PR 2's ordered EvalLimit.
 class TakeNthStream : public ItemStream {
  public:
-  TakeNthStream(Evaluator* ev, DynamicContext* ctx, int64_t n,
-                StreamPtr input)
-      : ev_(ev), ctx_(ctx), n_(n), input_(std::move(input)) {}
+  TakeNthStream(Evaluator* ev, int64_t n, StreamPtr input)
+      : ev_(ev), n_(n), input_(std::move(input)) {}
 
   Result<bool> Next(Item* out) override {
     if (done_) return false;
@@ -456,7 +529,6 @@ class TakeNthStream : public ItemStream {
 
  private:
   Evaluator* ev_;
-  DynamicContext* ctx_;
   int64_t n_;
   StreamPtr input_;
   bool done_ = false;
@@ -466,8 +538,8 @@ class TakeNthStream : public ItemStream {
 // where the eager evaluator buffered the whole sequence.
 class TakeLastStream : public ItemStream {
  public:
-  TakeLastStream(Evaluator* ev, DynamicContext* ctx, StreamPtr input)
-      : ev_(ev), ctx_(ctx), input_(std::move(input)) {}
+  TakeLastStream(Evaluator* ev, StreamPtr input)
+      : ev_(ev), input_(std::move(input)) {}
 
   Result<bool> Next(Item* out) override {
     if (done_) return false;
@@ -492,7 +564,6 @@ class TakeLastStream : public ItemStream {
 
  private:
   Evaluator* ev_;
-  DynamicContext* ctx_;
   StreamPtr input_;
   bool done_ = false;
 };
@@ -865,13 +936,8 @@ Result<Sequence> Evaluator::EvalImpl(const Expr& e, DynamicContext& ctx) {
       return Sequence{Item::Boolean(rv)};
     }
     case ExprKind::kPath: {
-      if (options_.stream_pipeline) {
-        XQ_ASSIGN_OR_RETURN(
-            xdm::StreamPtr s,
-            BuildPathStream(e, ctx, /*ordered_required=*/true));
-        return MaterializeFrom(std::move(s));
-      }
-      return EvalPathEager(e, ctx);
+      XQ_ASSIGN_OR_RETURN(Sequence current, PathInput(e, ctx));
+      return EvalPathFrom(e, std::move(current), ctx);
     }
     case ExprKind::kFilter: {
       if (options_.stream_pipeline) {
@@ -1039,62 +1105,57 @@ Result<Sequence> Evaluator::PathInput(const Expr& e, DynamicContext& ctx) {
   return Sequence{ctx.focus().item};
 }
 
+Result<Sequence> Evaluator::EvalPathFrom(const Expr& e, Sequence current,
+                                         DynamicContext& ctx) {
+  if (!options_.stream_pipeline) return EvalPathEager(e, std::move(current), ctx);
+  XQ_ASSIGN_OR_RETURN(
+      xdm::StreamPtr s,
+      BuildPathStream(e, std::move(current), ctx, /*ordered_required=*/true));
+  return MaterializeFrom(std::move(s));
+}
+
 Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
+                                                  Sequence current,
                                                   DynamicContext& ctx,
                                                   bool ordered_required) {
   // The initial context sequence is small (usually the focus item or a
-  // variable) — evaluate it eagerly, then stream the steps off it.
-  XQ_ASSIGN_OR_RETURN(Sequence current, PathInput(e, ctx));
-  if (e.steps.empty()) {
-    return xdm::SequenceStream(std::move(current), ctx.arena());
-  }
-
-  size_t start = 0;
+  // variable) and already evaluated; the steps stream off it. Each
+  // indexable StepStream answers an exact-name descendant step from a
+  // single node out of the element-name index. A first step whose input
+  // is known to be one node needs no operator for that: its slice is
+  // the stream, already in document order and duplicate-free whatever
+  // the optimizer could prove, so it needs no barrier either.
   xdm::StreamPtr s;
-  // First-step name-index shortcut: //name answers straight from the
-  // document's element index — already in doc order, duplicate-free.
-  // Predicated steps (//name[pred]) keep the per-step stream below.
-  if (current.size() == 1 && current[0].is_node()) {
-    bool skip_origin = false;
-    const std::vector<xml::Node*>* bucket =
-        IndexedStepBucket(e.steps[0], current[0].node(), &skip_origin);
-    size_t consumed = 1;
-    if (bucket == nullptr && e.steps.size() >= 2 &&
-        e.steps[0].axis == Axis::kDescendantOrSelf &&
-        e.steps[0].test.kind == NodeTest::Kind::kAnyKind &&
-        e.steps[0].predicates.empty() && e.steps[1].axis == Axis::kChild) {
-      // `//name`: descendant-or-self::node()/child::name equals
-      // descendant::name, and the whole-tree descendant bucket is the
-      // element-name index (already doc-ordered, duplicate-free).
-      Step synth;
-      synth.axis = Axis::kDescendant;
-      synth.test = e.steps[1].test;
-      bucket = IndexedStepBucket(synth, current[0].node(), &skip_origin);
-      if (bucket != nullptr) consumed = 2;
-    }
-    if (bucket != nullptr && e.steps[consumed - 1].predicates.empty()) {
-      xml::Node* origin = current[0].node();
-      Sequence hits;
-      hits.reserve(bucket->size());
-      for (xml::Node* h : *bucket) {
-        if (skip_origin && h == origin) continue;
-        hits.push_back(Item::Node(h));
-      }
-      ++counters_->name_index_hits;
+  size_t si = 0;
+  if (!e.steps.empty() && current.size() == 1 && current[0].is_node()) {
+    XQ_ASSIGN_OR_RETURN(s, IndexedStepStream(e.steps[0], current[0].node(),
+                                             ctx));
+    if (s != nullptr) {
       ++counters_->sorts_elided;
-      counters_->items_materialized += hits.size();
-      s = xdm::SequenceStream(std::move(hits), ctx.arena());
-      start = consumed;
+      si = 1;
     }
   }
   if (s == nullptr) s = xdm::SequenceStream(std::move(current), ctx.arena());
-
-  for (size_t si = start; si < e.steps.size(); ++si) {
+  for (; si < e.steps.size(); ++si) {
     const Step& step = e.steps[si];
+    if (step.expr != nullptr) {
+      // An expression step evaluates once per context node with the
+      // context's size in the focus: it materializes its input.
+      XQ_ASSIGN_OR_RETURN(Sequence context, MaterializeFrom(std::move(s)));
+      XQ_ASSIGN_OR_RETURN(Sequence out,
+                          EvalExprStep(step, std::move(context), ctx));
+      s = xdm::SequenceStream(std::move(out), ctx.arena());
+      continue;
+    }
     const bool last_step = si + 1 == e.steps.size();
     const bool elide = options_.honor_sort_elision && step.preserves_order &&
                        step.no_duplicates;
-    s = MakeOp<StepStream>(this, ctx, this, &ctx, &step, std::move(s));
+    if (IsExactNameDescendantStep(step)) {
+      s = MakeOp<StepStream<true>>(this, ctx, this, &ctx, &step, std::move(s));
+    } else {
+      s = MakeOp<StepStream<false>>(this, ctx, this, &ctx, &step,
+                                    std::move(s));
+    }
     // Existence consumers only observe emptiness, so the final step may
     // skip its barrier even without an elision proof. Everything that
     // counts, aggregates or positions must see sorted, deduped output.
@@ -1103,27 +1164,26 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
       if (!elide) ++counters_->buffers_avoided;
     } else {
       ++counters_->sorts_performed;
-      s = MakeOp<SortBarrierStream>(this, ctx, this, &ctx, std::move(s));
+      s = MakeOp<SortBarrierStream>(this, ctx, this, std::move(s));
     }
   }
   return s;
 }
 
 // Eager per-step loop: the stream_pipeline=false ablation baseline.
-Result<Sequence> Evaluator::EvalPathEager(const Expr& e, DynamicContext& ctx) {
-  XQ_ASSIGN_OR_RETURN(Sequence current, PathInput(e, ctx));
-  if (e.steps.empty()) return current;
-
-  for (size_t si = 0; si < e.steps.size(); ++si) {
-    const Step& step = e.steps[si];
+Result<Sequence> Evaluator::EvalPathEager(const Expr& e, Sequence current,
+                                          DynamicContext& ctx) {
+  for (const Step& step : e.steps) {
+    if (step.expr != nullptr) {
+      XQ_ASSIGN_OR_RETURN(current, EvalExprStep(step, std::move(current), ctx));
+      continue;
+    }
     const bool elide = options_.honor_sort_elision && step.preserves_order &&
                        step.no_duplicates;
     Sequence next;
-    bool indexed = false;
-
-    if (TryIndexedStep(step, current, &next)) {
-      indexed = true;
-      ++counters_->name_index_hits;
+    const bool indexed = current.size() == 1 && current[0].is_node() &&
+                         TryIndexedStep(step, current[0].node(), &next);
+    if (indexed) {
       if (!step.predicates.empty()) {
         XQ_ASSIGN_OR_RETURN(
             next, ApplyPredicates(step.predicates, std::move(next), ctx));
@@ -1151,87 +1211,109 @@ Result<Sequence> Evaluator::EvalPathEager(const Expr& e, DynamicContext& ctx) {
   return current;
 }
 
-const std::vector<xml::Node*>* Evaluator::IndexedStepBucket(
-    const Step& step, xml::Node* origin, bool* skip_origin) {
-  *skip_origin = false;
-  if (step.axis != Axis::kDescendant &&
-      step.axis != Axis::kDescendantOrSelf) {
-    return nullptr;
-  }
-  // Exact element-name tests only (wildcards would need the full walk).
-  const NodeTest& t = step.test;
-  bool exact_name = (t.kind == NodeTest::Kind::kName ||
-                     t.kind == NodeTest::Kind::kElement) &&
-                    !t.any_name && !t.any_ns && !t.any_local &&
-                    !t.name.local().empty();
-  if (!exact_name) return nullptr;
-  xml::Document* doc = origin->document();
-  // Whole-tree steps only: from the document node, or from the document
-  // element when it is the root's only element child (then its
-  // descendants are every other attached element).
-  bool from_doc = origin == doc->root();
-  bool from_doc_elem = false;
-  if (!from_doc && origin->is_element() && origin->parent() == doc->root()) {
-    from_doc_elem = true;
-    for (const xml::Node* c : doc->root()->children()) {
-      if (c->is_element() && c != origin) {
-        from_doc_elem = false;
-        break;
-      }
+// E1/E2 with E2 a filter expression: E2 is evaluated once per context
+// node, that node being the focus. Node results combine into document
+// order without duplicates, atomic results concatenate in context
+// order; a mix is XPTY0018. Atomic values reaching a later step raise
+// that step's XPTY0019.
+Result<Sequence> Evaluator::EvalExprStep(const Step& step, Sequence context,
+                                         DynamicContext& ctx) {
+  Sequence out;
+  const DynamicContext::Focus saved = ctx.focus();
+  for (size_t i = 0; i < context.size(); ++i) {
+    if (!context[i].is_node()) {
+      ctx.set_focus(saved);
+      return Status::Error("XPTY0019", "path step applied to an atomic value");
     }
+    DynamicContext::Focus f;
+    f.item = context[i];
+    f.position = static_cast<int64_t>(i + 1);
+    f.size = static_cast<int64_t>(context.size());
+    f.has_item = true;
+    ctx.set_focus(f);
+    Result<Sequence> part = Eval(*step.expr, ctx);
+    if (!part.ok()) {
+      ctx.set_focus(saved);
+      return part.status();
+    }
+    out.insert(out.end(), part->begin(), part->end());
   }
-  if (!from_doc && !from_doc_elem) return nullptr;
-  // descendant:: excludes the context node itself; descendant-or-self
-  // keeps it (the document node is never in the element index).
-  *skip_origin = step.axis == Axis::kDescendant;
-  return &doc->ElementsByName(t.name);
+  ctx.set_focus(saved);
+  counters_->items_materialized += out.size();
+  const size_t nodes = static_cast<size_t>(std::count_if(
+      out.begin(), out.end(), [](const Item& i) { return i.is_node(); }));
+  if (nodes != 0 && nodes != out.size()) {
+    return Status::Error("XPTY0018",
+                         "path step yields both nodes and atomic values");
+  }
+  if (nodes != 0) {
+    ++counters_->sorts_performed;
+    XQ_RETURN_NOT_OK(xdm::SortDocumentOrderDedup(&out));
+  }
+  return out;
 }
 
-bool Evaluator::TryIndexedStep(const Step& step, const Sequence& current,
-                               Sequence* out) {
-  if (current.size() != 1 || !current[0].is_node()) return false;
-  xml::Node* origin = current[0].node();
-  bool skip_origin = false;
-  const std::vector<xml::Node*>* bucket =
-      IndexedStepBucket(step, origin, &skip_origin);
-  if (bucket == nullptr) return false;
-  out->clear();
-  out->reserve(bucket->size());
-  for (xml::Node* h : *bucket) {
-    if (skip_origin && h == origin) continue;
-    out->push_back(Item::Node(h));
+bool Evaluator::IndexedSlice(const Step& step, xml::Node* origin,
+                             std::span<xml::Node* const>* out) {
+  if (!IsExactNameDescendantStep(step)) return false;
+  if (!origin->is_element() && origin->kind() != xml::NodeKind::kDocument) {
+    return false;
   }
+  xml::Document* doc = origin->document();
+  if (origin->Root() != doc->root()) return false;  // detached tree
+  *out = doc->ElementsByNameIn(origin, step.test.name,
+                               step.axis == Axis::kDescendantOrSelf);
+  ++counters_->name_index_hits;
   return true;
 }
 
-// fn:count(//name): the index bucket's size answers the count without
-// instantiating a single item (minus the origin when the descendant
-// axis would exclude it).
-bool Evaluator::TryFastCount(const Expr& arg, DynamicContext& ctx,
+bool Evaluator::TryIndexedStep(const Step& step, xml::Node* origin,
+                               Sequence* out) {
+  std::span<xml::Node* const> slice;
+  if (!IndexedSlice(step, origin, &slice)) return false;
+  out->clear();
+  out->reserve(slice.size());
+  for (xml::Node* n : slice) out->push_back(Item::Node(n));
+  counters_->items_materialized += out->size();
+  return true;
+}
+
+Result<xdm::StreamPtr> Evaluator::IndexedStepStream(const Step& step,
+                                                    xml::Node* origin,
+                                                    DynamicContext& ctx) {
+  Sequence hits;
+  if (!TryIndexedStep(step, origin, &hits)) return xdm::StreamPtr();
+  // The slice is the step's axis output for this one origin, so its
+  // predicates filter it exactly as they filter a sequence.
+  return FilterStream(step.predicates,
+                      xdm::SequenceStream(std::move(hits), ctx.arena()), ctx);
+}
+
+bool Evaluator::IsFastCountPath(const Expr& e) {
+  return e.kind == ExprKind::kPath && e.steps.size() == 1 &&
+         e.steps[0].predicates.empty() &&
+         IsExactNameDescendantStep(e.steps[0]);
+}
+
+bool Evaluator::TryFastCount(const Expr& path, const Sequence& input,
                              int64_t* out) {
-  if (arg.kind != ExprKind::kPath || !arg.kids.empty()) return false;
-  if (arg.steps.size() != 1 || !arg.steps[0].predicates.empty()) return false;
-  if (!ctx.focus().has_item || !ctx.focus().item.is_node()) return false;
-  xml::Node* origin = arg.root_anchored ? ctx.focus().item.node()->Root()
-                                        : ctx.focus().item.node();
-  bool skip_origin = false;
-  const std::vector<xml::Node*>* bucket =
-      IndexedStepBucket(arg.steps[0], origin, &skip_origin);
-  if (bucket == nullptr) return false;
-  int64_t n = static_cast<int64_t>(bucket->size());
-  if (skip_origin) {
-    for (xml::Node* h : *bucket) {
-      if (h == origin) {
-        --n;
-        break;
-      }
-    }
+  std::span<xml::Node* const> slice;
+  if (input.size() != 1 || !input[0].is_node() ||
+      !IndexedSlice(path.steps[0], input[0].node(), &slice)) {
+    return false;
   }
-  *out = n;
+  *out = static_cast<int64_t>(slice.size());
   ++counters_->count_index_hits;
-  ++counters_->name_index_hits;
   ++counters_->buffers_avoided;
   return true;
+}
+
+Result<int64_t> Evaluator::CountPath(const Expr& path, Sequence input,
+                                     DynamicContext& ctx) {
+  int64_t n = 0;
+  if (TryFastCount(path, input, &n)) return n;
+  XQ_ASSIGN_OR_RETURN(Sequence nodes, EvalPathFrom(path, std::move(input), ctx));
+  return static_cast<int64_t>(nodes.size());
 }
 
 // ------------------------------------------------------------ streams ---
@@ -1249,8 +1331,10 @@ Result<xdm::StreamPtr> Evaluator::EvalStreamOrdered(const Expr& e,
     return xdm::SequenceStream(std::move(v), ctx.arena());
   }
   switch (e.kind) {
-    case ExprKind::kPath:
-      return BuildPathStream(e, ctx, ordered_required);
+    case ExprKind::kPath: {
+      XQ_ASSIGN_OR_RETURN(Sequence current, PathInput(e, ctx));
+      return BuildPathStream(e, std::move(current), ctx, ordered_required);
+    }
     case ExprKind::kFilter:
       return BuildFilterStream(e, ctx);
     case ExprKind::kFLWOR:
@@ -1336,13 +1420,19 @@ Result<xdm::StreamPtr> Evaluator::BuildFilterStream(const Expr& e,
   XQ_ASSIGN_OR_RETURN(
       xdm::StreamPtr s,
       EvalStreamOrdered(*e.kids[0], ctx, /*ordered_required=*/true));
-  for (const ExprPtr& pred_ptr : e.predicates) {
+  return FilterStream(e.predicates, std::move(s), ctx);
+}
+
+Result<xdm::StreamPtr> Evaluator::FilterStream(
+    const std::vector<ExprPtr>& predicates, xdm::StreamPtr s,
+    DynamicContext& ctx) {
+  for (const ExprPtr& pred_ptr : predicates) {
     const Expr& pred = *pred_ptr;
     // E[N]: a literal integer predicate over a (sorted) stream needs N
     // pulls, not the full sequence.
     if (pred.kind == ExprKind::kLiteral &&
         pred.atom.type() == AtomicType::kInteger) {
-      s = MakeOp<TakeNthStream>(this, ctx, this, &ctx, pred.atom.int_value(),
+      s = MakeOp<TakeNthStream>(this, ctx, this, pred.atom.int_value(),
                                 std::move(s));
       continue;
     }
@@ -1353,7 +1443,7 @@ Result<xdm::StreamPtr> Evaluator::BuildFilterStream(const Expr& e,
                    sctx_.FindFunction(pred.qname, 0) == nullptr &&
                    ctx.FindExternal(pred.qname, 0) == nullptr;
     if (is_last) {
-      s = MakeOp<TakeLastStream>(this, ctx, this, &ctx, std::move(s));
+      s = MakeOp<TakeLastStream>(this, ctx, this, std::move(s));
       continue;
     }
     if (NeedsLast(pred)) {
@@ -1416,6 +1506,7 @@ bool Evaluator::NeedsLast(const Expr& e) {
   }
   if (!needs) {
     for (const Step& st : e.steps) {
+      if (st.expr != nullptr && NeedsLast(*st.expr)) needs = true;
       for (const ExprPtr& p : st.predicates) {
         if (p != nullptr && NeedsLast(*p)) {
           needs = true;
@@ -1606,6 +1697,9 @@ bool Evaluator::ParallelSafePredicate(const Expr& e) {
       if (kid != nullptr && !ParallelSafePredicate(*kid)) safe = false;
     }
     for (const Step& step : e.steps) {
+      if (step.expr != nullptr && !ParallelSafePredicate(*step.expr)) {
+        safe = false;
+      }
       for (const ExprPtr& pred : step.predicates) {
         if (!ParallelSafePredicate(*pred)) safe = false;
       }
@@ -1846,11 +1940,10 @@ Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e,
       sctx_.FindFunction(e.qname, e.kids.size()) == nullptr &&
       ctx.FindExternal(e.qname, e.kids.size()) == nullptr;
   if (builtin_unshadowed && e.qname.local() == "count" &&
-      e.kids.size() == 1) {
-    int64_t n = 0;
-    if (TryFastCount(*e.kids[0], ctx, &n)) {
-      return Sequence{Item::Integer(n)};
-    }
+      e.kids.size() == 1 && IsFastCountPath(*e.kids[0])) {
+    XQ_ASSIGN_OR_RETURN(Sequence input, PathInput(*e.kids[0], ctx));
+    XQ_ASSIGN_OR_RETURN(int64_t n, CountPath(*e.kids[0], std::move(input), ctx));
+    return Sequence{Item::Integer(n)};
   }
   if (builtin_unshadowed) {
     StreamFnClass cls = ClassifyStreamBuiltin(e.qname, e.kids.size());

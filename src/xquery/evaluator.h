@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -45,8 +46,9 @@ class Evaluator {
 
   // Runtime toggles, all on by default. Each off position is a
   // reference implementation the tests compare against (PERFORMANCE.md,
-  // "Evaluator switches"). Whole-tree //name steps always route through
-  // the document's element-name index, bounded consumers (existence
+  // "Evaluator switches"). Exact-name descendant steps from one
+  // attached node always answer from an order-key range of the
+  // document's element-name index, bounded consumers (existence
   // tests, [N], [last()], head/subsequence) always stop early, and
   // stream operators always live in the DynamicContext's per-dispatch
   // arena.
@@ -123,6 +125,10 @@ class Evaluator {
 
   const StaticContext& static_context() const { return sctx_; }
 
+  // fn:count's index shape: a one-step, predicate-free exact-name
+  // descendant path (TryFastCount; the plan compiler's count.indexed).
+  static bool IsFastCountPath(const Expr& e);
+
   // Analyzer facts (type/cardinality/purity) used to specialize plan
   // compilation. Optional: without them plans still compile, just
   // without the fact-driven opcode specializations. Shared ownership so
@@ -154,35 +160,59 @@ class Evaluator {
                                            bool ordered_required);
   // Drains a stream into a Sequence, accounting the buffer.
   Result<xdm::Sequence> MaterializeFrom(xdm::StreamPtr s);
-  // Composes one pull stream per path step (axis cursor + optional sort
-  // barrier); the initial context sequence evaluates eagerly.
-  Result<xdm::StreamPtr> BuildPathStream(const Expr& e, DynamicContext& ctx,
+  // Evaluates path `e` from its already evaluated initial context
+  // sequence: the streamed or the eager engine per stream_pipeline.
+  Result<xdm::Sequence> EvalPathFrom(const Expr& e, xdm::Sequence current,
+                                     DynamicContext& ctx);
+  // Composes one pull stream per path step (axis cursor or index slice,
+  // plus an optional sort barrier) off the initial context sequence.
+  Result<xdm::StreamPtr> BuildPathStream(const Expr& e, xdm::Sequence current,
+                                         DynamicContext& ctx,
                                          bool ordered_required);
   Result<xdm::StreamPtr> BuildFilterStream(const Expr& e, DynamicContext& ctx);
+  // Applies filter predicates to a stream in order: E[N] and E[last()]
+  // stop early, predicates that may observe last() materialize, the
+  // rest stream with an incremental position.
+  Result<xdm::StreamPtr> FilterStream(const std::vector<ExprPtr>& predicates,
+                                      xdm::StreamPtr s, DynamicContext& ctx);
   // The initial context sequence of a path (kids[0] / root / focus).
   Result<xdm::Sequence> PathInput(const Expr& e, DynamicContext& ctx);
   // Eager per-step path loop — the stream_pipeline=false ablation
   // baseline and the oracle the streaming tests compare against.
-  Result<xdm::Sequence> EvalPathEager(const Expr& e, DynamicContext& ctx);
+  Result<xdm::Sequence> EvalPathEager(const Expr& e, xdm::Sequence current,
+                                      DynamicContext& ctx);
   Result<xdm::Sequence> EvalStep(const Step& step, xml::Node* node,
                                  DynamicContext& ctx);
+  // An expression step (Step::expr) over its context sequence.
+  Result<xdm::Sequence> EvalExprStep(const Step& step, xdm::Sequence context,
+                                     DynamicContext& ctx);
   // Evaluates `e` and returns its effective boolean value; lazy kinds
   // stream and stop at the first witness item.
   Result<bool> EvalBool(const Expr& e, DynamicContext& ctx);
-  // Element-name-index bucket for a whole-tree descendant name step
-  // from `origin`, or nullptr when not applicable. *skip_origin is set
-  // when the origin itself must be excluded (descendant:: axis).
-  const std::vector<xml::Node*>* IndexedStepBucket(const Step& step,
-                                                   xml::Node* origin,
-                                                   bool* skip_origin);
-  // Whole-tree descendant name step answered from the document's
-  // element-name index; fills *out (doc order, duplicate-free, step
-  // predicates NOT yet applied) and returns true when applicable.
-  bool TryIndexedStep(const Step& step, const xdm::Sequence& current,
+  // The element-name index's answer to an exact-name descendant or
+  // descendant-or-self step from `origin`: its order-key range of the
+  // name's bucket (Document::ElementsByNameIn), in document order and
+  // duplicate-free, step predicates NOT applied. False, and the axis
+  // walk answers, unless `origin` is an attached document or element
+  // node.
+  bool IndexedSlice(const Step& step, xml::Node* origin,
+                    std::span<xml::Node* const>* out);
+  // IndexedSlice copied into *out.
+  bool TryIndexedStep(const Step& step, xml::Node* origin,
                       xdm::Sequence* out);
-  // fn:count over a bare //name path answered from the index size
-  // without instantiating items.
-  bool TryFastCount(const Expr& arg, DynamicContext& ctx, int64_t* out);
+  // IndexedSlice as a stream with the step's predicates applied; null
+  // when not applicable.
+  Result<xdm::StreamPtr> IndexedStepStream(const Step& step,
+                                           xml::Node* origin,
+                                           DynamicContext& ctx);
+  // fn:count over an IsFastCountPath path from its evaluated input: the
+  // slice size, without instantiating items, when the input is one
+  // attached node.
+  bool TryFastCount(const Expr& path, const xdm::Sequence& input,
+                    int64_t* out);
+  // TryFastCount, else the size of the evaluated path.
+  Result<int64_t> CountPath(const Expr& path, xdm::Sequence input,
+                            DynamicContext& ctx);
   // Conservative static scan: could evaluating `e` as a predicate
   // observe fn:last() (directly or through a called function, which
   // inherits the focus in the XQIB dialect)? Memoized per node.

@@ -49,6 +49,7 @@ void ForEachChild(const Expr& e, const Fn& fn) {
     for (const auto& pred : step.predicates) {
       if (pred) fn(*pred);
     }
+    if (step.expr) fn(*step.expr);
   }
   for (const auto& clause : e.clauses) {
     if (clause.expr) fn(*clause.expr);

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <limits>
+#include <unordered_set>
 
 #include "xml/qname.h"
+#include "xquery/analysis/builtins.h"
 
 namespace xqib::xquery {
 
@@ -11,12 +13,96 @@ namespace {
 
 using xdm::AtomicType;
 using xdm::AtomicValue;
+using IsDeclared = std::function<bool(const std::string& key)>;
+
+// A call the builtin library answers: a known fn: or xs: name that no
+// declaration shadows.
+bool IsBuiltinCall(const Expr& call, const IsDeclared& is_declared) {
+  const std::string& local = call.qname.local();
+  if (call.qname.ns() == xml::kFnNamespace) {
+    if (analysis::FindFnBuiltin(local) == nullptr) return false;
+  } else if (call.qname.ns() != xml::kXsNamespace ||
+             !analysis::IsXsConstructor(local)) {
+    return false;
+  }
+  return !is_declared(analysis::AnalysisFacts::FunctionKey(
+      call.qname.Clark(), call.kids.size()));
+}
+
+// Nothing in `e` that is evaluated on the predicate's own focus reads
+// position() or last(), directly or through a call.
+bool FocusPositionFree(const Expr& e, const IsDeclared& is_declared) {
+  switch (e.kind) {
+    case ExprKind::kFunctionCall:
+      // User and external functions inherit the focus in this dialect.
+      if (!IsBuiltinCall(e, is_declared)) return false;
+      if (e.qname.ns() == xml::kFnNamespace &&
+          (e.qname.local() == "position" || e.qname.local() == "last")) {
+        return false;
+      }
+      break;
+    case ExprKind::kDirectElement:
+    case ExprKind::kFtContains:
+      return false;  // opaque subtrees (expressions hidden outside kids)
+    default:
+      break;
+  }
+  // Path steps and filter predicates set their own focus: they are not
+  // scanned. A path's or filter's kids[0] is evaluated on this focus.
+  for (const ExprPtr& kid : e.kids) {
+    if (kid != nullptr && !FocusPositionFree(*kid, is_declared)) return false;
+  }
+  for (const Clause& c : e.clauses) {
+    if (c.expr != nullptr && !FocusPositionFree(*c.expr, is_declared)) {
+      return false;
+    }
+  }
+  for (const OrderSpec& spec : e.order_specs) {
+    if (!FocusPositionFree(*spec.key, is_declared)) return false;
+  }
+  return e.where == nullptr || FocusPositionFree(*e.where, is_declared);
+}
+
+}  // namespace
+
+bool PositionFreePredicate(const Expr& pred, const IsDeclared& is_declared) {
+  // The predicate's value must never be numeric: a number would select
+  // by position.
+  switch (pred.kind) {
+    case ExprKind::kComparison:
+    case ExprKind::kLogical:
+      break;
+    case ExprKind::kPath:
+      for (const Step& step : pred.steps) {
+        if (step.expr != nullptr) return false;  // may yield atomics
+      }
+      break;
+    case ExprKind::kFunctionCall: {
+      static const std::unordered_set<std::string> kBooleanBuiltins = {
+          "not",   "boolean",  "exists",      "empty",    "true",
+          "false", "contains", "starts-with", "ends-with"};
+      if (pred.qname.ns() != xml::kFnNamespace ||
+          kBooleanBuiltins.count(pred.qname.local()) == 0) {
+        return false;
+      }
+      break;
+    }
+    default:
+      return false;
+  }
+  return FocusPositionFree(pred, is_declared);
+}
+
+namespace {
 
 class Rewriter {
  public:
   Rewriter(const OptimizerOptions& options, OptimizerStats* stats,
-           const analysis::AnalysisFacts* facts)
-      : options_(options), stats_(stats), facts_(facts) {}
+           const analysis::AnalysisFacts* facts, IsDeclared is_declared)
+      : options_(options),
+        stats_(stats),
+        facts_(facts),
+        is_declared_(std::move(is_declared)) {}
 
   void Rewrite(ExprPtr* slot) {
     if (*slot == nullptr) return;
@@ -29,6 +115,7 @@ class Rewriter {
     if (e.where != nullptr) Rewrite(&e.where);
     for (Step& step : e.steps) {
       for (ExprPtr& pred : step.predicates) Rewrite(&pred);
+      if (step.expr != nullptr) Rewrite(&step.expr);
     }
     if (e.ft != nullptr) RewriteFt(e.ft.get());
     if (e.direct != nullptr) RewriteDirect(e.direct.get());
@@ -414,28 +501,41 @@ class Rewriter {
 
   // descendant-or-self::node() (no predicates) followed by child::T
   // selects exactly descendant::T; fusing the steps avoids materializing
-  // every node of the subtree as an intermediate sequence.
+  // every node of the subtree as an intermediate sequence and lets the
+  // element-name index answer the step. Predicates see per-parent
+  // positions on child:: but per-subtree positions on descendant::, so
+  // only predicate-free or position-free child steps fuse: "//a[1]"
+  // must NOT become "descendant::a[1]", "//a[@id = 'x']" may. The pass
+  // records the proof on each predicated step (Step::position_free).
   void CollapseDescendantSteps(Expr* e) {
     auto is_dos_node = [](const Step& s) {
-      return s.axis == Axis::kDescendantOrSelf &&
+      return s.expr == nullptr && s.axis == Axis::kDescendantOrSelf &&
              s.test.kind == NodeTest::Kind::kAnyKind &&
              s.predicates.empty();
     };
+    for (Step& step : e->steps) {
+      step.position_free = !step.predicates.empty();
+      for (const ExprPtr& pred : step.predicates) {
+        if (!PositionFreePredicate(*pred, is_declared_)) {
+          step.position_free = false;
+          break;
+        }
+      }
+    }
     std::vector<Step> out;
     out.reserve(e->steps.size());
     for (size_t i = 0; i < e->steps.size(); ++i) {
-      // Only predicate-free child steps fuse: predicates see per-parent
-      // positions on child:: but per-subtree positions on descendant::,
-      // so "//a[1]" must NOT become "descendant::a[1]".
-      if (i + 1 < e->steps.size() && is_dos_node(e->steps[i]) &&
-          e->steps[i + 1].axis == Axis::kChild &&
-          e->steps[i + 1].predicates.empty()) {
-        Step fused = std::move(e->steps[i + 1]);
-        fused.axis = Axis::kDescendant;
-        out.push_back(std::move(fused));
-        ++i;
-        ++stats_->paths_collapsed;
-        continue;
+      if (i + 1 < e->steps.size() && is_dos_node(e->steps[i])) {
+        const Step& next = e->steps[i + 1];
+        if (next.expr == nullptr && next.axis == Axis::kChild &&
+            (next.predicates.empty() || next.position_free)) {
+          Step fused = std::move(e->steps[i + 1]);
+          fused.axis = Axis::kDescendant;
+          out.push_back(std::move(fused));
+          ++i;
+          ++stats_->paths_collapsed;
+          continue;
+        }
       }
       out.push_back(std::move(e->steps[i]));
     }
@@ -487,6 +587,14 @@ class Rewriter {
                                                   : PathCtx::kUnknown;
     }
     for (Step& step : e->steps) {
+      if (step.expr != nullptr) {
+        // An expression step sorts its own node output and may yield
+        // atomics: nothing is known about what follows.
+        step.preserves_order = false;
+        step.no_duplicates = false;
+        state = PathCtx::kUnknown;
+        continue;
+      }
       bool elide = false;
       PathCtx next = PathCtx::kOrdered;  // post-sort state
       bool flat = state == PathCtx::kSingleton ||
@@ -551,14 +659,35 @@ class Rewriter {
   const OptimizerOptions& options_;
   OptimizerStats* stats_;
   const analysis::AnalysisFacts* facts_;
+  IsDeclared is_declared_;
 };
+
+// Declared-function lookup for the position-free proof: the module's
+// own declarations plus every function the analyzer saw (its context
+// modules included). Consulted only for calls inside predicates.
+IsDeclared DeclaredFunctions(const Module* module,
+                             const analysis::AnalysisFacts* facts) {
+  return [module, facts](const std::string& key) {
+    if (facts != nullptr && facts->function_effects.count(key) != 0) {
+      return true;
+    }
+    if (module == nullptr) return false;
+    for (const auto& fn : module->functions) {
+      if (analysis::AnalysisFacts::FunctionKey(fn->name.Clark(),
+                                               fn->params.size()) == key) {
+        return true;
+      }
+    }
+    return false;
+  };
+}
 
 }  // namespace
 
 OptimizerStats OptimizeExpr(ExprPtr* expr, const OptimizerOptions& options,
                             const analysis::AnalysisFacts* facts) {
   OptimizerStats stats;
-  Rewriter rewriter(options, &stats, facts);
+  Rewriter rewriter(options, &stats, facts, DeclaredFunctions(nullptr, facts));
   rewriter.Rewrite(expr);
   return stats;
 }
@@ -566,7 +695,7 @@ OptimizerStats OptimizeExpr(ExprPtr* expr, const OptimizerOptions& options,
 OptimizerStats OptimizeModule(Module* module, const OptimizerOptions& options,
                               const analysis::AnalysisFacts* facts) {
   OptimizerStats stats;
-  Rewriter rewriter(options, &stats, facts);
+  Rewriter rewriter(options, &stats, facts, DeclaredFunctions(module, facts));
   for (VarDecl& decl : module->variables) {
     if (decl.init != nullptr) rewriter.Rewrite(&decl.init);
   }

@@ -13,9 +13,12 @@
 //                             the rewrite is the canonical exists form)
 //   * boolean simplification— not(not(E)) -> boolean(E),
 //                             empty(E) inverted to exists and vice versa
-//   * path collapsing       — descendant-or-self::node()/child::T
-//                             -> descendant::T, avoiding the full-node
+//   * path collapsing       — descendant-or-self::node()/child::T[P]
+//                             -> descendant::T[P] when P is absent or
+//                             position-free, avoiding the full-node
 //                             intermediate sequence "//T" otherwise builds
+//                             and letting the element-name index answer
+//                             the step
 //   * inferred rewrites     — cardinalities proved by the static analyzer
 //                             (AnalysisFacts) let count/exists/empty and
 //                             positional filters fold on *inferred*
@@ -29,6 +32,9 @@
 
 #ifndef XQIB_XQUERY_OPTIMIZER_H_
 #define XQIB_XQUERY_OPTIMIZER_H_
+
+#include <functional>
+#include <string>
 
 #include "xquery/analysis/facts.h"
 #include "xquery/ast.h"
@@ -59,6 +65,20 @@ struct OptimizerStats {
            sort_elisions;
   }
 };
+
+// True when `pred`, as a step predicate, provably selects by value
+// alone, so per-parent and per-subtree positions select the same nodes:
+// its value is never numeric (a comparison, and/or, a boolean builtin
+// or a path of axis steps), and nothing evaluated on its own focus
+// reads position() or last() or calls a function that could (one
+// `is_declared` reports as user-declared, an external, or an unknown
+// name). Focus-changing parts (nested step and filter predicates,
+// expression steps) may use positions freely. `is_declared` takes a
+// FunctionKey ("Clark#arity"); in this dialect a declaration may
+// shadow an fn: builtin.
+bool PositionFreePredicate(
+    const Expr& pred,
+    const std::function<bool(const std::string& key)>& is_declared);
 
 // Rewrites the expression tree in place; returns rewrite statistics.
 // `facts` (optional) supplies analyzer-inferred cardinalities keyed by

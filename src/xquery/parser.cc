@@ -779,7 +779,7 @@ class ParserImpl {
       if (!AtSymbol("/") && !AtSymbol("//")) return primary;
       path->kids.push_back(std::move(primary));
     } else {
-      XQ_ASSIGN_OR_RETURN(Step step, ParseStep());
+      XQ_ASSIGN_OR_RETURN(Step step, ParseStepExpr());
       path->steps.push_back(std::move(step));
     }
 
@@ -791,10 +791,20 @@ class ParserImpl {
         path->steps.push_back(std::move(ds));
       }
       Next();
-      XQ_ASSIGN_OR_RETURN(Step step, ParseStep());
+      XQ_ASSIGN_OR_RETURN(Step step, ParseStepExpr());
       path->steps.push_back(std::move(step));
     }
     return path;
+  }
+
+  // StepExpr ::= FilterExpr | AxisStep. A filter expression after '/'
+  // (a function call, a parenthesized or literal primary, '.', a
+  // variable) becomes an expression step.
+  Result<Step> ParseStepExpr() {
+    if (AtAxisStepStart()) return ParseStep();
+    Step step;
+    XQ_ASSIGN_OR_RETURN(step.expr, ParseFilter());
+    return step;
   }
 
   bool AtPathStepStart() {

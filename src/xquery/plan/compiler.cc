@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "xquery/analysis/facts.h"
+#include "xquery/evaluator.h"
 #include "xquery/federation.h"
 #include "xquery/plan/plan.h"
 #include "xquery/profiler.h"
@@ -152,13 +153,19 @@ class FunctionCompiler {
 
   // --- fallback ---
 
-  // Re-binds every plan-held variable into the (barrier) environment
-  // scope, innermost shadowing last, then tree-walks the subtree.
-  uint16_t Fallback(const Expr& e, const char* why) {
+  // Emits the kBindEnv run that makes every plan-held variable visible
+  // to the tree walker for the op that follows it.
+  void BindScope() {
     uses_env_ = true;
     for (const auto& [name, reg] : scope_) {
       Emit(OpCode::kBindEnv, 0, reg, 0, NameIndex(name));
     }
+  }
+
+  // Re-binds every plan-held variable into the (barrier) environment
+  // scope, innermost shadowing last, then tree-walks the subtree.
+  uint16_t Fallback(const Expr& e, const char* why) {
+    BindScope();
     uint16_t dst = AllocReg();
     std::string note = "eval " + DescribeExpr(e);
     if (why[0] != '\0') note += std::string(" (") + why + ")";
@@ -333,28 +340,35 @@ class FunctionCompiler {
     return dst;
   }
 
-  // Whole-tree descendant name steps (//span) lower to a direct
-  // element-name-index probe; the step's ordering annotations make the
-  // sort elision static. Anything else tree-walks (and still hits the
-  // evaluator's own index/stream fast paths).
+  // A path with an exact-name descendant step whose predicates are
+  // absent or position-free (//span, local:cached()//article[@id=$aid])
+  // lowers to kPathIndexed: its input expression compiles to a
+  // register, and the evaluator's path engine answers the step from an
+  // order-key range of the element-name index when its context is one
+  // attached node. Step predicates run on the tree walker, so the
+  // plan-held variables are bound first, as for a fallback. Paths with
+  // expression steps, and all others, are tree-walk fallbacks.
   uint16_t CompilePath(const Expr& e) {
-    bool indexable =
-        e.kids.empty() && e.steps.size() == 1 &&
-        e.steps[0].predicates.empty() &&
-        (e.steps[0].axis == Axis::kDescendant ||
-         e.steps[0].axis == Axis::kDescendantOrSelf) &&
-        (e.steps[0].test.kind == NodeTest::Kind::kName ||
-         e.steps[0].test.kind == NodeTest::Kind::kElement) &&
-        !e.steps[0].test.any_name && !e.steps[0].test.any_ns &&
-        !e.steps[0].test.any_local && !e.steps[0].test.name.local().empty();
-    if (!indexable) return Fallback(e, "");
-    uint16_t dst = AllocReg();
-    std::string note = DescribeExpr(e) + " [indexed";
-    if (e.steps[0].preserves_order && e.steps[0].no_duplicates) {
-      note += ", ordered dup-free";
+    bool indexable = false;
+    bool predicated = false;
+    bool ordered = true;
+    for (const Step& step : e.steps) {
+      if (step.expr != nullptr) return Fallback(e, "expression step");
+      if (!step.predicates.empty()) predicated = true;
+      if (IsExactNameDescendantStep(step) &&
+          (step.predicates.empty() || step.position_free)) {
+        indexable = true;
+      }
+      ordered = ordered && step.preserves_order && step.no_duplicates;
     }
-    note += "]";
-    Emit(OpCode::kPathIndexed, dst, 0, 0, ExprIndex(&e), std::move(note));
+    if (!indexable) return Fallback(e, "");
+    const bool has_input = !e.kids.empty();
+    uint16_t input = has_input ? CompileExpr(*e.kids[0]) : 0;
+    if (predicated) BindScope();
+    uint16_t dst = AllocReg();
+    Emit(OpCode::kPathIndexed, dst, input, has_input ? 1 : 0, ExprIndex(&e),
+         DescribeExpr(e) + (ordered ? " [indexed, ordered dup-free]"
+                                    : " [indexed]"));
     return dst;
   }
 
@@ -429,17 +443,18 @@ class FunctionCompiler {
     std::string label = e.qname.Lexical() + "#" + std::to_string(arity) +
                         (pure ? " [pure]" : "");
 
-    // fn:count over an indexable whole-tree step: answered from the
-    // bucket size (kCountIndexed), tree fallback otherwise.
+    // fn:count over a one-step exact-name descendant path: the size of
+    // its index slice when its input is one attached node
+    // (kCountIndexed), the evaluated path's size otherwise.
     if (fn == nullptr && e.qname.ns() == xml::kFnNamespace &&
         e.qname.local() == "count" && arity == 1 &&
-        e.kids[0]->kind == ExprKind::kPath && e.kids[0]->kids.empty() &&
-        e.kids[0]->steps.size() == 1 &&
-        e.kids[0]->steps[0].predicates.empty()) {
+        Evaluator::IsFastCountPath(*e.kids[0])) {
+      const Expr& path = *e.kids[0];
+      const bool has_input = !path.kids.empty();
+      uint16_t input = has_input ? CompileExpr(*path.kids[0]) : 0;
       uint16_t dst = AllocReg();
-      Emit(OpCode::kCountIndexed, dst, 0,
-           static_cast<uint16_t>(NameIndex(e.qname)), ExprIndex(&e),
-           "count(" + DescribeExpr(*e.kids[0]) + ") [indexed]");
+      Emit(OpCode::kCountIndexed, dst, input, has_input ? 1 : 0,
+           ExprIndex(&e), "count(" + DescribeExpr(path) + ") [indexed]");
       return dst;
     }
 
@@ -565,6 +580,8 @@ class FunctionCompiler {
                std::to_string(op.b) + " args at " + r(op.a) + ")";
       case OpCode::kPathIndexed:
       case OpCode::kCountIndexed:
+        return r(op.dst) + " <- expr[" + std::to_string(op.imm) + "]" +
+               (op.b != 0 ? " from " + r(op.a) : "");
       case OpCode::kEvalExpr:
         return r(op.dst) + " <- expr[" + std::to_string(op.imm) + "]";
       case OpCode::kBindEnv:

@@ -15,22 +15,22 @@
 
 namespace xqib::xquery::plan {
 
-// Friend-forwarders into the Evaluator's private fast-path machinery
-// (the EvaluatorStreams idiom): the executor reuses the element-name
-// index probes and counter mirrors instead of duplicating them.
+// Friend-forwarders into the Evaluator's private path machinery (the
+// EvaluatorStreams idiom): the executor reuses the path engine and its
+// element-name index probes instead of duplicating them.
 struct PlanEvaluatorAccess {
   static Result<xdm::Sequence> PathInput(Evaluator& ev, const Expr& e,
                                          DynamicContext& ctx) {
     return ev.PathInput(e, ctx);
   }
-  static bool TryIndexedStep(Evaluator& ev, const Step& step,
-                             const xdm::Sequence& current,
-                             xdm::Sequence* out) {
-    return ev.TryIndexedStep(step, current, out);
+  static Result<xdm::Sequence> EvalPathFrom(Evaluator& ev, const Expr& e,
+                                            xdm::Sequence input,
+                                            DynamicContext& ctx) {
+    return ev.EvalPathFrom(e, std::move(input), ctx);
   }
-  static bool TryFastCount(Evaluator& ev, const Expr& arg,
-                           DynamicContext& ctx, int64_t* out) {
-    return ev.TryFastCount(arg, ctx, out);
+  static Result<int64_t> CountPath(Evaluator& ev, const Expr& path,
+                                   xdm::Sequence input, DynamicContext& ctx) {
+    return ev.CountPath(path, std::move(input), ctx);
   }
   static bool Exited(const Evaluator& ev) { return ev.exit_flag_; }
 };
@@ -56,6 +56,37 @@ struct IterState {
 void AssignSingle(Sequence* reg, Item item) {
   reg->clear();
   reg->push_back(std::move(item));
+}
+
+// The ops that hand a subtree to the evaluator: the tree-walk fallback
+// and the element-name-index path and count ops, whose path input comes
+// from regs[a] when b != 0.
+Result<Sequence> RunEvaluatorOp(const Op& op, const FunctionPlan& fp,
+                                const std::vector<Sequence>& regs,
+                                Evaluator& ev, DynamicContext& ctx) {
+  const Expr& e = *fp.exprs[op.imm];
+  if (op.code == OpCode::kEvalExpr) return ev.Eval(e, ctx);
+  const Expr& path = op.code == OpCode::kPathIndexed ? e : *e.kids[0];
+  Sequence input;
+  if (op.b != 0) {
+    input = regs[op.a];
+  } else {
+    XQ_ASSIGN_OR_RETURN(input, Access::PathInput(ev, path, ctx));
+  }
+  if (op.code == OpCode::kPathIndexed) {
+    return Access::EvalPathFrom(ev, path, std::move(input), ctx);
+  }
+  // Runtime re-check of the shadowing the compiler could not rule out
+  // statically: a host external registered under fn:count.
+  if (ctx.FindExternal(e.qname, 1) != nullptr) {
+    std::vector<Sequence> args(1);
+    XQ_ASSIGN_OR_RETURN(args[0],
+                        Access::EvalPathFrom(ev, path, std::move(input), ctx));
+    return ev.CallFunction(e.qname, std::move(args), ctx);
+  }
+  XQ_ASSIGN_OR_RETURN(int64_t n,
+                      Access::CountPath(ev, path, std::move(input), ctx));
+  return Sequence{Item::Integer(n)};
 }
 
 Result<Sequence> Run(const FunctionPlan& fp, const ModulePlans& plans,
@@ -260,34 +291,9 @@ Result<Sequence> Run(const FunctionPlan& fp, const ModulePlans& plans,
             ev.CallFunction(fp.names[op.imm], std::move(args), ctx));
         break;
       }
-      case OpCode::kPathIndexed: {
-        const Expr& path = *fp.exprs[op.imm];
-        XQ_ASSIGN_OR_RETURN(Sequence origin, Access::PathInput(ev, path, ctx));
-        if (Access::TryIndexedStep(ev, path.steps[0], origin,
-                                   &(*regs)[op.dst])) {
-          ++ev.counters().name_index_hits;
-          ++ev.counters().sorts_elided;
-        } else {
-          XQ_ASSIGN_OR_RETURN((*regs)[op.dst], ev.Eval(path, ctx));
-        }
-        break;
-      }
-      case OpCode::kCountIndexed: {
-        const Expr& call = *fp.exprs[op.imm];
-        int64_t n = 0;
-        // Runtime re-check of the shadowing the compiler could not rule
-        // out statically: a host external registered under fn:count.
-        if (ctx.FindExternal(fp.names[op.b], 1) == nullptr &&
-            Access::TryFastCount(ev, *call.kids[0], ctx, &n)) {
-          AssignSingle(&(*regs)[op.dst], Item::Integer(n));
-          break;
-        }
-        XQ_ASSIGN_OR_RETURN((*regs)[op.dst], ev.Eval(call, ctx));
-        break;
-      }
       case OpCode::kBindEnv: {
         // A bind run re-establishes the plan's in-scope variables for
-        // the single kEvalExpr that follows it; its own scope keeps
+        // the single evaluator op that follows it; its own scope keeps
         // repeated fallbacks (loops) from growing the environment.
         ctx.env().PushScope();
         size_t j = pc;
@@ -296,7 +302,7 @@ Result<Sequence> Run(const FunctionPlan& fp, const ModulePlans& plans,
           ++j;
         }
         const Op& eval_op = fp.ops[j];
-        Result<Sequence> r = ev.Eval(*fp.exprs[eval_op.imm], ctx);
+        Result<Sequence> r = RunEvaluatorOp(eval_op, fp, *regs, ev, ctx);
         ctx.env().PopScope();
         if (!r.ok()) return r.status();
         (*regs)[eval_op.dst] = std::move(*r);
@@ -304,9 +310,11 @@ Result<Sequence> Run(const FunctionPlan& fp, const ModulePlans& plans,
         pc = j + 1;
         continue;
       }
-      case OpCode::kEvalExpr: {
+      case OpCode::kEvalExpr:
+      case OpCode::kPathIndexed:
+      case OpCode::kCountIndexed: {
         XQ_ASSIGN_OR_RETURN((*regs)[op.dst],
-                            ev.Eval(*fp.exprs[op.imm], ctx));
+                            RunEvaluatorOp(op, fp, *regs, ev, ctx));
         if (Access::Exited(ev)) return Sequence{};
         break;
       }

@@ -69,10 +69,12 @@ enum class OpCode : uint8_t {
   kClear,        // regs[dst] = ()   (keeps capacity)
   kCallPlan,     // regs[dst] = execute fns[imm](regs[a] .. regs[a+b-1])
   kCallDyn,      // regs[dst] = ev.CallFunction(names[imm], a..a+b-1)
-  kPathIndexed,  // regs[dst] = //name via element-name index; exprs[imm]
-                 //             is the path for the non-indexed fallback
-  kCountIndexed, // regs[dst] = { Integer(|bucket|) }; exprs[imm] is the
-                 //             count(...) call for the fallback
+  kPathIndexed,  // regs[dst] = path exprs[imm] from regs[a] (b != 0) or
+                 //             its own input, with the element-name
+                 //             index answering descendant name steps
+  kCountIndexed, // regs[dst] = { Integer(count(exprs[imm])) }, the path
+                 //             from regs[a] (b != 0): the index slice
+                 //             size when its input is one attached node
   kBindEnv,      // env.Bind(names[imm], regs[a])  (fallback free vars)
   kEvalExpr,     // regs[dst] = ev.Eval(*exprs[imm], ctx)  (tree fallback)
   kInsert,       // BuildInsert(mode=imm, source=regs[a], target=regs[b])

@@ -71,6 +71,10 @@ std::string DescribeExpr(const Expr& expr) {
     case ExprKind::kPath: {
       out += " ";
       for (const Step& step : expr.steps) {
+        if (step.expr != nullptr) {
+          out += "/(" + std::string(ExprKindName(step.expr->kind)) + ")";
+          continue;
+        }
         if (step.axis == Axis::kDescendantOrSelf &&
             step.test.kind == NodeTest::Kind::kAnyKind) {
           out += "/";  // combined with the next step's '/' prints '//'

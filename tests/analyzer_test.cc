@@ -236,11 +236,14 @@ TEST(LintPass, UnreachableBranch) {
 }
 
 TEST(LintPass, UncollapsibleDescendantPath) {
-  // '//x[@id]' cannot be collapsed (predicate), '//x' can.
-  AnalysisResult r = Analyze("//item[@id = \"a\"]");
+  // '//x[1]' cannot be collapsed (positional predicate); '//x' and the
+  // position-free '//x[@id = "a"]' can.
+  AnalysisResult r = Analyze("//item[1]");
   ASSERT_TRUE(HasCode(r, "XQSA032"));
   EXPECT_EQ(r.diagnostics[0].severity, Severity::kInfo);
+  EXPECT_TRUE(HasCode(Analyze("//item[position() = 2]"), "XQSA032"));
   EXPECT_FALSE(HasCode(Analyze("//item"), "XQSA032"));
+  EXPECT_FALSE(HasCode(Analyze("//item[@id = \"a\"]"), "XQSA032"));
 }
 
 TEST(LintPass, BehindListenerAppliesUpdates) {

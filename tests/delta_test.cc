@@ -52,12 +52,20 @@ Status RunUpdateCapturing(const std::string& query, xml::Document* doc,
   return ctx.pul().ApplyAll(delta);
 }
 
+// Order keys strictly increase in preorder and every spliced bucket
+// equals a fresh walk: what the index's order-key slices rely on.
+void ExpectInvariants(const xml::Document* doc) {
+  Status st = doc->CheckInvariants();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
 // The splice reference: every ElementsByName bucket must equal a fresh
 // document-order walk of the attached tree. `gone` lists names the walk
 // no longer finds whose buckets must therefore be empty (the index may
 // not keep a bucket for a name the tree lost).
 void ExpectIndexMatchesWalk(xml::Document* doc,
                             const std::vector<const char*>& gone = {}) {
+  ExpectInvariants(doc);
   std::map<const xml::InternedName*, std::vector<xml::Node*>> walk;
   std::map<const xml::InternedName*, xml::QName> names;
   std::function<void(xml::Node*)> visit = [&](xml::Node* n) {
@@ -88,6 +96,7 @@ TEST(PulDelta, ReplaceValueOfAttribute) {
   Status st = RunUpdateCapturing("replace value of node /a/b/@v with \"9\"",
                                  doc.get(), &delta);
   ASSERT_TRUE(st.ok()) << st.ToString();
+  ExpectInvariants(doc.get());
   EXPECT_EQ(xml::Serialize(doc->root()), "<a><b v=\"9\"/></a>");
 
   // Exactly the attribute name plus the ancestor element chain; a value
@@ -110,6 +119,7 @@ TEST(PulDelta, InsertBeforeAndAfterSiblingOrdering) {
       "insert node <b i=\"2\"/> after /a/b[1]",
       doc.get(), &delta);
   ASSERT_TRUE(st.ok()) << st.ToString();
+  ExpectInvariants(doc.get());
   EXPECT_EQ(xml::Serialize(doc->root()),
             "<a><b i=\"0\"/><b i=\"1\"/><b i=\"2\"/><b i=\"3\"/></a>");
 
@@ -142,6 +152,7 @@ TEST(PulDelta, DeleteOfAncestorOfPendingInsertTarget) {
   Status st = RunUpdateCapturing(
       "insert node <d/> into /a/b/c, delete node /a/b", doc.get(), &delta);
   ASSERT_TRUE(st.ok()) << st.ToString();
+  ExpectInvariants(doc.get());
   EXPECT_EQ(xml::Serialize(doc->root()), "<a/>");
 
   EXPECT_FALSE(delta.whole_tree);
@@ -266,6 +277,56 @@ TEST(IndexSplice, GapKeysKeepDocumentOrderWithoutRebuilds) {
     EXPECT_LT(kids[i - 1]->CompareDocumentOrder(kids[i]), 0)
         << "children out of order at " << i;
   }
+}
+
+// Every ElementsByNameIn slice equals the walk of the origin's subtree,
+// for every attached element origin and name, both axes, through gap-key
+// inserts, removals and renames.
+TEST(IndexSlice, SubtreeRangesMatchWalkThroughSplices) {
+  auto doc = std::move(xml::ParseDocument(
+                           "<r><a><b/><a><b/><c/></a></a><b><a/></b><c/></r>"))
+                 .value();
+  doc->set_delta_tracking(true);
+  const char* names[] = {"a", "b", "c"};
+  auto check = [&]() {
+    ExpectInvariants(doc.get());
+    std::vector<xml::Node*> origins{doc->root()};
+    VisitSubtree(doc->DocumentElement(), [&](xml::Node* n) {
+      if (n->is_element()) origins.push_back(n);
+    });
+    for (xml::Node* origin : origins) {
+      for (const char* name : names) {
+        for (bool or_self : {false, true}) {
+          std::vector<xml::Node*> walk;
+          std::function<void(xml::Node*)> visit = [&](xml::Node* n) {
+            if (n->is_element() && n->name().local() == name &&
+                (or_self || n != origin)) {
+              walk.push_back(n);
+            }
+            for (xml::Node* c : n->children()) visit(c);
+          };
+          visit(origin);
+          auto slice =
+              doc->ElementsByNameIn(origin, xml::QName(name), or_self);
+          EXPECT_EQ(std::vector<xml::Node*>(slice.begin(), slice.end()), walk)
+              << "<" << name << "> under <" << origin->name().local()
+              << "> or_self=" << or_self;
+        }
+      }
+    }
+  };
+  check();
+  xml::Node* r = doc->DocumentElement();
+  for (int i = 0; i < 4; ++i) {
+    xml::Node* a = doc->CreateElement(xml::QName("a"));
+    a->AppendChild(doc->CreateElement(xml::QName("b")));
+    r->children()[0]->InsertBefore(a, r->children()[0]->children()[i % 2]);
+    check();
+  }
+  r->children()[0]->children()[1]->Rename(xml::QName("c"));
+  check();
+  r->RemoveChild(r->children()[1]);
+  check();
 }
 
 // --------------------------------------------- dispatch skipping ---

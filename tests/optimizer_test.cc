@@ -166,6 +166,53 @@ TEST(PathCollapsing, PositionalPredicatesBlockFusion) {
   EXPECT_EQ(body->steps[0].axis, Axis::kDescendantOrSelf);
 }
 
+TEST(PathCollapsing, PositionFreePredicatesFuse) {
+  // Comparisons, and/or, boolean builtins and paths select by value
+  // alone: //a[P] fuses into descendant::a[P] and records the proof.
+  const char* fused[] = {
+      "//a[@id = 'x']",         "//a[@v > 50 and b]",
+      "//a[not(@v)]",           "//a[b]",
+      "//a[b[last()]]",         "//a[exists(b[position() = 2])]",
+      "//a[string(@v) = 'x']"};
+  for (const char* q : fused) {
+    ExprPtr body;
+    OptimizerStats stats = Optimize(q, &body);
+    EXPECT_EQ(stats.paths_collapsed, 1) << q;
+    ASSERT_EQ(body->steps.size(), 1u) << q;
+    EXPECT_EQ(body->steps[0].axis, Axis::kDescendant) << q;
+    EXPECT_TRUE(body->steps[0].position_free) << q;
+  }
+  // Positions on the predicate's own focus, values that could be
+  // numeric, and calls that inherit the focus keep the walk.
+  const char* kept[] = {
+      "//a[1]",
+      "//a[position() = 2]",
+      "//a[last()]",
+      "declare variable $i := 1; //a[$i]",
+      "//a[count(b)]",
+      "//a[@v = last()]",
+      "declare function local:f() { true() }; //a[local:f()]",
+      "declare function fn:exists($x) { 1 }; //a[exists(b)]",
+      "//a[b/string()]"};
+  for (const char* q : kept) {
+    ExprPtr body;
+    OptimizerStats stats = Optimize(q, &body);
+    EXPECT_EQ(stats.paths_collapsed, 0) << q;
+    ASSERT_EQ(body->steps.size(), 2u) << q;
+    EXPECT_EQ(body->steps[0].axis, Axis::kDescendantOrSelf) << q;
+    EXPECT_FALSE(body->steps[1].position_free) << q;
+  }
+  const char* doc =
+      "<r><a id='x' v='60'><b/><a v='7'><b/><b/></a></a><a/><c><a><b/></a></c>"
+      "</r>";
+  for (const char* q : fused) {
+    EXPECT_EQ(EvalBoth(std::string("count(") + q + ")", doc),
+              EvalBoth(std::string("count(//*[self::a]") + (q + 3) + ")",
+                       doc))
+        << q;
+  }
+}
+
 TEST(PathCollapsing, PreservesSemantics) {
   const char* doc = "<r><a><b/><a><b/><b/></a></a><b/></r>";
   EXPECT_EQ(EvalBoth("count(//a)", doc), "2");

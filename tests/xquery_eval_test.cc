@@ -240,6 +240,37 @@ TEST(Paths, PathFromAtomicFails) {
   EXPECT_EQ(EvalError("(1)/a"), "XPTY0019");
 }
 
+// StepExpr ::= FilterExpr | AxisStep: an expression step is evaluated
+// once per context node, that node being the focus.
+TEST(Paths, ExpressionSteps) {
+  const char* doc =
+      "<r><a><item v=\"1\"/><b><item v=\"2\"/></b></a><item v=\"3\"/></r>";
+  EXPECT_EQ(EvalToString("//item/name()", doc), "item item item");
+  EXPECT_EQ(EvalToString("(//item)[1]/@v/string()", doc), "1");
+  EXPECT_EQ(EvalToString("/r/a//item[@v=\"2\"]/@v/string()", doc), "2");
+  EXPECT_EQ(EvalToString("//item/(@v + 10)", doc), "11 12 13");
+  // Atomic results keep context order and duplicates.
+  EXPECT_EQ(EvalToString("(//item)[last()]/(., ..)/name()", doc), "r item");
+  EXPECT_EQ(EvalToString("//item/\"x\"", doc), "x x x");
+  // The focus carries the context position and size.
+  EXPECT_EQ(EvalToString("//item/concat(position(), '/', last())", doc),
+            "1/3 2/3 3/3");
+  // Node results combine in document order without duplicates.
+  EXPECT_EQ(EvalToString("count(//item/(.., /r))", doc), "3");
+  EXPECT_EQ(EvalToString("//item/(..)/name()", doc), "r a b");
+  EXPECT_EQ(EvalToString("count(//b/.)", doc), "1");
+  // Atomic values before the last step, and a last step mixing nodes
+  // and atomic values, are type errors.
+  EXPECT_EQ(EvalError("//item/string()/x", doc), "XPTY0019");
+  EXPECT_EQ(EvalError("//item/(if (@v = \"1\") then . else 1)", doc),
+            "XPTY0018");
+  // Inside a declared function the step compiles as a plan fallback.
+  EXPECT_EQ(EvalToString("declare function local:names($n) { $n/name() };"
+                         "local:names(//item)",
+                         doc),
+            "item item item");
+}
+
 // ------------------------------------------------- path fast paths ---
 
 // Evaluates `query` with explicit evaluator options (the reference
@@ -387,11 +418,12 @@ TEST(FastPaths, NameIndexScopeLimits) {
                             &stats),
             "14");
   EXPECT_EQ(stats.name_index_hits, 0u);
-  // Steps from a mid-tree context node can't use the whole-doc index.
+  // A step from a single mid-tree context node answers from the
+  // index's order-key range of that node's subtree.
   EXPECT_EQ(EvalWithOptions("count(/books/book[1]//author)", kBooks,
                             Evaluator::EvalOptions(), &stats),
             "1");
-  EXPECT_EQ(stats.name_index_hits, 0u);
+  EXPECT_GT(stats.name_index_hits, 0u);
 }
 
 // A user-declared function named exists() lives in its own namespace,
@@ -729,14 +761,14 @@ INSTANTIATE_TEST_SUITE_P(
         XPathCase{"max(for $i in //item return xs:integer($i/@price))",
                   "30"},
         XPathCase{"//person[name = 'Ann']/@age cast as xs:integer", "34"},
-        XPathCase{"count(//person[@id][city])", "3"}));
+        XPathCase{"count(//person[@id][city])", "3"},
+        XPathCase{"min(//item/xs:integer(@price))", "10"}));
 
-// The deliberately-invalid row above documents that trailing function
-// steps are not XPath 2.0: verify it errors rather than silently passing.
-TEST(XPathConformanceMeta, InvalidRowReallyErrors) {
-  EXPECT_TRUE(
-      EvalToString("min(//item/xs:integer(@price))", kConformanceDoc)
-          .find("ERROR") != std::string::npos);
+// A function-call step (StepExpr ::= FilterExpr | AxisStep) is
+// evaluated per context node, not rejected as trailing content.
+TEST(XPathConformanceMeta, FunctionCallStepsEvaluate) {
+  EXPECT_EQ(EvalToString("min(//item/xs:integer(@price))", kConformanceDoc),
+            "10");
 }
 
 }  // namespace

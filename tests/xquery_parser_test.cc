@@ -158,6 +158,41 @@ TEST(ParserAst, PathSteps) {
   EXPECT_EQ(e->steps[4].axis, Axis::kAttribute);
 }
 
+TEST(ParserAst, ExpressionSteps) {
+  // StepExpr ::= FilterExpr | AxisStep: a function call, a
+  // parenthesized or literal primary, or '.' after '/'.
+  const char* queries[] = {"//item/name()", "(//item)[1]/@v/string()",
+                           "/r/a//item[@v=\"2\"]/@v/string()", "a/.",
+                           "a/(b | c)", "a/\"x\"", "a/$v", "//item/name()[1]"};
+  for (const char* q : queries) {
+    EXPECT_EQ(ParseErrorCode(q), "OK") << q;
+  }
+  auto m = ParseModule("(//item)[1]/@v/string()");
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  const Expr* e = Body(*m);
+  ASSERT_EQ(e->kind, ExprKind::kPath);
+  ASSERT_EQ(e->kids.size(), 1u);
+  EXPECT_EQ(e->kids[0]->kind, ExprKind::kFilter);
+  ASSERT_EQ(e->steps.size(), 2u);
+  EXPECT_EQ(e->steps[0].expr, nullptr);
+  EXPECT_EQ(e->steps[0].axis, Axis::kAttribute);
+  ASSERT_NE(e->steps[1].expr, nullptr);
+  EXPECT_EQ(e->steps[1].expr->kind, ExprKind::kFunctionCall);
+  EXPECT_EQ(e->steps[1].expr->qname.local(), "string");
+  // A filter step keeps its predicates on the filter expression.
+  m = ParseModule("//item/name()[1]");
+  ASSERT_TRUE(m.ok());
+  ASSERT_EQ(Body(*m)->steps.size(), 3u);
+  ASSERT_NE(Body(*m)->steps[2].expr, nullptr);
+  EXPECT_EQ(Body(*m)->steps[2].expr->kind, ExprKind::kFilter);
+  EXPECT_TRUE(Body(*m)->steps[2].predicates.empty());
+  // Node tests stay axis steps.
+  m = ParseModule("a/text()");
+  ASSERT_TRUE(m.ok());
+  EXPECT_EQ(Body(*m)->steps[1].expr, nullptr);
+  EXPECT_EQ(Body(*m)->steps[1].test.kind, NodeTest::Kind::kText);
+}
+
 TEST(ParserAst, ExplicitAxes) {
   const char* axes[] = {
       "child", "descendant", "descendant-or-self", "self", "attribute",
