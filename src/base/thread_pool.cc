@@ -87,50 +87,4 @@ void ThreadPool::WorkerMain(size_t self) {
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  ++stats_.parallel_fors;
-  if (workers_.empty() || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
-  // Helpers and the caller claim indices from one shared counter. The
-  // job outlives the caller only through the shared_ptr — a helper that
-  // wakes after everything is claimed touches nothing but the counters.
-  struct Job {
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t total = 0;
-    const std::function<void(size_t)>* fn = nullptr;  // valid while done<total
-  };
-  auto job = std::make_shared<Job>();
-  job->total = n;
-  job->fn = &fn;
-
-  auto drain = [](const std::shared_ptr<Job>& j) {
-    while (true) {
-      size_t i = j->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= j->total) return;
-      (*j->fn)(i);
-      if (j->done.fetch_add(1, std::memory_order_acq_rel) + 1 == j->total) {
-        std::lock_guard<std::mutex> lk(j->mu);
-        j->cv.notify_all();
-      }
-    }
-  };
-
-  size_t helpers = std::min(workers_.size(), n - 1);
-  for (size_t i = 0; i < helpers; ++i) {
-    Submit([job, drain] { drain(job); });
-  }
-  drain(job);
-  std::unique_lock<std::mutex> lk(job->mu);
-  job->cv.wait(lk, [&] {
-    return job->done.load(std::memory_order_acquire) == job->total;
-  });
-}
-
 }  // namespace xqib::base

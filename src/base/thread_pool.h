@@ -5,6 +5,24 @@
 // discipline in mutex-guarded form — task bodies here are whole session
 // drains, microseconds to milliseconds, so lock cost is noise).
 //
+// Wake rule: `pending_` counts tasks queued *or running*, and an idle
+// worker sleeps only when it is zero. So while any drain runs, idle
+// workers keep re-polling every queue instead of sleeping.
+//
+// Why the pool stays as it is: two prototypes that changed only the
+// pool were slower end to end (perfbench/ with the BENCHMARK.json
+// command, alternating pairs against this pool, 4 vCPUs, every run
+// correct with 0 failures). Change of event_p50_us (p50) and
+// throughput_eps (eps) against this pool:
+//
+//   variant (pairs)                cart p50  cart eps  mashup eps  browse eps
+//   one FIFO, idle workers sleep (5)  +9.3%    -7.8%    -10.9%      -11.7%
+//   one FIFO, this wake rule (4)      +6.1%   -12.5%    -11%        -13.4%
+//
+// (mashup eps of the second row: the 2 pairs without host steal.) The
+// FIFO that keeps this wake rule loses too, so sleeping is not the
+// whole cost; which part of the per-worker deques wins was not split.
+
 // The pool is deliberately oblivious to XQuery: it runs closures. All
 // ordering guarantees (per-session FIFO, one drain at a time) live in
 // the caller, server::Session.
@@ -29,8 +47,8 @@ namespace xqib::base {
 class ThreadPool {
  public:
   // A pool of `workers` threads. Zero is legal and means "no threads":
-  // Submit runs inline and ParallelFor degrades to a plain loop — the
-  // serial baseline every determinism oracle compares against.
+  // Submit runs inline — the serial baseline every determinism oracle
+  // compares against.
   explicit ThreadPool(size_t workers);
   ~ThreadPool();
 
@@ -40,21 +58,12 @@ class ThreadPool {
   size_t size() const { return workers_.size(); }
 
   // Fire-and-forget. Tasks may themselves Submit; they must not block on
-  // other pool tasks (ParallelFor is the blocking primitive and the
-  // calling thread participates, so it is safe from non-pool threads).
+  // other pool tasks.
   void Submit(std::function<void()> task);
-
-  // Runs fn(0) ... fn(n-1), distributed across the workers with the
-  // calling thread participating, and returns when all n indices have
-  // completed. Indices are claimed dynamically (atomic counter), so
-  // uneven task costs balance automatically. fn must be safe to call
-  // concurrently with itself for distinct indices.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   struct Stats {
     RelaxedCounter submitted;
     RelaxedCounter stolen;    // tasks executed by a non-owning worker
-    RelaxedCounter parallel_fors;
   };
   const Stats& stats() const { return stats_; }
 

@@ -32,25 +32,19 @@ Result<HttpResponse> HttpFuture::Await() {
 
 void HttpFuture::Then(browser::EventLoop* loop,
                       std::function<void(Result<HttpResponse>)> callback) {
-  // The completion is an off-thread unit, so it batches with the other
-  // completions due at the same instant: its work is empty and its
-  // commit runs the callback (which may mutate the DOM) on the loop
-  // thread after every work of the batch.
   std::shared_ptr<State> st = state_;
-  loop->PostOffThread(
-      [st, cb = std::move(callback)]() -> browser::EventLoop::Task {
-        return [st, cb]() {
-          {
-            std::lock_guard<std::mutex> lock(st->mu);
-            if (!st->clock_settled) {
-              st->clock_settled = true;
-              if (st->fabric != nullptr) {
-                st->fabric->SettleFetch(st->complete_ms);
-              }
+  loop->Post(
+      [st, cb = std::move(callback)]() {
+        {
+          std::lock_guard<std::mutex> lock(st->mu);
+          if (!st->clock_settled) {
+            st->clock_settled = true;
+            if (st->fabric != nullptr) {
+              st->fabric->SettleFetch(st->complete_ms);
             }
           }
-          cb(st->response);
-        };
+        }
+        cb(st->response);
       },
       latency_ms());
 }

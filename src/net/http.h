@@ -51,9 +51,9 @@ struct HttpResponse {
 // An awaitable, composable handle to an in-flight fabric request.
 // `Await` blocks until the response is ready and advances the fabric's
 // virtual clock to the request's completion time (idempotently — the
-// first settle wins); `Then` routes the completion through the event
-// loop's off-thread machinery instead, like the paper's `behind`
-// construct. Copyable: copies share one completion state.
+// first settle wins); `Then` posts the completion to the event loop
+// instead, like the paper's `behind` construct. Copyable: copies share
+// one completion state.
 class HttpFuture {
  public:
   HttpFuture() = default;

@@ -245,14 +245,6 @@ Status XqibPlugin::InitializePage(Window* window) {
             PageContext::ListenerKey{token, arity});
       }
     }
-    for (const std::string& key : result.facts.parallel_safe_functions) {
-      size_t arity = 0;
-      const xml::InternedName* token = ParseFunctionKeyToken(key, &arity);
-      if (token != nullptr) {
-        page->parallel_safe_functions.insert(
-            PageContext::ListenerKey{token, arity});
-      }
-    }
     // Effect summaries feed the delta-skip dirty classification
     // (listeners with fully named reads).
     for (const auto& [key, eff] : result.facts.function_effects) {
@@ -278,8 +270,6 @@ Status XqibPlugin::InitializePage(Window* window) {
                                     mf.pure_functions.end());
       merged->memoizable_functions.insert(mf.memoizable_functions.begin(),
                                           mf.memoizable_functions.end());
-      merged->parallel_safe_functions.insert(
-          mf.parallel_safe_functions.begin(), mf.parallel_safe_functions.end());
       merged->function_effects.insert(mf.function_effects.begin(),
                                       mf.function_effects.end());
     }
@@ -698,72 +688,6 @@ void XqibPlugin::RunListener(PageContext* page, const xml::QName& function,
   page->evaluator->ResetDispatchArena(*page->ctx);
 }
 
-std::shared_ptr<XqibPlugin::PageContext::WorkerSlot>
-XqibPlugin::AcquireWorkerSlot(PageContext* page) {
-  {
-    std::lock_guard<std::mutex> lk(page->slots_mu);
-    if (!page->free_slots.empty()) {
-      std::shared_ptr<PageContext::WorkerSlot> slot =
-          std::move(page->free_slots.back());
-      page->free_slots.pop_back();
-      // Options may have changed since the slot was built.
-      slot->evaluator->set_options(eval_options_);
-      slot->evaluator->set_analysis_facts(page->facts);
-      return slot;
-    }
-  }
-  auto slot = std::make_shared<PageContext::WorkerSlot>();
-  slot->ctx = std::make_unique<DynamicContext>();
-  slot->ctx->browser_profile = true;
-  // The slot context is not registered in pages_, so binding calls that
-  // reach it (impossible for parallel-safe callees — belt and braces)
-  // fail with BRWS0001.
-  slot->ctx->browser_binding = this;
-  slot->ctx->clock = page->ctx->clock;
-  PageContext::WorkerSlot* raw = slot.get();
-  slot->ctx->trace_sink = [raw](const std::string& s) {
-    raw->traces.push_back(s);
-  };
-  // browser:alert buffers in the slot and replays at commit; the
-  // blocking dialogs error out (the analyzer keeps interactive callees
-  // off the off-thread path, so hitting one here means the proof was
-  // wrong).
-  slot->ctx->RegisterExternal(
-      BrowserQName("alert"), 1,
-      [raw](std::vector<Sequence>& args,
-            DynamicContext&) -> Result<Sequence> {
-        raw->alerts.push_back(
-            args.empty() ? std::string() : xdm::SequenceToString(args[0]));
-        return Sequence{};
-      });
-  auto interactive_error = [](std::vector<Sequence>&,
-                              DynamicContext&) -> Result<Sequence> {
-    return Status::Error("BRWS0005",
-                         "interactive dialog in an off-thread work");
-  };
-  slot->ctx->RegisterExternal(BrowserQName("prompt"), 1, interactive_error);
-  slot->ctx->RegisterExternal(BrowserQName("confirm"), 1, interactive_error);
-  // Same REST surface as the page context, but consuming a slot-private
-  // prefetcher, so the work's scatters never reach the page's.
-  if (fabric_ != nullptr) {
-    slot->prefetcher = std::make_unique<net::HttpPrefetcher>(fabric_);
-    slot->ctx->prefetcher = slot->prefetcher.get();
-    net::RegisterRestFunctions(slot->ctx.get(), fabric_,
-                               slot->prefetcher.get());
-  }
-  slot->evaluator =
-      std::make_unique<xquery::Evaluator>(*page->sctx, &counters_);
-  slot->evaluator->set_options(eval_options_);
-  slot->evaluator->set_analysis_facts(page->facts);
-  return slot;
-}
-
-void XqibPlugin::ReleaseWorkerSlot(
-    PageContext* page, std::shared_ptr<PageContext::WorkerSlot> slot) {
-  std::lock_guard<std::mutex> lk(page->slots_mu);
-  page->free_slots.push_back(std::move(slot));
-}
-
 void XqibPlugin::set_eval_options(
     const xquery::Evaluator::EvalOptions& options) {
   eval_options_ = options;
@@ -902,76 +826,9 @@ Status XqibPlugin::AttachBehind(const std::string& event_name,
 
   // readyState 4: the call completes and its result is delivered after
   // the simulated round-trip latency. The call is non-blocking for the
-  // main flow (§4.4: "the user keeps control").
-  //
-  // When the callee is a declared function the analyzer proved
-  // parallel-safe, the completion is an off-thread unit: its work
-  // evaluates the call on a worker slot against the DOM snapshot, and
-  // its commit adopts the result documents, replays buffered output and
-  // delivers to the listener. Eligibility is a static property of the
-  // callee.
-  const bool off_thread =
-      is_call && page->parallel_safe_functions.count(PageContext::ListenerKey{
-                     call->qname.token(), call->kids.size()}) > 0;
-  if (off_thread) {
-    browser_->loop().PostOffThread(
-        [this, weak, call, invoke_state,
-         eager_args = std::move(eager_args)]() mutable
-        -> browser::EventLoop::Task {
-          std::shared_ptr<PageContext> page = weak.lock();
-          if (page == nullptr) return nullptr;
-          PageContext* raw = page.get();
-          std::shared_ptr<PageContext::WorkerSlot> slot =
-              AcquireWorkerSlot(raw);
-          slot->ctx->env() = raw->ctx->env();
-          slot->ctx->set_focus(raw->ctx->focus());
-          slot->alerts.clear();
-          slot->traces.clear();
-          slot->ctx->pul().Clear();
-          Result<Sequence> result = slot->evaluator->CallFunction(
-              call->qname, std::move(eager_args), *slot->ctx);
-          if (slot->evaluator->exited()) slot->evaluator->TakeExitValue();
-          // Result nodes live in the slot's scratch documents: move them
-          // out now so slot reuse cannot touch them; the commit hands
-          // them to the page context, which keeps them alive for the
-          // listener (and anything it splices into the DOM is copied by
-          // the update primitives anyway).
-          auto docs =
-              std::make_shared<std::vector<std::unique_ptr<xml::Document>>>(
-                  slot->ctx->TakeScratchDocuments());
-          // Update primitives a not-quite-pure callee produced transfer
-          // to the page PUL at commit — exactly where they would have
-          // accumulated had the call run serially on the page evaluator.
-          auto pul = std::make_shared<
-              std::vector<xquery::PendingUpdateList::Primitive>>(
-              slot->ctx->pul().Take());
-          slot->evaluator->ResetDispatchArena(*slot->ctx);
-          return [this, page, invoke_state, result, docs, pul, slot]() {
-            for (std::unique_ptr<xml::Document>& doc : *docs) {
-              page->ctx->AdoptDocument(std::move(doc));
-            }
-            for (std::string& a : slot->alerts) {
-              alerts_.push_back(std::move(a));
-            }
-            if (page->ctx->trace_sink != nullptr) {
-              for (const std::string& t : slot->traces) {
-                page->ctx->trace_sink(t);
-              }
-            }
-            for (auto& p : *pul) page->ctx->pul().Add(std::move(p));
-            ReleaseWorkerSlot(page.get(), slot);
-            if (!result.ok()) {
-              last_script_error_ = result.status();
-              invoke_state(4, Sequence{});
-              return;
-            }
-            invoke_state(4, result.value());
-          };
-        },
-        latency);
-    return Status();
-  }
-
+  // main flow (§4.4: "the user keeps control"). The completion is one
+  // task on the loop: the callee reads the DOM as every task before it
+  // left it, and the listener runs right after the callee.
   browser_->loop().Post(
       [this, weak, call, invoke_state, is_call,
        eager_args = std::move(eager_args),

@@ -124,10 +124,10 @@ class XqibPlugin : public xquery::BrowserBinding {
   }
 
   // The plug-in's cumulative dispatch counters (xquery/counters.h).
-  // Every page and worker-slot evaluator counts straight into this one
-  // set; the plug-in adds its memo and delta-skip counts and, for each
-  // listener invocation, what the call moved in the sources no evaluator
-  // owns: the page document's name index, the shared fabric, the page
+  // Every page evaluator counts straight into this one set; the plug-in
+  // adds its memo and delta-skip counts and, for each listener
+  // invocation, what the call moved in the sources no evaluator owns:
+  // the page document's name index, the shared fabric, the page
   // prefetcher and the intern pool. Counted across all pages.
   const xquery::Counters& counters() const { return counters_; }
 
@@ -208,21 +208,14 @@ class XqibPlugin : public xquery::BrowserBinding {
       }
     };
     std::unordered_set<ListenerKey, ListenerKeyHash> memoizable_functions;
-    // The parallel-safe superset: pure AND free of *interactive* host
-    // calls (prompt/confirm block on the user; alert and fn:trace only
-    // emit, so a worker slot buffers their output and the commit
-    // replays it). A `behind` call to one of these completes as an
-    // off-thread unit (AttachBehind).
-    std::unordered_set<ListenerKey, ListenerKeyHash> parallel_safe_functions;
     // Listeners whose read set the analyzer fully named: the names
     // PropagateDelta intersects each delta batch's write names with.
     std::unordered_map<ListenerKey, std::vector<const xml::InternedName*>,
                        ListenerKeyHash>
         listener_read_names;
     // Analyzer facts merged across all page scripts, shared with the
-    // page evaluator and every worker-slot evaluator so compiled-plan
-    // specialization sees one facts object (cardinality entries key on
-    // AST nodes owned by `modules`).
+    // page evaluator so compiled-plan specialization sees one facts
+    // object (cardinality entries key on AST nodes owned by `modules`).
     std::shared_ptr<const xquery::analysis::AnalysisFacts> facts;
 
     // Scatter-gather federation (PERFORMANCE.md §10): the page-level
@@ -291,28 +284,6 @@ class XqibPlugin : public xquery::BrowserBinding {
     uint64_t all_dirty_seq = 0;  // ⊤ batch: every listener dirty
     std::unordered_map<ListenerKey, uint64_t, ListenerKeyHash> dirty_seq;
     uint64_t delta_synced_version = 0;
-
-    // One worker slot per off-thread `behind` work: a private
-    // DynamicContext + Evaluator (own arena, own stats, own scratch
-    // documents) that evaluates the call against the read-only DOM
-    // snapshot, so the work's result and output stay apart from the
-    // page context until its commit. Slots are pooled so steady-state
-    // completions allocate nothing; the environment is re-copied from
-    // the page context per work (globals may rebind between events).
-    struct WorkerSlot {
-      std::unique_ptr<xquery::DynamicContext> ctx;
-      std::unique_ptr<xquery::Evaluator> evaluator;
-      // Slot-private prefetcher: the work's scatters drain into its own
-      // prefetcher, never into the page's.
-      std::unique_ptr<net::HttpPrefetcher> prefetcher;
-      std::vector<std::string> alerts;  // buffered browser:alert output
-      std::vector<std::string> traces;  // buffered fn:trace output
-    };
-    // shared_ptr because the commit closure (a copyable std::function)
-    // carries the slot from the work to the commit. Works and commits
-    // run on the session strand, so slots_mu is never contended.
-    std::vector<std::shared_ptr<WorkerSlot>> free_slots;
-    std::mutex slots_mu;
   };
 
   std::shared_ptr<PageContext> FindPageShared(const browser::Window* window);
@@ -357,13 +328,6 @@ class XqibPlugin : public xquery::BrowserBinding {
                                 const PageContext::ListenerKey& key,
                                 const PageContext::MemoEntry& entry,
                                 uint64_t doc_version);
-
-  // Worker-slot pool management (PageContext::free_slots): an
-  // off-thread `behind` work acquires a slot and its commit releases it.
-  std::shared_ptr<PageContext::WorkerSlot> AcquireWorkerSlot(
-      PageContext* page);
-  void ReleaseWorkerSlot(PageContext* page,
-                         std::shared_ptr<PageContext::WorkerSlot> slot);
 
   // Scatter-gather prefetch (PERFORMANCE.md §10): resolves `function`'s
   // static fetch plan (cached per declaration) and, when the listener

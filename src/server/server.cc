@@ -209,8 +209,7 @@ std::string PageServer::FormatSessionsReport() const {
     const base::ThreadPool::Stats& ps = pool_->stats();
     out << "    thread pool: " << pool_->size() << " workers, "
         << static_cast<uint64_t>(ps.submitted) << " tasks, "
-        << static_cast<uint64_t>(ps.stolen) << " stolen, "
-        << static_cast<uint64_t>(ps.parallel_fors) << " parallel-fors\n";
+        << static_cast<uint64_t>(ps.stolen) << " stolen\n";
   } else {
     out << "    thread pool: none (serial)\n";
   }

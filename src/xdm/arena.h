@@ -51,8 +51,8 @@ class Arena {
   // no destructors run.
   void Reset();
 
-  // Counters are relaxed atomics so a worker-slot evaluator's arena can
-  // be inspected from the loop thread while stats aggregation runs; the
+  // Counters are relaxed atomics, like every stats block in the
+  // process, so a reader on another thread never sees a torn value; the
   // arena's allocation path itself stays single-threaded per owner.
   struct Stats {
     base::RelaxedCounter bytes_used;  // cumulative bytes handed out

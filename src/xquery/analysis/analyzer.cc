@@ -235,7 +235,6 @@ class ModuleAnalyzer {
     AnalyzeBody();
     ComputePurity();
     ComputeEffects();
-    LintBehindListeners();
     LintEffectRules();
   }
 
@@ -888,12 +887,6 @@ class ModuleAnalyzer {
       case ExprKind::kEventDetach: {
         WalkKids(e, ctx.Operand());
         CheckListener(e);
-        // `behind` listeners are candidates for off-thread completion
-        // delivery; whether the listener is pure is only known after
-        // ComputePurity, so remember the site and lint it in Run().
-        if (e.kind == ExprKind::kEventAttach && e.behind) {
-          behind_attaches_.push_back(&e);
-        }
         if (e.kind == ExprKind::kEventAttach) {
           attach_sites_.push_back(&e);
         }
@@ -1175,8 +1168,7 @@ class ModuleAnalyzer {
       const FunctionDecl* decl;
       std::vector<std::string> calls;
       bool impure = false;
-      bool observable = false;   // reaches alert/prompt/confirm/trace
-      bool interactive = false;  // reaches prompt/confirm (blocks on input)
+      bool observable = false;  // reaches alert/prompt/confirm/trace
     };
     std::map<std::string, Node> graph;
     auto add = [&](const Module& m) {
@@ -1187,10 +1179,8 @@ class ModuleAnalyzer {
           node.impure = true;
         } else {
           observes_host_ = false;
-          interacts_host_ = false;
           node.impure = !SyntacticallyPure(*fn->body, &node.calls);
           node.observable = observes_host_;
-          node.interactive = interacts_host_;
         }
         graph[AnalysisFacts::FunctionKey(fn->name.Clark(),
                                          fn->params.size())] =
@@ -1222,20 +1212,14 @@ class ModuleAnalyzer {
     while (changed) {
       changed = false;
       for (auto& [key, node] : graph) {
-        if (node.observable && node.interactive) continue;
+        if (node.observable) continue;
         for (const std::string& callee : node.calls) {
           auto it = graph.find(callee);
           if (it == graph.end()) continue;
-          if (it->second.observable && !node.observable) {
+          if (it->second.observable) {
             node.observable = true;
             changed = true;
-          }
-          // Interactivity rides the same edges: a dialog that waits for
-          // user input anywhere in the call tree forces the whole
-          // listener back onto the loop thread.
-          if (it->second.interactive && !node.interactive) {
-            node.interactive = true;
-            changed = true;
+            break;
           }
         }
       }
@@ -1246,40 +1230,7 @@ class ModuleAnalyzer {
         if (!node.observable) {
           result_->facts.memoizable_functions.insert(key);
         }
-        if (!node.interactive) {
-          result_->facts.parallel_safe_functions.insert(key);
-        }
       }
-    }
-  }
-
-  // Reports XQSA033 for every `behind` attach whose listener function
-  // applies updates (or reaches code the analyzer cannot prove pure):
-  // the asynchronous completion then cannot be delivered off-thread and
-  // serializes the dispatch pipeline. Runs after ComputePurity.
-  void LintBehindListeners() {
-    if (!options_.lint) return;
-    for (const Expr* e : behind_attaches_) {
-      const std::string clark = e->qname.Clark();
-      auto it = arities_.find(clark);
-      if (it == arities_.end()) continue;  // XQSA002 already reported
-      bool any_pure = false;
-      for (size_t arity : it->second) {
-        if (result_->facts.pure_functions.count(
-                AnalysisFacts::FunctionKey(clark, arity)) > 0) {
-          any_pure = true;
-          break;
-        }
-      }
-      if (any_pure) continue;
-      size_t offset, length;
-      ListenerNameSpan(*e, &offset, &length);
-      Report("XQSA033", Severity::kWarning,
-             "'behind' listener " + e->qname.Lexical() +
-                 " applies XQuery updates; its asynchronous completion "
-                 "must run on the event-loop thread and cannot be "
-                 "delivered off-thread",
-             offset, length);
     }
   }
 
@@ -1379,8 +1330,9 @@ class ModuleAnalyzer {
                offset, length);
       }
       // Group synchronous attaches with literal event names for the
-      // XQSA034 interference matrix. `behind` completions are delivered
-      // by their own dispatch and are covered by XQSA033.
+      // XQSA034 interference matrix. A `behind` completion listener is
+      // not dispatched with the event's listeners: each completion is
+      // its own event-loop task.
       if (e->behind || e->kids.empty() ||
           e->kids[0]->kind != ExprKind::kLiteral) {
         continue;
@@ -1465,12 +1417,6 @@ class ModuleAnalyzer {
             return false;
           }
           observes_host_ = true;  // pure, but the user sees a dialog
-          if (e.qname.local() != "alert") {
-            // prompt/confirm block on user input: a worker could not
-            // buffer-and-replay them, so they pin the listener to the
-            // loop thread (facts.parallel_safe_functions).
-            interacts_host_ = true;
-          }
         } else if (ns != xml::kXsNamespace &&
                    checked_fn_namespaces_.count(ns) == 0) {
           return false;  // unknown external code
@@ -1560,12 +1506,6 @@ class ModuleAnalyzer {
   // observable host interaction (alert/prompt/confirm, fn:trace);
   // captured per-function by ComputePurity.
   bool observes_host_ = false;
-  // Set alongside observes_host_ for the blocking subset
-  // (prompt/confirm): a worker slot cannot buffer these.
-  bool interacts_host_ = false;
-  // `behind` attach sites recorded during the walk, linted by
-  // LintBehindListeners once purity facts exist.
-  std::vector<const Expr*> behind_attaches_;
   // Every attach site (XQSA034/035) and every insert/replace/rename
   // inside a declared function body (XQSA036), linted once effect
   // summaries exist.

@@ -15,10 +15,8 @@
 //      replace of the document root, XQSA021) and classifies declared
 //      functions as DOM-pure vs mutating for the event loop.
 //   4. lint — unused variables (XQSA030), unreachable branches after
-//      constant conditions (XQSA031), descendant (`//`) paths the
-//      optimizer's path collapsing cannot rewrite (XQSA032), and
-//      `behind` listeners that apply updates and therefore cannot have
-//      their asynchronous completions delivered off-thread (XQSA033).
+//      constant conditions (XQSA031) and descendant (`//`) paths the
+//      optimizer's path collapsing cannot rewrite (XQSA032).
 //   5. effects — the read/write-set abstract interpretation of
 //      effects.h, published in AnalysisFacts (function_effects,
 //      all_reads) and consumed by three lints: same-event listeners with interfering effects (XQSA034),
@@ -26,7 +24,7 @@
 //      evicts them (XQSA035), and updates writing names nothing in the
 //      page reads (XQSA036).
 //
-// Diagnostic severity: XQSA001-029 are errors, XQSA030/031/033-036
+// Diagnostic severity: XQSA001-029 are errors, XQSA030/031/034-036
 // warnings, XQSA032 info. Warnings and infos can be suppressed per
 // module with
 //   declare option lint "suppress:XQSA030 XQSA032";

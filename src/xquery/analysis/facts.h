@@ -55,13 +55,6 @@ struct AnalysisFacts {
   // re-running them.
   std::unordered_set<std::string> memoizable_functions;
 
-  // The subset of pure_functions additionally free of INTERACTIVE host
-  // calls (browser:prompt/confirm, which block on user input). Dialogs
-  // and fn:trace output are fine: a worker slot buffers them and the
-  // commit replays them in order. A `behind` call to a function in this
-  // set completes as an off-thread unit (PERFORMANCE.md §5).
-  std::unordered_set<std::string> parallel_safe_functions;
-
   // Inferred read/write effect summaries per declared function (same
   // keys). Ordered map so `xq_lint --effects` dumps deterministically.
   std::map<std::string, Effects> function_effects;

@@ -193,9 +193,4 @@ xml::Node* DynamicContext::AdoptDocument(std::unique_ptr<xml::Document> doc) {
   return root;
 }
 
-std::vector<std::unique_ptr<xml::Document>>
-DynamicContext::TakeScratchDocuments() {
-  return std::move(scratch_docs_);
-}
-
 }  // namespace xqib::xquery

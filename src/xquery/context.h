@@ -250,8 +250,6 @@ class DynamicContext {
   // Takes ownership of a document whose nodes flow into results (e.g.
   // REST responses parsed by http:get). Returns its root node.
   xml::Node* AdoptDocument(std::unique_ptr<xml::Document> doc);
-  // Transfers ownership of all scratch documents to the caller.
-  std::vector<std::unique_ptr<xml::Document>> TakeScratchDocuments();
 
   // --- pending updates (XQuery Update Facility) ---
   PendingUpdateList& pul() { return *pul_; }

@@ -37,7 +37,7 @@ class Evaluator {
  public:
   // `counters` receives every count this evaluator makes; null keeps
   // them in the evaluator's own set. The plug-in passes its cumulative
-  // set, so its page and worker-slot evaluators count straight into it.
+  // set, so its page evaluators count straight into it.
   explicit Evaluator(const StaticContext& sctx, Counters* counters = nullptr)
       : sctx_(sctx),
         counters_(counters != nullptr ? counters : &own_counters_) {}
@@ -131,8 +131,8 @@ class Evaluator {
 
   // Analyzer facts (type/cardinality/purity) used to specialize plan
   // compilation. Optional: without them plans still compile, just
-  // without the fact-driven opcode specializations. Shared ownership so
-  // page evaluators and their worker-slot clones see one facts object.
+  // without the fact-driven opcode specializations. Shared ownership:
+  // the plug-in's page context and its evaluator hold one facts object.
   void set_analysis_facts(
       std::shared_ptr<const analysis::AnalysisFacts> facts) {
     facts_ = std::move(facts);

@@ -246,41 +246,6 @@ TEST(LintPass, UncollapsibleDescendantPath) {
   EXPECT_FALSE(HasCode(Analyze("//item[@id = \"a\"]"), "XQSA032"));
 }
 
-TEST(LintPass, BehindListenerAppliesUpdates) {
-  // §4.4 "behind": an updating completion listener's updates apply on
-  // the event-loop thread. The span points at the listener name token,
-  // not the whole attach expression.
-  AnalysisResult r = Analyze(
-      "declare updating function local:done($s, $r) "
-      "{ delete nodes //a };\n"
-      "on event \"ready\" behind fn:string(1) attach listener local:done");
-  ASSERT_TRUE(HasCode(r, "XQSA033"));
-  const Diagnostic* d = nullptr;
-  for (const Diagnostic& diag : r.diagnostics) {
-    if (diag.code == "XQSA033") d = &diag;
-  }
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->severity, Severity::kWarning);
-  EXPECT_EQ(d->span.line, 2);
-  EXPECT_EQ(d->span.column, 54);  // the 'l' of local:done
-  EXPECT_EQ(d->span.length, std::string("local:done").size());
-
-  // A pure completion listener is deliverable off-thread: no warning.
-  EXPECT_FALSE(HasCode(
-      Analyze("declare function local:done($s, $r) { concat($s, $r) };\n"
-              "on event \"ready\" behind fn:string(1) "
-              "attach listener local:done"),
-      "XQSA033"));
-  // Suppressible like any warning.
-  EXPECT_FALSE(HasCode(
-      Analyze("declare option lint \"suppress:XQSA033\";\n"
-              "declare updating function local:done($s, $r) "
-              "{ delete nodes //a };\n"
-              "on event \"ready\" behind fn:string(1) "
-              "attach listener local:done"),
-      "XQSA033"));
-}
-
 TEST(LintPass, InterferingSameEventListeners) {
   AnalysisResult r = Analyze(
       "declare updating function local:a($e, $o) "
@@ -558,6 +523,7 @@ TEST_F(AnalyzerPluginTest, PureListenerSkipsApplyPass) {
 
 TEST(GoldenExamples, AllShippedPagesLintClean) {
   const char* pages[] = {
+      "behind_update.xhtml",
       "hello.xhtml",
       "mashup.xhtml",
       "multiplication_table_js.xhtml",
@@ -575,34 +541,6 @@ TEST(GoldenExamples, AllShippedPagesLintClean) {
     EXPECT_FALSE(report->has_warnings()) << page << " has lint warnings:\n"
                                          << report->ToJson();
   }
-}
-
-TEST(GoldenExamples, BehindUpdatePageWarnsExactlyOnce) {
-  // behind_update.xhtml ships as the golden XQSA033 case: an updating
-  // `behind` completion listener. The page must lint with exactly that
-  // warning (no errors, nothing else), and xq_lint's CI loop stays
-  // green because warnings exit 0.
-  auto source = app::ReadPageFile("behind_update.xhtml");
-  ASSERT_TRUE(source.ok()) << source.status().ToString();
-  auto report = LintXhtml(*source);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_FALSE(report->has_errors()) << report->ToJson();
-  EXPECT_TRUE(report->has_warnings()) << report->ToJson();
-  std::vector<std::string> codes;
-  const Diagnostic* found = nullptr;
-  for (const LintUnit& unit : report->units) {
-    for (const Diagnostic& d : unit.diagnostics) {
-      if (d.severity == Severity::kInfo) continue;  // style notes may ride
-      codes.push_back(d.code);
-      if (d.code == "XQSA033") found = &d;
-    }
-  }
-  ASSERT_EQ(codes, std::vector<std::string>{"XQSA033"}) << report->ToJson();
-  // Span-accurate against the shipped source: the diagnostic highlights
-  // the `local:onResult` listener-name token.
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->span.length, std::string("local:onResult").size());
-  EXPECT_GT(found->span.line, 0);
 }
 
 TEST(GoldenExamples, EffectLintPagesWarnExactlyOnce) {

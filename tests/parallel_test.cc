@@ -1,8 +1,8 @@
 // Concurrency-substrate and dispatch-determinism tests (PERFORMANCE.md
-// §5): thread-pool basics, the event loop's off-thread batching,
-// off-thread `behind` completions, and the ablation oracles — the
-// compiled-plan, memo and async-federation switches must not change one
-// byte of the DOM or the observable output of a dispatch.
+// §5): thread-pool basics, thread-safe posting to the event loop,
+// `behind` completions, and the ablation oracles — the compiled-plan,
+// memo and async-federation switches must not change one byte of the
+// DOM or the observable output of a dispatch.
 
 #include <gtest/gtest.h>
 
@@ -53,118 +53,9 @@ TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
   EXPECT_EQ(count, 1);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndicesAtEveryPoolSize) {
-  for (size_t workers : {0u, 1u, 4u}) {
-    ThreadPool pool(workers);
-    const size_t n = 1000;
-    std::vector<std::atomic<int>> marks(n);
-    for (auto& m : marks) m.store(0);
-    pool.ParallelFor(n, [&](size_t i) {
-      marks[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    size_t sum = 0;
-    for (auto& m : marks) sum += static_cast<size_t>(m.load());
-    EXPECT_EQ(sum, n) << "workers=" << workers;  // each index exactly once
-    EXPECT_EQ(pool.stats().parallel_fors, 1u);
-  }
-}
+// -------------------------------------------------------- event loop ---
 
-TEST(ThreadPoolTest, ParallelForBalancesUnevenWork) {
-  // A few expensive indices among many cheap ones: dynamic claiming must
-  // still complete everything (a static partition would, too — this
-  // guards against lost indices under contention).
-  ThreadPool pool(4);
-  std::atomic<uint64_t> total{0};
-  pool.ParallelFor(256, [&](size_t i) {
-    uint64_t acc = 0;
-    uint64_t reps = (i % 64 == 0) ? 20000 : 50;
-    for (uint64_t k = 0; k < reps; ++k) acc += k * k + i;
-    total.fetch_add(acc == 0 ? 1 : 1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(total.load(), 256u);
-}
-
-// ------------------------------------------- event loop, off-thread ---
-
-TEST(EventLoopOffThread, EqualDueEntriesFormOneBatch) {
-  EventLoop loop;
-  int committed = 0;
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    loop.PostOffThread(
-        [&committed, &order, i]() -> EventLoop::Task {
-          int seen = committed;  // batch-start state: commits not yet run
-          return [&committed, &order, i, seen] {
-            order.push_back(i * 100 + seen);
-            ++committed;
-          };
-        },
-        0.0);
-  }
-  loop.RunUntilIdle();
-  EXPECT_EQ(loop.offthread_tasks(), 8u);
-  EXPECT_EQ(loop.offthread_batches(), 1u);
-  ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    // Posting order preserved, and every work saw committed == 0.
-    EXPECT_EQ(order[static_cast<size_t>(i)], i * 100);
-  }
-}
-
-TEST(EventLoopOffThread, PlainTaskSplitsTheBatch) {
-  EventLoop loop;
-  std::vector<std::string> order;
-  auto off = [&loop, &order](const std::string& tag) {
-    loop.PostOffThread(
-        [&order, tag]() -> EventLoop::Task {
-          return [&order, tag] { order.push_back(tag); };
-        },
-        0.0);
-  };
-  off("A");
-  off("B");
-  loop.Post([&order] { order.push_back("C"); }, 0.0);
-  off("D");
-  off("E");
-  loop.RunUntilIdle();
-  EXPECT_EQ(order, (std::vector<std::string>{"A", "B", "C", "D", "E"}));
-  // The plain task is a barrier: {A,B} and {D,E} are separate batches.
-  EXPECT_EQ(loop.offthread_batches(), 2u);
-  EXPECT_EQ(loop.offthread_tasks(), 4u);
-}
-
-TEST(EventLoopOffThread, LaterDueTimesNeverJoinTheBatch) {
-  EventLoop loop;
-  std::vector<int> order;
-  for (int i = 0; i < 4; ++i) {
-    loop.PostOffThread(
-        [&order, i]() -> EventLoop::Task {
-          return [&order, i] { order.push_back(i); };
-        },
-        i < 2 ? 0.0 : 5.0);
-  }
-  loop.RunUntilIdle();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(loop.offthread_batches(), 2u);
-}
-
-TEST(EventLoopOffThread, WorksRunInPostingOrderBeforeCommits) {
-  EventLoop loop;
-  std::vector<std::string> log;
-  for (int i = 0; i < 3; ++i) {
-    loop.PostOffThread(
-        [&log, i]() -> EventLoop::Task {
-          log.push_back("w" + std::to_string(i));
-          return [&log, i] { log.push_back("c" + std::to_string(i)); };
-        },
-        0.0);
-  }
-  loop.RunUntilIdle();
-  EXPECT_EQ(log, (std::vector<std::string>{"w0", "w1", "w2", "c0", "c1",
-                                           "c2"}));
-}
-
-TEST(EventLoopOffThread, PostIsThreadSafe) {
+TEST(EventLoopTest, PostIsThreadSafe) {
   EventLoop loop;
   std::atomic<int> ran{0};
   std::vector<std::thread> posters;
@@ -429,7 +320,7 @@ TEST(DispatchDeterminism, AsyncFederationIsUnobservable) {
   EXPECT_EQ(got.dom, reference.dom);
 }
 
-// ------------------------------------------- off-thread `behind` ---
+// ------------------------------------------------- `behind` calls ---
 
 class ParallelPluginTest : public ::testing::Test {
  protected:
@@ -461,11 +352,10 @@ class ParallelPluginTest : public ::testing::Test {
   plugin::XqibPlugin plugin_;
 };
 
-TEST_F(ParallelPluginTest, BehindCompletionRunsOffThread) {
-  // A `behind` call to an analyzer-proven parallel-safe local function is
-  // delivered as an off-thread unit; the pure completion listener alerts
-  // from the commit. Observable result matches the AJAX-suggest
-  // behaviour.
+TEST_F(ParallelPluginTest, BehindCallToLocalFunctionDeliversItsResult) {
+  // A `behind` call to a pure local function completes as a later task
+  // on the loop; the pure completion listener alerts the result at
+  // readyState 4. Observable result matches the AJAX-suggest behaviour.
   browser::Window* w = Load(R"XQ(<html><head>
       <script type="text/xquery"><![CDATA[
       declare function local:compute($s) { concat("hint for ", $s) };
@@ -488,8 +378,6 @@ TEST_F(ParallelPluginTest, BehindCompletionRunsOffThread) {
   plugin_.PumpEvents();
   ASSERT_EQ(plugin_.alerts().size(), 1u);
   EXPECT_EQ(plugin_.alerts()[0], "hint for Ann");
-  // The completion actually went through the off-thread queue.
-  EXPECT_GE(browser_.loop().offthread_tasks(), 1u);
   EXPECT_TRUE(plugin_.last_script_error().ok())
       << plugin_.last_script_error().ToString();
 }

@@ -464,6 +464,43 @@ TEST_F(PluginTest, BehindConstructAjaxSuggest) {
   EXPECT_EQ(ById(w, "txtHint")->StringValue(), "Did you mean Anna?");
 }
 
+TEST_F(PluginTest, EqualDueBehindCompletionsRunOneAfterTheOther) {
+  // One click makes two `behind` calls to a pure DOM reader; both
+  // completions are due at the same instant. Each completion is one
+  // task on the loop (§4.4: a later event), so the second call runs
+  // after the first listener's insert and counts its <li/>.
+  Window* w = Load(R"XQ(<html><head>
+      <script type="text/xquery"><![CDATA[
+      declare function local:n() { count(//li) };
+      declare updating function local:first($readyState, $result) {
+        if ($readyState eq 4)
+        then insert node <li/> into //ul[@id="list"]
+        else ()
+      };
+      declare function local:second($readyState, $result) {
+        if ($readyState eq 4)
+        then browser:alert(string($result))
+        else ()
+      };
+      declare updating function local:go($evt, $obj) {
+        on event "stateChanged" behind local:n()
+        attach listener local:first,
+        on event "stateChanged" behind local:n()
+        attach listener local:second
+      };
+      on event "onclick" at //input[@id="btn"] attach listener local:go
+      ]]></script></head><body>
+      <input id="btn"/>
+      <ul id="list"/>
+      </body></html>)XQ");
+  Click(ById(w, "btn"));
+  plugin_.PumpEvents();
+  EXPECT_TRUE(plugin_.last_script_error().ok())
+      << plugin_.last_script_error().ToString();
+  EXPECT_EQ(ById(w, "list")->children().size(), 1u);
+  EXPECT_EQ(plugin_.alerts(), std::vector<std::string>{"1"});
+}
+
 TEST_F(PluginTest, HistoryFunctions) {
   fabric_.PutResource("http://app.example.com/a.xhtml",
                       "<html><body><p id='a'/></body></html>");

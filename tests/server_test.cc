@@ -341,6 +341,10 @@ TEST(ServerRacing, ConcurrentSessionsMatchSerialDoms) {
       EXPECT_EQ(session->stats().dispatched,
                 static_cast<uint64_t>(kEvents));
       EXPECT_EQ(session->stats().errors, 0u);
+      Status invariants =
+          session->browser().top_window()->document()->CheckInvariants();
+      EXPECT_TRUE(invariants.ok())
+          << invariants.ToString() << " at pool " << workers;
       doms.push_back(session->SerializeDom());
     }
     return doms;
@@ -360,8 +364,8 @@ TEST(ServerRacing, ConcurrentSessionsMatchSerialDoms) {
 // The seeded fan-out page (eight pure alerting listeners and one
 // updater, all on one button) dispatched through the server at every
 // pool size. A session is one serial strand: the pool decides which
-// thread runs a drain, never what the page observes, and no dispatch
-// forks work onto the pool.
+// thread runs a drain, never what the page observes, and the document's
+// order keys and name index stay consistent at every pool size.
 TEST(ServerDeterminism, PoolSizeIsUnobservable) {
   struct Outcome {
     std::string dom;
@@ -378,17 +382,15 @@ TEST(ServerDeterminism, PoolSizeIsUnobservable) {
     Outcome out;
     EXPECT_TRUE(session.ok()) << session.status().ToString();
     if (!session.ok()) return out;
-    const uint64_t forks_before =
-        srv.pool() != nullptr ? srv.pool()->stats().parallel_fors.value() : 0;
     SessionEvent click;
     click.target_id = "btn";
     for (int c = 0; c < 3; ++c) (*session)->Submit(click);
     srv.DrainAll();
-    if (srv.pool() != nullptr) {
-      EXPECT_EQ(srv.pool()->stats().parallel_fors.value(), forks_before)
-          << "seed " << seed << " workers " << workers;
-    }
     EXPECT_EQ((*session)->stats().errors, 0u);
+    Status invariants =
+        (*session)->browser().top_window()->document()->CheckInvariants();
+    EXPECT_TRUE(invariants.ok()) << invariants.ToString() << " seed " << seed
+                                 << " workers " << workers;
     out.dom = (*session)->SerializeDom();
     out.last_result = (*session)->plugin().last_listener_result();
     out.alerts = (*session)->stats().alerts;
