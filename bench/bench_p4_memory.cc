@@ -1,6 +1,6 @@
 // P4 — the memory layer: interned QNames, the arena-backed stream
 // pipeline, and the mutation-versioned pure-listener memo cache.
-// Self-timed runner emitting BENCH_P4.json, same schema as P3.
+// Self-timed runner emitting BENCH_P4.json (bench_util.h's schema).
 //
 // Usage:
 //   bench_p4_memory [--iters N] [--out FILE] [--check] [--baseline FILE]
@@ -38,8 +38,9 @@ using xqib::app::BrowserEnvironment;
 using xqib::bench::Args;
 using xqib::bench::ScenarioResult;
 
-// The PR 3 stream-arm fig1 dispatch time this PR must beat by >= 1.5x
-// (checked-in BENCH_P3.json before the memory layer landed).
+// The stream-arm fig1 dispatch time, in ns, measured before the memory
+// layer landed; the memo arm must beat it by >= 1.5x. A stored figure:
+// the runner that measured it is retired.
 constexpr double kPr3Fig1Ns = 148817.0;
 
 // The Figure 1 page with a NON-updating listener: recomputes the row

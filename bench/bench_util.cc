@@ -50,79 +50,6 @@ double NsPerOp(const std::function<void()>& op, int iters) {
          iters;
 }
 
-bool TimeQuery(const std::string& query, const std::string& xml,
-               const Evaluator::EvalOptions& options, int iters,
-               double* ns_per_op, std::string* result,
-               xquery::Counters* stats) {
-  Engine engine;
-  auto compiled = engine.Compile(query);
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "compile failed: %s\n",
-                 compiled.status().ToString().c_str());
-    return false;
-  }
-  (*compiled)->evaluator().set_options(options);
-  std::unique_ptr<xml::Document> doc;
-  DynamicContext ctx;
-  if (!xml.empty()) {
-    auto parsed = xml::ParseDocument(xml);
-    if (!parsed.ok()) return false;
-    doc = std::move(parsed).value();
-    DynamicContext::Focus f;
-    f.item = xdm::Item::Node(doc->root());
-    f.position = 1;
-    f.size = 1;
-    f.has_item = true;
-    ctx.set_focus(f);
-  }
-  if (!(*compiled)->BindGlobals(ctx).ok()) return false;
-  bool ok = true;
-  *ns_per_op = NsPerOp(
-      [&] {
-        auto r = (*compiled)->Run(ctx);
-        if (!r.ok()) {
-          ok = false;
-          return;
-        }
-        *result = xdm::SequenceToString(*r);
-      },
-      iters);
-  *stats = (*compiled)->evaluator().counters();
-  return ok;
-}
-
-bool MeasureStats(const std::string& query, const std::string& xml,
-                  const Evaluator::EvalOptions& options,
-                  xquery::Counters* stats) {
-  double ns;
-  std::string result;
-  return TimeQuery(query, xml, options, 1, &ns, &result, stats);
-}
-
-bool RunQueryScenario(const std::string& name, const std::string& query,
-                      const std::string& xml, int iters,
-                      const Evaluator::EvalOptions& on,
-                      const Evaluator::EvalOptions& off,
-                      std::vector<ScenarioResult>* results,
-                      xquery::Counters* on_stats) {
-  ScenarioResult sr;
-  sr.name = name;
-  std::string on_result, off_result;
-  xquery::Counters off_stats;
-  if (!TimeQuery(query, xml, on, iters, &sr.on_ns, &on_result, on_stats) ||
-      !TimeQuery(query, xml, off, iters, &sr.off_ns, &off_result,
-                 &off_stats)) {
-    return false;
-  }
-  sr.results_match = on_result == off_result;
-  if (!sr.results_match) {
-    std::fprintf(stderr, "%s: ablation results differ:\n  on:  %s\n  off: %s\n",
-                 name.c_str(), on_result.c_str(), off_result.c_str());
-  }
-  results->push_back(sr);
-  return true;
-}
-
 std::string MakeDispatchPage(int rows) {
   std::ostringstream out;
   out << R"(<html><body>

@@ -1,7 +1,7 @@
 // Shared machinery for the self-timed JSON benchmark runners
-// (bench_p3_streaming, bench_p4_memory, and later runners): argument
-// parsing, the warmup+timing loop, query/dispatch ablation scenarios,
-// and the common JSON results schema
+// (bench_p4_memory, bench_p7_plans, bench_p9_federation,
+// bench_s1_server): argument parsing, the warmup+timing loop, the
+// dispatch ablation scenario, and the common JSON results schema
 //   {"name": ..., "<on>_ns_per_op": ..., "<off>_ns_per_op": ...,
 //    "speedup": ..., "results_match": ...}
 // so every runner's checked-in BENCH_*.json stays structurally
@@ -40,30 +40,6 @@ struct ScenarioResult {
 
 // Median-free ns/op: 3 warmup calls, then `iters` timed calls.
 double NsPerOp(const std::function<void()>& op, int iters);
-
-// Compiles `query` against `xml` (context item = document root when
-// non-empty) and times Run() under `options`; serialized result and
-// lifetime evaluator counters come back through the out-params.
-bool TimeQuery(const std::string& query, const std::string& xml,
-               const xquery::Evaluator::EvalOptions& options, int iters,
-               double* ns_per_op, std::string* result,
-               xquery::Counters* stats);
-
-// Fresh engine, fixed number of executions, so two arms' counters are
-// directly comparable regardless of --iters.
-bool MeasureStats(const std::string& query, const std::string& xml,
-                  const xquery::Evaluator::EvalOptions& options,
-                  xquery::Counters* stats);
-
-// Runs `query` under `on` and `off` options, appends the timing pair
-// (on-arm counters via `on_stats`), and verifies both arms serialize to
-// the same result.
-bool RunQueryScenario(const std::string& name, const std::string& query,
-                      const std::string& xml, int iters,
-                      const xquery::Evaluator::EvalOptions& on,
-                      const xquery::Evaluator::EvalOptions& off,
-                      std::vector<ScenarioResult>* results,
-                      xquery::Counters* on_stats);
 
 // The Figure 1 dispatch page: a button, a status span, `rows` table
 // rows, and an XQuery listener that re-counts the rows on every click.

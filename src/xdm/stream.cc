@@ -26,20 +26,6 @@ class SingletonStreamImpl : public ItemStream {
   bool done_ = false;
 };
 
-class SequenceStreamImpl : public ItemStream {
- public:
-  explicit SequenceStreamImpl(Sequence seq) : seq_(std::move(seq)) {}
-  Result<bool> Next(Item* out) override {
-    if (pos_ >= seq_.size()) return false;
-    *out = seq_[pos_++];
-    return true;
-  }
-
- private:
-  Sequence seq_;
-  size_t pos_ = 0;
-};
-
 class RangeStreamImpl : public ItemStream {
  public:
   RangeStreamImpl(int64_t lo, int64_t hi) : next_(lo), hi_(hi) {}
@@ -65,7 +51,7 @@ StreamPtr SingletonStream(Item item, Arena& arena) {
 }
 
 StreamPtr SequenceStream(Sequence seq, Arena& arena) {
-  return MakeStream<SequenceStreamImpl>(arena, std::move(seq));
+  return MakeStream<SequenceCursor>(arena, std::move(seq));
 }
 
 StreamPtr RangeStream(int64_t lo, int64_t hi, Arena& arena) {

@@ -62,7 +62,23 @@ StreamPtr EmptyStream(Arena& arena);
 // Exactly one item.
 StreamPtr SingletonStream(Item item, Arena& arena);
 
-// Streams an owned, already materialized sequence.
+// Streams an owned, already materialized sequence. SequenceStream puts
+// one in an arena; a caller that outlives its pulls may keep one on its
+// stack instead.
+class SequenceCursor : public ItemStream {
+ public:
+  explicit SequenceCursor(Sequence seq) : seq_(std::move(seq)) {}
+  Result<bool> Next(Item* out) override {
+    if (pos_ >= seq_.size()) return false;
+    *out = seq_[pos_++];
+    return true;
+  }
+
+ private:
+  Sequence seq_;
+  size_t pos_ = 0;
+};
+
 StreamPtr SequenceStream(Sequence seq, Arena& arena);
 
 // Lazy integer range lo..hi (empty when hi < lo) — `1 to 1000000`

@@ -291,8 +291,8 @@ class AxisCursor {
 // walk node by node through an AxisCursor; steps with predicates (or
 // exotic axes) buffer one origin's output at a time via EvalStep, so
 // peak memory is bounded by per-origin fan-out, never total step output
-// — and predicate position()/last() semantics match the eager engine
-// exactly. kIndexable marks an exact-name descendant step: when its
+// — and predicate position()/last() see exactly that origin's axis
+// output. kIndexable marks an exact-name descendant step: when its
 // input is a single node it is answered from the element-name index
 // instead (IndexedStepStream), and the first pull looks one origin
 // ahead to tell. Other steps carry none of that state.
@@ -451,7 +451,7 @@ class SortBarrierStream : public ItemStream {
 // NeedsLast scan proved cannot observe fn:last(): items stream through
 // with an incremental position in the focus (size stays 0 — nothing
 // downstream may read it). Numeric predicate values still select by
-// position, exactly like the eager ApplyPredicates.
+// position, exactly like ApplyPredicates.
 class PredicateStream : public ItemStream {
  public:
   PredicateStream(Evaluator* ev, DynamicContext* ctx, const Expr* pred,
@@ -535,7 +535,7 @@ class TakeNthStream : public ItemStream {
 };
 
 // E[last()]: drains the input keeping a one-item buffer — O(1) memory
-// where the eager evaluator buffered the whole sequence.
+// instead of the whole sequence.
 class TakeLastStream : public ItemStream {
  public:
   TakeLastStream(Evaluator* ev, StreamPtr input)
@@ -603,7 +603,7 @@ class ConcatStream : public ItemStream {
 };
 
 // FLWOR for/let/where/return as one composed stream operator (order by
-// stays on the eager path — it is a materialization barrier by nature).
+// stays on EvalFLWOR — it is a materialization barrier by nature).
 //
 // Scope discipline: each bound clause owns one environment scope,
 // pushed in clause order. Every Next() call re-establishes the scopes
@@ -940,16 +940,12 @@ Result<Sequence> Evaluator::EvalImpl(const Expr& e, DynamicContext& ctx) {
       return EvalPathFrom(e, std::move(current), ctx);
     }
     case ExprKind::kFilter: {
-      if (options_.stream_pipeline) {
-        XQ_ASSIGN_OR_RETURN(xdm::StreamPtr s, BuildFilterStream(e, ctx));
-        return MaterializeFrom(std::move(s));
-      }
-      XQ_ASSIGN_OR_RETURN(Sequence input, Eval(*e.kids[0], ctx));
-      return ApplyPredicates(e.predicates, std::move(input), ctx);
+      XQ_ASSIGN_OR_RETURN(xdm::StreamPtr s, BuildFilterStream(e, ctx));
+      return MaterializeFrom(std::move(s));
     }
     case ExprKind::kFLWOR: {
       MaybeScatterFlwor(e, ctx);
-      if (options_.stream_pipeline && e.order_specs.empty()) {
+      if (e.order_specs.empty()) {
         const Expr* where = e.where == nullptr ? nullptr : e.where.get();
         xdm::StreamPtr s =
             MakeOp<FlworStream>(this, ctx, this, &ctx, &e, where,
@@ -1107,7 +1103,6 @@ Result<Sequence> Evaluator::PathInput(const Expr& e, DynamicContext& ctx) {
 
 Result<Sequence> Evaluator::EvalPathFrom(const Expr& e, Sequence current,
                                          DynamicContext& ctx) {
-  if (!options_.stream_pipeline) return EvalPathEager(e, std::move(current), ctx);
   XQ_ASSIGN_OR_RETURN(
       xdm::StreamPtr s,
       BuildPathStream(e, std::move(current), ctx, /*ordered_required=*/true));
@@ -1148,8 +1143,7 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
       continue;
     }
     const bool last_step = si + 1 == e.steps.size();
-    const bool elide = options_.honor_sort_elision && step.preserves_order &&
-                       step.no_duplicates;
+    const bool elide = step.preserves_order && step.no_duplicates;
     if (IsExactNameDescendantStep(step)) {
       s = MakeOp<StepStream<true>>(this, ctx, this, &ctx, &step, std::move(s));
     } else {
@@ -1168,47 +1162,6 @@ Result<xdm::StreamPtr> Evaluator::BuildPathStream(const Expr& e,
     }
   }
   return s;
-}
-
-// Eager per-step loop: the stream_pipeline=false ablation baseline.
-Result<Sequence> Evaluator::EvalPathEager(const Expr& e, Sequence current,
-                                          DynamicContext& ctx) {
-  for (const Step& step : e.steps) {
-    if (step.expr != nullptr) {
-      XQ_ASSIGN_OR_RETURN(current, EvalExprStep(step, std::move(current), ctx));
-      continue;
-    }
-    const bool elide = options_.honor_sort_elision && step.preserves_order &&
-                       step.no_duplicates;
-    Sequence next;
-    const bool indexed = current.size() == 1 && current[0].is_node() &&
-                         TryIndexedStep(step, current[0].node(), &next);
-    if (indexed) {
-      if (!step.predicates.empty()) {
-        XQ_ASSIGN_OR_RETURN(
-            next, ApplyPredicates(step.predicates, std::move(next), ctx));
-      }
-    } else {
-      for (const Item& item : current) {
-        if (!item.is_node()) {
-          return Status::Error("XPTY0019",
-                               "path step applied to an atomic value");
-        }
-        XQ_ASSIGN_OR_RETURN(Sequence part, EvalStep(step, item.node(), ctx));
-        next.insert(next.end(), part.begin(), part.end());
-      }
-    }
-
-    if (indexed || elide) {
-      ++counters_->sorts_elided;
-    } else {
-      ++counters_->sorts_performed;
-      XQ_RETURN_NOT_OK(xdm::SortDocumentOrderDedup(&next));
-    }
-    counters_->items_materialized += next.size();
-    current = std::move(next);
-  }
-  return current;
 }
 
 // E1/E2 with E2 a filter expression: E2 is evaluated once per context
@@ -1267,22 +1220,15 @@ bool Evaluator::IndexedSlice(const Step& step, xml::Node* origin,
   return true;
 }
 
-bool Evaluator::TryIndexedStep(const Step& step, xml::Node* origin,
-                               Sequence* out) {
-  std::span<xml::Node* const> slice;
-  if (!IndexedSlice(step, origin, &slice)) return false;
-  out->clear();
-  out->reserve(slice.size());
-  for (xml::Node* n : slice) out->push_back(Item::Node(n));
-  counters_->items_materialized += out->size();
-  return true;
-}
-
 Result<xdm::StreamPtr> Evaluator::IndexedStepStream(const Step& step,
                                                     xml::Node* origin,
                                                     DynamicContext& ctx) {
+  std::span<xml::Node* const> slice;
+  if (!IndexedSlice(step, origin, &slice)) return xdm::StreamPtr();
   Sequence hits;
-  if (!TryIndexedStep(step, origin, &hits)) return xdm::StreamPtr();
+  hits.reserve(slice.size());
+  for (xml::Node* n : slice) hits.push_back(Item::Node(n));
+  counters_->items_materialized += hits.size();
   // The slice is the step's axis output for this one origin, so its
   // predicates filter it exactly as they filter a sequence.
   return FilterStream(step.predicates,
@@ -1326,7 +1272,7 @@ Result<xdm::StreamPtr> Evaluator::EvalStream(const Expr& e,
 Result<xdm::StreamPtr> Evaluator::EvalStreamOrdered(const Expr& e,
                                                     DynamicContext& ctx,
                                                     bool ordered_required) {
-  if (!options_.stream_pipeline || exit_flag_) {
+  if (exit_flag_) {
     XQ_ASSIGN_OR_RETURN(Sequence v, Eval(e, ctx));
     return xdm::SequenceStream(std::move(v), ctx.arena());
   }
@@ -1394,13 +1340,13 @@ Result<Sequence> Evaluator::MaterializeFrom(xdm::StreamPtr s) {
   return out;
 }
 
-Result<bool> Evaluator::StreamEBV(xdm::ItemStream& s) {
+Result<bool> StreamEBV(xdm::ItemStream& s, Counters& counters) {
   Item first;
   XQ_ASSIGN_OR_RETURN(bool any, s.Next(&first));
   if (!any) return false;
   if (first.is_node()) {
     // A node witness decides regardless of what follows (§2.4.3).
-    ++counters_->early_exits;
+    ++counters.early_exits;
     return true;
   }
   // Singleton atomic: the EBV of the item itself. A second item would
@@ -1549,21 +1495,19 @@ Result<bool> Evaluator::EvalBool(const Expr& e, DynamicContext& ctx) {
   // Lazy kinds stream to their first EBV witness: a path yields only
   // nodes, so one pull decides (XQuery §2.3.4 allows skipping the rest
   // of the evaluation); atomic producers need at most two pulls.
-  if (options_.stream_pipeline) {
-    switch (e.kind) {
-      case ExprKind::kPath:
-      case ExprKind::kFilter:
-      case ExprKind::kFLWOR:
-      case ExprKind::kSequence:
-      case ExprKind::kRange: {
-        XQ_ASSIGN_OR_RETURN(
-            xdm::StreamPtr s,
-            EvalStreamOrdered(e, ctx, /*ordered_required=*/false));
-        return StreamEBV(*s);
-      }
-      default:
-        break;
+  switch (e.kind) {
+    case ExprKind::kPath:
+    case ExprKind::kFilter:
+    case ExprKind::kFLWOR:
+    case ExprKind::kSequence:
+    case ExprKind::kRange: {
+      XQ_ASSIGN_OR_RETURN(
+          xdm::StreamPtr s,
+          EvalStreamOrdered(e, ctx, /*ordered_required=*/false));
+      return StreamEBV(*s, *counters_);
     }
+    default:
+      break;
   }
   XQ_ASSIGN_OR_RETURN(Sequence v, Eval(e, ctx));
   return xdm::EffectiveBooleanValue(v);
@@ -1635,9 +1579,9 @@ Result<Sequence> Evaluator::ApplyOnePredicate(const Expr& pred,
 
 // ------------------------------------------------ scatter-safe exprs ---
 
-bool Evaluator::ParallelSafePredicate(const Expr& e) {
-  auto cached = parallel_safe_cache_.find(&e);
-  if (cached != parallel_safe_cache_.end()) return cached->second;
+bool Evaluator::ScatterSafe(const Expr& e) {
+  auto cached = scatter_safe_cache_.find(&e);
+  if (cached != scatter_safe_cache_.end()) return cached->second;
 
   bool safe = true;
   switch (e.kind) {
@@ -1694,30 +1638,30 @@ bool Evaluator::ParallelSafePredicate(const Expr& e) {
   }
   if (safe) {
     for (const ExprPtr& kid : e.kids) {
-      if (kid != nullptr && !ParallelSafePredicate(*kid)) safe = false;
+      if (kid != nullptr && !ScatterSafe(*kid)) safe = false;
     }
     for (const Step& step : e.steps) {
-      if (step.expr != nullptr && !ParallelSafePredicate(*step.expr)) {
+      if (step.expr != nullptr && !ScatterSafe(*step.expr)) {
         safe = false;
       }
       for (const ExprPtr& pred : step.predicates) {
-        if (!ParallelSafePredicate(*pred)) safe = false;
+        if (!ScatterSafe(*pred)) safe = false;
       }
     }
     for (const ExprPtr& pred : e.predicates) {
-      if (!ParallelSafePredicate(*pred)) safe = false;
+      if (!ScatterSafe(*pred)) safe = false;
     }
     for (const Clause& clause : e.clauses) {
-      if (clause.expr != nullptr && !ParallelSafePredicate(*clause.expr)) {
+      if (clause.expr != nullptr && !ScatterSafe(*clause.expr)) {
         safe = false;
       }
     }
-    if (e.where != nullptr && !ParallelSafePredicate(*e.where)) safe = false;
+    if (e.where != nullptr && !ScatterSafe(*e.where)) safe = false;
     for (const OrderSpec& spec : e.order_specs) {
-      if (!ParallelSafePredicate(*spec.key)) safe = false;
+      if (!ScatterSafe(*spec.key)) safe = false;
     }
   }
-  parallel_safe_cache_[&e] = safe;
+  scatter_safe_cache_[&e] = safe;
   return safe;
 }
 
@@ -1731,7 +1675,7 @@ void Evaluator::MaybeScatterFlwor(const Expr& e, DynamicContext& ctx) {
         federation::AnalyzeFlworScatter(e, sctx_));
     // The scatter pre-evaluates the binding (the tuple loop evaluates it
     // again), so it must be provably free of effects and focus tricks.
-    if (plan->applicable && !ParallelSafePredicate(*plan->binding)) {
+    if (plan->applicable && !ScatterSafe(*plan->binding)) {
       plan->applicable = false;
     }
     it = scatter_plan_cache_.emplace(&e, std::move(plan)).first;
@@ -1754,6 +1698,8 @@ void Evaluator::MaybeScatterFlwor(const Expr& e, DynamicContext& ctx) {
   ++counters_->http_scatter_batches;
 }
 
+// A FLWOR with order by: every tuple is built, then stably sorted on
+// its keys.
 Result<Sequence> Evaluator::EvalFLWOR(const Expr& e, DynamicContext& ctx) {
   struct Tuple {
     std::vector<AtomicValue> keys;
@@ -1761,8 +1707,6 @@ Result<Sequence> Evaluator::EvalFLWOR(const Expr& e, DynamicContext& ctx) {
     Sequence value;
   };
   std::vector<Tuple> tuples;
-  Status error;
-
   ctx.env().PushScope();
 
   // Recursive expansion of for/let clauses.
@@ -1811,32 +1755,30 @@ Result<Sequence> Evaluator::EvalFLWOR(const Expr& e, DynamicContext& ctx) {
   ctx.env().PopScope();
   XQ_RETURN_NOT_OK(st);
 
-  if (!e.order_specs.empty()) {
-    bool cmp_error = false;
-    Status cmp_status;
-    std::stable_sort(
-        tuples.begin(), tuples.end(), [&](const Tuple& a, const Tuple& b) {
-          if (cmp_error) return false;
-          for (size_t k = 0; k < e.order_specs.size(); ++k) {
-            const OrderSpec& spec = e.order_specs[k];
-            if (a.key_empty[k] || b.key_empty[k]) {
-              if (a.key_empty[k] == b.key_empty[k]) continue;
-              bool a_first = a.key_empty[k] != spec.empty_greatest;
-              return spec.descending ? !a_first : a_first;
-            }
-            Result<int> cmp = a.keys[k].Compare(b.keys[k]);
-            if (!cmp.ok()) {
-              cmp_error = true;
-              cmp_status = cmp.status();
-              return false;
-            }
-            if (*cmp == 2) continue;  // unordered (NaN)
-            if (*cmp != 0) return spec.descending ? *cmp > 0 : *cmp < 0;
+  bool cmp_error = false;
+  Status cmp_status;
+  std::stable_sort(
+      tuples.begin(), tuples.end(), [&](const Tuple& a, const Tuple& b) {
+        if (cmp_error) return false;
+        for (size_t k = 0; k < e.order_specs.size(); ++k) {
+          const OrderSpec& spec = e.order_specs[k];
+          if (a.key_empty[k] || b.key_empty[k]) {
+            if (a.key_empty[k] == b.key_empty[k]) continue;
+            bool a_first = a.key_empty[k] != spec.empty_greatest;
+            return spec.descending ? !a_first : a_first;
           }
-          return false;
-        });
-    if (cmp_error) return cmp_status;
-  }
+          Result<int> cmp = a.keys[k].Compare(b.keys[k]);
+          if (!cmp.ok()) {
+            cmp_error = true;
+            cmp_status = cmp.status();
+            return false;
+          }
+          if (*cmp == 2) continue;  // unordered (NaN)
+          if (*cmp != 0) return spec.descending ? *cmp > 0 : *cmp < 0;
+        }
+        return false;
+      });
+  if (cmp_error) return cmp_status;
 
   Sequence out;
   for (Tuple& t : tuples) {
@@ -1847,41 +1789,17 @@ Result<Sequence> Evaluator::EvalFLWOR(const Expr& e, DynamicContext& ctx) {
 
 Result<Sequence> Evaluator::EvalQuantified(const Expr& e,
                                            DynamicContext& ctx) {
-  bool every = e.quant_every;
-  if (options_.stream_pipeline) {
-    // Quantifiers are FLWOR tuple streams: `some` pulls until a tuple
-    // passes the test, `every` until one fails it (negate_where). One
-    // pull decides either way — the clause streams never run to
-    // exhaustion past the witness.
-    FlworStream tuples(this, &ctx, &e, /*where=*/e.kids[0].get(),
-                       /*ret=*/nullptr, /*negate_where=*/every);
-    Item marker;
-    XQ_ASSIGN_OR_RETURN(bool witness, tuples.Next(&marker));
-    if (witness) ++counters_->early_exits;
-    return Sequence{Item::Boolean(every ? !witness : witness)};
-  }
-  bool result = every;
-  Status error;
-  ctx.env().PushScope();
-  std::function<Status(size_t)> expand = [&](size_t ci) -> Status {
-    if (ci == e.clauses.size()) {
-      XQ_ASSIGN_OR_RETURN(bool b, EvalBool(*e.kids[0], ctx));
-      if (every && !b) result = false;
-      if (!every && b) result = true;
-      return Status();
-    }
-    XQ_ASSIGN_OR_RETURN(Sequence seq, Eval(*e.clauses[ci].expr, ctx));
-    for (const Item& item : seq) {
-      ctx.env().Bind(e.clauses[ci].var, Sequence{item});
-      XQ_RETURN_NOT_OK(expand(ci + 1));
-      if (result != every) return Status();  // early exit
-    }
-    return Status();
-  };
-  Status st = expand(0);
-  ctx.env().PopScope();
-  XQ_RETURN_NOT_OK(st);
-  return Sequence{Item::Boolean(result)};
+  // Quantifiers are FLWOR tuple streams: `some` pulls until a tuple
+  // passes the test, `every` until one fails it (negate_where). One
+  // pull decides either way — the clause streams never run to
+  // exhaustion past the witness.
+  const bool every = e.quant_every;
+  FlworStream tuples(this, &ctx, &e, /*where=*/e.kids[0].get(),
+                     /*ret=*/nullptr, /*negate_where=*/every);
+  Item marker;
+  XQ_ASSIGN_OR_RETURN(bool witness, tuples.Next(&marker));
+  if (witness) ++counters_->early_exits;
+  return Sequence{Item::Boolean(every ? !witness : witness)};
 }
 
 // -------------------------------------------------- comparisons, arith ---
@@ -1945,20 +1863,18 @@ Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e,
     XQ_ASSIGN_OR_RETURN(int64_t n, CountPath(*e.kids[0], std::move(input), ctx));
     return Sequence{Item::Integer(n)};
   }
-  if (builtin_unshadowed) {
-    StreamFnClass cls = ClassifyStreamBuiltin(e.qname, e.kids.size());
-    if (options_.stream_pipeline && cls != StreamFnClass::kNone) {
-      const bool ordered = StreamBuiltinNeedsOrderedArg(e.qname.local());
-      XQ_ASSIGN_OR_RETURN(xdm::StreamPtr arg0,
-                          EvalStreamOrdered(*e.kids[0], ctx, ordered));
-      std::vector<Sequence> rest;
-      rest.reserve(e.kids.size() - 1);
-      for (size_t i = 1; i < e.kids.size(); ++i) {
-        XQ_ASSIGN_OR_RETURN(Sequence arg, Eval(*e.kids[i], ctx));
-        rest.push_back(std::move(arg));
-      }
-      return CallStreamBuiltin(e.qname, *arg0, rest, *this);
+  if (builtin_unshadowed &&
+      ClassifyStreamBuiltin(e.qname, e.kids.size()) != StreamFnClass::kNone) {
+    const bool ordered = StreamBuiltinNeedsOrderedArg(e.qname.local());
+    XQ_ASSIGN_OR_RETURN(xdm::StreamPtr arg0,
+                        EvalStreamOrdered(*e.kids[0], ctx, ordered));
+    std::vector<Sequence> rest;
+    rest.reserve(e.kids.size() - 1);
+    for (size_t i = 1; i < e.kids.size(); ++i) {
+      XQ_ASSIGN_OR_RETURN(Sequence arg, Eval(*e.kids[i], ctx));
+      rest.push_back(std::move(arg));
     }
+    return CallStreamBuiltin(e.qname, *arg0, rest, *counters_);
   }
   std::vector<Sequence> args;
   args.reserve(e.kids.size());
@@ -2026,7 +1942,16 @@ Result<Sequence> Evaluator::CallFunction(const xml::QName& name,
   if (const ExternalFunction* ext = ctx.FindExternal(name, args.size())) {
     return (*ext)(args, ctx);
   }
-  // 3. built-in library
+  // 3. built-in library. A stream-consumable builtin reached here (a
+  // plan's call.dyn op, a host call) has its argument evaluated
+  // already: it is read through a cursor on the stack, and since
+  // nothing was avoided or cut short, its counts go nowhere.
+  if (ClassifyStreamBuiltin(name, args.size()) != StreamFnClass::kNone) {
+    xdm::SequenceCursor arg0(std::move(args[0]));
+    Counters uncounted;
+    return CallStreamBuiltin(name, arg0, std::span(args).subspan(1),
+                             uncounted);
+  }
   bool handled = false;
   Result<Sequence> r = CallBuiltinFunction(name, args, *this, ctx, &handled);
   if (handled) return r;

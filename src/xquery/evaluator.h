@@ -44,22 +44,18 @@ class Evaluator {
   Evaluator(const Evaluator&) = delete;
   Evaluator& operator=(const Evaluator&) = delete;
 
-  // Runtime toggles, all on by default. Each off position is a
+  // Runtime toggles, both on by default. Each off position is a
   // reference implementation the tests compare against (PERFORMANCE.md,
-  // "Evaluator switches"). Exact-name descendant steps from one
-  // attached node always answer from an order-key range of the
-  // document's element-name index, bounded consumers (existence
-  // tests, [N], [last()], head/subsequence) always stop early, and
-  // stream operators always live in the DynamicContext's per-dispatch
-  // arena.
+  // "Evaluator switches"). Everything else is always on: paths, filters,
+  // FLWORs and sequence-valued builtins compose as lazy pull streams
+  // (xdm::ItemStream) in the DynamicContext's per-dispatch arena, steps
+  // the optimizer proved ordered and duplicate-free skip their sort
+  // barrier, exact-name descendant steps from one attached node answer
+  // from an order-key range of the document's element-name index, and
+  // bounded consumers (existence tests, [N], [last()], head/subsequence)
+  // stop early. The independent reference for all of that is
+  // tests/xpath_reference.h.
   struct EvalOptions {
-    // Skip SortDocumentOrderDedup for steps the optimizer annotated
-    // order-preserving + duplicate-free. Off: the always-sort reference.
-    bool honor_sort_elision = true;
-    // Compose path steps, FLWOR clauses and sequence-valued builtins as
-    // lazy pull streams (xdm::ItemStream). Off: every operator edge
-    // re-materializes a full Sequence — the eager reference.
-    bool stream_pipeline = true;
     // Dispatch user-declared function calls through compiled register
     // plans (xquery/plan/): the body is lowered once into flat bytecode
     // specialized by analyzer facts, cached process-wide on (source
@@ -93,13 +89,8 @@ class Evaluator {
   // Lazily evaluates `e` as a pull stream. Work is deferred into Next()
   // calls for the lazy kinds (paths, filters, FLWOR without order by,
   // sequence concatenation, ranges); everything else evaluates eagerly
-  // and streams the buffered result. With stream_pipeline off this
-  // always materializes first.
+  // and streams the buffered result.
   Result<xdm::StreamPtr> EvalStream(const Expr& e, DynamicContext& ctx);
-
-  // Effective boolean value of a stream: pulls at most two items (the
-  // second only to reproduce FORG0006 on multi-atomic sequences).
-  Result<bool> StreamEBV(xdm::ItemStream& s);
 
   // Applies ctx's pending update list at the host's snapshot point and
   // counts the structured delta the pass emitted (delta_emitted).
@@ -161,7 +152,7 @@ class Evaluator {
   // Drains a stream into a Sequence, accounting the buffer.
   Result<xdm::Sequence> MaterializeFrom(xdm::StreamPtr s);
   // Evaluates path `e` from its already evaluated initial context
-  // sequence: the streamed or the eager engine per stream_pipeline.
+  // sequence: BuildPathStream, materialized.
   Result<xdm::Sequence> EvalPathFrom(const Expr& e, xdm::Sequence current,
                                      DynamicContext& ctx);
   // Composes one pull stream per path step (axis cursor or index slice,
@@ -177,10 +168,6 @@ class Evaluator {
                                       xdm::StreamPtr s, DynamicContext& ctx);
   // The initial context sequence of a path (kids[0] / root / focus).
   Result<xdm::Sequence> PathInput(const Expr& e, DynamicContext& ctx);
-  // Eager per-step path loop — the stream_pipeline=false ablation
-  // baseline and the oracle the streaming tests compare against.
-  Result<xdm::Sequence> EvalPathEager(const Expr& e, xdm::Sequence current,
-                                      DynamicContext& ctx);
   Result<xdm::Sequence> EvalStep(const Step& step, xml::Node* node,
                                  DynamicContext& ctx);
   // An expression step (Step::expr) over its context sequence.
@@ -197,9 +184,6 @@ class Evaluator {
   // node.
   bool IndexedSlice(const Step& step, xml::Node* origin,
                     std::span<xml::Node* const>* out);
-  // IndexedSlice copied into *out.
-  bool TryIndexedStep(const Step& step, xml::Node* origin,
-                      xdm::Sequence* out);
   // IndexedSlice as a stream with the step's predicates applied; null
   // when not applicable.
   Result<xdm::StreamPtr> IndexedStepStream(const Step& step,
@@ -261,13 +245,13 @@ class Evaluator {
   // construction, no fn:position/fn:last, and calls only to builtins
   // of fn:/xs: minus doc/put/trace and the time functions.) Memoized
   // per node.
-  bool ParallelSafePredicate(const Expr& e);
+  bool ScatterSafe(const Expr& e);
 
   // Async federation: if `e` is a FLWOR whose remote GETs are templated
   // over the loop variable (federation::AnalyzeFlworScatter, memoized
   // per node) and the binding is pure enough to pre-evaluate, issues the
   // whole URL batch through ctx.prefetcher before the tuple loop runs.
-  // Called from both the eager and the streaming FLWOR paths.
+  // Called from both the streaming and the order-by FLWOR paths.
   void MaybeScatterFlwor(const Expr& e, DynamicContext& ctx);
 
   const StaticContext& sctx_;
@@ -277,7 +261,7 @@ class Evaluator {
   Counters own_counters_;
   Counters* counters_;
   std::unordered_map<const Expr*, bool> needs_last_cache_;
-  std::unordered_map<const Expr*, bool> parallel_safe_cache_;
+  std::unordered_map<const Expr*, bool> scatter_safe_cache_;
   // Memoized federation::AnalyzeFlworScatter results (the analysis walks
   // the whole call graph under the FLWOR; dispatch re-enters the same
   // listener bodies every event).
@@ -311,12 +295,18 @@ StreamFnClass ClassifyStreamBuiltin(const xml::QName& name, size_t arity);
 // of its first argument, so the path feeding it may not skip its final
 // document-order barrier.
 bool StreamBuiltinNeedsOrderedArg(const std::string& local);
-// Dispatches a stream-consumable builtin: arg0 is pulled lazily, `rest`
-// holds the remaining (eagerly evaluated) arguments.
+// Dispatches a stream-consumable builtin, the one implementation of
+// each: arg0 is pulled lazily, `rest` holds the remaining (eagerly
+// evaluated) arguments, and the early exits, avoided buffers and
+// materialized atoms are counted into `counters`.
 Result<xdm::Sequence> CallStreamBuiltin(const xml::QName& name,
                                         xdm::ItemStream& arg0,
-                                        std::vector<xdm::Sequence>& rest,
-                                        Evaluator& ev);
+                                        std::span<const xdm::Sequence> rest,
+                                        Counters& counters);
+// Effective boolean value of a stream: pulls at most two items (the
+// second only to reproduce FORG0006 on multi-atomic sequences); a node
+// witness counts an early exit.
+Result<bool> StreamEBV(xdm::ItemStream& s, Counters& counters);
 
 }  // namespace xqib::xquery
 

@@ -271,24 +271,13 @@ Result<Sequence> CallBuiltinFunction(const xml::QName& name,
   }
 
   // ---------------------------------------------------------- boolean ---
-  if (fn == "boolean") {
-    if (n != 1) return WrongArity(fn, n);
-    XQ_ASSIGN_OR_RETURN(bool b, xdm::EffectiveBooleanValue(args[0]));
-    return Sequence{Item::Boolean(b)};
-  }
-  if (fn == "not") {
-    if (n != 1) return WrongArity(fn, n);
-    XQ_ASSIGN_OR_RETURN(bool b, xdm::EffectiveBooleanValue(args[0]));
-    return Sequence{Item::Boolean(!b)};
-  }
+  // boolean, not, count, sum, avg, min, max, empty, exists, head and
+  // subsequence are stream-consumable: CallStreamBuiltin below is their
+  // one implementation, and Evaluator::CallFunction routes them there.
   if (fn == "true") return Sequence{Item::Boolean(true)};
   if (fn == "false") return Sequence{Item::Boolean(false)};
 
   // ---------------------------------------------------------- numeric ---
-  if (fn == "count") {
-    if (n != 1) return WrongArity(fn, n);
-    return Sequence{Item::Integer(static_cast<int64_t>(args[0].size()))};
-  }
   if (fn == "abs" || fn == "ceiling" || fn == "floor" || fn == "round") {
     if (n != 1) return WrongArity(fn, n);
     bool empty = false;
@@ -303,53 +292,6 @@ Result<Sequence> CallBuiltinFunction(const xml::QName& name,
       return Sequence{Item::Integer(static_cast<int64_t>(r))};
     }
     return Sequence{Item::Double(r)};
-  }
-  if (fn == "sum" || fn == "avg" || fn == "min" || fn == "max") {
-    if (fn == "sum" ? (n < 1 || n > 2) : n != 1) return WrongArity(fn, n);
-    Sequence data = xdm::Atomize(args[0]);
-    if (data.empty()) {
-      if (fn == "sum") {
-        if (n == 2) return args[1];
-        return Sequence{Item::Integer(0)};
-      }
-      return Sequence{};
-    }
-    // String min/max fall back to codepoint comparison.
-    bool numeric = true;
-    for (const Item& i : data) {
-      if (!i.atomic().is_numeric() && !i.atomic().is_untyped()) {
-        numeric = false;
-        break;
-      }
-    }
-    if ((fn == "min" || fn == "max") && !numeric) {
-      std::string best = data[0].StringValue();
-      for (const Item& i : data) {
-        std::string s = i.StringValue();
-        if ((fn == "min") ? s < best : s > best) best = s;
-      }
-      return Sequence{Item::String(best)};
-    }
-    double acc = 0;
-    bool all_int = true;
-    double best = 0;
-    bool first = true;
-    for (const Item& i : data) {
-      XQ_ASSIGN_OR_RETURN(double d, i.atomic().ToDouble());
-      if (i.atomic().type() != AtomicType::kInteger) all_int = false;
-      acc += d;
-      if (first || (fn == "min" ? d < best : d > best)) best = d;
-      first = false;
-    }
-    if (fn == "sum") {
-      if (all_int) return Sequence{Item::Integer(static_cast<int64_t>(acc))};
-      return Sequence{Item::Double(acc)};
-    }
-    if (fn == "avg") {
-      return Sequence{Item::Double(acc / static_cast<double>(data.size()))};
-    }
-    if (all_int) return Sequence{Item::Integer(static_cast<int64_t>(best))};
-    return Sequence{Item::Double(best)};
   }
 
   // ----------------------------------------------------------- string ---
@@ -537,14 +479,6 @@ Result<Sequence> CallBuiltinFunction(const xml::QName& name,
   }
 
   // --------------------------------------------------------- sequence ---
-  if (fn == "empty") {
-    if (n != 1) return WrongArity(fn, n);
-    return Sequence{Item::Boolean(args[0].empty())};
-  }
-  if (fn == "exists") {
-    if (n != 1) return WrongArity(fn, n);
-    return Sequence{Item::Boolean(!args[0].empty())};
-  }
   if (fn == "distinct-values") {
     if (n != 1) return WrongArity(fn, n);
     Sequence data = xdm::Atomize(args[0]);
@@ -568,34 +502,10 @@ Result<Sequence> CallBuiltinFunction(const xml::QName& name,
     Sequence out(args[0].rbegin(), args[0].rend());
     return out;
   }
-  if (fn == "head") {
-    if (n != 1) return WrongArity(fn, n);
-    if (args[0].empty()) return Sequence{};
-    return Sequence{args[0][0]};
-  }
   if (fn == "tail") {
     if (n != 1) return WrongArity(fn, n);
     if (args[0].empty()) return Sequence{};
     return Sequence(args[0].begin() + 1, args[0].end());
-  }
-  if (fn == "subsequence") {
-    if (n < 2 || n > 3) return WrongArity(fn, n);
-    bool empty = false;
-    XQ_ASSIGN_OR_RETURN(double startd, NumericArg(args[1], &empty));
-    if (empty) return Sequence{};
-    double lend = std::numeric_limits<double>::infinity();
-    if (n == 3) {
-      XQ_ASSIGN_OR_RETURN(lend, NumericArg(args[2], &empty));
-      if (empty) return Sequence{};
-    }
-    double from = std::floor(startd + 0.5);
-    double to = from + (std::isinf(lend) ? lend : std::floor(lend + 0.5));
-    Sequence out;
-    for (size_t i = 0; i < args[0].size(); ++i) {
-      double pos = static_cast<double>(i + 1);
-      if (pos >= from && pos < to) out.push_back(args[0][i]);
-    }
-    return out;
   }
   if (fn == "insert-before") {
     if (n != 3) return WrongArity(fn, n);
@@ -856,17 +766,18 @@ bool StreamBuiltinNeedsOrderedArg(const std::string& local) {
 
 Result<Sequence> CallStreamBuiltin(const xml::QName& name,
                                    xdm::ItemStream& arg0,
-                                   std::vector<Sequence>& rest, Evaluator& ev) {
+                                   std::span<const Sequence> rest,
+                                   Counters& counters) {
   const std::string& fn = name.local();
   Item item;
 
   if (fn == "exists" || fn == "empty") {
     XQ_ASSIGN_OR_RETURN(bool any, arg0.Next(&item));
-    if (any) ++ev.counters().early_exits;
+    if (any) ++counters.early_exits;
     return Sequence{Item::Boolean(fn == "exists" ? any : !any)};
   }
   if (fn == "boolean" || fn == "not") {
-    XQ_ASSIGN_OR_RETURN(bool b, ev.StreamEBV(arg0));
+    XQ_ASSIGN_OR_RETURN(bool b, StreamEBV(arg0, counters));
     return Sequence{Item::Boolean(fn == "boolean" ? b : !b)};
   }
   if (fn == "head") {
@@ -874,7 +785,7 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
     XQ_ASSIGN_OR_RETURN(bool any, arg0.Next(&item));
     if (any) {
       out.push_back(std::move(item));
-      ++ev.counters().early_exits;
+      ++counters.early_exits;
     }
     return out;
   }
@@ -904,7 +815,7 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
         break;
       }
     }
-    if (stopped) ++ev.counters().early_exits;
+    if (stopped) ++counters.early_exits;
     return out;
   }
   if (fn == "count") {
@@ -914,7 +825,7 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
       if (!more) break;
       ++n;
     }
-    ++ev.counters().buffers_avoided;
+    ++counters.buffers_avoided;
     return Sequence{Item::Integer(n)};
   }
   if (fn == "sum" || fn == "avg") {
@@ -940,7 +851,7 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
       }
       return Sequence{};
     }
-    ++ev.counters().buffers_avoided;
+    ++counters.buffers_avoided;
     if (fn == "avg") {
       return Sequence{Item::Double(acc / static_cast<double>(n))};
     }
@@ -957,7 +868,7 @@ Result<Sequence> CallStreamBuiltin(const xml::QName& name,
       Sequence atoms = xdm::Atomize(Sequence{std::move(item)});
       for (Item& a : atoms) data.push_back(std::move(a));
     }
-    ev.counters().items_materialized += data.size();
+    counters.items_materialized += data.size();
     if (data.empty()) return Sequence{};
     bool numeric = true;
     for (const Item& i : data) {

@@ -60,10 +60,15 @@ class PluginTest : public ::testing::Test {
     return w->document()->GetElementById(id);
   }
 
+  // Dispatches a click; the target's document must keep its order keys
+  // and name-index buckets consistent across whatever the listeners
+  // applied.
   void Click(xml::Node* target) {
     Event e;
     e.type = "onclick";
     plugin_.FireEvent(target, e);
+    Status invariants = target->document()->CheckInvariants();
+    EXPECT_TRUE(invariants.ok()) << invariants.ToString();
   }
 
   net::HttpFabric fabric_;
@@ -180,7 +185,7 @@ TEST_F(PluginTest, EventStatsDoNotLeakAcrossDispatches) {
   EXPECT_EQ(second.buffers_avoided, first.buffers_avoided);
 }
 
-TEST_F(PluginTest, SetEvalOptionsDisablesFastPaths) {
+TEST_F(PluginTest, SetEvalOptionsTurnsOffCompiledPlans) {
   Window* w = Load(R"(<html><body>
       <input type="button" id="b" value="Go"/>
       <div id="log"/>
@@ -191,19 +196,20 @@ TEST_F(PluginTest, SetEvalOptionsDisablesFastPaths) {
       };
       on event "onclick" at //input[@id="b"] attach listener local:onClick
       </script></body></html>)");
-  // The eager, always-sort reference: no stream operators run and every
-  // step that is not answered from the element-name index sorts.
+  Click(ById(w, "b"));
+  EXPECT_GT(plugin_.last_event_stats().plan_hits, 0u);
+  // The tree-walker reference: the listener runs without its plan, on
+  // the same streams and index.
   xquery::Evaluator::EvalOptions off;
-  off.honor_sort_elision = false;
-  off.stream_pipeline = false;
+  off.compiled_plans = false;
   plugin_.set_eval_options(off);
   Click(ById(w, "b"));
-  EXPECT_EQ(plugin_.last_event_stats().items_pulled, 0u);
-  EXPECT_EQ(plugin_.last_event_stats().early_exits, 0u);
-  EXPECT_GT(plugin_.last_event_stats().sorts_performed, 0u);
-  // Results are identical with the fast paths off.
+  EXPECT_EQ(plugin_.last_event_stats().plan_hits, 0u);
+  EXPECT_EQ(plugin_.last_event_stats().plan_compiles, 0u);
+  EXPECT_GT(plugin_.last_event_stats().name_index_hits, 0u);
+  // Results are identical with plans off.
   EXPECT_EQ(xml::Serialize(ById(w, "log")),
-            "<div id=\"log\"><hit n=\"1\"/></div>");
+            "<div id=\"log\"><hit n=\"1\"/><hit n=\"2\"/></div>");
 }
 
 TEST_F(PluginTest, EventListenerReceivesEventNodeAndTarget) {

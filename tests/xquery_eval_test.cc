@@ -276,12 +276,16 @@ TEST(Paths, ExpressionSteps) {
 // Evaluates `query` with explicit evaluator options (the reference
 // switches) and returns the result string; on success the
 // evaluator's fast-path counters are copied into *stats if given.
+// `optimize` false compiles without the optimizer, so no step carries
+// an ordering proof and every step sorts.
 std::string EvalWithOptions(const std::string& query,
                             const std::string& context_xml,
                             const Evaluator::EvalOptions& options,
-                            Counters* stats = nullptr) {
+                            Counters* stats = nullptr, bool optimize = true) {
   Engine engine;
-  auto compiled = engine.Compile(query);
+  CompileOptions compile;
+  compile.optimize = optimize;
+  auto compiled = engine.Compile(query, compile);
   if (!compiled.ok()) return "PARSE-ERROR: " + compiled.status().ToString();
   (*compiled)->evaluator().set_options(options);
   DynamicContext ctx;
@@ -305,15 +309,6 @@ std::string EvalWithOptions(const std::string& query,
   return xdm::SequenceToString(*result);
 }
 
-// The eager, always-sort reference: no stream pipeline (so no early
-// exit) and no sort elision. The element-name index has no switch.
-Evaluator::EvalOptions AllFastPathsOff() {
-  Evaluator::EvalOptions off;
-  off.honor_sort_elision = false;
-  off.stream_pipeline = false;
-  return off;
-}
-
 // Satellite regression: position 1 on a reverse axis is the *nearest*
 // node (axis order), not the first in document order.
 TEST(FastPaths, ReverseAxisPositionalPredicates) {
@@ -327,30 +322,37 @@ TEST(FastPaths, ReverseAxisPositionalPredicates) {
             "book");
 }
 
-// Every fast path on vs every fast path off must agree — the elision
-// and bounded-evaluation machinery is observationally pure.
-TEST(FastPaths, AgreeWithForcedSortOracle) {
-  const char* queries[] = {
-      "/books/book/title",
-      "//book/author",
-      "count(//author)",
-      "//book/@year",
-      "string-join(//book/title, '|')",
-      "(//author)[1]",
-      "(//author)[last()]",
-      "//book[price > 20]/title",
-      "exists(//price)",
-      "exists(//nothing)",
-      "empty(//nothing)",
-      "//price/preceding-sibling::title",
-      "count(//author[1]/ancestor::*)",
-      "(//title | //price)[1]",
-      "//book/descendant-or-self::*/title",
+// The elision and bounded-evaluation machinery is observationally
+// pure: each shape it touches gives the result read off kBooks, with
+// and without the optimizer's ordering proofs.
+TEST(FastPaths, AgreeWithLiteralResults) {
+  const char* const cases[][2] = {
+      {"/books/book/title", "Dogs and cats Query languages The dog barked"},
+      {"//book/author", "Ann Bob Cid Dan"},
+      {"count(//author)", "4"},
+      {"//book/@year", "2005 2007 2008"},
+      {"string-join(//book/title, '|')",
+       "Dogs and cats|Query languages|The dog barked"},
+      {"(//author)[1]", "Ann"},
+      {"(//author)[last()]", "Dan"},
+      {"//book[price > 20]/title", "Query languages The dog barked"},
+      {"exists(//price)", "true"},
+      {"exists(//nothing)", "false"},
+      {"empty(//nothing)", "true"},
+      {"//price/preceding-sibling::title",
+       "Dogs and cats Query languages The dog barked"},
+      {"count(//author[1]/ancestor::*)", "4"},
+      {"(//title | //price)[1]", "Dogs and cats"},
+      {"//book/descendant-or-self::*/title",
+       "Dogs and cats Query languages The dog barked"},
   };
-  for (const char* q : queries) {
-    EXPECT_EQ(EvalWithOptions(q, kBooks, Evaluator::EvalOptions()),
-              EvalWithOptions(q, kBooks, AllFastPathsOff()))
-        << "query: " << q;
+  for (const auto& c : cases) {
+    for (bool optimize : {true, false}) {
+      EXPECT_EQ(EvalWithOptions(c[0], kBooks, Evaluator::EvalOptions(),
+                                nullptr, optimize),
+                c[1])
+          << "query: " << c[0] << " optimize " << optimize;
+    }
   }
 }
 
@@ -363,12 +365,14 @@ TEST(FastPaths, SortElisionCounters) {
   EXPECT_GT(stats.sorts_elided, 0u);
   EXPECT_EQ(stats.sorts_performed, 0u);
 
-  // With elision disabled the same query pays for every step.
-  EXPECT_EQ(EvalWithOptions("/books/book/title", kBooks, AllFastPathsOff(),
-                            &stats),
+  // Without the optimizer's ordering proofs the same query pays for
+  // every step.
+  EXPECT_EQ(EvalWithOptions("/books/book/title", kBooks,
+                            Evaluator::EvalOptions(), &stats,
+                            /*optimize=*/false),
             "Dogs and cats Query languages The dog barked");
   EXPECT_EQ(stats.sorts_elided, 0u);
-  EXPECT_GT(stats.sorts_performed, 0u);
+  EXPECT_EQ(stats.sorts_performed, 3u);
 }
 
 TEST(FastPaths, NameIndexCounters) {
@@ -377,8 +381,9 @@ TEST(FastPaths, NameIndexCounters) {
                             Evaluator::EvalOptions(), &stats),
             "4");
   EXPECT_GT(stats.name_index_hits, 0u);
-  // The eager reference routes //name through the index too.
-  EXPECT_EQ(EvalWithOptions("//author", kBooks, AllFastPathsOff(), &stats),
+  // A bare //name path routes through the index too.
+  EXPECT_EQ(EvalWithOptions("//author", kBooks, Evaluator::EvalOptions(),
+                            &stats),
             "Ann Bob Cid Dan");
   EXPECT_GT(stats.name_index_hits, 0u);
   // A wildcard step with a self:: filter is the index-ineligible twin.
@@ -390,11 +395,18 @@ TEST(FastPaths, NameIndexCounters) {
 
 TEST(FastPaths, EarlyExitCounters) {
   Counters stats;
-  // The eager reference drains every producer.
-  EXPECT_EQ(EvalWithOptions("exists(//author)", kBooks, AllFastPathsOff(),
-                            &stats),
+  // A builtin handed an evaluated argument (a plan's call.dyn op) cuts
+  // nothing short; the tree walker streams the same variable.
+  const char* call =
+      "declare function local:f($x) { exists($x) }; local:f(//author)";
+  EXPECT_EQ(EvalWithOptions(call, kBooks, Evaluator::EvalOptions(), &stats),
             "true");
   EXPECT_EQ(stats.early_exits, 0u);
+  EXPECT_GT(stats.plan_hits, 0u);
+  Evaluator::EvalOptions walker;
+  walker.compiled_plans = false;
+  EXPECT_EQ(EvalWithOptions(call, kBooks, walker, &stats), "true");
+  EXPECT_EQ(stats.early_exits, 1u);
   EXPECT_EQ(EvalWithOptions("exists(//author)", kBooks,
                             Evaluator::EvalOptions(), &stats),
             "true");
@@ -407,6 +419,48 @@ TEST(FastPaths, EarlyExitCounters) {
                             Evaluator::EvalOptions(), &stats),
             "Dan");
   EXPECT_GT(stats.early_exits, 0u);
+}
+
+// A stream-consumable builtin reached with evaluated arguments (a
+// plan's call.dyn op) reads them through a cursor: the streamed call's
+// results and error codes, and no avoided buffer to count.
+TEST(FastPaths, BuiltinOverEvaluatedArgumentCountsNothing) {
+  const char* const cases[][2] = {
+      {"count($x)", "4"},
+      {"sum($x/../@year)", "6020"},
+      {"string-join(subsequence($x, 2, 2), ',')", "Bob,Cid"},
+      {"(head($x), empty($x), not($x), boolean($x))", "Ann false false true"},
+      {"(min($x/../price), max($x/../price), avg($x/../price))", "10 50 30"},
+  };
+  Evaluator::EvalOptions walker;
+  walker.compiled_plans = false;
+  for (const auto& c : cases) {
+    const std::string q = std::string("declare function local:f($x) { ") +
+                          c[0] + " }; local:f(//author)";
+    Counters stats;
+    EXPECT_EQ(EvalWithOptions(q, kBooks, Evaluator::EvalOptions(), &stats),
+              c[1])
+        << q;
+    EXPECT_GT(stats.plan_hits, 0u) << q;
+    EXPECT_EQ(stats.buffers_avoided, 0u) << q;
+    EXPECT_EQ(stats.early_exits, 0u) << q;
+    EXPECT_EQ(EvalWithOptions(q, kBooks, walker), c[1]) << q;
+  }
+  // The tree walker streams the same variable into the fold.
+  Counters stats;
+  EXPECT_EQ(EvalWithOptions(
+                "declare function local:f($x) { count($x) }; local:f(//author)",
+                kBooks, walker, &stats),
+            "4");
+  EXPECT_EQ(stats.buffers_avoided, 1u);
+  // A wrong arity is still XPST0017, through either route.
+  for (const Evaluator::EvalOptions& o : {Evaluator::EvalOptions(), walker}) {
+    EXPECT_NE(EvalWithOptions("declare function local:g() { count(1, 2) }; "
+                              "local:g()",
+                              kBooks, o)
+                  .find("XPST0017"),
+              std::string::npos);
+  }
 }
 
 // The index must not be consulted when the step carries a wildcard or a

@@ -45,6 +45,9 @@ Outcome Exec(const std::string& query, const std::string& xml) {
   }
   out.result = xdm::SequenceToString(*r);
   out.doc = xml::Serialize(doc->root());
+  // The apply must leave order keys and name-index buckets consistent.
+  Status invariants = doc->CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << query << ": " << invariants.ToString();
   return out;
 }
 
