@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
+#include <new>
 
 namespace xqib::xml {
 
@@ -383,15 +385,26 @@ Document::Document() {
   root_ = NewNode(NodeKind::kDocument);
 }
 
-Node* Document::NewNode(NodeKind kind) {
-  Node* n;
-  {
-    // The deque push must not race another allocating thread or the
-    // id-cache scan in GetElementById.
-    std::lock_guard<std::mutex> lk(alloc_mu_);
-    nodes_.push_back(std::unique_ptr<Node>(new Node(this, kind)));
-    n = nodes_.back().get();
+Document::~Document() {
+  for (size_t i = 0; i < slabs_.size(); ++i) {
+    const Slab& slab = slabs_[i];
+    const size_t used = i + 1 == slabs_.size() ? slab_used_ : slab.capacity;
+    for (size_t j = 0; j < used; ++j) slab.nodes[j].~Node();
+    std::allocator<Node>().deallocate(slab.nodes, slab.capacity);
   }
+}
+
+Node* Document::NewNode(NodeKind kind) {
+  if (slabs_.empty() || slab_used_ == slabs_.back().capacity) {
+    const size_t capacity =
+        slabs_.empty() ? kFirstSlabNodes
+                       : std::min(2 * slabs_.back().capacity, kMaxSlabNodes);
+    slabs_.push_back(Slab{std::allocator<Node>().allocate(capacity), capacity});
+    slab_used_ = 0;
+  }
+  Node* n = new (slabs_.back().nodes + slab_used_) Node(this, kind);
+  ++slab_used_;
+  ++node_count_;
   n->tree_id_ = next_tree_id_++;
   // No order invalidation: the fresh node starts with a stale key version
   // and is keyed lazily (detached region) or on attach (gap assignment).
@@ -440,38 +453,37 @@ Node* Document::CreateProcessingInstruction(std::string target,
   return n;
 }
 
-Node* Document::ImportCopy(const Node* src) {
-  switch (src->kind()) {
-    case NodeKind::kElement: {
-      Node* copy = CreateElement(src->name());
-      for (const Node* a : src->attributes()) {
-        copy->SetAttribute(a->name(), a->value());
-      }
-      for (const Node* c : src->children()) {
-        Node* child_copy = ImportCopy(c);
-        child_copy->parent_ = copy;
-        copy->children_.push_back(child_copy);
-      }
-      return copy;
-    }
-    case NodeKind::kAttribute:
-      return CreateAttribute(src->name(), src->value());
-    case NodeKind::kText:
-      return CreateText(src->value());
-    case NodeKind::kComment:
-      return CreateComment(src->value());
-    case NodeKind::kProcessingInstruction:
-      return CreateProcessingInstruction(src->name().local(), src->value());
-    case NodeKind::kDocument: {
-      // Copying a document node yields a copy of its children under a new
-      // element-less fragment: we model it as a copy of the document
-      // element, which is what the update primitives need in practice.
-      Node* elem = const_cast<Node*>(src)->document()->DocumentElement();
-      assert(elem != nullptr);
-      return ImportCopy(elem);
-    }
+void Document::BuildAppend(Node* parent, Node* child) {
+  assert(parent->document_ == this && child->document_ == this);
+  assert(child->parent_ == nullptr && child->kind_ != NodeKind::kDocument);
+  assert(!AttachedToRoot(parent) && "the builder path never touches the "
+                                    "attached tree; use AppendChild");
+  child->parent_ = parent;
+  if (child->kind_ == NodeKind::kAttribute) {
+    parent->attributes_.push_back(child);
+  } else {
+    parent->children_.push_back(child);
   }
-  return nullptr;
+}
+
+Node* Document::ImportCopy(const Node* src) {
+  if (src->kind_ == NodeKind::kDocument) {
+    // Copying a document node yields a copy of its children under a new
+    // element-less fragment: we model it as a copy of the document
+    // element, which is what the update primitives need in practice.
+    Node* elem = src->document_->DocumentElement();
+    assert(elem != nullptr);
+    return ImportCopy(elem);
+  }
+  // Every kind copies its name (interned already) and value as they are.
+  Node* copy = NewNode(src->kind_);
+  copy->name_ = src->name_;
+  copy->value_ = src->value_;
+  copy->attributes_.reserve(src->attributes_.size());
+  for (const Node* a : src->attributes_) BuildAppend(copy, ImportCopy(a));
+  copy->children_.reserve(src->children_.size());
+  for (const Node* c : src->children_) BuildAppend(copy, ImportCopy(c));
+  return copy;
 }
 
 Node* Document::GetElementById(std::string_view id) const {
@@ -487,16 +499,26 @@ Node* Document::GetElementById(std::string_view id) const {
   if (id_cache_version_.load(std::memory_order_acquire) != mv) {
     std::lock_guard<std::mutex> lk(lazy_mu_);
     if (id_cache_version_.load(std::memory_order_relaxed) != mv) {
+      static const InternedName* const kId = QName("id").token();
       id_cache_.clear();
-      // The scan walks the whole node pool, which a concurrent
-      // allocation may be growing; hold alloc_mu_ (always after lazy_mu_).
-      std::lock_guard<std::mutex> alk(alloc_mu_);
-      for (const auto& n : nodes_) {
-        if (n->kind() == NodeKind::kElement && n->parent() != nullptr) {
-          const Node* a = n->FindAttribute("id");
-          if (a != nullptr && !a->value().empty() && n->Root() == root_) {
-            id_cache_.emplace(a->value(), n.get());  // first wins
+      // One preorder walk of the attached tree (detached and discarded
+      // nodes are never visited); the first element in document order
+      // keeps its id.
+      std::vector<const Node*> stack{root_};
+      while (!stack.empty()) {
+        const Node* n = stack.back();
+        stack.pop_back();
+        for (const Node* a : n->attributes_) {
+          if (a->name_.token() == kId) {
+            if (!a->value_.empty()) {
+              id_cache_.emplace(a->value_, const_cast<Node*>(n));
+            }
+            break;
           }
+        }
+        for (auto it = n->children_.rbegin(); it != n->children_.rend();
+             ++it) {
+          if ((*it)->kind_ == NodeKind::kElement) stack.push_back(*it);
         }
       }
       id_cache_version_.store(mv, std::memory_order_release);
@@ -719,19 +741,20 @@ bool Document::AttachedToRoot(const Node* n) const {
 }
 
 void Document::TouchName(const InternedName* token) {
-  if (delta_tracking_) {
-    pending_index_delta_.Touch(token);
-    pending_dispatch_delta_.Touch(token);
-  }
+  // Touched names are read by dispatch only (listener read sets).
+  if (delta_tracking_) pending_dispatch_delta_.Touch(token);
   if (capture_ != nullptr) capture_->Touch(token);
 }
 
 void Document::RecordElementOp(const Node* node, const InternedName* token,
                                bool inserted) {
   Node* n = const_cast<Node*>(node);
-  if (delta_tracking_) {
+  // Membership ops are read by the index splice only, and only once there
+  // is an index to splice: before the first build, RefreshNameIndex
+  // rebuilds in full and would discard them.
+  if (delta_tracking_ &&
+      name_index_version_.load(std::memory_order_relaxed) != 0) {
     pending_index_delta_.ElementOp(n, token, inserted);
-    pending_dispatch_delta_.ElementOp(n, token, inserted);
   }
   if (capture_ != nullptr) capture_->ElementOp(n, token, inserted);
 }
@@ -777,10 +800,7 @@ void Document::RecordRenameOps(const Node* node, const InternedName* old_token) 
 }
 
 void Document::CountDeltaMutation() {
-  if (delta_tracking_) {
-    pending_index_delta_.CountMutation();
-    pending_dispatch_delta_.CountMutation();
-  }
+  if (delta_tracking_) pending_dispatch_delta_.CountMutation();
   if (capture_ != nullptr) capture_->CountMutation();
 }
 
@@ -811,16 +831,8 @@ void Document::RecomputeOrder() const {
   // subtrees between existing neighbours (TryAssignGapKeys) without
   // touching any other key — which is what keeps the order globally
   // valid across churn and lets the name index splice by key.
-  uint64_t pool = 0;
-  {
-    // nodes_ may be growing under a concurrent allocation; lock order
-    // lazy_mu_ (held by our callers) then alloc_mu_ matches
-    // GetElementById.
-    std::lock_guard<std::mutex> lk(alloc_mu_);
-    pool = nodes_.size();
-  }
   const uint64_t stride =
-      std::max<uint64_t>(1, kAttachedKeyLimit / (pool * 2 + 2));
+      std::max<uint64_t>(1, kAttachedKeyLimit / (node_count_ * 2 + 2));
   AssignKeysDfs(root_, stride, stride, order_version_);
   computed_version_ = order_version_;
   ++order_rebuilds_;

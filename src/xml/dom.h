@@ -1,16 +1,16 @@
 // A mutable DOM, the substrate the XQIB plug-in wraps with an XDM store
 // (paper Section 5.2, Figure 1). Nodes are owned by their Document and
 // referenced by raw pointers everywhere else; node identity is pointer
-// identity, exactly as XDM node identity requires.
+// identity, exactly as XDM node identity requires. A Document stores its
+// nodes in slabs (DESIGN.md "DOM node storage"): a node never moves and
+// lives exactly as long as its document.
 
 #ifndef XQIB_XML_DOM_H_
 #define XQIB_XML_DOM_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -136,9 +136,11 @@ class Node {
 
 // A structured description of the attached-tree mutations accumulated
 // between two sync points (PERFORMANCE.md §8). The update layer emits
-// one per PUL application; the Document keeps two rolling windows of its
-// own (one consumed by the element-name index splice, one by the
-// plug-in's dispatch skip), all fed by the same recording walk.
+// one per PUL application with every field filled. The Document keeps
+// two rolling windows of its own, fed by the same recording walk, and
+// each records only what its consumer reads: the index window
+// element_ops (for the name-index splice), the dispatch window touched
+// and mutations (for the plug-in's listener skip).
 struct DomDelta {
   // Details stop being recorded past this many touched names / ops in
   // one window; the delta degrades to whole_tree (conservative).
@@ -180,6 +182,7 @@ struct DomDelta {
 class Document {
  public:
   Document();
+  ~Document();
   Document(const Document&) = delete;
   Document& operator=(const Document&) = delete;
 
@@ -196,13 +199,28 @@ class Document {
   Node* CreateComment(std::string value);
   Node* CreateProcessingInstruction(std::string target, std::string value);
 
+  // --- Builder path (subtrees that are not attached yet) ---
+  //
+  // Links the fresh node `child` (created by this document, never
+  // linked) under `parent`: as its last attribute when `child` is an
+  // attribute, else as its last child. `parent` must not be in the
+  // attached tree. Nothing is recorded, keyed or notified, and the
+  // caller guarantees attribute names are unique. The parser and
+  // ImportCopy build every subtree this way; the one AppendChild /
+  // InsertBefore that later attaches the finished subtree records it,
+  // gives it order keys and notifies, once.
+  void BuildAppend(Node* parent, Node* child);
+
   // Deep-copies `src` (possibly from another document) into this document;
   // the copy is detached. Implements XQuery Update's copy-on-insert.
+  // Built on the builder path: the copy costs no notification.
   Node* ImportCopy(const Node* src);
 
-  // The first attached element (in creation order) whose "id" attribute
-  // equals `id`, or nullptr. Backed by a lazily rebuilt cache that any
-  // mutation invalidates: lookup bursts between mutations are O(1).
+  // The first attached element in document order whose "id" attribute
+  // equals `id`, or nullptr (DOM getElementById). Backed by a cache
+  // that any mutation invalidates and the next lookup rebuilds in one
+  // preorder walk of the attached tree: lookup bursts between mutations
+  // are O(1).
   Node* GetElementById(std::string_view id) const;
 
   // All attached elements with expanded name `name`, in document order.
@@ -245,7 +263,7 @@ class Document {
   }
 
   // Total number of nodes ever created (diagnostics/benchmarks).
-  size_t node_count() const { return nodes_.size(); }
+  size_t node_count() const { return node_count_; }
 
   uint64_t order_version() const {
     return order_version_.load(std::memory_order_relaxed);
@@ -263,12 +281,13 @@ class Document {
   // --- Delta propagation (PERFORMANCE.md §8) --------------------------
   //
   // When enabled, every attached mutation appends structured
-  // membership/touch ops to two rolling DomDelta windows: one consumed
-  // by ElementsByName (bucket splicing instead of full rebuilds), one
-  // drained by the plug-in's dispatch loop (listener skip). The plug-in
-  // turns this on for every page document. Recording is loop-thread-only
-  // and gated on AttachedToRoot: detached construction (worker-built
-  // update content) records nothing.
+  // membership/touch ops to two rolling DomDelta windows: membership
+  // ops to one consumed by ElementsByName (bucket splicing instead of
+  // full rebuilds; recorded only once an index exists to splice), touched
+  // names and the mutation count to one drained by the plug-in's
+  // dispatch loop (listener skip). The plug-in turns this on for every
+  // page document. Recording is loop-thread-only and gated on
+  // AttachedToRoot: detached construction records nothing.
   void set_delta_tracking(bool on);
   // Moves the accumulated dispatch-window delta into `out` and resets
   // the window. Loop-thread-only (the window is written by mutations).
@@ -343,19 +362,29 @@ class Document {
   static void AssignKeysDfs(const Node* root, uint64_t next, uint64_t stride,
                             uint64_t version);
 
-  std::deque<std::unique_ptr<Node>> nodes_;
+  // Node storage. Nodes are constructed in place in slabs: the first
+  // holds kFirstSlabNodes, each later one twice its predecessor up to
+  // kMaxSlabNodes. Small documents (a session keeps many parsed
+  // responses and scratch constructions) stay small; a large one costs
+  // one allocation per kMaxSlabNodes nodes instead of one per node. A
+  // node never moves and is destroyed with its document. Allocation is
+  // a mutation: loop-thread-only, like every other.
+  struct Slab {
+    Node* nodes;
+    size_t capacity;
+  };
+  static constexpr size_t kFirstSlabNodes = 4;
+  static constexpr size_t kMaxSlabNodes = 256;
+  std::vector<Slab> slabs_;
+  size_t slab_used_ = 0;  // nodes constructed in slabs_.back()
+  size_t node_count_ = 0;
+
   Node* root_;
   std::string uri_;
   mutable std::atomic<uint64_t> order_version_{1};
   mutable uint64_t computed_version_ = 0;
-  std::atomic<uint64_t> next_tree_id_{1};
+  uint64_t next_tree_id_ = 1;
   std::vector<MutationHook> mutation_hooks_;
-
-  // Guards nodes_ (and the id-cache scan over it) against allocation
-  // from more than one thread. Node FIELDS need no lock — fresh nodes
-  // are unreachable from the attached tree until an update attaches
-  // them on the loop thread.
-  mutable std::mutex alloc_mu_;
 
   // Delta-propagation state (see the public accessors). The two rolling
   // windows and the capture sink are written only from mutation paths

@@ -1,7 +1,10 @@
 #include "xml/xml_parser.h"
 
+#include <algorithm>
 #include <cassert>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/strings.h"
@@ -15,26 +18,47 @@ Status ParseError(std::string_view message, size_t pos) {
       "FODC0006", std::string(message) + " at offset " + std::to_string(pos));
 }
 
-// In-scope namespace bindings, one map per open element (copy-on-push is
-// fine: documents rarely nest namespace declarations deeply).
-using NsBindings = std::unordered_map<std::string, std::string>;
+const std::string* NoNamespaceUri() {
+  static const std::string* const uri = InternString({});
+  return uri;
+}
 
+// In-scope namespace declarations: prefix ("" for the default
+// namespace) -> interned URI. An element that declares xmlns gets its
+// own copy; every other element shares its parent's.
+using NsBindings = std::vector<std::pair<std::string_view, const std::string*>>;
+
+const std::string* LookupPrefix(const NsBindings& ns, std::string_view prefix) {
+  for (const auto& [p, uri] : ns) {
+    if (p == prefix) return uri;
+  }
+  if (prefix == "xml") {
+    // Bound in every scope; interned once, on first use.
+    static const std::string* const xml_uri = InternString(kXmlNamespace);
+    return xml_uri;
+  }
+  return nullptr;
+}
+
+// Builds every subtree on Document's builder path (BuildAppend): nodes
+// are created with their final names and linked directly. Only the
+// nodes added to the attach point (the document node, or the fragment's
+// parent) go through AppendChild, one record-key-notify each.
 class Parser {
  public:
-  Parser(std::string_view input, const ParseOptions& options)
-      : in_(input), options_(options) {}
+  Parser(std::string_view input, const ParseOptions& options, Node* attach)
+      : in_(input), options_(options), doc_(attach->document()),
+        attach_(attach) {}
 
-  // Parses a whole document into `doc`.
-  Status ParseDocumentInto(Document* doc) {
+  // Parses a whole document into the attach point, a document node.
+  Status ParseDocument() {
     SkipBom();
-    XQ_RETURN_NOT_OK(SkipMisc(doc->root()));
+    XQ_RETURN_NOT_OK(SkipMisc());
     if (!AtElementStart()) {
       return ParseError("expected document element", pos_);
     }
-    NsBindings ns;
-    ns["xml"] = std::string(kXmlNamespace);
-    XQ_RETURN_NOT_OK(ParseElement(doc->root(), ns));
-    XQ_RETURN_NOT_OK(SkipMisc(doc->root()));
+    XQ_RETURN_NOT_OK(ParseElement(attach_, NsBindings()));
+    XQ_RETURN_NOT_OK(SkipMisc());
     if (pos_ != in_.size()) {
       return ParseError("content after document element", pos_);
     }
@@ -42,10 +66,8 @@ class Parser {
   }
 
   // Parses mixed content (text + elements) until end of input.
-  Status ParseFragment(Node* parent) {
-    NsBindings ns;
-    ns["xml"] = std::string(kXmlNamespace);
-    return ParseContent(parent, ns, /*in_fragment=*/true);
+  Status ParseFragment() {
+    return ParseContent(attach_, NsBindings(), /*in_fragment=*/true);
   }
 
  private:
@@ -65,8 +87,18 @@ class Parser {
            IsNameStartChar(in_[pos_ + 1]);
   }
 
+  // Links a finished node under `parent`: through AppendChild at the
+  // attach point, on the builder path below it.
+  void Add(Node* parent, Node* node) {
+    if (parent == attach_) {
+      parent->AppendChild(node);
+    } else {
+      doc_->BuildAppend(parent, node);
+    }
+  }
+
   // Skips XML decl, doctype, comments, PIs, whitespace at document level.
-  Status SkipMisc(Node* doc_root) {
+  Status SkipMisc() {
     while (!Eof()) {
       SkipWhitespace();
       if (LookingAt("<?xml")) {
@@ -86,9 +118,9 @@ class Parser {
           if (c == '>' && depth == 0) break;
         }
       } else if (LookingAt("<!--")) {
-        XQ_RETURN_NOT_OK(ParseComment(doc_root));
+        XQ_RETURN_NOT_OK(ParseComment(attach_));
       } else if (LookingAt("<?")) {
-        XQ_RETURN_NOT_OK(ParsePI(doc_root));
+        XQ_RETURN_NOT_OK(ParsePI(attach_));
       } else {
         break;
       }
@@ -96,33 +128,49 @@ class Parser {
     return Status();
   }
 
-  Status ParseName(std::string* out) {
+  // A view of the name at pos_ into the input.
+  Status ParseName(std::string_view* out) {
     size_t start = pos_;
     if (Eof() || !IsNameStartChar(Peek())) {
       return ParseError("expected name", pos_);
     }
     while (!Eof() && (IsNameChar(Peek()) || Peek() == ':')) ++pos_;
-    *out = std::string(in_.substr(start, pos_ - start));
+    *out = in_.substr(start, pos_ - start);
     return Status();
   }
 
-  // Splits "p:local" and resolves against bindings. For attributes,
-  // unprefixed names are in no namespace (is_attribute=true).
-  Result<QName> ResolveQName(const std::string& raw, const NsBindings& ns,
-                             bool is_attribute) {
-    size_t colon = raw.find(':');
-    if (colon == std::string::npos) {
-      if (is_attribute) return QName("", "", raw);
-      auto it = ns.find("");
-      return QName(it == ns.end() ? "" : it->second, "", raw);
+  // Resolves the lexical name "p:local" or "local" against `ns`.
+  // Unprefixed attribute names are in no namespace. Each distinct
+  // (lexical name, URI its prefix or default namespace is bound to) is
+  // interned once per parse; the URI in the key keeps a redeclared
+  // prefix or default namespace from reusing an outer scope's answer.
+  Result<QName> ResolveName(std::string_view raw, const NsBindings& ns,
+                            bool is_attribute) {
+    const size_t colon = raw.find(':');
+    const std::string* uri = NoNamespaceUri();
+    if (colon != std::string_view::npos) {
+      uri = LookupPrefix(ns, raw.substr(0, colon));
+      if (uri == nullptr) {
+        return ParseError("undeclared namespace prefix '" +
+                              std::string(raw.substr(0, colon)) + "'",
+                          pos_);
+      }
+    } else if (!is_attribute) {
+      if (const std::string* def = LookupPrefix(ns, "")) uri = def;
     }
-    std::string prefix = raw.substr(0, colon);
-    std::string local = raw.substr(colon + 1);
-    auto it = ns.find(prefix);
-    if (it == ns.end()) {
-      return ParseError("undeclared namespace prefix '" + prefix + "'", pos_);
+    // IE folding uppercases unprefixed element names only (namespaced
+    // content such as SVG is untouched by IE too).
+    const bool fold = options_.ie_tag_folding && !is_attribute &&
+                      colon == std::string_view::npos;
+    auto [it, fresh] = names_.try_emplace(NameKey{raw, uri, fold});
+    if (fresh) {
+      if (colon == std::string_view::npos) {
+        it->second = QName(*uri, fold ? AsciiToUpper(raw) : std::string(raw));
+      } else {
+        it->second = QName(*uri, raw.substr(0, colon), raw.substr(colon + 1));
+      }
     }
-    return QName(it->second, prefix, local);
+    return it->second;
   }
 
   Status ParseComment(Node* parent) {
@@ -131,25 +179,22 @@ class Parser {
     if (end == std::string_view::npos) {
       return ParseError("unterminated comment", pos_);
     }
-    Node* c = parent->document()->CreateComment(
-        std::string(in_.substr(pos_, end - pos_)));
-    parent->AppendChild(c);
+    Add(parent, doc_->CreateComment(std::string(in_.substr(pos_, end - pos_))));
     pos_ = end + 3;
     return Status();
   }
 
   Status ParsePI(Node* parent) {
     pos_ += 2;  // "<?"
-    std::string target;
+    std::string_view target;
     XQ_RETURN_NOT_OK(ParseName(&target));
     size_t end = in_.find("?>", pos_);
     if (end == std::string_view::npos) {
       return ParseError("unterminated processing instruction", pos_);
     }
     std::string data(TrimWhitespace(in_.substr(pos_, end - pos_)));
-    Node* pi = parent->document()->CreateProcessingInstruction(
-        std::move(target), std::move(data));
-    parent->AppendChild(pi);
+    Add(parent, doc_->CreateProcessingInstruction(std::string(target),
+                                                  std::move(data)));
     pos_ = end + 2;
     return Status();
   }
@@ -160,21 +205,20 @@ class Parser {
     if (end == std::string_view::npos) {
       return ParseError("unterminated CDATA section", pos_);
     }
-    Node* t = parent->document()->CreateText(
-        std::string(in_.substr(pos_, end - pos_)));
-    parent->AppendChild(t);
+    Add(parent, doc_->CreateText(std::string(in_.substr(pos_, end - pos_))));
     pos_ = end + 3;
     return Status();
   }
 
-  Status ParseAttributes(NsBindings* ns,
-                         std::vector<std::pair<std::string, std::string>>*
-                             pending_attrs) {
+  // Reads the start tag's attributes into attrs_, values decoded. Names
+  // are resolved by the caller once every xmlns of the tag is known.
+  Status ParseAttributes() {
+    attrs_.clear();
     while (true) {
       SkipWhitespace();
       if (Eof()) return ParseError("unterminated start tag", pos_);
       if (Peek() == '>' || Peek() == '/') return Status();
-      std::string raw_name;
+      std::string_view raw_name;
       XQ_RETURN_NOT_OK(ParseName(&raw_name));
       SkipWhitespace();
       if (Eof() || Peek() != '=') {
@@ -194,41 +238,80 @@ class Parser {
       XQ_ASSIGN_OR_RETURN(std::string value,
                           DecodeEntities(in_.substr(pos_, end - pos_)));
       pos_ = end + 1;
-
-      if (raw_name == "xmlns") {
-        (*ns)[""] = value;
-      } else if (StartsWith(raw_name, "xmlns:")) {
-        (*ns)[raw_name.substr(6)] = value;
-      } else {
-        pending_attrs->emplace_back(std::move(raw_name), std::move(value));
-      }
+      const bool decl = raw_name == "xmlns" || StartsWith(raw_name, "xmlns:");
+      attrs_.push_back(
+          PendingAttr{raw_name, std::move(value), decl, std::nullopt});
     }
   }
 
+  // Applies the tag's namespace declarations: returns `outer` when there
+  // are none, else `own` (a copy of `outer` with the declarations bound).
+  const NsBindings& BindDeclarations(const NsBindings& outer, NsBindings* own) {
+    const NsBindings* ns = &outer;
+    for (const PendingAttr& a : attrs_) {
+      if (!a.decl) continue;
+      const std::string_view prefix = a.raw == "xmlns" ? "" : a.raw.substr(6);
+      if (ns == &outer) {
+        *own = outer;
+        ns = own;
+      }
+      const std::string* uri = InternString(a.value);
+      auto it = std::find_if(own->begin(), own->end(),
+                             [&](const auto& b) { return b.first == prefix; });
+      if (it == own->end()) {
+        own->emplace_back(prefix, uri);
+      } else {
+        it->second = uri;
+      }
+    }
+    return *ns;
+  }
+
+  // Resolves every attribute of the tag and rejects a repeated one: the
+  // same lexical name twice, or two names with one expanded name (two
+  // prefixes bound to one URI). XML 1.0 "Unique Att Spec", Namespaces in
+  // XML "Attributes Unique".
+  Status ResolveAttributes(const NsBindings& ns) {
+    for (size_t i = 0; i < attrs_.size(); ++i) {
+      PendingAttr& a = attrs_[i];
+      if (!a.decl) {
+        XQ_ASSIGN_OR_RETURN(a.name, ResolveName(a.raw, ns, true));
+      }
+      for (size_t j = 0; j < i; ++j) {
+        const PendingAttr& b = attrs_[j];
+        if (a.raw == b.raw || (!a.decl && !b.decl && *a.name == *b.name)) {
+          return ParseError("duplicate attribute '" + std::string(a.raw) +
+                                "'",
+                            pos_);
+        }
+      }
+    }
+    return Status();
+  }
+
+  // Parses one element with its content, then adds it to `parent`.
   Status ParseElement(Node* parent, const NsBindings& outer_ns) {
     assert(Peek() == '<');
     ++pos_;
-    std::string raw_name;
+    std::string_view raw_name;
     XQ_RETURN_NOT_OK(ParseName(&raw_name));
-
-    NsBindings ns = outer_ns;
-    std::vector<std::pair<std::string, std::string>> pending_attrs;
-    Node* element = parent->document()->CreateElement(QName());
-    XQ_RETURN_NOT_OK(ParseAttributes(&ns, &pending_attrs));
-
-    if (options_.ie_tag_folding) raw_name = FoldTagName(raw_name);
-    XQ_ASSIGN_OR_RETURN(QName name, ResolveQName(raw_name, ns, false));
-    element->Rename(name);
-    for (auto& [attr_raw, attr_value] : pending_attrs) {
-      XQ_ASSIGN_OR_RETURN(QName attr_name, ResolveQName(attr_raw, ns, true));
-      element->SetAttribute(attr_name, std::move(attr_value));
+    XQ_RETURN_NOT_OK(ParseAttributes());
+    NsBindings own_ns;
+    const NsBindings& ns = BindDeclarations(outer_ns, &own_ns);
+    XQ_ASSIGN_OR_RETURN(QName name, ResolveName(raw_name, ns, false));
+    XQ_RETURN_NOT_OK(ResolveAttributes(ns));
+    Node* element = doc_->CreateElement(name);
+    for (PendingAttr& a : attrs_) {
+      if (a.decl) continue;
+      doc_->BuildAppend(element,
+                        doc_->CreateAttribute(*a.name, std::move(a.value)));
     }
-    parent->AppendChild(element);
 
     if (Peek() == '/') {
       ++pos_;
       if (Eof() || Peek() != '>') return ParseError("expected '>'", pos_);
       ++pos_;
+      Add(parent, element);
       return Status();
     }
     assert(Peek() == '>');
@@ -238,7 +321,9 @@ class Parser {
     // markup (pages embed XQuery/JavaScript with '<' freely).
     if (AsciiEqualsIgnoreCase(raw_name, "script") ||
         AsciiEqualsIgnoreCase(raw_name, "style")) {
-      return ParseRawTextElement(element, raw_name);
+      XQ_RETURN_NOT_OK(ParseRawTextElement(element, raw_name));
+      Add(parent, element);
+      return Status();
     }
 
     XQ_RETURN_NOT_OK(ParseContent(element, ns, /*in_fragment=*/false));
@@ -246,24 +331,24 @@ class Parser {
     // End tag.
     if (!LookingAt("</")) return ParseError("expected end tag", pos_);
     pos_ += 2;
-    std::string end_name;
+    std::string_view end_name;
     XQ_RETURN_NOT_OK(ParseName(&end_name));
-    if (options_.ie_tag_folding) end_name = FoldTagName(end_name);
-    if (end_name != raw_name) {
-      return ParseError("mismatched end tag </" + end_name + "> for <" +
-                            raw_name + ">",
+    if (!SameTagName(end_name, raw_name)) {
+      return ParseError("mismatched end tag </" + std::string(end_name) +
+                            "> for <" + std::string(raw_name) + ">",
                         pos_);
     }
     SkipWhitespace();
     if (Eof() || Peek() != '>') return ParseError("expected '>'", pos_);
     ++pos_;
+    Add(parent, element);
     return Status();
   }
 
   // Scans raw content up to the matching end tag (case-insensitive) and
   // stores it as one text node. A wrapping <![CDATA[ ... ]]> (the XHTML
   // idiom for scripts) is stripped.
-  Status ParseRawTextElement(Node* element, const std::string& raw_name) {
+  Status ParseRawTextElement(Node* element, std::string_view raw_name) {
     std::string close = "</" + AsciiToLower(raw_name);
     size_t end = std::string_view::npos;
     for (size_t i = pos_; i + close.size() <= in_.size(); ++i) {
@@ -273,7 +358,8 @@ class Parser {
       }
     }
     if (end == std::string_view::npos) {
-      return ParseError("unterminated <" + raw_name + "> element", pos_);
+      return ParseError("unterminated <" + std::string(raw_name) + "> element",
+                        pos_);
     }
     std::string_view content = in_.substr(pos_, end - pos_);
     std::string_view trimmed = TrimWhitespace(content);
@@ -281,8 +367,7 @@ class Parser {
       content = trimmed.substr(9, trimmed.size() - 12);
     }
     if (!TrimWhitespace(content).empty()) {
-      element->AppendChild(
-          element->document()->CreateText(std::string(content)));
+      doc_->BuildAppend(element, doc_->CreateText(std::string(content)));
     }
     pos_ = end + close.size();
     SkipWhitespace();
@@ -292,59 +377,81 @@ class Parser {
   }
 
   Status ParseContent(Node* parent, const NsBindings& ns, bool in_fragment) {
-    std::string text;
-    auto flush_text = [&]() -> Status {
-      if (text.empty()) return Status();
-      bool ws_only = TrimWhitespace(text).empty();
-      if (!ws_only || options_.keep_whitespace_text) {
-        XQ_ASSIGN_OR_RETURN(std::string decoded, DecodeEntities(text));
-        parent->AppendChild(parent->document()->CreateText(std::move(decoded)));
-      }
-      text.clear();
-      return Status();
-    };
-
     while (!Eof()) {
-      if (Peek() == '<') {
-        if (LookingAt("</")) {
-          if (in_fragment) {
-            return ParseError("unexpected end tag in fragment", pos_);
-          }
-          XQ_RETURN_NOT_OK(flush_text());
-          return Status();
+      if (Peek() != '<') {
+        // One text run, sliced out of the input up to the next markup.
+        const size_t end = std::min(in_.find('<', pos_), in_.size());
+        const std::string_view run = in_.substr(pos_, end - pos_);
+        pos_ = end;
+        if (!TrimWhitespace(run).empty() || options_.keep_whitespace_text) {
+          XQ_ASSIGN_OR_RETURN(std::string decoded, DecodeEntities(run));
+          Add(parent, doc_->CreateText(std::move(decoded)));
         }
-        XQ_RETURN_NOT_OK(flush_text());
-        if (LookingAt("<!--")) {
-          XQ_RETURN_NOT_OK(ParseComment(parent));
-        } else if (LookingAt("<![CDATA[")) {
-          XQ_RETURN_NOT_OK(ParseCData(parent));
-        } else if (LookingAt("<?")) {
-          XQ_RETURN_NOT_OK(ParsePI(parent));
-        } else if (AtElementStart()) {
-          XQ_RETURN_NOT_OK(ParseElement(parent, ns));
-        } else {
-          return ParseError("malformed markup", pos_);
+        continue;
+      }
+      if (LookingAt("</")) {
+        if (in_fragment) {
+          return ParseError("unexpected end tag in fragment", pos_);
         }
+        return Status();
+      }
+      if (LookingAt("<!--")) {
+        XQ_RETURN_NOT_OK(ParseComment(parent));
+      } else if (LookingAt("<![CDATA[")) {
+        XQ_RETURN_NOT_OK(ParseCData(parent));
+      } else if (LookingAt("<?")) {
+        XQ_RETURN_NOT_OK(ParsePI(parent));
+      } else if (AtElementStart()) {
+        XQ_RETURN_NOT_OK(ParseElement(parent, ns));
       } else {
-        text.push_back(Peek());
-        ++pos_;
+        return ParseError("malformed markup", pos_);
       }
     }
-    XQ_RETURN_NOT_OK(flush_text());
     if (!in_fragment) return ParseError("unexpected end of input", pos_);
     return Status();
   }
 
-  // IE folding: only names without a prefix and without multi-byte chars
-  // are folded (namespaced content such as SVG is untouched by IE too).
-  std::string FoldTagName(const std::string& raw) const {
-    if (raw.find(':') != std::string::npos) return raw;
-    return AsciiToUpper(raw);
+  // End-tag matching; under IE folding, unprefixed names match after
+  // folding, as IE compares them.
+  bool SameTagName(std::string_view end_name, std::string_view start) const {
+    if (!options_.ie_tag_folding) return end_name == start;
+    auto fold = [](std::string_view raw) {
+      return raw.find(':') != std::string_view::npos ? std::string(raw)
+                                                     : AsciiToUpper(raw);
+    };
+    return fold(end_name) == fold(start);
   }
+
+  struct PendingAttr {
+    std::string_view raw;
+    std::string value;
+    bool decl;                  // xmlns or xmlns:prefix
+    std::optional<QName> name;  // resolved; unset for declarations
+  };
+
+  struct NameKey {
+    std::string_view raw;
+    const std::string* uri;
+    bool fold;
+    bool operator==(const NameKey&) const = default;
+  };
+  struct NameKeyHash {
+    size_t operator()(const NameKey& k) const noexcept {
+      const size_t h = std::hash<std::string_view>{}(k.raw);
+      return h ^ (std::hash<const void*>{}(k.uri) + 0x9e3779b97f4a7c15ULL +
+                  (h << 6) + (h >> 2) + (k.fold ? 1 : 0));
+    }
+  };
 
   std::string_view in_;
   const ParseOptions& options_;
+  Document* doc_;
+  Node* attach_;
   size_t pos_ = 0;
+  // The current start tag's attributes; consumed before its content is
+  // parsed, so one buffer serves every element.
+  std::vector<PendingAttr> attrs_;
+  std::unordered_map<NameKey, QName, NameKeyHash> names_;
 };
 
 }  // namespace
@@ -404,8 +511,8 @@ Result<std::unique_ptr<Document>> ParseDocument(std::string_view input,
                                                 const ParseOptions& options) {
   auto doc = std::make_unique<Document>();
   doc->set_uri(options.document_uri);
-  Parser parser(input, options);
-  XQ_RETURN_NOT_OK(parser.ParseDocumentInto(doc.get()));
+  Parser parser(input, options, doc->root());
+  XQ_RETURN_NOT_OK(parser.ParseDocument());
   return doc;
 }
 
@@ -415,8 +522,8 @@ Result<std::unique_ptr<Document>> ParseDocument(std::string_view input) {
 
 Status ParseFragmentInto(std::string_view input, Node* parent,
                          const ParseOptions& options) {
-  Parser parser(input, options);
-  return parser.ParseFragment(parent);
+  Parser parser(input, options, parent);
+  return parser.ParseFragment();
 }
 
 }  // namespace xqib::xml

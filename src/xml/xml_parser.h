@@ -1,7 +1,11 @@
 // A namespace-aware XML / XHTML parser producing xqib::xml::Document.
 //
 // The parser is strict about well-formedness (the paper targets XHTML
-// pages) but offers two browser-flavoured options:
+// pages), including attribute uniqueness: a start tag may not repeat an
+// expanded attribute name, also not through two prefixes bound to one
+// URI. It builds every subtree on the Document's builder path and
+// attaches it once (dom.h, BuildAppend). It offers two
+// browser-flavoured options:
 //   * ie_tag_folding — uppercases HTML element names, reproducing the
 //     Internet Explorer behaviour reported in Section 5.1 of the paper
 //     ("IE transforms all HTML tags to upper-case, so XPath expressions
@@ -34,7 +38,8 @@ Result<std::unique_ptr<Document>> ParseDocument(std::string_view input,
 Result<std::unique_ptr<Document>> ParseDocument(std::string_view input);
 
 // Parses a fragment (sequence of content items) into children of `parent`
-// within parent's document. Used by element constructors and innerHTML.
+// within parent's document; each top-level item is attached with one
+// AppendChild. Used by innerHTML.
 Status ParseFragmentInto(std::string_view input, Node* parent,
                          const ParseOptions& options);
 
