@@ -9,10 +9,10 @@
 // Scenarios (arms = EvalOptions::async_federation on vs off; off is the
 // one-round-trip-at-a-time client):
 //   fanout_scatter  a listener with K literal http:get calls (the fig3
-//                   weather fan-out). The plug-in's per-listener static
-//                   fetch plan issues all K GETs before the body runs,
-//                   so their latencies land inside one in-flight window:
-//                   makespan ~= 1 RTT instead of K.
+//                   weather fan-out). The plug-in issues the K static
+//                   URLs of the listener's effect summary before the
+//                   body runs, so their latencies land inside one
+//                   in-flight window: makespan ~= 1 RTT instead of K.
 //   flwor_scatter   the same K sources reached through a FLWOR whose
 //                   URL is concat(prefix, $s, suffix) — statically a
 //                   template over the loop variable, so the evaluator's
@@ -64,8 +64,7 @@ void PutSources(BrowserEnvironment* env) {
   }
 }
 
-// K literal GET sites: the plug-in's listener-level fetch plan sees
-// every URL statically.
+// K literal GET sites: the listener's effect summary lists every URL.
 std::string MakeFanoutPage() {
   std::ostringstream page;
   page << "<html><body><input id=\"btn\"/><div id=\"out\"/>\n"

@@ -1,7 +1,10 @@
-# Runs APP, writes its stdout to ACTUAL and byte-compares it with
-# EXPECTED. Usage:
-#   cmake -DAPP=<exe> -DEXPECTED=<golden> -DACTUAL=<out> -P compare_output.cmake
-execute_process(COMMAND ${APP} OUTPUT_FILE ${ACTUAL} RESULT_VARIABLE rc)
+# Runs APP with the space-separated ARGS (optional), writes its stdout to
+# ACTUAL and byte-compares it with EXPECTED. Usage:
+#   cmake -DAPP=<exe> [-DARGS="<arg> ..."] -DEXPECTED=<golden> -DACTUAL=<out>
+#         -P compare_output.cmake
+separate_arguments(app_args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${APP} ${app_args} OUTPUT_FILE ${ACTUAL}
+                RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${APP} exited with ${rc}")
 endif()

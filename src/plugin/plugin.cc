@@ -46,14 +46,9 @@ Result<xml::Node*> SingleNodeArg(const Sequence& seq, const char* what) {
   return seq[0].node();
 }
 
-// FNV-1a over the complete event payload a listener can observe through
-// $evt/$obj: every field MaterializeEvent serializes plus the identities
-// of the target and current-target nodes. Two events with equal hashes
-// and an unchanged document version are indistinguishable to a
-// memoizable listener.
 // Inverts AnalysisFacts::FunctionKey ("{ns}local#arity" or
 // "local#arity") back into the interned name + arity, so listener
-// eligibility checks compare tokens instead of rebuilding strings.
+// records are found by token instead of by a rebuilt string.
 const xml::InternedName* ParseFunctionKeyToken(const std::string& key,
                                                size_t* arity) {
   size_t hash = key.rfind('#');
@@ -72,6 +67,11 @@ const xml::InternedName* ParseFunctionKeyToken(const std::string& key,
   return xml::InternName(ns, local);
 }
 
+// FNV-1a over the complete event payload a listener can observe through
+// $evt/$obj: every field MaterializeEvent serializes plus the identities
+// of the target and current-target nodes. Two events with equal hashes
+// and an unchanged document version are indistinguishable to a
+// memoizable listener.
 uint64_t HashEventPayload(const Event& event) {
   uint64_t h = 1469598103934665603ull;
   auto mix_bytes = [&h](const void* data, size_t n) {
@@ -234,46 +234,37 @@ Status XqibPlugin::InitializePage(Window* window) {
     if (analysis_failure.ok() && result.has_errors()) {
       analysis_failure = result.ToStatus();
     }
-    for (const std::string& key : result.facts.pure_functions) {
-      page->pure_functions.insert(key);
-    }
-    for (const std::string& key : result.facts.memoizable_functions) {
-      size_t arity = 0;
-      const xml::InternedName* token = ParseFunctionKeyToken(key, &arity);
-      if (token != nullptr) {
-        page->memoizable_functions.insert(
-            PageContext::ListenerKey{token, arity});
-      }
-    }
-    // Effect summaries feed the delta-skip dirty classification
-    // (listeners with fully named reads).
-    for (const auto& [key, eff] : result.facts.function_effects) {
-      size_t arity = 0;
-      const xml::InternedName* token = ParseFunctionKeyToken(key, &arity);
-      if (token == nullptr || eff.reads_top()) continue;
-      page->listener_read_names[PageContext::ListenerKey{token, arity}] =
-          eff.ReadNames();
-    }
     for (auto& d : result.diagnostics) {
       last_diagnostics_.push_back(std::move(d));
     }
     module_facts[i] = std::move(result.facts);
   }
   // Merge the per-module facts into one shared object for the plan
-  // compiler: a page's scripts share a static context, so one plan set
-  // (and one cardinality/purity view) covers them all.
+  // compiler and the FLWOR scatter: a page's scripts share a static
+  // context, so one plan set (and one cardinality/effect view) covers
+  // them all.
   {
     auto merged = std::make_shared<xquery::analysis::AnalysisFacts>();
     for (const xquery::analysis::AnalysisFacts& mf : module_facts) {
       merged->cardinality.insert(mf.cardinality.begin(), mf.cardinality.end());
-      merged->pure_functions.insert(mf.pure_functions.begin(),
-                                    mf.pure_functions.end());
-      merged->memoizable_functions.insert(mf.memoizable_functions.begin(),
-                                          mf.memoizable_functions.end());
       merged->function_effects.insert(mf.function_effects.begin(),
                                       mf.function_effects.end());
     }
     page->facts = std::move(merged);
+  }
+  // One record per declared function: the dispatch-time view of its
+  // summary (every module's analysis covers every page function).
+  for (const auto& [key, effects] : page->facts->function_effects) {
+    size_t arity = 0;
+    const xml::InternedName* token = ParseFunctionKeyToken(key, &arity);
+    if (token == nullptr) continue;
+    PageContext::ListenerRecord& record =
+        page->listeners[PageContext::ListenerKey{token, arity}];
+    record.pure = effects.pure();
+    record.memoizable = effects.memoizable();
+    record.reads_named = !effects.reads_top();
+    if (record.reads_named) record.read_names = effects.ReadNames();
+    if (!effects.writes_fabric) record.prefetch_urls = effects.fetch_urls;
   }
   last_init_timing_.compile_us += NowMicros() - t0;
   XQ_RETURN_NOT_OK(analysis_failure);
@@ -438,14 +429,14 @@ void XqibPlugin::PropagateDelta(PageContext* page) {
   if (!delta.Empty()) {
     const uint64_t seq = ++page->delta_seq;
     if (delta.whole_tree) {
-      // Overflowed or untracked batch: every listener is dirty and the
-      // per-listener map carries no extra information.
+      // Overflowed or untracked batch: every listener is dirty.
       page->all_dirty_seq = seq;
-      page->dirty_seq.clear();
     } else {
-      for (const auto& [key, reads] : page->listener_read_names) {
-        if (xquery::analysis::ReadSetIntersectsWrites(reads, delta.touched)) {
-          page->dirty_seq[key] = seq;
+      for (auto& [key, listener] : page->listeners) {
+        if (listener.reads_named &&
+            xquery::analysis::ReadSetIntersectsWrites(listener.read_names,
+                                                      delta.touched)) {
+          listener.dirty_seq = seq;
         }
       }
     }
@@ -456,7 +447,7 @@ void XqibPlugin::PropagateDelta(PageContext* page) {
 }
 
 XqibPlugin::MemoValidity XqibPlugin::ProbeMemo(
-    const PageContext* page, const PageContext::ListenerKey& key,
+    const PageContext* page, const PageContext::ListenerRecord& listener,
     const PageContext::MemoEntry& entry, uint64_t doc_version) {
   if (entry.doc_version == doc_version) return MemoValidity::kFresh;
   // ⊤ reads: the listener cannot be classified against deltas.
@@ -465,10 +456,8 @@ XqibPlugin::MemoValidity XqibPlugin::ProbeMemo(
   // the dirty map says nothing about them, so the skip disarms.
   if (page->delta_synced_version != doc_version) return MemoValidity::kStale;
   if (page->all_dirty_seq > entry.delta_fill_seq) return MemoValidity::kStale;
-  auto it = page->dirty_seq.find(key);
-  return it == page->dirty_seq.end() || it->second <= entry.delta_fill_seq
-             ? MemoValidity::kDeltaSkip
-             : MemoValidity::kStale;
+  return listener.dirty_seq <= entry.delta_fill_seq ? MemoValidity::kDeltaSkip
+                                                    : MemoValidity::kStale;
 }
 
 xml::Node* XqibPlugin::MaterializeEvent(DynamicContext* ctx,
@@ -490,35 +479,6 @@ xml::Node* XqibPlugin::MaterializeEvent(DynamicContext* ctx,
                : event.phase == Event::Phase::kTarget ? "target"
                                                       : "bubble");
   return elem;
-}
-
-void XqibPlugin::ScatterListenerPrefetch(PageContext* page,
-                                         const xml::QName& function,
-                                         size_t arity) {
-  if (!eval_options_.async_federation) return;
-  const xquery::FunctionDecl* decl =
-      page->sctx->FindFunction(function, arity);
-  if (decl == nullptr) return;
-  std::shared_ptr<const xquery::federation::StaticFetchPlan> plan;
-  {
-    std::lock_guard<std::mutex> lk(page->fetch_plans_mu);
-    auto it = page->listener_fetch_plans.find(decl);
-    if (it != page->listener_fetch_plans.end()) plan = it->second;
-  }
-  if (plan == nullptr) {
-    // Analyze outside the lock: the reachability walk can be deep.
-    auto computed =
-        std::make_shared<const xquery::federation::StaticFetchPlan>(
-            xquery::federation::CollectListenerFetchUrls(*decl, *page->sctx));
-    std::lock_guard<std::mutex> lk(page->fetch_plans_mu);
-    plan = page->listener_fetch_plans.emplace(decl, std::move(computed))
-               .first->second;
-  }
-  // `safe` means nothing reachable from the body writes the fabric (or
-  // runs code we cannot see), so fetching early observes the same bytes
-  // as fetching in evaluation order.
-  if (!plan->safe) return;
-  for (const std::string& url : plan->urls) page->prefetcher->Prefetch(url);
 }
 
 xquery::Counters XqibPlugin::ReadOutsideSources(
@@ -574,16 +534,19 @@ void XqibPlugin::RunListener(PageContext* page, const xml::QName& function,
     return;
   }
 
-  // Memo cache: a listener the analyzer proved memoizable (DOM-pure AND
-  // free of observable host calls) can only read the event payload and
-  // the document snapshot, so (payload hash, document state) fully
-  // determines its result — replay the recorded serialization instead of
-  // re-evaluating. A stale entry means the DOM mutated since it was
-  // recorded in a way the delta check cannot rule out: discard it and
-  // run fresh.
-  const PageContext::ListenerKey lkey{function.token(), arity};
+  // Memo cache: a listener the analyzer proved memoizable (pure, free of
+  // observable host calls and of reads outside the page) can only read
+  // the event payload and the document snapshot, so (payload hash,
+  // document state) fully determines its result — replay the recorded
+  // serialization instead of re-evaluating. A stale entry means the DOM
+  // mutated since it was recorded in a way the delta check cannot rule
+  // out: discard it and run fresh.
+  auto found = page->listeners.find(
+      PageContext::ListenerKey{function.token(), arity});
+  PageContext::ListenerRecord* listener =
+      found != page->listeners.end() ? &found->second : nullptr;
   const bool memoizable =
-      memo_enabled_ && page->memoizable_functions.count(lkey) > 0;
+      memo_enabled_ && listener != nullptr && listener->memoizable;
   const uint64_t doc_version = page->window->document()->mutation_version();
   const PageContext::MemoKey memo_key{function.token(), arity,
                                       HashEventPayload(event)};
@@ -592,7 +555,7 @@ void XqibPlugin::RunListener(PageContext* page, const xml::QName& function,
     auto it = page->memo_cache.find(memo_key);
     if (it != page->memo_cache.end()) {
       const MemoValidity validity =
-          ProbeMemo(page, lkey, it->second, doc_version);
+          ProbeMemo(page, *listener, it->second, doc_version);
       if (validity != MemoValidity::kStale) {
         ++counters_.memo_hits;
         last_listener_result_ = it->second.serialized;
@@ -633,11 +596,15 @@ void XqibPlugin::RunListener(PageContext* page, const xml::QName& function,
   // the scatter so the prefetch issuance is charged to this dispatch.
   const xquery::Counters outside_before = ReadOutsideSources(*page);
   // Scatter-gather federation (PERFORMANCE.md §10): issue every
-  // statically known GET in the listener body up front, so the fabric's
+  // statically known GET the listener reaches up front, so the fabric's
   // virtual-time window overlaps their latencies instead of paying the
-  // round trips one after another.
-  if (page->prefetcher != nullptr) {
-    ScatterListenerPrefetch(page, function, arity);
+  // round trips one after another. The record lists none when the
+  // listener may write the fabric.
+  if (page->prefetcher != nullptr && eval_options_.async_federation &&
+      listener != nullptr) {
+    for (const std::string& url : listener->prefetch_urls) {
+      page->prefetcher->Prefetch(url);
+    }
   }
   Result<Sequence> result =
       page->evaluator->CallFunction(function, std::move(args), *page->ctx);
@@ -658,9 +625,7 @@ void XqibPlugin::RunListener(PageContext* page, const xml::QName& function,
   // primitives or touched BOM trees: skip the apply/re-render pass. The
   // PUL-empty check stays as a belt-and-braces runtime guard.
   const bool pure_skip =
-      page->pure_functions.count(xquery::analysis::AnalysisFacts::FunctionKey(
-          function.Clark(), arity)) > 0 &&
-      page->ctx->pul().empty();
+      listener != nullptr && listener->pure && page->ctx->pul().empty();
   if (pure_skip) {
     ++counters_.pure_listener_skips;
     // Record the result only for genuinely memoizable listeners and only
@@ -673,9 +638,7 @@ void XqibPlugin::RunListener(PageContext* page, const xml::QName& function,
       // delta-skip probes as long as no later batch dirtied this
       // listener. ⊤-read listeners record no name list and keep the 0
       // stamp (never skipped).
-      if (page->listener_read_names.count(lkey) > 0) {
-        entry.delta_fill_seq = page->delta_seq;
-      }
+      if (listener->reads_named) entry.delta_fill_seq = page->delta_seq;
       std::unique_lock<std::shared_mutex> lk(page->memo_mu);
       page->memo_cache[memo_key] = std::move(entry);
     }

@@ -21,11 +21,9 @@
 #define XQIB_PLUGIN_PLUGIN_H_
 
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "browser/bom.h"
@@ -38,7 +36,6 @@
 #include "xquery/analysis/analyzer.h"
 #include "xquery/counters.h"
 #include "xquery/evaluator.h"
-#include "xquery/federation.h"
 #include "xquery/parser.h"
 
 namespace xqib::plugin {
@@ -187,14 +184,10 @@ class XqibPlugin : public xquery::BrowserBinding {
     std::unique_ptr<xquery::Evaluator> evaluator;
     std::unique_ptr<xquery::DynamicContext> ctx;
     std::vector<browser::Browser::BomTree> bom_trees;
-    // Declared functions ("Clark#arity") the analyzer proved DOM-pure;
-    // listener calls resolving to one of these skip the apply pass.
-    std::unordered_set<std::string> pure_functions;
-    // The memoizable subset: pure AND free of observable host calls
-    // (alert/prompt/confirm, fn:trace). Only these may be replayed from
-    // the memo cache instead of re-evaluated. Keyed on the interned
-    // name + arity so the per-dispatch eligibility check allocates
-    // nothing (no Clark-string rebuild on the memo-hit fast path).
+    // What the effect analysis decided about each declared function,
+    // filled once at page load and keyed on the interned name + arity,
+    // so a dispatch finds its listener's record without building a
+    // string or taking a lock.
     struct ListenerKey {
       const xml::InternedName* name = nullptr;
       size_t arity = 0;
@@ -207,12 +200,25 @@ class XqibPlugin : public xquery::BrowserBinding {
         return std::hash<const void*>()(k.name) * 1315423911u + k.arity;
       }
     };
-    std::unordered_set<ListenerKey, ListenerKeyHash> memoizable_functions;
-    // Listeners whose read set the analyzer fully named: the names
-    // PropagateDelta intersects each delta batch's write names with.
-    std::unordered_map<ListenerKey, std::vector<const xml::InternedName*>,
-                       ListenerKeyHash>
-        listener_read_names;
+    struct ListenerRecord {
+      // No update: a clean run (empty PUL) skips the apply pass.
+      bool pure = false;
+      // Pure, observes nothing on the host and reads nothing outside the
+      // page: the memo may replay its result instead of re-running it.
+      bool memoizable = false;
+      // The analyzer named every read, so delta batches are intersected
+      // with read_names; otherwise every batch dirties the listener.
+      bool reads_named = false;
+      std::vector<const xml::InternedName*> read_names;
+      // Static GET URLs scattered before the body runs; empty when the
+      // function may write the fabric.
+      std::vector<std::string> prefetch_urls;
+      // delta_seq of the last batch that touched read_names (loop thread
+      // only; see the delta-skip state below).
+      uint64_t dirty_seq = 0;
+    };
+    std::unordered_map<ListenerKey, ListenerRecord, ListenerKeyHash>
+        listeners;
     // Analyzer facts merged across all page scripts, shared with the
     // page evaluator so compiled-plan specialization sees one facts
     // object (cardinality entries key on AST nodes owned by `modules`).
@@ -220,15 +226,8 @@ class XqibPlugin : public xquery::BrowserBinding {
 
     // Scatter-gather federation (PERFORMANCE.md §10): the page-level
     // prefetcher http:get consults (listener dispatch and the main
-    // body), and per-listener static fetch plans cached by declaration,
-    // computed lazily. Every access runs on the session strand, so
-    // fetch_plans_mu is never contended.
+    // body).
     std::unique_ptr<net::HttpPrefetcher> prefetcher;
-    std::unordered_map<const void*,
-                       std::shared_ptr<const xquery::federation::
-                                           StaticFetchPlan>>
-        listener_fetch_plans;
-    std::mutex fetch_plans_mu;
 
     // Mutation-versioned memo cache for pure listeners. Keyed on the
     // interned listener name (pointer identity), arity, and a hash of
@@ -274,15 +273,14 @@ class XqibPlugin : public xquery::BrowserBinding {
     // dispatch delta window at every sync point (PropagateDelta); each
     // non-empty batch bumps delta_seq and marks every listener whose
     // read names intersect the batch's write names dirty at that
-    // sequence. A memo entry filled at delta_fill_seq is provably exact
-    // while max(all_dirty_seq, dirty_seq[listener]) <= delta_fill_seq
-    // AND delta_synced_version still matches the document — the second
-    // check catches mutations that happened after the last sync point
-    // (the skip path then disables itself and the entry re-evaluates).
-    // Loop thread only.
+    // sequence (ListenerRecord::dirty_seq). A memo entry filled at
+    // delta_fill_seq is provably exact while max(all_dirty_seq,
+    // record.dirty_seq) <= delta_fill_seq AND delta_synced_version still
+    // matches the document — the second check catches mutations that
+    // happened after the last sync point (the skip path then disables
+    // itself and the entry re-evaluates). Loop thread only.
     uint64_t delta_seq = 1;
     uint64_t all_dirty_seq = 0;  // ⊤ batch: every listener dirty
-    std::unordered_map<ListenerKey, uint64_t, ListenerKeyHash> dirty_seq;
     uint64_t delta_synced_version = 0;
   };
 
@@ -325,17 +323,9 @@ class XqibPlugin : public xquery::BrowserBinding {
   // kStale otherwise. Read-only; the caller handles a stale entry.
   enum class MemoValidity { kFresh, kDeltaSkip, kStale };
   static MemoValidity ProbeMemo(const PageContext* page,
-                                const PageContext::ListenerKey& key,
+                                const PageContext::ListenerRecord& listener,
                                 const PageContext::MemoEntry& entry,
                                 uint64_t doc_version);
-
-  // Scatter-gather prefetch (PERFORMANCE.md §10): resolves `function`'s
-  // static fetch plan (cached per declaration) and, when the listener
-  // body is provably fabric-read-only, issues every statically known GET
-  // through the page prefetcher before the body runs — the fetches
-  // overlap in the fabric's virtual-time window instead of serializing.
-  void ScatterListenerPrefetch(PageContext* page, const xml::QName& function,
-                               size_t arity);
 
   // Builds the <event> element passed as $evt (paper §4.3.2) in `ctx`'s
   // scratch document.

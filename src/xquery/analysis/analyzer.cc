@@ -219,11 +219,10 @@ bool IsDocumentRootPath(const Expr& e) {
 
 class ModuleAnalyzer {
  public:
-  ModuleAnalyzer(const AnalyzerOptions& options, const Module& module,
+  ModuleAnalyzer(const Module& module,
                  const std::vector<const Module*>& context,
                  AnalysisResult* result)
-      : options_(options), module_(module), context_(context),
-        result_(result) {}
+      : module_(module), context_(context), result_(result) {}
 
   void Run() {
     CollectSuppressions();
@@ -233,7 +232,6 @@ class ModuleAnalyzer {
     AnalyzeGlobals();
     AnalyzeFunctions();
     AnalyzeBody();
-    ComputePurity();
     ComputeEffects();
     LintEffectRules();
   }
@@ -295,7 +293,6 @@ class ModuleAnalyzer {
   }
 
   void CheckDuplicates() {
-    if (!options_.check_scopes) return;
     std::unordered_set<std::string> seen_fns;
     for (const auto& fn : module_.functions) {
       std::string key =
@@ -389,7 +386,7 @@ class ModuleAnalyzer {
     v.name = name;
     v.type = assigned_vars_.count(name.Clark()) > 0 ? Any() : type;
     v.decl_pos = pos;
-    v.track_unused = track_unused && options_.lint;
+    v.track_unused = track_unused;
     scopes_.back().vars.push_back(std::move(v));
   }
 
@@ -480,7 +477,6 @@ class ModuleAnalyzer {
 
   void ReportUpdateMisuse(const Expr& e, const UpdateCtx& ctx,
                           const std::string& what) {
-    if (!options_.check_updates) return;
     std::string msg = what + " is not allowed in a non-updating context";
     if (std::string(ctx.code) == "XQSA022") {
       msg = what +
@@ -494,9 +490,7 @@ class ModuleAnalyzer {
 
   InferredType Walk(const Expr& e, UpdateCtx ctx) {
     InferredType t = WalkInner(e, ctx);
-    if (options_.infer_types) {
-      result_->facts.cardinality[&e] = t.card;
-    }
+    result_->facts.cardinality[&e] = t.card;
     return t;
   }
 
@@ -519,7 +513,7 @@ class ModuleAnalyzer {
         }
         // Variables in the browser namespace are host-bound at event
         // time ($browser:event, $browser:target, $browser:value).
-        if (e.qname.ns() != xml::kBrowserNamespace && options_.check_scopes) {
+        if (e.qname.ns() != xml::kBrowserNamespace) {
           Report("XQSA001", Severity::kError,
                  "undefined variable $" + e.qname.Lexical(), e.source_pos,
                  e.qname.Lexical().size() + 1);
@@ -696,7 +690,7 @@ class ModuleAnalyzer {
         Walk(*e.kids[0], ctx.Operand());
         bool cond_value = false;
         bool constant = IsConstantBoolean(*e.kids[0], &cond_value);
-        if (constant && options_.lint) {
+        if (constant) {
           const Expr& dead = cond_value ? *e.kids[2] : *e.kids[1];
           Report("XQSA031", Severity::kWarning,
                  std::string("unreachable ") +
@@ -854,8 +848,7 @@ class ModuleAnalyzer {
       case ExprKind::kAssign: {
         VarInfo* var = Lookup(e.qname);
         if (var == nullptr) {
-          if (e.qname.ns() != xml::kBrowserNamespace &&
-              options_.check_scopes) {
+          if (e.qname.ns() != xml::kBrowserNamespace) {
             Report("XQSA001", Severity::kError,
                    "assignment to undeclared variable $" +
                        e.qname.Lexical(),
@@ -936,17 +929,15 @@ class ModuleAnalyzer {
     const std::string& local = e.qname.local();
 
     if (ns == xml::kXsNamespace) {
-      if (options_.check_scopes) {
-        if (!IsXsConstructor(local)) {
-          Report("XQSA002", Severity::kError,
-                 "unknown type constructor xs:" + local, e.source_pos,
-                 local.size() + 3);
-        } else if (arity != 1) {
-          Report("XQSA003", Severity::kError,
-                 "xs:" + local + " expects 1 argument, got " +
-                     std::to_string(arity),
-                 e.source_pos, local.size() + 3);
-        }
+      if (!IsXsConstructor(local)) {
+        Report("XQSA002", Severity::kError,
+               "unknown type constructor xs:" + local, e.source_pos,
+               local.size() + 3);
+      } else if (arity != 1) {
+        Report("XQSA003", Severity::kError,
+               "xs:" + local + " expects 1 argument, got " +
+                   std::to_string(arity),
+               e.source_pos, local.size() + 3);
       }
       InferredType t = Optional(ItemClass::kAnyAtomic);
       if (local == "string" || local == "anyURI") {
@@ -967,19 +958,17 @@ class ModuleAnalyzer {
 
     if (ns == xml::kFnNamespace) {
       const BuiltinSignature* sig = FindFnBuiltin(local);
-      if (options_.check_scopes) {
-        if (sig == nullptr) {
-          Report("XQSA002", Severity::kError,
-                 "unknown function fn:" + local, e.source_pos,
-                 local.size());
-        } else if (static_cast<int>(arity) < sig->min_arity ||
-                   (sig->max_arity >= 0 &&
-                    static_cast<int>(arity) > sig->max_arity)) {
-          Report("XQSA003", Severity::kError,
-                 "fn:" + local + " expects " + ArityRange(*sig) +
-                     " argument(s), got " + std::to_string(arity),
-                 e.source_pos, local.size());
-        }
+      if (sig == nullptr) {
+        Report("XQSA002", Severity::kError,
+               "unknown function fn:" + local, e.source_pos,
+               local.size());
+      } else if (static_cast<int>(arity) < sig->min_arity ||
+                 (sig->max_arity >= 0 &&
+                  static_cast<int>(arity) > sig->max_arity)) {
+        Report("XQSA003", Severity::kError,
+               "fn:" + local + " expects " + ArityRange(*sig) +
+                   " argument(s), got " + std::to_string(arity),
+               e.source_pos, local.size());
       }
       return BuiltinReturnType(e, local);
     }
@@ -988,21 +977,19 @@ class ModuleAnalyzer {
       std::string key = AnalysisFacts::FunctionKey(e.qname.Clark(), arity);
       auto it = functions_.find(key);
       if (it == functions_.end()) {
-        if (options_.check_scopes) {
-          auto known = arities_.find(e.qname.Clark());
-          if (known == arities_.end()) {
-            Report("XQSA002", Severity::kError,
-                   "undefined function " + e.qname.Lexical() + "#" +
-                       std::to_string(arity),
-                   e.source_pos, local.size());
-          } else {
-            Report("XQSA003", Severity::kError,
-                   "function " + e.qname.Lexical() + " called with " +
-                       std::to_string(arity) +
-                       " argument(s); declared arity: " +
-                       AritiesOf(known->second),
-                   e.source_pos, local.size());
-          }
+        auto known = arities_.find(e.qname.Clark());
+        if (known == arities_.end()) {
+          Report("XQSA002", Severity::kError,
+                 "undefined function " + e.qname.Lexical() + "#" +
+                     std::to_string(arity),
+                 e.source_pos, local.size());
+        } else {
+          Report("XQSA003", Severity::kError,
+                 "function " + e.qname.Lexical() + " called with " +
+                     std::to_string(arity) +
+                     " argument(s); declared arity: " +
+                     AritiesOf(known->second),
+                 e.source_pos, local.size());
         }
         return Any();
       }
@@ -1084,7 +1071,6 @@ class ModuleAnalyzer {
 
   void CheckComparableFamilies(const Expr& e, const InferredType& l,
                                const InferredType& r) {
-    if (!options_.infer_types) return;
     if (e.comp_op == CompOp::kIs || e.comp_op == CompOp::kPrecedes ||
         e.comp_op == CompOp::kFollows) {
       return;
@@ -1102,7 +1088,6 @@ class ModuleAnalyzer {
   }
 
   void CheckNotDocumentRoot(const Expr& e, const char* what) {
-    if (!options_.check_updates) return;
     const Expr* target = e.kids.empty() ? nullptr : e.kids[0].get();
     if (target != nullptr && IsDocumentRootPath(*target)) {
       Report("XQSA021", Severity::kError,
@@ -1112,7 +1097,6 @@ class ModuleAnalyzer {
   }
 
   void CheckListener(const Expr& e) {
-    if (!options_.check_scopes) return;
     const std::string& ns = e.qname.ns();
     if (checked_fn_namespaces_.count(ns) == 0) return;
     if (arities_.count(e.qname.Clark()) == 0) {
@@ -1125,7 +1109,6 @@ class ModuleAnalyzer {
   // ------------------------------------------------------------ lint ---
 
   void LintDescendantSteps(const Expr& path) {
-    if (!options_.lint) return;
     for (size_t i = 0; i < path.steps.size(); ++i) {
       const Step& step = path.steps[i];
       bool is_dos = step.expr == nullptr &&
@@ -1154,82 +1137,6 @@ class ModuleAnalyzer {
                "predicate or is not a child step); consider an explicit "
                "axis",
                path.source_pos, 2);
-      }
-    }
-  }
-
-  // ---------------------------------------------------------- purity ---
-
-  void ComputePurity() {
-    // Collect every declared function (context + analyzed module) and
-    // its call edges, then run impurity to a fixpoint over the joint
-    // call graph: a listener is pure only if everything it can reach is.
-    struct Node {
-      const FunctionDecl* decl;
-      std::vector<std::string> calls;
-      bool impure = false;
-      bool observable = false;  // reaches alert/prompt/confirm/trace
-    };
-    std::map<std::string, Node> graph;
-    auto add = [&](const Module& m) {
-      for (const auto& fn : m.functions) {
-        Node node;
-        node.decl = fn.get();
-        if (fn->external || fn->body == nullptr) {
-          node.impure = true;
-        } else {
-          observes_host_ = false;
-          node.impure = !SyntacticallyPure(*fn->body, &node.calls);
-          node.observable = observes_host_;
-        }
-        graph[AnalysisFacts::FunctionKey(fn->name.Clark(),
-                                         fn->params.size())] =
-            std::move(node);
-      }
-    };
-    for (const Module* m : context_) add(*m);
-    add(module_);
-
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (auto& [key, node] : graph) {
-        if (node.impure) continue;
-        for (const std::string& callee : node.calls) {
-          auto it = graph.find(callee);
-          if (it == graph.end() || it->second.impure) {
-            node.impure = true;
-            changed = true;
-            break;
-          }
-        }
-      }
-    }
-    // Observability propagates along the same call edges: a function
-    // reaching an alert/prompt/confirm/trace call stays pure (no DOM
-    // mutation) but must still run on every dispatch.
-    changed = true;
-    while (changed) {
-      changed = false;
-      for (auto& [key, node] : graph) {
-        if (node.observable) continue;
-        for (const std::string& callee : node.calls) {
-          auto it = graph.find(callee);
-          if (it == graph.end()) continue;
-          if (it->second.observable) {
-            node.observable = true;
-            changed = true;
-            break;
-          }
-        }
-      }
-    }
-    for (const auto& [key, node] : graph) {
-      if (!node.impure) {
-        result_->facts.pure_functions.insert(key);
-        if (!node.observable) {
-          result_->facts.memoizable_functions.insert(key);
-        }
       }
     }
   }
@@ -1275,8 +1182,10 @@ class ModuleAnalyzer {
 
   // Merged effect summary of a listener function across its declared
   // arities (dispatch may invoke any of them depending on the event
-  // payload). False when no arity has a summary.
-  bool ListenerEffectSummary(const std::string& clark, Effects* out) {
+  // payload), and whether any arity is memoizable. False when no arity
+  // has a summary.
+  bool ListenerEffectSummary(const std::string& clark, Effects* out,
+                             bool* memoizable) {
     auto it = arities_.find(clark);
     if (it == arities_.end()) return false;
     bool any = false;
@@ -1285,6 +1194,7 @@ class ModuleAnalyzer {
           AnalysisFacts::FunctionKey(clark, arity));
       if (fe == result_->facts.function_effects.end()) continue;
       out->MergeFrom(fe->second);
+      *memoizable |= fe->second.memoizable();
       any = true;
     }
     return any;
@@ -1296,8 +1206,6 @@ class ModuleAnalyzer {
   // whose read set is ⊤, so every mutation evicts their memo entry.
   // XQSA036: updates whose written names nothing in the page observes.
   void LintEffectRules() {
-    if (!options_.lint) return;
-
     struct AttachInfo {
       const Expr* site;
       std::string event;
@@ -1306,17 +1214,10 @@ class ModuleAnalyzer {
     std::map<std::string, std::vector<AttachInfo>> by_event;
     for (const Expr* e : attach_sites_) {
       // XQSA035 first: applies to every attach of a memoizable listener.
-      const std::string clark = e->qname.Clark();
       Effects merged;
-      if (!ListenerEffectSummary(clark, &merged)) continue;
       bool memoizable = false;
-      auto ar = arities_.find(clark);
-      for (size_t arity : ar->second) {
-        if (result_->facts.memoizable_functions.count(
-                AnalysisFacts::FunctionKey(clark, arity)) > 0) {
-          memoizable = true;
-          break;
-        }
+      if (!ListenerEffectSummary(e->qname.Clark(), &merged, &memoizable)) {
+        continue;
       }
       if (memoizable && merged.reads_top()) {
         size_t offset, length;
@@ -1384,114 +1285,8 @@ class ModuleAnalyzer {
     }
   }
 
-  // True when the expression tree contains no DOM/BOM mutation and no
-  // calls outside the analyzable world; declared-function calls are
-  // emitted into `calls` for the fixpoint.
-  bool SyntacticallyPure(const Expr& e, std::vector<std::string>* calls) {
-    switch (e.kind) {
-      case ExprKind::kInsert:
-      case ExprKind::kDelete:
-      case ExprKind::kReplace:
-      case ExprKind::kRename:
-      case ExprKind::kAssign:
-      case ExprKind::kEventAttach:
-      case ExprKind::kEventDetach:
-      case ExprKind::kEventTrigger:
-      case ExprKind::kSetStyle:
-        return false;
-      case ExprKind::kFunctionCall: {
-        const std::string& ns = e.qname.ns();
-        if (ns == xml::kFnNamespace) {
-          // put/doc touch documents outside the evaluation snapshot.
-          if (e.qname.local() == "put" || e.qname.local() == "doc" ||
-              e.qname.local() == "doc-available") {
-            return false;
-          }
-          if (e.qname.local() == "trace") {
-            observes_host_ = true;  // pure, but emits diagnostic output
-          }
-        } else if (ns == xml::kBrowserNamespace) {
-          // Read-only / chrome-only browser functions.
-          if (e.qname.local() != "alert" && e.qname.local() != "prompt" &&
-              e.qname.local() != "confirm") {
-            return false;
-          }
-          observes_host_ = true;  // pure, but the user sees a dialog
-        } else if (ns != xml::kXsNamespace &&
-                   checked_fn_namespaces_.count(ns) == 0) {
-          return false;  // unknown external code
-        } else if (checked_fn_namespaces_.count(ns) > 0) {
-          calls->push_back(
-              AnalysisFacts::FunctionKey(e.qname.Clark(), e.kids.size()));
-        }
-        break;
-      }
-      default:
-        break;
-    }
-    for (const ExprPtr& kid : e.kids) {
-      if (kid != nullptr && !SyntacticallyPure(*kid, calls)) return false;
-    }
-    for (const Step& step : e.steps) {
-      for (const ExprPtr& pred : step.predicates) {
-        if (!SyntacticallyPure(*pred, calls)) return false;
-      }
-      if (step.expr != nullptr && !SyntacticallyPure(*step.expr, calls)) {
-        return false;
-      }
-    }
-    for (const ExprPtr& pred : e.predicates) {
-      if (!SyntacticallyPure(*pred, calls)) return false;
-    }
-    for (const Clause& clause : e.clauses) {
-      if (clause.expr != nullptr &&
-          !SyntacticallyPure(*clause.expr, calls)) {
-        return false;
-      }
-    }
-    if (e.where != nullptr && !SyntacticallyPure(*e.where, calls)) {
-      return false;
-    }
-    for (const OrderSpec& spec : e.order_specs) {
-      if (!SyntacticallyPure(*spec.key, calls)) return false;
-    }
-    if (e.direct != nullptr && !DirectPure(*e.direct, calls)) return false;
-    if (e.ft != nullptr && !FtPure(*e.ft, calls)) return false;
-    return true;
-  }
-
-  bool DirectPure(const DirectNode& node,
-                  std::vector<std::string>* calls) {
-    if (node.expr != nullptr && !SyntacticallyPure(*node.expr, calls)) {
-      return false;
-    }
-    for (const auto& attr : node.attrs) {
-      for (const auto& part : attr.parts) {
-        if (part.expr != nullptr &&
-            !SyntacticallyPure(*part.expr, calls)) {
-          return false;
-        }
-      }
-    }
-    for (const auto& kid : node.children) {
-      if (!DirectPure(*kid, calls)) return false;
-    }
-    return true;
-  }
-
-  bool FtPure(const FtSelection& sel, std::vector<std::string>* calls) {
-    if (sel.words != nullptr && !SyntacticallyPure(*sel.words, calls)) {
-      return false;
-    }
-    for (const auto& kid : sel.kids) {
-      if (!FtPure(*kid, calls)) return false;
-    }
-    return true;
-  }
-
   // -------------------------------------------------------- members ---
 
-  const AnalyzerOptions& options_;
   const Module& module_;
   const std::vector<const Module*>& context_;
   AnalysisResult* result_;
@@ -1502,10 +1297,6 @@ class ModuleAnalyzer {
   std::unordered_set<std::string> checked_fn_namespaces_;
   std::unordered_set<std::string> suppressed_;
   std::unordered_set<std::string> assigned_vars_;  // Clark names
-  // Set by SyntacticallyPure when the function body reaches an
-  // observable host interaction (alert/prompt/confirm, fn:trace);
-  // captured per-function by ComputePurity.
-  bool observes_host_ = false;
   // Every attach site (XQSA034/035) and every insert/replace/rename
   // inside a declared function body (XQSA036), linted once effect
   // summaries exist.
@@ -1524,15 +1315,13 @@ Status AnalysisResult::ToStatus() const {
   return Status();
 }
 
-Analyzer::Analyzer(AnalyzerOptions options) : options_(options) {}
-
 void Analyzer::AddContextModule(const Module& module) {
   context_modules_.push_back(&module);
 }
 
 AnalysisResult Analyzer::Analyze(const Module& module) const {
   AnalysisResult result;
-  ModuleAnalyzer walker(options_, module, context_modules_, &result);
+  ModuleAnalyzer walker(module, context_modules_, &result);
   walker.Run();
   // Stable order for rendering and golden tests: by source position,
   // then by code.

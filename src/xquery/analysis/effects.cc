@@ -4,6 +4,7 @@
 
 #include "xml/qname.h"
 #include "xquery/analysis/facts.h"
+#include "xquery/federation.h"
 
 namespace xqib::xquery::analysis {
 
@@ -81,20 +82,32 @@ std::vector<const xml::InternedName*> Effects::ReadNames() const {
   return all.names;
 }
 
+bool Effects::AddFetchUrl(const std::string& url) {
+  if (std::find(fetch_urls.begin(), fetch_urls.end(), url) !=
+      fetch_urls.end()) {
+    return false;
+  }
+  fetch_urls.push_back(url);
+  return true;
+}
+
 bool Effects::MergeFrom(const Effects& other) {
   bool changed = child_reads.AddAll(other.child_reads);
   changed |= value_reads.AddAll(other.value_reads);
   changed |= writes.AddAll(other.writes);
   changed |= write_scope.AddAll(other.write_scope);
   changed |= observed_reads.AddAll(other.observed_reads);
-  if (other.has_update && !has_update) {
-    has_update = true;
-    changed = true;
-  }
-  if (other.interacts && !interacts) {
-    interacts = true;
-    changed = true;
-  }
+  auto merge_flag = [&changed](bool* mine, bool theirs) {
+    if (theirs && !*mine) {
+      *mine = true;
+      changed = true;
+    }
+  };
+  merge_flag(&has_update, other.has_update);
+  merge_flag(&observes_host, other.observes_host);
+  merge_flag(&reads_outside, other.reads_outside);
+  merge_flag(&writes_fabric, other.writes_fabric);
+  for (const std::string& url : other.fetch_urls) changed |= AddFetchUrl(url);
   return changed;
 }
 
@@ -103,7 +116,11 @@ bool Effects::operator==(const Effects& other) const {
          value_reads == other.value_reads && writes == other.writes &&
          write_scope == other.write_scope &&
          observed_reads == other.observed_reads &&
-         has_update == other.has_update && interacts == other.interacts;
+         has_update == other.has_update &&
+         observes_host == other.observes_host &&
+         reads_outside == other.reads_outside &&
+         writes_fabric == other.writes_fabric &&
+         fetch_urls == other.fetch_urls;
 }
 
 bool Interferes(const Effects& a, const Effects& b) {
@@ -150,7 +167,18 @@ std::string RenderEffects(const Effects& effects) {
   out += " writes=" + RenderEffectSet(effects.writes);
   out += " scope=" + RenderEffectSet(effects.write_scope);
   out += effects.has_update ? " updating" : " pure";
-  if (effects.interacts) out += " interactive";
+  if (effects.memoizable()) out += " memoizable";
+  if (effects.observes_host) out += " observes-host";
+  if (effects.reads_outside) out += " reads-outside";
+  if (effects.writes_fabric) out += " writes-fabric";
+  if (!effects.fetch_urls.empty()) {
+    out += " fetches=[";
+    for (size_t i = 0; i < effects.fetch_urls.size(); ++i) {
+      if (i > 0) out += " ";
+      out += effects.fetch_urls[i];
+    }
+    out += "]";
+  }
   return out;
 }
 
@@ -230,8 +258,12 @@ bool IsBrowserMutator(const std::string& local) {
 
 class EffectWalker {
  public:
-  EffectWalker(const EffectAnalysis& analysis, const Module* module)
-      : analysis_(analysis), module_(module) {}
+  // `analysis` supplies the module context (globals, assignments,
+  // declared and imported namespaces); without it every variable is
+  // unknown and every call without a summary is unknown code.
+  EffectWalker(const std::map<std::string, Effects>& functions,
+               const EffectAnalysis* analysis, const Module* module)
+      : functions_(functions), analysis_(analysis), module_(module) {}
 
   Effects WalkBody(const Expr& e, const std::vector<Param>* params) {
     out_ = Effects{};
@@ -279,6 +311,11 @@ class EffectWalker {
   bool IsLocal(const std::string& clark) const {
     return std::find(locals_.rbegin(), locals_.rend(), clark) !=
            locals_.rend();
+  }
+
+  void BindClause(const Clause& c) {
+    locals_.push_back(c.var.Clark());
+    if (!c.pos_var.local().empty()) locals_.push_back(c.pos_var.Clark());
   }
 
   void WalkKids(const Expr& e, bool value_used) {
@@ -548,6 +585,26 @@ class EffectWalker {
     }
   }
 
+  const Effects* FindGlobal(const std::string& clark) const {
+    if (analysis_ == nullptr) return nullptr;
+    auto it = analysis_->globals_.find("var:" + clark);
+    return it != analysis_->globals_.end() ? &it->second : nullptr;
+  }
+  bool IsDeclaredNs(const std::string& ns) const {
+    return analysis_ != nullptr && analysis_->declared_ns_.count(ns) > 0;
+  }
+  bool IsImportedNs(const std::string& ns) const {
+    return analysis_ != nullptr && analysis_->imported_ns_.count(ns) > 0;
+  }
+
+  // Code the analysis cannot see: it may do anything.
+  void UnknownCode() {
+    ReadsTop();
+    WritesTop();
+    out_.reads_outside = true;
+    out_.writes_fabric = true;
+  }
+
   void WalkFunctionCall(const Expr& e) {
     const std::string& ns = e.qname.ns();
     const std::string& local = e.qname.local();
@@ -559,39 +616,61 @@ class EffectWalker {
           local == "name" || local == "local-name" ||
           local == "namespace-uri" || local == "node-name") {
         args_value_used = false;
-      } else if (local == "id" || local == "idref" || local == "root" ||
-                 local == "doc" || local == "doc-available") {
-        ReadsTop();  // jumps anywhere in the document / other documents
+      } else if (local == "id" || local == "idref" || local == "root") {
+        ReadsTop();  // jumps anywhere in the document
+      } else if (local == "doc" || local == "doc-available") {
+        ReadsTop();  // other documents
+        out_.reads_outside = true;
+      } else if (local == "current-dateTime" || local == "current-date" ||
+                 local == "current-time") {
+        out_.reads_outside = true;
+      } else if (local == "trace") {
+        out_.observes_host = true;
       } else if (local == "put") {
         WritesTop();
+        out_.writes_fabric = true;
       }
     } else if (ns == xml::kBrowserNamespace) {
-      if (local == "prompt" || local == "confirm") {
-        out_.interacts = true;
-      } else if (local != "alert") {
+      if (local == "alert" || local == "prompt" || local == "confirm") {
+        out_.observes_host = true;
+      } else {
         // BOM access can hand back live document nodes from any window.
         ReadsTop();
+        out_.reads_outside = true;
+        out_.writes_fabric = true;
         if (IsBrowserMutator(local)) WritesTop();
       }
-    } else if (analysis_.declared_ns_.count(ns) > 0) {
-      const Effects* summary = analysis_.ForFunction(
-          AnalysisFacts::FunctionKey(e.qname.Clark(), e.kids.size()));
-      if (summary != nullptr) {
-        out_.MergeFrom(*summary);
+    } else if (ns == xml::kHttpNamespace) {
+      // The HTTP client never touches the page DOM.
+      out_.reads_outside = true;
+      std::string url;
+      if ((local == "get" || local == "get-text") && e.kids.size() == 1) {
+        if (federation::StaticStringValue(*e.kids[0], &url)) {
+          out_.AddFetchUrl(url);
+        }
       } else {
-        // Unknown name#arity in a checked namespace (an XQSA002/003
-        // error elsewhere); stay sound.
-        ReadsTop();
-        WritesTop();
+        out_.writes_fabric = true;  // http:put and unknown extensions
       }
-    } else if (ns == xml::kXsNamespace || ns == xml::kHttpNamespace ||
-               analysis_.imported_ns_.count(ns) > 0) {
-      // Constructors, the HTTP client, and imported web-service calls
-      // never touch the page DOM (service modules evaluate against the
-      // remote store).
-    } else {
-      ReadsTop();  // unknown external code
-      WritesTop();
+    } else if (ns != xml::kXsNamespace) {
+      // Declared, imported or unknown code. The arguments are walked
+      // before the callee's summary merges: that is the order in which
+      // fetch URLs are discovered.
+      WalkKids(e, true);
+      auto summary = functions_.find(
+          AnalysisFacts::FunctionKey(e.qname.Clark(), e.kids.size()));
+      if (summary != functions_.end()) {
+        out_.MergeFrom(summary->second);
+      } else if (IsImportedNs(ns) && !IsDeclaredNs(ns)) {
+        // Web-service calls evaluate against the remote store: they
+        // never touch the page DOM.
+        out_.reads_outside = true;
+        out_.writes_fabric = true;
+      } else {
+        // Unknown external code, or an unknown name#arity in a declared
+        // namespace (an XQSA002/003 error elsewhere); stay sound.
+        UnknownCode();
+      }
+      return;
     }
     WalkKids(e, args_value_used);
   }
@@ -603,9 +682,11 @@ class EffectWalker {
       case ExprKind::kVarRef: {
         const std::string clark = e.qname.Clark();
         if (IsLocal(clark)) break;
-        if (analysis_.assigned_globals_.count(clark) > 0) {
+        if (analysis_ != nullptr &&
+            analysis_->assigned_globals_.count(clark) > 0) {
           // Mutable module state: another listener may rebind it.
           ValueReadsTop();
+          if (params_.count(clark) == 0) out_.reads_outside = true;
           break;
         }
         if (params_.count(clark) > 0) {
@@ -615,14 +696,12 @@ class EffectWalker {
           if (value_used) ValueReadsTop();
           break;
         }
-        auto it = analysis_.globals_.find("var:" + clark);
-        if (it != analysis_.globals_.end()) {
-          // The init expression's reads stand in for the reference.
-          out_.child_reads.AddAll(it->second.child_reads);
-          out_.value_reads.AddAll(it->second.value_reads);
-          if (!target_mode_) {
-            out_.observed_reads.AddAll(it->second.observed_reads);
-          }
+        if (const Effects* init = FindGlobal(clark)) {
+          // The init expression's reads stand in for the reference. Its
+          // other facts do not: it ran once, at page load.
+          out_.child_reads.AddAll(init->child_reads);
+          out_.value_reads.AddAll(init->value_reads);
+          if (!target_mode_) out_.observed_reads.AddAll(init->observed_reads);
         } else if (value_used) {
           ValueReadsTop();  // unknown variable (XQSA001 case)
         }
@@ -670,28 +749,24 @@ class EffectWalker {
         for (const ExprPtr& pred : e.predicates) Walk(*pred, false);
         context_names_.pop_back();
         break;
-      case ExprKind::kFLWOR: {
+      case ExprKind::kFLWOR:
+      case ExprKind::kQuantified: {
+        // ForEachSubExpr order (the order fetch URLs are discovered in):
+        // the return or test expression first, with every clause
+        // variable bound, then each binding under the ones before it.
         const size_t mark = locals_.size();
+        for (const Clause& c : e.clauses) BindClause(c);
+        const bool flwor = e.kind == ExprKind::kFLWOR;
+        if (!e.kids.empty() && e.kids[0]) {
+          Walk(*e.kids[0], flwor && value_used);
+        }
+        locals_.resize(mark);
         for (const Clause& c : e.clauses) {
           if (c.expr != nullptr) Walk(*c.expr, true);
-          locals_.push_back(c.var.Clark());
-          if (!c.pos_var.local().empty()) {
-            locals_.push_back(c.pos_var.Clark());
-          }
+          BindClause(c);
         }
         if (e.where != nullptr) Walk(*e.where, false);
         for (const OrderSpec& spec : e.order_specs) Walk(*spec.key, true);
-        if (!e.kids.empty() && e.kids[0]) Walk(*e.kids[0], value_used);
-        locals_.resize(mark);
-        break;
-      }
-      case ExprKind::kQuantified: {
-        const size_t mark = locals_.size();
-        for (const Clause& c : e.clauses) {
-          if (c.expr != nullptr) Walk(*c.expr, true);
-          locals_.push_back(c.var.Clark());
-        }
-        if (!e.kids.empty() && e.kids[0]) Walk(*e.kids[0], false);
         locals_.resize(mark);
         break;
       }
@@ -699,16 +774,16 @@ class EffectWalker {
         // The operand is bound to the case variables, which the case
         // bodies may atomize: treat it as value-used.
         if (!e.kids.empty() && e.kids[0]) Walk(*e.kids[0], true);
-        for (const Clause& c : e.clauses) {
-          const size_t mark = locals_.size();
-          if (!c.var.local().empty()) locals_.push_back(c.var.Clark());
-          if (c.expr != nullptr) Walk(*c.expr, value_used);
-          locals_.resize(mark);
-        }
         if (e.kids.size() > 1 && e.kids[1]) {
           const size_t mark = locals_.size();
           if (!e.qname.local().empty()) locals_.push_back(e.qname.Clark());
           Walk(*e.kids[1], value_used);
+          locals_.resize(mark);
+        }
+        for (const Clause& c : e.clauses) {
+          const size_t mark = locals_.size();
+          if (!c.var.local().empty()) locals_.push_back(c.var.Clark());
+          if (c.expr != nullptr) Walk(*c.expr, value_used);
           locals_.resize(mark);
         }
         break;
@@ -787,10 +862,10 @@ class EffectWalker {
         Walk(*e.kids[1], false);
         Effects modify = std::move(out_);
         out_ = std::move(saved);
-        out_.child_reads.AddAll(modify.child_reads);
-        out_.value_reads.AddAll(modify.value_reads);
-        out_.observed_reads.AddAll(modify.observed_reads);
-        out_.interacts |= modify.interacts;
+        modify.writes = EffectSet{};
+        modify.write_scope = EffectSet{};
+        modify.has_update = false;
+        out_.MergeFrom(modify);
         if (e.kids.size() > 2 && e.kids[2]) Walk(*e.kids[2], value_used);
         locals_.resize(mark);
         break;
@@ -823,9 +898,11 @@ class EffectWalker {
       case ExprKind::kEventDetach:
       case ExprKind::kEventTrigger:
         // Mutates the listener registry / synthesizes dispatches:
-        // affects behavior in ways no name set captures.
+        // affects behavior in ways no name set captures. A trigger runs
+        // the attached listeners, whatever they do, right away.
         WalkKids(e, false);
         WritesTop();
+        if (e.kind == ExprKind::kEventTrigger) out_.writes_fabric = true;
         break;
       case ExprKind::kSetStyle: {
         Walk(*e.kids[0], true);
@@ -845,7 +922,8 @@ class EffectWalker {
     }
   }
 
-  const EffectAnalysis& analysis_;
+  const std::map<std::string, Effects>& functions_;
+  const EffectAnalysis* analysis_;
   const Module* module_;
   Effects out_;
   bool target_mode_ = false;
@@ -859,35 +937,22 @@ class EffectWalker {
 
 namespace {
 
-void CollectAssigns(const Expr& e, std::set<std::string>* assigned) {
-  if (e.kind == ExprKind::kAssign) assigned->insert(e.qname.Clark());
-  for (const ExprPtr& kid : e.kids) {
-    if (kid != nullptr) CollectAssigns(*kid, assigned);
-  }
-  for (const Step& step : e.steps) {
-    for (const ExprPtr& pred : step.predicates) {
-      CollectAssigns(*pred, assigned);
-    }
-    if (step.expr != nullptr) CollectAssigns(*step.expr, assigned);
-  }
-  for (const ExprPtr& pred : e.predicates) CollectAssigns(*pred, assigned);
-  for (const Clause& c : e.clauses) {
-    if (c.expr != nullptr) CollectAssigns(*c.expr, assigned);
-  }
-  if (e.where != nullptr) CollectAssigns(*e.where, assigned);
-  for (const OrderSpec& spec : e.order_specs) {
-    CollectAssigns(*spec.key, assigned);
-  }
+bool IsBuiltinNs(const std::string& ns) {
+  return ns == xml::kFnNamespace || ns == xml::kXsNamespace ||
+         ns == xml::kHttpNamespace || ns == xml::kBrowserNamespace;
 }
 
-void CollectModuleAssigns(const Module& m, std::set<std::string>* assigned) {
-  if (m.body != nullptr) CollectAssigns(*m.body, assigned);
-  for (const auto& fn : m.functions) {
-    if (fn->body != nullptr) CollectAssigns(*fn->body, assigned);
+// Records every variable some `set`/`:=` assigns and, when `callees` is
+// given, the key of every call that may name a declared function.
+void ScanBody(const Expr& e, std::set<std::string>* assigned,
+              std::vector<std::string>* callees) {
+  if (e.kind == ExprKind::kAssign) assigned->insert(e.qname.Clark());
+  if (callees != nullptr && e.kind == ExprKind::kFunctionCall &&
+      !IsBuiltinNs(e.qname.ns())) {
+    callees->push_back(
+        AnalysisFacts::FunctionKey(e.qname.Clark(), e.kids.size()));
   }
-  for (const VarDecl& v : m.variables) {
-    if (v.init != nullptr) CollectAssigns(*v.init, assigned);
-  }
+  ForEachSubExpr(e, [&](const Expr& kid) { ScanBody(kid, assigned, callees); });
 }
 
 }  // namespace
@@ -896,13 +961,14 @@ void EffectAnalysis::AddContextModule(const Module* module) {
   context_.push_back(module);
 }
 
-const Effects* EffectAnalysis::ForFunction(const std::string& key) const {
-  auto it = functions_.find(key);
-  return it != functions_.end() ? &it->second : nullptr;
+Effects EffectAnalysis::ExprEffects(const Expr& e) const {
+  EffectWalker walker(functions_, this, module_);
+  return walker.WalkBody(e, nullptr);
 }
 
-Effects EffectAnalysis::ExprEffects(const Expr& e) const {
-  EffectWalker walker(*this, module_);
+Effects ExprEffects(const Expr& e,
+                    const std::map<std::string, Effects>& functions) {
+  EffectWalker walker(functions, nullptr, nullptr);
   return walker.WalkBody(e, nullptr);
 }
 
@@ -911,6 +977,14 @@ void EffectAnalysis::Run(const Module& module) {
   std::vector<const Module*> modules = context_;
   modules.push_back(&module);
 
+  struct Function {
+    const Module* module;
+    const FunctionDecl* decl;
+    std::string key;
+    std::vector<std::string> callees;
+  };
+  std::vector<Function> fns;
+  std::map<std::string, size_t> index;
   declared_ns_.insert("http://www.w3.org/2005/xquery-local-functions");
   for (const Module* m : modules) {
     if (m->is_library && !m->module_ns.empty()) {
@@ -919,65 +993,92 @@ void EffectAnalysis::Run(const Module& module) {
     for (const Module::Import& imp : m->imports) {
       imported_ns_.insert(imp.ns);
     }
-    CollectModuleAssigns(*m, &assigned_globals_);
-  }
-
-  // External functions: no body to look at.
-  for (const Module* m : modules) {
+    if (m->body != nullptr) ScanBody(*m->body, &assigned_globals_, nullptr);
+    for (const VarDecl& v : m->variables) {
+      if (v.init != nullptr) ScanBody(*v.init, &assigned_globals_, nullptr);
+    }
     for (const auto& fn : m->functions) {
-      if (fn->body != nullptr) continue;
-      Effects& e = functions_[AnalysisFacts::FunctionKey(
-          fn->name.Clark(), fn->params.size())];
-      e.child_reads.MakeTop();
-      e.observed_reads.MakeTop();
-      e.writes.MakeTop();
-      e.write_scope.MakeTop();
-      e.has_update = true;
+      Function f{m, fn.get(),
+                 AnalysisFacts::FunctionKey(fn->name.Clark(),
+                                            fn->params.size()),
+                 {}};
+      if (fn->body != nullptr) {
+        ScanBody(*fn->body, &assigned_globals_, &f.callees);
+      }
+      index[f.key] = fns.size();
+      fns.push_back(std::move(f));
     }
   }
 
-  // Seed every declared function at ⊥ so recursive and forward calls
-  // merge the in-progress summary instead of taking the unknown-
-  // function ⊤ path on the first iteration.
-  for (const Module* m : modules) {
-    for (const auto& fn : m->functions) {
-      if (fn->body == nullptr) continue;
-      functions_[AnalysisFacts::FunctionKey(fn->name.Clark(),
-                                            fn->params.size())];
+  // Every declared function starts at ⊥ so recursive and forward calls
+  // merge the in-progress summary instead of taking the unknown-code
+  // path. A body-less declaration is unknown code.
+  for (const Function& f : fns) {
+    Effects& e = functions_[f.key];
+    if (f.decl->body != nullptr) continue;
+    e.child_reads.MakeTop();
+    e.observed_reads.MakeTop();
+    e.writes.MakeTop();
+    e.write_scope.MakeTop();
+    e.has_update = true;
+    e.reads_outside = true;
+    e.writes_fabric = true;
+  }
+
+  // Callees first: a post-order of the call graph, so the first sweep
+  // walks every non-recursive caller after its callees' summaries are
+  // final. That is what keeps each function's fetch URLs in discovery
+  // order, since a summary's URL list only ever grows by appending.
+  std::vector<size_t> order;
+  std::vector<bool> seen(fns.size(), false);
+  for (size_t root = 0; root < fns.size(); ++root) {
+    if (seen[root]) continue;
+    seen[root] = true;
+    std::vector<std::pair<size_t, size_t>> stack = {{root, 0}};
+    while (!stack.empty()) {
+      const size_t f = stack.back().first;
+      const size_t next = stack.back().second++;
+      if (next == fns[f].callees.size()) {
+        order.push_back(f);
+        stack.pop_back();
+        continue;
+      }
+      auto callee = index.find(fns[f].callees[next]);
+      if (callee != index.end() && !seen[callee->second]) {
+        seen[callee->second] = true;
+        stack.push_back({callee->second, 0});
+      }
     }
   }
 
   // Bottom-up fixpoint over globals + functions: summaries only grow
   // (every application is a merge), and each set is bounded by the
-  // module's finite name alphabet, so this terminates — recursive
-  // functions converge without widening to ⊤.
+  // module's finite name alphabet and URL literals, so this terminates —
+  // recursive functions converge without widening to ⊤.
   bool changed = true;
   while (changed) {
     changed = false;
     for (const Module* m : modules) {
       for (const VarDecl& v : m->variables) {
         if (v.init == nullptr) continue;
-        EffectWalker walker(*this, m);
+        EffectWalker walker(functions_, this, m);
         Effects e = walker.WalkBody(*v.init, nullptr);
         changed |= globals_["var:" + v.name.Clark()].MergeFrom(e);
       }
-      for (const auto& fn : m->functions) {
-        if (fn->body == nullptr) continue;
-        EffectWalker walker(*this, m);
-        Effects e = walker.WalkBody(*fn->body, &fn->params);
-        changed |= functions_[AnalysisFacts::FunctionKey(
-                                  fn->name.Clark(), fn->params.size())]
-                       .MergeFrom(e);
-      }
+    }
+    for (size_t i : order) {
+      const Function& f = fns[i];
+      if (f.decl->body == nullptr) continue;
+      EffectWalker walker(functions_, this, f.module);
+      Effects e = walker.WalkBody(*f.decl->body, &f.decl->params);
+      changed |= functions_[f.key].MergeFrom(e);
     }
   }
 
   for (const Module* m : modules) {
     if (m->body == nullptr) continue;
-    EffectWalker walker(*this, m);
-    Effects body = walker.WalkBody(*m->body, nullptr);
-    if (m == &module) body_effects_ = body;
-    all_reads_.AddAll(body.observed_reads);
+    EffectWalker walker(functions_, this, m);
+    all_reads_.AddAll(walker.WalkBody(*m->body, nullptr).observed_reads);
   }
   for (const auto& [key, e] : functions_) {
     all_reads_.AddAll(e.observed_reads);

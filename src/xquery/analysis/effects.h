@@ -1,9 +1,9 @@
-// Static effect analysis: per-expression and per-function read/write
-// sets over interned element/attribute names.
+// Static effect analysis: one summary per declared function of what an
+// evaluation may read, write and reach outside the page.
 //
 // A bottom-up abstract interpretation computes, for every declared
-// function (fixpoint over the call graph, like the purity fixpoints)
-// and for the module body, which QName tokens an evaluation may touch:
+// function (a fixpoint over the call graph) and for the module body,
+// which QName tokens an evaluation may touch:
 //
 //   child_reads   names examined structurally — a path step naming N
 //                 reads N nodes' existence, names and child lists.
@@ -24,8 +24,13 @@
 // grow during the fixpoint, and the name alphabet of a module is
 // finite, so recursion converges without widening.
 //
-// Consumers: delta-skip dispatch (the plug-in intersects each DOM
-// delta's touched names with memoized listeners' read sets) and lints
+// The same fixpoint carries four facts about the world outside the
+// page DOM (see Effects): host observation, outside reads, fabric
+// writes and the static fetch URLs.
+//
+// Consumers: the plug-in's per-listener record (memoizable, apply-pass
+// skip, delta-skip read names, listener scatter), the evaluator's FLWOR
+// scatter (fabric safety), the plan compiler's [pure] label, and lints
 // XQSA034/035/036.
 
 #ifndef XQIB_XQUERY_ANALYSIS_EFFECTS_H_
@@ -74,16 +79,41 @@ struct Effects {
   // written names against this set, not the full read set.
   EffectSet observed_reads;
   // Performs updates / observable host mutation (XQUF primitives,
-  // global assignment, event registry or style mutation, fn:put).
+  // global assignment, event registry or style mutation, fn:put, BOM
+  // mutators, unknown code).
   bool has_update = false;
-  // Calls browser:prompt/confirm — blocks on user input, so the body
-  // can never leave the event-loop thread regardless of its sets.
-  bool interacts = false;
+  // Shows the user something or asks them: browser:alert, prompt,
+  // confirm and fn:trace.
+  bool observes_host = false;
+  // Reads state that is neither the page DOM nor the event: a global
+  // that some `set`/`:=` assigns, fn:current-dateTime/-date/-time,
+  // fn:doc, http:*, BOM access, and imported or unknown code.
+  bool reads_outside = false;
+  // May write the HTTP fabric, or run code that might: http:put, fn:put,
+  // the other http:* extensions, event triggers, imported or unknown
+  // code, body-less declarations, and browser:* other than the three
+  // dialogs.
+  bool writes_fabric = false;
+  // URLs of the http:get / http:get-text calls whose argument is a
+  // literal or a concat of literals, deduplicated, in discovery order:
+  // depth first in ForEachSubExpr order, a call's arguments before its
+  // callee's URLs.
+  std::vector<std::string> fetch_urls;
 
+  // No update: a call leaves the DOM, the BOM and the globals as found.
+  bool pure() const { return !has_update; }
+  // Pure, observes nothing on the host and reads nothing outside the
+  // page: the result is a function of the document and the event, so
+  // the plug-in may replay it from its memo.
+  bool memoizable() const {
+    return !has_update && !observes_host && !reads_outside;
+  }
   // The public ReadSet: everything a cached result may depend on.
   bool reads_top() const { return child_reads.top || value_reads.top; }
   // child_reads ∪ value_reads as a materialized set (empty when ⊤).
   std::vector<const xml::InternedName*> ReadNames() const;
+  // Appends `url` unless present; returns true when it was new.
+  bool AddFetchUrl(const std::string& url);
   // Union; returns true when anything changed.
   bool MergeFrom(const Effects& other);
   bool operator==(const Effects& other) const;
@@ -109,6 +139,7 @@ bool ReadSetIntersectsWrites(
 // Deterministic rendering (names sorted lexicographically, not by
 // interning order) for `xq_lint --effects` and tests, e.g.
 //   reads={item @v} writes={entry loga} scope={body entry html loga}
+//   updating writes-fabric fetches=[http://a/x]
 std::string RenderEffectSet(const EffectSet& set);
 std::string RenderEffects(const Effects& effects);
 
@@ -124,10 +155,6 @@ class EffectAnalysis {
   const std::map<std::string, Effects>& function_effects() const {
     return functions_;
   }
-  const Effects* ForFunction(const std::string& key) const;
-
-  // Effects of the analyzed module's main body.
-  const Effects& body_effects() const { return body_effects_; }
 
   // Union of every OBSERVING read performed anywhere — all module
   // bodies plus all declared functions, excluding update-target
@@ -137,7 +164,7 @@ class EffectAnalysis {
 
   // Effects of a single expression under the computed function
   // summaries (no parameter context: free variables are treated as
-  // locals). Used by the analyzer for update sites and attach targets.
+  // locals). Used by the analyzer for update sites.
   Effects ExprEffects(const Expr& e) const;
 
  private:
@@ -155,9 +182,16 @@ class EffectAnalysis {
   // service-import namespaces (calls evaluate against the remote store).
   std::set<std::string> declared_ns_;
   std::set<std::string> imported_ns_;
-  Effects body_effects_;
   EffectSet all_reads_;
 };
+
+// Effects of one expression under summaries computed earlier (an
+// AnalysisFacts::function_effects map), for a caller that holds the
+// facts but not the analysis: the evaluator asks whether a FLWOR may
+// write the fabric before it scatters the loop's fetches. A call with
+// no summary counts as unknown code.
+Effects ExprEffects(const Expr& e,
+                    const std::map<std::string, Effects>& functions);
 
 }  // namespace xqib::xquery::analysis
 

@@ -2,8 +2,9 @@
 //   * inferred cardinalities, keyed by AST node, consumed by the
 //     optimizer so cardinality/positional rewrites can fire on inferred
 //     (not just syntactic) singletons;
-//   * purity classification of declared functions, consumed by the
-//     plug-in's event loop to skip re-render work after pure listeners.
+//   * one effect summary per declared function (effects.h), from which
+//     the plug-in reads each listener's class (pure, memoizable), read
+//     names and fetch URLs, and the evaluator a FLWOR's fabric safety.
 //
 // Keys are `const Expr*`: the bottom-up rewriter only replaces nodes it
 // folds, so surviving nodes keep stable addresses while the optimizer
@@ -17,7 +18,6 @@
 #include <map>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "xquery/analysis/effects.h"
 
@@ -43,20 +43,9 @@ struct AnalysisFacts {
   // Cardinality per analyzed expression node.
   std::unordered_map<const Expr*, Cardinality> cardinality;
 
-  // Functions (keyed "Clark#arity") whose bodies provably do not mutate
-  // the DOM/BOM: no updates, no assignments, no style writes, no event
-  // re-wiring, no calls into unknown external code.
-  std::unordered_set<std::string> pure_functions;
-
-  // The subset of pure_functions additionally free of any OBSERVABLE
-  // host interaction (browser:alert/prompt/confirm, fn:trace). A pure
-  // listener may still pop an alert box on every event; only functions
-  // in this set may be served from the plug-in's memo cache without
-  // re-running them.
-  std::unordered_set<std::string> memoizable_functions;
-
-  // Inferred read/write effect summaries per declared function (same
-  // keys). Ordered map so `xq_lint --effects` dumps deterministically.
+  // Effect summaries per declared function, keyed "Clark#arity"
+  // (FunctionKey). Ordered map so `xq_lint --effects` dumps
+  // deterministically.
   std::map<std::string, Effects> function_effects;
 
   // Union of every name read anywhere in the page's modules; ⊤ when any

@@ -98,8 +98,7 @@ std::string LintReport::ToJson() const {
   return out;
 }
 
-LintReport LintQuery(const std::string& source,
-                     const AnalyzerOptions& options) {
+LintReport LintQuery(const std::string& source) {
   LintReport report;
   LintUnit unit;
   unit.label = "query";
@@ -107,7 +106,7 @@ LintReport LintQuery(const std::string& source,
   if (!module.ok()) {
     unit.diagnostics.push_back(ParseErrorDiagnostic(module.status()));
   } else {
-    Analyzer analyzer(options);
+    Analyzer analyzer;
     AnalysisResult result = analyzer.Analyze(**module);
     unit.diagnostics = std::move(result.diagnostics);
     unit.effects = EffectLines(result.facts);
@@ -116,8 +115,7 @@ LintReport LintQuery(const std::string& source,
   return report;
 }
 
-Result<LintReport> LintXhtml(const std::string& page_source,
-                             const AnalyzerOptions& options) {
+Result<LintReport> LintXhtml(const std::string& page_source) {
   XQ_ASSIGN_OR_RETURN(std::unique_ptr<xml::Document> doc,
                       xml::ParseDocument(page_source));
   LintReport report;
@@ -153,7 +151,7 @@ Result<LintReport> LintXhtml(const std::string& page_source,
     unit.label = parsed[i].label;
     unit.diagnostics = std::move(parsed[i].parse_errors);
     if (parsed[i].module != nullptr) {
-      Analyzer analyzer(options);
+      Analyzer analyzer;
       for (size_t j = 0; j < parsed.size(); ++j) {
         if (j != i && parsed[j].module != nullptr) {
           analyzer.AddContextModule(*parsed[j].module);
@@ -181,7 +179,7 @@ Result<LintReport> LintXhtml(const std::string& page_source,
     if (!module.ok()) {
       unit.diagnostics.push_back(ParseErrorDiagnostic(module.status()));
     } else {
-      Analyzer analyzer(options);
+      Analyzer analyzer;
       for (const ParsedScript& p : parsed) {
         if (p.module != nullptr) analyzer.AddContextModule(*p.module);
       }

@@ -20,9 +20,9 @@ struct LintUnit {
   std::string label;   // "script 1", "onclick handler on <input>", ...
   std::vector<Diagnostic> diagnostics;
   // Deterministic effect-summary lines from the analyzer's effect pass
-  // ("local:render#1: reads={item} writes={} scope={} pure"), one per
-  // declared function plus a page-wide read-set line. Rendered by
-  // xq_lint --effects.
+  // ("local:render#1: reads={item} writes={} scope={} pure memoizable"),
+  // one per declared function plus a page-wide read-set line. Rendered
+  // by xq_lint --effects.
   std::vector<std::string> effects;
 };
 
@@ -41,14 +41,11 @@ struct LintReport {
 
 // Lints a standalone XQuery module (one unit labeled "query").
 // Parse/lex failures are reported as an error diagnostic, not a Status.
-LintReport LintQuery(const std::string& source,
-                     const AnalyzerOptions& options = AnalyzerOptions());
+LintReport LintQuery(const std::string& source);
 
 // Lints every XQuery script and inline handler of an XHTML page.
 // Returns a Status error only when the page itself is not parseable XML.
-Result<LintReport> LintXhtml(const std::string& page_source,
-                             const AnalyzerOptions& options =
-                                 AnalyzerOptions());
+Result<LintReport> LintXhtml(const std::string& page_source);
 
 }  // namespace xqib::xquery::analysis
 

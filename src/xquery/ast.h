@@ -262,6 +262,53 @@ struct Expr {
 
 ExprPtr MakeExpr(ExprKind kind);
 
+namespace ast_internal {
+template <typename Fn>
+void ForEachDirectSubExpr(const DirectNode& d, const Fn& fn) {
+  if (d.expr) fn(*d.expr);
+  for (const DirectNode::Attr& attr : d.attrs) {
+    for (const DirectNode::AttrPart& part : attr.parts) {
+      if (part.expr) fn(*part.expr);
+    }
+  }
+  for (const auto& child : d.children) ForEachDirectSubExpr(*child, fn);
+}
+
+template <typename Fn>
+void ForEachFtSubExpr(const FtSelection& ft, const Fn& fn) {
+  if (ft.words) fn(*ft.words);
+  for (const auto& kid : ft.kids) ForEachFtSubExpr(*kid, fn);
+}
+}  // namespace ast_internal
+
+// Calls `fn` on every direct sub-expression of `e`, in this order: kids,
+// filter predicates, each step's predicates then expression, clause
+// bindings, where, order keys, full-text words, constructor parts.
+template <typename Fn>
+void ForEachSubExpr(const Expr& e, const Fn& fn) {
+  for (const ExprPtr& kid : e.kids) {
+    if (kid) fn(*kid);
+  }
+  for (const ExprPtr& pred : e.predicates) {
+    if (pred) fn(*pred);
+  }
+  for (const Step& step : e.steps) {
+    for (const ExprPtr& pred : step.predicates) {
+      if (pred) fn(*pred);
+    }
+    if (step.expr) fn(*step.expr);
+  }
+  for (const Clause& clause : e.clauses) {
+    if (clause.expr) fn(*clause.expr);
+  }
+  if (e.where) fn(*e.where);
+  for (const OrderSpec& spec : e.order_specs) {
+    if (spec.key) fn(*spec.key);
+  }
+  if (e.ft) ast_internal::ForEachFtSubExpr(*e.ft, fn);
+  if (e.direct) ast_internal::ForEachDirectSubExpr(*e.direct, fn);
+}
+
 // Parameter of a user-declared function.
 struct Param {
   xml::QName name;

@@ -80,7 +80,7 @@ Result<std::unique_ptr<CompiledQuery>> Engine::Compile(
     std::string_view source, const CompileOptions& options) {
   XQ_ASSIGN_OR_RETURN(std::unique_ptr<Module> module, ParseModule(source));
   // Imports are resolved before analysis so imported declarations are
-  // visible to the scope pass and the purity fixpoint.
+  // visible to the scope pass and the effect fixpoint.
   StaticContext sctx;
   std::vector<const Module*> imported;
   for (const Module::Import& imp : module->imports) {
@@ -93,7 +93,7 @@ Result<std::unique_ptr<CompiledQuery>> Engine::Compile(
   }
   analysis::AnalysisResult analyzed;
   if (options.analyze) {
-    analysis::Analyzer analyzer(options.analyzer);
+    analysis::Analyzer analyzer;
     for (const Module* lib : imported) analyzer.AddContextModule(*lib);
     analyzed = analyzer.Analyze(*module);
     if (options.strict && analyzed.has_errors()) {
@@ -110,7 +110,6 @@ Result<std::unique_ptr<CompiledQuery>> Engine::Compile(
       std::move(module), std::move(sctx), std::move(imported)));
   compiled->optimizer_stats_ = stats;
   compiled->diagnostics_ = std::move(analyzed.diagnostics);
-  compiled->pure_functions_ = analyzed.facts.pure_functions;
   if (options.analyze) {
     // Retained for plan specialization: cardinality entries key on AST
     // nodes, so only the ones whose nodes survived the optimizer still

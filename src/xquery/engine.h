@@ -10,7 +10,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "base/result.h"
@@ -34,7 +33,6 @@ struct CompileOptions {
   // failures; the plug-in and xq_lint use that mode.
   bool analyze = true;
   bool strict = false;
-  analysis::AnalyzerOptions analyzer;
 };
 
 // A compiled main module plus its resolved static context.
@@ -61,14 +59,9 @@ class CompiledQuery {
   const OptimizerStats& optimizer_stats() const { return optimizer_stats_; }
 
   // Static-analysis output. Diagnostics include warnings/infos even in
-  // lenient mode; pure_functions lists declared functions ("Clark#arity")
-  // whose bodies provably do not mutate the DOM/BOM — the plug-in event
-  // loop uses this to skip re-render work after pure listeners.
+  // lenient mode.
   const std::vector<analysis::Diagnostic>& diagnostics() const {
     return diagnostics_;
-  }
-  const std::unordered_set<std::string>& pure_functions() const {
-    return pure_functions_;
   }
 
  private:
@@ -83,14 +76,13 @@ class CompiledQuery {
   std::unique_ptr<Module> module_;
   StaticContext sctx_;
   std::vector<const Module*> imported_;  // for global binding order
+  // Holds the full AnalysisFacts (Evaluator::set_analysis_facts) for
+  // compiled-plan specialization and the FLWOR scatter; cardinality
+  // entries key on AST nodes, so only facts whose nodes survived the
+  // optimizer still resolve.
   Evaluator evaluator_;
   OptimizerStats optimizer_stats_;
   std::vector<analysis::Diagnostic> diagnostics_;
-  // The full AnalysisFacts are retained on the evaluator (shared_ptr,
-  // see Evaluator::set_analysis_facts) for compiled-plan specialization;
-  // cardinality entries key on AST nodes, so only facts whose nodes
-  // survived the optimizer still resolve.
-  std::unordered_set<std::string> pure_functions_;
 };
 
 // Compiles queries and holds registered library modules (importable by

@@ -124,7 +124,12 @@ void AxisNodes(Axis axis, xml::Node* node, std::vector<xml::Node*>* out) {
     }
     case Axis::kFollowing: {
       // All nodes after this one in document order, minus descendants.
+      // An attribute comes before its owner's children.
       xml::Node* n = node;
+      if (node->is_attribute() && node->parent() != nullptr) {
+        n = node->parent();
+        CollectDescendants(n, out);
+      }
       while (n != nullptr) {
         xml::Node* parent = n->parent();
         if (parent != nullptr && !n->is_attribute()) {
@@ -1672,7 +1677,7 @@ void Evaluator::MaybeScatterFlwor(const Expr& e, DynamicContext& ctx) {
   auto it = scatter_plan_cache_.find(&e);
   if (it == scatter_plan_cache_.end()) {
     auto plan = std::make_shared<federation::FlworScatterPlan>(
-        federation::AnalyzeFlworScatter(e, sctx_));
+        federation::AnalyzeFlworScatter(e, facts_.get()));
     // The scatter pre-evaluates the binding (the tuple loop evaluates it
     // again), so it must be provably free of effects and focus tricks.
     if (plan->applicable && !ScatterSafe(*plan->binding)) {
@@ -2134,6 +2139,13 @@ Status Evaluator::AppendContent(const Sequence& content, xml::Node* parent,
         if (!parent->is_element()) {
           return Status::TypeError(
               "attribute node in non-element content");
+        }
+        if (parent->FindAttribute(n->name().ns(), n->name().local()) !=
+            nullptr) {
+          return Status::DynamicError(
+              "XQDY0025", "attribute " + n->name().Lexical() +
+                              " appears twice on <" +
+                              parent->name().Lexical() + ">");
         }
         parent->SetAttribute(n->name(), n->value());
         continue;

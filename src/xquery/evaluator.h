@@ -120,10 +120,12 @@ class Evaluator {
   // descendant path (TryFastCount; the plan compiler's count.indexed).
   static bool IsFastCountPath(const Expr& e);
 
-  // Analyzer facts (type/cardinality/purity) used to specialize plan
-  // compilation. Optional: without them plans still compile, just
-  // without the fact-driven opcode specializations. Shared ownership:
-  // the plug-in's page context and its evaluator hold one facts object.
+  // Analyzer facts (cardinalities, effect summaries) used to specialize
+  // plan compilation and to prove a FLWOR's scatter fabric-safe.
+  // Optional: without them plans still compile, just without the
+  // fact-driven opcode specializations, and no FLWOR that calls a
+  // declared function scatters. Shared ownership: the plug-in's page
+  // context and its evaluator hold one facts object.
   void set_analysis_facts(
       std::shared_ptr<const analysis::AnalysisFacts> facts) {
     facts_ = std::move(facts);
@@ -262,9 +264,8 @@ class Evaluator {
   Counters* counters_;
   std::unordered_map<const Expr*, bool> needs_last_cache_;
   std::unordered_map<const Expr*, bool> scatter_safe_cache_;
-  // Memoized federation::AnalyzeFlworScatter results (the analysis walks
-  // the whole call graph under the FLWOR; dispatch re-enters the same
-  // listener bodies every event).
+  // Memoized federation::AnalyzeFlworScatter results (dispatch re-enters
+  // the same listener bodies every event).
   std::unordered_map<const Expr*,
                      std::shared_ptr<const federation::FlworScatterPlan>>
       scatter_plan_cache_;

@@ -1,12 +1,11 @@
 #include "xquery/federation.h"
 
-#include <unordered_set>
+#include "xquery/analysis/effects.h"
+#include "xquery/analysis/facts.h"
 
 namespace xqib::xquery::federation {
 
 namespace {
-
-constexpr int kMaxCallDepth = 32;
 
 bool IsHttpGet(const Expr& e) {
   return e.kind == ExprKind::kFunctionCall && e.kids.size() == 1 &&
@@ -18,121 +17,6 @@ bool IsFnConcat(const Expr& e) {
   return e.kind == ExprKind::kFunctionCall &&
          e.qname.ns() == xml::kFnNamespace && e.qname.local() == "concat";
 }
-
-// Applies `fn` to every direct sub-expression of `e` (all kinds).
-template <typename Fn>
-void ForEachChildImpl(const DirectNode& d, const Fn& fn) {
-  if (d.expr) fn(*d.expr);
-  for (const auto& attr : d.attrs) {
-    for (const auto& part : attr.parts) {
-      if (part.expr) fn(*part.expr);
-    }
-  }
-  for (const auto& child : d.children) ForEachChildImpl(*child, fn);
-}
-
-template <typename Fn>
-void ForEachFtImpl(const FtSelection& ft, const Fn& fn) {
-  if (ft.words) fn(*ft.words);
-  for (const auto& kid : ft.kids) ForEachFtImpl(*kid, fn);
-}
-
-template <typename Fn>
-void ForEachChild(const Expr& e, const Fn& fn) {
-  for (const auto& kid : e.kids) {
-    if (kid) fn(*kid);
-  }
-  for (const auto& pred : e.predicates) {
-    if (pred) fn(*pred);
-  }
-  for (const auto& step : e.steps) {
-    for (const auto& pred : step.predicates) {
-      if (pred) fn(*pred);
-    }
-    if (step.expr) fn(*step.expr);
-  }
-  for (const auto& clause : e.clauses) {
-    if (clause.expr) fn(*clause.expr);
-  }
-  if (e.where) fn(*e.where);
-  for (const auto& spec : e.order_specs) {
-    if (spec.key) fn(*spec.key);
-  }
-  if (e.ft) ForEachFtImpl(*e.ft, fn);
-  if (e.direct) ForEachChildImpl(*e.direct, fn);
-}
-
-// The shared reachability walk: collects static GET URLs, recursing into
-// user-declared callees, and flags any reachable fabric write.
-struct Collector {
-  const StaticContext* sctx;
-  std::unordered_set<const FunctionDecl*> visiting;
-  std::unordered_set<std::string> seen;
-  std::vector<std::string> urls;
-  bool safe = true;
-
-  void Walk(const Expr& e, int depth) {
-    if (!safe) return;
-    if (depth > kMaxCallDepth) {
-      safe = false;
-      return;
-    }
-    if (e.kind == ExprKind::kEventTrigger) {
-      // Triggers run attached listeners synchronously — arbitrary code.
-      safe = false;
-      return;
-    }
-    if (e.kind == ExprKind::kFunctionCall) {
-      const std::string& ns = e.qname.ns();
-      const std::string& local = e.qname.local();
-      if (ns == xml::kHttpNamespace) {
-        if (local == "put") {
-          safe = false;
-          return;
-        }
-        if (IsHttpGet(e)) {
-          std::string url;
-          if (StaticStringValue(*e.kids[0], &url) && seen.insert(url).second) {
-            urls.push_back(std::move(url));
-          }
-          // A dynamic URL is still just a read; keep walking the arg.
-          Walk(*e.kids[0], depth);
-          return;
-        }
-        safe = false;  // unknown http:* extension
-        return;
-      }
-      if (ns == xml::kFnNamespace) {
-        if (local == "put") {
-          safe = false;
-          return;
-        }
-        ForEachChild(e, [&](const Expr& kid) { Walk(kid, depth); });
-        return;
-      }
-      if (ns == xml::kXsNamespace) {
-        ForEachChild(e, [&](const Expr& kid) { Walk(kid, depth); });
-        return;
-      }
-      const FunctionDecl* decl =
-          sctx != nullptr ? sctx->FindFunction(e.qname, e.kids.size())
-                          : nullptr;
-      if (decl != nullptr && decl->body != nullptr) {
-        ForEachChild(e, [&](const Expr& kid) { Walk(kid, depth); });
-        if (visiting.insert(decl).second) {
-          Walk(*decl->body, depth + 1);
-          visiting.erase(decl);
-        }
-        return;
-      }
-      // Unknown external (webservice stub, browser:*): may run arbitrary
-      // code against the fabric server-side — disqualify.
-      safe = false;
-      return;
-    }
-    ForEachChild(e, [&](const Expr& kid) { Walk(kid, depth); });
-  }
-};
 
 // Template extraction: literal fragments + the loop variable.
 bool BuildTemplate(const Expr& e, const xml::QName& loop_var,
@@ -171,23 +55,6 @@ bool StaticStringValue(const Expr& e, std::string* out) {
   return false;
 }
 
-StaticFetchPlan CollectStaticFetchUrls(const Expr& body,
-                                       const StaticContext& sctx) {
-  Collector collector;
-  collector.sctx = &sctx;
-  collector.Walk(body, 0);
-  StaticFetchPlan plan;
-  plan.safe = collector.safe;
-  if (plan.safe) plan.urls = std::move(collector.urls);
-  return plan;
-}
-
-StaticFetchPlan CollectListenerFetchUrls(const FunctionDecl& fn,
-                                         const StaticContext& sctx) {
-  if (fn.body == nullptr) return StaticFetchPlan{};
-  return CollectStaticFetchUrls(*fn.body, sctx);
-}
-
 std::string InstantiateUrl(const UrlTemplate& t,
                            const std::string& var_value) {
   std::string url;
@@ -207,14 +74,14 @@ bool ContainsFabricCall(const Expr& e) {
     return true;
   }
   bool found = false;
-  ForEachChild(e, [&](const Expr& kid) {
+  ForEachSubExpr(e, [&](const Expr& kid) {
     if (!found) found = ContainsFabricCall(kid);
   });
   return found;
 }
 
 FlworScatterPlan AnalyzeFlworScatter(const Expr& flwor,
-                                     const StaticContext& sctx) {
+                                     const analysis::AnalysisFacts* facts) {
   FlworScatterPlan plan;
   if (flwor.kind != ExprKind::kFLWOR || flwor.clauses.size() != 1 ||
       !flwor.order_specs.empty()) {
@@ -225,12 +92,6 @@ FlworScatterPlan AnalyzeFlworScatter(const Expr& flwor,
       flwor.kids.empty() || flwor.kids[0] == nullptr) {
     return plan;
   }
-  // Nothing in the whole expression (binding included) may write the
-  // fabric, or the batch could race its own side effects.
-  Collector collector;
-  collector.sctx = &sctx;
-  collector.Walk(flwor, 0);
-  if (!collector.safe) return plan;
 
   // Find templated GET sites in the where/return.
   auto scan = [&](const Expr& e, const auto& self) -> void {
@@ -247,12 +108,22 @@ FlworScatterPlan AnalyzeFlworScatter(const Expr& flwor,
     if (e.kind == ExprKind::kFLWOR || e.kind == ExprKind::kQuantified) {
       return;
     }
-    ForEachChild(e, [&](const Expr& kid) { self(kid, self); });
+    ForEachSubExpr(e, [&](const Expr& kid) { self(kid, self); });
   };
   scan(*flwor.kids[0], scan);
   if (flwor.where) scan(*flwor.where, scan);
-
   if (plan.templates.empty()) return plan;
+
+  // Nothing in the whole expression (binding included) may write the
+  // fabric, or the batch could race its own side effects.
+  static const auto* kNoSummaries =
+      new std::map<std::string, analysis::Effects>();
+  const analysis::Effects effects = analysis::ExprEffects(
+      flwor, facts != nullptr ? facts->function_effects : *kNoSummaries);
+  if (effects.writes_fabric) {
+    plan.templates.clear();
+    return plan;
+  }
   plan.applicable = true;
   plan.binding = clause.expr.get();
   plan.loop_var = clause.var;

@@ -1,16 +1,16 @@
-// Static analysis for async federation (scatter-gather prefetch): which
-// remote GET round trips inside a listener body or FLWOR can be issued
-// as one overlapping batch before evaluation reaches them.
+// Async federation (scatter-gather prefetch): which remote GET round
+// trips inside a FLWOR can be issued as one overlapping batch before
+// evaluation reaches them.
 //
 // A prefetch is only sound when the response the future carries equals
-// the response the in-line call would have seen: the analysis therefore
-// aborts (safe=false / inapplicable) whenever anything reachable from
-// the expression can write the fabric between issue and consume —
-// http:put, fn:put, an unknown external (webservice stubs run arbitrary
-// server-side code), or a synchronous event trigger. DOM updates and
-// scripting assignments never touch the fabric and stay eligible; fn:doc
-// resolves against the in-process XmlStore, not the fabric, so it is
-// neither a hazard nor a prefetch target.
+// the response the in-line call would have seen, so nothing the
+// expression runs may write the fabric between issue and consume. The
+// effect analysis decides that (Effects::writes_fabric: http:put,
+// fn:put, unknown externals, webservice stubs, event triggers). DOM
+// updates and scripting assignments never touch the fabric and stay
+// eligible; fn:doc resolves against the in-process XmlStore, not the
+// fabric, so it is neither a hazard nor a prefetch target. A listener's
+// static URLs come from the same summaries (Effects::fetch_urls).
 
 #ifndef XQIB_XQUERY_FEDERATION_H_
 #define XQIB_XQUERY_FEDERATION_H_
@@ -19,33 +19,16 @@
 #include <vector>
 
 #include "xquery/ast.h"
-#include "xquery/context.h"
+
+namespace xqib::xquery::analysis {
+struct AnalysisFacts;
+}  // namespace xqib::xquery::analysis
 
 namespace xqib::xquery::federation {
 
 // Statically-constant string value of `e`: a string-like literal or
 // fn:concat over such. Returns false when any part is dynamic.
 bool StaticStringValue(const Expr& e, std::string* out);
-
-// The statically-known remote GETs reachable from an expression.
-struct StaticFetchPlan {
-  // False when a fabric write is reachable; urls is empty then.
-  bool safe = false;
-  // Statically-constant http:get / http:get-text URLs, deduped, in
-  // discovery order. URLs computed from runtime values are not listed
-  // (the FLWOR scatter below covers the loop-shaped ones).
-  std::vector<std::string> urls;
-};
-
-// Walks `body`, recursing into user-declared functions via `sctx`
-// (cycle-proof, bounded depth).
-StaticFetchPlan CollectStaticFetchUrls(const Expr& body,
-                                       const StaticContext& sctx);
-
-// Listener entry point: the declared function's body (external or
-// body-less declarations yield safe=false).
-StaticFetchPlan CollectListenerFetchUrls(const FunctionDecl& fn,
-                                         const StaticContext& sctx);
 
 // A URL built per tuple from literal fragments and the loop variable's
 // string value, e.g. concat("http://", $site, "/api").
@@ -61,11 +44,12 @@ struct UrlTemplate {
 std::string InstantiateUrl(const UrlTemplate& t, const std::string& var_value);
 
 // Per-tuple scatter over a FLWOR: applicable when the expression is a
-// single unordered `for` over one variable, nothing reachable writes
-// the fabric, and at least one http:get in the where/return has a URL
-// expressible as a template over that variable. The caller must still
-// prove the binding expression pure enough to evaluate twice (the
-// scatter evaluates it once ahead of the tuple loop).
+// single unordered `for` over one variable, at least one http:get in the
+// where/return has a URL expressible as a template over that variable,
+// and, under the effect summaries in `facts` (null: none), nothing the
+// FLWOR runs writes the fabric. The caller must still prove the binding
+// expression pure enough to evaluate twice (the scatter evaluates it
+// once ahead of the tuple loop).
 struct FlworScatterPlan {
   bool applicable = false;
   const Expr* binding = nullptr;
@@ -74,7 +58,7 @@ struct FlworScatterPlan {
 };
 
 FlworScatterPlan AnalyzeFlworScatter(const Expr& flwor,
-                                     const StaticContext& sctx);
+                                     const analysis::AnalysisFacts* facts);
 
 // True when the syntactic subtree contains an http:* extension call
 // (no recursion into callees). The plan compiler uses this to keep

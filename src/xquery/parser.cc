@@ -1312,6 +1312,13 @@ class ParserImpl {
     for (auto& [attr_raw, attr] : raw_attrs) {
       XQ_ASSIGN_OR_RETURN(attr.name,
                           ResolveLexical(attr_raw, NameKind::kAttribute));
+      for (const DirectNode::Attr& earlier : node->attrs) {
+        if (earlier.name == attr.name) {
+          return Status::StaticError(
+              "XQST0040", "attribute " + attr_raw + " appears twice on <" +
+                              raw_name + ">");
+        }
+      }
       node->attrs.push_back(std::move(attr));
     }
 

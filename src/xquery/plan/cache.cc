@@ -95,7 +95,7 @@ Result<std::string> DumpPlansForQuery(const std::string& source) {
   // The same pipeline a page script goes through: parse, analyze,
   // optimize with the inferred facts, register, compile.
   XQ_ASSIGN_OR_RETURN(std::unique_ptr<Module> module, ParseModule(source));
-  analysis::Analyzer analyzer{analysis::AnalyzerOptions()};
+  analysis::Analyzer analyzer;
   analysis::AnalysisResult analyzed = analyzer.Analyze(*module);
   OptimizeModule(module.get(), OptimizerOptions(), &analyzed.facts);
   StaticContext sctx;

@@ -146,9 +146,10 @@ class FunctionCompiler {
     return it != facts_->cardinality.end() && it->second.IsSingleton();
   }
   bool ProvenPure(const xml::QName& name, size_t arity) const {
-    return facts_ != nullptr &&
-           facts_->pure_functions.count(
-               analysis::AnalysisFacts::FunctionKey(name.Clark(), arity)) > 0;
+    if (facts_ == nullptr) return false;
+    auto it = facts_->function_effects.find(
+        analysis::AnalysisFacts::FunctionKey(name.Clark(), arity));
+    return it != facts_->function_effects.end() && it->second.pure();
   }
 
   // --- fallback ---

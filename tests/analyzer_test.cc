@@ -26,11 +26,10 @@ namespace {
 
 using browser::Window;
 
-AnalysisResult Analyze(const std::string& query,
-                       AnalyzerOptions options = AnalyzerOptions()) {
+AnalysisResult Analyze(const std::string& query) {
   auto module = ParseModule(query);
   EXPECT_TRUE(module.ok()) << module.status().ToString();
-  Analyzer analyzer(options);
+  Analyzer analyzer;
   return analyzer.Analyze(**module);
 }
 
@@ -207,12 +206,16 @@ TEST(PurityPass, ClassifiesFunctions) {
   ASSERT_TRUE(module.ok());
   Analyzer analyzer;
   AnalysisResult r = analyzer.Analyze(**module);
-  const auto& pure = r.facts.pure_functions;
-  const char* kLocal = "{http://www.w3.org/2005/xquery-local-functions}";
-  EXPECT_EQ(pure.count(std::string(kLocal) + "pure#1"), 1u);
-  EXPECT_EQ(pure.count(std::string(kLocal) + "calls-pure#0"), 1u);
-  EXPECT_EQ(pure.count(std::string(kLocal) + "mutates#0"), 0u);
-  EXPECT_EQ(pure.count(std::string(kLocal) + "calls-mutator#0"), 0u);
+  auto pure = [&r](const std::string& name) {
+    auto it = r.facts.function_effects.find(
+        "{http://www.w3.org/2005/xquery-local-functions}" + name);
+    EXPECT_NE(it, r.facts.function_effects.end()) << name;
+    return it != r.facts.function_effects.end() && it->second.pure();
+  };
+  EXPECT_TRUE(pure("pure#1"));
+  EXPECT_TRUE(pure("calls-pure#0"));
+  EXPECT_FALSE(pure("mutates#0"));
+  EXPECT_FALSE(pure("calls-mutator#0"));
 }
 
 // --------------------------------------------------------- lint pass ---

@@ -259,6 +259,15 @@ std::vector<Pinned> PathForms() {
       {"every $i in //item satisfies $i/@v >= 0",
        Quantified(true, For("i", item),
                   Compare(AttrOf("i", "v"), ">=", Int(0)))},
+      // An attribute precedes its owner's children in document order.
+      {"count((//sec)[1]/@id/following::item)",
+       Call("count",
+            {From(Sec(1), {Attr("id"), Named(Axis::kFollowing, "item")})})},
+      {"string-join((//item)[1]/@v/following::item/@v, ' ')",
+       Call("string-join",
+            {From(Filter(item, {Int(1)}),
+                  {Attr("v"), Named(Axis::kFollowing, "item"), Attr("v")}),
+             Str(" ")})},
   };
 }
 

@@ -202,6 +202,169 @@ TEST(EffectInference, RootAnchoredTargetScopeIsAncestorChain) {
   EXPECT_TRUE(e.write_scope.Contains(N("loga")));
 }
 
+// ------------------------------------------- facts outside the DOM ---
+
+// The class a summary puts a function in, one letter per fact:
+// u(pdating), h(ost), o(utside read), f(abric write), m(emoizable).
+std::string Facts(const Effects& e) {
+  std::string out;
+  if (e.has_update) out += "u";
+  if (e.observes_host) out += "h";
+  if (e.reads_outside) out += "o";
+  if (e.writes_fabric) out += "f";
+  if (e.memoizable()) out += "m";
+  return out;
+}
+
+std::string BodyFacts(const std::string& body) {
+  AnalysisResult r =
+      Analyze("declare function local:f() { " + body + " };\n1");
+  return Facts(FunctionEffects(r, "f", 0));
+}
+
+TEST(EffectFacts, DomReadsAloneAreMemoizable) {
+  EXPECT_EQ(BodyFacts("count(//item)"), "m");
+  EXPECT_EQ(BodyFacts("copy $c := <a/> modify insert node <b/> into $c "
+                      "return count($c/b)"),
+            "m");
+}
+
+TEST(EffectFacts, HostObservation) {
+  EXPECT_EQ(BodyFacts("browser:alert('x')"), "h");
+  EXPECT_EQ(BodyFacts("browser:prompt('x')"), "h");
+  EXPECT_EQ(BodyFacts("browser:confirm('x')"), "h");
+  EXPECT_EQ(BodyFacts("trace(1, 'x')"), "h");
+}
+
+TEST(EffectFacts, OutsideReads) {
+  EXPECT_EQ(BodyFacts("current-dateTime()"), "o");
+  EXPECT_EQ(BodyFacts("current-date()"), "o");
+  EXPECT_EQ(BodyFacts("current-time()"), "o");
+  EXPECT_EQ(BodyFacts("doc('x.xml')"), "o");
+  EXPECT_EQ(BodyFacts("http:get('http://a/x')"), "o");
+  EXPECT_EQ(BodyFacts("http:get-text('http://a/x')"), "o");
+  // BOM access reads the browser and counts as a fabric write.
+  EXPECT_EQ(BodyFacts("browser:self()"), "of");
+  // A BOM mutator also updates.
+  EXPECT_EQ(BodyFacts("browser:windowOpen('http://a/')"), "uof");
+}
+
+TEST(EffectFacts, AssignedGlobalIsAnOutsideRead) {
+  AnalysisResult r = Analyze(
+      "declare variable $n := 0;\n"
+      "declare variable $k := 0;\n"
+      "declare sequential function local:bump() { set $n := $n + 1 };\n"
+      "declare function local:count() { $n };\n"
+      "declare function local:constant() { $k };\n"
+      "declare function local:param($n) { $n };\n"
+      "1");
+  EXPECT_EQ(Facts(FunctionEffects(r, "bump", 0)), "uo");
+  EXPECT_EQ(Facts(FunctionEffects(r, "count", 0)), "o");
+  EXPECT_EQ(Facts(FunctionEffects(r, "constant", 0)), "m");
+  // A parameter that shares an assigned global's name is not the global.
+  EXPECT_EQ(Facts(FunctionEffects(r, "param", 1)), "m");
+}
+
+TEST(EffectFacts, UnassignedGlobalCarriesOnlyItsDomReads) {
+  // The initializer ran once, at page load: a reference reads the names
+  // it read, but does not fetch, read the clock, observe the host or
+  // write the fabric again.
+  AnalysisResult r = Analyze(
+      "declare variable $g := (//item, http:get('http://a/g'),\n"
+      "  current-time(), trace(1, 't'), http:put('http://a/p', <x/>));\n"
+      "declare function local:use() { $g };\n"
+      "1");
+  Effects e = FunctionEffects(r, "use", 0);
+  EXPECT_EQ(Facts(e), "m");
+  EXPECT_TRUE(e.child_reads.Contains(N("item")));
+  EXPECT_TRUE(e.fetch_urls.empty());
+}
+
+TEST(EffectFacts, FabricWrites) {
+  EXPECT_EQ(BodyFacts("http:put('http://a/x', <x/>)"), "of");
+  EXPECT_EQ(BodyFacts("http:post('http://a/x', <x/>)"), "of");
+  EXPECT_EQ(BodyFacts("put(<x/>, 'x.xml')"), "uf");
+  EXPECT_EQ(BodyFacts("trigger event 'onclick' at //input"), "uf");
+  AnalysisResult r = Analyze(
+      "declare namespace ext = \"http://ext.example.com\";\n"
+      "declare function local:f() { ext:call() };\n1");
+  EXPECT_EQ(Facts(FunctionEffects(r, "f", 0)), "uof");  // unknown code
+  // Attaching a listener updates the registry but writes no fabric.
+  EXPECT_EQ(BodyFacts("on event 'onclick' at //input attach listener "
+                      "local:f"),
+            "u");
+}
+
+TEST(EffectFacts, ImportedAndBodilessCodeIsUnknown) {
+  AnalysisResult r = Analyze(
+      "import module namespace svc = \"http://svc.example.com\";\n"
+      "declare function local:ext() external;\n"
+      "declare function local:remote() { svc:lookup(1) };\n"
+      "declare function local:calls-ext() { local:ext() };\n"
+      "1");
+  // A web-service call evaluates against the remote store: no DOM
+  // effect, but it reads and may write outside the page.
+  EXPECT_EQ(Facts(FunctionEffects(r, "remote", 0)), "of");
+  EXPECT_EQ(Facts(FunctionEffects(r, "ext", 0)), "uof");
+  EXPECT_EQ(Facts(FunctionEffects(r, "calls-ext", 0)), "uof");
+}
+
+TEST(EffectFacts, FactsFlowThroughCallsAndRecursion) {
+  AnalysisResult r = Analyze(
+      "declare function local:a($n) { if ($n) then local:b() else () };\n"
+      "declare function local:b() { local:a(()), browser:alert('x') };\n"
+      "declare function local:c() { local:a(1), http:put('http://a', 1) };\n"
+      "1");
+  EXPECT_EQ(Facts(FunctionEffects(r, "a", 1)), "h");
+  EXPECT_EQ(Facts(FunctionEffects(r, "b", 0)), "h");
+  EXPECT_EQ(Facts(FunctionEffects(r, "c", 0)), "hof");
+}
+
+TEST(EffectFacts, StaticFetchUrlsInDiscoveryOrder) {
+  // Depth first in ForEachSubExpr order: a FLWOR's return before its
+  // binding, a call's arguments before the callee's own URLs, a callee
+  // declared after its caller included. Dynamic URLs are not listed;
+  // repeats are listed once.
+  AnalysisResult r = Analyze(
+      "declare function local:go($e, $o) {\n"
+      "  for $x in http:get('http://a/bind')\n"
+      "  return (http:get(concat('http://a/', 'ret')),\n"
+      "          local:helper(http:get('http://a/arg')),\n"
+      "          http:get(string($x)), http:get('http://a/bind'))\n"
+      "};\n"
+      "declare function local:helper($v) { http:get-text('http://a/help') };\n"
+      "1");
+  Effects e = FunctionEffects(r, "go", 2);
+  EXPECT_EQ(e.fetch_urls,
+            (std::vector<std::string>{"http://a/ret", "http://a/arg",
+                                      "http://a/help", "http://a/bind"}));
+  EXPECT_FALSE(e.writes_fabric);
+  EXPECT_EQ(RenderEffects(FunctionEffects(r, "helper", 1)),
+            "reads={} writes={} scope={} pure reads-outside "
+            "fetches=[http://a/help]");
+}
+
+TEST(EffectFacts, ExprEffectsUnderStoredSummaries) {
+  // The evaluator's view: an expression under the function summaries of
+  // AnalysisFacts, without the analysis itself.
+  AnalysisResult r = Analyze(
+      "declare function local:w() { http:put('http://a/x', 1) };\n"
+      "declare function local:r() { http:get('http://a/x') };\n"
+      "1");
+  auto parsed = ParseModule(
+      "for $s in ('1', '2') return (local:r(), local:w())");
+  ASSERT_TRUE(parsed.ok());
+  Effects both = ExprEffects(*(*parsed)->body, r.facts.function_effects);
+  EXPECT_TRUE(both.writes_fabric);
+  EXPECT_EQ(both.fetch_urls, std::vector<std::string>{"http://a/x"});
+  auto reads = ParseModule("for $s in ('1', '2') return local:r()");
+  ASSERT_TRUE(reads.ok());
+  EXPECT_FALSE(ExprEffects(*(*reads)->body, r.facts.function_effects)
+                   .writes_fabric);
+  // Without a summary a declared call is unknown code.
+  EXPECT_TRUE(ExprEffects(*(*reads)->body, {}).writes_fabric);
+}
+
 // ----------------------------------------------------- interference ---
 
 Effects Reader(std::vector<const xml::InternedName*> child,
@@ -299,7 +462,8 @@ TEST(LintSurface, EffectsLinesPerUnit) {
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0],
             "query: " + std::string(kLocal) +
-                "render#0: reads={body html item} writes={} scope={} pure");
+                "render#0: reads={body html item} writes={} scope={} "
+                "pure memoizable");
   EXPECT_EQ(lines[1], "query: page reads: {body html item}");
 }
 

@@ -274,6 +274,7 @@ std::string FederatedMashupPage() {
 struct FederationOutcome {
   std::vector<std::string> alerts;
   std::string dom;
+  uint64_t prefetch_issued = 0;
 };
 
 FederationOutcome RunFederationScenario(bool async_federation, int clicks) {
@@ -306,6 +307,7 @@ FederationOutcome RunFederationScenario(bool async_federation, int clicks) {
   FederationOutcome out;
   out.alerts = plugin.alerts();
   out.dom = xml::Serialize(browser.top_window()->document()->root());
+  out.prefetch_issued = plugin.counters().http_prefetch_issued;
   return out;
 }
 
@@ -318,6 +320,135 @@ TEST(DispatchDeterminism, AsyncFederationIsUnobservable) {
   FederationOutcome got = RunFederationScenario(/*async_federation=*/true, 2);
   EXPECT_EQ(got.alerts, reference.alerts);
   EXPECT_EQ(got.dom, reference.dom);
+}
+
+// An alert shows the user something but writes no fabric, so local:fan
+// scatters its four literal GETs; local:loop's FLWOR scatters its four
+// templated ones.
+TEST(ListenerScatter, AlertingListenerScattersItsStaticUrls) {
+  EXPECT_EQ(RunFederationScenario(/*async_federation=*/true, 2)
+                .prefetch_issued,
+            16u);  // 2 clicks x (4 + 4)
+  EXPECT_EQ(RunFederationScenario(/*async_federation=*/false, 2)
+                .prefetch_issued,
+            0u);
+}
+
+// One listener on #btn over a fabric whose every GET under http://a/
+// answers <v>1</v> and is logged in issue order.
+class ListenerScatterTest : public ::testing::Test {
+ protected:
+  ListenerScatterTest()
+      : services_(&fabric_, &store_),
+        plugin_(&browser_, &fabric_, &services_) {
+    fabric_.SetHandler("http://a/", [this](const net::HttpRequest& req) {
+      issued_.push_back(req.method + " " + req.url);
+      return Result<net::HttpResponse>(net::HttpResponse{200, "<v>1</v>"});
+    });
+    plugin_.Install();
+  }
+
+  // Loads `functions` plus an attach of local:go and clicks once.
+  void LoadAndClick(const std::string& functions) {
+    const std::string page =
+        "<html><head><script type=\"text/xqueryp\"><![CDATA[\n" +
+        functions +
+        "on event \"onclick\" at //input[@id=\"btn\"] "
+        "attach listener local:go\n"
+        "]]></script></head><body><input id=\"btn\"/></body></html>";
+    Status st = browser_.top_window()->LoadSource(
+        "http://app.example.com/index.xhtml", page);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    xml::Node* btn = browser_.top_window()->document()->GetElementById("btn");
+    ASSERT_NE(btn, nullptr);
+    browser::Event e;
+    e.type = "onclick";
+    plugin_.FireEvent(btn, e);
+    EXPECT_TRUE(plugin_.last_script_error().ok())
+        << plugin_.last_script_error().ToString();
+  }
+
+  uint64_t issued_by_scatter() const {
+    return plugin_.counters().http_prefetch_issued;
+  }
+
+  net::HttpFabric fabric_;
+  net::XmlStore store_;
+  net::ServiceHost services_;
+  browser::Browser browser_;
+  plugin::XqibPlugin plugin_;
+  std::vector<std::string> issued_;
+};
+
+TEST_F(ListenerScatterTest, FabricWriteThroughAHelperScattersNothing) {
+  LoadAndClick(
+      "declare function local:save() { http:put(\"http://a/log\", <x/>) };\n"
+      "declare function local:go($evt, $obj) {\n"
+      "  (string(http:get(\"http://a/one\")//v), local:save())\n"
+      "};\n");
+  EXPECT_EQ(issued_by_scatter(), 0u);
+  EXPECT_EQ(issued_, (std::vector<std::string>{"GET http://a/one",
+                                               "PUT http://a/log"}));
+}
+
+TEST_F(ListenerScatterTest, FetchFortyCallsDeepScatters) {
+  std::string functions;
+  for (int i = 0; i < 40; ++i) {
+    functions += "declare function local:h" + std::to_string(i) +
+                 "() { local:h" + std::to_string(i + 1) + "() };\n";
+  }
+  functions +=
+      "declare function local:h40() { string(http:get(\"http://a/deep\")) };\n"
+      "declare function local:go($evt, $obj) { local:h0() };\n";
+  LoadAndClick(functions);
+  EXPECT_EQ(issued_by_scatter(), 1u);
+  EXPECT_EQ(plugin_.counters().http_prefetch_hits, 1u);
+  EXPECT_EQ(plugin_.last_listener_result(), "1");
+}
+
+TEST_F(ListenerScatterTest, UrlsAreIssuedInDiscoveryOrder) {
+  // Depth first: the FLWOR's return before its binding, the helper's
+  // argument before the helper's own fetch (the helper is declared after
+  // its caller), each URL once.
+  LoadAndClick(
+      "declare function local:go($evt, $obj) {\n"
+      "  string-join(\n"
+      "    for $x in http:get(\"http://a/bind\")//v\n"
+      "    return (string(http:get(concat(\"http://a/\", \"ret\"))//v),\n"
+      "            local:helper(string(http:get(\"http://a/arg\")//v)),\n"
+      "            string(http:get(\"http://a/bind\")//v)), \",\")\n"
+      "};\n"
+      "declare function local:helper($v) {\n"
+      "  concat($v, http:get-text(\"http://a/help\"))\n"
+      "};\n");
+  EXPECT_EQ(issued_by_scatter(), 4u);
+  // The four scattered GETs, then the second read of http://a/bind in
+  // line: each prefetch satisfies one consumer.
+  EXPECT_EQ(issued_, (std::vector<std::string>{
+                         "GET http://a/ret", "GET http://a/arg",
+                         "GET http://a/help", "GET http://a/bind",
+                         "GET http://a/bind"}));
+}
+
+TEST_F(ListenerScatterTest, FlworScatterAsksTheSummariesAboutHelpers) {
+  // A loop's templated GETs do not scatter when a helper it calls writes
+  // the fabric, and do when its helper does not.
+  LoadAndClick(
+      "declare function local:save() { http:put(\"http://a/log\", <x/>) };\n"
+      "declare function local:go($evt, $obj) {\n"
+      "  for $s in (\"1\", \"2\")\n"
+      "  return (http:get(concat(\"http://a/\", $s)), local:save())\n"
+      "};\n");
+  EXPECT_EQ(plugin_.counters().http_scatter_batches, 0u);
+  EXPECT_EQ(issued_by_scatter(), 0u);
+  LoadAndClick(
+      "declare function local:read($s) { string($s) };\n"
+      "declare function local:go($evt, $obj) {\n"
+      "  for $s in (\"1\", \"2\")\n"
+      "  return (local:read($s), http:get(concat(\"http://a/\", $s)))\n"
+      "};\n");
+  EXPECT_EQ(plugin_.counters().http_scatter_batches, 1u);
+  EXPECT_EQ(issued_by_scatter(), 2u);
 }
 
 // ------------------------------------------------- `behind` calls ---

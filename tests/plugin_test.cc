@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -623,6 +625,78 @@ xquery::Counters ExpectViewsAgree(app::BrowserEnvironment& env,
         << sum[i].first;
   }
   return summed;
+}
+
+// ------------------------------------------------- memo soundness ---
+
+// One page in its own environment with the memo on or off; Click returns
+// what the clicked listener answered.
+class MemoArm {
+ public:
+  MemoArm(const std::string& page, bool memo) {
+    env_.plugin().set_memo_enabled(memo);
+    Status st = env_.LoadPage("http://app.example.com/index.xhtml", page);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(env_.ScriptErrors(), "");
+  }
+  std::string Click(const std::string& id) {
+    EXPECT_TRUE(env_.ClickId(id).ok()) << id;
+    EXPECT_EQ(env_.ScriptErrors(), "");
+    return env_.plugin().last_listener_result();
+  }
+  const xquery::Counters& counters() { return env_.plugin().counters(); }
+
+ private:
+  app::BrowserEnvironment env_;
+};
+
+TEST(MemoSoundness, ListenerReadingAReassignedGlobalIsNeverReplayed) {
+  // local:read is DOM-pure, but the global it returns changes between
+  // clicks without any DOM mutation: a replay would answer 0 0 0.
+  const std::string page = R"(<html><body>
+      <input type="button" id="read" value="Read"/>
+      <input type="button" id="bump" value="Bump"/>
+      <script type="text/xqueryp">
+      declare variable $n := 0;
+      declare sequential function local:bump($evt, $obj) { set $n := $n + 1 };
+      declare function local:read($evt, $obj) { $n };
+      on event "onclick" at //input[@id="read"] attach listener local:read;
+      on event "onclick" at //input[@id="bump"] attach listener local:bump
+      </script></body></html>)";
+  MemoArm off(page, /*memo=*/false);
+  MemoArm on(page, /*memo=*/true);
+  std::vector<std::string> reads_off, reads_on;
+  for (int round = 0; round < 3; ++round) {
+    reads_off.push_back(off.Click("read"));
+    reads_on.push_back(on.Click("read"));
+    off.Click("bump");
+    on.Click("bump");
+  }
+  EXPECT_EQ(reads_off, (std::vector<std::string>{"0", "1", "2"}));
+  EXPECT_EQ(reads_on, reads_off);
+}
+
+TEST(MemoSoundness, ListenerReadingTheClockIsNeverReplayed) {
+  // current-time() has one-second resolution: 1.1 s apart, two calls
+  // always answer differently, and the memo must not repeat the first.
+  const std::string page = R"(<html><body>
+      <input type="button" id="now" value="Now"/>
+      <script type="text/xqueryp">
+      declare function local:now($evt, $obj) { string(current-time()) };
+      on event "onclick" at //input[@id="now"] attach listener local:now
+      </script></body></html>)";
+  MemoArm off(page, /*memo=*/false);
+  MemoArm on(page, /*memo=*/true);
+  std::vector<std::string> off_times = {off.Click("now")};
+  std::vector<std::string> on_times = {on.Click("now")};
+  std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+  off_times.push_back(off.Click("now"));
+  on_times.push_back(on.Click("now"));
+  EXPECT_NE(off_times[1], off_times[0]);
+  // Click for click, the memo-on run changes exactly when the reference
+  // does: it re-ran instead of replaying.
+  EXPECT_NE(on_times[1], on_times[0]);
+  EXPECT_EQ(on.counters().memo_hits, 0u);
 }
 
 TEST(CounterViews, CartDispatchesSumToTheCumulativeSet) {

@@ -1008,8 +1008,8 @@ inline std::string RandomPage(uint32_t seed, int sections) {
 // fragment), in unions and filters, under count, exists, empty, sum and
 // string-join, and bound by for ... [at] [where] return, some and every.
 //
-// Attribute steps end a path: a following:: or preceding:: step from an
-// attribute context is outside the grammar.
+// A path may continue after an attribute step: an attribute's parent is
+// its owner, and following:: from it starts with the owner's children.
 class Generator {
  public:
   explicit Generator(uint32_t seed) : state_(seed) {}
@@ -1073,8 +1073,9 @@ class Generator {
                  "note", "note", "page", "missing"});
   }
 
-  // One step (two for `//` then a step) on a random axis.
-  void AddStep(std::vector<Step>* out, int depth) {
+  // One step (two for `//` then a step) on a random axis. From an
+  // attribute, the step takes one of the axes that can reach past it.
+  void AddStep(std::vector<Step>* out, int depth, bool from_attr = false) {
     static const Axis kAxes[] = {
         Axis::kChild,            Axis::kChild,
         Axis::kChild,            Axis::kDescendant,
@@ -1085,8 +1086,12 @@ class Generator {
         Axis::kPrecedingSibling, Axis::kPrecedingSibling,
         Axis::kFollowing,        Axis::kPreceding,
     };
-    if (Rand(5) == 0) out->push_back(Dslash());  // `//` before the step
-    const Axis axis = kAxes[Rand(16)];
+    static const Axis kAttrAxes[] = {
+        Axis::kFollowing, Axis::kFollowing, Axis::kPreceding,
+        Axis::kParent,    Axis::kAncestor,  Axis::kSelf,
+    };
+    if (!from_attr && Rand(5) == 0) out->push_back(Dslash());
+    const Axis axis = from_attr ? kAttrAxes[Rand(6)] : kAxes[Rand(16)];
     if (axis == Axis::kParent && Rand(2) == 0) {
       out->push_back(Up());
       return;
@@ -1104,12 +1109,14 @@ class Generator {
     }
     out->push_back(std::move(s));
   }
-  // `n` steps, maybe ending in an attribute step.
+  // `n` steps, maybe followed by an attribute step and, sometimes, one
+  // more step from the attribute.
   std::vector<Step> Steps(uint32_t n, bool attr_end, int depth) {
     std::vector<Step> out;
     for (uint32_t k = 0; k < n; ++k) AddStep(&out, depth);
     if (attr_end && Rand(5) == 0) {
       out.push_back(Rand(4) == 0 ? Attr("") : Attr(Pick({"v", "v", "id"})));
+      if (Rand(3) == 0) AddStep(&out, depth, /*from_attr=*/true);
     }
     return out;
   }

@@ -240,6 +240,15 @@ TEST(Paths, PathFromAtomicFails) {
   EXPECT_EQ(EvalError("(1)/a"), "XPTY0019");
 }
 
+// An attribute comes after its owner and before the owner's children
+// in document order.
+TEST(Paths, FollowingAndPrecedingFromAnAttribute) {
+  const char* doc = "<r><z/><a x=\"1\"><b/></a><c/></r>";
+  EXPECT_EQ(EvalToString("/r/a/@x/following::*/name()", doc), "b c");
+  EXPECT_EQ(EvalToString("/r/a/@x/preceding::*/name()", doc), "z");
+  EXPECT_EQ(EvalToString("count(/r/a/@x/following::node())", doc), "2");
+}
+
 // StepExpr ::= FilterExpr | AxisStep: an expression step is evaluated
 // once per context node, that node being the focus.
 TEST(Paths, ExpressionSteps) {
@@ -621,6 +630,25 @@ TEST(Constructors, AdjacentAtomicsJoinWithSpace) {
   auto r = (*q)->Run(ctx);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->at(0).node()->StringValue(), "1 2 3");
+}
+
+TEST(Constructors, RepeatedAttributeNamesAreErrors) {
+  // Two same-named attributes in a direct constructor: a static error.
+  EXPECT_EQ(EvalError("<a x=\"1\" x=\"2\"/>"), "XQST0040");
+  EXPECT_EQ(EvalError("declare namespace p = \"urn:p\"; "
+                      "<a xmlns:q=\"urn:p\" p:x=\"1\" q:x=\"2\"/>"),
+            "XQST0040");
+  // Constructed content that repeats an attribute name: a dynamic one.
+  EXPECT_EQ(EvalError("<a x=\"1\">{attribute x {\"2\"}}</a>"), "XQDY0025");
+  EXPECT_EQ(EvalError("element a { attribute x {1}, attribute x {2} }"),
+            "XQDY0025");
+  EXPECT_EQ(EvalError("let $s := <s x=\"1\"/> return <a>{$s/@x, $s/@x}</a>"),
+            "XQDY0025");
+  // Distinct expanded names are fine.
+  EXPECT_EQ(EvalToString("count(<a x=\"1\">{attribute y {2}}</a>/@*)"), "2");
+  EXPECT_EQ(EvalToString("declare namespace p = \"urn:p\"; "
+                         "count(<a x=\"1\" p:x=\"2\"/>/@*)"),
+            "2");
 }
 
 TEST(Constructors, EntityEscapes) {
