@@ -143,7 +143,8 @@ int RunHttp(const std::string& args) {
 // `:sessions` — shared-substrate stats (intern pool, plan cache);
 // `:sessions <page-file> [n [events [target-id]]]` additionally hosts
 // `n` copies of the page on a demo PageServer, fires `events` clicks at
-// `target-id` per session, and dumps the per-session report.
+// `target-id` per session, and dumps the per-session report (events,
+// errors, and the documents and nodes each session still retains).
 int RunSessions(const std::string& args) {
   std::istringstream in(args);
   std::string page_file, target_id = "laptop";

@@ -11,6 +11,7 @@ void EventSystem::AddListener(xml::Node* target, const std::string& type,
     if (l.id == listener.id && l.capture == listener.capture) return;
   }
   vec.push_back(std::move(listener));
+  ++per_document_[target->document()];
 }
 
 void EventSystem::RemoveListener(xml::Node* target, const std::string& type,
@@ -18,9 +19,16 @@ void EventSystem::RemoveListener(xml::Node* target, const std::string& type,
   auto it = listeners_.find(Key{target, type});
   if (it == listeners_.end()) return;
   auto& vec = it->second;
+  const size_t before = vec.size();
   vec.erase(std::remove_if(vec.begin(), vec.end(),
                            [&](const Listener& l) { return l.id == id; }),
             vec.end());
+  const size_t removed = before - vec.size();
+  if (removed != 0) {
+    auto count = per_document_.find(target->document());
+    count->second -= removed;
+    if (count->second == 0) per_document_.erase(count);
+  }
   if (vec.empty()) listeners_.erase(it);
 }
 
@@ -71,6 +79,7 @@ size_t EventSystem::listener_count() const {
 }
 
 void EventSystem::ClearDocument(const xml::Document* doc) {
+  if (per_document_.erase(doc) == 0) return;
   for (auto it = listeners_.begin(); it != listeners_.end();) {
     if (it->first.node->document() == doc) {
       it = listeners_.erase(it);

@@ -66,6 +66,12 @@ class EventSystem {
   // Total listeners registered (diagnostics).
   size_t listener_count() const;
 
+  // True when some listener is registered on a node of `doc`. `doc` is
+  // compared, not read.
+  bool HasListenersIn(const xml::Document* doc) const {
+    return per_document_.count(doc) != 0;
+  }
+
   // Drops all listeners registered on nodes of `doc` (page unload).
   void ClearDocument(const xml::Document* doc);
 
@@ -84,6 +90,8 @@ class EventSystem {
     }
   };
   std::unordered_map<Key, std::vector<Listener>, KeyHash> listeners_;
+  // Listeners registered per target document (absent = none).
+  std::unordered_map<const xml::Document*, size_t> per_document_;
 };
 
 }  // namespace xqib::browser

@@ -121,8 +121,18 @@ void XqibPlugin::Install() {
   // Dropping the shared PageContext here makes queued async tasks
   // (behind-completions, triggers) no-ops via their weak_ptr.
   browser_->on_window_closed = [this](Window* window) {
-    pages_.erase(window);
+    DropPage(window);
+    PublishRetained();
   };
+}
+
+void XqibPlugin::DropPage(const Window* window) {
+  auto it = pages_.find(window);
+  if (it == pages_.end()) return;
+  it->second->ctx->ForEachDocument([this](const xml::Document* doc) {
+    browser_->events().ClearDocument(doc);
+  });
+  pages_.erase(it);
 }
 
 XqibPlugin::PageContext* XqibPlugin::FindPage(const Window* window) {
@@ -173,7 +183,9 @@ Status XqibPlugin::InitializePage(Window* window) {
     net::RegisterRestFunctions(page->ctx.get(), fabric_,
                                page->prefetcher.get());
   }
+  DropPage(window);
   pages_[window] = page;
+  PublishRetained();
   // Page documents always track deltas: the name index splices off them
   // and dispatch skips memoized listeners the delta provably missed.
   window->document()->set_delta_tracking(true);
@@ -279,11 +291,12 @@ Status XqibPlugin::InitializePage(Window* window) {
   xml::QName main_fn("http://www.w3.org/2005/xquery-local-functions",
                      "local", "main");
   if (page->sctx->FindFunction(main_fn, 0) != nullptr) {
-    XQ_ASSIGN_OR_RETURN(Sequence ignored,
-                        page->evaluator->CallFunction(main_fn, {}, *page->ctx));
-    (void)ignored;
+    Result<Sequence> ran =
+        page->evaluator->CallFunction(main_fn, {}, *page->ctx);
     if (page->evaluator->exited()) page->evaluator->TakeExitValue();
-    XQ_RETURN_NOT_OK(ApplyAfterRun(page.get()));
+    Status st = ran.ok() ? ApplyAfterRun(page.get()) : ran.status();
+    EndDispatch(page.get());
+    XQ_RETURN_NOT_OK(st);
   }
 
   // Inline on* handlers route to whichever engine owns them.
@@ -335,20 +348,21 @@ Status XqibPlugin::RunXQueryModule(PageContext* page,
   last_init_timing_.bind_globals_us += NowMicros() - t0;
 
   // Run the main body (registers listeners, builds the initial page).
+  // The globals and the body are one dispatch.
   t0 = NowMicros();
+  Status st;
   if (module->body != nullptr) {
     const Expr& body = *module->body;
     page->modules.push_back(std::move(module));
-    XQ_ASSIGN_OR_RETURN(Sequence ignored,
-                        page->evaluator->Eval(body, *page->ctx));
-    (void)ignored;
+    Result<Sequence> ran = page->evaluator->Eval(body, *page->ctx);
     if (page->evaluator->exited()) page->evaluator->TakeExitValue();
-    XQ_RETURN_NOT_OK(ApplyAfterRun(page));
+    st = ran.ok() ? ApplyAfterRun(page) : ran.status();
   } else {
     page->modules.push_back(std::move(module));
   }
+  EndDispatch(page);
   last_init_timing_.run_main_us += NowMicros() - t0;
-  return Status();
+  return st;
 }
 
 Status XqibPlugin::RegisterXQueryInlineHandler(PageContext* page,
@@ -396,14 +410,9 @@ Status XqibPlugin::RegisterXQueryInlineHandler(PageContext* page,
     Result<Sequence> result = page->evaluator->Eval(*body, *page->ctx);
     if (page->evaluator->exited()) page->evaluator->TakeExitValue();
     page->ctx->env().PopScope();
-    if (!result.ok()) {
-      last_script_error_ = result.status();
-      page->evaluator->ResetDispatchArena(*page->ctx);
-      return;
-    }
-    Status st = ApplyAfterRun(page.get());
+    Status st = result.ok() ? ApplyAfterRun(page.get()) : result.status();
     if (!st.ok()) last_script_error_ = st;
-    page->evaluator->ResetDispatchArena(*page->ctx);
+    EndDispatch(page.get());
   };
   browser_->events().AddListener(handler.element, type, std::move(listener));
   return Status();
@@ -411,10 +420,45 @@ Status XqibPlugin::RegisterXQueryInlineHandler(PageContext* page,
 
 Status XqibPlugin::ApplyAfterRun(PageContext* page) {
   XQ_RETURN_NOT_OK(page->evaluator->ApplyUpdates(*page->ctx));
-  for (const Browser::BomTree& tree : page->bom_trees) {
-    XQ_RETURN_NOT_OK(browser_->SyncFromBomTree(tree, page->window->url()));
+  // Only this dispatch's trees: an older tree would undo state set since
+  // (by MiniJS, or by a later tree).
+  for (size_t i = page->bom_current; i < page->bom_trees.size(); ++i) {
+    XQ_RETURN_NOT_OK(
+        browser_->SyncFromBomTree(page->bom_trees[i], page->window->url()));
   }
   return Status();
+}
+
+void XqibPlugin::EndDispatch(PageContext* page) {
+  page->evaluator->ResetDispatchArena(*page->ctx);
+  // A navigation during the dispatch replaced the page (or its window
+  // closed): the old context dies whole with its last reference.
+  if (FindPage(page->window) != page) return;
+  page->ctx->ReleaseUnreached([&](xquery::DocumentMarks& marks) {
+    for (const auto& [hold, values] : page->held) {
+      for (const Sequence& value : values) marks.Mark(value);
+    }
+    marks.MarkHeld([this](const xml::Document* doc) {
+      return browser_->events().HasListenersIn(doc);
+    });
+  });
+  // The dispatch's trees retire: a tree whose document survived still
+  // resolves window nodes, but is never synced again.
+  std::erase_if(page->bom_trees, [page](const Browser::BomTree& tree) {
+    return tree.root == nullptr || !page->ctx->OwnsNode(tree.root);
+  });
+  page->bom_current = page->bom_trees.size();
+  PublishRetained();
+}
+
+void XqibPlugin::PublishRetained() {
+  uint64_t documents = 0, nodes = 0;
+  for (const auto& [window, page] : pages_) {
+    documents += page->ctx->owned_documents();
+    nodes += page->ctx->owned_nodes();
+  }
+  retained_documents_ = documents;
+  retained_nodes_ = nodes;
 }
 
 void XqibPlugin::PropagateDelta(PageContext* page) {
@@ -466,8 +510,8 @@ xml::Node* XqibPlugin::MaterializeEvent(DynamicContext* ctx,
   xml::Node* elem = doc->CreateElement(xml::QName("event"));
   auto add = [&](const char* name, const std::string& value) {
     xml::Node* child = doc->CreateElement(xml::QName(name));
-    if (!value.empty()) child->AppendChild(doc->CreateText(value));
-    elem->AppendChild(child);
+    if (!value.empty()) doc->BuildAppend(child, doc->CreateText(value));
+    doc->BuildAppend(elem, child);
   };
   add("type", event.type);
   add("altKey", event.alt_key ? "true" : "false");
@@ -617,7 +661,7 @@ void XqibPlugin::RunListener(PageContext* page, const xml::QName& function,
   if (page->evaluator->exited()) page->evaluator->TakeExitValue();
   if (!result.ok()) {
     last_script_error_ = result.status();
-    page->evaluator->ResetDispatchArena(*page->ctx);
+    EndDispatch(page);
     return;
   }
   last_listener_result_ = xdm::SequenceToString(*result);
@@ -646,9 +690,8 @@ void XqibPlugin::RunListener(PageContext* page, const xml::QName& function,
     Status st = ApplyAfterRun(page);
     if (!st.ok()) last_script_error_ = st;
   }
-  // The dispatch is over and its result is materialized: reclaim every
-  // stream operator this event allocated in one wholesale reset.
-  page->evaluator->ResetDispatchArena(*page->ctx);
+  // The dispatch is over and its result is materialized.
+  EndDispatch(page);
 }
 
 void XqibPlugin::set_eval_options(
@@ -719,7 +762,11 @@ Status XqibPlugin::DetachListener(const std::string& event_name,
 Status XqibPlugin::TriggerEvent(const std::string& event_name,
                                 const Sequence& targets,
                                 DynamicContext& ctx) {
-  (void)ctx;
+  PageContext* page = FindPageByContext(ctx);
+  if (page == nullptr) {
+    return Status::Error("BRWS0001", "no page for this context");
+  }
+  std::weak_ptr<PageContext> weak = FindPageShared(page->window);
   for (const Item& item : targets) {
     if (!item.is_node()) {
       return Status::TypeError("event target must be a node");
@@ -727,10 +774,16 @@ Status XqibPlugin::TriggerEvent(const std::string& event_name,
     xml::Node* target = item.node();
     Event event;
     event.type = event_name;
-    browser_->loop().Post([this, target, event]() mutable {
+    // The target is a root until its dispatch is over.
+    const uint64_t hold = ++page->next_hold;
+    page->held[hold].push_back(Sequence{item});
+    browser_->loop().Post([this, weak, target, event, hold]() mutable {
+      std::shared_ptr<PageContext> owner = weak.lock();
+      if (owner == nullptr) return;
       PageContext* page = FindPageByDocument(target->document());
       if (page != nullptr) PropagateDelta(page);
       browser_->events().Dispatch(target, std::move(event));
+      owner->held.erase(hold);
     });
   }
   return Status();
@@ -760,28 +813,29 @@ Status XqibPlugin::AttachBehind(const std::string& event_name,
     Result<Sequence> r =
         page->evaluator->CallFunction(listener, std::move(args), *page->ctx);
     if (page->evaluator->exited()) page->evaluator->TakeExitValue();
-    if (!r.ok()) {
-      last_script_error_ = r.status();
-      return;
-    }
-    Status st = ApplyAfterRun(page.get());
+    Status st = r.ok() ? ApplyAfterRun(page.get()) : r.status();
     if (!st.ok()) last_script_error_ = st;
+    EndDispatch(page.get());
   };
 
   // The call's arguments are evaluated NOW (they reference variables of
   // the attaching scope, e.g. a function parameter $str); only the call
-  // itself is deferred — that is the remote round trip.
-  std::vector<Sequence> eager_args;
+  // itself is deferred — that is the remote round trip. A non-call is
+  // evaluated whole now and its value delivered later. Either way the
+  // values are roots until the completion takes them.
+  std::vector<Sequence> eager;
   bool is_call = call->kind == xquery::ExprKind::kFunctionCall;
-  Sequence eager_result;
   if (is_call) {
     for (const xquery::ExprPtr& kid : call->kids) {
       XQ_ASSIGN_OR_RETURN(Sequence arg, page->evaluator->Eval(*kid, ctx));
-      eager_args.push_back(std::move(arg));
+      eager.push_back(std::move(arg));
     }
   } else {
-    XQ_ASSIGN_OR_RETURN(eager_result, page->evaluator->Eval(*call, ctx));
+    XQ_ASSIGN_OR_RETURN(Sequence value, page->evaluator->Eval(*call, ctx));
+    eager.push_back(std::move(value));
   }
+  const uint64_t hold = ++page->next_hold;
+  page->held[hold] = std::move(eager);
 
   // readyState 1: request dispatched (immediately, asynchronously).
   browser_->loop().Post(
@@ -793,17 +847,17 @@ Status XqibPlugin::AttachBehind(const std::string& event_name,
   // task on the loop: the callee reads the DOM as every task before it
   // left it, and the listener runs right after the callee.
   browser_->loop().Post(
-      [this, weak, call, invoke_state, is_call,
-       eager_args = std::move(eager_args),
-       eager_result = std::move(eager_result)]() mutable {
+      [this, weak, call, invoke_state, is_call, hold]() {
         std::shared_ptr<PageContext> page = weak.lock();
         if (page == nullptr) return;
+        std::vector<Sequence> eager = std::move(page->held[hold]);
+        page->held.erase(hold);
         if (!is_call) {
-          invoke_state(4, std::move(eager_result));
+          invoke_state(4, std::move(eager.front()));
           return;
         }
         Result<Sequence> result = page->evaluator->CallFunction(
-            call->qname, std::move(eager_args), *page->ctx);
+            call->qname, std::move(eager), *page->ctx);
         if (page->evaluator->exited()) page->evaluator->TakeExitValue();
         if (!result.ok()) {
           last_script_error_ = result.status();

@@ -26,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/counters.h"
 #include "browser/bom.h"
 #include "browser/events.h"
 #include "browser/page.h"
@@ -142,6 +143,19 @@ class XqibPlugin : public xquery::BrowserBinding {
   // the end-to-end bench reports it.
   size_t parallel_fallbacks() const { return 0; }
 
+  // What the pages keep beyond their own documents after their last
+  // dispatch: the documents a root still reaches (a global holding a
+  // constructed node, a pending `behind`, a listener on a constructed
+  // node) and their nodes. Refreshed at every dispatch end; readable
+  // from any thread (the page server's sessions report reads it).
+  struct Retained {
+    uint64_t documents = 0;
+    uint64_t nodes = 0;
+  };
+  Retained retained() const {
+    return Retained{retained_documents_.value(), retained_nodes_.value()};
+  }
+
   // Applies `options` to every live page evaluator and to evaluators of
   // pages loaded later (benchmark ablations flip the fast paths off).
   void set_eval_options(const xquery::Evaluator::EvalOptions& options);
@@ -183,7 +197,17 @@ class XqibPlugin : public xquery::BrowserBinding {
     std::unique_ptr<xquery::StaticContext> sctx;
     std::unique_ptr<xquery::Evaluator> evaluator;
     std::unique_ptr<xquery::DynamicContext> ctx;
+    // Trees materialized by browser:top()/self(). Those from
+    // bom_current on belong to the current dispatch and are synced back
+    // after its updates; earlier ones survived a dispatch end because a
+    // root holds their nodes, and only resolve window nodes.
     std::vector<browser::Browser::BomTree> bom_trees;
+    size_t bom_current = 0;
+    // Values queued loop work captured (a `behind`'s eager arguments or
+    // result, a `trigger`'s target), keyed by the task that takes them:
+    // roots until that task is done with them.
+    std::unordered_map<uint64_t, std::vector<xdm::Sequence>> held;
+    uint64_t next_hold = 0;
     // What the effect analysis decided about each declared function,
     // filled once at page load and keyed on the interned name + arity,
     // so a dispatch finds its listener's record without building a
@@ -285,6 +309,9 @@ class XqibPlugin : public xquery::BrowserBinding {
   };
 
   std::shared_ptr<PageContext> FindPageShared(const browser::Window* window);
+  // Forgets the window's page context. Listeners registered on nodes of
+  // the context's own documents go first: those documents die with it.
+  void DropPage(const browser::Window* window);
   PageContext* FindPage(const browser::Window* window);
   PageContext* FindPageByContext(const xquery::DynamicContext& ctx);
   PageContext* FindPageByDocument(const xml::Document* doc);
@@ -312,6 +339,15 @@ class XqibPlugin : public xquery::BrowserBinding {
   // fields they feed: the difference of two readings is what moved.
   xquery::Counters ReadOutsideSources(const PageContext& page) const;
   Status ApplyAfterRun(PageContext* page);
+  // Ends a top-level dispatch: the page-load body (globals and main
+  // body, or local:main()), a listener call, an inline handler or a
+  // `behind` completion. Runs after the PUL apply: reclaims the dispatch
+  // arena, retires the dispatch's BOM trees, and destroys every document
+  // of the page context no root reaches. Dispatches of one page never
+  // nest (the same assumption the arena reset makes).
+  void EndDispatch(PageContext* page);
+  // Publishes the pages' retained documents and nodes (retained()).
+  void PublishRetained();
 
   // Drains the page document's dispatch delta window and folds it into
   // the page's dirty-listener state (delta_seq/dirty_seq). Called at
@@ -351,6 +387,8 @@ class XqibPlugin : public xquery::BrowserBinding {
   xquery::Counters counters_;
   xquery::Counters last_event_stats_;
   xquery::Evaluator::EvalOptions eval_options_;
+  base::RelaxedCounter retained_documents_;
+  base::RelaxedCounter retained_nodes_;
 };
 
 }  // namespace xqib::plugin

@@ -185,7 +185,8 @@ std::string PageServer::FormatSessionsReport() const {
     out << "  " << session->id() << ": url=" << session->page_url()
         << " events=" << s.dispatched << " queued="
         << (s.enqueued - s.dispatched) << " errors=" << s.errors
-        << " alerts=" << s.alerts << "\n";
+        << " alerts=" << s.alerts << " retained=" << s.retained_documents
+        << " docs/" << s.retained_nodes << " nodes\n";
   }
   xml::InternPoolStats intern = xml::GetInternStats();
   out << "  shared substrate:\n";

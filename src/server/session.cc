@@ -151,6 +151,9 @@ Session::StatsSnapshot Session::stats() const {
   snap.dispatched = dispatched_.load(std::memory_order_relaxed);
   snap.errors = errors_.load(std::memory_order_relaxed);
   snap.alerts = alerts_.load(std::memory_order_relaxed);
+  const plugin::XqibPlugin::Retained retained = plugin_->retained();
+  snap.retained_documents = retained.documents;
+  snap.retained_nodes = retained.nodes;
   return snap;
 }
 

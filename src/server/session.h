@@ -104,6 +104,10 @@ class Session : public std::enable_shared_from_this<Session> {
     uint64_t dispatched = 0;
     uint64_t errors = 0;  // missing target or script error
     uint64_t alerts = 0;  // browser:alert output drained (and dropped)
+    // Non-page documents (constructions, parsed responses) the page
+    // still holds after its last dispatch, and their nodes.
+    uint64_t retained_documents = 0;
+    uint64_t retained_nodes = 0;
   };
   StatsSnapshot stats() const;
 

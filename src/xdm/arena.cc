@@ -22,11 +22,17 @@ Arena::Slab* Arena::SlabFor(size_t bytes) {
     if (s.size - s.used >= bytes) return &s;
     ++active_;
   }
+  // Each slab doubles its predecessor up to kDefaultSlabBytes; an
+  // oversized request gets a slab of its own size.
+  const size_t grown = slabs_.empty()
+                           ? kFirstSlabBytes
+                           : std::min(2 * slabs_.back().size, kDefaultSlabBytes);
   Slab fresh;
-  fresh.size = std::max(slab_bytes_, bytes);
-  fresh.data = std::make_unique<char[]>(fresh.size);
+  fresh.size = std::max(grown, bytes);
+  fresh.data = std::make_unique_for_overwrite<char[]>(fresh.size);
   slabs_.push_back(std::move(fresh));
   stats_.slabs = slabs_.size();
+  stats_.slab_bytes += slabs_.back().size;
   active_ = slabs_.size() - 1;
   return &slabs_.back();
 }

@@ -6,6 +6,10 @@
 // completes (for the plugin: after the XQUF apply pass of one event
 // dispatch) the whole arena is Reset wholesale — slabs are kept and
 // reused, so steady-state dispatch performs no allocator traffic at all.
+// The first slab is small (kFirstSlabBytes) and each later one doubles
+// up to kDefaultSlabBytes, so a session whose dispatches stay small
+// holds a small arena. Slab memory is not zeroed: nothing may read
+// arena memory it has not written.
 //
 // Lifetime contract: Reset() does NOT run destructors. Objects with
 // non-trivial destructors must be destroyed explicitly before Reset —
@@ -29,10 +33,10 @@ namespace xqib::xdm {
 
 class Arena {
  public:
+  static constexpr size_t kFirstSlabBytes = 4 * 1024;
   static constexpr size_t kDefaultSlabBytes = 64 * 1024;
 
-  explicit Arena(size_t slab_bytes = kDefaultSlabBytes)
-      : slab_bytes_(slab_bytes) {}
+  Arena() = default;
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
@@ -58,6 +62,7 @@ class Arena {
     base::RelaxedCounter bytes_used;  // cumulative bytes handed out
     base::RelaxedCounter resets;      // Reset() calls (monotone)
     base::RelaxedCounter slabs;       // slabs currently held
+    base::RelaxedCounter slab_bytes;  // bytes of the slabs currently held
     base::RelaxedCounter live_bytes;  // bytes handed out since last Reset
   };
   const Stats& stats() const { return stats_; }
@@ -71,7 +76,6 @@ class Arena {
 
   Slab* SlabFor(size_t bytes);
 
-  size_t slab_bytes_;
   std::vector<Slab> slabs_;
   size_t active_ = 0;  // index of the slab currently being bumped
   Stats stats_;

@@ -13,6 +13,19 @@ namespace {
 // fragments above, partitioned by tree id (tree_id << 32).
 constexpr uint64_t kAttachedKeyLimit = 1ull << 32;
 
+// The unprefixed `id` attribute GetElementById answers by.
+const InternedName* IdName() {
+  static const InternedName* const kId = QName("id").token();
+  return kId;
+}
+
+const Node* FindIdAttribute(const Node* element) {
+  for (const Node* a : element->attributes()) {
+    if (a->name().token() == IdName()) return a;
+  }
+  return nullptr;
+}
+
 // Last node of `n`'s subtree in preorder (attributes precede children).
 const Node* PreorderLast(const Node* n) {
   while (true) {
@@ -253,6 +266,7 @@ void Node::Detach() {
   if (parent_ == nullptr) return;
   if (kind_ == NodeKind::kAttribute) {
     Node* owner = parent_;
+    document_->RecordIdEdit(owner, name_.token());
     for (size_t i = 0; i < owner->attributes_.size(); ++i) {
       if (owner->attributes_[i] == this) {
         owner->attributes_.erase(owner->attributes_.begin() +
@@ -273,6 +287,7 @@ void Node::Detach() {
 Node* Node::SetAttribute(const QName& name, std::string value) {
   assert(kind_ == NodeKind::kElement);
   if (Node* existing = FindAttribute(name.ns(), name.local())) {
+    document_->RecordIdEdit(this, name.token());
     existing->value_ = std::move(value);
     document_->RecordNameTouch(this, name.token());
     document_->NotifyMutation(this);
@@ -282,6 +297,7 @@ Node* Node::SetAttribute(const QName& name, std::string value) {
   attr->parent_ = this;
   attributes_.push_back(attr);
   document_->RecordNameTouch(this, name.token());
+  document_->RecordIdEdit(this, name.token());
   if (!document_->TryAssignGapKeys(this, attr, attributes_.size() - 1)) {
     document_->InvalidateOrder();
   }
@@ -302,6 +318,7 @@ void Node::AttachAttribute(Node* attr) {
   attr->parent_ = this;
   attributes_.push_back(attr);
   document_->RecordNameTouch(this, attr->name_.token());
+  document_->RecordIdEdit(this, attr->name_.token());
   if (!document_->TryAssignGapKeys(this, attr, attributes_.size() - 1)) {
     document_->InvalidateOrder();
   }
@@ -326,6 +343,9 @@ void Node::SetValue(std::string value) {
       }
     }
   } else {
+    if (kind_ == NodeKind::kAttribute && parent_ != nullptr) {
+      document_->RecordIdEdit(parent_, name_.token());
+    }
     value_ = std::move(value);
   }
   document_->NotifyMutation(this);
@@ -333,6 +353,10 @@ void Node::SetValue(std::string value) {
 
 void Node::Rename(const QName& new_name) {
   const InternedName* old_name = name_.token();
+  if (kind_ == NodeKind::kAttribute && parent_ != nullptr) {
+    document_->RecordIdEdit(parent_, old_name);
+    document_->RecordIdEdit(parent_, new_name.token());
+  }
   name_ = new_name;
   // Both the vacated and the adopted name's node sets change; the
   // site-names walk in NotifyMutation covers the new name (it reads the
@@ -487,45 +511,75 @@ Node* Document::ImportCopy(const Node* src) {
 }
 
 Node* Document::GetElementById(std::string_view id) const {
-  // Ids can change through arbitrary attribute mutation, so the cache is
-  // dropped wholesale on every mutation and rebuilt on the next lookup —
-  // lookup bursts between mutations (event handlers resolving targets)
-  // are O(1), and correctness never depends on tracking which mutation
-  // touched which id. The first reader after a mutation rebuilds under
-  // lazy_mu_ and publishes with a release store; validated readers skip
-  // the lock entirely (mutation cannot interleave while workers read —
-  // the loop thread, the only mutator, is barriered).
+  // The first reader after a mutation refreshes under lazy_mu_ and
+  // publishes with a release store; validated readers skip the lock
+  // entirely (mutation cannot interleave while workers read — the loop
+  // thread, the only mutator, is barriered).
   const uint64_t mv = mutation_version();
-  if (id_cache_version_.load(std::memory_order_acquire) != mv) {
+  if (id_index_version_.load(std::memory_order_acquire) != mv) {
     std::lock_guard<std::mutex> lk(lazy_mu_);
-    if (id_cache_version_.load(std::memory_order_relaxed) != mv) {
-      static const InternedName* const kId = QName("id").token();
-      id_cache_.clear();
-      // One preorder walk of the attached tree (detached and discarded
-      // nodes are never visited); the first element in document order
-      // keeps its id.
-      std::vector<const Node*> stack{root_};
-      while (!stack.empty()) {
-        const Node* n = stack.back();
-        stack.pop_back();
-        for (const Node* a : n->attributes_) {
-          if (a->name_.token() == kId) {
-            if (!a->value_.empty()) {
-              id_cache_.emplace(a->value_, const_cast<Node*>(n));
-            }
-            break;
-          }
-        }
-        for (auto it = n->children_.rbegin(); it != n->children_.rend();
-             ++it) {
-          if ((*it)->kind_ == NodeKind::kElement) stack.push_back(*it);
-        }
-      }
-      id_cache_version_.store(mv, std::memory_order_release);
-    }
+    RefreshIdIndex();
   }
-  auto it = id_cache_.find(std::string(id));
-  return it == id_cache_.end() ? nullptr : it->second;
+  auto it = id_index_.find(std::string(id));
+  if (it == id_index_.end()) return nullptr;
+  // Usually one element; a repeated id answers its first in document
+  // order, whatever order the splices filed the elements in.
+  Node* first = it->second.front();
+  for (Node* n : it->second) {
+    if (n->CompareDocumentOrder(first) < 0) first = n;
+  }
+  return first;
+}
+
+void Document::RefreshIdIndex() const {
+  const uint64_t mv = mutation_version();
+  if (id_index_version_.load(std::memory_order_relaxed) == mv) return;
+  // Splice: every element whose id may have changed since the last
+  // refresh was recorded with the id it was filed under, so dropping
+  // those entries and re-filing the attached ones under their current
+  // id makes the whole map exact again.
+  const bool splice = delta_tracking_ && !pending_id_overflow_ &&
+                      id_index_version_.load(std::memory_order_relaxed) != 0;
+  if (splice) {
+    for (const auto& [element, filed] : pending_id_changes_) {
+      auto it = filed.empty() ? id_index_.end() : id_index_.find(filed);
+      if (it == id_index_.end()) continue;
+      std::vector<Node*>& bucket = it->second;
+      bucket.erase(std::remove(bucket.begin(), bucket.end(), element),
+                   bucket.end());
+      if (bucket.empty()) id_index_.erase(it);
+    }
+    for (const auto& [element, filed] : pending_id_changes_) {
+      const Node* attr = FindIdAttribute(element);
+      if (attr == nullptr || attr->value_.empty() || !AttachedToRoot(element)) {
+        continue;
+      }
+      std::vector<Node*>& bucket = id_index_[attr->value_];
+      if (std::find(bucket.begin(), bucket.end(), element) == bucket.end()) {
+        bucket.push_back(const_cast<Node*>(element));
+      }
+    }
+  } else {
+    // One preorder walk of the attached tree (detached and discarded
+    // nodes are never visited): each bucket fills in document order.
+    id_index_.clear();
+    std::vector<const Node*> stack{root_};
+    while (!stack.empty()) {
+      const Node* n = stack.back();
+      stack.pop_back();
+      const Node* attr = FindIdAttribute(n);
+      if (attr != nullptr && !attr->value_.empty()) {
+        id_index_[attr->value_].push_back(const_cast<Node*>(n));
+      }
+      for (auto it = n->children_.rbegin(); it != n->children_.rend(); ++it) {
+        if ((*it)->kind_ == NodeKind::kElement) stack.push_back(*it);
+      }
+    }
+    ++id_index_builds_;
+  }
+  pending_id_changes_.clear();
+  pending_id_overflow_ = false;
+  id_index_version_.store(mv, std::memory_order_release);
 }
 
 const std::vector<Node*>& Document::ElementsByName(const QName& name) const {
@@ -629,6 +683,35 @@ Status Document::CheckInvariants() const {
                                            *token->local + ">");
     }
   }
+  // The id map, compared as sets per id: splices file elements in
+  // arbitrary order and lookups pick the first by order key.
+  std::unordered_map<std::string, std::vector<Node*>> ids;
+  for (const auto& [token, nodes] : walk) {
+    for (Node* n : nodes) {
+      const Node* attr = FindIdAttribute(n);
+      if (attr != nullptr && !attr->value_.empty()) {
+        ids[attr->value_].push_back(n);
+      }
+    }
+  }
+  RefreshIdIndex();
+  if (ids.size() != id_index_.size()) {
+    return Status::Error("XQIB0003", "id map holds " +
+                                         std::to_string(id_index_.size()) +
+                                         " ids, a fresh walk finds " +
+                                         std::to_string(ids.size()));
+  }
+  for (auto& [id, nodes] : ids) {
+    auto it = id_index_.find(id);
+    std::vector<Node*> filed;
+    if (it != id_index_.end()) filed = it->second;
+    std::sort(filed.begin(), filed.end());
+    std::sort(nodes.begin(), nodes.end());
+    if (filed != nodes) {
+      return Status::Error("XQIB0003",
+                           "id map entry '" + id + "' differs from a fresh walk");
+    }
+  }
   return Status();
 }
 
@@ -725,6 +808,8 @@ void Document::set_delta_tracking(bool on) {
   pending_index_delta_.whole_tree = true;
   pending_dispatch_delta_.Clear();
   pending_dispatch_delta_.whole_tree = true;
+  pending_id_changes_.clear();
+  pending_id_overflow_ = true;
 }
 
 void Document::TakeDispatchDelta(DomDelta* out) {
@@ -776,6 +861,7 @@ void Document::RecordSubtree(const Node* subtree, bool inserted) {
       RecordElementOp(n, n->name_.token(), inserted);
     } else if (n->kind_ == NodeKind::kAttribute) {
       TouchName(n->name_.token());
+      if (n->name_.token() == IdName()) RecordIdChange(n->parent_);
     }
     for (const Node* a : n->attributes_) visit(a);
     for (const Node* c : n->children_) visit(c);
@@ -802,6 +888,25 @@ void Document::RecordRenameOps(const Node* node, const InternedName* old_token) 
 void Document::CountDeltaMutation() {
   if (delta_tracking_) pending_dispatch_delta_.CountMutation();
   if (capture_ != nullptr) capture_->CountMutation();
+}
+
+void Document::RecordIdEdit(const Node* element, const InternedName* token) {
+  if (token == IdName() && AttachedToRoot(element)) RecordIdChange(element);
+}
+
+void Document::RecordIdChange(const Node* element) {
+  // Like the index window, recorded only once there is a map to splice.
+  if (!delta_tracking_ || pending_id_overflow_ ||
+      id_index_version_.load(std::memory_order_relaxed) == 0) {
+    return;
+  }
+  if (pending_id_changes_.size() >= DomDelta::kTrackingCap) {
+    pending_id_changes_.clear();
+    pending_id_overflow_ = true;
+    return;
+  }
+  const Node* attr = FindIdAttribute(element);
+  pending_id_changes_.emplace(element, attr != nullptr ? attr->value_ : "");
 }
 
 // Assigns stride-spaced keys starting at `next` across one subtree.

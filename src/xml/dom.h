@@ -3,7 +3,9 @@
 // referenced by raw pointers everywhere else; node identity is pointer
 // identity, exactly as XDM node identity requires. A Document stores its
 // nodes in slabs (DESIGN.md "DOM node storage"): a node never moves and
-// lives exactly as long as its document.
+// lives exactly as long as its document. Documents built during a page's
+// dispatch (constructions, parsed responses) are destroyed whole at the
+// dispatch's end unless a root still reaches them.
 
 #ifndef XQIB_XML_DOM_H_
 #define XQIB_XML_DOM_H_
@@ -217,11 +219,15 @@ class Document {
   Node* ImportCopy(const Node* src);
 
   // The first attached element in document order whose "id" attribute
-  // equals `id`, or nullptr (DOM getElementById). Backed by a cache
-  // that any mutation invalidates and the next lookup rebuilds in one
-  // preorder walk of the attached tree: lookup bursts between mutations
-  // are O(1).
+  // equals `id`, or nullptr (DOM getElementById). Backed by an id map
+  // kept like the name index: the first lookup after a mutation splices
+  // in the elements whose id may have changed (found by the same
+  // attach/detach walk, plus edits of `id` attributes) when the document
+  // tracks deltas, and otherwise rebuilds the map in one preorder walk
+  // of the attached tree.
   Node* GetElementById(std::string_view id) const;
+  // Number of times the id map has been built from a full walk.
+  uint64_t id_index_builds() const { return id_index_builds_; }
 
   // All attached elements with expanded name `name`, in document order.
   // Backed by a lazily maintained whole-tree index validated against
@@ -245,11 +251,12 @@ class Document {
   // Number of times the name index has been (re)built (tests/benchmarks).
   uint64_t name_index_builds() const { return name_index_builds_; }
 
-  // Checks the two properties the index slices rely on: order keys
-  // strictly increase in preorder over the attached tree, and every
-  // element-name bucket (after any pending splice) equals a fresh
-  // document-order walk, in content and in order. OK or the first
-  // violation found.
+  // Checks the properties the index slices and id lookups rely on:
+  // order keys strictly increase in preorder over the attached tree,
+  // every element-name bucket (after any pending splice) equals a fresh
+  // document-order walk, in content and in order, and the id map (after
+  // any pending splice) holds exactly the attached elements a fresh walk
+  // finds under each id. OK or the first violation found.
   Status CheckInvariants() const;
 
   // The document URI (doc("...") key / page URL).
@@ -262,8 +269,17 @@ class Document {
     mutation_hooks_.push_back(std::move(hook));
   }
 
-  // Total number of nodes ever created (diagnostics/benchmarks).
+  // Total number of nodes ever created; every one lives as long as the
+  // document (diagnostics/benchmarks, retention accounting).
   size_t node_count() const { return node_count_; }
+
+  // Calls fn(begin, end) for the address range of every node slab: a
+  // node pointer lies in one of them iff this document created it. A
+  // caller can so place a pointer without reading the node behind it.
+  template <typename Fn>
+  void ForEachSlab(Fn fn) const {
+    for (const Slab& slab : slabs_) fn(slab.nodes, slab.nodes + slab.capacity);
+  }
 
   uint64_t order_version() const {
     return order_version_.load(std::memory_order_relaxed);
@@ -341,6 +357,18 @@ class Document {
   // and enters its current name's bucket.
   void RecordRenameOps(const Node* node, const InternedName* old_token);
   void CountDeltaMutation();
+  // Records that the attached `element`'s id may change (call before
+  // the edit or detach) or has just been attached (call after), for the
+  // next id-map splice. The first record of an element in a window
+  // keeps the id the map filed it under.
+  void RecordIdChange(const Node* element);
+  // RecordIdChange for an edit of `element`'s attribute named `token`:
+  // a no-op unless that is `id` and `element` is attached.
+  void RecordIdEdit(const Node* element, const InternedName* token);
+  // Brings the id map up to the current mutation version: splices the
+  // recorded elements when it can, else rebuilds in one walk. Caller
+  // holds lazy_mu_.
+  void RefreshIdIndex() const;
 
   // Attempts to assign document-order keys to the just-linked `node`
   // (child or attribute of `parent` at `index`) from the gap between its
@@ -364,11 +392,12 @@ class Document {
 
   // Node storage. Nodes are constructed in place in slabs: the first
   // holds kFirstSlabNodes, each later one twice its predecessor up to
-  // kMaxSlabNodes. Small documents (a session keeps many parsed
-  // responses and scratch constructions) stay small; a large one costs
-  // one allocation per kMaxSlabNodes nodes instead of one per node. A
-  // node never moves and is destroyed with its document. Allocation is
-  // a mutation: loop-thread-only, like every other.
+  // kMaxSlabNodes. Small documents (a dispatch's constructions and each
+  // parsed response, destroyed at the dispatch's end) stay small; a
+  // large one costs one allocation per kMaxSlabNodes nodes instead of
+  // one per node. A node never moves and is destroyed with its
+  // document; a removed node keeps its slot until then. Allocation is a
+  // mutation: loop-thread-only, like every other.
   struct Slab {
     Node* nodes;
     size_t capacity;
@@ -406,10 +435,18 @@ class Document {
   // underneath a reader.
   mutable std::mutex lazy_mu_;
 
-  // id -> element cache; valid while mutation_version_ matches.
   std::atomic<uint64_t> mutation_version_{1};
-  mutable std::atomic<uint64_t> id_cache_version_{0};
-  mutable std::unordered_map<std::string, Node*> id_cache_;
+  // id -> the attached elements carrying it (the answer is the first in
+  // document order); valid while id_index_version_ matches
+  // mutation_version_. pending_id_changes_ maps each element recorded
+  // since the last refresh to the id it was filed under ("" = none); it
+  // is recorded only once a map exists, like the index delta, and
+  // overflows to a rebuild past DomDelta::kTrackingCap.
+  mutable std::atomic<uint64_t> id_index_version_{0};
+  mutable base::RelaxedCounter id_index_builds_;
+  mutable std::unordered_map<std::string, std::vector<Node*>> id_index_;
+  mutable std::unordered_map<const Node*, std::string> pending_id_changes_;
+  mutable bool pending_id_overflow_ = false;
   // Interned name token -> attached elements in doc order; same validity
   // rule. Token keys make each rebuild insertion a pointer hash — no
   // Clark-notation string is built per element.

@@ -942,17 +942,71 @@ bool IsBuiltinNs(const std::string& ns) {
          ns == xml::kHttpNamespace || ns == xml::kBrowserNamespace;
 }
 
-// Records every variable some `set`/`:=` assigns and, when `callees` is
+// Records every global some `set`/`:=` assigns and, when `callees` is
 // given, the key of every call that may name a declared function.
-void ScanBody(const Expr& e, std::set<std::string>* assigned,
+// `bound` holds the Clark names in scope: an assignment to one of them
+// (a block declaration, a FLWOR or quantifier variable, a parameter)
+// rebinds that variable, not the global of the same name. Any other
+// assignment counts as one to the global, which is the conservative
+// reading. Sub-expressions are visited in ForEachSubExpr order.
+void ScanBody(const Expr& e, std::vector<std::string>* bound,
+              std::set<std::string>* assigned,
               std::vector<std::string>* callees) {
-  if (e.kind == ExprKind::kAssign) assigned->insert(e.qname.Clark());
-  if (callees != nullptr && e.kind == ExprKind::kFunctionCall &&
-      !IsBuiltinNs(e.qname.ns())) {
-    callees->push_back(
-        AnalysisFacts::FunctionKey(e.qname.Clark(), e.kids.size()));
+  auto scan = [&](const Expr& kid) {
+    ScanBody(kid, bound, assigned, callees);
+  };
+  auto bind_clause = [bound](const Clause& c) {
+    bound->push_back(c.var.Clark());
+    if (!c.pos_var.local().empty()) bound->push_back(c.pos_var.Clark());
+  };
+  const size_t mark = bound->size();
+  switch (e.kind) {
+    case ExprKind::kAssign: {
+      const std::string name = e.qname.Clark();
+      if (std::find(bound->begin(), bound->end(), name) == bound->end()) {
+        assigned->insert(name);
+      }
+      break;
+    }
+    case ExprKind::kFunctionCall:
+      if (callees != nullptr && !IsBuiltinNs(e.qname.ns())) {
+        callees->push_back(
+            AnalysisFacts::FunctionKey(e.qname.Clark(), e.kids.size()));
+      }
+      break;
+    case ExprKind::kBlock:
+      for (const ExprPtr& kid : e.kids) {
+        if (kid == nullptr) continue;
+        scan(*kid);
+        if (kid->kind == ExprKind::kVarDecl) {
+          bound->push_back(kid->qname.Clark());
+        }
+      }
+      bound->resize(mark);
+      return;
+    case ExprKind::kFLWOR:
+    case ExprKind::kQuantified:
+      // The return (or test) with every clause variable bound, then each
+      // binding under the ones before it.
+      for (const Clause& c : e.clauses) bind_clause(c);
+      for (const ExprPtr& kid : e.kids) {
+        if (kid) scan(*kid);
+      }
+      bound->resize(mark);
+      for (const Clause& c : e.clauses) {
+        if (c.expr) scan(*c.expr);
+        bind_clause(c);
+      }
+      if (e.where) scan(*e.where);
+      for (const OrderSpec& spec : e.order_specs) {
+        if (spec.key) scan(*spec.key);
+      }
+      bound->resize(mark);
+      return;
+    default:
+      break;
   }
-  ForEachSubExpr(e, [&](const Expr& kid) { ScanBody(kid, assigned, callees); });
+  ForEachSubExpr(e, scan);
 }
 
 }  // namespace
@@ -993,9 +1047,14 @@ void EffectAnalysis::Run(const Module& module) {
     for (const Module::Import& imp : m->imports) {
       imported_ns_.insert(imp.ns);
     }
-    if (m->body != nullptr) ScanBody(*m->body, &assigned_globals_, nullptr);
+    std::vector<std::string> bound;
+    if (m->body != nullptr) {
+      ScanBody(*m->body, &bound, &assigned_globals_, nullptr);
+    }
     for (const VarDecl& v : m->variables) {
-      if (v.init != nullptr) ScanBody(*v.init, &assigned_globals_, nullptr);
+      if (v.init != nullptr) {
+        ScanBody(*v.init, &bound, &assigned_globals_, nullptr);
+      }
     }
     for (const auto& fn : m->functions) {
       Function f{m, fn.get(),
@@ -1003,7 +1062,9 @@ void EffectAnalysis::Run(const Module& module) {
                                             fn->params.size()),
                  {}};
       if (fn->body != nullptr) {
-        ScanBody(*fn->body, &assigned_globals_, &f.callees);
+        std::vector<std::string> params;
+        for (const Param& p : fn->params) params.push_back(p.name.Clark());
+        ScanBody(*fn->body, &params, &assigned_globals_, &f.callees);
       }
       index[f.key] = fns.size();
       fns.push_back(std::move(f));

@@ -181,16 +181,83 @@ const ExternalFunction* DynamicContext::FindExternal(const xml::QName& name,
 }
 
 xml::Document* DynamicContext::scratch_document() {
-  if (scratch_docs_.empty()) {
-    scratch_docs_.push_back(std::make_unique<xml::Document>());
+  if (construction_ == nullptr) {
+    construction_ = std::make_unique<xml::Document>();
   }
-  return scratch_docs_.front().get();
+  return construction_.get();
 }
 
 xml::Node* DynamicContext::AdoptDocument(std::unique_ptr<xml::Document> doc) {
   xml::Node* root = doc->root();
-  scratch_docs_.push_back(std::move(doc));
+  documents_.push_back(std::move(doc));
   return root;
+}
+
+void DynamicContext::ReleaseUnreached(
+    const std::function<void(DocumentMarks&)>& mark_host_roots) {
+  if (construction_ != nullptr) documents_.push_back(std::move(construction_));
+  if (documents_.empty()) return;
+  DocumentMarks marks(documents_);
+  env_.ForEachValue([&](const xdm::Sequence& value) { marks.Mark(value); });
+  if (focus_.has_item && focus_.item.is_node()) marks.Mark(focus_.item.node());
+  for (const PendingUpdateList::Primitive& p : pul_->primitives()) {
+    marks.Mark(p.target);
+    for (const xml::Node* n : p.content) marks.Mark(n);
+  }
+  mark_host_roots(marks);
+  size_t kept = 0;
+  for (size_t i = 0; i < documents_.size(); ++i) {
+    if (!marks.marked(i)) continue;
+    if (kept != i) documents_[kept] = std::move(documents_[i]);
+    ++kept;
+  }
+  documents_.resize(kept);  // destroys the unreached documents
+}
+
+bool DynamicContext::OwnsNode(const xml::Node* node) const {
+  bool owned = false;
+  ForEachDocument([&](const xml::Document* doc) {
+    doc->ForEachSlab([&](const xml::Node* begin, const xml::Node* end) {
+      if (std::less_equal<>()(begin, node) && std::less<>()(node, end)) {
+        owned = true;
+      }
+    });
+  });
+  return owned;
+}
+
+size_t DynamicContext::owned_nodes() const {
+  size_t n = 0;
+  ForEachDocument([&](const xml::Document* doc) { n += doc->node_count(); });
+  return n;
+}
+
+// ------------------------------------------------------- DocumentMarks ---
+
+DocumentMarks::DocumentMarks(
+    const std::vector<std::unique_ptr<xml::Document>>& candidates)
+    : candidates_(candidates), marked_(candidates.size(), false) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    candidates[i]->ForEachSlab(
+        [&](const xml::Node* begin, const xml::Node* end) {
+          ranges_.push_back(Range{begin, end, i});
+        });
+  }
+  std::sort(ranges_.begin(), ranges_.end(),
+            [](const Range& a, const Range& b) {
+              return std::less<>()(a.begin, b.begin);
+            });
+}
+
+void DocumentMarks::Mark(const xml::Node* node) {
+  // The last range starting at or before `node`; slabs never overlap.
+  auto it = std::upper_bound(ranges_.begin(), ranges_.end(), node,
+                             [](const xml::Node* n, const Range& r) {
+                               return std::less<>()(n, r.begin);
+                             });
+  if (it == ranges_.begin()) return;
+  --it;
+  if (std::less<>()(node, it->end)) marked_[it->doc] = true;
 }
 
 }  // namespace xqib::xquery

@@ -17,6 +17,7 @@
 #include "base/result.h"
 #include "xdm/arena.h"
 #include "xdm/item.h"
+#include "xml/dom.h"
 #include "xquery/ast.h"
 
 namespace xqib::xquery {
@@ -181,6 +182,12 @@ class Environment {
     return Find(name);
   }
 
+  // Calls fn(value) for every binding of every open scope.
+  template <typename Fn>
+  void ForEachValue(Fn fn) const {
+    for (const Binding& b : bindings_) fn(b.value);
+  }
+
  private:
   struct Binding {
     const xml::InternedName* name;
@@ -198,6 +205,41 @@ class Environment {
 
   std::vector<Binding> bindings_;
   std::vector<ScopeMark> scopes_;
+};
+
+// The documents a release (DynamicContext::ReleaseUnreached) keeps: each
+// root marks the document of every node it holds. A node is placed by
+// comparing its address with the candidates' node slabs, never by
+// reading it, so a root may hold a node of a document that is gone.
+class DocumentMarks {
+ public:
+  explicit DocumentMarks(
+      const std::vector<std::unique_ptr<xml::Document>>& candidates);
+
+  void Mark(const xml::Node* node);
+  void Mark(const xdm::Sequence& seq) {
+    for (const xdm::Item& item : seq) {
+      if (item.is_node()) Mark(item.node());
+    }
+  }
+  // Marks every unmarked candidate `held(doc)` answers true for.
+  template <typename Fn>
+  void MarkHeld(Fn held) {
+    for (size_t i = 0; i < marked_.size(); ++i) {
+      if (!marked_[i] && held(candidates_[i].get())) marked_[i] = true;
+    }
+  }
+  bool marked(size_t i) const { return marked_[i]; }
+
+ private:
+  struct Range {
+    const xml::Node* begin;
+    const xml::Node* end;
+    size_t doc;  // index into candidates_
+  };
+  const std::vector<std::unique_ptr<xml::Document>>& candidates_;
+  std::vector<Range> ranges_;  // sorted by address
+  std::vector<bool> marked_;
 };
 
 // Run-time context.
@@ -244,12 +286,38 @@ class DynamicContext {
   const ExternalFunction* FindExternal(const xml::QName& name,
                                        size_t arity) const;
 
-  // Documents created for constructed nodes during this evaluation. The
-  // result-owning document keeps constructed trees alive after Execute.
+  // The construction document of the current dispatch: constructed
+  // nodes, copies, $evt and materialized BOM trees live here. It is
+  // never an adopted document, and a release ends it: the next
+  // construction starts a fresh one.
   xml::Document* scratch_document();
   // Takes ownership of a document whose nodes flow into results (e.g.
   // REST responses parsed by http:get). Returns its root node.
   xml::Node* AdoptDocument(std::unique_ptr<xml::Document> doc);
+
+  // Ends what the dispatch built: destroys every owned document (the
+  // construction document, adopted responses, documents kept from
+  // earlier dispatches) that no root reaches. The roots here are the
+  // environment's bindings, the focus and the pending update list;
+  // `mark_host_roots` marks the host's own (pending work, listener
+  // targets). A reached document survives whole and is a candidate
+  // again at the next release. Without a release (a plain Engine run)
+  // every document lives as long as the context.
+  void ReleaseUnreached(
+      const std::function<void(DocumentMarks&)>& mark_host_roots);
+  // True when `node` lies in a document this context owns (by address).
+  bool OwnsNode(const xml::Node* node) const;
+  // Calls fn(doc) for every document this context owns.
+  template <typename Fn>
+  void ForEachDocument(Fn fn) const {
+    if (construction_ != nullptr) fn(construction_.get());
+    for (const auto& doc : documents_) fn(doc.get());
+  }
+  // Documents this context owns, and the nodes they hold.
+  size_t owned_documents() const {
+    return documents_.size() + (construction_ != nullptr ? 1 : 0);
+  }
+  size_t owned_nodes() const;
 
   // --- pending updates (XQuery Update Facility) ---
   PendingUpdateList& pul() { return *pul_; }
@@ -293,7 +361,9 @@ class DynamicContext {
   Focus focus_;
   std::unordered_map<ExternalKey, ExternalFunction, ExternalKeyHash>
       externals_;
-  std::vector<std::unique_ptr<xml::Document>> scratch_docs_;
+  std::unique_ptr<xml::Document> construction_;
+  // Adopted responses and documents kept from earlier dispatches.
+  std::vector<std::unique_ptr<xml::Document>> documents_;
   std::unique_ptr<PendingUpdateList> pul_;
   xdm::Arena arena_;
 };

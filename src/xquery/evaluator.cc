@@ -2121,12 +2121,13 @@ Status Evaluator::AppendContent(const Sequence& content, xml::Node* parent,
                                 xml::Document* doc) {
   // XQuery content semantics: adjacent atomic values join with a space
   // into one text node; nodes are deep-copied; attributes attach to the
-  // element (only allowed before other content, relaxed here).
+  // element (only allowed before other content, relaxed here). `parent`
+  // is a fresh constructed node, so every link takes the builder path.
   std::string pending_text;
   bool have_pending = false;
   auto flush = [&]() {
     if (have_pending) {
-      parent->AppendChild(doc->CreateText(pending_text));
+      doc->BuildAppend(parent, doc->CreateText(pending_text));
       pending_text.clear();
       have_pending = false;
     }
@@ -2147,18 +2148,18 @@ Status Evaluator::AppendContent(const Sequence& content, xml::Node* parent,
                               " appears twice on <" +
                               parent->name().Lexical() + ">");
         }
-        parent->SetAttribute(n->name(), n->value());
+        doc->BuildAppend(parent, doc->CreateAttribute(n->name(), n->value()));
         continue;
       }
       if (n->kind() == xml::NodeKind::kDocument) {
         flush();
         for (xml::Node* c : n->children()) {
-          parent->AppendChild(doc->ImportCopy(c));
+          doc->BuildAppend(parent, doc->ImportCopy(c));
         }
         continue;
       }
       flush();
-      parent->AppendChild(doc->ImportCopy(n));
+      doc->BuildAppend(parent, doc->ImportCopy(n));
     } else {
       if (have_pending) pending_text += " ";
       pending_text += item.atomic().ToXPathString();
@@ -2198,7 +2199,9 @@ Result<xml::Node*> Evaluator::BuildDirectNode(const DirectNode& d,
             value += part.literal;
           }
         }
-        element->SetAttribute(attr.name, std::move(value));
+        // The parser rejected repeated names (XQST0040).
+        doc->BuildAppend(element,
+                         doc->CreateAttribute(attr.name, std::move(value)));
       }
       for (const auto& child : d.children) {
         if (child->kind == DirectNode::Kind::kEnclosedExpr) {
@@ -2207,7 +2210,7 @@ Result<xml::Node*> Evaluator::BuildDirectNode(const DirectNode& d,
         } else {
           XQ_ASSIGN_OR_RETURN(xml::Node* n,
                               BuildDirectNode(*child, doc, ctx));
-          element->AppendChild(n);
+          doc->BuildAppend(element, n);
         }
       }
       return element;

@@ -265,6 +265,38 @@ TEST(EffectFacts, AssignedGlobalIsAnOutsideRead) {
   EXPECT_EQ(Facts(FunctionEffects(r, "param", 1)), "m");
 }
 
+TEST(EffectFacts, AssignmentToALocalOfTheSameNameLeavesTheGlobal) {
+  // Every `set` below rebinds a variable that shares the global's name:
+  // a block declaration, a clause variable, a quantifier variable, a
+  // parameter. None of them assigns the global, so local:r stays
+  // memoizable.
+  LintReport report = LintQuery(
+      "declare variable $g := 1;\n"
+      "declare sequential function local:a() {\n"
+      "  declare variable $g := 0; set $g := 2; $g };\n"
+      "declare sequential function local:b() {\n"
+      "  for $g in (1, 2) return { set $g := 3; $g } };\n"
+      "declare sequential function local:c() {\n"
+      "  some $g in (1, 2) satisfies { set $g := 3; true() } };\n"
+      "declare sequential function local:d($g) { set $g := 4; $g };\n"
+      "declare function local:r($e, $o) { $g };\n"
+      "1");
+  std::string line;
+  for (const std::string& l : report.RenderEffects()) {
+    if (l.find("r#2:") != std::string::npos) line = l;
+  }
+  EXPECT_EQ(line, "query: " + std::string(kLocal) +
+                      "r#2: reads={} writes={} scope={} pure memoizable");
+  // After the block, the same name is the global again.
+  AnalysisResult r = Analyze(
+      "declare variable $g := 1;\n"
+      "declare sequential function local:a() {\n"
+      "  { declare variable $g := 0; set $g := 2 }; set $g := 3 };\n"
+      "declare function local:r() { $g };\n"
+      "1");
+  EXPECT_EQ(Facts(FunctionEffects(r, "r", 0)), "o");
+}
+
 TEST(EffectFacts, UnassignedGlobalCarriesOnlyItsDomReads) {
   // The initializer ran once, at page load: a reference reads the names
   // it read, but does not fetch, read the clock, observe the host or

@@ -103,6 +103,45 @@ TEST(Arena, ResetRetainsSlabsAndReusesMemory) {
   EXPECT_EQ(first, again);
 }
 
+TEST(Arena, SlabsStartSmallAndDouble) {
+  xdm::Arena arena;
+  arena.Allocate(1000, 8);
+  EXPECT_EQ(arena.stats().slabs, 1u);
+  EXPECT_EQ(arena.stats().slab_bytes, xdm::Arena::kFirstSlabBytes);
+  // Past the first slab, each new one doubles up to kDefaultSlabBytes.
+  for (int i = 0; i < 100; ++i) arena.Allocate(1000, 8);
+  EXPECT_EQ(arena.stats().slab_bytes,
+            4096u + 8192u + 16384u + 32768u + 65536u);
+  arena.Reset();
+  arena.Allocate(1000, 8);
+  EXPECT_EQ(arena.stats().slabs, 5u);  // kept across Reset
+}
+
+TEST(Arena, SmallDispatchHoldsOneSmallSlab) {
+  // A dispatch whose stream operators take less than 4 KB holds one
+  // 4 KB slab, not a 64 KB one.
+  auto doc = xml::ParseDocument("<r><a v='1'/><a v='2'/><b/></r>");
+  ASSERT_TRUE(doc.ok());
+  DynamicContext ctx;
+  DynamicContext::Focus f;
+  f.item = xdm::Item::Node((*doc)->root());
+  f.position = 1;
+  f.size = 1;
+  f.has_item = true;
+  ctx.set_focus(f);
+  Engine engine;
+  auto q = engine.Compile("count(//a[@v = '2']) + count(/r/*)");
+  ASSERT_TRUE(q.ok());
+  auto r = (*q)->Run(ctx);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(xdm::SequenceToString(*r), "4");
+  const uint64_t used = (*q)->evaluator().counters().arena_bytes_used;
+  EXPECT_GT(used, 0u);
+  EXPECT_LT(used, xdm::Arena::kFirstSlabBytes);
+  EXPECT_EQ(ctx.arena().stats().slabs, 1u);
+  EXPECT_EQ(ctx.arena().stats().slab_bytes, xdm::Arena::kFirstSlabBytes);
+}
+
 TEST(Arena, OversizedAllocationGetsOwnSlab) {
   xdm::Arena arena;
   void* big = arena.Allocate(xdm::Arena::kDefaultSlabBytes * 2, 16);

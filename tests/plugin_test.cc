@@ -329,6 +329,43 @@ TEST_F(PluginTest, ReplaceStatusViaWindowNode) {
   EXPECT_EQ(browser_.top_window()->status(), "Welcome");
 }
 
+TEST(BomTrees, OnlyTheCurrentDispatchsTreesSyncBack) {
+  // Three clicks: an XQuery listener sets the status through
+  // browser:self(), a MiniJS listener overwrites it, and an unrelated
+  // updating XQuery listener runs. The first click's tree is gone by
+  // then: it must not push "from-xquery" back.
+  app::BrowserEnvironment env;
+  ASSERT_TRUE(env.LoadPage("http://app.example.com/status.xhtml", R"(<html>
+<head><script type="text/javascript"><![CDATA[
+function fromJs(e) { window.status = 'from-js'; }
+document.getElementById('js').addEventListener('onclick', fromJs, false);
+]]></script>
+<script type="text/xqueryp"><![CDATA[
+declare updating function local:fromXQuery($evt, $obj) {
+  replace value of node browser:self()/status with "from-xquery"
+};
+declare updating function local:log($evt, $obj) {
+  insert node <p/> into //div[@id="log"]
+};
+on event "onclick" at //input[@id="xq"] attach listener local:fromXQuery;
+on event "onclick" at //input[@id="other"] attach listener local:log
+]]></script></head><body>
+<input type="button" id="xq"/><input type="button" id="js"/>
+<input type="button" id="other"/><div id="log"/>
+</body></html>)")
+                  .ok())
+      << env.ScriptErrors();
+  ASSERT_TRUE(env.ClickId("xq").ok()) << env.ScriptErrors();
+  EXPECT_EQ(env.window()->status(), "from-xquery");
+  ASSERT_TRUE(env.ClickId("js").ok()) << env.ScriptErrors();
+  EXPECT_EQ(env.window()->status(), "from-js");
+  ASSERT_TRUE(env.ClickId("other").ok()) << env.ScriptErrors();
+  EXPECT_EQ(env.window()->status(), "from-js");
+  EXPECT_EQ(env.ById("log")->children().size(), 1u);
+  // The tree died with the first click's construction document.
+  EXPECT_EQ(env.plugin().retained().documents, 0u);
+}
+
 TEST_F(PluginTest, LocationHrefChangeNavigates) {
   fabric_.PutResource("http://app.example.com/second.xhtml",
                       "<html><body><p id='second'>two</p></body></html>");

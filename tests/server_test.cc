@@ -161,6 +161,11 @@ TEST(ServerSmoke, HttpFrontEndRoundTrip) {
   ASSERT_TRUE(report.ok());
   EXPECT_NE(report->body.find("s1: url="), std::string::npos);
   EXPECT_NE(report->body.find("plan cache:"), std::string::npos);
+  // The click's constructions and parsed responses died with it: the
+  // session holds nothing beyond its page.
+  EXPECT_NE(report->body.find(" retained=0 docs/0 nodes\n"),
+            std::string::npos)
+      << report->body;
 
   // Error mapping: bad event body, unknown session, then close.
   auto bad = web.Perform({"POST", "http://server.local/sessions/s1/events",

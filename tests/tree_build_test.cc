@@ -16,7 +16,9 @@
 
 #include "xml/dom.h"
 #include "xml/interning.h"
+#include "xml/serializer.h"
 #include "xml/xml_parser.h"
+#include "xquery/engine.h"
 
 namespace xqib::xml {
 namespace {
@@ -142,6 +144,32 @@ TEST(TreeBuildCounts, FragmentParseNotifiesOncePerTopLevelNode) {
   st = ParseFragmentInto("lead<a/>tail", host, ParseOptions());
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(hooks, 4);
+}
+
+TEST(TreeBuildCounts, ConstructorsBuildOnTheBuilderPath) {
+  // Direct and computed constructors, enclosed content, attribute
+  // content and copied nodes: the whole result is linked on the builder
+  // path, so the construction document records no mutation at all.
+  xquery::Engine engine;
+  auto query = engine.Compile(
+      "let $s := <s k=\"v\">x</s> return "
+      "<a x=\"1\">{attribute y {2}, \"t\", 3, $s, $s/@k}"
+      "<b z=\"{1 + 1}\">{1, 2}</b>{element c {text {\"u\"}, "
+      "attribute w {4}}}</a>");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  xquery::DynamicContext ctx;
+  Document* doc = ctx.scratch_document();
+  const uint64_t version = doc->mutation_version();
+  int hooks = 0;
+  doc->AddMutationHook([&](Node*) { ++hooks; });
+  auto result = (*query)->Run(ctx);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(doc->mutation_version(), version);
+  EXPECT_EQ(hooks, 0);
+  ASSERT_EQ(result->size(), 1u);
+  EXPECT_EQ(Serialize(result->at(0).node()),
+            "<a x=\"1\" y=\"2\" k=\"v\">t 3<s k=\"v\">x</s><b z=\"2\">1 2</b>"
+            "<c w=\"4\">u</c></a>");
 }
 
 }  // namespace

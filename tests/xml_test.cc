@@ -293,6 +293,60 @@ TEST(Dom, GetElementByIdAnswersFirstInDocumentOrder) {
   EXPECT_EQ(doc->GetElementById("dup"), deep);
 }
 
+// Under delta tracking the id map is spliced from the recorded changes:
+// one full build, then every kind of id edit keeps it exact.
+TEST(Dom, IdMapSplicesEveryKindOfIdEdit) {
+  auto doc = Parse("<r><a id=\"one\"/><b><c id=\"two\"/></b><d/></r>");
+  doc->set_delta_tracking(true);
+  Node* r = doc->DocumentElement();
+  Node* a = r->children()[0];
+  Node* b = r->children()[1];
+  Node* c = b->children()[0];
+  Node* d = r->children()[2];
+  auto expect_exact = [&](const char* step) {
+    Status st = doc->CheckInvariants();
+    EXPECT_TRUE(st.ok()) << step << ": " << st.ToString();
+  };
+  ASSERT_EQ(doc->GetElementById("one"), a);
+  ASSERT_EQ(doc->id_index_builds(), 1u);
+
+  a->SetAttribute(QName("id"), "uno");  // value edit
+  EXPECT_EQ(doc->GetElementById("one"), nullptr);
+  EXPECT_EQ(doc->GetElementById("uno"), a);
+  expect_exact("set");
+  d->SetAttribute(QName("id"), "uno");  // a later duplicate
+  EXPECT_EQ(doc->GetElementById("uno"), a);
+  a->RemoveAttribute("", "id");
+  EXPECT_EQ(doc->GetElementById("uno"), d);
+  expect_exact("remove");
+  d->FindAttribute("id")->SetValue("four");  // the attribute's own value
+  EXPECT_EQ(doc->GetElementById("four"), d);
+  EXPECT_EQ(doc->GetElementById("uno"), nullptr);
+  d->FindAttribute("id")->Rename(QName("name"));  // id -> name
+  EXPECT_EQ(doc->GetElementById("four"), nullptr);
+  d->FindAttribute("name")->Rename(QName("id"));  // and back
+  EXPECT_EQ(doc->GetElementById("four"), d);
+  expect_exact("rename");
+  Node* attr = doc->CreateAttribute(QName("id"), "five");
+  a->AttachAttribute(attr);
+  EXPECT_EQ(doc->GetElementById("five"), a);
+
+  b->Detach();  // a subtree with an id inside
+  EXPECT_EQ(doc->GetElementById("two"), nullptr);
+  c->SetAttribute(QName("id"), "six");  // edited while detached
+  r->InsertFirst(b);  // back, now before every other id
+  EXPECT_EQ(doc->GetElementById("six"), c);
+  EXPECT_EQ(doc->GetElementById("two"), nullptr);
+  d->SetAttribute(QName("id"), "six");
+  EXPECT_EQ(doc->GetElementById("six"), c);
+  expect_exact("move");
+  r->SetValue("text");  // drops every child
+  EXPECT_EQ(doc->GetElementById("six"), nullptr);
+  EXPECT_EQ(doc->GetElementById("five"), nullptr);
+  expect_exact("clear");
+  EXPECT_EQ(doc->id_index_builds(), 1u);
+}
+
 // ---------------------------------------------- element-name index ---
 
 TEST(Dom, ElementsByNameFindsInDocumentOrder) {
