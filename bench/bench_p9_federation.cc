@@ -151,7 +151,7 @@ bool RunArm(const std::string& page, bool async_federation, int iters,
             double* ns_per_op, ArmCounters* counters, std::string* result) {
   MashupEnv m;
   if (!m.Load(page, async_federation)) return false;
-  // Warm plans, fetch-plan caches, and the listener memo gates before
+  // Warm the fetch-plan caches and the listener memo gates before
   // the stats snapshot so the timed window holds exactly `iters` ops.
   for (int i = 0; i < 3; ++i) m.Op();
   const xqib::net::HttpFabric::Stats& fs = m.env.fabric().stats();

@@ -1,7 +1,7 @@
 // Shared machinery for the self-timed JSON benchmark runners
-// (bench_p4_memory, bench_p7_plans, bench_p9_federation,
-// bench_s1_server): argument parsing, the warmup+timing loop, the
-// dispatch ablation scenario, and the common JSON results schema
+// (bench_p4_memory, bench_p9_federation, bench_s1_server): argument
+// parsing, the warmup+timing loop, the dispatch ablation scenario, and
+// the common JSON results schema
 //   {"name": ..., "<on>_ns_per_op": ..., "<off>_ns_per_op": ...,
 //    "speedup": ..., "results_match": ...}
 // so every runner's checked-in BENCH_*.json stays structurally

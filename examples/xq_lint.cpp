@@ -22,10 +22,7 @@
 #include <vector>
 
 #include "app/environment.h"
-#include "browser/page.h"
-#include "xml/dom.h"
 #include "xquery/analysis/lint.h"
-#include "xquery/plan/plan.h"
 
 using xqib::xquery::analysis::LintReport;
 
@@ -35,7 +32,6 @@ struct CliOptions {
   bool json = false;
   bool werror = false;
   bool effects = false;  // dump per-function read/write sets instead
-  bool plan = false;     // dump compiled plan listings instead
   std::vector<std::string> files;
 };
 
@@ -77,53 +73,12 @@ bool IsXhtml(const std::string& name, const std::string& content) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: xq_lint [--json] [--werror] [--effects|--plan] "
+               "usage: xq_lint [--json] [--werror] [--effects] "
                "<file.xhtml|file.xq|->...\n"
                "  --effects  dump the effect analysis (per-function "
                "read/write sets)\n             instead of diagnostics "
-               "(text output; --json takes precedence)\n"
-               "  --plan     dump the compiled plan listing (flat "
-               "bytecode with\n             specialization annotations) "
-               "for every user function\n");
+               "(text output; --json takes precedence)\n");
   return 2;
-}
-
-// --plan on an XHTML page dumps the plans of every XQuery script block,
-// prefixed with the same "script N" labels the linter uses; on a bare
-// query it dumps the single module. Returns 0 / 1 (compile error) / 2.
-int DumpPlans(const std::string& file, const std::string& content,
-              bool is_xhtml) {
-  namespace plan = xqib::xquery::plan;
-  std::vector<std::pair<std::string, std::string>> sources;
-  if (is_xhtml) {
-    auto doc = xqib::xml::ParseDocument(content);
-    if (!doc.ok()) {
-      std::fprintf(stderr, "xq_lint: %s: %s\n", file.c_str(),
-                   doc.status().ToString().c_str());
-      return 2;
-    }
-    size_t index = 0;
-    for (const auto& script : xqib::browser::ExtractScripts(doc->get())) {
-      if (script.language != xqib::browser::ScriptLanguage::kXQuery &&
-          script.language != xqib::browser::ScriptLanguage::kXQueryP) {
-        continue;
-      }
-      ++index;
-      sources.emplace_back("script " + std::to_string(index), script.code);
-    }
-  } else {
-    sources.emplace_back("query", content);
-  }
-  for (const auto& [label, source] : sources) {
-    auto dump = plan::DumpPlansForQuery(source);
-    if (!dump.ok()) {
-      std::fprintf(stderr, "xq_lint: %s: %s: %s\n", file.c_str(),
-                   label.c_str(), dump.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s: %s:\n%s", file.c_str(), label.c_str(), dump->c_str());
-  }
-  return 0;
 }
 
 }  // namespace
@@ -138,8 +93,6 @@ int main(int argc, char** argv) {
       options.werror = true;
     } else if (arg == "--effects") {
       options.effects = true;
-    } else if (arg == "--plan") {
-      options.plan = true;
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
@@ -160,11 +113,6 @@ int main(int argc, char** argv) {
     if (!ReadInput(file, &content)) {
       std::fprintf(stderr, "xq_lint: cannot read %s\n", file.c_str());
       return 2;
-    }
-    if (options.plan && !options.json) {
-      int rc = DumpPlans(file, content, IsXhtml(file, content));
-      if (rc != 0) return rc;
-      continue;
     }
     LintReport report;
     if (IsXhtml(file, content)) {

@@ -24,7 +24,6 @@
 #include "xml/xml_parser.h"
 #include "xquery/counters.h"
 #include "xquery/engine.h"
-#include "xquery/plan/plan.h"
 #include "xquery/profiler.h"
 
 using namespace xqib;  // NOLINT(build/namespaces) example code
@@ -140,7 +139,7 @@ int RunHttp(const std::string& args) {
   return 0;
 }
 
-// `:sessions` — shared-substrate stats (intern pool, plan cache);
+// `:sessions` — shared-substrate stats (intern pool);
 // `:sessions <page-file> [n [events [target-id]]]` additionally hosts
 // `n` copies of the page on a demo PageServer, fires `events` clicks at
 // `target-id` per session, and dumps the per-session report (events,
@@ -191,24 +190,13 @@ int RunSessions(const std::string& args) {
               (unsigned long long)intern.misses,
               (unsigned long long)intern.strings,
               (unsigned long long)intern.names);
-  xquery::plan::PlanCache& cache = xquery::plan::PlanCache::Global();
-  xquery::plan::PlanCache::Stats plans = cache.stats();
-  std::printf("  plan cache: %llu entries, %llu hits, %llu misses, "
-              "%llu invalidations, %llu compiles kept, %llu bytes\n",
-              (unsigned long long)cache.size(),
-              (unsigned long long)plans.hits,
-              (unsigned long long)plans.misses,
-              (unsigned long long)plans.invalidations,
-              (unsigned long long)plans.inserts,
-              (unsigned long long)plans.resident_bytes);
   return 0;
 }
 
 int RunQuery(const std::string& query, xml::Document* context_doc,
              bool print_doc_after, bool profile) {
-  // `:plan <query>` dumps the compiled bytecode plans of the query's
-  // user-declared functions instead of evaluating it; `:counters` dumps
-  // the counters accumulated by every query run so far.
+  // `:counters` dumps the counters accumulated by every query run so
+  // far.
   std::string trimmed(TrimWhitespace(query));
   if (trimmed == ":counters") {
     std::printf("--- session counters ---\n");
@@ -228,17 +216,6 @@ int RunQuery(const std::string& query, xml::Document* context_doc,
   }
   if (trimmed.rfind(":http", 0) == 0) {
     return RunHttp(std::string(TrimWhitespace(trimmed.substr(5))));
-  }
-  if (trimmed.rfind(":plan", 0) == 0) {
-    auto dump = xquery::plan::DumpPlansForQuery(
-        std::string(TrimWhitespace(trimmed.substr(5))));
-    if (!dump.ok()) {
-      std::fprintf(stderr, "compile error: %s\n",
-                   dump.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s", dump->c_str());
-    return 0;
   }
   xquery::Engine engine;
   auto compiled = engine.Compile(query);
@@ -323,18 +300,15 @@ int main(int argc, char** argv) {
                   "(one per line\nwhen interactive, whole input when "
                   "piped).\n-p prints each query's hottest expressions "
                   "by self time and the\ndispatch counters it moved.\n"
-                  "A query of the form ':plan <query>' dumps "
-                  "the compiled bytecode plans\nof the query's "
-                  "user-declared functions instead of evaluating it.\n"
                   "A query of ':counters' prints every dispatch counter "
                   "(src/xquery/counters.h)\nthat moved across the "
                   "session, one per line with its meaning, plus the\n"
                   "context document's index counters.\n"
                   "A query of ':sessions' dumps the shared-substrate "
-                  "stats (intern pool,\nplan cache); ':sessions "
-                  "<page-file> [n [events [target-id]]]' hosts n\ncopies "
-                  "of the page on a demo page server, fires the events, "
-                  "and dumps\nthe per-session report.\n"
+                  "stats (intern pool);\n':sessions <page-file> "
+                  "[n [events [target-id]]]' hosts n copies of the\n"
+                  "page on a demo page server, fires the events, and "
+                  "dumps the\nper-session report.\n"
                   "A query of ':http' dumps the shared HTTP response "
                   "cache (per-URL\nhits/misses included); ':http "
                   "<page-file> [n [events [target-id]]]'\nruns the page-"

@@ -1,10 +1,8 @@
-// Process-wide HTTP response cache (the remote-data analogue of
-// PlanCache): successful GET responses are stored under their URL with a
-// TTL measured on the fabric's virtual clock, and writes through the
-// fabric (PUT, PutResource, SetHandler) invalidate the affected entries.
-// One instance is shared by every PageServer session — like
-// PlanCache::Global(), the first session to fetch a source warms all of
-// them.
+// Process-wide HTTP response cache: successful GET responses are stored
+// under their URL with a TTL measured on the fabric's virtual clock, and
+// writes through the fabric (PUT, PutResource, SetHandler) invalidate
+// the affected entries. One instance is shared by every PageServer
+// session, so the first session to fetch a source warms all of them.
 
 #ifndef XQIB_NET_RESPONSE_CACHE_H_
 #define XQIB_NET_RESPONSE_CACHE_H_

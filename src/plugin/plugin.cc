@@ -251,14 +251,12 @@ Status XqibPlugin::InitializePage(Window* window) {
     }
     module_facts[i] = std::move(result.facts);
   }
-  // Merge the per-module facts into one shared object for the plan
-  // compiler and the FLWOR scatter: a page's scripts share a static
-  // context, so one plan set (and one cardinality/effect view) covers
-  // them all.
+  // Merge the per-module effect summaries into one shared object for
+  // the FLWOR scatter: a page's scripts share a static context, so one
+  // effect view covers them all.
   {
     auto merged = std::make_shared<xquery::analysis::AnalysisFacts>();
     for (const xquery::analysis::AnalysisFacts& mf : module_facts) {
-      merged->cardinality.insert(mf.cardinality.begin(), mf.cardinality.end());
       merged->function_effects.insert(mf.function_effects.begin(),
                                       mf.function_effects.end());
     }
@@ -430,6 +428,9 @@ Status XqibPlugin::ApplyAfterRun(PageContext* page) {
 }
 
 void XqibPlugin::EndDispatch(PageContext* page) {
+  // A dispatch that failed before or during its apply pass leaves its
+  // pending updates behind; they die with it, like its other values.
+  page->ctx->pul().Clear();
   page->evaluator->ResetDispatchArena(*page->ctx);
   // A navigation during the dispatch replaced the page (or its window
   // closed): the old context dies whole with its last reference.

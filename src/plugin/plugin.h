@@ -243,9 +243,8 @@ class XqibPlugin : public xquery::BrowserBinding {
     };
     std::unordered_map<ListenerKey, ListenerRecord, ListenerKeyHash>
         listeners;
-    // Analyzer facts merged across all page scripts, shared with the
-    // page evaluator so compiled-plan specialization sees one facts
-    // object (cardinality entries key on AST nodes owned by `modules`).
+    // Effect summaries merged across all page scripts, shared with the
+    // page evaluator's FLWOR scatter.
     std::shared_ptr<const xquery::analysis::AnalysisFacts> facts;
 
     // Scatter-gather federation (PERFORMANCE.md §10): the page-level
@@ -341,10 +340,11 @@ class XqibPlugin : public xquery::BrowserBinding {
   Status ApplyAfterRun(PageContext* page);
   // Ends a top-level dispatch: the page-load body (globals and main
   // body, or local:main()), a listener call, an inline handler or a
-  // `behind` completion. Runs after the PUL apply: reclaims the dispatch
-  // arena, retires the dispatch's BOM trees, and destroys every document
-  // of the page context no root reaches. Dispatches of one page never
-  // nest (the same assumption the arena reset makes).
+  // `behind` completion. Runs after the PUL apply: discards what is left
+  // in the PUL (a failed dispatch's updates never apply later), reclaims
+  // the dispatch arena, retires the dispatch's BOM trees, and destroys
+  // every document of the page context no root reaches. Dispatches of
+  // one page never nest (the same assumption the arena reset makes).
   void EndDispatch(PageContext* page);
   // Publishes the pages' retained documents and nodes (retained()).
   void PublishRetained();

@@ -9,7 +9,6 @@
 #include "xml/interning.h"
 #include "xml/serializer.h"
 #include "xml/xml_parser.h"
-#include "xquery/plan/plan.h"
 
 namespace xqib::server {
 
@@ -72,9 +71,9 @@ std::string AttrOr(const xml::Node* elem, const char* name,
 
 PageServer::PageServer(const Options& options)
     : options_(options), services_(&backend_, &store_) {
-  // Sessions share the process-wide response cache, like the plan cache
-  // and intern pool: N sessions mashing up the same remote sources pay
-  // each round trip once per TTL window, not once per session.
+  // Sessions share the process-wide response cache, like the intern
+  // pool: N sessions mashing up the same remote sources pay each round
+  // trip once per TTL window, not once per session.
   backend_.set_response_cache(net::HttpResponseCache::Global());
   if (options_.workers > 0) {
     pool_ = std::make_unique<base::ThreadPool>(options_.workers);
@@ -91,7 +90,10 @@ PageServer::~PageServer() {
 Result<std::shared_ptr<Session>> PageServer::RegisterSession() {
   std::unique_lock<std::shared_mutex> lk(sessions_mu_);
   uint64_t seq = next_session_++;
-  std::string id = "s" + std::to_string(seq);
+  // Appended, not `"s" + to_string(seq)`: GCC 12 flags that form with a
+  // false -Wrestrict positive (GCC bug 105651).
+  std::string id = "s";
+  id += std::to_string(seq);
   auto session = std::make_shared<Session>(id, seq, &backend_, &services_,
                                            pool_.get(), options_.session);
   sessions_.emplace(id, session);
@@ -193,12 +195,6 @@ std::string PageServer::FormatSessionsReport() const {
   out << "    intern pool: " << intern.hits << " hits, " << intern.misses
       << " misses, " << intern.strings << " strings, " << intern.names
       << " names\n";
-  xquery::plan::PlanCache& cache = xquery::plan::PlanCache::Global();
-  xquery::plan::PlanCache::Stats plans = cache.stats();
-  out << "    plan cache: " << cache.size() << " entries, " << plans.hits
-      << " hits, " << plans.misses << " misses, " << plans.invalidations
-      << " invalidations, " << plans.inserts << " compiles kept, "
-      << plans.resident_bytes << " bytes\n";
   net::HttpResponseCache& responses = *net::HttpResponseCache::Global();
   net::HttpResponseCache::Stats rc = responses.stats();
   out << "    response cache: " << responses.size() << " entries, "

@@ -78,8 +78,8 @@ class PageServer {
   void DrainAll();
 
   // Per-session event counts plus the shared-substrate stats (intern
-  // pool, plan cache, thread pool) — the operator introspection behind
-  // xq_repl's :sessions and GET <base>/sessions.
+  // pool, response cache, thread pool) — the operator introspection
+  // behind xq_repl's :sessions and GET <base>/sessions.
   std::string FormatSessionsReport() const;
 
   // Registers the REST endpoints above on `front` under `base_url`.

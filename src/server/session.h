@@ -8,10 +8,9 @@
 // listener registry, arenas, memo cache, name indexes, delta windows,
 // per-dispatch stats) is private to it — no cross-session locks on the
 // dispatch hot path. Everything read-mostly and process-wide (the
-// QName/string interning pool, the compiled-plan cache, the backend
-// HTTP fabric and web-service host, the work-stealing thread pool) is
-// shared: N sessions compile each plan once and pointer-compare each
-// other's names.
+// QName/string interning pool, the backend HTTP fabric with its
+// response cache and web-service host, the work-stealing thread pool)
+// is shared: N sessions pointer-compare each other's names.
 //
 // Concurrency model: the session is one serial strand. Events enqueue
 // from any thread; at most one drain runs at a time, on a shared-pool

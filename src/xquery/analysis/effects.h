@@ -30,8 +30,7 @@
 //
 // Consumers: the plug-in's per-listener record (memoizable, apply-pass
 // skip, delta-skip read names, listener scatter), the evaluator's FLWOR
-// scatter (fabric safety), the plan compiler's [pure] label, and lints
-// XQSA034/035/036.
+// scatter (fabric safety), and lints XQSA034/035/036.
 
 #ifndef XQIB_XQUERY_ANALYSIS_EFFECTS_H_
 #define XQIB_XQUERY_ANALYSIS_EFFECTS_H_

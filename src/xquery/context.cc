@@ -2,28 +2,12 @@
 
 #include <algorithm>
 #include <ctime>
-#include <string_view>
 
 #include "xquery/update.h"
 
 namespace xqib::xquery {
 
 // ------------------------------------------------------- StaticContext ---
-
-namespace {
-
-// FNV-1a, folded incrementally with a field separator so adjacent fields
-// cannot collide by concatenation.
-void FoldHash(uint64_t* h, std::string_view s) {
-  for (unsigned char c : s) {
-    *h ^= c;
-    *h *= 1099511628211ULL;
-  }
-  *h ^= 0x1f;
-  *h *= 1099511628211ULL;
-}
-
-}  // namespace
 
 void StaticContext::AddModule(const Module& module) {
   for (const auto& fn : module.functions) {
@@ -35,51 +19,12 @@ void StaticContext::AddModule(const Module& module) {
   for (const auto& [name, value] : module.options) {
     options_[name] = value;
   }
-  // Plan-cache keying (see header): non-library source text is the cache
-  // key; everything else that changes what that text means — including
-  // library sources, whose function bodies back compiled call targets —
-  // goes into the fingerprint.
-  if (!module.is_library) FoldHash(&plan_source_hash_, module.source_text);
-  FoldHash(&plan_fingerprint_, module.is_library ? "lib" : "main");
-  FoldHash(&plan_fingerprint_, module.source_text);
-  FoldHash(&plan_fingerprint_, module.module_ns);
-  FoldHash(&plan_fingerprint_, module.default_element_ns);
-  for (const auto& [p, u] : module.namespaces) {
-    FoldHash(&plan_fingerprint_, p);
-    FoldHash(&plan_fingerprint_, u);
-  }
-  for (const auto& [k, v] : module.options) {
-    FoldHash(&plan_fingerprint_, k);
-    FoldHash(&plan_fingerprint_, v);
-  }
 }
 
 const FunctionDecl* StaticContext::FindFunction(const xml::QName& name,
                                                 size_t arity) const {
   auto it = functions_.find(FunctionKey{name.token(), arity});
   return it == functions_.end() ? nullptr : it->second.get();
-}
-
-std::shared_ptr<const FunctionDecl> StaticContext::FindFunctionShared(
-    const xml::QName& name, size_t arity) const {
-  auto it = functions_.find(FunctionKey{name.token(), arity});
-  return it == functions_.end() ? nullptr : it->second;
-}
-
-std::vector<std::shared_ptr<const FunctionDecl>> StaticContext::AllFunctions()
-    const {
-  std::vector<std::shared_ptr<const FunctionDecl>> out;
-  out.reserve(functions_.size());
-  for (const auto& [key, fn] : functions_) out.push_back(fn);
-  std::sort(out.begin(), out.end(),
-            [](const std::shared_ptr<const FunctionDecl>& a,
-               const std::shared_ptr<const FunctionDecl>& b) {
-              if (a->name.Clark() != b->name.Clark()) {
-                return a->name.Clark() < b->name.Clark();
-              }
-              return a->params.size() < b->params.size();
-            });
-  return out;
 }
 
 const std::string& StaticContext::option(const std::string& clark) const {
@@ -200,10 +145,6 @@ void DynamicContext::ReleaseUnreached(
   DocumentMarks marks(documents_);
   env_.ForEachValue([&](const xdm::Sequence& value) { marks.Mark(value); });
   if (focus_.has_item && focus_.item.is_node()) marks.Mark(focus_.item.node());
-  for (const PendingUpdateList::Primitive& p : pul_->primitives()) {
-    marks.Mark(p.target);
-    for (const xml::Node* n : p.content) marks.Mark(n);
-  }
   mark_host_roots(marks);
   size_t kept = 0;
   for (size_t i = 0; i < documents_.size(); ++i) {

@@ -91,33 +91,6 @@ class StaticContext {
 
   const std::string& option(const std::string& clark) const;
 
-  // Shared-ownership lookup: same resolution as FindFunction, but the
-  // returned handle keeps the declaration (and its body AST) alive past
-  // this context — compiled plans hold these so a cached plan can outlive
-  // the page that compiled it.
-  std::shared_ptr<const FunctionDecl> FindFunctionShared(
-      const xml::QName& name, size_t arity) const;
-
-  // All registered functions, sorted by Clark name + arity so plan
-  // compilation and plan dumps are deterministic.
-  std::vector<std::shared_ptr<const FunctionDecl>> AllFunctions() const;
-
-  // --- compiled-plan cache keying ---
-  //
-  // plan_source_hash: FNV-1a over the source text of every non-library
-  // module registered so far (the page's scripts / the query itself).
-  // This is the process-wide plan-cache key: two pages with identical
-  // script text share one compiled plan set.
-  //
-  // plan_fingerprint: FNV-1a over everything else that can change the
-  // meaning of that text — library module sources, module namespaces,
-  // default element namespaces, and declared options (the collation /
-  // feature knobs ride on options). A probe that matches the source
-  // hash but not the fingerprint is a genuine static-context change and
-  // invalidates the cached entry.
-  uint64_t plan_source_hash() const { return plan_source_hash_; }
-  uint64_t plan_fingerprint() const { return plan_fingerprint_; }
-
  private:
   // Functions key on the interned name token + arity: no string is
   // built per FindFunction call.
@@ -138,8 +111,6 @@ class StaticContext {
       functions_;
   std::vector<const VarDecl*> globals_;
   std::unordered_map<std::string, std::string> options_;
-  uint64_t plan_source_hash_ = 14695981039346656037ULL;  // FNV-1a offset
-  uint64_t plan_fingerprint_ = 14695981039346656037ULL;
 };
 
 // Variable environment: a stack of scopes. Function calls push a barrier
@@ -298,11 +269,12 @@ class DynamicContext {
   // Ends what the dispatch built: destroys every owned document (the
   // construction document, adopted responses, documents kept from
   // earlier dispatches) that no root reaches. The roots here are the
-  // environment's bindings, the focus and the pending update list;
-  // `mark_host_roots` marks the host's own (pending work, listener
-  // targets). A reached document survives whole and is a candidate
-  // again at the next release. Without a release (a plain Engine run)
-  // every document lives as long as the context.
+  // environment's bindings and the focus; `mark_host_roots` marks the
+  // host's own (pending work, listener targets). The host discards the
+  // pending update list first, so it holds nothing here. A reached
+  // document survives whole and is a candidate again at the next
+  // release. Without a release (a plain Engine run) every document
+  // lives as long as the context.
   void ReleaseUnreached(
       const std::function<void(DocumentMarks&)>& mark_host_roots);
   // True when `node` lies in a document this context owns (by address).

@@ -1,8 +1,8 @@
-// The dispatch counter set: every counter the evaluator, the plan
-// executor and the plug-in bump, declared once in the list below with
-// its name and meaning. The struct, its `+=`, its difference and its
-// for-each-by-name are all generated from that list, so adding a counter
-// takes one line here plus the line that bumps it.
+// The dispatch counter set: every counter the evaluator and the plug-in
+// bump, declared once in the list below with its name and meaning. The
+// struct, its `+=`, its difference and its for-each-by-name are all
+// generated from that list, so adding a counter takes one line here plus
+// the line that bumps it.
 //
 // Every field is a monotone relaxed counter (base/counters.h): copying a
 // set snapshots it, and `after - before` is what moved in between. An
@@ -10,6 +10,10 @@
 // construction; the plug-in's cumulative set receives every page
 // evaluator's counts, and XqibPlugin::last_event_stats() is the
 // difference across one listener invocation.
+//
+// plan_compiles, plan_hits and plan_misses are never bumped: every
+// declared function call runs through the tree walker. They stay only
+// because the end-to-end benchmark (perfbench/e2e.cc) reads them.
 
 #ifndef XQIB_XQUERY_COUNTERS_H_
 #define XQIB_XQUERY_COUNTERS_H_
@@ -31,11 +35,9 @@ namespace xqib::xquery {
   X(RelaxedCounter, arena_bytes_used, "stream-operator bytes bump-allocated") \
   X(RelaxedCounter, arena_resets, "wholesale dispatch-arena resets")          \
   X(RelaxedCounter, intern_hits, "intern-pool hits inside listener calls")    \
-  X(RelaxedCounter, plan_compiles, "function plans compiled")                 \
-  X(RelaxedCounter, plan_hits, "calls run through a compiled plan")           \
-  X(RelaxedCounter, plan_misses, "plan-mode calls that tree-walked")          \
-  X(RelaxedCounter, plan_invalidations, "plan-cache keys found stale")        \
-  X(RelaxedCounter, plan_bytes, "bytes of plan code and pools compiled")      \
+  X(RelaxedCounter, plan_compiles, "always 0, read by perfbench/")            \
+  X(RelaxedCounter, plan_hits, "always 0, read by perfbench/")                \
+  X(RelaxedCounter, plan_misses, "always 0, read by perfbench/")              \
   X(RelaxedCounter, memo_hits, "listener calls replayed from the memo")       \
   X(RelaxedCounter, memo_misses, "memoizable calls with no memo entry")       \
   X(RelaxedCounter, memo_invalidations, "stale memo entries discarded")       \

@@ -111,9 +111,7 @@ Result<std::unique_ptr<CompiledQuery>> Engine::Compile(
   compiled->optimizer_stats_ = stats;
   compiled->diagnostics_ = std::move(analyzed.diagnostics);
   if (options.analyze) {
-    // Retained for plan specialization: cardinality entries key on AST
-    // nodes, so only the ones whose nodes survived the optimizer still
-    // resolve — lookups on replaced nodes simply miss (never mislead).
+    // Retained for the FLWOR scatter, which reads the effect summaries.
     compiled->evaluator_.set_analysis_facts(
         std::make_shared<const analysis::AnalysisFacts>(
             std::move(analyzed.facts)));

@@ -76,10 +76,8 @@ class CompiledQuery {
   std::unique_ptr<Module> module_;
   StaticContext sctx_;
   std::vector<const Module*> imported_;  // for global binding order
-  // Holds the full AnalysisFacts (Evaluator::set_analysis_facts) for
-  // compiled-plan specialization and the FLWOR scatter; cardinality
-  // entries key on AST nodes, so only facts whose nodes survived the
-  // optimizer still resolve.
+  // Holds the AnalysisFacts (Evaluator::set_analysis_facts) whose
+  // effect summaries gate the FLWOR scatter.
   Evaluator evaluator_;
   OptimizerStats optimizer_stats_;
   std::vector<analysis::Diagnostic> diagnostics_;

@@ -10,7 +10,6 @@
 #include "base/strings.h"
 #include "xquery/federation.h"
 #include "xquery/fulltext.h"
-#include "xquery/plan/plan.h"
 #include "xquery/profiler.h"
 #include "xquery/update.h"
 #include "xquery/value_ops.h"
@@ -1062,35 +1061,6 @@ void Evaluator::ResetDispatchArena(DynamicContext& ctx) {
   ++counters_->arena_resets;
 }
 
-void Evaluator::EnsurePlans() {
-  uint64_t source_hash = sctx_.plan_source_hash();
-  uint64_t fingerprint = sctx_.plan_fingerprint();
-  // Warm path: the memoized plans are pinned for as long as the static
-  // context keys hold, so a dispatch performs zero cache probes.
-  if (plans_ != nullptr && plans_source_hash_ == source_hash &&
-      plans_fingerprint_ == fingerprint) {
-    return;
-  }
-  plan::PlanCache& cache = plan::PlanCache::Global();
-  bool invalidated = false;
-  std::shared_ptr<const plan::ModulePlans> plans =
-      cache.Probe(source_hash, fingerprint, &invalidated);
-  if (invalidated) {
-    ++counters_->plan_invalidations;
-  }
-  if (plans == nullptr) {
-    plans = plan::CompileModulePlans(sctx_, facts_.get());
-    counters_->plan_compiles += plans->fns.size();
-    counters_->plan_bytes += plans->total_bytes;
-    // First insert wins: a racing evaluator that compiled the same key
-    // adopts the winner's plans so both execute identical objects.
-    plans = cache.Insert(source_hash, fingerprint, std::move(plans));
-  }
-  plans_ = std::move(plans);
-  plans_source_hash_ = source_hash;
-  plans_fingerprint_ = fingerprint;
-}
-
 Result<Sequence> Evaluator::PathInput(const Expr& e, DynamicContext& ctx) {
   if (!e.kids.empty()) return Eval(*e.kids[0], ctx);
   if (e.root_anchored) {
@@ -1910,24 +1880,6 @@ Result<Sequence> Evaluator::CallFunction(const xml::QName& name,
                                   "maximum recursion depth exceeded in " +
                                       name.Lexical());
     }
-    // Compiled-plan dispatch: the body was lowered once (process-wide
-    // cache, see EnsurePlans) into flat bytecode — no AST traversal and
-    // no name resolution per call. Off (or plan missing), the tree
-    // walker below stays the oracle.
-    if (options_.compiled_plans) {
-      EnsurePlans();
-      if (const plan::FunctionPlan* fp =
-              plans_->Find(name.token(), args.size())) {
-        ++counters_->plan_hits;
-        Result<Sequence> result =
-            plan::ExecutePlan(*fp, *plans_, std::move(args), *this, ctx);
-        --ctx.call_depth;
-        if (!result.ok()) return result;
-        if (exit_flag_) return TakeExitValue();
-        return result;
-      }
-      ++counters_->plan_misses;
-    }
     ctx.env().PushScope(/*barrier=*/true);
     for (size_t i = 0; i < fn->params.size(); ++i) {
       ctx.env().Bind(fn->params[i].name, std::move(args[i]));
@@ -1948,9 +1900,9 @@ Result<Sequence> Evaluator::CallFunction(const xml::QName& name,
     return (*ext)(args, ctx);
   }
   // 3. built-in library. A stream-consumable builtin reached here (a
-  // plan's call.dyn op, a host call) has its argument evaluated
-  // already: it is read through a cursor on the stack, and since
-  // nothing was avoided or cut short, its counts go nowhere.
+  // host call) has its argument evaluated already: it is read through a
+  // cursor on the stack, and since nothing was avoided or cut short, its
+  // counts go nowhere.
   if (ClassifyStreamBuiltin(name, args.size()) != StreamFnClass::kNone) {
     xdm::SequenceCursor arg0(std::move(args[0]));
     Counters uncounted;

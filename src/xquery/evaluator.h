@@ -26,10 +26,6 @@ struct AnalysisFacts;
 namespace federation {
 struct FlworScatterPlan;
 }  // namespace federation
-namespace plan {
-struct ModulePlans;
-struct PlanEvaluatorAccess;
-}  // namespace plan
 
 struct EvaluatorStreams;
 
@@ -44,10 +40,10 @@ class Evaluator {
   Evaluator(const Evaluator&) = delete;
   Evaluator& operator=(const Evaluator&) = delete;
 
-  // Runtime toggles, both on by default. Each off position is a
-  // reference implementation the tests compare against (PERFORMANCE.md,
-  // "Evaluator switches"). Everything else is always on: paths, filters,
-  // FLWORs and sequence-valued builtins compose as lazy pull streams
+  // Runtime toggle, on by default. Its off position is a reference
+  // implementation the tests compare against (PERFORMANCE.md, "Evaluator
+  // switches"). Everything else is always on: paths, filters, FLWORs and
+  // sequence-valued builtins compose as lazy pull streams
   // (xdm::ItemStream) in the DynamicContext's per-dispatch arena, steps
   // the optimizer proved ordered and duplicate-free skip their sort
   // barrier, exact-name descendant steps from one attached node answer
@@ -56,13 +52,6 @@ class Evaluator {
   // stop early. The independent reference for all of that is
   // tests/xpath_reference.h.
   struct EvalOptions {
-    // Dispatch user-declared function calls through compiled register
-    // plans (xquery/plan/): the body is lowered once into flat bytecode
-    // specialized by analyzer facts, cached process-wide on (source
-    // hash, static-context fingerprint), and executed without AST
-    // traversal. Off: every call tree-walks — the oracle the plan
-    // ablation tests compare against.
-    bool compiled_plans = true;
     // Scatter-gather over remote sources: FLWOR bodies whose http:get
     // URLs are statically expressible (literals, or templates over the
     // loop variable) and provably free of reachable fabric writes issue
@@ -116,33 +105,21 @@ class Evaluator {
 
   const StaticContext& static_context() const { return sctx_; }
 
-  // fn:count's index shape: a one-step, predicate-free exact-name
-  // descendant path (TryFastCount; the plan compiler's count.indexed).
-  static bool IsFastCountPath(const Expr& e);
-
-  // Analyzer facts (cardinalities, effect summaries) used to specialize
-  // plan compilation and to prove a FLWOR's scatter fabric-safe.
-  // Optional: without them plans still compile, just without the
-  // fact-driven opcode specializations, and no FLWOR that calls a
-  // declared function scatters. Shared ownership: the plug-in's page
-  // context and its evaluator hold one facts object.
+  // Analyzer facts (effect summaries) used to prove a FLWOR's scatter
+  // fabric-safe. Optional: without them no FLWOR that calls a declared
+  // function scatters. Shared ownership: the plug-in's page context and
+  // its evaluator hold one facts object.
   void set_analysis_facts(
       std::shared_ptr<const analysis::AnalysisFacts> facts) {
     facts_ = std::move(facts);
   }
-  const analysis::AnalysisFacts* analysis_facts() const {
-    return facts_.get();
-  }
 
  private:
   friend struct EvaluatorStreams;
-  friend struct plan::PlanEvaluatorAccess;
 
-  // Resolves this evaluator's compiled plans against the process-wide
-  // cache (compiling on a cold or invalidated key) and memoizes the
-  // result, so the warm dispatch path performs zero cache probes and
-  // zero compiles. Called only when options_.compiled_plans is on.
-  void EnsurePlans();
+  // fn:count's index shape: a one-step, predicate-free exact-name
+  // descendant path (TryFastCount).
+  static bool IsFastCountPath(const Expr& e);
 
   // The per-kind dispatch; Eval wraps it with optional profiling.
   Result<xdm::Sequence> EvalImpl(const Expr& e, DynamicContext& ctx);
@@ -270,13 +247,6 @@ class Evaluator {
                      std::shared_ptr<const federation::FlworScatterPlan>>
       scatter_plan_cache_;
   std::shared_ptr<const analysis::AnalysisFacts> facts_;
-  // Memoized plan resolution (EnsurePlans): null until the first
-  // compiled_plans dispatch, then pinned for as long as the static
-  // context keys match. Loop-thread / slot-thread discipline like the
-  // memo caches above — an Evaluator is never re-entered concurrently.
-  std::shared_ptr<const plan::ModulePlans> plans_;
-  uint64_t plans_source_hash_ = 0;
-  uint64_t plans_fingerprint_ = 0;
 };
 
 // Built-in function dispatch (functions.cc). Sets *handled=false if the

@@ -68,18 +68,6 @@ std::string InstantiateUrl(const UrlTemplate& t,
   return url;
 }
 
-bool ContainsFabricCall(const Expr& e) {
-  if (e.kind == ExprKind::kFunctionCall &&
-      e.qname.ns() == xml::kHttpNamespace) {
-    return true;
-  }
-  bool found = false;
-  ForEachSubExpr(e, [&](const Expr& kid) {
-    if (!found) found = ContainsFabricCall(kid);
-  });
-  return found;
-}
-
 FlworScatterPlan AnalyzeFlworScatter(const Expr& flwor,
                                      const analysis::AnalysisFacts* facts) {
   FlworScatterPlan plan;

@@ -60,14 +60,6 @@ struct FlworScatterPlan {
 FlworScatterPlan AnalyzeFlworScatter(const Expr& flwor,
                                      const analysis::AnalysisFacts* facts);
 
-// True when the syntactic subtree contains an http:* extension call
-// (no recursion into callees). The plan compiler uses this to keep
-// federated FLWORs on the tree walker, where the scatter hook lives —
-// a remote round trip dwarfs any register-plan gain, and plans are
-// cached process-wide so the decision must not depend on per-evaluator
-// options.
-bool ContainsFabricCall(const Expr& e);
-
 }  // namespace xqib::xquery::federation
 
 #endif  // XQIB_XQUERY_FEDERATION_H_

@@ -61,8 +61,6 @@ class PendingUpdateList {
   // degrades to plain ApplyAll().
   Status ApplyAll(xml::DomDelta* delta);
 
-  const std::vector<Primitive>& primitives() const { return primitives_; }
-
   // Moves the current primitives out / back in (used by the transform
   // expression, which evaluates its modify clause in a nested snapshot).
   std::vector<Primitive> Take() { return std::move(primitives_); }

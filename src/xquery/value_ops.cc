@@ -24,6 +24,10 @@ Result<AtomicValue> RequireSingleAtomic(const Sequence& seq,
   return data[0].atomic();
 }
 
+namespace {
+
+// Untyped promotion for general comparisons: untyped vs numeric compares
+// numerically, untyped vs anything else compares as string.
 Result<int> GeneralCompareAtoms(const AtomicValue& a, const AtomicValue& b) {
   if (a.is_untyped() && b.is_numeric()) {
     XQ_ASSIGN_OR_RETURN(AtomicValue pa, a.CastTo(AtomicType::kDouble));
@@ -36,6 +40,8 @@ Result<int> GeneralCompareAtoms(const AtomicValue& a, const AtomicValue& b) {
   return a.Compare(b);
 }
 
+// Whether a three-way comparison result (with 2 = NaN/unordered)
+// satisfies the comparison operator.
 bool CompareSatisfies(int cmp, CompOp op) {
   switch (op) {
     case CompOp::kGenEq: case CompOp::kValEq: return cmp == 0;
@@ -47,6 +53,8 @@ bool CompareSatisfies(int cmp, CompOp op) {
     default: return false;
   }
 }
+
+}  // namespace
 
 Result<Sequence> CompareSequences(CompOp op, const Sequence& lhs,
                                   const Sequence& rhs) {

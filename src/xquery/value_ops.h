@@ -1,9 +1,7 @@
-// Value-level kernels shared by the tree-walking evaluator and the
-// compiled-plan executor (xquery/plan/): arithmetic and comparison over
+// Value-level kernels of the evaluator: arithmetic and comparison over
 // already-evaluated sequences, and XQUF pending-update primitive
-// construction over already-evaluated operands. Keeping one copy of
-// these semantics is what lets the tree walker stay the oracle for the
-// bytecode path — both lower onto the exact same kernels.
+// construction over already-evaluated operands. The evaluator is their
+// only user.
 
 #ifndef XQIB_XQUERY_VALUE_OPS_H_
 #define XQIB_XQUERY_VALUE_OPS_H_
@@ -21,15 +19,6 @@ namespace xqib::xquery::valueops {
 // otherwise); `what` names the construct for the error message.
 Result<xdm::AtomicValue> RequireSingleAtomic(const xdm::Sequence& seq,
                                              std::string_view what);
-
-// Untyped promotion for general comparisons: untyped vs numeric compares
-// numerically, untyped vs anything else compares as string.
-Result<int> GeneralCompareAtoms(const xdm::AtomicValue& a,
-                                const xdm::AtomicValue& b);
-
-// Whether a three-way comparison result (with 2 = NaN/unordered)
-// satisfies the comparison operator.
-bool CompareSatisfies(int cmp, CompOp op);
 
 // Full comparison semantics over evaluated operands: node comparisons
 // (is / << / >>), existential general comparisons, and singleton value

@@ -1,11 +1,11 @@
 // Differential tests: the engine against the independent XPath-core
 // reference of xpath_reference.h. Seeded generated queries and the
 // pinned scoped and predicated //name forms run on pseudo-random pages
-// as main queries and as declared-function bodies, with compiled plans
-// on and off, with and without the optimizer, and through
-// index-ineligible twins, also across seeded XQUF updates with the
-// document's invariants checked after every apply. Every result must
-// equal the reference's, node identity and order included.
+// as main queries and as declared-function bodies, with and without
+// the optimizer, and through index-ineligible twins, also across seeded
+// XQUF updates with the document's invariants checked after every
+// apply. Every result must equal the reference's, node identity and
+// order included.
 
 #include <gtest/gtest.h>
 
@@ -26,19 +26,16 @@ using xquery::Counters;
 struct Config {
   const char* name;
   bool in_function;  // as the body of a declared function
-  bool plans;        // EvalOptions::compiled_plans
   bool optimize;     // CompileOptions::optimize
   bool twin;         // the index-ineligible twin (Render's `twin`)
 };
 constexpr Config kConfigs[] = {
-    {"main", false, true, true, false},
-    {"main, unoptimized", false, true, false, false},
-    {"function, plans", true, true, true, false},
-    {"function, tree walker", true, false, true, false},
-    {"function, plans, unoptimized", true, true, false, false},
-    {"function, tree walker, unoptimized", true, false, false, false},
-    {"twin", false, true, true, true},
-    {"twin function, plans", true, true, true, true},
+    {"main", false, true, false},
+    {"main, unoptimized", false, false, false},
+    {"function", true, true, false},
+    {"function, unoptimized", true, false, false},
+    {"twin", false, true, true},
+    {"twin function", true, true, true},
 };
 
 // An engine result in Describe's terms.
@@ -54,16 +51,13 @@ std::string DescribeResult(const xdm::Sequence& seq) {
 
 // Runs `query` with `doc`'s root as the focus, applying any updates it
 // makes.
-std::string RunEngine(const std::string& query, xml::Document* doc, bool plans,
-                bool optimize, Counters* stats = nullptr) {
+std::string RunEngine(const std::string& query, xml::Document* doc,
+                      bool optimize, Counters* stats = nullptr) {
   xquery::Engine engine;
   xquery::CompileOptions compile;
   compile.optimize = optimize;
   auto compiled = engine.Compile(query, compile);
   if (!compiled.ok()) return "PARSE-ERROR: " + compiled.status().ToString();
-  xquery::Evaluator::EvalOptions options;
-  options.compiled_plans = plans;
-  (*compiled)->evaluator().set_options(options);
   xquery::DynamicContext ctx;
   xquery::DynamicContext::Focus f;
   f.item = xdm::Item::Node(doc->root());
@@ -104,8 +98,8 @@ class Checker {
       const std::string body = c.twin ? twin : text;
       Counters stats;
       const std::string got =
-          RunEngine(c.in_function ? InFunction(body) : body, doc_, c.plans,
-              c.optimize, &stats);
+          RunEngine(c.in_function ? InFunction(body) : body, doc_,
+                    c.optimize, &stats);
       if (got != want) Report(where, c.name, body, want, got);
       if (c.twin && stats.name_index_hits != 0) {
         Report(where, c.name, body, "no index hit",
@@ -377,7 +371,7 @@ TEST(Differential, PinnedQueriesAgreeWithReference) {
 
 // The index answers the scoped forms: a mid-tree origin, a fused
 // predicate, and count() over a variable's subtree, as main queries and
-// through the plan ops. Multi-origin inputs, positional //N[1] and
+// as declared-function bodies. Multi-origin inputs, positional //N[1] and
 // detached origins keep the walk (//sec's own step is the one hit
 // allowed).
 TEST(Differential, IndexAnswersScopedFormsOnly) {
@@ -387,7 +381,7 @@ TEST(Differential, IndexAnswersScopedFormsOnly) {
         "let $s := (//sec)[3] return count($s//item)"}) {
     for (const std::string& form : {std::string(q), InFunction(q)}) {
       Counters stats;
-      EXPECT_EQ(RunEngine(form, doc.get(), true, true, &stats).find("ERROR"),
+      EXPECT_EQ(RunEngine(form, doc.get(), true, &stats).find("ERROR"),
                 std::string::npos);
       EXPECT_GT(stats.name_index_hits, 0u) << form;
     }
@@ -396,7 +390,7 @@ TEST(Differential, IndexAnswersScopedFormsOnly) {
        {"//sec//item", "//item[1]",
         "let $d := <x><item/><y><item/></y></x> return count($d//item)"}) {
     Counters stats;
-    RunEngine(q, doc.get(), true, true, &stats);
+    RunEngine(q, doc.get(), true, &stats);
     EXPECT_LE(stats.name_index_hits, 1u) << q;
   }
 }
@@ -419,9 +413,9 @@ TEST(Differential, AgreeAcrossSeededUpdates) {
   Checker check(doc.get());
   for (int round = 0; round < 24; ++round) {
     const int items =
-        std::stoi(RunEngine("count(//item)", doc.get(), true, true));
+        std::stoi(RunEngine("count(//item)", doc.get(), true));
     const int secs =
-        std::stoi(RunEngine("count(//sec)", doc.get(), true, true));
+        std::stoi(RunEngine("count(//sec)", doc.get(), true));
     ASSERT_GT(secs, 0);
     const std::string v = std::to_string(200 + round);
     const std::string item =
@@ -454,7 +448,7 @@ TEST(Differential, AgreeAcrossSeededUpdates) {
         update = "rename node (//note, //leaf)[1] as \"item\"";
         break;
     }
-    ASSERT_EQ(RunEngine(update, doc.get(), true, true).find("ERROR"),
+    ASSERT_EQ(RunEngine(update, doc.get(), true).find("ERROR"),
               std::string::npos)
         << update;
     Status invariants = doc->CheckInvariants();

@@ -1,8 +1,8 @@
 // Concurrency-substrate and dispatch-determinism tests (PERFORMANCE.md
 // §5): thread-pool basics, thread-safe posting to the event loop,
-// `behind` completions, and the ablation oracles — the compiled-plan,
-// memo and async-federation switches must not change one byte of the
-// DOM or the observable output of a dispatch.
+// `behind` completions, and the ablation oracles — the memo and
+// async-federation switches must not change one byte of the DOM or the
+// observable output of a dispatch.
 
 #include <gtest/gtest.h>
 
@@ -78,19 +78,14 @@ struct DispatchOutcome {
   std::string dom;
 };
 
-DispatchOutcome RunDispatchScenario(uint32_t seed, int clicks,
-                                    bool compiled_plans) {
+DispatchOutcome RunDispatchScenario(uint32_t seed, int clicks, bool memo) {
   net::HttpFabric fabric;
   net::XmlStore store;
   net::ServiceHost services(&fabric, &store);
   browser::Browser browser;
   plugin::XqibPlugin plugin(&browser, &fabric, &services);
   plugin.Install();
-  if (!compiled_plans) {
-    xquery::Evaluator::EvalOptions options;
-    options.compiled_plans = false;
-    plugin.set_eval_options(options);
-  }
+  plugin.set_memo_enabled(memo);
   Status st = browser.top_window()->LoadSource(
       "http://app.example.com/index.xhtml",
       testing_pages::RandomDispatchPage(seed));
@@ -110,14 +105,13 @@ DispatchOutcome RunDispatchScenario(uint32_t seed, int clicks,
   return out;
 }
 
-// The compiled-plan ablation: the tree-walking run is the oracle, and
-// the plan layer may not change what the page observes.
-TEST(DispatchDeterminism, PlanAblationIsUnobservable) {
+// The memo switch on generated fan-out pages: memo off is the oracle,
+// and the memo may not change what the page observes.
+TEST(DispatchDeterminism, RandomPagesIgnoreTheMemoSwitch) {
   for (uint32_t seed : {1u, 7u, 42u}) {
-    DispatchOutcome reference =
-        RunDispatchScenario(seed, 3, /*compiled_plans=*/false);
+    DispatchOutcome reference = RunDispatchScenario(seed, 3, /*memo=*/false);
     ASSERT_EQ(reference.alerts.size(), 24u) << "seed " << seed;
-    DispatchOutcome got = RunDispatchScenario(seed, 3, /*compiled_plans=*/true);
+    DispatchOutcome got = RunDispatchScenario(seed, 3, /*memo=*/true);
     EXPECT_EQ(got.alerts, reference.alerts) << "seed " << seed;
     EXPECT_EQ(got.dom, reference.dom) << "seed " << seed;
   }

@@ -187,33 +187,6 @@ TEST_F(PluginTest, EventStatsDoNotLeakAcrossDispatches) {
   EXPECT_EQ(second.buffers_avoided, first.buffers_avoided);
 }
 
-TEST_F(PluginTest, SetEvalOptionsTurnsOffCompiledPlans) {
-  Window* w = Load(R"(<html><body>
-      <input type="button" id="b" value="Go"/>
-      <div id="log"/>
-      <script type="text/xquery">
-      declare updating function local:onClick($evt, $obj) {
-        insert node <hit n="{count(//hit) + 1}"/>
-          into //div[@id="log"]
-      };
-      on event "onclick" at //input[@id="b"] attach listener local:onClick
-      </script></body></html>)");
-  Click(ById(w, "b"));
-  EXPECT_GT(plugin_.last_event_stats().plan_hits, 0u);
-  // The tree-walker reference: the listener runs without its plan, on
-  // the same streams and index.
-  xquery::Evaluator::EvalOptions off;
-  off.compiled_plans = false;
-  plugin_.set_eval_options(off);
-  Click(ById(w, "b"));
-  EXPECT_EQ(plugin_.last_event_stats().plan_hits, 0u);
-  EXPECT_EQ(plugin_.last_event_stats().plan_compiles, 0u);
-  EXPECT_GT(plugin_.last_event_stats().name_index_hits, 0u);
-  // Results are identical with plans off.
-  EXPECT_EQ(xml::Serialize(ById(w, "log")),
-            "<div id=\"log\"><hit n=\"1\"/><hit n=\"2\"/></div>");
-}
-
 TEST_F(PluginTest, EventListenerReceivesEventNodeAndTarget) {
   Window* w = Load(R"(<html><body>
       <input id="b" value="x"/>
@@ -625,6 +598,59 @@ TEST_F(PluginTest, ScriptErrorsDoNotCrashThePage) {
       1 idiv 0
       </script></body></html>)");
   EXPECT_EQ(plugin_.last_script_error().code(), "FOAR0001");
+}
+
+// ------------------------------------------ a failed dispatch's updates ---
+
+// A page with a #bad listener (the body given) and an #other one that
+// logs each click.
+std::string FailingUpdatePage(const std::string& bad_body) {
+  return R"(<html><body>
+      <input id="bad"/><input id="other"/>
+      <p id="out">before</p><div id="log"/>
+      <script type="text/xquery">
+      declare updating function local:bad($evt, $obj) { )" +
+         bad_body + R"( };
+      declare updating function local:other($evt, $obj) {
+        insert node <x/> into //div[@id="log"]
+      };
+      on event "onclick" at //input[@id="bad"] attach listener local:bad;
+      on event "onclick" at //input[@id="other"] attach listener local:other
+      </script></body></html>)";
+}
+
+// A listener that queues an update and then raises an error: its update
+// dies with its dispatch, and the next updating click does not apply it.
+TEST_F(PluginTest, FailedListenersUpdatesNeverApplyLater) {
+  Window* w = Load(FailingUpdatePage(
+      R"(replace value of node //p[@id="out"] with "applied", error())"));
+  Click(ById(w, "bad"));
+  EXPECT_EQ(plugin_.last_script_error().code(), "FOER0000");
+  plugin_.ClearScriptError();
+  Click(ById(w, "other"));
+  EXPECT_TRUE(plugin_.last_script_error().ok())
+      << plugin_.last_script_error().ToString();
+  EXPECT_EQ(xml::Serialize(ById(w, "out")), "<p id=\"out\">before</p>");
+  EXPECT_EQ(xml::Serialize(ById(w, "log")), "<div id=\"log\"><x/></div>");
+}
+
+// A list the apply pass rejects (two value replacements of one node) is
+// discarded too: later updating clicks apply their own updates.
+TEST_F(PluginTest, RejectedUpdateListDoesNotBlockLaterClicks) {
+  Window* w = Load(FailingUpdatePage(
+      R"(replace value of node //p[@id="out"] with "one",
+         replace value of node //p[@id="out"] with "two")"));
+  Click(ById(w, "bad"));
+  EXPECT_EQ(plugin_.last_script_error().code(), "XUDY0017");
+  plugin_.ClearScriptError();
+  for (int i = 0; i < 2; ++i) {
+    Click(ById(w, "other"));
+    EXPECT_TRUE(plugin_.last_script_error().ok())
+        << plugin_.last_script_error().ToString();
+  }
+  EXPECT_EQ(xml::Serialize(ById(w, "out")), "<p id=\"out\">before</p>");
+  EXPECT_EQ(xml::Serialize(ById(w, "log")),
+            "<div id=\"log\"><x/><x/></div>");
 }
 
 // ------------------------------------------- one counter set, two views ---

@@ -1,7 +1,7 @@
 // Multi-tenant page server tests (PERFORMANCE.md §9, DESIGN.md "Server
 // architecture"): session lifecycle and event dispatch, the HTTP front
-// end, the sharing/isolation split (sessions share the plan cache but
-// never each other's memo entries or DOMs), racing sessions on the
+// end, the isolation split (sessions never share each other's memo
+// entries or DOMs), racing sessions on the
 // shared pool (the TSan target), pool-size independence of one
 // session's dispatches, and per-service web-service serialization.
 
@@ -20,7 +20,6 @@
 #include "server/server.h"
 #include "xml/xml_parser.h"
 #include "xdm/item.h"
-#include "xquery/plan/plan.h"
 
 namespace xqib {
 namespace {
@@ -160,7 +159,7 @@ TEST(ServerSmoke, HttpFrontEndRoundTrip) {
   auto report = web.Get("http://server.local/sessions");
   ASSERT_TRUE(report.ok());
   EXPECT_NE(report->body.find("s1: url="), std::string::npos);
-  EXPECT_NE(report->body.find("plan cache:"), std::string::npos);
+  EXPECT_NE(report->body.find("intern pool:"), std::string::npos);
   // The click's constructions and parsed responses died with it: the
   // session holds nothing beyond its page.
   EXPECT_NE(report->body.find(" retained=0 docs/0 nodes\n"),
@@ -217,49 +216,7 @@ TEST(ServerSmoke, ErrorBodiesEscapeRequestText) {
             std::string::npos);
 }
 
-// ---------------------------------------------- sharing vs isolation ---
-
-TEST(ServerSharing, SecondSessionHitsTheSharedPlanCache) {
-  // A page source unique to this test so the first load really
-  // compiles (the global cache outlives tests in this binary).
-  const std::string page =
-      "<html><head><script type=\"text/xqueryp\"><![CDATA[\n"
-      "declare updating function local:sharing_probe($evt, $obj) {\n"
-      "  insert node <hit/> into //div[@id=\"out\"]\n"
-      "};\n"
-      "on event \"onclick\" at //input[@id=\"btn\"]\n"
-      "  attach listener local:sharing_probe\n"
-      "]]></script></head><body>"
-      "<input id=\"btn\"/><div id=\"out\"/></body></html>";
-
-  auto srv = MakeCartServer(0);
-  using xquery::plan::PlanCache;
-  auto a = srv->CreateSessionFromSource("http://app.example.com/a.xhtml",
-                                        page);
-  auto b = srv->CreateSessionFromSource("http://app.example.com/a.xhtml",
-                                        page);
-  ASSERT_TRUE(a.ok() && b.ok());
-
-  // Plans compile lazily, at the first dispatch that needs them: A's
-  // first click stores the module's plans in the process-wide cache.
-  PlanCache::Stats before = PlanCache::Global().stats();
-  (*a)->Submit(Buy("btn"));
-  srv->DrainAll();
-  PlanCache::Stats after_a = PlanCache::Global().stats();
-  EXPECT_GT(after_a.inserts, before.inserts) << "first dispatch must compile";
-  EXPECT_GT((*a)->plugin().last_event_stats().plan_compiles, 0u);
-
-  // One compile serves N sessions: B's dispatch stores nothing new,
-  // probes the entry A filled, and executes the identical plan objects.
-  (*b)->Submit(Buy("btn"));
-  srv->DrainAll();
-  PlanCache::Stats after_b = PlanCache::Global().stats();
-  EXPECT_EQ(after_b.inserts, after_a.inserts);
-  EXPECT_GT(after_b.hits, after_a.hits);
-  const auto& stats = (*b)->plugin().last_event_stats();
-  EXPECT_EQ(stats.plan_compiles, 0u);
-  EXPECT_GT(stats.plan_hits, 0u);
-}
+// -------------------------------------------------------- isolation ---
 
 TEST(ServerIsolation, MemoEntriesStayPerSession) {
   // A pure, memoizable listener: within one session the second click
@@ -317,7 +274,7 @@ TEST(ServerIsolation, DomMutationsNeverCrossSessions) {
 
 // The TSan target: many sessions racing on the shared pool, then every
 // DOM compared byte-for-byte against the serial run. Exercises the
-// shared intern pool, plan cache, backend fabric, and pool queues from
+// shared intern pool, backend fabric, and pool queues from
 // concurrent session strands.
 TEST(ServerRacing, ConcurrentSessionsMatchSerialDoms) {
   constexpr size_t kSessions = 6;

@@ -4,10 +4,10 @@
 // A query is a small AST (Expr) that renders to XQuery text (Render) and
 // that Reference evaluates directly over xml::Node. The reference shares
 // nothing with the engine it checks: no XQuery parser, optimizer,
-// streams, plans, order keys, CompareDocumentOrder or element-name
-// index. Document order is its own preorder numbering of each tree, and
-// every axis is a relation between an origin n and the nodes m of n's
-// tree, in the declarative style of Almendros-Jiménez et al., "Querying
+// streams, order keys, CompareDocumentOrder or element-name index.
+// Document order is its own preorder numbering of each tree, and every
+// axis is a relation between an origin n and the nodes m of n's tree,
+// in the declarative style of Almendros-Jiménez et al., "Querying
 // XML Documents in Logic Programming": child(n, m) when m's parent is n,
 // descendant as its transitive closure, following(n, m) when m comes
 // after n and is not its descendant, and so on. Abbreviations evaluate

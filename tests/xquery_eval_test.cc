@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "xml/serializer.h"
 #include "xml/xml_parser.h"
 #include "xquery/engine.h"
@@ -273,7 +278,7 @@ TEST(Paths, ExpressionSteps) {
   EXPECT_EQ(EvalError("//item/string()/x", doc), "XPTY0019");
   EXPECT_EQ(EvalError("//item/(if (@v = \"1\") then . else 1)", doc),
             "XPTY0018");
-  // Inside a declared function the step compiles as a plan fallback.
+  // The same step inside a declared function's body.
   EXPECT_EQ(EvalToString("declare function local:names($n) { $n/name() };"
                          "local:names(//item)",
                          doc),
@@ -402,19 +407,45 @@ TEST(FastPaths, NameIndexCounters) {
   EXPECT_EQ(stats.name_index_hits, 0u);
 }
 
+// Evaluates `arg` over kBooks, then calls the builtin fn:`local` with
+// that sequence and `rest` as already evaluated arguments through
+// CompiledQuery::Call, the route a host call takes. *stats receives what
+// the call alone moved.
+std::string CallOverEvaluated(const std::string& local, const std::string& arg,
+                              std::vector<Sequence> rest, Counters* stats) {
+  Engine engine;
+  auto compiled = engine.Compile(arg);
+  if (!compiled.ok()) return "PARSE-ERROR: " + compiled.status().ToString();
+  auto doc = std::move(xml::ParseDocument(kBooks)).value();
+  DynamicContext ctx;
+  DynamicContext::Focus f;
+  f.item = xdm::Item::Node(doc->root());
+  f.position = 1;
+  f.size = 1;
+  f.has_item = true;
+  ctx.set_focus(f);
+  auto evaluated = (*compiled)->Run(ctx);
+  if (!evaluated.ok()) return "ERROR: " + evaluated.status().ToString();
+  std::vector<Sequence> args{std::move(*evaluated)};
+  for (Sequence& r : rest) args.push_back(std::move(r));
+  const Counters before = (*compiled)->evaluator().counters();
+  auto result = (*compiled)->Call(
+      xml::QName(std::string(xml::kFnNamespace), local), std::move(args), ctx);
+  *stats = (*compiled)->evaluator().counters() - before;
+  if (!result.ok()) return "ERROR: " + result.status().ToString();
+  return xdm::SequenceToString(*result);
+}
+
 TEST(FastPaths, EarlyExitCounters) {
   Counters stats;
-  // A builtin handed an evaluated argument (a plan's call.dyn op) cuts
-  // nothing short; the tree walker streams the same variable.
-  const char* call =
-      "declare function local:f($x) { exists($x) }; local:f(//author)";
-  EXPECT_EQ(EvalWithOptions(call, kBooks, Evaluator::EvalOptions(), &stats),
-            "true");
+  // A builtin handed an evaluated argument (a host call) cuts nothing
+  // short; the tree walker streams a declared function's variable.
+  EXPECT_EQ(CallOverEvaluated("exists", "//author", {}, &stats), "true");
   EXPECT_EQ(stats.early_exits, 0u);
-  EXPECT_GT(stats.plan_hits, 0u);
-  Evaluator::EvalOptions walker;
-  walker.compiled_plans = false;
-  EXPECT_EQ(EvalWithOptions(call, kBooks, walker, &stats), "true");
+  EXPECT_EQ(EvalWithOptions("declare function local:f($x) { exists($x) }; "
+                            "local:f(//author)",
+                            kBooks, Evaluator::EvalOptions(), &stats),
+            "true");
   EXPECT_EQ(stats.early_exits, 1u);
   EXPECT_EQ(EvalWithOptions("exists(//author)", kBooks,
                             Evaluator::EvalOptions(), &stats),
@@ -430,46 +461,64 @@ TEST(FastPaths, EarlyExitCounters) {
   EXPECT_GT(stats.early_exits, 0u);
 }
 
-// A stream-consumable builtin reached with evaluated arguments (a
-// plan's call.dyn op) reads them through a cursor: the streamed call's
-// results and error codes, and no avoided buffer to count.
+// A stream-consumable builtin reached with evaluated arguments (a host
+// call) reads them through a cursor: the streamed call's results and
+// error codes, and no avoided buffer to count.
 TEST(FastPaths, BuiltinOverEvaluatedArgumentCountsNothing) {
-  const char* const cases[][2] = {
+  struct Case {
+    const char* fn;
+    const char* arg;
+    std::vector<Sequence> rest;
+    const char* want;
+  };
+  auto integer = [](int64_t v) { return Sequence{xdm::Item::Integer(v)}; };
+  const std::vector<Case> cases = {
+      {"count", "//author", {}, "4"},
+      {"sum", "//author/../@year", {}, "6020"},
+      {"subsequence", "//author", {integer(2), integer(2)}, "Bob Cid"},
+      {"head", "//author", {}, "Ann"},
+      {"empty", "//author", {}, "false"},
+      {"not", "//author", {}, "false"},
+      {"boolean", "//author", {}, "true"},
+      {"min", "//price", {}, "10"},
+      {"max", "//price", {}, "50"},
+      {"avg", "//price", {}, "30"},
+  };
+  for (const Case& c : cases) {
+    Counters stats;
+    EXPECT_EQ(CallOverEvaluated(c.fn, c.arg, c.rest, &stats), c.want) << c.fn;
+    EXPECT_EQ(stats.buffers_avoided, 0u) << c.fn;
+    EXPECT_EQ(stats.early_exits, 0u) << c.fn;
+  }
+  // The same builtins over a declared function's variable.
+  const char* const bodies[][2] = {
       {"count($x)", "4"},
       {"sum($x/../@year)", "6020"},
       {"string-join(subsequence($x, 2, 2), ',')", "Bob,Cid"},
       {"(head($x), empty($x), not($x), boolean($x))", "Ann false false true"},
       {"(min($x/../price), max($x/../price), avg($x/../price))", "10 50 30"},
   };
-  Evaluator::EvalOptions walker;
-  walker.compiled_plans = false;
-  for (const auto& c : cases) {
+  for (const auto& b : bodies) {
     const std::string q = std::string("declare function local:f($x) { ") +
-                          c[0] + " }; local:f(//author)";
-    Counters stats;
-    EXPECT_EQ(EvalWithOptions(q, kBooks, Evaluator::EvalOptions(), &stats),
-              c[1])
-        << q;
-    EXPECT_GT(stats.plan_hits, 0u) << q;
-    EXPECT_EQ(stats.buffers_avoided, 0u) << q;
-    EXPECT_EQ(stats.early_exits, 0u) << q;
-    EXPECT_EQ(EvalWithOptions(q, kBooks, walker), c[1]) << q;
+                          b[0] + " }; local:f(//author)";
+    EXPECT_EQ(EvalWithOptions(q, kBooks, Evaluator::EvalOptions()), b[1]) << q;
   }
-  // The tree walker streams the same variable into the fold.
+  // The tree walker streams the variable into the fold.
   Counters stats;
-  EXPECT_EQ(EvalWithOptions(
-                "declare function local:f($x) { count($x) }; local:f(//author)",
-                kBooks, walker, &stats),
+  EXPECT_EQ(EvalWithOptions("declare function local:f($x) { count($x) }; "
+                            "local:f(//author)",
+                            kBooks, Evaluator::EvalOptions(), &stats),
             "4");
   EXPECT_EQ(stats.buffers_avoided, 1u);
   // A wrong arity is still XPST0017, through either route.
-  for (const Evaluator::EvalOptions& o : {Evaluator::EvalOptions(), walker}) {
-    EXPECT_NE(EvalWithOptions("declare function local:g() { count(1, 2) }; "
-                              "local:g()",
-                              kBooks, o)
-                  .find("XPST0017"),
-              std::string::npos);
-  }
+  EXPECT_NE(CallOverEvaluated("count", "//author", {integer(2)}, &stats)
+                .find("XPST0017"),
+            std::string::npos);
+  EXPECT_NE(EvalWithOptions("declare function local:g() { count(1, 2) }; "
+                            "local:g()",
+                            kBooks, Evaluator::EvalOptions())
+                .find("XPST0017"),
+            std::string::npos);
 }
 
 // The index must not be consulted when the step carries a wildcard or a
@@ -654,6 +703,73 @@ TEST(Constructors, RepeatedAttributeNamesAreErrors) {
 TEST(Constructors, EntityEscapes) {
   EXPECT_EQ(EvalToString("<t>a &lt; b &amp; c</t>"), "a < b & c");
   EXPECT_EQ(EvalToString("<t>{{literal}}</t>"), "{literal}");
+}
+
+// -------------------------------------------------- declared functions ---
+
+// Runs `query` with `xml` as the context document, applying its updates,
+// and returns "result | document".
+std::string EvalWithDocument(const std::string& query,
+                             const std::string& xml) {
+  Engine engine;
+  auto compiled = engine.Compile(query);
+  if (!compiled.ok()) return "PARSE-ERROR: " + compiled.status().ToString();
+  auto doc = std::move(xml::ParseDocument(xml)).value();
+  DynamicContext ctx;
+  DynamicContext::Focus f;
+  f.item = xdm::Item::Node(doc->root());
+  f.position = 1;
+  f.size = 1;
+  f.has_item = true;
+  ctx.set_focus(f);
+  Status bound = (*compiled)->BindGlobals(ctx);
+  if (!bound.ok()) return "BIND-ERROR: " + bound.ToString();
+  auto result = (*compiled)->Run(ctx);
+  if (!result.ok()) return "ERROR: " + result.status().ToString();
+  return xdm::SequenceToString(*result) + " | " + xml::Serialize(doc->root());
+}
+
+// Function bodies of each kind the evaluator dispatches on: recursion,
+// a FLWOR over arithmetic, nested calls, paths, string functions,
+// typeswitch, an update and conditionals.
+TEST(DeclaredFunctions, BodyShapes) {
+  const std::string doc =
+      "<root><item v=\"1\"/><item v=\"2\"/><item v=\"3\"/>"
+      "<span>old</span></root>";
+  const std::string unchanged = " | " + doc;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"declare function local:fib($n) { if ($n < 2) then $n else "
+       "local:fib($n - 1) + local:fib($n - 2) }; local:fib(12)",
+       "144" + unchanged},
+      {"declare function local:s($n) { sum(for $i in 1 to $n where "
+       "($i * 3 + 1) mod 7 = 3 return $i * $i mod 101) }; local:s(200)",
+       "1500" + unchanged},
+      {"declare function local:a($x) { $x + 1 };\n"
+       "declare function local:b($x) { local:a($x) * local:a($x + 1) };\n"
+       "local:b(5)",
+       "42" + unchanged},
+      {"declare function local:c() { count(//item) + "
+       "sum(//item/@v) }; local:c()",
+       "9" + unchanged},
+      {"declare function local:j($s) { concat($s, \"-\", "
+       "string-length($s)) }; local:j(\"abc\")",
+       "abc-3" + unchanged},
+      {"declare function local:d($x) { typeswitch ($x) case xs:integer "
+       "return \"int\" default return \"other\" }; "
+       "(local:d(1), local:d(\"s\"))",
+       "int other" + unchanged},
+      {"declare updating function local:u($v) { replace value of node "
+       "//span with string($v * 7) }; local:u(6)",
+       " | <root><item v=\"1\"/><item v=\"2\"/><item v=\"3\"/>"
+       "<span>42</span></root>"},
+      {"declare function local:e($n) { if ($n > 2 and $n mod 2 = 0) "
+       "then \"even>2\" else \"no\" }; "
+       "(local:e(1), local:e(4), local:e(7))",
+       "no even>2 no" + unchanged},
+  };
+  for (const auto& [query, want] : cases) {
+    EXPECT_EQ(EvalWithDocument(query, doc), want) << query;
+  }
 }
 
 // ----------------------------------------------------- casts, instance ---
