@@ -321,7 +321,7 @@ Status XqibPlugin::RunXQueryModule(PageContext* page,
   // listener bodies run on every event, so the rewrite passes (path
   // collapsing, ordering elision, constant folding) pay off at dispatch
   // time.
-  xquery::OptimizeModule(module.get(), xquery::OptimizerOptions(), facts);
+  xquery::OptimizeModule(module.get(), facts);
   page->sctx->AddModule(*module);
   // (Re)build the evaluator: the static context gained declarations.
   page->evaluator =
@@ -377,8 +377,7 @@ Status XqibPlugin::RegisterXQueryInlineHandler(PageContext* page,
     last_diagnostics_.push_back(std::move(d));
   }
   XQ_RETURN_NOT_OK(analyzed.ToStatus());
-  xquery::OptimizeModule(module.get(), xquery::OptimizerOptions(),
-                         &analyzed.facts);
+  xquery::OptimizeModule(module.get(), &analyzed.facts);
   const Expr* body = module->body.get();
   if (body == nullptr) return Status();
   page->handler_modules.push_back(std::move(module));

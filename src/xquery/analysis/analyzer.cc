@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "base/strings.h"
-#include "xquery/analysis/builtins.h"
+#include "xquery/functions.h"
 #include "xquery/optimizer.h"
 
 namespace xqib::xquery::analysis {
@@ -18,23 +18,6 @@ namespace xqib::xquery::analysis {
 namespace {
 
 // ------------------------------------------------------ type lattice ---
-
-// Coarse item classes: enough to catch comparisons that can only raise
-// XPTY0004 at runtime, without a full XML Schema type system.
-enum class ItemClass {
-  kAnyItem,   // unknown / mixed
-  kNode,
-  kAnyAtomic, // atomic, family unknown
-  kUntyped,
-  kBoolean,
-  kInteger,
-  kDecimal,
-  kDouble,
-  kString,
-  kDateTime,
-  kDate,
-  kTime,
-};
 
 bool IsNumeric(ItemClass c) {
   return c == ItemClass::kInteger || c == ItemClass::kDecimal ||
@@ -928,49 +911,26 @@ class ModuleAnalyzer {
     const std::string& ns = e.qname.ns();
     const std::string& local = e.qname.local();
 
-    if (ns == xml::kXsNamespace) {
-      if (!IsXsConstructor(local)) {
+    const bool xs = ns == xml::kXsNamespace;
+    if (xs || ns == xml::kFnNamespace) {
+      // The xs: spans take in the prefix.
+      const size_t span = xs ? local.size() + 3 : local.size();
+      const Builtin* builtin = FindBuiltin(e.qname);
+      if (builtin == nullptr) {
         Report("XQSA002", Severity::kError,
-               "unknown type constructor xs:" + local, e.source_pos,
-               local.size() + 3);
-      } else if (arity != 1) {
+               xs ? "unknown type constructor xs:" + local
+                  : "unknown function fn:" + local,
+               e.source_pos, span);
+        return xs ? Optional(ItemClass::kAnyAtomic) : Any();
+      }
+      if (!builtin->AcceptsArity(arity)) {
         Report("XQSA003", Severity::kError,
-               "xs:" + local + " expects 1 argument, got " +
+               builtin->Lexical() + " expects " + ArityRange(*builtin) +
+                   (xs ? " argument, got " : " argument(s), got ") +
                    std::to_string(arity),
-               e.source_pos, local.size() + 3);
+               e.source_pos, span);
       }
-      InferredType t = Optional(ItemClass::kAnyAtomic);
-      if (local == "string" || local == "anyURI") {
-        t.cls = ItemClass::kString;
-      } else if (local == "boolean") {
-        t.cls = ItemClass::kBoolean;
-      } else if (local == "integer" || local == "int") {
-        t.cls = ItemClass::kInteger;
-      } else if (local == "decimal") {
-        t.cls = ItemClass::kDecimal;
-      } else if (local == "double" || local == "float") {
-        t.cls = ItemClass::kDouble;
-      } else if (local == "untypedAtomic") {
-        t.cls = ItemClass::kUntyped;
-      }
-      return t;
-    }
-
-    if (ns == xml::kFnNamespace) {
-      const BuiltinSignature* sig = FindFnBuiltin(local);
-      if (sig == nullptr) {
-        Report("XQSA002", Severity::kError,
-               "unknown function fn:" + local, e.source_pos,
-               local.size());
-      } else if (static_cast<int>(arity) < sig->min_arity ||
-                 (sig->max_arity >= 0 &&
-                  static_cast<int>(arity) > sig->max_arity)) {
-        Report("XQSA003", Severity::kError,
-               "fn:" + local + " expects " + ArityRange(*sig) +
-                   " argument(s), got " + std::to_string(arity),
-               e.source_pos, local.size());
-      }
-      return BuiltinReturnType(e, local);
+      return InferredType{builtin->result_class, builtin->result_card};
     }
 
     if (checked_fn_namespaces_.count(ns) > 0) {
@@ -1009,15 +969,11 @@ class ModuleAnalyzer {
     return Any();
   }
 
-  static std::string ArityRange(const BuiltinSignature& sig) {
-    if (sig.max_arity < 0) {
-      return std::to_string(sig.min_arity) + "+";
-    }
-    if (sig.min_arity == sig.max_arity) {
-      return std::to_string(sig.min_arity);
-    }
-    return std::to_string(sig.min_arity) + ".." +
-           std::to_string(sig.max_arity);
+  static std::string ArityRange(const Builtin& builtin) {
+    const std::string min = std::to_string(builtin.min_arity);
+    if (builtin.max_arity == Builtin::kVariadic) return min + "+";
+    if (builtin.min_arity == builtin.max_arity) return min;
+    return min + ".." + std::to_string(builtin.max_arity);
   }
 
   static std::string AritiesOf(const std::set<size_t>& arities) {
@@ -1027,44 +983,6 @@ class ModuleAnalyzer {
       out += std::to_string(a);
     }
     return out;
-  }
-
-  InferredType BuiltinReturnType(const Expr& e, const std::string& local) {
-    if (local == "count" || local == "position" || local == "last" ||
-        local == "string-length" || local == "length") {
-      return Singleton(ItemClass::kInteger);
-    }
-    if (local == "exists" || local == "empty" || local == "boolean" ||
-        local == "not" || local == "true" || local == "false" ||
-        local == "contains" || local == "starts-with" ||
-        local == "ends-with" || local == "matches" ||
-        local == "doc-available" || local == "deep-equal") {
-      return Singleton(ItemClass::kBoolean);
-    }
-    if (local == "string" || local == "concat" || local == "substring" ||
-        local == "string-join" || local == "upper-case" ||
-        local == "lower-case" || local == "translate" ||
-        local == "normalize-space" || local == "replace" ||
-        local == "encode-for-uri" || local == "name" ||
-        local == "local-name" || local == "namespace-uri" ||
-        local == "substring-before" || local == "substring-after") {
-      return Singleton(ItemClass::kString);
-    }
-    if (local == "number") return Singleton(ItemClass::kDouble);
-    if (local == "sum") return Singleton(ItemClass::kAnyAtomic);
-    if (local == "avg" || local == "min" || local == "max" ||
-        local == "abs" || local == "ceiling" || local == "floor" ||
-        local == "round") {
-      return Optional(ItemClass::kAnyAtomic);
-    }
-    if (local == "exactly-one" && !e.kids.empty()) {
-      InferredType t;
-      t.cls = ItemClass::kAnyItem;
-      t.card.min = 1;
-      t.card.max = 1;
-      return t;
-    }
-    return Any();
   }
 
   // ----------------------------------------------------- type checks ---

@@ -5,6 +5,7 @@
 #include "xml/qname.h"
 #include "xquery/analysis/facts.h"
 #include "xquery/federation.h"
+#include "xquery/functions.h"
 
 namespace xqib::xquery::analysis {
 
@@ -224,26 +225,6 @@ bool IsForwardNamedAxis(Axis axis) {
     default:
       return false;
   }
-}
-
-// fn: builtins whose result is always atomic (their output can never
-// carry element/attribute nodes into inserted content).
-bool IsAtomicBuiltin(const std::string& local) {
-  static const std::set<std::string>* kAtomic = new std::set<std::string>{
-      "string",      "data",          "number",       "name",
-      "local-name",  "namespace-uri", "boolean",      "not",
-      "true",        "false",         "count",        "abs",
-      "ceiling",     "floor",         "round",        "sum",
-      "avg",         "min",           "max",          "concat",
-      "string-join", "substring",     "string-length", "length",
-      "upper-case",  "lower-case",    "contains",     "starts-with",
-      "ends-with",   "substring-before", "substring-after", "translate",
-      "normalize-space", "compare",   "codepoints-to-string",
-      "string-to-codepoints", "matches", "replace",   "tokenize",
-      "encode-for-uri", "empty",      "exists",       "distinct-values",
-      "index-of",    "deep-equal",    "position",     "last",
-      "serialize",   "string-value"};
-  return kAtomic->count(local) > 0;
 }
 
 // browser: functions that mutate the BOM or emit into the document.
@@ -518,14 +499,11 @@ class EffectWalker {
           }
         }
         break;
-      case ExprKind::kFunctionCall:
-        if (e.qname.ns() == xml::kXsNamespace ||
-            (e.qname.ns() == xml::kFnNamespace &&
-             IsAtomicBuiltin(e.qname.local()))) {
-          break;  // provably atomic result
-        }
-        set.MakeTop();
+      case ExprKind::kFunctionCall: {
+        const Builtin* builtin = FindBuiltin(e.qname);
+        if (builtin == nullptr || !builtin->Has(kAtomicResult)) set.MakeTop();
         break;
+      }
       default:
         // Paths, variables, set ops, transform copies, …: the nodes
         // flowing through carry names we cannot enumerate.
@@ -609,26 +587,22 @@ class EffectWalker {
     const std::string& ns = e.qname.ns();
     const std::string& local = e.qname.local();
     bool args_value_used = true;
-    if (ns == xml::kFnNamespace) {
-      if (local == "count" || local == "exists" || local == "empty" ||
-          local == "boolean" || local == "not" || local == "zero-or-one" ||
-          local == "exactly-one" || local == "one-or-more" ||
-          local == "name" || local == "local-name" ||
-          local == "namespace-uri" || local == "node-name") {
-        args_value_used = false;
-      } else if (local == "id" || local == "idref" || local == "root") {
-        ReadsTop();  // jumps anywhere in the document
-      } else if (local == "doc" || local == "doc-available") {
-        ReadsTop();  // other documents
-        out_.reads_outside = true;
-      } else if (local == "current-dateTime" || local == "current-date" ||
-                 local == "current-time") {
-        out_.reads_outside = true;
-      } else if (local == "trace") {
-        out_.observes_host = true;
-      } else if (local == "put") {
-        WritesTop();
-        out_.writes_fabric = true;
+    if (ns == xml::kFnNamespace || ns == xml::kXsNamespace) {
+      if (const Builtin* builtin = FindBuiltin(e.qname)) {
+        args_value_used = !builtin->Has(kSkimsArguments);
+        // A jump anywhere in the document, or into documents whose names
+        // are unknown.
+        if (builtin->Has(kReadsAnywhere) || builtin->Has(kReadsDocuments)) {
+          ReadsTop();
+        }
+        if (builtin->Has(kReadsDocuments) || builtin->Has(kReadsClock)) {
+          out_.reads_outside = true;
+        }
+        if (builtin->Has(kObservesHost)) out_.observes_host = true;
+        if (builtin->Has(kWritesFabric)) {
+          WritesTop();
+          out_.writes_fabric = true;
+        }
       }
     } else if (ns == xml::kBrowserNamespace) {
       if (local == "alert" || local == "prompt" || local == "confirm") {
@@ -651,7 +625,7 @@ class EffectWalker {
       } else {
         out_.writes_fabric = true;  // http:put and unknown extensions
       }
-    } else if (ns != xml::kXsNamespace) {
+    } else {
       // Declared, imported or unknown code. The arguments are walked
       // before the callee's summary merges: that is the order in which
       // fetch URLs are discovered.

@@ -1,4 +1,6 @@
 // Facts derived by the static analyzer and consumed elsewhere:
+//   * the type lattice's item classes and cardinalities, which the
+//     builtin table (xquery/functions.h) states each result in;
 //   * inferred cardinalities, keyed by AST node, consumed by the
 //     optimizer so cardinality/positional rewrites can fire on inferred
 //     (not just syntactic) singletons;
@@ -26,6 +28,24 @@ struct Expr;
 }  // namespace xqib::xquery
 
 namespace xqib::xquery::analysis {
+
+// Coarse item classes of the analyzer's type lattice: enough to catch
+// comparisons that can only raise XPTY0004 at runtime, without a full
+// XML Schema type system.
+enum class ItemClass {
+  kAnyItem,   // unknown / mixed
+  kNode,
+  kAnyAtomic, // atomic, family unknown
+  kUntyped,
+  kBoolean,
+  kInteger,
+  kDecimal,
+  kDouble,
+  kString,
+  kDateTime,
+  kDate,
+  kTime,
+};
 
 // Inferred bounds on the number of items an expression can produce.
 struct Cardinality {

@@ -96,13 +96,10 @@ Result<std::unique_ptr<CompiledQuery>> Engine::Compile(
     analysis::Analyzer analyzer;
     for (const Module* lib : imported) analyzer.AddContextModule(*lib);
     analyzed = analyzer.Analyze(*module);
-    if (options.strict && analyzed.has_errors()) {
-      return analyzed.ToStatus();
-    }
   }
   OptimizerStats stats;
   if (options.optimize) {
-    stats = OptimizeModule(module.get(), options.optimizer,
+    stats = OptimizeModule(module.get(),
                            options.analyze ? &analyzed.facts : nullptr);
   }
   sctx.AddModule(*module);

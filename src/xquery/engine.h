@@ -24,15 +24,14 @@ namespace xqib::xquery {
 class Engine;
 
 struct CompileOptions {
+  // The rewrite optimizer (optimizer.h), every rule at once.
   bool optimize = true;
-  OptimizerOptions optimizer;
-  // Static analysis. Lenient by default: diagnostics are collected on
-  // the CompiledQuery (and feed the optimizer's inferred rewrites) but
-  // do not fail compilation — scripts with only dynamic errors still
-  // run. `strict` turns error-severity diagnostics into compile
-  // failures; the plug-in and xq_lint use that mode.
+  // Static analysis. Lenient: diagnostics are collected on the
+  // CompiledQuery (and feed the optimizer's inferred rewrites) but do
+  // not fail compilation — scripts with only dynamic errors still run.
+  // The plug-in and xq_lint run the analyzer themselves and reject a
+  // page on its errors.
   bool analyze = true;
-  bool strict = false;
 };
 
 // A compiled main module plus its resolved static context.

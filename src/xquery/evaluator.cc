@@ -10,6 +10,7 @@
 #include "base/strings.h"
 #include "xquery/federation.h"
 #include "xquery/fulltext.h"
+#include "xquery/functions.h"
 #include "xquery/profiler.h"
 #include "xquery/update.h"
 #include "xquery/value_ops.h"
@@ -1358,12 +1359,10 @@ Result<xdm::StreamPtr> Evaluator::FilterStream(
       continue;
     }
     // E[last()]: drain with a one-item buffer.
-    bool is_last = pred.kind == ExprKind::kFunctionCall &&
-                   pred.kids.empty() && pred.qname.ns() == xml::kFnNamespace &&
-                   pred.qname.local() == "last" &&
-                   sctx_.FindFunction(pred.qname, 0) == nullptr &&
-                   ctx.FindExternal(pred.qname, 0) == nullptr;
-    if (is_last) {
+    const Builtin* builtin = pred.kind == ExprKind::kFunctionCall
+                                 ? UnshadowedBuiltin(pred, ctx)
+                                 : nullptr;
+    if (builtin != nullptr && builtin->Has(kReadsLast) && pred.kids.empty()) {
       s = MakeOp<TakeLastStream>(this, ctx, this, std::move(s));
       continue;
     }
@@ -1382,20 +1381,16 @@ Result<xdm::StreamPtr> Evaluator::FilterStream(
 
 // Could evaluating `e` observe fn:last()? Conservative: any last() call,
 // any call that could reach user/external code (which inherits the focus
-// in the XQIB dialect), and opaque subtrees answer yes.
+// in the XQIB dialect, and may shadow a builtin's name), and opaque
+// subtrees answer yes.
 bool Evaluator::NeedsLast(const Expr& e) {
   auto it = needs_last_cache_.find(&e);
   if (it != needs_last_cache_.end()) return it->second;
   bool needs = false;
   if (e.kind == ExprKind::kFunctionCall) {
-    if (e.qname.ns() == xml::kFnNamespace && e.qname.local() == "last") {
-      needs = true;
-    } else if (e.qname.ns() != xml::kFnNamespace &&
-               e.qname.ns() != xml::kXsNamespace) {
-      needs = true;  // user or external function: inherits the focus
-    } else if (sctx_.FindFunction(e.qname, e.kids.size()) != nullptr) {
-      needs = true;  // fn:/xs: name shadowed by a user declaration
-    }
+    const Builtin* builtin = FindBuiltin(e.qname);
+    needs = builtin == nullptr || builtin->Has(kReadsLast) ||
+            sctx_.FindFunction(e.qname, e.kids.size()) != nullptr;
   } else if (e.kind == ExprKind::kDirectElement ||
              e.kind == ExprKind::kFtContains) {
     needs = true;  // opaque subtrees (direct constructors hide exprs)
@@ -1589,23 +1584,16 @@ bool Evaluator::ScatterSafe(const Expr& e) {
       safe = false;
       break;
     case ExprKind::kFunctionCall: {
-      const std::string& ns = e.qname.ns();
-      if (ns == xml::kFnNamespace) {
-        // Builtins minus the document-touching / host-observing /
-        // time-dependent ones, and fn:position/fn:last, which read a
-        // focus the early evaluation need not share.
-        const std::string& local = e.qname.local();
-        if (local == "doc" || local == "doc-available" || local == "put" ||
-            local == "trace" || local == "current-dateTime" ||
-            local == "current-date" || local == "current-time" ||
-            local == "position" || local == "last") {
-          safe = false;
-        }
-      } else if (ns != xml::kXsNamespace) {
-        // Declared functions (purity unknown here), browser: dialogs,
-        // REST/service stubs, any other external code.
-        safe = false;
-      }
+      // Builtins minus those that read other documents, the clock or a
+      // focus the early evaluation need not share, or that the host or
+      // the fabric observes. Declared functions (purity unknown here),
+      // browser: dialogs, REST/service stubs and any other external code
+      // are out.
+      constexpr uint16_t kUnsafe = kReadsPosition | kReadsLast |
+                                   kReadsClock | kReadsDocuments |
+                                   kObservesHost | kWritesFabric;
+      const Builtin* builtin = FindBuiltin(e.qname);
+      safe = builtin != nullptr && (builtin->facts & kUnsafe) == 0;
       break;
     }
     default:
@@ -1822,34 +1810,42 @@ Result<Sequence> Evaluator::EvalSetOp(const Expr& e, DynamicContext& ctx) {
 
 // ----------------------------------------------------------- functions ---
 
+const Builtin* Evaluator::UnshadowedBuiltin(const Expr& call,
+                                            DynamicContext& ctx) const {
+  const Builtin* builtin = FindBuiltin(call.qname);
+  if (builtin == nullptr ||
+      sctx_.FindFunction(call.qname, call.kids.size()) != nullptr ||
+      ctx.FindExternal(call.qname, call.kids.size()) != nullptr) {
+    return nullptr;
+  }
+  return builtin;
+}
+
 Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e,
                                              DynamicContext& ctx) {
-  // Sequence-valued fn: builtins consume their first argument as a
-  // stream: existence tests stop at one witness, aggregates fold item
-  // by item without buffering. Guarded against user-declared or
-  // host-external functions shadowing the fn: names.
-  const bool builtin_unshadowed =
-      e.qname.ns() == xml::kFnNamespace && !e.kids.empty() &&
-      sctx_.FindFunction(e.qname, e.kids.size()) == nullptr &&
-      ctx.FindExternal(e.qname, e.kids.size()) == nullptr;
-  if (builtin_unshadowed && e.qname.local() == "count" &&
-      e.kids.size() == 1 && IsFastCountPath(*e.kids[0])) {
-    XQ_ASSIGN_OR_RETURN(Sequence input, PathInput(*e.kids[0], ctx));
-    XQ_ASSIGN_OR_RETURN(int64_t n, CountPath(*e.kids[0], std::move(input), ctx));
-    return Sequence{Item::Integer(n)};
-  }
-  if (builtin_unshadowed &&
-      ClassifyStreamBuiltin(e.qname, e.kids.size()) != StreamFnClass::kNone) {
-    const bool ordered = StreamBuiltinNeedsOrderedArg(e.qname.local());
-    XQ_ASSIGN_OR_RETURN(xdm::StreamPtr arg0,
-                        EvalStreamOrdered(*e.kids[0], ctx, ordered));
+  const Builtin* builtin = UnshadowedBuiltin(e, ctx);
+  // A builtin that pulls its first argument consumes it as a stream:
+  // existence tests stop at one witness, aggregates fold item by item
+  // without buffering.
+  if (builtin != nullptr && builtin->streaming != nullptr &&
+      builtin->AcceptsArity(e.kids.size())) {
+    if (builtin->local == "count" && IsFastCountPath(*e.kids[0])) {
+      XQ_ASSIGN_OR_RETURN(Sequence input, PathInput(*e.kids[0], ctx));
+      XQ_ASSIGN_OR_RETURN(int64_t n,
+                          CountPath(*e.kids[0], std::move(input), ctx));
+      return Sequence{Item::Integer(n)};
+    }
+    XQ_ASSIGN_OR_RETURN(
+        xdm::StreamPtr arg0,
+        EvalStreamOrdered(*e.kids[0], ctx,
+                          /*ordered_required=*/!builtin->Has(kEmptinessOnly)));
     std::vector<Sequence> rest;
     rest.reserve(e.kids.size() - 1);
     for (size_t i = 1; i < e.kids.size(); ++i) {
       XQ_ASSIGN_OR_RETURN(Sequence arg, Eval(*e.kids[i], ctx));
       rest.push_back(std::move(arg));
     }
-    return CallStreamBuiltin(e.qname, *arg0, rest, *counters_);
+    return builtin->streaming(*builtin, *arg0, rest, *counters_);
   }
   std::vector<Sequence> args;
   args.reserve(e.kids.size());
@@ -1857,6 +1853,7 @@ Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e,
     XQ_ASSIGN_OR_RETURN(Sequence arg, Eval(*kid, ctx));
     args.push_back(std::move(arg));
   }
+  if (builtin != nullptr) return CallBuiltin(*builtin, args, ctx);
   return CallFunction(e.qname, std::move(args), ctx);
 }
 
@@ -1899,19 +1896,10 @@ Result<Sequence> Evaluator::CallFunction(const xml::QName& name,
   if (const ExternalFunction* ext = ctx.FindExternal(name, args.size())) {
     return (*ext)(args, ctx);
   }
-  // 3. built-in library. A stream-consumable builtin reached here (a
-  // host call) has its argument evaluated already: it is read through a
-  // cursor on the stack, and since nothing was avoided or cut short, its
-  // counts go nowhere.
-  if (ClassifyStreamBuiltin(name, args.size()) != StreamFnClass::kNone) {
-    xdm::SequenceCursor arg0(std::move(args[0]));
-    Counters uncounted;
-    return CallStreamBuiltin(name, arg0, std::span(args).subspan(1),
-                             uncounted);
+  // 3. built-in library
+  if (const Builtin* builtin = FindBuiltin(name)) {
+    return CallBuiltin(*builtin, args, ctx);
   }
-  bool handled = false;
-  Result<Sequence> r = CallBuiltinFunction(name, args, *this, ctx, &handled);
-  if (handled) return r;
   return Status::Error("XPST0017",
                        "unknown function " + name.Clark() + "#" +
                            std::to_string(args.size()));

@@ -27,6 +27,7 @@ namespace federation {
 struct FlworScatterPlan;
 }  // namespace federation
 
+struct Builtin;
 struct EvaluatorStreams;
 
 class Evaluator {
@@ -176,6 +177,11 @@ class Evaluator {
   // TryFastCount, else the size of the evaluated path.
   Result<int64_t> CountPath(const Expr& path, xdm::Sequence input,
                             DynamicContext& ctx);
+  // The builtin row a call reaches (functions.h): none when no builtin
+  // has its name, or a declaration or host external of its name and
+  // arity shadows it.
+  const Builtin* UnshadowedBuiltin(const Expr& call,
+                                   DynamicContext& ctx) const;
   // Conservative static scan: could evaluating `e` as a predicate
   // observe fn:last() (directly or through a called function, which
   // inherits the focus in the XQIB dialect)? Memoized per node.
@@ -221,9 +227,9 @@ class Evaluator {
   // Conservative static scan for the FLWOR scatter gate: may `e` be
   // evaluated an extra time, ahead of the tuple loop, without anyone
   // noticing? (No updates/scripting/host effects, no node
-  // construction, no fn:position/fn:last, and calls only to builtins
-  // of fn:/xs: minus doc/put/trace and the time functions.) Memoized
-  // per node.
+  // construction, and calls only to builtins whose row reads no other
+  // document, clock or focus and that neither the host nor the fabric
+  // observes.) Memoized per node.
   bool ScatterSafe(const Expr& e);
 
   // Async federation: if `e` is a FLWOR whose remote GETs are templated
@@ -249,31 +255,6 @@ class Evaluator {
   std::shared_ptr<const analysis::AnalysisFacts> facts_;
 };
 
-// Built-in function dispatch (functions.cc). Sets *handled=false if the
-// name is not a known built-in.
-Result<xdm::Sequence> CallBuiltinFunction(const xml::QName& name,
-                                          std::vector<xdm::Sequence>& args,
-                                          Evaluator& ev, DynamicContext& ctx,
-                                          bool* handled);
-
-// How a builtin may consume its first argument as a stream (functions.cc):
-// kFold drains without buffering (count, sum, avg, min, max); kEarlyExit
-// additionally stops pulling once decided (exists, empty, boolean, not,
-// head, subsequence). kNone: not stream-consumable at this arity.
-enum class StreamFnClass { kNone, kFold, kEarlyExit };
-StreamFnClass ClassifyStreamBuiltin(const xml::QName& name, size_t arity);
-// True when the builtin's result depends on the order (or duplicates)
-// of its first argument, so the path feeding it may not skip its final
-// document-order barrier.
-bool StreamBuiltinNeedsOrderedArg(const std::string& local);
-// Dispatches a stream-consumable builtin, the one implementation of
-// each: arg0 is pulled lazily, `rest` holds the remaining (eagerly
-// evaluated) arguments, and the early exits, avoided buffers and
-// materialized atoms are counted into `counters`.
-Result<xdm::Sequence> CallStreamBuiltin(const xml::QName& name,
-                                        xdm::ItemStream& arg0,
-                                        std::span<const xdm::Sequence> rest,
-                                        Counters& counters);
 // Effective boolean value of a stream: pulls at most two items (the
 // second only to reproduce FORG0006 on multi-atomic sequences); a node
 // witness counts an early exit.

@@ -2,20 +2,26 @@
 // 2.0 Functions and Operators, reference [9] of the paper) — the subset
 // a browser scripting workload exercises, plus date/time component
 // extraction ("a powerful function and operator library, e.g. for dates
-// and times", paper §1).
+// and times", paper §1) and the xs: constructor functions. kLibrary at
+// the end of this file is the table functions.h describes.
+
+#include "xquery/functions.h"
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <regex>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "base/strings.h"
 #include "xml/serializer.h"
 #include "xquery/evaluator.h"
-#include "xquery/update.h"
 
 namespace xqib::xquery {
 
+using analysis::Cardinality;
+using analysis::ItemClass;
 using xdm::AtomicType;
 using xdm::AtomicValue;
 using xdm::Item;
@@ -23,11 +29,8 @@ using xdm::Sequence;
 
 namespace {
 
-Status WrongArity(const std::string& name, size_t n) {
-  return Status::Error("XPST0017", "wrong number of arguments (" +
-                                       std::to_string(n) + ") for fn:" +
-                                       name);
-}
+using Args = std::vector<Sequence>;
+using Rest = std::span<const Sequence>;
 
 std::string StringArg(const Sequence& seq) {
   // fn-style string argument: empty sequence -> "".
@@ -35,10 +38,10 @@ std::string StringArg(const Sequence& seq) {
   return seq[0].StringValue();
 }
 
-Result<Item> ContextItem(DynamicContext& ctx, const std::string& fn) {
+Result<Item> ContextItem(DynamicContext& ctx, const Builtin& self) {
   if (!ctx.focus().has_item) {
     return Status::Error("XPDY0002",
-                         "fn:" + fn + "() requires a context item");
+                         self.Lexical() + "() requires a context item");
   }
   return ctx.focus().item;
 }
@@ -131,774 +134,925 @@ Result<int64_t> TimeComponent(const std::string& iso, int index) {
       std::stol(m[static_cast<size_t>(index + 1)].str()));
 }
 
-}  // namespace
+// ------------------------------------------------------------ context ---
 
-Result<Sequence> CallBuiltinFunction(const xml::QName& name,
-                                     std::vector<Sequence>& args,
-                                     Evaluator& ev, DynamicContext& ctx,
-                                     bool* handled) {
-  (void)ev;
-  *handled = true;
-  if (name.ns() != xml::kFnNamespace && name.ns() != xml::kXsNamespace) {
-    *handled = false;
-    return Sequence{};
+Result<Sequence> Position(const Builtin&, Args&, DynamicContext& ctx) {
+  if (!ctx.focus().has_item) {
+    return Status::Error("XPDY0002", "fn:position() without focus");
   }
+  return Sequence{Item::Integer(ctx.focus().position)};
+}
 
-  // xs:TYPE(value) constructor functions behave like "cast as".
-  if (name.ns() == xml::kXsNamespace) {
-    static const std::unordered_map<std::string, AtomicType> kCtors = {
-        {"string", AtomicType::kString},
-        {"boolean", AtomicType::kBoolean},
-        {"integer", AtomicType::kInteger},
-        {"int", AtomicType::kInteger},
-        {"decimal", AtomicType::kDecimal},
-        {"double", AtomicType::kDouble},
-        {"float", AtomicType::kDouble},
-        {"anyURI", AtomicType::kAnyUri},
-        {"untypedAtomic", AtomicType::kUntypedAtomic},
-        {"dateTime", AtomicType::kDateTime},
-        {"date", AtomicType::kDate},
-        {"time", AtomicType::kTime},
-    };
-    auto it = kCtors.find(name.local());
-    if (it == kCtors.end()) {
-      *handled = false;
-      return Sequence{};
-    }
-    if (args.size() != 1) return WrongArity(name.Lexical(), args.size());
-    Sequence data = xdm::Atomize(args[0]);
-    if (data.empty()) return Sequence{};
-    if (data.size() > 1) {
-      return Status::TypeError("constructor applied to a sequence");
-    }
-    XQ_ASSIGN_OR_RETURN(AtomicValue v, data[0].atomic().CastTo(it->second));
-    return Sequence{Item::Atomic(std::move(v))};
+Result<Sequence> Last(const Builtin&, Args&, DynamicContext& ctx) {
+  if (!ctx.focus().has_item) {
+    return Status::Error("XPDY0002", "fn:last() without focus");
   }
+  return Sequence{Item::Integer(ctx.focus().size)};
+}
 
-  const std::string& fn = name.local();
-  size_t n = args.size();
+Result<Sequence> String(const Builtin& self, Args& args,
+                        DynamicContext& ctx) {
+  if (args.empty()) {
+    XQ_ASSIGN_OR_RETURN(Item item, ContextItem(ctx, self));
+    return Sequence{Item::String(item.StringValue())};
+  }
+  if (args[0].empty()) return Sequence{Item::String("")};
+  if (args[0].size() > 1) {
+    return Status::TypeError("fn:string of a sequence");
+  }
+  return Sequence{Item::String(args[0][0].StringValue())};
+}
 
-  // ---------------------------------------------------------- context ---
-  if (fn == "position") {
-    if (n != 0) return WrongArity(fn, n);
-    if (!ctx.focus().has_item) {
-      return Status::Error("XPDY0002", "fn:position() without focus");
-    }
-    return Sequence{Item::Integer(ctx.focus().position)};
+Result<Sequence> Data(const Builtin&, Args& args, DynamicContext&) {
+  return xdm::Atomize(args[0]);
+}
+
+Result<Sequence> Number(const Builtin& self, Args& args,
+                        DynamicContext& ctx) {
+  Sequence input;
+  if (args.empty()) {
+    XQ_ASSIGN_OR_RETURN(Item item, ContextItem(ctx, self));
+    input = {item};
+  } else {
+    input = args[0];
   }
-  if (fn == "last") {
-    if (n != 0) return WrongArity(fn, n);
-    if (!ctx.focus().has_item) {
-      return Status::Error("XPDY0002", "fn:last() without focus");
-    }
-    return Sequence{Item::Integer(ctx.focus().size)};
-  }
-  if (fn == "string") {
-    if (n == 0) {
-      XQ_ASSIGN_OR_RETURN(Item item, ContextItem(ctx, fn));
-      return Sequence{Item::String(item.StringValue())};
-    }
-    if (n != 1) return WrongArity(fn, n);
+  Sequence data = xdm::Atomize(input);
+  if (data.size() != 1) return Sequence{Item::Double(std::nan(""))};
+  Result<double> d = data[0].atomic().ToDouble();
+  return Sequence{Item::Double(d.ok() ? *d : std::nan(""))};
+}
+
+// fn:name, fn:local-name and fn:namespace-uri: a part of the name of the
+// argument node, or of the context item without one.
+enum class NamePart { kLexical, kLocal, kNamespace };
+
+template <NamePart kPart>
+Result<Sequence> NodeNamePart(const Builtin& self, Args& args,
+                              DynamicContext& ctx) {
+  Item item;
+  if (args.empty()) {
+    XQ_ASSIGN_OR_RETURN(item, ContextItem(ctx, self));
+  } else {
     if (args[0].empty()) return Sequence{Item::String("")};
-    if (args[0].size() > 1) {
-      return Status::TypeError("fn:string of a sequence");
-    }
-    return Sequence{Item::String(args[0][0].StringValue())};
+    item = args[0][0];
   }
-  if (fn == "data") {
-    if (n != 1) return WrongArity(fn, n);
-    return xdm::Atomize(args[0]);
+  if (!item.is_node()) {
+    return Status::TypeError(self.Lexical() + " of a non-node");
   }
-  if (fn == "number") {
-    Sequence input;
-    if (n == 0) {
-      XQ_ASSIGN_OR_RETURN(Item item, ContextItem(ctx, fn));
-      input = {item};
-    } else if (n == 1) {
-      input = args[0];
-    } else {
-      return WrongArity(fn, n);
-    }
-    Sequence data = xdm::Atomize(input);
-    if (data.size() != 1) return Sequence{Item::Double(std::nan(""))};
-    Result<double> d = data[0].atomic().ToDouble();
-    return Sequence{Item::Double(d.ok() ? *d : std::nan(""))};
+  const xml::QName& name = item.node()->name();
+  if constexpr (kPart == NamePart::kLexical) {
+    return Sequence{Item::String(name.Lexical())};
+  } else if constexpr (kPart == NamePart::kLocal) {
+    return Sequence{Item::String(name.local())};
+  } else {
+    return Sequence{Item::String(name.ns())};
   }
-  if (fn == "name" || fn == "local-name" || fn == "namespace-uri") {
-    xml::Node* node = nullptr;
-    if (n == 0) {
-      XQ_ASSIGN_OR_RETURN(Item item, ContextItem(ctx, fn));
-      if (!item.is_node()) {
-        return Status::TypeError("fn:" + fn + " of a non-node");
-      }
-      node = item.node();
-    } else if (n == 1) {
-      if (args[0].empty()) return Sequence{Item::String("")};
-      if (!args[0][0].is_node()) {
-        return Status::TypeError("fn:" + fn + " of a non-node");
-      }
-      node = args[0][0].node();
-    } else {
-      return WrongArity(fn, n);
-    }
-    if (fn == "name") return Sequence{Item::String(node->name().Lexical())};
-    if (fn == "local-name") return Sequence{Item::String(node->name().local())};
-    return Sequence{Item::String(node->name().ns())};
-  }
-  if (fn == "node-name") {
-    if (n != 1) return WrongArity(fn, n);
+}
+
+Result<Sequence> NodeName(const Builtin&, Args& args, DynamicContext&) {
+  if (args[0].empty()) return Sequence{};
+  if (!args[0][0].is_node()) return Status::TypeError("node-name arg");
+  return Sequence{
+      Item::Atomic(AtomicValue::MakeQName(args[0][0].node()->name()))};
+}
+
+Result<Sequence> Root(const Builtin& self, Args& args, DynamicContext& ctx) {
+  Item item;
+  if (args.empty()) {
+    XQ_ASSIGN_OR_RETURN(item, ContextItem(ctx, self));
+  } else {
     if (args[0].empty()) return Sequence{};
-    if (!args[0][0].is_node()) return Status::TypeError("node-name arg");
-    return Sequence{
-        Item::Atomic(AtomicValue::MakeQName(args[0][0].node()->name()))};
+    item = args[0][0];
   }
-  if (fn == "root") {
-    xml::Node* node = nullptr;
-    if (n == 0) {
-      XQ_ASSIGN_OR_RETURN(Item item, ContextItem(ctx, fn));
-      if (!item.is_node()) return Status::TypeError("fn:root of non-node");
-      node = item.node();
-    } else if (n == 1) {
-      if (args[0].empty()) return Sequence{};
-      if (!args[0][0].is_node()) {
-        return Status::TypeError("fn:root of non-node");
-      }
-      node = args[0][0].node();
-    } else {
-      return WrongArity(fn, n);
-    }
-    return Sequence{Item::Node(node->Root())};
-  }
+  if (!item.is_node()) return Status::TypeError("fn:root of non-node");
+  return Sequence{Item::Node(item.node()->Root())};
+}
 
-  // ---------------------------------------------------------- boolean ---
-  // boolean, not, count, sum, avg, min, max, empty, exists, head and
-  // subsequence are stream-consumable: CallStreamBuiltin below is their
-  // one implementation, and Evaluator::CallFunction routes them there.
-  if (fn == "true") return Sequence{Item::Boolean(true)};
-  if (fn == "false") return Sequence{Item::Boolean(false)};
+// ------------------------------------------------------------ boolean ---
 
-  // ---------------------------------------------------------- numeric ---
-  if (fn == "abs" || fn == "ceiling" || fn == "floor" || fn == "round") {
-    if (n != 1) return WrongArity(fn, n);
-    bool empty = false;
-    XQ_ASSIGN_OR_RETURN(double d, NumericArg(args[0], &empty));
-    if (empty) return Sequence{};
-    double r = fn == "abs"       ? std::fabs(d)
-               : fn == "ceiling" ? std::ceil(d)
-               : fn == "floor"   ? std::floor(d)
-                                 : std::floor(d + 0.5);
-    Sequence data = xdm::Atomize(args[0]);
-    if (data[0].atomic().type() == AtomicType::kInteger) {
-      return Sequence{Item::Integer(static_cast<int64_t>(r))};
-    }
-    return Sequence{Item::Double(r)};
-  }
+template <bool kValue>
+Result<Sequence> Constant(const Builtin&, Args&, DynamicContext&) {
+  return Sequence{Item::Boolean(kValue)};
+}
 
-  // ----------------------------------------------------------- string ---
-  if (fn == "concat") {
-    if (n < 2) return WrongArity(fn, n);
-    std::string out;
-    for (const Sequence& a : args) out += StringArg(a);
-    return Sequence{Item::String(out)};
+// ------------------------------------------------------------ numeric ---
+
+double Abs(double d) { return std::fabs(d); }
+double Ceiling(double d) { return std::ceil(d); }
+double Floor(double d) { return std::floor(d); }
+double RoundHalfUp(double d) { return std::floor(d + 0.5); }
+
+// fn:abs, fn:ceiling, fn:floor and fn:round: an integer stays one.
+template <double (*kOp)(double)>
+Result<Sequence> Rounding(const Builtin&, Args& args, DynamicContext&) {
+  bool empty = false;
+  XQ_ASSIGN_OR_RETURN(double d, NumericArg(args[0], &empty));
+  if (empty) return Sequence{};
+  double r = kOp(d);
+  Sequence data = xdm::Atomize(args[0]);
+  if (data[0].atomic().type() == AtomicType::kInteger) {
+    return Sequence{Item::Integer(static_cast<int64_t>(r))};
   }
-  if (fn == "string-join") {
-    if (n != 2) return WrongArity(fn, n);
-    std::string sep = StringArg(args[1]);
-    std::string out;
-    for (size_t i = 0; i < args[0].size(); ++i) {
-      if (i > 0) out += sep;
-      out += args[0][i].StringValue();
-    }
-    return Sequence{Item::String(out)};
+  return Sequence{Item::Double(r)};
+}
+
+// ------------------------------------------------------------- string ---
+
+Result<Sequence> Concat(const Builtin&, Args& args, DynamicContext&) {
+  std::string out;
+  for (const Sequence& a : args) out += StringArg(a);
+  return Sequence{Item::String(out)};
+}
+
+Result<Sequence> StringJoin(const Builtin&, Args& args, DynamicContext&) {
+  std::string sep = StringArg(args[1]);
+  std::string out;
+  for (size_t i = 0; i < args[0].size(); ++i) {
+    if (i > 0) out += sep;
+    out += args[0][i].StringValue();
   }
-  if (fn == "substring") {
-    if (n < 2 || n > 3) return WrongArity(fn, n);
-    std::vector<uint32_t> cps = Utf8ToCodepoints(StringArg(args[0]));
-    bool empty = false;
-    XQ_ASSIGN_OR_RETURN(double startd, NumericArg(args[1], &empty));
+  return Sequence{Item::String(out)};
+}
+
+Result<Sequence> Substring(const Builtin&, Args& args, DynamicContext&) {
+  std::vector<uint32_t> cps = Utf8ToCodepoints(StringArg(args[0]));
+  bool empty = false;
+  XQ_ASSIGN_OR_RETURN(double startd, NumericArg(args[1], &empty));
+  if (empty) return Sequence{Item::String("")};
+  double lend = static_cast<double>(cps.size()) - startd + 1;
+  if (args.size() == 3) {
+    XQ_ASSIGN_OR_RETURN(lend, NumericArg(args[2], &empty));
     if (empty) return Sequence{Item::String("")};
-    double lend = static_cast<double>(cps.size()) - startd + 1;
-    if (n == 3) {
-      XQ_ASSIGN_OR_RETURN(lend, NumericArg(args[2], &empty));
-      if (empty) return Sequence{Item::String("")};
-    }
-    // XPath substring: round both, 1-based, handles NaN/negatives.
-    double from = std::floor(startd + 0.5);
-    double to = from + std::floor(lend + 0.5);
-    std::vector<uint32_t> out;
-    for (size_t i = 0; i < cps.size(); ++i) {
-      double pos = static_cast<double>(i + 1);
-      if (pos >= from && pos < to) out.push_back(cps[i]);
-    }
-    return Sequence{Item::String(CodepointsToUtf8(out))};
   }
-  if (fn == "string-length") {
-    std::string s;
-    if (n == 0) {
-      XQ_ASSIGN_OR_RETURN(Item item, ContextItem(ctx, fn));
-      s = item.StringValue();
-    } else if (n == 1) {
-      s = StringArg(args[0]);
-    } else {
-      return WrongArity(fn, n);
-    }
-    return Sequence{Item::Integer(static_cast<int64_t>(Utf8Length(s)))};
+  // XPath substring: round both, 1-based, handles NaN/negatives.
+  double from = std::floor(startd + 0.5);
+  double to = from + std::floor(lend + 0.5);
+  std::vector<uint32_t> out;
+  for (size_t i = 0; i < cps.size(); ++i) {
+    double pos = static_cast<double>(i + 1);
+    if (pos >= from && pos < to) out.push_back(cps[i]);
   }
-  // The paper's AJAX example (§4.4) calls fn:length on a string.
-  if (fn == "length") {
-    if (n != 1) return WrongArity(fn, n);
-    return Sequence{
-        Item::Integer(static_cast<int64_t>(Utf8Length(StringArg(args[0]))))};
-  }
-  if (fn == "upper-case") {
-    if (n != 1) return WrongArity(fn, n);
-    return Sequence{Item::String(AsciiToUpper(StringArg(args[0])))};
-  }
-  if (fn == "lower-case") {
-    if (n != 1) return WrongArity(fn, n);
-    return Sequence{Item::String(AsciiToLower(StringArg(args[0])))};
-  }
-  if (fn == "contains" || fn == "starts-with" || fn == "ends-with") {
-    if (n != 2) return WrongArity(fn, n);
-    std::string a = StringArg(args[0]), b = StringArg(args[1]);
-    bool r = fn == "contains"      ? Contains(a, b)
-             : fn == "starts-with" ? StartsWith(a, b)
-                                   : EndsWith(a, b);
-    return Sequence{Item::Boolean(r)};
-  }
-  if (fn == "substring-before" || fn == "substring-after") {
-    if (n != 2) return WrongArity(fn, n);
-    std::string a = StringArg(args[0]), b = StringArg(args[1]);
-    size_t pos = a.find(b);
-    if (pos == std::string::npos || b.empty()) {
-      return Sequence{Item::String(b.empty() && fn == "substring-after"
-                                       ? a
-                                       : std::string())};
-    }
-    if (fn == "substring-before") {
-      return Sequence{Item::String(a.substr(0, pos))};
-    }
-    return Sequence{Item::String(a.substr(pos + b.size()))};
-  }
-  if (fn == "translate") {
-    if (n != 3) return WrongArity(fn, n);
-    std::vector<uint32_t> src = Utf8ToCodepoints(StringArg(args[0]));
-    std::vector<uint32_t> map_from = Utf8ToCodepoints(StringArg(args[1]));
-    std::vector<uint32_t> map_to = Utf8ToCodepoints(StringArg(args[2]));
-    std::vector<uint32_t> out;
-    for (uint32_t cp : src) {
-      auto it = std::find(map_from.begin(), map_from.end(), cp);
-      if (it == map_from.end()) {
-        out.push_back(cp);
-      } else {
-        size_t idx = static_cast<size_t>(it - map_from.begin());
-        if (idx < map_to.size()) out.push_back(map_to[idx]);
-      }
-    }
-    return Sequence{Item::String(CodepointsToUtf8(out))};
-  }
-  if (fn == "normalize-space") {
-    std::string s;
-    if (n == 0) {
-      XQ_ASSIGN_OR_RETURN(Item item, ContextItem(ctx, fn));
-      s = item.StringValue();
-    } else if (n == 1) {
-      s = StringArg(args[0]);
-    } else {
-      return WrongArity(fn, n);
-    }
-    return Sequence{Item::String(NormalizeSpace(s))};
-  }
-  if (fn == "compare") {
-    if (n != 2) return WrongArity(fn, n);
-    if (args[0].empty() || args[1].empty()) return Sequence{};
-    int c = StringArg(args[0]).compare(StringArg(args[1]));
-    return Sequence{Item::Integer(c < 0 ? -1 : (c > 0 ? 1 : 0))};
-  }
-  if (fn == "codepoints-to-string") {
-    if (n != 1) return WrongArity(fn, n);
-    std::vector<uint32_t> cps;
-    for (const Item& i : xdm::Atomize(args[0])) {
-      XQ_ASSIGN_OR_RETURN(int64_t cp, i.atomic().ToInteger());
-      cps.push_back(static_cast<uint32_t>(cp));
-    }
-    return Sequence{Item::String(CodepointsToUtf8(cps))};
-  }
-  if (fn == "string-to-codepoints") {
-    if (n != 1) return WrongArity(fn, n);
-    Sequence out;
-    for (uint32_t cp : Utf8ToCodepoints(StringArg(args[0]))) {
-      out.push_back(Item::Integer(cp));
-    }
-    return out;
-  }
-  if (fn == "matches" || fn == "replace" || fn == "tokenize") {
-    if ((fn == "replace" && n != 3) || (fn != "replace" && n != 2)) {
-      return WrongArity(fn, n);
-    }
-    std::string input = StringArg(args[0]);
-    std::string pattern = StringArg(args[1]);
-    std::regex re;
-    // std::regex throws on malformed patterns; this is the one place we
-    // bridge an exception into a Status.
-    try {
-      re = std::regex(pattern, std::regex::ECMAScript);
-    } catch (const std::regex_error& err) {
-      return Status::Error("FORX0002",
-                           "invalid regular expression: " + pattern);
-    }
-    if (fn == "matches") {
-      return Sequence{
-          Item::Boolean(std::regex_search(input, re))};
-    }
-    if (fn == "replace") {
-      std::string repl = StringArg(args[2]);
-      return Sequence{Item::String(std::regex_replace(input, re, repl))};
-    }
-    // tokenize
-    Sequence out;
-    std::sregex_token_iterator it(input.begin(), input.end(), re, -1), end;
-    for (; it != end; ++it) out.push_back(Item::String(*it));
-    return out;
-  }
-  if (fn == "encode-for-uri") {
-    if (n != 1) return WrongArity(fn, n);
-    std::string out;
-    for (unsigned char c : StringArg(args[0])) {
-      if ((c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
-          (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.' ||
-          c == '~') {
-        out.push_back(static_cast<char>(c));
-      } else {
-        char buf[4];
-        std::snprintf(buf, sizeof(buf), "%%%02X", c);
-        out += buf;
-      }
-    }
-    return Sequence{Item::String(out)};
-  }
+  return Sequence{Item::String(CodepointsToUtf8(out))};
+}
 
-  // --------------------------------------------------------- sequence ---
-  if (fn == "distinct-values") {
-    if (n != 1) return WrongArity(fn, n);
-    Sequence data = xdm::Atomize(args[0]);
-    Sequence out;
-    std::unordered_set<std::string> seen;
-    for (Item& i : data) {
-      // Distinctness by typed-value string form, numerics normalized.
-      std::string key;
-      if (i.atomic().is_numeric()) {
-        Result<double> d = i.atomic().ToDouble();
-        key = "N:" + (d.ok() ? DoubleToXPathString(*d) : i.StringValue());
-      } else {
-        key = "S:" + i.StringValue();
-      }
-      if (seen.insert(key).second) out.push_back(std::move(i));
+Result<Sequence> StringLength(const Builtin& self, Args& args,
+                              DynamicContext& ctx) {
+  std::string s;
+  if (args.empty()) {
+    XQ_ASSIGN_OR_RETURN(Item item, ContextItem(ctx, self));
+    s = item.StringValue();
+  } else {
+    s = StringArg(args[0]);
+  }
+  return Sequence{Item::Integer(static_cast<int64_t>(Utf8Length(s)))};
+}
+
+// The paper's AJAX example (§4.4) calls fn:length on a string.
+Result<Sequence> Length(const Builtin&, Args& args, DynamicContext&) {
+  return Sequence{
+      Item::Integer(static_cast<int64_t>(Utf8Length(StringArg(args[0]))))};
+}
+
+template <std::string (*kOp)(std::string_view)>
+Result<Sequence> MapCase(const Builtin&, Args& args, DynamicContext&) {
+  return Sequence{Item::String(kOp(StringArg(args[0])))};
+}
+
+// fn:contains, fn:starts-with and fn:ends-with.
+template <bool (*kOp)(std::string_view, std::string_view)>
+Result<Sequence> StringTest(const Builtin&, Args& args, DynamicContext&) {
+  return Sequence{Item::Boolean(kOp(StringArg(args[0]), StringArg(args[1])))};
+}
+
+Result<Sequence> SubstringBefore(const Builtin&, Args& args,
+                                 DynamicContext&) {
+  std::string a = StringArg(args[0]), b = StringArg(args[1]);
+  size_t pos = a.find(b);
+  if (pos == std::string::npos || b.empty()) {
+    return Sequence{Item::String("")};
+  }
+  return Sequence{Item::String(a.substr(0, pos))};
+}
+
+Result<Sequence> SubstringAfter(const Builtin&, Args& args, DynamicContext&) {
+  std::string a = StringArg(args[0]), b = StringArg(args[1]);
+  if (b.empty()) return Sequence{Item::String(a)};
+  size_t pos = a.find(b);
+  if (pos == std::string::npos) return Sequence{Item::String("")};
+  return Sequence{Item::String(a.substr(pos + b.size()))};
+}
+
+Result<Sequence> Translate(const Builtin&, Args& args, DynamicContext&) {
+  std::vector<uint32_t> src = Utf8ToCodepoints(StringArg(args[0]));
+  std::vector<uint32_t> map_from = Utf8ToCodepoints(StringArg(args[1]));
+  std::vector<uint32_t> map_to = Utf8ToCodepoints(StringArg(args[2]));
+  std::vector<uint32_t> out;
+  for (uint32_t cp : src) {
+    auto it = std::find(map_from.begin(), map_from.end(), cp);
+    if (it == map_from.end()) {
+      out.push_back(cp);
+    } else {
+      size_t idx = static_cast<size_t>(it - map_from.begin());
+      if (idx < map_to.size()) out.push_back(map_to[idx]);
     }
-    return out;
   }
-  if (fn == "reverse") {
-    if (n != 1) return WrongArity(fn, n);
-    Sequence out(args[0].rbegin(), args[0].rend());
-    return out;
+  return Sequence{Item::String(CodepointsToUtf8(out))};
+}
+
+Result<Sequence> NormalizeSpaceFn(const Builtin& self, Args& args,
+                                  DynamicContext& ctx) {
+  std::string s;
+  if (args.empty()) {
+    XQ_ASSIGN_OR_RETURN(Item item, ContextItem(ctx, self));
+    s = item.StringValue();
+  } else {
+    s = StringArg(args[0]);
   }
-  if (fn == "tail") {
-    if (n != 1) return WrongArity(fn, n);
-    if (args[0].empty()) return Sequence{};
-    return Sequence(args[0].begin() + 1, args[0].end());
+  return Sequence{Item::String(NormalizeSpace(s))};
+}
+
+Result<Sequence> Compare(const Builtin&, Args& args, DynamicContext&) {
+  if (args[0].empty() || args[1].empty()) return Sequence{};
+  int c = StringArg(args[0]).compare(StringArg(args[1]));
+  return Sequence{Item::Integer(c < 0 ? -1 : (c > 0 ? 1 : 0))};
+}
+
+Result<Sequence> CodepointsToString(const Builtin&, Args& args,
+                                    DynamicContext&) {
+  std::vector<uint32_t> cps;
+  for (const Item& i : xdm::Atomize(args[0])) {
+    XQ_ASSIGN_OR_RETURN(int64_t cp, i.atomic().ToInteger());
+    cps.push_back(static_cast<uint32_t>(cp));
   }
-  if (fn == "insert-before") {
-    if (n != 3) return WrongArity(fn, n);
-    bool empty = false;
-    XQ_ASSIGN_OR_RETURN(double posd, NumericArg(args[1], &empty));
-    int64_t pos = empty ? 1 : static_cast<int64_t>(posd);
-    if (pos < 1) pos = 1;
-    Sequence out;
-    for (size_t i = 0; i < args[0].size(); ++i) {
-      if (static_cast<int64_t>(i + 1) == pos) {
-        out.insert(out.end(), args[2].begin(), args[2].end());
-      }
-      out.push_back(args[0][i]);
+  return Sequence{Item::String(CodepointsToUtf8(cps))};
+}
+
+Result<Sequence> StringToCodepoints(const Builtin&, Args& args,
+                                    DynamicContext&) {
+  Sequence out;
+  for (uint32_t cp : Utf8ToCodepoints(StringArg(args[0]))) {
+    out.push_back(Item::Integer(cp));
+  }
+  return out;
+}
+
+// std::regex throws on malformed patterns; this is the one place we
+// bridge an exception into a Status.
+Result<std::regex> CompileRegex(const Sequence& pattern_arg) {
+  std::string pattern = StringArg(pattern_arg);
+  try {
+    return std::regex(pattern, std::regex::ECMAScript);
+  } catch (const std::regex_error& err) {
+    return Status::Error("FORX0002", "invalid regular expression: " + pattern);
+  }
+}
+
+Result<Sequence> Matches(const Builtin&, Args& args, DynamicContext&) {
+  std::string input = StringArg(args[0]);
+  XQ_ASSIGN_OR_RETURN(std::regex re, CompileRegex(args[1]));
+  return Sequence{Item::Boolean(std::regex_search(input, re))};
+}
+
+Result<Sequence> Replace(const Builtin&, Args& args, DynamicContext&) {
+  std::string input = StringArg(args[0]);
+  XQ_ASSIGN_OR_RETURN(std::regex re, CompileRegex(args[1]));
+  std::string repl = StringArg(args[2]);
+  return Sequence{Item::String(std::regex_replace(input, re, repl))};
+}
+
+Result<Sequence> Tokenize(const Builtin&, Args& args, DynamicContext&) {
+  std::string input = StringArg(args[0]);
+  XQ_ASSIGN_OR_RETURN(std::regex re, CompileRegex(args[1]));
+  Sequence out;
+  std::sregex_token_iterator it(input.begin(), input.end(), re, -1), end;
+  for (; it != end; ++it) out.push_back(Item::String(*it));
+  return out;
+}
+
+Result<Sequence> EncodeForUri(const Builtin&, Args& args, DynamicContext&) {
+  std::string out;
+  for (unsigned char c : StringArg(args[0])) {
+    if ((c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
+        (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.' ||
+        c == '~') {
+      out.push_back(static_cast<char>(c));
+    } else {
+      char buf[4];
+      std::snprintf(buf, sizeof(buf), "%%%02X", c);
+      out += buf;
     }
-    if (pos > static_cast<int64_t>(args[0].size())) {
+  }
+  return Sequence{Item::String(out)};
+}
+
+// ----------------------------------------------------------- sequence ---
+
+Result<Sequence> DistinctValues(const Builtin&, Args& args, DynamicContext&) {
+  Sequence data = xdm::Atomize(args[0]);
+  Sequence out;
+  std::unordered_set<std::string> seen;
+  for (Item& i : data) {
+    // Distinctness by typed-value string form, numerics normalized.
+    std::string key;
+    if (i.atomic().is_numeric()) {
+      Result<double> d = i.atomic().ToDouble();
+      key = "N:" + (d.ok() ? DoubleToXPathString(*d) : i.StringValue());
+    } else {
+      key = "S:" + i.StringValue();
+    }
+    if (seen.insert(key).second) out.push_back(std::move(i));
+  }
+  return out;
+}
+
+Result<Sequence> Reverse(const Builtin&, Args& args, DynamicContext&) {
+  return Sequence(args[0].rbegin(), args[0].rend());
+}
+
+Result<Sequence> Tail(const Builtin&, Args& args, DynamicContext&) {
+  if (args[0].empty()) return Sequence{};
+  return Sequence(args[0].begin() + 1, args[0].end());
+}
+
+Result<Sequence> InsertBefore(const Builtin&, Args& args, DynamicContext&) {
+  bool empty = false;
+  XQ_ASSIGN_OR_RETURN(double posd, NumericArg(args[1], &empty));
+  int64_t pos = empty ? 1 : static_cast<int64_t>(posd);
+  if (pos < 1) pos = 1;
+  Sequence out;
+  for (size_t i = 0; i < args[0].size(); ++i) {
+    if (static_cast<int64_t>(i + 1) == pos) {
       out.insert(out.end(), args[2].begin(), args[2].end());
     }
-    return out;
+    out.push_back(args[0][i]);
   }
-  if (fn == "remove") {
-    if (n != 2) return WrongArity(fn, n);
-    bool empty = false;
-    XQ_ASSIGN_OR_RETURN(double posd, NumericArg(args[1], &empty));
-    Sequence out;
-    for (size_t i = 0; i < args[0].size(); ++i) {
-      if (!empty && static_cast<double>(i + 1) == posd) continue;
-      out.push_back(args[0][i]);
-    }
-    return out;
+  if (pos > static_cast<int64_t>(args[0].size())) {
+    out.insert(out.end(), args[2].begin(), args[2].end());
   }
-  if (fn == "index-of") {
-    if (n != 2) return WrongArity(fn, n);
-    Sequence data = xdm::Atomize(args[0]);
-    Sequence needle = xdm::Atomize(args[1]);
-    if (needle.size() != 1) {
-      return Status::TypeError("fn:index-of needs a single search value");
-    }
-    Sequence out;
-    for (size_t i = 0; i < data.size(); ++i) {
-      Result<int> cmp = data[i].atomic().Compare(needle[0].atomic());
-      if (cmp.ok() && *cmp == 0) {
-        out.push_back(Item::Integer(static_cast<int64_t>(i + 1)));
-      }
-    }
-    return out;
-  }
-  if (fn == "exactly-one") {
-    if (n != 1) return WrongArity(fn, n);
-    if (args[0].size() != 1) {
-      return Status::Error("FORG0005", "fn:exactly-one: sequence size " +
-                                           std::to_string(args[0].size()));
-    }
-    return args[0];
-  }
-  if (fn == "zero-or-one") {
-    if (n != 1) return WrongArity(fn, n);
-    if (args[0].size() > 1) {
-      return Status::Error("FORG0003", "fn:zero-or-one: more than one item");
-    }
-    return args[0];
-  }
-  if (fn == "one-or-more") {
-    if (n != 1) return WrongArity(fn, n);
-    if (args[0].empty()) {
-      return Status::Error("FORG0004", "fn:one-or-more: empty sequence");
-    }
-    return args[0];
-  }
-  if (fn == "deep-equal") {
-    if (n != 2) return WrongArity(fn, n);
-    if (args[0].size() != args[1].size()) {
-      return Sequence{Item::Boolean(false)};
-    }
-    for (size_t i = 0; i < args[0].size(); ++i) {
-      const Item& a = args[0][i];
-      const Item& b = args[1][i];
-      if (a.is_node() != b.is_node()) return Sequence{Item::Boolean(false)};
-      if (a.is_node()) {
-        if (!DeepEqualNodes(a.node(), b.node())) {
-          return Sequence{Item::Boolean(false)};
-        }
-      } else {
-        Result<int> cmp = a.atomic().Compare(b.atomic());
-        if (!cmp.ok() || *cmp != 0) return Sequence{Item::Boolean(false)};
-      }
-    }
-    return Sequence{Item::Boolean(true)};
-  }
+  return out;
+}
 
-  // -------------------------------------------------------------- node ---
-  if (fn == "doc" || fn == "doc-available") {
-    if (n != 1) return WrongArity(fn, n);
-    if (ctx.browser_profile) {
-      // Paper §4.2.1: fn:doc and fn:put are blocked in the browser.
-      return Status::Error("BRWS0002",
-                           "fn:" + fn + " is blocked in the browser "
-                           "profile for security reasons");
-    }
-    if (ctx.doc_resolver == nullptr) {
-      return Status::Error("FODC0002", "no document resolver configured");
-    }
-    Result<xml::Node*> doc = ctx.doc_resolver(StringArg(args[0]));
-    if (fn == "doc-available") {
-      return Sequence{Item::Boolean(doc.ok())};
-    }
-    if (!doc.ok()) return doc.status();
-    return Sequence{Item::Node(*doc)};
+Result<Sequence> Remove(const Builtin&, Args& args, DynamicContext&) {
+  bool empty = false;
+  XQ_ASSIGN_OR_RETURN(double posd, NumericArg(args[1], &empty));
+  Sequence out;
+  for (size_t i = 0; i < args[0].size(); ++i) {
+    if (!empty && static_cast<double>(i + 1) == posd) continue;
+    out.push_back(args[0][i]);
   }
-  if (fn == "put") {
-    if (n != 2) return WrongArity(fn, n);
-    if (ctx.browser_profile) {
-      return Status::Error("BRWS0002",
-                           "fn:put is blocked in the browser profile");
-    }
-    if (ctx.doc_writer == nullptr) {
-      return Status::Error("FODC0002", "no document writer configured");
-    }
-    if (args[0].size() != 1 || !args[0][0].is_node()) {
-      return Status::TypeError("fn:put expects a single node");
-    }
-    XQ_RETURN_NOT_OK(ctx.doc_writer(StringArg(args[1]), args[0][0].node()));
-    return Sequence{};
+  return out;
+}
+
+Result<Sequence> IndexOf(const Builtin&, Args& args, DynamicContext&) {
+  Sequence data = xdm::Atomize(args[0]);
+  Sequence needle = xdm::Atomize(args[1]);
+  if (needle.size() != 1) {
+    return Status::TypeError("fn:index-of needs a single search value");
   }
-  if (fn == "id") {
-    if (n < 1 || n > 2) return WrongArity(fn, n);
-    xml::Node* context_node = nullptr;
-    if (n == 2) {
-      if (args[1].empty() || !args[1][0].is_node()) {
-        return Status::TypeError("fn:id second argument must be a node");
+  Sequence out;
+  for (size_t i = 0; i < data.size(); ++i) {
+    Result<int> cmp = data[i].atomic().Compare(needle[0].atomic());
+    if (cmp.ok() && *cmp == 0) {
+      out.push_back(Item::Integer(static_cast<int64_t>(i + 1)));
+    }
+  }
+  return out;
+}
+
+Result<Sequence> ExactlyOne(const Builtin&, Args& args, DynamicContext&) {
+  if (args[0].size() != 1) {
+    return Status::Error("FORG0005", "fn:exactly-one: sequence size " +
+                                         std::to_string(args[0].size()));
+  }
+  return args[0];
+}
+
+Result<Sequence> ZeroOrOne(const Builtin&, Args& args, DynamicContext&) {
+  if (args[0].size() > 1) {
+    return Status::Error("FORG0003", "fn:zero-or-one: more than one item");
+  }
+  return args[0];
+}
+
+Result<Sequence> OneOrMore(const Builtin&, Args& args, DynamicContext&) {
+  if (args[0].empty()) {
+    return Status::Error("FORG0004", "fn:one-or-more: empty sequence");
+  }
+  return args[0];
+}
+
+Result<Sequence> DeepEqual(const Builtin&, Args& args, DynamicContext&) {
+  if (args[0].size() != args[1].size()) {
+    return Sequence{Item::Boolean(false)};
+  }
+  for (size_t i = 0; i < args[0].size(); ++i) {
+    const Item& a = args[0][i];
+    const Item& b = args[1][i];
+    if (a.is_node() != b.is_node()) return Sequence{Item::Boolean(false)};
+    if (a.is_node()) {
+      if (!DeepEqualNodes(a.node(), b.node())) {
+        return Sequence{Item::Boolean(false)};
       }
-      context_node = args[1][0].node();
     } else {
-      XQ_ASSIGN_OR_RETURN(Item item, ContextItem(ctx, fn));
-      if (!item.is_node()) return Status::TypeError("fn:id context");
-      context_node = item.node();
+      Result<int> cmp = a.atomic().Compare(b.atomic());
+      if (!cmp.ok() || *cmp != 0) return Sequence{Item::Boolean(false)};
     }
-    Sequence out;
-    for (const Item& idv : xdm::Atomize(args[0])) {
-      for (const std::string& one :
-           SplitChar(NormalizeSpace(idv.StringValue()), ' ')) {
-        xml::Node* found = context_node->document()->GetElementById(one);
-        if (found != nullptr) out.push_back(Item::Node(found));
-      }
-    }
-    XQ_RETURN_NOT_OK(xdm::SortDocumentOrderDedup(&out));
-    return out;
   }
+  return Sequence{Item::Boolean(true)};
+}
 
-  // --------------------------------------------------------- date/time ---
-  if (fn == "current-dateTime") {
-    return Sequence{Item::Atomic(AtomicValue::DateTime(ctx.clock()))};
-  }
-  if (fn == "current-date") {
-    std::string now = ctx.clock();
-    return Sequence{Item::Atomic(AtomicValue::Date(now.substr(0, 10)))};
-  }
-  if (fn == "current-time") {
-    std::string now = ctx.clock();
-    return Sequence{Item::Atomic(
-        AtomicValue::Time(now.size() >= 19 ? now.substr(11, 8) : now))};
-  }
-  {
-    static const std::unordered_map<std::string, int> kDtComponents = {
-        {"year-from-dateTime", 0},  {"month-from-dateTime", 1},
-        {"day-from-dateTime", 2},   {"hours-from-dateTime", 3},
-        {"minutes-from-dateTime", 4}, {"seconds-from-dateTime", 5},
-        {"year-from-date", 0},      {"month-from-date", 1},
-        {"day-from-date", 2},
-    };
-    auto it = kDtComponents.find(fn);
-    if (it != kDtComponents.end()) {
-      if (n != 1) return WrongArity(fn, n);
-      if (args[0].empty()) return Sequence{};
-      Sequence data = xdm::Atomize(args[0]);
-      XQ_ASSIGN_OR_RETURN(int64_t v, DateTimeComponent(
-                                         data[0].atomic().ToXPathString(),
-                                         it->second));
-      return Sequence{Item::Integer(v)};
-    }
-    static const std::unordered_map<std::string, int> kTimeComponents = {
-        {"hours-from-time", 0},
-        {"minutes-from-time", 1},
-        {"seconds-from-time", 2},
-    };
-    auto it2 = kTimeComponents.find(fn);
-    if (it2 != kTimeComponents.end()) {
-      if (n != 1) return WrongArity(fn, n);
-      if (args[0].empty()) return Sequence{};
-      Sequence data = xdm::Atomize(args[0]);
-      XQ_ASSIGN_OR_RETURN(
-          int64_t v,
-          TimeComponent(data[0].atomic().ToXPathString(), it2->second));
-      return Sequence{Item::Integer(v)};
-    }
-  }
+// --------------------------------------------------------------- node ---
 
-  // --------------------------------------------------------------misc ---
-  if (fn == "error") {
-    std::string code = "FOER0000";
-    std::string msg = "error raised by fn:error";
-    if (n >= 1 && !args[0].empty()) code = args[0][0].StringValue();
-    if (n >= 2 && !args[1].empty()) msg = args[1][0].StringValue();
-    return Status::Error(code, msg);
+// Paper §4.2.1: fn:doc and fn:put are blocked in the browser.
+Status DocumentAccess(const Builtin& self, DynamicContext& ctx) {
+  if (ctx.browser_profile) {
+    return Status::Error("BRWS0002", self.Lexical() +
+                                         " is blocked in the browser "
+                                         "profile for security reasons");
   }
-  if (fn == "serialize") {
-    if (n != 1) return WrongArity(fn, n);
-    std::string out;
-    for (const Item& item : args[0]) {
-      if (item.is_node()) {
-        out += xml::Serialize(item.node());
-      } else {
-        out += item.StringValue();
-      }
-    }
-    return Sequence{Item::String(out)};
+  if (ctx.doc_resolver == nullptr) {
+    return Status::Error("FODC0002", "no document resolver configured");
   }
-  if (fn == "trace") {
-    if (n != 2) return WrongArity(fn, n);
-    if (ctx.trace_sink) {
-      ctx.trace_sink(StringArg(args[1]) + ": " +
-                     xdm::SequenceToString(args[0]));
-    }
-    return args[0];
-  }
+  return Status();
+}
 
-  *handled = false;
+Result<Sequence> Doc(const Builtin& self, Args& args, DynamicContext& ctx) {
+  XQ_RETURN_NOT_OK(DocumentAccess(self, ctx));
+  XQ_ASSIGN_OR_RETURN(xml::Node* doc, ctx.doc_resolver(StringArg(args[0])));
+  return Sequence{Item::Node(doc)};
+}
+
+Result<Sequence> DocAvailable(const Builtin& self, Args& args,
+                              DynamicContext& ctx) {
+  XQ_RETURN_NOT_OK(DocumentAccess(self, ctx));
+  return Sequence{Item::Boolean(ctx.doc_resolver(StringArg(args[0])).ok())};
+}
+
+Result<Sequence> Put(const Builtin&, Args& args, DynamicContext& ctx) {
+  if (ctx.browser_profile) {
+    return Status::Error("BRWS0002",
+                         "fn:put is blocked in the browser profile");
+  }
+  if (ctx.doc_writer == nullptr) {
+    return Status::Error("FODC0002", "no document writer configured");
+  }
+  if (args[0].size() != 1 || !args[0][0].is_node()) {
+    return Status::TypeError("fn:put expects a single node");
+  }
+  XQ_RETURN_NOT_OK(ctx.doc_writer(StringArg(args[1]), args[0][0].node()));
   return Sequence{};
 }
 
-// ------------------------------------------------- streaming builtins ---
-
-StreamFnClass ClassifyStreamBuiltin(const xml::QName& name, size_t arity) {
-  if (name.ns() != xml::kFnNamespace) return StreamFnClass::kNone;
-  const std::string& fn = name.local();
-  if (arity == 1 && (fn == "exists" || fn == "empty" || fn == "boolean" ||
-                     fn == "not" || fn == "head")) {
-    return StreamFnClass::kEarlyExit;
+Result<Sequence> Id(const Builtin& self, Args& args, DynamicContext& ctx) {
+  xml::Node* context_node = nullptr;
+  if (args.size() == 2) {
+    if (args[1].empty() || !args[1][0].is_node()) {
+      return Status::TypeError("fn:id second argument must be a node");
+    }
+    context_node = args[1][0].node();
+  } else {
+    XQ_ASSIGN_OR_RETURN(Item item, ContextItem(ctx, self));
+    if (!item.is_node()) return Status::TypeError("fn:id context");
+    context_node = item.node();
   }
-  if ((arity == 2 || arity == 3) && fn == "subsequence") {
-    return StreamFnClass::kEarlyExit;
+  Sequence out;
+  for (const Item& idv : xdm::Atomize(args[0])) {
+    for (const std::string& one :
+         SplitChar(NormalizeSpace(idv.StringValue()), ' ')) {
+      xml::Node* found = context_node->document()->GetElementById(one);
+      if (found != nullptr) out.push_back(Item::Node(found));
+    }
   }
-  if (arity == 1 && (fn == "count" || fn == "avg" || fn == "min" ||
-                     fn == "max" || fn == "sum")) {
-    return StreamFnClass::kFold;
-  }
-  if (arity == 2 && fn == "sum") return StreamFnClass::kFold;
-  return StreamFnClass::kNone;
+  XQ_RETURN_NOT_OK(xdm::SortDocumentOrderDedup(&out));
+  return out;
 }
 
-bool StreamBuiltinNeedsOrderedArg(const std::string& local) {
-  // Pure existence tests observe only (non-)emptiness, so an unordered,
-  // possibly duplicated witness stream decides them. Everything else
-  // counts, positions or aggregates — the document-order barrier also
-  // dedups, so it must stay (count(/a/b/..) must count the parent once).
-  return !(local == "exists" || local == "empty" || local == "boolean" ||
-           local == "not");
+// ---------------------------------------------------------- date/time ---
+
+Result<Sequence> CurrentDateTime(const Builtin&, Args&, DynamicContext& ctx) {
+  return Sequence{Item::Atomic(AtomicValue::DateTime(ctx.clock()))};
 }
 
-Result<Sequence> CallStreamBuiltin(const xml::QName& name,
-                                   xdm::ItemStream& arg0,
-                                   std::span<const Sequence> rest,
-                                   Counters& counters) {
-  const std::string& fn = name.local();
+Result<Sequence> CurrentDate(const Builtin&, Args&, DynamicContext& ctx) {
+  std::string now = ctx.clock();
+  return Sequence{Item::Atomic(AtomicValue::Date(now.substr(0, 10)))};
+}
+
+Result<Sequence> CurrentTime(const Builtin&, Args&, DynamicContext& ctx) {
+  std::string now = ctx.clock();
+  return Sequence{Item::Atomic(
+      AtomicValue::Time(now.size() >= 19 ? now.substr(11, 8) : now))};
+}
+
+// kParse extracts component kIndex of a date, dateTime or time form.
+template <Result<int64_t> (*kParse)(const std::string&, int), int kIndex>
+Result<Sequence> Component(const Builtin&, Args& args, DynamicContext&) {
+  if (args[0].empty()) return Sequence{};
+  Sequence data = xdm::Atomize(args[0]);
+  XQ_ASSIGN_OR_RETURN(int64_t v,
+                      kParse(data[0].atomic().ToXPathString(), kIndex));
+  return Sequence{Item::Integer(v)};
+}
+
+template <int kIndex>
+constexpr Builtin::Plain kDateTimePart = Component<DateTimeComponent, kIndex>;
+template <int kIndex>
+constexpr Builtin::Plain kTimePart = Component<TimeComponent, kIndex>;
+
+// --------------------------------------------------------------- misc ---
+
+Result<Sequence> Error(const Builtin&, Args& args, DynamicContext&) {
+  std::string code = "FOER0000";
+  std::string msg = "error raised by fn:error";
+  if (args.size() >= 1 && !args[0].empty()) code = args[0][0].StringValue();
+  if (args.size() >= 2 && !args[1].empty()) msg = args[1][0].StringValue();
+  return Status::Error(code, msg);
+}
+
+Result<Sequence> Serialize(const Builtin&, Args& args, DynamicContext&) {
+  std::string out;
+  for (const Item& item : args[0]) {
+    if (item.is_node()) {
+      out += xml::Serialize(item.node());
+    } else {
+      out += item.StringValue();
+    }
+  }
+  return Sequence{Item::String(out)};
+}
+
+Result<Sequence> Trace(const Builtin&, Args& args, DynamicContext& ctx) {
+  if (ctx.trace_sink) {
+    ctx.trace_sink(StringArg(args[1]) + ": " +
+                   xdm::SequenceToString(args[0]));
+  }
+  return args[0];
+}
+
+// xs:TYPE(value) constructor functions behave like "cast as".
+Result<Sequence> Construct(const Builtin& self, Args& args, DynamicContext&) {
+  Sequence data = xdm::Atomize(args[0]);
+  if (data.empty()) return Sequence{};
+  if (data.size() > 1) {
+    return Status::TypeError("constructor applied to a sequence");
+  }
+  XQ_ASSIGN_OR_RETURN(AtomicValue v, data[0].atomic().CastTo(self.cast_to));
+  return Sequence{Item::Atomic(std::move(v))};
+}
+
+// ------------------------------------------- stream-consuming builtins ---
+// Each pulls its first argument: existence tests stop at one witness,
+// aggregates fold item by item without buffering the sequence.
+
+// fn:exists and fn:empty.
+template <bool kExists>
+Result<Sequence> Existence(const Builtin&, xdm::ItemStream& arg0, Rest,
+                           Counters& counters) {
   Item item;
+  XQ_ASSIGN_OR_RETURN(bool any, arg0.Next(&item));
+  if (any) ++counters.early_exits;
+  return Sequence{Item::Boolean(any == kExists)};
+}
 
-  if (fn == "exists" || fn == "empty") {
-    XQ_ASSIGN_OR_RETURN(bool any, arg0.Next(&item));
-    if (any) ++counters.early_exits;
-    return Sequence{Item::Boolean(fn == "exists" ? any : !any)};
+// fn:boolean and fn:not.
+template <bool kNegate>
+Result<Sequence> Ebv(const Builtin&, xdm::ItemStream& arg0, Rest,
+                     Counters& counters) {
+  XQ_ASSIGN_OR_RETURN(bool b, StreamEBV(arg0, counters));
+  return Sequence{Item::Boolean(b != kNegate)};
+}
+
+Result<Sequence> Head(const Builtin&, xdm::ItemStream& arg0, Rest,
+                      Counters& counters) {
+  Sequence out;
+  Item item;
+  XQ_ASSIGN_OR_RETURN(bool any, arg0.Next(&item));
+  if (any) {
+    out.push_back(std::move(item));
+    ++counters.early_exits;
   }
-  if (fn == "boolean" || fn == "not") {
-    XQ_ASSIGN_OR_RETURN(bool b, StreamEBV(arg0, counters));
-    return Sequence{Item::Boolean(fn == "boolean" ? b : !b)};
-  }
-  if (fn == "head") {
-    Sequence out;
-    XQ_ASSIGN_OR_RETURN(bool any, arg0.Next(&item));
-    if (any) {
-      out.push_back(std::move(item));
-      ++counters.early_exits;
-    }
-    return out;
-  }
-  if (fn == "subsequence") {
-    bool empty = false;
-    XQ_ASSIGN_OR_RETURN(double startd, NumericArg(rest[0], &empty));
+  return out;
+}
+
+Result<Sequence> Subsequence(const Builtin&, xdm::ItemStream& arg0,
+                             Rest rest, Counters& counters) {
+  bool empty = false;
+  XQ_ASSIGN_OR_RETURN(double startd, NumericArg(rest[0], &empty));
+  if (empty) return Sequence{};
+  double lend = std::numeric_limits<double>::infinity();
+  if (rest.size() == 2) {
+    XQ_ASSIGN_OR_RETURN(lend, NumericArg(rest[1], &empty));
     if (empty) return Sequence{};
-    double lend = std::numeric_limits<double>::infinity();
-    if (rest.size() == 2) {
-      XQ_ASSIGN_OR_RETURN(lend, NumericArg(rest[1], &empty));
-      if (empty) return Sequence{};
-    }
-    double from = std::floor(startd + 0.5);
-    double to = from + (std::isinf(lend) ? lend : std::floor(lend + 0.5));
-    Sequence out;
-    int64_t i = 0;
-    bool stopped = false;
-    while (true) {
-      XQ_ASSIGN_OR_RETURN(bool more, arg0.Next(&item));
-      if (!more) break;
-      double pos = static_cast<double>(++i);
-      if (pos >= from && pos < to) out.push_back(std::move(item));
-      // Past the window: nothing later can match (to is monotone in pos;
-      // NaN bounds keep every comparison false and drain harmlessly).
-      if (pos + 1 >= to) {
-        stopped = true;
-        break;
-      }
-    }
-    if (stopped) ++counters.early_exits;
-    return out;
   }
-  if (fn == "count") {
-    int64_t n = 0;
-    while (true) {
-      XQ_ASSIGN_OR_RETURN(bool more, arg0.Next(&item));
-      if (!more) break;
+  double from = std::floor(startd + 0.5);
+  double to = from + (std::isinf(lend) ? lend : std::floor(lend + 0.5));
+  Sequence out;
+  Item item;
+  int64_t i = 0;
+  bool stopped = false;
+  while (true) {
+    XQ_ASSIGN_OR_RETURN(bool more, arg0.Next(&item));
+    if (!more) break;
+    double pos = static_cast<double>(++i);
+    if (pos >= from && pos < to) out.push_back(std::move(item));
+    // Past the window: nothing later can match (to is monotone in pos;
+    // NaN bounds keep every comparison false and drain harmlessly).
+    if (pos + 1 >= to) {
+      stopped = true;
+      break;
+    }
+  }
+  if (stopped) ++counters.early_exits;
+  return out;
+}
+
+Result<Sequence> Count(const Builtin&, xdm::ItemStream& arg0, Rest,
+                       Counters& counters) {
+  Item item;
+  int64_t n = 0;
+  while (true) {
+    XQ_ASSIGN_OR_RETURN(bool more, arg0.Next(&item));
+    if (!more) break;
+    ++n;
+  }
+  ++counters.buffers_avoided;
+  return Sequence{Item::Integer(n)};
+}
+
+// fn:sum and fn:avg: a true fold, atomizing item by item.
+template <bool kAvg>
+Result<Sequence> Total(const Builtin&, xdm::ItemStream& arg0, Rest rest,
+                       Counters& counters) {
+  Item item;
+  double acc = 0;
+  bool all_int = true;
+  int64_t n = 0;
+  while (true) {
+    XQ_ASSIGN_OR_RETURN(bool more, arg0.Next(&item));
+    if (!more) break;
+    Sequence atoms = xdm::Atomize(Sequence{std::move(item)});
+    for (const Item& a : atoms) {
+      XQ_ASSIGN_OR_RETURN(double d, a.atomic().ToDouble());
+      if (a.atomic().type() != AtomicType::kInteger) all_int = false;
+      acc += d;
       ++n;
     }
-    ++counters.buffers_avoided;
-    return Sequence{Item::Integer(n)};
   }
-  if (fn == "sum" || fn == "avg") {
-    // True fold: atomize item by item, never buffering the sequence.
-    double acc = 0;
-    bool all_int = true;
-    int64_t n = 0;
-    while (true) {
-      XQ_ASSIGN_OR_RETURN(bool more, arg0.Next(&item));
-      if (!more) break;
-      Sequence atoms = xdm::Atomize(Sequence{std::move(item)});
-      for (const Item& a : atoms) {
-        XQ_ASSIGN_OR_RETURN(double d, a.atomic().ToDouble());
-        if (a.atomic().type() != AtomicType::kInteger) all_int = false;
-        acc += d;
-        ++n;
-      }
-    }
-    if (n == 0) {
-      if (fn == "sum") {
-        if (!rest.empty()) return rest[0];
-        return Sequence{Item::Integer(0)};
-      }
-      return Sequence{};
-    }
-    ++counters.buffers_avoided;
-    if (fn == "avg") {
-      return Sequence{Item::Double(acc / static_cast<double>(n))};
-    }
-    if (all_int) return Sequence{Item::Integer(static_cast<int64_t>(acc))};
-    return Sequence{Item::Double(acc)};
+  if (n == 0) {
+    if (kAvg) return Sequence{};
+    if (!rest.empty()) return rest[0];
+    return Sequence{Item::Integer(0)};
   }
-  if (fn == "min" || fn == "max") {
-    // min/max need the whole atomized input to pick the numeric-vs-string
-    // comparison mode, so they buffer atoms — but never the source nodes.
-    Sequence data;
-    while (true) {
-      XQ_ASSIGN_OR_RETURN(bool more, arg0.Next(&item));
-      if (!more) break;
-      Sequence atoms = xdm::Atomize(Sequence{std::move(item)});
-      for (Item& a : atoms) data.push_back(std::move(a));
+  ++counters.buffers_avoided;
+  if (kAvg) return Sequence{Item::Double(acc / static_cast<double>(n))};
+  if (all_int) return Sequence{Item::Integer(static_cast<int64_t>(acc))};
+  return Sequence{Item::Double(acc)};
+}
+
+// fn:min and fn:max need the whole atomized input to pick the
+// numeric-vs-string comparison mode, so they buffer atoms — but never
+// the source nodes.
+template <bool kMin>
+Result<Sequence> Extreme(const Builtin&, xdm::ItemStream& arg0, Rest,
+                         Counters& counters) {
+  Item item;
+  Sequence data;
+  while (true) {
+    XQ_ASSIGN_OR_RETURN(bool more, arg0.Next(&item));
+    if (!more) break;
+    Sequence atoms = xdm::Atomize(Sequence{std::move(item)});
+    for (Item& a : atoms) data.push_back(std::move(a));
+  }
+  counters.items_materialized += data.size();
+  if (data.empty()) return Sequence{};
+  bool numeric = true;
+  for (const Item& i : data) {
+    if (!i.atomic().is_numeric() && !i.atomic().is_untyped()) {
+      numeric = false;
+      break;
     }
-    counters.items_materialized += data.size();
-    if (data.empty()) return Sequence{};
-    bool numeric = true;
+  }
+  if (!numeric) {
+    std::string best = data[0].StringValue();
     for (const Item& i : data) {
-      if (!i.atomic().is_numeric() && !i.atomic().is_untyped()) {
-        numeric = false;
-        break;
-      }
+      std::string s = i.StringValue();
+      if (kMin ? s < best : s > best) best = s;
     }
-    if (!numeric) {
-      std::string best = data[0].StringValue();
-      for (const Item& i : data) {
-        std::string s = i.StringValue();
-        if ((fn == "min") ? s < best : s > best) best = s;
-      }
-      return Sequence{Item::String(best)};
-    }
-    bool all_int = true;
-    double best = 0;
-    bool first = true;
-    for (const Item& i : data) {
-      XQ_ASSIGN_OR_RETURN(double d, i.atomic().ToDouble());
-      if (i.atomic().type() != AtomicType::kInteger) all_int = false;
-      if (first || (fn == "min" ? d < best : d > best)) best = d;
-      first = false;
-    }
-    if (all_int) return Sequence{Item::Integer(static_cast<int64_t>(best))};
-    return Sequence{Item::Double(best)};
+    return Sequence{Item::String(best)};
   }
-  return Status::Error("XPST0017",
-                       "not a stream-consumable builtin: fn:" + fn);
+  bool all_int = true;
+  double best = 0;
+  bool first = true;
+  for (const Item& i : data) {
+    XQ_ASSIGN_OR_RETURN(double d, i.atomic().ToDouble());
+    if (i.atomic().type() != AtomicType::kInteger) all_int = false;
+    if (first || (kMin ? d < best : d > best)) best = d;
+    first = false;
+  }
+  if (all_int) return Sequence{Item::Integer(static_cast<int64_t>(best))};
+  return Sequence{Item::Double(best)};
+}
+
+// ---------------------------------------------------------- the table ---
+
+struct ResultType {
+  ItemClass cls;
+  Cardinality card;
+};
+
+constexpr ResultType kAny{ItemClass::kAnyItem, Cardinality{}};
+constexpr ResultType One(ItemClass cls) { return {cls, Cardinality{1, 1}}; }
+constexpr ResultType Optional(ItemClass cls) {
+  return {cls, Cardinality{0, 1}};
+}
+
+constexpr uint8_t kVariadic = Builtin::kVariadic;
+
+constexpr Builtin Fn(std::string_view local, uint8_t min_arity,
+                     uint8_t max_arity, Builtin::Plain plain,
+                     ResultType result, uint16_t facts = 0) {
+  Builtin b;
+  b.local = local;
+  b.min_arity = min_arity;
+  b.max_arity = max_arity;
+  b.plain = plain;
+  b.result_class = result.cls;
+  b.result_card = result.card;
+  b.facts = facts;
+  return b;
+}
+
+constexpr Builtin Streamed(std::string_view local, uint8_t min_arity,
+                           uint8_t max_arity, Builtin::Streaming streaming,
+                           ResultType result, uint16_t facts = 0) {
+  Builtin b = Fn(local, min_arity, max_arity, nullptr, result, facts);
+  b.streaming = streaming;
+  return b;
+}
+
+constexpr Builtin Xs(std::string_view local, AtomicType cast_to,
+                     ItemClass cls) {
+  Builtin b = Fn(local, 1, 1, Construct, Optional(cls), kAtomicResult);
+  b.xs = true;
+  b.cast_to = cast_to;
+  return b;
+}
+
+constexpr uint16_t kAtomic = kAtomicResult;
+// The existence tests: what they skim may arrive in any order.
+constexpr uint16_t kExistence =
+    kAtomicResult | kSkimsArguments | kEmptinessOnly | kBooleanTest;
+
+using IC = ItemClass;
+using AT = AtomicType;
+
+constexpr Builtin kLibrary[] = {
+    // ------------------------------------------------------- context ---
+    Fn("position", 0, 0, Position, One(IC::kInteger), kReadsPosition | kAtomic),
+    Fn("last", 0, 0, Last, One(IC::kInteger), kReadsLast | kAtomic),
+    // ------------------------------------------ accessors, conversion ---
+    Fn("string", 0, 1, String, One(IC::kString), kAtomic),
+    Fn("data", 1, 1, Data, kAny, kAtomic),
+    Fn("number", 0, 1, Number, One(IC::kDouble), kAtomic),
+    Fn("name", 0, 1, NodeNamePart<NamePart::kLexical>, One(IC::kString),
+       kAtomic | kSkimsArguments),
+    Fn("local-name", 0, 1, NodeNamePart<NamePart::kLocal>, One(IC::kString),
+       kAtomic | kSkimsArguments),
+    Fn("namespace-uri", 0, 1, NodeNamePart<NamePart::kNamespace>,
+       One(IC::kString), kAtomic | kSkimsArguments),
+    Fn("node-name", 1, 1, NodeName, kAny, kSkimsArguments),
+    Fn("root", 0, 1, Root, kAny, kReadsAnywhere),
+    // ------------------------------------------------------- boolean ---
+    Streamed("boolean", 1, 1, Ebv<false>, One(IC::kBoolean), kExistence),
+    Streamed("not", 1, 1, Ebv<true>, One(IC::kBoolean), kExistence),
+    Fn("true", 0, 0, Constant<true>, One(IC::kBoolean), kAtomic | kBooleanTest),
+    Fn("false", 0, 0, Constant<false>, One(IC::kBoolean),
+       kAtomic | kBooleanTest),
+    // --------------------------------------------- numeric, aggregate ---
+    Streamed("count", 1, 1, Count, One(IC::kInteger),
+             kAtomic | kSkimsArguments),
+    Fn("abs", 1, 1, Rounding<Abs>, Optional(IC::kAnyAtomic), kAtomic),
+    Fn("ceiling", 1, 1, Rounding<Ceiling>, Optional(IC::kAnyAtomic), kAtomic),
+    Fn("floor", 1, 1, Rounding<Floor>, Optional(IC::kAnyAtomic), kAtomic),
+    Fn("round", 1, 1, Rounding<RoundHalfUp>, Optional(IC::kAnyAtomic),
+       kAtomic),
+    Streamed("sum", 1, 2, Total<false>, One(IC::kAnyAtomic), kAtomic),
+    Streamed("avg", 1, 1, Total<true>, Optional(IC::kAnyAtomic), kAtomic),
+    Streamed("min", 1, 1, Extreme<true>, Optional(IC::kAnyAtomic), kAtomic),
+    Streamed("max", 1, 1, Extreme<false>, Optional(IC::kAnyAtomic), kAtomic),
+    // ------------------------------------------------------- strings ---
+    Fn("concat", 2, kVariadic, Concat, One(IC::kString), kAtomic),
+    Fn("string-join", 2, 2, StringJoin, One(IC::kString), kAtomic),
+    Fn("substring", 2, 3, Substring, One(IC::kString), kAtomic),
+    Fn("string-length", 0, 1, StringLength, One(IC::kInteger), kAtomic),
+    Fn("length", 1, 1, Length, One(IC::kInteger), kAtomic),
+    Fn("upper-case", 1, 1, MapCase<AsciiToUpper>, One(IC::kString), kAtomic),
+    Fn("lower-case", 1, 1, MapCase<AsciiToLower>, One(IC::kString), kAtomic),
+    Fn("contains", 2, 2, StringTest<Contains>, One(IC::kBoolean),
+       kAtomic | kBooleanTest),
+    Fn("starts-with", 2, 2, StringTest<StartsWith>, One(IC::kBoolean),
+       kAtomic | kBooleanTest),
+    Fn("ends-with", 2, 2, StringTest<EndsWith>, One(IC::kBoolean),
+       kAtomic | kBooleanTest),
+    Fn("substring-before", 2, 2, SubstringBefore, One(IC::kString), kAtomic),
+    Fn("substring-after", 2, 2, SubstringAfter, One(IC::kString), kAtomic),
+    Fn("translate", 3, 3, Translate, One(IC::kString), kAtomic),
+    Fn("normalize-space", 0, 1, NormalizeSpaceFn, One(IC::kString), kAtomic),
+    Fn("compare", 2, 2, Compare, kAny, kAtomic),
+    Fn("codepoints-to-string", 1, 1, CodepointsToString, kAny, kAtomic),
+    Fn("string-to-codepoints", 1, 1, StringToCodepoints, kAny, kAtomic),
+    Fn("matches", 2, 2, Matches, One(IC::kBoolean), kAtomic),
+    Fn("replace", 3, 3, Replace, One(IC::kString), kAtomic),
+    Fn("tokenize", 2, 2, Tokenize, kAny, kAtomic),
+    Fn("encode-for-uri", 1, 1, EncodeForUri, One(IC::kString), kAtomic),
+    // ----------------------------------------------------- sequences ---
+    Streamed("empty", 1, 1, Existence<false>, One(IC::kBoolean), kExistence),
+    Streamed("exists", 1, 1, Existence<true>, One(IC::kBoolean), kExistence),
+    Fn("distinct-values", 1, 1, DistinctValues, kAny, kAtomic),
+    Fn("reverse", 1, 1, Reverse, kAny),
+    Streamed("head", 1, 1, Head, kAny),
+    Fn("tail", 1, 1, Tail, kAny),
+    Streamed("subsequence", 2, 3, Subsequence, kAny),
+    Fn("insert-before", 3, 3, InsertBefore, kAny),
+    Fn("remove", 2, 2, Remove, kAny),
+    Fn("index-of", 2, 2, IndexOf, kAny, kAtomic),
+    Fn("exactly-one", 1, 1, ExactlyOne, One(IC::kAnyItem), kSkimsArguments),
+    Fn("zero-or-one", 1, 1, ZeroOrOne, kAny, kSkimsArguments),
+    Fn("one-or-more", 1, 1, OneOrMore, kAny, kSkimsArguments),
+    Fn("deep-equal", 2, 2, DeepEqual, One(IC::kBoolean), kAtomic),
+    // ----------------------------------------------------- documents ---
+    Fn("doc", 1, 1, Doc, kAny, kReadsDocuments),
+    Fn("doc-available", 1, 1, DocAvailable, One(IC::kBoolean),
+       kReadsDocuments),
+    Fn("put", 2, 2, Put, kAny, kWritesFabric),
+    Fn("id", 1, 2, Id, kAny, kReadsAnywhere),
+    // ----------------------------------------------------- date/time ---
+    Fn("current-dateTime", 0, 0, CurrentDateTime, kAny, kReadsClock),
+    Fn("current-date", 0, 0, CurrentDate, kAny, kReadsClock),
+    Fn("current-time", 0, 0, CurrentTime, kAny, kReadsClock),
+    Fn("year-from-dateTime", 1, 1, kDateTimePart<0>, kAny),
+    Fn("month-from-dateTime", 1, 1, kDateTimePart<1>, kAny),
+    Fn("day-from-dateTime", 1, 1, kDateTimePart<2>, kAny),
+    Fn("hours-from-dateTime", 1, 1, kDateTimePart<3>, kAny),
+    Fn("minutes-from-dateTime", 1, 1, kDateTimePart<4>, kAny),
+    Fn("seconds-from-dateTime", 1, 1, kDateTimePart<5>, kAny),
+    Fn("year-from-date", 1, 1, kDateTimePart<0>, kAny),
+    Fn("month-from-date", 1, 1, kDateTimePart<1>, kAny),
+    Fn("day-from-date", 1, 1, kDateTimePart<2>, kAny),
+    Fn("hours-from-time", 1, 1, kTimePart<0>, kAny),
+    Fn("minutes-from-time", 1, 1, kTimePart<1>, kAny),
+    Fn("seconds-from-time", 1, 1, kTimePart<2>, kAny),
+    // ---------------------------------------------------------- misc ---
+    Fn("error", 0, 3, Error, kAny),
+    Fn("serialize", 1, 1, Serialize, kAny, kAtomic),
+    Fn("trace", 2, 2, Trace, kAny, kObservesHost),
+    // ------------------------------------- xs: constructor functions ---
+    Xs("string", AT::kString, IC::kString),
+    Xs("boolean", AT::kBoolean, IC::kBoolean),
+    Xs("integer", AT::kInteger, IC::kInteger),
+    Xs("int", AT::kInteger, IC::kInteger),
+    Xs("decimal", AT::kDecimal, IC::kDecimal),
+    Xs("double", AT::kDouble, IC::kDouble),
+    Xs("float", AT::kDouble, IC::kDouble),
+    Xs("anyURI", AT::kAnyUri, IC::kString),
+    Xs("untypedAtomic", AT::kUntypedAtomic, IC::kUntyped),
+    Xs("dateTime", AT::kDateTime, IC::kAnyAtomic),
+    Xs("date", AT::kDate, IC::kAnyAtomic),
+    Xs("time", AT::kTime, IC::kAnyAtomic),
+};
+
+}  // namespace
+
+const Builtin* FindBuiltin(const xml::QName& name) {
+  using Index = std::unordered_map<const xml::InternedName*, const Builtin*>;
+  static const Index* index = [] {
+    auto* built = new Index;
+    for (const Builtin& b : kLibrary) {
+      built->emplace(
+          xml::QName(b.xs ? xml::kXsNamespace : xml::kFnNamespace, b.local)
+              .token(),
+          &b);
+    }
+    return built;
+  }();
+  auto it = index->find(name.token());
+  return it == index->end() ? nullptr : it->second;
+}
+
+std::span<const Builtin> BuiltinLibrary() { return kLibrary; }
+
+Result<Sequence> CallBuiltin(const Builtin& builtin, Args& args,
+                             DynamicContext& ctx) {
+  if (!builtin.AcceptsArity(args.size())) {
+    return Status::Error("XPST0017", "wrong number of arguments (" +
+                                         std::to_string(args.size()) +
+                                         ") for " + builtin.Lexical());
+  }
+  if (builtin.streaming == nullptr) return builtin.plain(builtin, args, ctx);
+  xdm::SequenceCursor arg0(std::move(args[0]));
+  Counters uncounted;
+  return builtin.streaming(builtin, arg0, std::span(args).subspan(1),
+                           uncounted);
 }
 
 }  // namespace xqib::xquery

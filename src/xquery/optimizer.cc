@@ -2,10 +2,9 @@
 
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
 #include "xml/qname.h"
-#include "xquery/analysis/builtins.h"
+#include "xquery/functions.h"
 
 namespace xqib::xquery {
 
@@ -15,32 +14,22 @@ using xdm::AtomicType;
 using xdm::AtomicValue;
 using IsDeclared = std::function<bool(const std::string& key)>;
 
-// A call the builtin library answers: a known fn: or xs: name that no
-// declaration shadows.
-bool IsBuiltinCall(const Expr& call, const IsDeclared& is_declared) {
-  const std::string& local = call.qname.local();
-  if (call.qname.ns() == xml::kFnNamespace) {
-    if (analysis::FindFnBuiltin(local) == nullptr) return false;
-  } else if (call.qname.ns() != xml::kXsNamespace ||
-             !analysis::IsXsConstructor(local)) {
-    return false;
-  }
-  return !is_declared(analysis::AnalysisFacts::FunctionKey(
-      call.qname.Clark(), call.kids.size()));
-}
-
 // Nothing in `e` that is evaluated on the predicate's own focus reads
 // position() or last(), directly or through a call.
 bool FocusPositionFree(const Expr& e, const IsDeclared& is_declared) {
   switch (e.kind) {
-    case ExprKind::kFunctionCall:
-      // User and external functions inherit the focus in this dialect.
-      if (!IsBuiltinCall(e, is_declared)) return false;
-      if (e.qname.ns() == xml::kFnNamespace &&
-          (e.qname.local() == "position" || e.qname.local() == "last")) {
+    case ExprKind::kFunctionCall: {
+      // User and external functions inherit the focus in this dialect,
+      // and a declaration may shadow a builtin's name.
+      const Builtin* builtin = FindBuiltin(e.qname);
+      if (builtin == nullptr ||
+          (builtin->facts & (kReadsPosition | kReadsLast)) != 0 ||
+          is_declared(analysis::AnalysisFacts::FunctionKey(e.qname.Clark(),
+                                                           e.kids.size()))) {
         return false;
       }
       break;
+    }
     case ExprKind::kDirectElement:
     case ExprKind::kFtContains:
       return false;  // opaque subtrees (expressions hidden outside kids)
@@ -78,13 +67,8 @@ bool PositionFreePredicate(const Expr& pred, const IsDeclared& is_declared) {
       }
       break;
     case ExprKind::kFunctionCall: {
-      static const std::unordered_set<std::string> kBooleanBuiltins = {
-          "not",   "boolean",  "exists",      "empty",    "true",
-          "false", "contains", "starts-with", "ends-with"};
-      if (pred.qname.ns() != xml::kFnNamespace ||
-          kBooleanBuiltins.count(pred.qname.local()) == 0) {
-        return false;
-      }
+      const Builtin* builtin = FindBuiltin(pred.qname);
+      if (builtin == nullptr || !builtin->Has(kBooleanTest)) return false;
       break;
     }
     default:
@@ -97,10 +81,9 @@ namespace {
 
 class Rewriter {
  public:
-  Rewriter(const OptimizerOptions& options, OptimizerStats* stats,
-           const analysis::AnalysisFacts* facts, IsDeclared is_declared)
-      : options_(options),
-        stats_(stats),
+  Rewriter(OptimizerStats* stats, const analysis::AnalysisFacts* facts,
+           IsDeclared is_declared)
+      : stats_(stats),
         facts_(facts),
         is_declared_(std::move(is_declared)) {}
 
@@ -122,40 +105,38 @@ class Rewriter {
 
     switch (e.kind) {
       case ExprKind::kArith:
-        if (options_.constant_folding) FoldArith(slot);
+        FoldArith(slot);
         break;
       case ExprKind::kUnary:
-        if (options_.constant_folding) FoldUnary(slot);
+        FoldUnary(slot);
         break;
       case ExprKind::kComparison:
-        if (options_.cardinality_rewrites) RewriteCountComparison(slot);
-        if (*slot != nullptr && (*slot)->kind == ExprKind::kComparison &&
-            options_.constant_folding) {
+        RewriteCountComparison(slot);
+        if (*slot != nullptr && (*slot)->kind == ExprKind::kComparison) {
           FoldComparison(slot);
         }
         break;
       case ExprKind::kLogical:
-        if (options_.branch_elimination) FoldLogical(slot);
+        FoldLogical(slot);
         break;
       case ExprKind::kIf:
-        if (options_.branch_elimination) FoldIf(slot);
+        FoldIf(slot);
         break;
       case ExprKind::kFLWOR:
-        if (options_.branch_elimination) FoldWhereFalse(slot);
+        FoldWhereFalse(slot);
         break;
       case ExprKind::kFunctionCall:
-        if (options_.inferred_rewrites) RewriteInferredCall(slot);
-        if (*slot != nullptr && (*slot)->kind == ExprKind::kFunctionCall &&
-            options_.boolean_simplification) {
+        RewriteInferredCall(slot);
+        if (*slot != nullptr && (*slot)->kind == ExprKind::kFunctionCall) {
           SimplifyBooleanCalls(slot);
         }
         break;
       case ExprKind::kFilter:
-        if (options_.inferred_rewrites) RewriteInferredFilter(slot);
+        RewriteInferredFilter(slot);
         break;
       case ExprKind::kPath:
-        if (options_.path_collapsing) CollapseDescendantSteps(&e);
-        if (options_.ordering_elision) AnnotateOrdering(&e);
+        CollapseDescendantSteps(&e);
+        AnnotateOrdering(&e);
         break;
       default:
         break;
@@ -656,7 +637,6 @@ class Rewriter {
     }
   }
 
-  const OptimizerOptions& options_;
   OptimizerStats* stats_;
   const analysis::AnalysisFacts* facts_;
   IsDeclared is_declared_;
@@ -671,7 +651,6 @@ IsDeclared DeclaredFunctions(const Module* module,
     if (facts != nullptr && facts->function_effects.count(key) != 0) {
       return true;
     }
-    if (module == nullptr) return false;
     for (const auto& fn : module->functions) {
       if (analysis::AnalysisFacts::FunctionKey(fn->name.Clark(),
                                                fn->params.size()) == key) {
@@ -684,18 +663,10 @@ IsDeclared DeclaredFunctions(const Module* module,
 
 }  // namespace
 
-OptimizerStats OptimizeExpr(ExprPtr* expr, const OptimizerOptions& options,
-                            const analysis::AnalysisFacts* facts) {
-  OptimizerStats stats;
-  Rewriter rewriter(options, &stats, facts, DeclaredFunctions(nullptr, facts));
-  rewriter.Rewrite(expr);
-  return stats;
-}
-
-OptimizerStats OptimizeModule(Module* module, const OptimizerOptions& options,
+OptimizerStats OptimizeModule(Module* module,
                               const analysis::AnalysisFacts* facts) {
   OptimizerStats stats;
-  Rewriter rewriter(options, &stats, facts, DeclaredFunctions(module, facts));
+  Rewriter rewriter(&stats, facts, DeclaredFunctions(module, facts));
   for (VarDecl& decl : module->variables) {
     if (decl.init != nullptr) rewriter.Rewrite(&decl.init);
   }

@@ -2,8 +2,8 @@
 // carefully designed to be highly optimisable": because expressions are
 // declarative, the engine can rewrite them without changing semantics.
 //
-// Implemented rules (each individually toggleable for the A1 ablation
-// benchmark):
+// Implemented rules (CompileOptions::optimize turns them all off; that
+// is the A1 ablation benchmark's baseline):
 //   * constant folding      — arithmetic/comparison/logic over literals
 //   * branch elimination    — if/where/logical with constant conditions
 //   * cardinality rewrites  — count(E) = 0 -> empty(E),
@@ -41,16 +41,6 @@
 
 namespace xqib::xquery {
 
-struct OptimizerOptions {
-  bool constant_folding = true;
-  bool branch_elimination = true;
-  bool cardinality_rewrites = true;
-  bool boolean_simplification = true;
-  bool path_collapsing = true;
-  bool inferred_rewrites = true;  // no-op unless facts are supplied
-  bool ordering_elision = true;
-};
-
 struct OptimizerStats {
   int folded_constants = 0;
   int eliminated_branches = 0;
@@ -68,8 +58,8 @@ struct OptimizerStats {
 
 // True when `pred`, as a step predicate, provably selects by value
 // alone, so per-parent and per-subtree positions select the same nodes:
-// its value is never numeric (a comparison, and/or, a boolean builtin
-// or a path of axis steps), and nothing evaluated on its own focus
+// its value is never numeric (a comparison, and/or, a builtin whose row
+// is a kBooleanTest, or a path of axis steps), and nothing evaluated on its own focus
 // reads position() or last() or calls a function that could (one
 // `is_declared` reports as user-declared, an external, or an unknown
 // name). Focus-changing parts (nested step and filter predicates,
@@ -80,15 +70,12 @@ bool PositionFreePredicate(
     const Expr& pred,
     const std::function<bool(const std::string& key)>& is_declared);
 
-// Rewrites the expression tree in place; returns rewrite statistics.
+// Rewrites a whole module in place — global variable initializers,
+// function bodies and the query body — and returns rewrite statistics.
 // `facts` (optional) supplies analyzer-inferred cardinalities keyed by
 // the pre-rewrite Expr nodes; run the analyzer on the same tree first.
-OptimizerStats OptimizeExpr(ExprPtr* expr, const OptimizerOptions& options,
-                            const analysis::AnalysisFacts* facts = nullptr);
-
-// Optimizes a whole module: global variable initializers, function
-// bodies, and the query body.
-OptimizerStats OptimizeModule(Module* module, const OptimizerOptions& options,
+// Without them the inferred rewrites do nothing.
+OptimizerStats OptimizeModule(Module* module,
                               const analysis::AnalysisFacts* facts = nullptr);
 
 }  // namespace xqib::xquery

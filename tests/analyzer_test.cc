@@ -363,7 +363,7 @@ TEST(LintPass, SuppressionOption) {
 
 // ------------------------------------------------- engine integration ---
 
-TEST(EngineIntegration, LenientByDefaultStrictOnRequest) {
+TEST(EngineIntegration, LenientCompileKeepsDiagnostics) {
   Engine engine;
   // Lenient: compiles, diagnostics retained (runtime keeps its own
   // error behaviour for compatibility).
@@ -371,12 +371,6 @@ TEST(EngineIntegration, LenientByDefaultStrictOnRequest) {
   ASSERT_TRUE(lenient.ok());
   ASSERT_EQ((*lenient)->diagnostics().size(), 1u);
   EXPECT_EQ((*lenient)->diagnostics()[0].code, "XQSA001");
-  // Strict: the same script fails to compile.
-  CompileOptions options;
-  options.strict = true;
-  auto strict = engine.Compile("$nope", options);
-  ASSERT_FALSE(strict.ok());
-  EXPECT_EQ(strict.status().code(), "XQSA001");
 }
 
 TEST(EngineIntegration, InferredCardinalityRewrite) {

@@ -14,7 +14,7 @@ namespace {
 OptimizerStats Optimize(const std::string& query, ExprPtr* out = nullptr) {
   auto module = ParseModule(query);
   EXPECT_TRUE(module.ok()) << module.status().ToString();
-  OptimizerStats stats = OptimizeModule(module->get(), OptimizerOptions());
+  OptimizerStats stats = OptimizeModule(module->get());
   if (out != nullptr) *out = std::move((*module)->body);
   return stats;
 }
@@ -223,20 +223,6 @@ TEST(PathCollapsing, PreservesSemantics) {
   EXPECT_EQ(EvalBoth("count(//b[1])", doc), "3");
 }
 
-TEST(Optimizer, DisabledRulesDoNothing) {
-  auto module = ParseModule("1 + 2");
-  ASSERT_TRUE(module.ok());
-  OptimizerOptions off;
-  off.constant_folding = false;
-  off.branch_elimination = false;
-  off.cardinality_rewrites = false;
-  off.boolean_simplification = false;
-  off.path_collapsing = false;
-  off.ordering_elision = false;
-  OptimizerStats stats = OptimizeModule(module->get(), off);
-  EXPECT_EQ(stats.total(), 0);
-}
-
 TEST(OrderingElision, ChildChainsFullyElide) {
   // Root-anchored child chains stay sorted at every step.
   EXPECT_EQ(Optimize("/a/b/c").sort_elisions, 3);
@@ -264,15 +250,6 @@ TEST(OrderingElision, UnknownContextBlocksElision) {
   // Without analyzer facts, $x has unproven cardinality, so $x/b must
   // sort; the only elision is "//a" (collapsed to one descendant step).
   EXPECT_EQ(Optimize("for $x in //a return $x/b").sort_elisions, 1);
-}
-
-TEST(OrderingElision, DisabledFlagLeavesStepsUnannotated) {
-  OptimizerOptions off;
-  off.ordering_elision = false;
-  auto module = ParseModule("/a/b/c");
-  ASSERT_TRUE(module.ok());
-  OptimizerStats stats = OptimizeModule(module->get(), off);
-  EXPECT_EQ(stats.sort_elisions, 0);
 }
 
 TEST(OrderingElision, PreservesSemantics) {

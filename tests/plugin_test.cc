@@ -593,6 +593,23 @@ TEST_F(PluginTest, IeTagFoldingRequiresUppercaseXPath) {
   ASSERT_EQ(out->children().size(), 1u);
 }
 
+// fn:head and fn:tail are builtins to the load-time analyzer as they are
+// to the evaluator: a listener calling one loads and runs.
+TEST_F(PluginTest, HeadAndTailPassPageLoad) {
+  Window* w = Load(R"(<html><body>
+      <input id="b"/><p>first</p><p>second</p><p>third</p>
+      <script type="text/xquery">
+      declare function local:first($evt, $obj) { string(head(//p)) };
+      declare function local:rest() { count(tail(//p)) };
+      on event "onclick" at //input[@id="b"] attach listener local:first
+      </script></body></html>)");
+  EXPECT_TRUE(plugin_.last_diagnostics().empty());
+  Click(ById(w, "b"));
+  EXPECT_TRUE(plugin_.last_script_error().ok())
+      << plugin_.last_script_error().ToString();
+  EXPECT_EQ(plugin_.last_listener_result(), "first");
+}
+
 TEST_F(PluginTest, ScriptErrorsDoNotCrashThePage) {
   LoadRaw(R"(<html><body><script type="text/xquery">
       1 idiv 0

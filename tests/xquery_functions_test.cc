@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "xml/xml_parser.h"
+#include "xquery/analysis/analyzer.h"
 #include "xquery/engine.h"
+#include "xquery/functions.h"
+#include "xquery/parser.h"
 
 namespace xqib::xquery {
 namespace {
@@ -214,6 +217,61 @@ TEST(TraceFunction, PassesThroughAndLogs) {
   EXPECT_EQ(xdm::SequenceToString(*r), "2");
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0], "calc: 2");
+}
+
+// ------------------------------------------------------------- arity ---
+
+// The status code of running `query` compiled without the analyzer, so
+// only the evaluator judges it; "ok" when it runs.
+std::string RunUnanalyzed(const std::string& query) {
+  Engine engine;
+  CompileOptions options;
+  options.analyze = false;
+  auto q = engine.Compile(query, options);
+  if (!q.ok()) return "PARSE-ERROR: " + q.status().ToString();
+  DynamicContext ctx;
+  auto r = (*q)->Run(ctx);
+  return r.ok() ? "ok" : r.status().code();
+}
+
+TEST(Arity, EnforcedAtRunTime) {
+  for (const char* query :
+       {"true(1)", "false(1)", "current-dateTime(1)", "current-date(1)",
+        "current-time(1)", "error('E', 'm', (), 4)"}) {
+    EXPECT_EQ(RunUnanalyzed(query), "XPST0017") << query;
+  }
+}
+
+// For every row of the builtin table, at arities min-1, min, max and
+// max+1 (variadic rows capped at 4): the analyzer accepts the call, or
+// reports XQSA003, exactly when the evaluator runs it, or raises
+// XPST0017, and both follow the row's arity range. No row is an unknown
+// function to either.
+TEST(Arity, AnalyzerAndEvaluatorAgreeOnEveryRow) {
+  for (const Builtin& row : BuiltinLibrary()) {
+    const int max = row.max_arity == Builtin::kVariadic ? 4 : row.max_arity;
+    for (int arity : {row.min_arity - 1, int{row.min_arity}, max, max + 1}) {
+      if (arity < 0) continue;
+      std::string call = row.Lexical() + "(";
+      for (int i = 0; i < arity; ++i) call += i == 0 ? "()" : ", ()";
+      call += ")";
+      const bool accepted = row.AcceptsArity(static_cast<size_t>(arity));
+
+      auto module = ParseModule(call);
+      ASSERT_TRUE(module.ok()) << call;
+      analysis::AnalysisResult analyzed =
+          analysis::Analyzer().Analyze(**module);
+      bool xqsa003 = false;
+      for (const analysis::Diagnostic& d : analyzed.diagnostics) {
+        EXPECT_NE(d.code, "XQSA002") << call << ": " << d.Render();
+        if (d.code == "XQSA003") xqsa003 = true;
+      }
+      EXPECT_EQ(xqsa003, !accepted) << call;
+
+      const std::string ran = RunUnanalyzed(call);
+      EXPECT_EQ(ran == "XPST0017", !accepted) << call << ": " << ran;
+    }
+  }
 }
 
 TEST(UserFunctions, DeclarationAndCall) {
