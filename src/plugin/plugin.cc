@@ -197,7 +197,90 @@ Status XqibPlugin::InitializePage(Window* window) {
       browser::ExtractInlineHandlers(window->document());
   last_init_timing_.extract_us = NowMicros() - t0;
 
-  // Step 3: foreign (JavaScript) scripts first, per §4.1.
+  // Step 3a: parse every XQuery script, then every XQuery-looking inline
+  // handler, before any script runs: they are one program sharing one
+  // static context (a listener registered by script 1 may call a
+  // function declared by script 3, and so may an inline handler).
+  t0 = NowMicros();
+  std::vector<std::unique_ptr<xquery::Module>>& modules = page->modules;
+  for (const Script& script : scripts) {
+    if (script.language != ScriptLanguage::kXQuery &&
+        script.language != ScriptLanguage::kXQueryP) {
+      continue;
+    }
+    XQ_ASSIGN_OR_RETURN(std::unique_ptr<xquery::Module> module,
+                        xquery::ParseModule(script.code));
+    modules.push_back(std::move(module));
+  }
+  const size_t script_count = modules.size();
+  last_init_timing_.xquery_scripts = script_count;
+  // The XQuery engine owns an XQuery-looking handler on a page with an
+  // XQuery script; the other handlers belong to the foreign engine.
+  auto xquery_owns = [script_count](const InlineHandler& handler) {
+    return script_count > 0 && LooksLikeXQueryHandler(handler.code);
+  };
+  for (const InlineHandler& handler : handlers) {
+    if (!xquery_owns(handler)) continue;
+    XQ_ASSIGN_OR_RETURN(
+        std::unique_ptr<xquery::Module> module,
+        xquery::ParseModule(RewriteInlineHandler(handler.code)));
+    modules.push_back(std::move(module));
+  }
+
+  // Step 3b: one joint static analysis. Error-severity diagnostics
+  // anywhere reject the whole page before any script runs — a broken
+  // listener should fail here, not at event-dispatch time in front of
+  // the user.
+  std::vector<const xquery::Module*> program;
+  for (const auto& module : modules) program.push_back(module.get());
+  xquery::analysis::AnalysisResult analyzed =
+      xquery::analysis::AnalyzeProgram(program);
+  last_diagnostics_.clear();
+  for (const auto& module_diagnostics : analyzed.diagnostics) {
+    last_diagnostics_.insert(last_diagnostics_.end(),
+                             module_diagnostics.begin(),
+                             module_diagnostics.end());
+  }
+  XQ_RETURN_NOT_OK(analyzed.ToStatus());
+
+  // Step 3c: compile. Each module is optimized with the program's facts
+  // (page scripts are compiled once but their listener bodies run on
+  // every event), every declaration joins the page's static context,
+  // and the page gets its one evaluator.
+  if (!modules.empty()) {
+    for (const auto& module : modules) {
+      xquery::OptimizeModule(module.get(), &analyzed.facts);
+      page->sctx->AddModule(*module);
+      if (services_ != nullptr) {
+        services_->RegisterStubsForImports(*module, page->ctx.get());
+      }
+    }
+    // One record per declared function: the dispatch-time view of its
+    // summary.
+    for (const auto& [key, effects] : analyzed.facts.function_effects) {
+      size_t arity = 0;
+      const xml::InternedName* token = ParseFunctionKeyToken(key, &arity);
+      if (token == nullptr) continue;
+      PageContext::ListenerRecord& record =
+          page->listeners[PageContext::ListenerKey{token, arity}];
+      record.pure = effects.pure();
+      record.memoizable = effects.memoizable();
+      record.reads_named = !effects.reads_top();
+      if (record.reads_named) record.read_names = effects.ReadNames();
+      if (!effects.writes_fabric) record.prefetch_urls = effects.fetch_urls;
+    }
+    // The evaluator keeps the effect summaries for the FLWOR scatter;
+    // the cardinalities served the optimizer and die with the load.
+    auto facts = std::make_shared<xquery::analysis::AnalysisFacts>();
+    facts->function_effects = std::move(analyzed.facts.function_effects);
+    page->evaluator =
+        std::make_unique<xquery::Evaluator>(*page->sctx, &counters_);
+    page->evaluator->set_options(eval_options_);
+    page->evaluator->set_analysis_facts(std::move(facts));
+  }
+  last_init_timing_.compile_us += NowMicros() - t0;
+
+  // Step 4: foreign (JavaScript) scripts run first, per §4.1.
   t0 = NowMicros();
   for (const Script& script : scripts) {
     if (script.language == ScriptLanguage::kXQuery ||
@@ -211,78 +294,9 @@ Status XqibPlugin::InitializePage(Window* window) {
   }
   last_init_timing_.foreign_us = NowMicros() - t0;
 
-  // Step 4a: parse ALL XQuery scripts before running any — the page's
-  // scripts share one static context (a listener registered by script 1
-  // may call a function declared by script 3), so analysis needs every
-  // prolog up front.
-  t0 = NowMicros();
-  std::vector<std::unique_ptr<xquery::Module>> parsed;
-  for (const Script& script : scripts) {
-    if (script.language != ScriptLanguage::kXQuery &&
-        script.language != ScriptLanguage::kXQueryP) {
-      continue;
-    }
-    ++last_init_timing_.xquery_scripts;
-    XQ_ASSIGN_OR_RETURN(std::unique_ptr<xquery::Module> module,
-                        xquery::ParseModule(script.code));
-    parsed.push_back(std::move(module));
-  }
-
-  // Step 4b: joint static analysis. A script with error-severity
-  // diagnostics rejects the whole page at load time — a broken listener
-  // should fail here, not at event-dispatch time in front of the user.
-  last_diagnostics_.clear();
-  Status analysis_failure;
-  // Per-module facts are kept for the optimizer: its ordering/elision
-  // and inferred rewrites key off analyzer cardinalities, and the
-  // listener loop re-runs these ASTs on every event.
-  std::vector<xquery::analysis::AnalysisFacts> module_facts(parsed.size());
-  for (size_t i = 0; i < parsed.size(); ++i) {
-    xquery::analysis::Analyzer analyzer;
-    for (size_t j = 0; j < parsed.size(); ++j) {
-      if (j != i) analyzer.AddContextModule(*parsed[j]);
-    }
-    xquery::analysis::AnalysisResult result = analyzer.Analyze(*parsed[i]);
-    if (analysis_failure.ok() && result.has_errors()) {
-      analysis_failure = result.ToStatus();
-    }
-    for (auto& d : result.diagnostics) {
-      last_diagnostics_.push_back(std::move(d));
-    }
-    module_facts[i] = std::move(result.facts);
-  }
-  // Merge the per-module effect summaries into one shared object for
-  // the FLWOR scatter: a page's scripts share a static context, so one
-  // effect view covers them all.
-  {
-    auto merged = std::make_shared<xquery::analysis::AnalysisFacts>();
-    for (const xquery::analysis::AnalysisFacts& mf : module_facts) {
-      merged->function_effects.insert(mf.function_effects.begin(),
-                                      mf.function_effects.end());
-    }
-    page->facts = std::move(merged);
-  }
-  // One record per declared function: the dispatch-time view of its
-  // summary (every module's analysis covers every page function).
-  for (const auto& [key, effects] : page->facts->function_effects) {
-    size_t arity = 0;
-    const xml::InternedName* token = ParseFunctionKeyToken(key, &arity);
-    if (token == nullptr) continue;
-    PageContext::ListenerRecord& record =
-        page->listeners[PageContext::ListenerKey{token, arity}];
-    record.pure = effects.pure();
-    record.memoizable = effects.memoizable();
-    record.reads_named = !effects.reads_top();
-    if (record.reads_named) record.read_names = effects.ReadNames();
-    if (!effects.writes_fabric) record.prefetch_urls = effects.fetch_urls;
-  }
-  last_init_timing_.compile_us += NowMicros() - t0;
-  XQ_RETURN_NOT_OK(analysis_failure);
-
-  // Step 4c: install each script (prolog, globals, main body) in order.
-  for (size_t i = 0; i < parsed.size(); ++i) {
-    XQ_RETURN_NOT_OK(RunXQueryModule(page.get(), std::move(parsed[i]),
-                                     &module_facts[i]));
+  // Step 5: bind each script's globals and run its body, in page order.
+  for (size_t i = 0; i < script_count; ++i) {
+    XQ_RETURN_NOT_OK(RunXQueryModule(page.get(), *modules[i]));
   }
 
   // The Zorba-based plug-in puts on-load code in local:main() (§5.1).
@@ -297,10 +311,13 @@ Status XqibPlugin::InitializePage(Window* window) {
     XQ_RETURN_NOT_OK(st);
   }
 
-  // Inline on* handlers route to whichever engine owns them.
+  // Inline on* handlers route to whichever engine owns them, in
+  // document order; the XQuery ones' modules follow the scripts'.
+  size_t handler_module = script_count;
   for (const InlineHandler& handler : handlers) {
-    if (!page->modules.empty() && LooksLikeXQueryHandler(handler.code)) {
-      XQ_RETURN_NOT_OK(RegisterXQueryInlineHandler(page.get(), handler));
+    if (xquery_owns(handler)) {
+      RegisterXQueryInlineHandler(page.get(), handler,
+                                  *modules[handler_module++]);
     } else if (foreign_engine_ != nullptr) {
       XQ_RETURN_NOT_OK(
           foreign_engine_->RegisterInlineHandler(window, handler));
@@ -315,26 +332,10 @@ Status XqibPlugin::InitializePage(Window* window) {
 }
 
 Status XqibPlugin::RunXQueryModule(PageContext* page,
-                                   std::unique_ptr<xquery::Module> module,
-                                   const xquery::analysis::AnalysisFacts* facts) {
-  // Optimize before installing: page scripts are compiled once but their
-  // listener bodies run on every event, so the rewrite passes (path
-  // collapsing, ordering elision, constant folding) pay off at dispatch
-  // time.
-  xquery::OptimizeModule(module.get(), facts);
-  page->sctx->AddModule(*module);
-  // (Re)build the evaluator: the static context gained declarations.
-  page->evaluator =
-      std::make_unique<xquery::Evaluator>(*page->sctx, &counters_);
-  page->evaluator->set_options(eval_options_);
-  page->evaluator->set_analysis_facts(page->facts);
-  if (services_ != nullptr) {
-    services_->RegisterStubsForImports(*module, page->ctx.get());
-  }
-
+                                   const xquery::Module& module) {
   // Bind this module's globals.
   double t0 = NowMicros();
-  for (const xquery::VarDecl& decl : module->variables) {
+  for (const xquery::VarDecl& decl : module.variables) {
     if (decl.init == nullptr) {
       if (!decl.external) page->ctx->env().Bind(decl.name, Sequence{});
       continue;
@@ -349,38 +350,21 @@ Status XqibPlugin::RunXQueryModule(PageContext* page,
   // The globals and the body are one dispatch.
   t0 = NowMicros();
   Status st;
-  if (module->body != nullptr) {
-    const Expr& body = *module->body;
-    page->modules.push_back(std::move(module));
-    Result<Sequence> ran = page->evaluator->Eval(body, *page->ctx);
+  if (module.body != nullptr) {
+    Result<Sequence> ran = page->evaluator->Eval(*module.body, *page->ctx);
     if (page->evaluator->exited()) page->evaluator->TakeExitValue();
     st = ran.ok() ? ApplyAfterRun(page) : ran.status();
-  } else {
-    page->modules.push_back(std::move(module));
   }
   EndDispatch(page);
   last_init_timing_.run_main_us += NowMicros() - t0;
   return st;
 }
 
-Status XqibPlugin::RegisterXQueryInlineHandler(PageContext* page,
-                                               const InlineHandler& handler) {
-  std::string rewritten = RewriteInlineHandler(handler.code);
-  XQ_ASSIGN_OR_RETURN(std::unique_ptr<xquery::Module> module,
-                      xquery::ParseModule(rewritten));
-  // Inline handlers get the same load-time checking as script blocks:
-  // an onclick calling an undeclared function is rejected here.
-  xquery::analysis::Analyzer analyzer;
-  for (const auto& m : page->modules) analyzer.AddContextModule(*m);
-  xquery::analysis::AnalysisResult analyzed = analyzer.Analyze(*module);
-  for (auto& d : analyzed.diagnostics) {
-    last_diagnostics_.push_back(std::move(d));
-  }
-  XQ_RETURN_NOT_OK(analyzed.ToStatus());
-  xquery::OptimizeModule(module.get(), &analyzed.facts);
-  const Expr* body = module->body.get();
-  if (body == nullptr) return Status();
-  page->handler_modules.push_back(std::move(module));
+void XqibPlugin::RegisterXQueryInlineHandler(PageContext* page,
+                                             const InlineHandler& handler,
+                                             const xquery::Module& module) {
+  const Expr* body = module.body.get();
+  if (body == nullptr) return;
 
   std::weak_ptr<PageContext> weak = FindPageShared(page->window);
   std::string type = handler.event;
@@ -412,7 +396,6 @@ Status XqibPlugin::RegisterXQueryInlineHandler(PageContext* page,
     EndDispatch(page.get());
   };
   browser_->events().AddListener(handler.element, type, std::move(listener));
-  return Status();
 }
 
 Status XqibPlugin::ApplyAfterRun(PageContext* page) {
@@ -464,44 +447,26 @@ void XqibPlugin::PublishRetained() {
 void XqibPlugin::PropagateDelta(PageContext* page) {
   xml::Document* doc = page->window->document();
   // Every recorded op bumps the document mutation version, so an
-  // unchanged version since the last sync means the dispatch window is
-  // provably empty — skip the lock-and-drain. This is the common case:
-  // only the first listener after an updating one finds a batch.
-  if (page->delta_synced_version == doc->mutation_version()) return;
+  // unchanged version since the last sync means nothing changed — skip
+  // the lock-and-drain. This is the common case: only the first
+  // listener after an updating one finds a batch.
+  const uint64_t version = doc->mutation_version();
+  if (page->delta_synced_version == version) return;
+  page->delta_synced_version = version;
   xml::DomDelta delta;
   doc->TakeDispatchDelta(&delta);
-  if (!delta.Empty()) {
-    const uint64_t seq = ++page->delta_seq;
-    if (delta.whole_tree) {
-      // Overflowed or untracked batch: every listener is dirty.
-      page->all_dirty_seq = seq;
-    } else {
-      for (auto& [key, listener] : page->listeners) {
-        if (listener.reads_named &&
-            xquery::analysis::ReadSetIntersectsWrites(listener.read_names,
-                                                      delta.touched)) {
-          listener.dirty_seq = seq;
-        }
-      }
+  // A batch that overflowed, or that recorded no attached mutation (an
+  // edit of a detached node still moves the version, and a global may
+  // hold that node), names nothing: it may have touched every listener.
+  const uint64_t seq = ++page->delta_seq;
+  const bool touches_all = delta.whole_tree || delta.mutations == 0;
+  for (auto& [key, listener] : page->listeners) {
+    if (touches_all || !listener.reads_named ||
+        xquery::analysis::ReadSetIntersectsWrites(listener.read_names,
+                                                  delta.touched)) {
+      listener.dirty_seq = seq;
     }
   }
-  // Even an empty batch re-anchors: the document version now provably
-  // matches the drained window, so skip probes stay armed.
-  page->delta_synced_version = doc->mutation_version();
-}
-
-XqibPlugin::MemoValidity XqibPlugin::ProbeMemo(
-    const PageContext* page, const PageContext::ListenerRecord& listener,
-    const PageContext::MemoEntry& entry, uint64_t doc_version) {
-  if (entry.doc_version == doc_version) return MemoValidity::kFresh;
-  // ⊤ reads: the listener cannot be classified against deltas.
-  if (entry.delta_fill_seq == 0) return MemoValidity::kStale;
-  // Mutations since the last PropagateDelta have not been classified;
-  // the dirty map says nothing about them, so the skip disarms.
-  if (page->delta_synced_version != doc_version) return MemoValidity::kStale;
-  if (page->all_dirty_seq > entry.delta_fill_seq) return MemoValidity::kStale;
-  return listener.dirty_seq <= entry.delta_fill_seq ? MemoValidity::kDeltaSkip
-                                                    : MemoValidity::kStale;
 }
 
 xml::Node* XqibPlugin::MaterializeEvent(DynamicContext* ctx,
@@ -582,33 +547,30 @@ void XqibPlugin::RunListener(PageContext* page, const xml::QName& function,
   // observable host calls and of reads outside the page) can only read
   // the event payload and the document snapshot, so (payload hash,
   // document state) fully determines its result — replay the recorded
-  // serialization instead of re-evaluating. A stale entry means the DOM
-  // mutated since it was recorded in a way the delta check cannot rule
-  // out: discard it and run fresh.
+  // serialization instead of re-evaluating. An entry is valid while no
+  // version change since its fill may have touched the listener's reads
+  // (PropagateDelta above stamped them); otherwise discard it and run
+  // fresh.
   auto found = page->listeners.find(
       PageContext::ListenerKey{function.token(), arity});
   PageContext::ListenerRecord* listener =
       found != page->listeners.end() ? &found->second : nullptr;
   const bool memoizable =
       memo_enabled_ && listener != nullptr && listener->memoizable;
-  const uint64_t doc_version = page->window->document()->mutation_version();
   const PageContext::MemoKey memo_key{function.token(), arity,
                                       HashEventPayload(event)};
   if (memoizable) {
     std::unique_lock<std::shared_mutex> lk(page->memo_mu);
     auto it = page->memo_cache.find(memo_key);
     if (it != page->memo_cache.end()) {
-      const MemoValidity validity =
-          ProbeMemo(page, *listener, it->second, doc_version);
-      if (validity != MemoValidity::kStale) {
+      if (listener->dirty_seq <= it->second.fill_seq) {
         ++counters_.memo_hits;
         last_listener_result_ = it->second.serialized;
-        if (validity == MemoValidity::kDeltaSkip) {
-          // Every batch since fill time missed the listener's read set
-          // (PropagateDelta above synced the window). Re-anchor so the
-          // next probe takes the one-compare fast path.
-          it->second.doc_version = doc_version;
-          it->second.delta_fill_seq = page->delta_seq;
+        if (it->second.fill_seq < page->delta_seq) {
+          // The document moved since the fill, but no change touched
+          // the listener's reads. Re-anchor, so the next hit at this
+          // sequence is a plain one.
+          it->second.fill_seq = page->delta_seq;
           ++counters_.delta_listeners_skipped;
         }
         // Memoizable implies pure: nothing to apply, nothing to render.
@@ -676,13 +638,8 @@ void XqibPlugin::RunListener(PageContext* page, const xml::QName& function,
     // on a clean run (no error, empty PUL) — errors are never cached.
     if (memoizable) {
       PageContext::MemoEntry entry;
-      entry.doc_version = doc_version;
       entry.serialized = last_listener_result_;
-      // Stamp the delta sequence at fill time: the entry survives
-      // delta-skip probes as long as no later batch dirtied this
-      // listener. ⊤-read listeners record no name list and keep the 0
-      // stamp (never skipped).
-      if (listener->reads_named) entry.delta_fill_seq = page->delta_seq;
+      entry.fill_seq = page->delta_seq;
       std::unique_lock<std::shared_mutex> lk(page->memo_mu);
       page->memo_cache[memo_key] = std::move(entry);
     }

@@ -4,11 +4,18 @@
 // Pipeline per page load:
 //   1. the browser parses the XHTML document and renders (headless here),
 //   2. the plug-in extracts <script> elements and inline on* handlers,
-//   3. foreign-language scripts (JavaScript) run first — "this is the way
+//   3. every XQuery script and XQuery inline handler is parsed and
+//      analyzed as one program (analysis::AnalyzeProgram, the call
+//      xq_lint makes); an error rejects the page before any script
+//      runs. Each module is optimized with the program's facts, every
+//      declaration joins the page's one static context, and the page
+//      gets its one evaluator,
+//   4. foreign-language scripts (JavaScript) run first — "this is the way
 //      browsers do it because JavaScript is supported natively" (§4.1),
-//   4. each XQuery script's prolog is compiled, globals are bound, and
-//      the main body runs (registering event listeners),
-//   5. the plug-in then loops: browser events are dispatched to the
+//   5. each XQuery script's globals are bound and its main body runs
+//      (registering event listeners), in page order, and the XQuery
+//      inline handlers become listeners,
+//   6. the plug-in then loops: browser events are dispatched to the
 //      registered XQuery listeners (and to JavaScript listeners on the
 //      same targets, serialized in registration order, §6.2).
 //
@@ -67,7 +74,7 @@ class XqibPlugin : public xquery::BrowserBinding {
     foreign_engine_ = engine;
   }
 
-  // Figure 1 steps 2-4 for a freshly loaded window.
+  // Figure 1 steps 2-5 for a freshly loaded window.
   Status InitializePage(browser::Window* window);
 
   // Queues a user-interaction event on the loop and pumps it.
@@ -100,10 +107,11 @@ class XqibPlugin : public xquery::BrowserBinding {
   // every dispatch so one bad event cannot poison later ones' reports.
   void ClearScriptError() { last_script_error_ = Status(); }
 
-  // Static-analysis diagnostics from the last page load (all scripts,
-  // warnings included). A page whose scripts carry error-severity
-  // diagnostics is rejected at load time: InitializePage fails with the
-  // first error, rendered exactly as xq_lint renders it.
+  // Static-analysis diagnostics from the last page load: every XQuery
+  // script's, then every XQuery inline handler's, warnings included —
+  // the list xq_lint reports for the page. A page with an error-severity
+  // diagnostic is rejected before any script runs: InitializePage fails
+  // with the first error, rendered exactly as xq_lint renders it.
   const std::vector<xquery::analysis::Diagnostic>& last_diagnostics() const {
     return last_diagnostics_;
   }
@@ -192,8 +200,9 @@ class XqibPlugin : public xquery::BrowserBinding {
   // Everything the plug-in keeps per loaded page.
   struct PageContext {
     browser::Window* window = nullptr;
-    std::vector<std::unique_ptr<xquery::Module>> modules;  // page scripts
-    std::vector<std::unique_ptr<xquery::Module>> handler_modules;
+    // The page's program: its XQuery scripts, then its XQuery inline
+    // handlers, in document order.
+    std::vector<std::unique_ptr<xquery::Module>> modules;
     std::unique_ptr<xquery::StaticContext> sctx;
     std::unique_ptr<xquery::Evaluator> evaluator;
     std::unique_ptr<xquery::DynamicContext> ctx;
@@ -237,29 +246,24 @@ class XqibPlugin : public xquery::BrowserBinding {
       // Static GET URLs scattered before the body runs; empty when the
       // function may write the fabric.
       std::vector<std::string> prefetch_urls;
-      // delta_seq of the last batch that touched read_names (loop thread
-      // only; see the delta-skip state below).
+      // delta_seq of the last version change that may have touched what
+      // the listener reads (loop thread only; see PropagateDelta).
       uint64_t dirty_seq = 0;
     };
     std::unordered_map<ListenerKey, ListenerRecord, ListenerKeyHash>
         listeners;
-    // Effect summaries merged across all page scripts, shared with the
-    // page evaluator's FLWOR scatter.
-    std::shared_ptr<const xquery::analysis::AnalysisFacts> facts;
 
     // Scatter-gather federation (PERFORMANCE.md §10): the page-level
     // prefetcher http:get consults (listener dispatch and the main
     // body).
     std::unique_ptr<net::HttpPrefetcher> prefetcher;
 
-    // Mutation-versioned memo cache for pure listeners. Keyed on the
-    // interned listener name (pointer identity), arity, and a hash of
+    // Memo cache for memoizable listeners (PERFORMANCE.md §8). Keyed on
+    // the interned listener name (pointer identity), arity, and a hash of
     // the full event payload (including target node identities). An
-    // entry is fresh while the page document's mutation version matches;
-    // after a mutation it survives only when the delta check proves no
-    // batch since fill time touched the listener's reads (ProbeMemo).
-    // Otherwise it is stale: discarded (counted as invalidation) on the
-    // lookup that finds it.
+    // entry is valid while its listener's dirty_seq is at most the
+    // entry's fill_seq; an invalid entry is discarded (counted as an
+    // invalidation) on the lookup that finds it.
     struct MemoKey {
       const xml::InternedName* name = nullptr;
       size_t arity = 0;
@@ -278,13 +282,9 @@ class XqibPlugin : public xquery::BrowserBinding {
       }
     };
     struct MemoEntry {
-      uint64_t doc_version = 0;
       std::string serialized;  // SequenceToString of the listener result
-      // Delta-skip validity (PERFORMANCE.md §8): the page's delta_seq at
-      // fill time. The entry is exact iff the listener was not dirtied
-      // by any delta batch after this sequence number. 0 = the listener's
-      // read set was not fully named (⊤ reads) — never delta-skipped.
-      uint64_t delta_fill_seq = 0;
+      // The page's delta_seq at the fill or at the last delta skip.
+      uint64_t fill_seq = 0;
     };
     // Guarded by memo_mu. Probes, inserts and invalidations all run on
     // the session strand, so the lock is never contended.
@@ -292,18 +292,9 @@ class XqibPlugin : public xquery::BrowserBinding {
     mutable std::shared_mutex memo_mu;
 
     // --- Delta-skip dispatch state (PERFORMANCE.md §8) ----------------
-    // Batches of document mutations are drained from the Document's
-    // dispatch delta window at every sync point (PropagateDelta); each
-    // non-empty batch bumps delta_seq and marks every listener whose
-    // read names intersect the batch's write names dirty at that
-    // sequence (ListenerRecord::dirty_seq). A memo entry filled at
-    // delta_fill_seq is provably exact while max(all_dirty_seq,
-    // record.dirty_seq) <= delta_fill_seq AND delta_synced_version still
-    // matches the document — the second check catches mutations that
-    // happened after the last sync point (the skip path then disables
-    // itself and the entry re-evaluates). Loop thread only.
+    // Sequence number of the last document version change, and the
+    // version PropagateDelta last synced to. Loop thread only.
     uint64_t delta_seq = 1;
-    uint64_t all_dirty_seq = 0;  // ⊤ batch: every listener dirty
     uint64_t delta_synced_version = 0;
   };
 
@@ -316,14 +307,12 @@ class XqibPlugin : public xquery::BrowserBinding {
   PageContext* FindPageByDocument(const xml::Document* doc);
 
   void RegisterBrowserFunctions(PageContext* page);
-  // Installs an already-parsed (and analyzed) script module: optimizes
-  // it (using the analyzer's `facts` when given), adds its declarations
-  // to the static context, binds globals, runs the body.
-  Status RunXQueryModule(PageContext* page,
-                         std::unique_ptr<xquery::Module> module,
-                         const xquery::analysis::AnalysisFacts* facts);
-  Status RegisterXQueryInlineHandler(PageContext* page,
-                                     const browser::InlineHandler& handler);
+  // Binds a compiled script's globals and runs its body: one dispatch.
+  Status RunXQueryModule(PageContext* page, const xquery::Module& module);
+  // Adds `handler` as a listener that runs its compiled `module`'s body.
+  void RegisterXQueryInlineHandler(PageContext* page,
+                                   const browser::InlineHandler& handler,
+                                   const xquery::Module& module);
 
   // Calls an XQuery listener function with ($evt, $obj), applying the
   // PUL and syncing the BOM afterwards. InvokeListener records what the
@@ -349,19 +338,14 @@ class XqibPlugin : public xquery::BrowserBinding {
   // Publishes the pages' retained documents and nodes (retained()).
   void PublishRetained();
 
-  // Drains the page document's dispatch delta window and folds it into
-  // the page's dirty-listener state (delta_seq/dirty_seq). Called at
-  // every dispatch sync point on the loop thread.
+  // When the page document's version moved since the last call: drains
+  // its dispatch delta window, gives the change the next delta_seq and
+  // stamps the dirty_seq of every listener it may have touched — all of
+  // them for a batch that overflowed or recorded no attached mutation,
+  // the ⊤-read ones always, and the named-read ones whose reads meet the
+  // batch's touched names. Called at every dispatch sync point on the
+  // loop thread.
   void PropagateDelta(PageContext* page);
-  // The memo probe: kFresh when `entry` was filled at `doc_version`,
-  // kDeltaSkip when the document moved but no delta batch since fill
-  // time can have dirtied the listener (the skip-dispatch check),
-  // kStale otherwise. Read-only; the caller handles a stale entry.
-  enum class MemoValidity { kFresh, kDeltaSkip, kStale };
-  static MemoValidity ProbeMemo(const PageContext* page,
-                                const PageContext::ListenerRecord& listener,
-                                const PageContext::MemoEntry& entry,
-                                uint64_t doc_version);
 
   // Builds the <event> element passed as $evt (paper §4.3.2) in `ctx`'s
   // scratch document.

@@ -75,7 +75,7 @@ class Session : public std::enable_shared_from_this<Session> {
           net::ServiceHost* services, base::ThreadPool* pool,
           const Options& options);
 
-  // Page load (runs the page's scripts — Figure 1 steps 2-4). Call
+  // Page load (runs the page's scripts — Figure 1 steps 2-5). Call
   // before the first Submit, on the creating thread.
   Status Navigate(const std::string& url);  // source via the backend
   Status LoadSource(const std::string& url, const std::string& source);

@@ -155,11 +155,6 @@ InferredType FromDeclared(const SequenceType& st) {
 
 // ---------------------------------------------------- symbol tables ---
 
-struct FnInfo {
-  const FunctionDecl* decl = nullptr;
-  bool from_context = false;  // declared by a context module
-};
-
 struct VarInfo {
   xml::QName name;
   InferredType type;
@@ -198,23 +193,26 @@ bool IsDocumentRootPath(const Expr& e) {
          e.kids.empty();
 }
 
-// ------------------------------------------------------ module walker ---
+// ----------------------------------------------------- program walker ---
 
-class ModuleAnalyzer {
+class ProgramAnalyzer {
  public:
-  ModuleAnalyzer(const Module& module,
-                 const std::vector<const Module*>& context,
-                 AnalysisResult* result)
-      : module_(module), context_(context), result_(result) {}
+  ProgramAnalyzer(const std::vector<const Module*>& modules,
+                  AnalysisResult* result)
+      : modules_(modules), result_(result), suppressed_(modules.size()) {
+    result_->diagnostics.resize(modules.size());
+  }
 
   void Run() {
-    CollectSuppressions();
     CollectFunctions();
     CollectAssignedVars();
-    CheckDuplicates();
-    AnalyzeGlobals();
-    AnalyzeFunctions();
-    AnalyzeBody();
+    for (current_ = 0; current_ < modules_.size(); ++current_) {
+      CollectSuppressions();
+      CheckDuplicateVariables();
+      AnalyzeGlobals();
+      AnalyzeFunctions();
+      AnalyzeBody();
+    }
     ComputeEffects();
     LintEffectRules();
   }
@@ -222,19 +220,25 @@ class ModuleAnalyzer {
  private:
   // ------------------------------------------------------ reporting ---
 
+  const Module& module() const { return *modules_[current_]; }
+
+  // Reports into the current module's list; spans index its source.
   void Report(const char* code, Severity severity, std::string message,
               size_t offset, size_t length) {
-    if (severity != Severity::kError && suppressed_.count(code) > 0) return;
+    if (severity != Severity::kError &&
+        suppressed_[current_].count(code) > 0) {
+      return;
+    }
     Diagnostic d;
     d.code = code;
     d.severity = severity;
     d.message = std::move(message);
-    d.span = SpanAt(module_.source_text, offset, length);
-    result_->diagnostics.push_back(std::move(d));
+    d.span = SpanAt(module().source_text, offset, length);
+    result_->diagnostics[current_].push_back(std::move(d));
   }
 
   void CollectSuppressions() {
-    for (const auto& [key, value] : module_.options) {
+    for (const auto& [key, value] : module().options) {
       size_t brace = key.rfind('}');
       std::string local =
           brace == std::string::npos ? key : key.substr(brace + 1);
@@ -246,7 +250,7 @@ class ModuleAnalyzer {
       std::string cur;
       for (char c : codes + " ") {
         if (c == ' ' || c == ',' || c == ';') {
-          if (!cur.empty()) suppressed_.insert(cur);
+          if (!cur.empty()) suppressed_[current_].insert(cur);
           cur.clear();
         } else {
           cur.push_back(c);
@@ -257,38 +261,36 @@ class ModuleAnalyzer {
 
   // ------------------------------------------------- symbol collection ---
 
+  // One function table for the program, keyed Clark#arity. A second
+  // declaration of the same name and arity, in the same module or a
+  // later one, is XQSA004 on the later declaration (which the table
+  // keeps, as the static context would).
   void CollectFunctions() {
     checked_fn_namespaces_.insert(
         "http://www.w3.org/2005/xquery-local-functions");
-    auto add_module = [&](const Module& m, bool from_context) {
+    for (current_ = 0; current_ < modules_.size(); ++current_) {
+      const Module& m = module();
       if (m.is_library && !m.module_ns.empty()) {
         checked_fn_namespaces_.insert(m.module_ns);
       }
       for (const auto& fn : m.functions) {
         std::string key =
             AnalysisFacts::FunctionKey(fn->name.Clark(), fn->params.size());
-        functions_[key] = FnInfo{fn.get(), from_context};
+        if (functions_.count(key) > 0) {
+          Report("XQSA004", Severity::kError,
+                 "duplicate declaration of function " + fn->name.Lexical() +
+                     "#" + std::to_string(fn->params.size()),
+                 fn->source_pos, fn->name.Lexical().size());
+        }
+        functions_[key] = fn.get();
         arities_[fn->name.Clark()].insert(fn->params.size());
       }
-    };
-    for (const Module* m : context_) add_module(*m, true);
-    add_module(module_, false);
+    }
   }
 
-  void CheckDuplicates() {
-    std::unordered_set<std::string> seen_fns;
-    for (const auto& fn : module_.functions) {
-      std::string key =
-          AnalysisFacts::FunctionKey(fn->name.Clark(), fn->params.size());
-      if (!seen_fns.insert(key).second) {
-        Report("XQSA004", Severity::kError,
-               "duplicate declaration of function " + fn->name.Lexical() +
-                   "#" + std::to_string(fn->params.size()),
-               fn->source_pos, fn->name.Lexical().size());
-      }
-    }
+  void CheckDuplicateVariables() {
     std::unordered_set<std::string> seen_vars;
-    for (const VarDecl& v : module_.variables) {
+    for (const VarDecl& v : module().variables) {
       if (!seen_vars.insert(v.name.Clark()).second) {
         Report("XQSA005", Severity::kError,
                "duplicate declaration of variable $" + v.name.Lexical(),
@@ -304,10 +306,7 @@ class ModuleAnalyzer {
   void CollectAssignedVars() {
     std::vector<const Expr*> stack;
     auto push = [&](const Expr* e) { if (e != nullptr) stack.push_back(e); };
-    for (const VarDecl& v : module_.variables) push(v.init.get());
-    for (const auto& fn : module_.functions) push(fn->body.get());
-    push(module_.body.get());
-    for (const Module* m : context_) {
+    for (const Module* m : modules_) {
       for (const VarDecl& v : m->variables) push(v.init.get());
       for (const auto& fn : m->functions) push(fn->body.get());
       push(m->body.get());
@@ -389,15 +388,18 @@ class ModuleAnalyzer {
   // ------------------------------------------------------- top levels ---
 
   void AnalyzeGlobals() {
-    PushScope();  // global scope, lives for the whole analysis
-    for (const Module* m : context_) {
-      for (const VarDecl& v : m->variables) {
+    PushScope();  // the module's global scope, popped after its body
+    // The other modules' globals are visible under their declared types:
+    // a page's scripts share one static context.
+    for (size_t i = 0; i < modules_.size(); ++i) {
+      if (i == current_) continue;
+      for (const VarDecl& v : modules_[i]->variables) {
         Bind(v.name, v.type.declared ? FromDeclared(v.type) : Any(),
              0, false);
       }
     }
     // Own globals: each initializer sees the declarations above it.
-    for (const VarDecl& v : module_.variables) {
+    for (const VarDecl& v : module().variables) {
       InferredType init_type = Any();
       if (v.init != nullptr) {
         init_type = Walk(*v.init, UpdateCtx::Forbidden());
@@ -415,7 +417,7 @@ class ModuleAnalyzer {
   }
 
   void AnalyzeFunctions() {
-    for (const auto& fn : module_.functions) {
+    for (const auto& fn : module().functions) {
       if (fn->body == nullptr) continue;
       PushScope();
       for (const Param& p : fn->params) {
@@ -433,12 +435,12 @@ class ModuleAnalyzer {
   }
 
   void AnalyzeBody() {
-    if (module_.body != nullptr) {
+    if (module().body != nullptr) {
       // The main body is a statement context (Scripting Extension):
       // top-level updates are legal and apply at statement boundaries.
-      Walk(*module_.body, UpdateCtx::Allowed());
+      Walk(*module().body, UpdateCtx::Allowed());
     }
-    PopScope();  // global scope
+    PopScope();  // the module's global scope
   }
 
   // -------------------------------------------------- update contexts ---
@@ -770,7 +772,7 @@ class ModuleAnalyzer {
       // --- Update Facility ---
       case ExprKind::kInsert: {
         if (!ctx.allowed) ReportUpdateMisuse(e, ctx, "insert");
-        if (in_function_body_) update_sites_.push_back(&e);
+        if (in_function_body_) update_sites_.push_back(Site{current_, &e});
         WalkKids(e, ctx.Operand());
         return Exactly(ItemClass::kAnyItem, 0);
       }
@@ -783,13 +785,13 @@ class ModuleAnalyzer {
       case ExprKind::kReplace: {
         if (!ctx.allowed) ReportUpdateMisuse(e, ctx, "replace");
         CheckNotDocumentRoot(e, "replace");
-        if (in_function_body_) update_sites_.push_back(&e);
+        if (in_function_body_) update_sites_.push_back(Site{current_, &e});
         WalkKids(e, ctx.Operand());
         return Exactly(ItemClass::kAnyItem, 0);
       }
       case ExprKind::kRename: {
         if (!ctx.allowed) ReportUpdateMisuse(e, ctx, "rename");
-        if (in_function_body_) update_sites_.push_back(&e);
+        if (in_function_body_) update_sites_.push_back(Site{current_, &e});
         WalkKids(e, ctx.Operand());
         return Exactly(ItemClass::kAnyItem, 0);
       }
@@ -864,7 +866,7 @@ class ModuleAnalyzer {
         WalkKids(e, ctx.Operand());
         CheckListener(e);
         if (e.kind == ExprKind::kEventAttach) {
-          attach_sites_.push_back(&e);
+          attach_sites_.push_back(Site{current_, &e});
         }
         return Exactly(ItemClass::kAnyItem, 0);
       }
@@ -953,7 +955,7 @@ class ModuleAnalyzer {
         }
         return Any();
       }
-      const FunctionDecl* decl = it->second.decl;
+      const FunctionDecl* decl = it->second;
       if (decl->updating && !ctx.allowed) {
         ReportUpdateMisuse(e, ctx,
                            "call to updating function " + decl->name.Lexical());
@@ -1065,7 +1067,7 @@ class ModuleAnalyzer {
   void ListenerNameSpan(const Expr& e, size_t* offset, size_t* length) {
     *offset = e.source_pos;
     *length = e.qname.Lexical().size();
-    const std::string& src = module_.source_text;
+    const std::string& src = module().source_text;
     size_t kw = src.find("listener", e.source_pos);
     if (kw == std::string::npos) return;
     size_t name = kw + 8;  // past "listener"
@@ -1088,12 +1090,11 @@ class ModuleAnalyzer {
 
   // --------------------------------------------------------- effects ---
 
-  // Runs the effect-analysis fixpoint (effects.h) over the joint module
-  // set and publishes the summaries: per-function read/write sets and
-  // the page-wide observed-read union.
+  // Runs the effect-analysis fixpoint (effects.h) once over the program
+  // and publishes the summaries: per-function read/write sets and the
+  // program-wide observed-read union.
   void ComputeEffects() {
-    for (const Module* m : context_) effects_.AddContextModule(m);
-    effects_.Run(module_);
+    effects_.Run(modules_);
     result_->facts.function_effects = effects_.function_effects();
     result_->facts.all_reads = effects_.all_reads();
   }
@@ -1118,19 +1119,23 @@ class ModuleAnalyzer {
     return any;
   }
 
-  // XQSA034: same-event listener pairs whose effects interfere (one
-  // side writes what the other reads or writes), making registration
-  // order semantically load-bearing. XQSA035: memoizable listeners
-  // whose read set is ⊤, so every mutation evicts their memo entry.
-  // XQSA036: updates whose written names nothing in the page observes.
+  // XQSA034: same-event listener pairs of one module whose effects
+  // interfere (one side writes what the other reads or writes), making
+  // registration order semantically load-bearing. XQSA035: memoizable
+  // listeners whose read set is ⊤, so every mutation evicts their memo
+  // entry. XQSA036: updates whose written names nothing in the program
+  // observes.
   void LintEffectRules() {
     struct AttachInfo {
       const Expr* site;
-      std::string event;
       Effects effects;
     };
-    std::map<std::string, std::vector<AttachInfo>> by_event;
-    for (const Expr* e : attach_sites_) {
+    // Keyed on (module, event name).
+    std::map<std::pair<size_t, std::string>, std::vector<AttachInfo>>
+        by_event;
+    for (const Site& site : attach_sites_) {
+      const Expr* e = site.expr;
+      current_ = site.module;
       // XQSA035 first: applies to every attach of a memoizable listener.
       Effects merged;
       bool memoizable = false;
@@ -1156,11 +1161,12 @@ class ModuleAnalyzer {
           e->kids[0]->kind != ExprKind::kLiteral) {
         continue;
       }
-      by_event[e->kids[0]->atom.ToXPathString()].push_back(
-          AttachInfo{e, e->kids[0]->atom.ToXPathString(),
-                     std::move(merged)});
+      by_event[{site.module, e->kids[0]->atom.ToXPathString()}].push_back(
+          AttachInfo{e, std::move(merged)});
     }
-    for (auto& [event, sites] : by_event) {
+    for (auto& [key, sites] : by_event) {
+      current_ = key.first;
+      const std::string& event = key.second;
       for (size_t i = 0; i < sites.size(); ++i) {
         for (size_t j = i + 1; j < sites.size(); ++j) {
           if (!Interferes(sites[i].effects, sites[j].effects)) continue;
@@ -1186,8 +1192,10 @@ class ModuleAnalyzer {
     }
 
     const EffectSet& observed = result_->facts.all_reads;
-    for (const Expr* e : update_sites_) {
-      Effects ue = effects_.ExprEffects(*e);
+    for (const Site& site : update_sites_) {
+      const Expr* e = site.expr;
+      current_ = site.module;
+      Effects ue = effects_.ExprEffects(*e, module());
       if (!ue.has_update) continue;
       if (ue.writes.top || ue.write_scope.top) continue;
       if (observed.top || ue.write_scope.Intersects(observed)) continue;
@@ -1205,21 +1213,27 @@ class ModuleAnalyzer {
 
   // -------------------------------------------------------- members ---
 
-  const Module& module_;
-  const std::vector<const Module*>& context_;
+  const std::vector<const Module*>& modules_;
   AnalysisResult* result_;
+  // Per module: the warning and info codes its lint option suppresses.
+  std::vector<std::unordered_set<std::string>> suppressed_;
+  // The module being walked or reported on.
+  size_t current_ = 0;
 
   std::vector<Scope> scopes_;
-  std::unordered_map<std::string, FnInfo> functions_;  // Clark#arity
-  std::map<std::string, std::set<size_t>> arities_;    // Clark -> arities
+  std::unordered_map<std::string, const FunctionDecl*> functions_;
+  std::map<std::string, std::set<size_t>> arities_;  // Clark -> arities
   std::unordered_set<std::string> checked_fn_namespaces_;
-  std::unordered_set<std::string> suppressed_;
   std::unordered_set<std::string> assigned_vars_;  // Clark names
   // Every attach site (XQSA034/035) and every insert/replace/rename
-  // inside a declared function body (XQSA036), linted once effect
-  // summaries exist.
-  std::vector<const Expr*> attach_sites_;
-  std::vector<const Expr*> update_sites_;
+  // inside a declared function body (XQSA036), with its module, linted
+  // once effect summaries exist.
+  struct Site {
+    size_t module;
+    const Expr* expr;
+  };
+  std::vector<Site> attach_sites_;
+  std::vector<Site> update_sites_;
   bool in_function_body_ = false;
   EffectAnalysis effects_;
 };
@@ -1227,29 +1241,28 @@ class ModuleAnalyzer {
 }  // namespace
 
 Status AnalysisResult::ToStatus() const {
-  for (const Diagnostic& d : diagnostics) {
-    if (d.severity == Severity::kError) return d.ToStatus();
+  for (const std::vector<Diagnostic>& module : diagnostics) {
+    for (const Diagnostic& d : module) {
+      if (d.severity == Severity::kError) return d.ToStatus();
+    }
   }
   return Status();
 }
 
-void Analyzer::AddContextModule(const Module& module) {
-  context_modules_.push_back(&module);
-}
-
-AnalysisResult Analyzer::Analyze(const Module& module) const {
+AnalysisResult AnalyzeProgram(const std::vector<const Module*>& modules) {
   AnalysisResult result;
-  ModuleAnalyzer walker(module, context_modules_, &result);
-  walker.Run();
+  ProgramAnalyzer(modules, &result).Run();
   // Stable order for rendering and golden tests: by source position,
   // then by code.
-  std::stable_sort(result.diagnostics.begin(), result.diagnostics.end(),
-                   [](const Diagnostic& a, const Diagnostic& b) {
-                     if (a.span.offset != b.span.offset) {
-                       return a.span.offset < b.span.offset;
-                     }
-                     return a.code < b.code;
-                   });
+  for (std::vector<Diagnostic>& module : result.diagnostics) {
+    std::stable_sort(module.begin(), module.end(),
+                     [](const Diagnostic& a, const Diagnostic& b) {
+                       if (a.span.offset != b.span.offset) {
+                         return a.span.offset < b.span.offset;
+                       }
+                       return a.code < b.code;
+                     });
+  }
   return result;
 }
 

@@ -1,11 +1,20 @@
-// Multi-pass static analyzer for XQuery modules (the load-time safety
+// Multi-pass static analyzer for XQuery programs (the load-time safety
 // net the paper's plug-in pipeline lacks: a broken page script should
 // fail at page load, not at event-dispatch time in front of the user).
 //
+// A program is the modules that share one static context: a page's
+// XQuery scripts and XQuery inline handlers (xq_lint and the plug-in),
+// or a main module and the libraries it imports (Engine::Compile).
+// AnalyzeProgram walks them together, once: one function table, one
+// effect fixpoint, one AnalysisFacts; each module gets its own
+// diagnostics.
+//
 // Passes:
 //   1. scope/symbol  — resolves $var references and function calls
-//      against prologs + the builtin library; reports undefined names,
-//      duplicate declarations, and arity mismatches (XQSA001-005).
+//      against the prologs + the builtin library; reports undefined
+//      names, duplicate declarations (a function declared twice with one
+//      arity anywhere in the program), and arity mismatches
+//      (XQSA001-005).
 //   2. type inference — a small XDM lattice (item class + occurrence
 //      bounds); flags statically-impossible comparisons (XQSA010) and
 //      records inferred cardinalities in AnalysisFacts for the
@@ -20,10 +29,10 @@
 //      AnalysisFacts (function_effects, all_reads). Each summary decides
 //      whether a function is pure, memoizable or fabric-writing and
 //      which URLs it fetches; three lints read them: same-event
-//      listeners with interfering effects (XQSA034), memoizable
-//      listeners whose read set is ⊤ so every mutation evicts them
-//      (XQSA035), and updates writing names nothing in the page reads
-//      (XQSA036).
+//      listeners of one module with interfering effects (XQSA034),
+//      memoizable listeners whose read set is ⊤ so every mutation evicts
+//      them (XQSA035), and updates writing names nothing in the program
+//      reads (XQSA036).
 //
 // Diagnostic severity: XQSA001-029 are errors, XQSA030/031/034-036
 // warnings, XQSA032 info. Warnings and infos can be suppressed per
@@ -42,31 +51,20 @@
 namespace xqib::xquery::analysis {
 
 struct AnalysisResult {
-  std::vector<Diagnostic> diagnostics;
+  // One list per analyzed module, in the order the modules were given,
+  // each sorted by source position, then code.
+  std::vector<std::vector<Diagnostic>> diagnostics;
   AnalysisFacts facts;
 
-  bool has_errors() const { return HasErrors(diagnostics); }
-  // First error-severity diagnostic as a Status; OK when none.
+  // First error-severity diagnostic, in module order, as a Status; OK
+  // when none.
   Status ToStatus() const;
 };
 
-class Analyzer {
- public:
-  // Registers a module whose declarations are visible to the analyzed
-  // module without being checked themselves: imported libraries, or the
-  // other <script> blocks of the same page (a page's scripts share one
-  // static context, so a listener may call a function declared in a
-  // later script).
-  void AddContextModule(const Module& module);
-
-  // Runs every pass over `module`. Effect summaries cover declared
-  // functions of the context modules as well (the fixpoint runs over
-  // the joint call graph).
-  AnalysisResult Analyze(const Module& module) const;
-
- private:
-  std::vector<const Module*> context_modules_;
-};
+// Runs every pass over the modules of one program, in the order given.
+// Each module sees every module's function declarations and the other
+// modules' globals under their declared types.
+AnalysisResult AnalyzeProgram(const std::vector<const Module*>& modules);
 
 }  // namespace xqib::xquery::analysis
 

@@ -985,12 +985,9 @@ void ScanBody(const Expr& e, std::vector<std::string>* bound,
 
 }  // namespace
 
-void EffectAnalysis::AddContextModule(const Module* module) {
-  context_.push_back(module);
-}
-
-Effects EffectAnalysis::ExprEffects(const Expr& e) const {
-  EffectWalker walker(functions_, this, module_);
+Effects EffectAnalysis::ExprEffects(const Expr& e,
+                                    const Module& module) const {
+  EffectWalker walker(functions_, this, &module);
   return walker.WalkBody(e, nullptr);
 }
 
@@ -1000,11 +997,7 @@ Effects ExprEffects(const Expr& e,
   return walker.WalkBody(e, nullptr);
 }
 
-void EffectAnalysis::Run(const Module& module) {
-  module_ = &module;
-  std::vector<const Module*> modules = context_;
-  modules.push_back(&module);
-
+void EffectAnalysis::Run(const std::vector<const Module*>& modules) {
   struct Function {
     const Module* module;
     const FunctionDecl* decl;

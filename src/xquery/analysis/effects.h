@@ -2,8 +2,10 @@
 // evaluation may read, write and reach outside the page.
 //
 // A bottom-up abstract interpretation computes, for every declared
-// function (a fixpoint over the call graph) and for the module body,
-// which QName tokens an evaluation may touch:
+// function (a fixpoint over the call graph) and for every module body,
+// which QName tokens an evaluation may touch. It runs once per program:
+// AnalyzeProgram hands it every module at once (a page's scripts and
+// inline handlers, or a main module and its libraries). The sets:
 //
 //   child_reads   names examined structurally — a path step naming N
 //                 reads N nodes' existence, names and child lists.
@@ -21,7 +23,7 @@
 // node tests, reverse/sideways axes, computed constructors with dynamic
 // names, fn:id/fn:root/browser BOM access, dynamic update targets,
 // assignment to module globals. ⊤ is absorbing under union; sets only
-// grow during the fixpoint, and the name alphabet of a module is
+// grow during the fixpoint, and the name alphabet of a program is
 // finite, so recursion converges without widening.
 //
 // The same fixpoint carries four facts about the world outside the
@@ -142,15 +144,14 @@ bool ReadSetIntersectsWrites(
 std::string RenderEffectSet(const EffectSet& set);
 std::string RenderEffects(const Effects& effects);
 
-// The analysis itself. Usage mirrors Analyzer: add the page's other
-// script modules as context, then Run() on the module of interest.
+// The analysis itself: one fixpoint over the declared functions and
+// globals of every module of a program (AnalyzeProgram's modules).
 class EffectAnalysis {
  public:
-  void AddContextModule(const Module* module);
-  void Run(const Module& module);
+  void Run(const std::vector<const Module*>& modules);
 
   // Per-function summaries keyed by AnalysisFacts::FunctionKey
-  // ("{ns}local#arity"); covers context-module functions too.
+  // ("{ns}local#arity"), for every module's functions.
   const std::map<std::string, Effects>& function_effects() const {
     return functions_;
   }
@@ -161,16 +162,14 @@ class EffectAnalysis {
   // against this.
   const EffectSet& all_reads() const { return all_reads_; }
 
-  // Effects of a single expression under the computed function
-  // summaries (no parameter context: free variables are treated as
-  // locals). Used by the analyzer for update sites.
-  Effects ExprEffects(const Expr& e) const;
+  // Effects of a single expression of `module` under the computed
+  // function summaries (no parameter context: free variables are
+  // treated as locals). Used by the analyzer for update sites.
+  Effects ExprEffects(const Expr& e, const Module& module) const;
 
  private:
   friend class EffectWalker;
 
-  const Module* module_ = nullptr;
-  std::vector<const Module*> context_;
   std::map<std::string, Effects> functions_;
   // Module globals, keyed "var:{ns}local": the init expression's reads
   // stand in for every later reference to the variable.

@@ -68,8 +68,9 @@ struct AnalysisFacts {
   // deterministically.
   std::map<std::string, Effects> function_effects;
 
-  // Union of every name read anywhere in the page's modules; ⊤ when any
-  // read is unanalyzable. Drives the XQSA036 dead-update lint.
+  // Union of every name read anywhere in the program's modules (a
+  // page's scripts and inline handlers); ⊤ when any read is
+  // unanalyzable. Drives the XQSA036 dead-update lint.
   EffectSet all_reads;
 
   static std::string FunctionKey(const std::string& clark, size_t arity) {

@@ -106,9 +106,8 @@ LintReport LintQuery(const std::string& source) {
   if (!module.ok()) {
     unit.diagnostics.push_back(ParseErrorDiagnostic(module.status()));
   } else {
-    Analyzer analyzer;
-    AnalysisResult result = analyzer.Analyze(**module);
-    unit.diagnostics = std::move(result.diagnostics);
+    AnalysisResult result = AnalyzeProgram({module->get()});
+    unit.diagnostics = std::move(result.diagnostics[0]);
     unit.effects = EffectLines(result.facts);
   }
   report.units.push_back(std::move(unit));
@@ -120,74 +119,49 @@ Result<LintReport> LintXhtml(const std::string& page_source) {
                       xml::ParseDocument(page_source));
   LintReport report;
 
-  // Parse every XQuery script first: like the plug-in, all script blocks
-  // share one static context.
-  struct ParsedScript {
-    std::string label;
-    std::unique_ptr<Module> module;  // null when the script failed to parse
-    std::vector<Diagnostic> parse_errors;
+  // Every XQuery script, then every XQuery-looking inline handler, in
+  // the plug-in's order: the page is one program. As in the plug-in, a
+  // page without an XQuery script gives every handler to the JavaScript
+  // engine.
+  std::vector<std::unique_ptr<Module>> modules;  // null: did not parse
+  auto parse = [&](std::string label, const std::string& code) {
+    LintUnit unit;
+    unit.label = std::move(label);
+    Result<std::unique_ptr<Module>> module = ParseModule(code);
+    if (!module.ok()) {
+      unit.diagnostics.push_back(ParseErrorDiagnostic(module.status()));
+    }
+    modules.push_back(module.ok() ? std::move(*module) : nullptr);
+    report.units.push_back(std::move(unit));
   };
-  std::vector<ParsedScript> parsed;
   size_t index = 0;
   for (const browser::Script& script : browser::ExtractScripts(doc.get())) {
     if (script.language != browser::ScriptLanguage::kXQuery &&
         script.language != browser::ScriptLanguage::kXQueryP) {
       continue;
     }
-    ++index;
-    ParsedScript p;
-    p.label = "script " + std::to_string(index);
-    Result<std::unique_ptr<Module>> module = ParseModule(script.code);
-    if (module.ok()) {
-      p.module = std::move(*module);
-    } else {
-      p.parse_errors.push_back(ParseErrorDiagnostic(module.status()));
-    }
-    parsed.push_back(std::move(p));
+    parse("script " + std::to_string(++index), script.code);
   }
-
-  for (size_t i = 0; i < parsed.size(); ++i) {
-    LintUnit unit;
-    unit.label = parsed[i].label;
-    unit.diagnostics = std::move(parsed[i].parse_errors);
-    if (parsed[i].module != nullptr) {
-      Analyzer analyzer;
-      for (size_t j = 0; j < parsed.size(); ++j) {
-        if (j != i && parsed[j].module != nullptr) {
-          analyzer.AddContextModule(*parsed[j].module);
-        }
-      }
-      AnalysisResult result = analyzer.Analyze(*parsed[i].module);
-      for (auto& d : result.diagnostics) {
-        unit.diagnostics.push_back(std::move(d));
-      }
-      unit.effects = EffectLines(result.facts);
-    }
-    report.units.push_back(std::move(unit));
-  }
-
-  // Inline handlers see all scripts as context (they may call functions
-  // declared in any block). Only XQuery-looking handlers are ours; the
-  // rest belong to the JavaScript engine.
   for (const browser::InlineHandler& handler :
        browser::ExtractInlineHandlers(doc.get())) {
-    if (!browser::LooksLikeXQueryHandler(handler.code)) continue;
-    LintUnit unit;
-    unit.label = handler.event + " handler \"" + handler.code + "\"";
-    Result<std::unique_ptr<Module>> module =
-        ParseModule(browser::RewriteInlineHandler(handler.code));
-    if (!module.ok()) {
-      unit.diagnostics.push_back(ParseErrorDiagnostic(module.status()));
-    } else {
-      Analyzer analyzer;
-      for (const ParsedScript& p : parsed) {
-        if (p.module != nullptr) analyzer.AddContextModule(*p.module);
-      }
-      AnalysisResult result = analyzer.Analyze(**module);
-      unit.diagnostics = std::move(result.diagnostics);
-      unit.effects = EffectLines(result.facts);
+    if (index == 0 || !browser::LooksLikeXQueryHandler(handler.code)) {
+      continue;
     }
-    report.units.push_back(std::move(unit));
+    parse(handler.event + " handler \"" + handler.code + "\"",
+          browser::RewriteInlineHandler(handler.code));
+  }
+
+  std::vector<const Module*> program;
+  for (const auto& module : modules) {
+    if (module != nullptr) program.push_back(module.get());
+  }
+  AnalysisResult result = AnalyzeProgram(program);
+  const std::vector<std::string> effects = EffectLines(result.facts);
+  size_t analyzed = 0;
+  for (size_t i = 0; i < modules.size(); ++i) {
+    if (modules[i] == nullptr) continue;
+    report.units[i].diagnostics = std::move(result.diagnostics[analyzed++]);
+    report.units[i].effects = effects;
   }
   return report;
 }

@@ -1,8 +1,8 @@
-// Whole-page linting: runs the static analyzer over every XQuery script
-// block and XQuery-looking inline handler of an XHTML page, with the
-// page's scripts as each other's static context (mirroring the plug-in's
-// joint load-time analysis, so xq_lint and the browser agree). Shared by
-// the xq_lint CLI and the golden-diagnostics test.
+// Whole-page linting: analyzes every XQuery script block and
+// XQuery-looking inline handler of an XHTML page as one program, in one
+// AnalyzeProgram call, in the order the plug-in compiles them at page
+// load, so xq_lint and the browser report the same diagnostics. Shared
+// by the xq_lint CLI and the golden-diagnostics tests.
 
 #ifndef XQIB_XQUERY_ANALYSIS_LINT_H_
 #define XQIB_XQUERY_ANALYSIS_LINT_H_
@@ -19,10 +19,10 @@ namespace xqib::xquery::analysis {
 struct LintUnit {
   std::string label;   // "script 1", "onclick handler on <input>", ...
   std::vector<Diagnostic> diagnostics;
-  // Deterministic effect-summary lines from the analyzer's effect pass
+  // Deterministic effect-summary lines from the program's effect pass
   // ("local:render#1: reads={item} writes={} scope={} pure memoizable"),
-  // one per declared function plus a page-wide read-set line. Rendered
-  // by xq_lint --effects.
+  // one per declared function plus a page-wide read-set line; the same
+  // for every unit that parsed. Rendered by xq_lint --effects.
   std::vector<std::string> effects;
 };
 
@@ -43,8 +43,10 @@ struct LintReport {
 // Parse/lex failures are reported as an error diagnostic, not a Status.
 LintReport LintQuery(const std::string& source);
 
-// Lints every XQuery script and inline handler of an XHTML page.
-// Returns a Status error only when the page itself is not parseable XML.
+// Lints every XQuery script and XQuery inline handler of an XHTML page:
+// its XQuery-looking handlers, when it has an XQuery script (otherwise
+// the plug-in gives them to the JavaScript engine). Returns a Status
+// error only when the page itself is not parseable XML.
 Result<LintReport> LintXhtml(const std::string& page_source);
 
 }  // namespace xqib::xquery::analysis

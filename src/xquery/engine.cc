@@ -93,9 +93,9 @@ Result<std::unique_ptr<CompiledQuery>> Engine::Compile(
   }
   analysis::AnalysisResult analyzed;
   if (options.analyze) {
-    analysis::Analyzer analyzer;
-    for (const Module* lib : imported) analyzer.AddContextModule(*lib);
-    analyzed = analyzer.Analyze(*module);
+    std::vector<const Module*> program = imported;
+    program.push_back(module.get());
+    analyzed = analysis::AnalyzeProgram(program);
   }
   OptimizerStats stats;
   if (options.optimize) {
@@ -106,8 +106,10 @@ Result<std::unique_ptr<CompiledQuery>> Engine::Compile(
   auto compiled = std::unique_ptr<CompiledQuery>(new CompiledQuery(
       std::move(module), std::move(sctx), std::move(imported)));
   compiled->optimizer_stats_ = stats;
-  compiled->diagnostics_ = std::move(analyzed.diagnostics);
   if (options.analyze) {
+    // Only the main module's diagnostics: the imported libraries are
+    // analyzed for their declarations and effects, not reported on.
+    compiled->diagnostics_ = std::move(analyzed.diagnostics.back());
     // Retained for the FLWOR scatter, which reads the effect summaries.
     compiled->evaluator_.set_analysis_facts(
         std::make_shared<const analysis::AnalysisFacts>(

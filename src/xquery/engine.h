@@ -1,7 +1,9 @@
 // Public entry point of the XQuery engine: compile a module once, then
-// run its body and/or call its functions against a DynamicContext. The
-// plug-in (Figure 1) compiles the page's prolog at load time and
-// re-enters the compiled query for every event listener call.
+// run its body and/or call its functions against a DynamicContext.
+// Compile analyzes the main module and the libraries it imports as one
+// program (analysis::AnalyzeProgram, the call the plug-in and xq_lint
+// make for a page's scripts), then optimizes the main module with that
+// program's facts.
 
 #ifndef XQIB_XQUERY_ENGINE_H_
 #define XQIB_XQUERY_ENGINE_H_
@@ -29,8 +31,7 @@ struct CompileOptions {
   // Static analysis. Lenient: diagnostics are collected on the
   // CompiledQuery (and feed the optimizer's inferred rewrites) but do
   // not fail compilation — scripts with only dynamic errors still run.
-  // The plug-in and xq_lint run the analyzer themselves and reject a
-  // page on its errors.
+  // The plug-in rejects a page on its errors; xq_lint reports them.
   bool analyze = true;
 };
 

@@ -108,8 +108,8 @@ class Evaluator {
 
   // Analyzer facts (effect summaries) used to prove a FLWOR's scatter
   // fabric-safe. Optional: without them no FLWOR that calls a declared
-  // function scatters. Shared ownership: the plug-in's page context and
-  // its evaluator hold one facts object.
+  // function scatters. The plug-in passes its page program's summaries,
+  // Engine::Compile the facts of its program.
   void set_analysis_facts(
       std::shared_ptr<const analysis::AnalysisFacts> facts) {
     facts_ = std::move(facts);

@@ -1011,6 +1011,8 @@ constexpr Builtin kLibrary[] = {
     Xs("boolean", AT::kBoolean, IC::kBoolean),
     Xs("integer", AT::kInteger, IC::kInteger),
     Xs("int", AT::kInteger, IC::kInteger),
+    Xs("long", AT::kInteger, IC::kInteger),
+    Xs("short", AT::kInteger, IC::kInteger),
     Xs("decimal", AT::kDecimal, IC::kDecimal),
     Xs("double", AT::kDouble, IC::kDouble),
     Xs("float", AT::kDouble, IC::kDouble),
@@ -1019,6 +1021,9 @@ constexpr Builtin kLibrary[] = {
     Xs("dateTime", AT::kDateTime, IC::kAnyAtomic),
     Xs("date", AT::kDate, IC::kAnyAtomic),
     Xs("time", AT::kTime, IC::kAnyAtomic),
+    Xs("QName", AT::kQName, IC::kAnyAtomic),
+    Xs("duration", AT::kDayTimeDuration, IC::kAnyAtomic),
+    Xs("dayTimeDuration", AT::kDayTimeDuration, IC::kAnyAtomic),
 };
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "base/strings.h"
 #include "xml/xml_parser.h"
+#include "xquery/functions.h"
 
 namespace xqib::xquery {
 
@@ -712,7 +713,8 @@ class ParserImpl {
       ExprPtr e = MakeExpr(ExprKind::kCast);
       e->cast_op = op;
       e->source_pos = lhs->source_pos;
-      XQ_ASSIGN_OR_RETURN(e->seq_type, ParseSequenceType());
+      XQ_ASSIGN_OR_RETURN(e->seq_type, op == "castable" ? ParseSingleType()
+                                                        : ParseSequenceType());
       e->kids.push_back(std::move(lhs));
       lhs = std::move(e);
     }
@@ -727,7 +729,7 @@ class ParserImpl {
       ExprPtr e = MakeExpr(ExprKind::kCast);
       e->cast_op = "cast";
       e->source_pos = lhs->source_pos;
-      XQ_ASSIGN_OR_RETURN(e->seq_type, ParseSequenceType());
+      XQ_ASSIGN_OR_RETURN(e->seq_type, ParseSingleType());
       e->kids.push_back(std::move(lhs));
       return e;
     }
@@ -1824,28 +1826,34 @@ class ParserImpl {
     return st;
   }
 
+  // The atomic type names are the xs: constructor rows of the builtin
+  // table (functions.cc), so `$v cast as xs:T` and `xs:T($v)` convert
+  // alike, plus the abstract xs:anyAtomicType, which a sequence type may
+  // name (it matches as xs:untypedAtomic) but a cast may not.
   Result<xdm::AtomicType> AtomicTypeFromQName(const xml::QName& q) {
     if (q.ns() != xml::kXsNamespace) {
       return Err("unknown type " + q.Lexical());
     }
-    const std::string& n = q.local();
-    using AT = xdm::AtomicType;
-    if (n == "string") return AT::kString;
-    if (n == "boolean") return AT::kBoolean;
-    if (n == "integer" || n == "int" || n == "long" || n == "short") {
-      return AT::kInteger;
+    if (q.local() == "anyAtomicType") return xdm::AtomicType::kUntypedAtomic;
+    const Builtin* row = FindBuiltin(q);
+    if (row == nullptr) return Err("unsupported xs type xs:" + q.local());
+    return row->cast_to;
+  }
+
+  // The target of `cast as` and `castable as`: a sequence type naming a
+  // constructible atomic type.
+  Result<SequenceType> ParseSingleType() {
+    if (Peek().kind == TokKind::kName) {
+      Result<xml::QName> q = ResolveLexical(Peek().text, NameKind::kType);
+      if (q.ok() && q->ns() == xml::kXsNamespace &&
+          q->local() == "anyAtomicType") {
+        return Status::StaticError(
+            "XPST0080", "cannot cast to the abstract type " + Peek().text +
+                            " (at " + FormatLineCol(lex_.input(), Peek().pos) +
+                            ")");
+      }
     }
-    if (n == "decimal") return AT::kDecimal;
-    if (n == "double" || n == "float") return AT::kDouble;
-    if (n == "untypedAtomic") return AT::kUntypedAtomic;
-    if (n == "anyURI") return AT::kAnyUri;
-    if (n == "QName") return AT::kQName;
-    if (n == "dateTime") return AT::kDateTime;
-    if (n == "date") return AT::kDate;
-    if (n == "time") return AT::kTime;
-    if (n == "dayTimeDuration" || n == "duration") return AT::kDayTimeDuration;
-    if (n == "anyAtomicType") return AT::kUntypedAtomic;
-    return Err("unsupported xs type xs:" + n);
+    return ParseSequenceType();
   }
 
   Lexer lex_;

@@ -26,21 +26,28 @@ namespace {
 
 using browser::Window;
 
-AnalysisResult Analyze(const std::string& query) {
+// One module analyzed as a program of its own: its diagnostics and the
+// program's facts.
+struct ModuleAnalysis {
+  std::vector<Diagnostic> diagnostics;
+  AnalysisFacts facts;
+};
+
+ModuleAnalysis Analyze(const std::string& query) {
   auto module = ParseModule(query);
   EXPECT_TRUE(module.ok()) << module.status().ToString();
-  Analyzer analyzer;
-  return analyzer.Analyze(**module);
+  AnalysisResult r = AnalyzeProgram({module->get()});
+  return ModuleAnalysis{std::move(r.diagnostics[0]), std::move(r.facts)};
 }
 
 // Codes of all diagnostics, in source order.
-std::vector<std::string> Codes(const AnalysisResult& result) {
+std::vector<std::string> Codes(const ModuleAnalysis& result) {
   std::vector<std::string> codes;
   for (const Diagnostic& d : result.diagnostics) codes.push_back(d.code);
   return codes;
 }
 
-bool HasCode(const AnalysisResult& result, const std::string& code) {
+bool HasCode(const ModuleAnalysis& result, const std::string& code) {
   const auto codes = Codes(result);
   return std::find(codes.begin(), codes.end(), code) != codes.end();
 }
@@ -48,7 +55,7 @@ bool HasCode(const AnalysisResult& result, const std::string& code) {
 // --------------------------------------------------- scope/symbol pass ---
 
 TEST(ScopePass, UndefinedVariableWithExactSpan) {
-  AnalysisResult r = Analyze("1 + $nope");
+  ModuleAnalysis r = Analyze("1 + $nope");
   ASSERT_EQ(Codes(r), std::vector<std::string>{"XQSA001"});
   const Diagnostic& d = r.diagnostics[0];
   EXPECT_EQ(d.severity, Severity::kError);
@@ -68,21 +75,21 @@ TEST(ScopePass, DeclaredVariablesResolve) {
 
 TEST(ScopePass, BrowserVariablesAreHostBound) {
   // $browser:value etc. are bound by the plug-in at event time.
-  AnalysisResult r = Analyze(
+  ModuleAnalysis r = Analyze(
       "declare namespace browser = \"http://www.example.com/browser\";\n"
       "$browser:value");
   EXPECT_FALSE(HasCode(r, "XQSA001"));
 }
 
 TEST(ScopePass, UndefinedFunction) {
-  AnalysisResult r = Analyze("fn:no-such-function(1)");
+  ModuleAnalysis r = Analyze("fn:no-such-function(1)");
   ASSERT_TRUE(HasCode(r, "XQSA002"));
-  AnalysisResult local = Analyze("local:nothere(1)");
+  ModuleAnalysis local = Analyze("local:nothere(1)");
   EXPECT_TRUE(HasCode(local, "XQSA002"));
 }
 
 TEST(ScopePass, BuiltinArityMismatch) {
-  AnalysisResult r = Analyze("fn:count(1, 2)");
+  ModuleAnalysis r = Analyze("fn:count(1, 2)");
   ASSERT_EQ(Codes(r), std::vector<std::string>{"XQSA003"});
   EXPECT_NE(r.diagnostics[0].message.find("expects 1"), std::string::npos);
   // Variadic fn:concat accepts any arity >= 2.
@@ -91,7 +98,7 @@ TEST(ScopePass, BuiltinArityMismatch) {
 }
 
 TEST(ScopePass, DeclaredFunctionArityMismatch) {
-  AnalysisResult r = Analyze(
+  ModuleAnalysis r = Analyze(
       "declare function local:f($a) { $a };\n"
       "local:f(1, 2)");
   ASSERT_TRUE(HasCode(r, "XQSA003"));
@@ -100,13 +107,13 @@ TEST(ScopePass, DeclaredFunctionArityMismatch) {
 }
 
 TEST(ScopePass, DuplicateFunctionDeclaration) {
-  AnalysisResult r = Analyze(
+  ModuleAnalysis r = Analyze(
       "declare function local:f() { 1 };\n"
       "declare function local:f() { 2 };\n"
       "local:f()");
   EXPECT_TRUE(HasCode(r, "XQSA004"));
   // Same name, different arity: a legal overload, not a duplicate.
-  AnalysisResult overload = Analyze(
+  ModuleAnalysis overload = Analyze(
       "declare function local:f() { 1 };\n"
       "declare function local:f($a) { $a };\n"
       "local:f()");
@@ -114,7 +121,7 @@ TEST(ScopePass, DuplicateFunctionDeclaration) {
 }
 
 TEST(ScopePass, DuplicateVariableDeclaration) {
-  AnalysisResult r = Analyze(
+  ModuleAnalysis r = Analyze(
       "declare variable $x := 1;\n"
       "declare variable $x := 2;\n"
       "$x");
@@ -129,17 +136,15 @@ TEST(ScopePass, ContextModuleDeclarationsVisible) {
   ASSERT_TRUE(lib.ok());
   auto main_mod = ParseModule("local:helper($shared)");
   ASSERT_TRUE(main_mod.ok());
-  Analyzer analyzer;
-  analyzer.AddContextModule(**lib);
-  AnalysisResult r = analyzer.Analyze(**main_mod);
-  EXPECT_TRUE(r.diagnostics.empty())
-      << (r.diagnostics.empty() ? "" : r.diagnostics[0].Render());
+  AnalysisResult r = AnalyzeProgram({lib->get(), main_mod->get()});
+  EXPECT_TRUE(r.diagnostics[1].empty())
+      << (r.diagnostics[1].empty() ? "" : r.diagnostics[1][0].Render());
 }
 
 // ------------------------------------------------ type inference pass ---
 
 TEST(TypePass, ImpossibleComparison) {
-  AnalysisResult r = Analyze("1 eq \"a\"");
+  ModuleAnalysis r = Analyze("1 eq \"a\"");
   ASSERT_TRUE(HasCode(r, "XQSA010"));
   EXPECT_TRUE(HasCode(Analyze("let $x := 5 return $x = \"five\""),
                       "XQSA010"));
@@ -159,7 +164,7 @@ TEST(TypePass, ComparableFamiliesAreQuiet) {
 
 TEST(UpdatePass, UpdateInNonUpdatingContext) {
   // A binding expression is not an updating context (XQUF §5).
-  AnalysisResult r = Analyze("let $x := delete nodes //a return 1");
+  ModuleAnalysis r = Analyze("let $x := delete nodes //a return 1");
   ASSERT_TRUE(HasCode(r, "XQSA020"));
   // Statement positions are fine in the scripting dialect.
   EXPECT_FALSE(HasCode(Analyze("delete nodes //a"), "XQSA020"));
@@ -181,7 +186,7 @@ TEST(UpdatePass, DeleteOrReplaceDocumentRoot) {
 }
 
 TEST(UpdatePass, UpdateInsidePlainFunction) {
-  AnalysisResult r = Analyze(
+  ModuleAnalysis r = Analyze(
       "declare function local:bad() { delete nodes //a };\n"
       "local:bad()");
   ASSERT_TRUE(HasCode(r, "XQSA022"));
@@ -204,8 +209,7 @@ TEST(PurityPass, ClassifiesFunctions) {
       "declare function local:calls-mutator() { local:mutates() };\n"
       "1");
   ASSERT_TRUE(module.ok());
-  Analyzer analyzer;
-  AnalysisResult r = analyzer.Analyze(**module);
+  AnalysisResult r = AnalyzeProgram({module->get()});
   auto pure = [&r](const std::string& name) {
     auto it = r.facts.function_effects.find(
         "{http://www.w3.org/2005/xquery-local-functions}" + name);
@@ -221,7 +225,7 @@ TEST(PurityPass, ClassifiesFunctions) {
 // --------------------------------------------------------- lint pass ---
 
 TEST(LintPass, UnusedVariable) {
-  AnalysisResult r = Analyze("let $u := 1 return 2");
+  ModuleAnalysis r = Analyze("let $u := 1 return 2");
   ASSERT_TRUE(HasCode(r, "XQSA030"));
   EXPECT_EQ(r.diagnostics[0].severity, Severity::kWarning);
   // Globals and parameters are exempt (part of the page's public API).
@@ -232,7 +236,7 @@ TEST(LintPass, UnusedVariable) {
 }
 
 TEST(LintPass, UnreachableBranch) {
-  AnalysisResult r = Analyze("if (true()) then 1 else 2");
+  ModuleAnalysis r = Analyze("if (true()) then 1 else 2");
   ASSERT_TRUE(HasCode(r, "XQSA031"));
   EXPECT_EQ(r.diagnostics[0].severity, Severity::kWarning);
   EXPECT_FALSE(HasCode(Analyze("if (//a) then 1 else 2"), "XQSA031"));
@@ -241,7 +245,7 @@ TEST(LintPass, UnreachableBranch) {
 TEST(LintPass, UncollapsibleDescendantPath) {
   // '//x[1]' cannot be collapsed (positional predicate); '//x' and the
   // position-free '//x[@id = "a"]' can.
-  AnalysisResult r = Analyze("//item[1]");
+  ModuleAnalysis r = Analyze("//item[1]");
   ASSERT_TRUE(HasCode(r, "XQSA032"));
   EXPECT_EQ(r.diagnostics[0].severity, Severity::kInfo);
   EXPECT_TRUE(HasCode(Analyze("//item[position() = 2]"), "XQSA032"));
@@ -250,7 +254,7 @@ TEST(LintPass, UncollapsibleDescendantPath) {
 }
 
 TEST(LintPass, InterferingSameEventListeners) {
-  AnalysisResult r = Analyze(
+  ModuleAnalysis r = Analyze(
       "declare updating function local:a($e, $o) "
       "{ insert node <entrya/> into /html/body/loga };\n"
       "declare updating function local:b($e, $o) "
@@ -273,7 +277,7 @@ TEST(LintPass, InterferingSameEventListeners) {
 
   // Disjoint write targets: the same pair of listeners with separate
   // logs can commute — no warning.
-  AnalysisResult disjoint = Analyze(
+  ModuleAnalysis disjoint = Analyze(
       "declare updating function local:a($e, $o) "
       "{ insert node <entrya/> into /html/body/loga };\n"
       "declare updating function local:b($e, $o) "
@@ -283,7 +287,7 @@ TEST(LintPass, InterferingSameEventListeners) {
       "  on event \"onclick\" at //input attach listener local:b; }");
   EXPECT_FALSE(HasCode(disjoint, "XQSA034"));
   // Different events never share a dispatch run.
-  AnalysisResult other_event = Analyze(
+  ModuleAnalysis other_event = Analyze(
       "declare updating function local:a($e, $o) "
       "{ insert node <entrya/> into /html/body/loga };\n"
       "declare updating function local:b($e, $o) "
@@ -295,7 +299,7 @@ TEST(LintPass, InterferingSameEventListeners) {
 }
 
 TEST(LintPass, MemoizableListenerWithTopReads) {
-  AnalysisResult r = Analyze(
+  ModuleAnalysis r = Analyze(
       "declare function local:stats($e, $o) { count(//*) };\n"
       "on event \"onclick\" at //input attach listener local:stats");
   ASSERT_EQ(Codes(r), std::vector<std::string>{"XQSA035"});
@@ -320,7 +324,7 @@ TEST(LintPass, MemoizableListenerWithTopReads) {
 }
 
 TEST(LintPass, DeadUpdate) {
-  AnalysisResult r = Analyze(
+  ModuleAnalysis r = Analyze(
       "declare updating function local:log($e, $o) {\n"
       "  insert node <logline/> into /html/body/auditlog\n"
       "};\n"
@@ -350,12 +354,12 @@ TEST(LintPass, DeadUpdate) {
 }
 
 TEST(LintPass, SuppressionOption) {
-  AnalysisResult r = Analyze(
+  ModuleAnalysis r = Analyze(
       "declare option lint \"suppress:XQSA030\";\n"
       "let $u := 1 return 2");
   EXPECT_FALSE(HasCode(r, "XQSA030"));
   // Errors are not suppressible.
-  AnalysisResult err = Analyze(
+  ModuleAnalysis err = Analyze(
       "declare option lint \"suppress:XQSA001\";\n"
       "$nope");
   EXPECT_TRUE(HasCode(err, "XQSA001"));
@@ -516,11 +520,126 @@ TEST_F(AnalyzerPluginTest, PureListenerSkipsApplyPass) {
       << plugin_.last_script_error().ToString();
 }
 
+TEST_F(AnalyzerPluginTest, BodyMayCallFunctionFromLaterScript) {
+  // Every script's declarations join the page's static context before
+  // the first body runs.
+  Status st = LoadPage(
+      "<html><head>"
+      "<script type=\"text/xquery\">browser:alert(local:greeting())</script>"
+      "<script type=\"text/xquery\">"
+      "declare function local:greeting() { \"hi\" };"
+      "</script>"
+      "</head><body/></html>");
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(plugin_.alerts().size(), 1u);
+  EXPECT_EQ(plugin_.alerts()[0], "hi");
+}
+
+TEST_F(AnalyzerPluginTest, BrokenInlineHandlerRejectsPageBeforeAnyScript) {
+  const std::string page =
+      "<html><head><script type=\"text/xquery\">"
+      "browser:alert(\"ran\")"
+      "</script></head><body>"
+      "<input id=\"b\" onclick=\"local:missing(value)\"/>"
+      "</body></html>";
+  Status st = LoadPage(page);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), "XQSA002");
+  EXPECT_TRUE(plugin_.alerts().empty());
+  // Rendered as xq_lint renders it, on the handler's unit.
+  auto lint = LintXhtml(page);
+  ASSERT_TRUE(lint.ok());
+  ASSERT_EQ(lint->units.size(), 2u);
+  ASSERT_EQ(lint->units[1].diagnostics.size(), 1u);
+  EXPECT_EQ(st.message(), lint->units[1].diagnostics[0].Render());
+}
+
+TEST_F(AnalyzerPluginTest, FunctionDeclaredByTwoScriptsIsDuplicate) {
+  const std::string page =
+      "<html><head>"
+      "<script type=\"text/xquery\">"
+      "declare function local:f() { 1 }; browser:alert(string(local:f()))"
+      "</script>"
+      "<script type=\"text/xquery\">"
+      "declare function local:f() { 2 };"
+      "</script>"
+      "</head><body/></html>";
+  Status st = LoadPage(page);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), "XQSA004");
+  EXPECT_TRUE(plugin_.alerts().empty());
+  // Reported on the later declaration, as within one script.
+  auto lint = LintXhtml(page);
+  ASSERT_TRUE(lint.ok());
+  ASSERT_EQ(lint->units.size(), 2u);
+  EXPECT_TRUE(lint->units[0].diagnostics.empty());
+  ASSERT_EQ(lint->units[1].diagnostics.size(), 1u);
+  EXPECT_EQ(lint->units[1].diagnostics[0].code, "XQSA004");
+  EXPECT_EQ(st.message(), lint->units[1].diagnostics[0].Render());
+}
+
+TEST_F(AnalyzerPluginTest, HandlersOfAPageWithoutXQueryAreNotLinted) {
+  // Without an XQuery script the plug-in gives every inline handler to
+  // the JavaScript engine, so xq_lint does not analyze them either.
+  const std::string page =
+      "<html><head><script type=\"text/javascript\">var x = 1;</script>"
+      "</head><body><input id=\"b\" onclick=\"local:missing(value)\"/>"
+      "</body></html>";
+  Status st = LoadPage(page);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(plugin_.last_diagnostics().empty());
+  auto lint = LintXhtml(page);
+  ASSERT_TRUE(lint.ok());
+  EXPECT_TRUE(lint->units.empty()) << lint->ToJson();
+}
+
+// Drift guard: for every shipped page, the plug-in's load-time
+// diagnostics are xq_lint's, in order.
+TEST_F(AnalyzerPluginTest, LoadDiagnosticsMatchLintOnShippedPages) {
+  const char* pages[] = {
+      "behind_update.xhtml",
+      "handler_reads_update.xhtml",
+      "hello.xhtml",
+      "mashup.xhtml",
+      "multiplication_table_js.xhtml",
+      "multiplication_table_xquery.xhtml",
+      "shopping_cart_js.xhtml",
+      "shopping_cart_xquery.xhtml",
+      "xqsa034_interference.xhtml",
+      "xqsa035_top_reads.xhtml",
+      "xqsa036_dead_update.xhtml",
+  };
+  auto render = [](const Diagnostic& d) {
+    return std::string(SeverityName(d.severity)) + ": " + d.Render();
+  };
+  size_t compared = 0;
+  for (const char* page : pages) {
+    auto source = app::ReadPageFile(page);
+    ASSERT_TRUE(source.ok()) << page << ": " << source.status().ToString();
+    LoadPage(*source);
+    std::vector<std::string> loaded;
+    for (const Diagnostic& d : plugin_.last_diagnostics()) {
+      loaded.push_back(render(d));
+    }
+    auto report = LintXhtml(*source);
+    ASSERT_TRUE(report.ok()) << page << ": " << report.status().ToString();
+    std::vector<std::string> linted;
+    for (const LintUnit& unit : report->units) {
+      for (const Diagnostic& d : unit.diagnostics) linted.push_back(render(d));
+    }
+    EXPECT_EQ(loaded, linted) << page;
+    compared += loaded.size();
+  }
+  // At least the three effect-lint pages' warnings.
+  EXPECT_GE(compared, 3u);
+}
+
 // -------------------------------------------------- golden examples ---
 
 TEST(GoldenExamples, AllShippedPagesLintClean) {
   const char* pages[] = {
       "behind_update.xhtml",
+      "handler_reads_update.xhtml",
       "hello.xhtml",
       "mashup.xhtml",
       "multiplication_table_js.xhtml",

@@ -22,8 +22,7 @@ constexpr const char* kLocal = "{http://www.w3.org/2005/xquery-local-functions}"
 AnalysisResult Analyze(const std::string& query) {
   auto module = ParseModule(query);
   EXPECT_TRUE(module.ok()) << module.status().ToString();
-  Analyzer analyzer;
-  return analyzer.Analyze(**module);
+  return AnalyzeProgram({module->get()});
 }
 
 // Effect summary of `local:{name}#{arity}`, which must exist.

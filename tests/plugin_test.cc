@@ -779,6 +779,39 @@ TEST(MemoSoundness, ListenerReadingTheClockIsNeverReplayed) {
   EXPECT_EQ(on.counters().memo_hits, 0u);
 }
 
+TEST(MemoSoundness, EditOfADetachedNodeHeldByAGlobalIsNeverReplayed) {
+  // cut detaches the paragraph $saved holds, and edit then changes it:
+  // the edit moves the document version but records no attached
+  // mutation, so no read-name test can clear local:show of it.
+  const std::string page = R"(<html><body>
+      <p id="x">old</p>
+      <input type="button" id="show" value="Show"/>
+      <input type="button" id="cut" value="Cut"/>
+      <input type="button" id="edit" value="Edit"/>
+      <script type="text/xquery">
+      declare variable $saved := //p[@id="x"];
+      declare function local:show($evt, $obj) { string($saved) };
+      declare updating function local:cut($evt, $obj) {
+        delete node //p[@id="x"]
+      };
+      declare updating function local:edit($evt, $obj) {
+        replace value of node $saved with "new"
+      };
+      on event "onclick" at //input[@id="show"] attach listener local:show;
+      on event "onclick" at //input[@id="cut"] attach listener local:cut;
+      on event "onclick" at //input[@id="edit"] attach listener local:edit
+      </script></body></html>)";
+  MemoArm off(page, /*memo=*/false);
+  MemoArm on(page, /*memo=*/true);
+  std::vector<std::string> shows_off;
+  for (const char* id : {"show", "cut", "show", "edit", "show"}) {
+    const std::string reference = off.Click(id);
+    EXPECT_EQ(on.Click(id), reference) << id;
+    if (std::string(id) == "show") shows_off.push_back(reference);
+  }
+  EXPECT_EQ(shows_off, (std::vector<std::string>{"old", "old", "new"}));
+}
+
 TEST(CounterViews, CartDispatchesSumToTheCumulativeSet) {
   app::BrowserEnvironment env;
   ASSERT_TRUE(env.LoadPage("http://shop.example.com/cart.xhtml", R"(<html>
