@@ -177,6 +177,86 @@ Result<int64_t> ParseIntegerLexical(const std::string& s) {
   return static_cast<int64_t>(v);
 }
 
+// The seconds of a day-time duration's lexical form
+// -?P(nD)?(T(nH)?(nM)?(n(.n)?S)?)? with at least one component, and at
+// least one after a T. xs:duration and xs:dayTimeDuration are both
+// stored as seconds, so a year or month component, which has no fixed
+// number of them, is refused with its own message.
+Result<double> ParseDayTimeDuration(const std::string& s) {
+  const std::string t(TrimWhitespace(s));
+  auto malformed = [&t](const std::string& why) {
+    return Status::Error("FORG0001",
+                         "cannot cast '" + t + "' to a duration: " + why);
+  };
+  size_t i = 0;
+  const bool negative = i < t.size() && t[i] == '-';
+  if (negative) ++i;
+  if (i >= t.size() || t[i] != 'P') return malformed("expected 'P'");
+  ++i;
+  double seconds = 0;
+  bool in_time = false;
+  int components = 0;       // in the whole form
+  int time_components = 0;  // after the T
+  int rank = 0;             // of the last component's unit
+  while (i < t.size()) {
+    if (t[i] == 'T') {
+      if (in_time) return malformed("a second 'T'");
+      in_time = true;
+      ++i;
+      continue;
+    }
+    const size_t start = i;
+    while (i < t.size() && t[i] >= '0' && t[i] <= '9') ++i;
+    const size_t digits = i - start;
+    bool fraction = false;
+    if (i < t.size() && t[i] == '.') {
+      fraction = true;
+      ++i;
+      const size_t frac_start = i;
+      while (i < t.size() && t[i] >= '0' && t[i] <= '9') ++i;
+      if (i == frac_start) return malformed("no digits after '.'");
+    }
+    if (digits == 0 || i >= t.size()) {
+      return malformed("expected nD, nH, nM or nS");
+    }
+    const char designator = t[i++];
+    const double n =
+        std::strtod(t.substr(start, i - 1 - start).c_str(), nullptr);
+    if (!in_time && (designator == 'Y' || designator == 'M')) {
+      return malformed(
+          "a year or month component is not supported (durations are "
+          "stored as seconds, and a month has no fixed number of them)");
+    }
+    struct Unit {
+      char designator;
+      bool time;     // after the T
+      int rank;      // components appear in this order
+      double seconds;
+    };
+    static constexpr Unit kUnits[] = {
+        {'D', false, 1, 86400}, {'H', true, 2, 3600},
+        {'M', true, 3, 60},     {'S', true, 4, 1}};
+    const Unit* unit = nullptr;
+    for (const Unit& u : kUnits) {
+      if (u.designator == designator && u.time == in_time) unit = &u;
+    }
+    if (unit == nullptr) {
+      return malformed(std::string("unexpected '") + designator + "'");
+    }
+    if (unit->rank <= rank) return malformed("components out of order");
+    if (fraction && designator != 'S') {
+      return malformed("only seconds may have a fraction");
+    }
+    rank = unit->rank;
+    seconds += n * unit->seconds;
+    ++components;
+    if (in_time) ++time_components;
+  }
+  if (components == 0) return malformed("no component");
+  if (in_time && time_components == 0) return malformed("nothing after 'T'");
+  return negative ? -seconds : seconds;
+}
+
 }  // namespace
 
 Result<double> AtomicValue::ToDouble() const {
@@ -250,6 +330,15 @@ Result<AtomicValue> AtomicValue::CastTo(AtomicType target) const {
       return Date(ToXPathString());
     case AtomicType::kTime:
       return Time(ToXPathString());
+    case AtomicType::kDayTimeDuration:
+      if (type_ == AtomicType::kString ||
+          type_ == AtomicType::kUntypedAtomic) {
+        XQ_ASSIGN_OR_RETURN(double seconds, ParseDayTimeDuration(str_));
+        return DayTimeDuration(seconds);
+      }
+      return Status::TypeError(std::string("unsupported cast from ") +
+                               AtomicTypeName(type_) + " to " +
+                               AtomicTypeName(target));
     default:
       return Status::TypeError(std::string("unsupported cast to ") +
                                AtomicTypeName(target));

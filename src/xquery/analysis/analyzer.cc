@@ -387,16 +387,21 @@ class ProgramAnalyzer {
 
   // ------------------------------------------------------- top levels ---
 
+  // Binds another module's globals under their declared types.
+  void BindOtherModuleGlobals(const Module& m) {
+    for (const VarDecl& v : m.variables) {
+      Bind(v.name, v.type.declared ? FromDeclared(v.type) : Any(), 0,
+           false);
+    }
+  }
+
   void AnalyzeGlobals() {
     PushScope();  // the module's global scope, popped after its body
-    // The other modules' globals are visible under their declared types:
-    // a page's scripts share one static context.
-    for (size_t i = 0; i < modules_.size(); ++i) {
-      if (i == current_) continue;
-      for (const VarDecl& v : modules_[i]->variables) {
-        Bind(v.name, v.type.declared ? FromDeclared(v.type) : Any(),
-             0, false);
-      }
+    // A page's scripts share one static context, but the plug-in binds
+    // each script's globals just before its body runs: the initializers
+    // and the body see the globals of earlier modules only.
+    for (size_t i = 0; i < current_; ++i) {
+      BindOtherModuleGlobals(*modules_[i]);
     }
     // Own globals: each initializer sees the declarations above it.
     for (const VarDecl& v : module().variables) {
@@ -417,6 +422,14 @@ class ProgramAnalyzer {
   }
 
   void AnalyzeFunctions() {
+    // A function runs once the whole program is loaded: it sees every
+    // module's globals, later ones too (bound after this one's, so a
+    // later module's global shadows one of the same name here, as at
+    // run time).
+    PushScope();
+    for (size_t i = current_ + 1; i < modules_.size(); ++i) {
+      BindOtherModuleGlobals(*modules_[i]);
+    }
     for (const auto& fn : module().functions) {
       if (fn->body == nullptr) continue;
       PushScope();
@@ -432,6 +445,7 @@ class ProgramAnalyzer {
       in_function_body_ = false;
       PopScope();
     }
+    PopScope();
   }
 
   void AnalyzeBody() {

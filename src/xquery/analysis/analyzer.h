@@ -61,9 +61,12 @@ struct AnalysisResult {
   Status ToStatus() const;
 };
 
-// Runs every pass over the modules of one program, in the order given.
-// Each module sees every module's function declarations and the other
-// modules' globals under their declared types.
+// Runs every pass over the modules of one program, in the order given
+// (the order their globals are bound and their bodies run). Each module
+// sees every module's function declarations. Its global initializers
+// and body see its own globals and, under their declared types, those
+// of the modules before it; its function bodies, which run once the
+// program is loaded, see every module's globals.
 AnalysisResult AnalyzeProgram(const std::vector<const Module*>& modules);
 
 }  // namespace xqib::xquery::analysis

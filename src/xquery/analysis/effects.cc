@@ -108,6 +108,7 @@ bool Effects::MergeFrom(const Effects& other) {
   merge_flag(&observes_host, other.observes_host);
   merge_flag(&reads_outside, other.reads_outside);
   merge_flag(&writes_fabric, other.writes_fabric);
+  merge_flag(&sequential, other.sequential);
   for (const std::string& url : other.fetch_urls) changed |= AddFetchUrl(url);
   return changed;
 }
@@ -121,7 +122,7 @@ bool Effects::operator==(const Effects& other) const {
          observes_host == other.observes_host &&
          reads_outside == other.reads_outside &&
          writes_fabric == other.writes_fabric &&
-         fetch_urls == other.fetch_urls;
+         sequential == other.sequential && fetch_urls == other.fetch_urls;
 }
 
 bool Interferes(const Effects& a, const Effects& b) {
@@ -581,6 +582,7 @@ class EffectWalker {
     WritesTop();
     out_.reads_outside = true;
     out_.writes_fabric = true;
+    out_.sequential = true;
   }
 
   void WalkFunctionCall(const Expr& e) {
@@ -690,9 +692,12 @@ class EffectWalker {
           }
         }
         break;
+      case ExprKind::kExitWith:
+        out_.sequential = true;
+        WalkKids(e, value_used);
+        break;
       case ExprKind::kSequence:
       case ExprKind::kEnclosed:
-      case ExprKind::kExitWith:
       case ExprKind::kSetOp:
         WalkKids(e, value_used);
         break;
@@ -845,6 +850,7 @@ class EffectWalker {
         break;
       }
       case ExprKind::kBlock: {
+        out_.sequential = true;
         const size_t mark = locals_.size();
         for (size_t i = 0; i < e.kids.size(); ++i) {
           if (e.kids[i] == nullptr) continue;
@@ -866,6 +872,7 @@ class EffectWalker {
         }
         break;
       case ExprKind::kWhile:
+        out_.sequential = true;
         WalkKids(e, false);
         break;
       case ExprKind::kEventAttach:
@@ -1051,6 +1058,7 @@ void EffectAnalysis::Run(const std::vector<const Module*>& modules) {
     e.has_update = true;
     e.reads_outside = true;
     e.writes_fabric = true;
+    e.sequential = true;
   }
 
   // Callees first: a post-order of the call graph, so the first sweep

@@ -28,7 +28,8 @@
 //
 // The same fixpoint carries four facts about the world outside the
 // page DOM (see Effects): host observation, outside reads, fabric
-// writes and the static fetch URLs.
+// writes and the static fetch URLs; and whether an evaluation runs
+// statements (Effects::sequential).
 //
 // Consumers: the plug-in's per-listener record (memoizable, apply-pass
 // skip, delta-skip read names, listener scatter), the evaluator's FLWOR
@@ -95,6 +96,11 @@ struct Effects {
   // code, body-less declarations, and browser:* other than the three
   // dialogs.
   bool writes_fabric = false;
+  // Runs a Scripting Extension statement sequence: a block or while
+  // loop, whose statement boundaries apply the pending updates, or
+  // `exit with`; or unknown code. Such an expression may not be moved
+  // across another one (the optimizer's in-place pass).
+  bool sequential = false;
   // URLs of the http:get / http:get-text calls whose argument is a
   // literal or a concat of literals, deduplicated, in discovery order:
   // depth first in ForEachSubExpr order, a call's arguments before its

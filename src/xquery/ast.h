@@ -182,6 +182,10 @@ struct DirectNode {
   };
   std::vector<Attr> attrs;
   std::vector<std::unique_ptr<DirectNode>> children;
+  // kEnclosedExpr: set by the optimizer's in-place pass when every node
+  // `expr` yields is built in place (Expr::built_in_place) for this
+  // content, which then takes those nodes without a copy.
+  bool takes_fresh = false;
 };
 
 enum class InsertMode { kInto, kAsFirstInto, kAsLastInto, kBefore, kAfter };
@@ -257,6 +261,15 @@ struct Expr {
   bool replace_value_of = false;
   // kEventAttach: paper's "behind" (async completion event, §4.4)
   bool behind = false;
+
+  // Set by the optimizer's in-place pass (optimizer.h). On a node
+  // constructor: build the node in the document its consumer names
+  // (DynamicContext::build_document()), not the construction document.
+  bool built_in_place = false;
+  // On an insert, `replace node`, `copy` or computed element: every node
+  // its source or content yields is built in place for it, so it takes
+  // them without a copy. Such an insert evaluates its target first.
+  bool takes_fresh = false;
   // kVarDecl/kTransform copy var handled via qname + kids.
 };
 

@@ -262,6 +262,28 @@ class DynamicContext {
   // never an adopted document, and a release ends it: the next
   // construction starts a fresh one.
   xml::Document* scratch_document();
+  // The document a constructor marked built_in_place builds in: the one
+  // its consumer names while it evaluates the operand (BuildScope), else
+  // the construction document.
+  xml::Document* build_document() {
+    return build_document_ != nullptr ? build_document_ : scratch_document();
+  }
+  // Names `doc` as the build document for the scope's lifetime, then
+  // restores the one before.
+  class BuildScope {
+   public:
+    BuildScope(DynamicContext& ctx, xml::Document* doc)
+        : ctx_(ctx), saved_(ctx.build_document_) {
+      ctx.build_document_ = doc;
+    }
+    ~BuildScope() { ctx_.build_document_ = saved_; }
+    BuildScope(const BuildScope&) = delete;
+    BuildScope& operator=(const BuildScope&) = delete;
+
+   private:
+    DynamicContext& ctx_;
+    xml::Document* saved_;
+  };
   // Takes ownership of a document whose nodes flow into results (e.g.
   // REST responses parsed by http:get). Returns its root node.
   xml::Node* AdoptDocument(std::unique_ptr<xml::Document> doc);
@@ -334,6 +356,7 @@ class DynamicContext {
   std::unordered_map<ExternalKey, ExternalFunction, ExternalKeyHash>
       externals_;
   std::unique_ptr<xml::Document> construction_;
+  xml::Document* build_document_ = nullptr;  // see BuildScope
   // Adopted responses and documents kept from earlier dispatches.
   std::vector<std::unique_ptr<xml::Document>> documents_;
   std::unique_ptr<PendingUpdateList> pul_;

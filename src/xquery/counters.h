@@ -35,6 +35,8 @@ namespace xqib::xquery {
   X(RelaxedCounter, arena_bytes_used, "stream-operator bytes bump-allocated") \
   X(RelaxedCounter, arena_resets, "wholesale dispatch-arena resets")          \
   X(RelaxedCounter, intern_hits, "intern-pool hits inside listener calls")    \
+  X(RelaxedCounter, nodes_copied,                                             \
+    "nodes deep-copied into constructed content or an update's source")       \
   X(RelaxedCounter, plan_compiles, "always 0, read by perfbench/")            \
   X(RelaxedCounter, plan_hits, "always 0, read by perfbench/")                \
   X(RelaxedCounter, plan_misses, "always 0, read by perfbench/")              \

@@ -1,6 +1,7 @@
 #include "xquery/evaluator.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -2058,11 +2059,13 @@ Result<bool> Evaluator::EvalFtSelection(const FtSelection& sel,
 // --------------------------------------------------------- constructors ---
 
 Status Evaluator::AppendContent(const Sequence& content, xml::Node* parent,
-                                xml::Document* doc) {
+                                xml::Document* doc, bool fresh) {
   // XQuery content semantics: adjacent atomic values join with a space
-  // into one text node; nodes are deep-copied; attributes attach to the
-  // element (only allowed before other content, relaxed here). `parent`
-  // is a fresh constructed node, so every link takes the builder path.
+  // into one text node; nodes are deep-copied, unless `fresh` says they
+  // were built in place for this content (in `doc`, never linked);
+  // attributes attach to the element (only allowed before other content,
+  // relaxed here). `parent` is a fresh constructed node, so every link
+  // takes the builder path.
   std::string pending_text;
   bool have_pending = false;
   auto flush = [&]() {
@@ -2072,38 +2075,44 @@ Status Evaluator::AppendContent(const Sequence& content, xml::Node* parent,
       have_pending = false;
     }
   };
+  auto copy = [&](const xml::Node* n) {
+    const size_t before = doc->node_count();
+    xml::Node* c = doc->ImportCopy(n);
+    counters_->nodes_copied += doc->node_count() - before;
+    return c;
+  };
   for (const Item& item : content) {
-    if (item.is_node()) {
-      xml::Node* n = item.node();
-      if (n->is_attribute()) {
-        flush();
-        if (!parent->is_element()) {
-          return Status::TypeError(
-              "attribute node in non-element content");
-        }
-        if (parent->FindAttribute(n->name().ns(), n->name().local()) !=
-            nullptr) {
-          return Status::DynamicError(
-              "XQDY0025", "attribute " + n->name().Lexical() +
-                              " appears twice on <" +
-                              parent->name().Lexical() + ">");
-        }
-        doc->BuildAppend(parent, doc->CreateAttribute(n->name(), n->value()));
-        continue;
-      }
-      if (n->kind() == xml::NodeKind::kDocument) {
-        flush();
-        for (xml::Node* c : n->children()) {
-          doc->BuildAppend(parent, doc->ImportCopy(c));
-        }
-        continue;
-      }
-      flush();
-      doc->BuildAppend(parent, doc->ImportCopy(n));
-    } else {
+    if (!item.is_node()) {
       if (have_pending) pending_text += " ";
       pending_text += item.atomic().ToXPathString();
       have_pending = true;
+      continue;
+    }
+    xml::Node* n = item.node();
+    flush();
+    if (n->is_attribute()) {
+      if (!parent->is_element()) {
+        return Status::TypeError("attribute node in non-element content");
+      }
+      if (parent->FindAttribute(n->name().ns(), n->name().local()) !=
+          nullptr) {
+        return Status::DynamicError(
+            "XQDY0025", "attribute " + n->name().Lexical() +
+                            " appears twice on <" + parent->name().Lexical() +
+                            ">");
+      }
+      if (!fresh) {
+        n = doc->CreateAttribute(n->name(), n->value());
+        ++counters_->nodes_copied;
+      }
+      doc->BuildAppend(parent, n);
+    } else if (fresh) {
+      assert(n->document() == doc && n->parent() == nullptr);
+      doc->BuildAppend(parent, n);
+    } else if (n->kind() == xml::NodeKind::kDocument) {
+      for (xml::Node* c : n->children()) doc->BuildAppend(parent, copy(c));
+    } else {
+      doc->BuildAppend(parent, copy(n));
     }
   }
   flush();
@@ -2145,8 +2154,12 @@ Result<xml::Node*> Evaluator::BuildDirectNode(const DirectNode& d,
       }
       for (const auto& child : d.children) {
         if (child->kind == DirectNode::Kind::kEnclosedExpr) {
-          XQ_ASSIGN_OR_RETURN(Sequence content, Eval(*child->expr, ctx));
-          XQ_RETURN_NOT_OK(AppendContent(content, element, doc));
+          XQ_ASSIGN_OR_RETURN(
+              Sequence content,
+              EvalOperand(*child->expr, child->takes_fresh ? doc : nullptr,
+                          ctx));
+          XQ_RETURN_NOT_OK(
+              AppendContent(content, element, doc, child->takes_fresh));
         } else {
           XQ_ASSIGN_OR_RETURN(xml::Node* n,
                               BuildDirectNode(*child, doc, ctx));
@@ -2161,14 +2174,16 @@ Result<xml::Node*> Evaluator::BuildDirectNode(const DirectNode& d,
 
 Result<Sequence> Evaluator::EvalDirectElement(const Expr& e,
                                               DynamicContext& ctx) {
-  xml::Document* doc = ctx.scratch_document();
+  xml::Document* doc =
+      e.built_in_place ? ctx.build_document() : ctx.scratch_document();
   XQ_ASSIGN_OR_RETURN(xml::Node* node, BuildDirectNode(*e.direct, doc, ctx));
   return Sequence{Item::Node(node)};
 }
 
 Result<Sequence> Evaluator::EvalComputedConstructor(const Expr& e,
                                                     DynamicContext& ctx) {
-  xml::Document* doc = ctx.scratch_document();
+  xml::Document* doc =
+      e.built_in_place ? ctx.build_document() : ctx.scratch_document();
   size_t content_idx = 0;
   xml::QName name = e.qname;
   if (e.str == "computed-name") {
@@ -2184,12 +2199,14 @@ Result<Sequence> Evaluator::EvalComputedConstructor(const Expr& e,
   }
   Sequence content;
   if (e.kids.size() > content_idx) {
-    XQ_ASSIGN_OR_RETURN(content, Eval(*e.kids[content_idx], ctx));
+    XQ_ASSIGN_OR_RETURN(content, EvalOperand(*e.kids[content_idx],
+                                             e.takes_fresh ? doc : nullptr,
+                                             ctx));
   }
   switch (e.kind) {
     case ExprKind::kComputedElement: {
       xml::Node* element = doc->CreateElement(name);
-      XQ_RETURN_NOT_OK(AppendContent(content, element, doc));
+      XQ_RETURN_NOT_OK(AppendContent(content, element, doc, e.takes_fresh));
       return Sequence{Item::Node(element)};
     }
     case ExprKind::kComputedAttribute: {
@@ -2223,11 +2240,46 @@ Result<Sequence> Evaluator::EvalComputedConstructor(const Expr& e,
 
 // -------------------------------------------------------------- update ---
 
+Result<Sequence> Evaluator::EvalOperand(const Expr& operand,
+                                        xml::Document* build_in,
+                                        DynamicContext& ctx) {
+  if (build_in == nullptr) return Eval(operand, ctx);
+  DynamicContext::BuildScope scope(ctx, build_in);
+  return Eval(operand, ctx);
+}
+
+namespace {
+
+// Where an update builds its in-place source: the document of its one
+// target node. Any other target fails the update's own check, after the
+// source has run, as on the copy path.
+xml::Document* TargetDocument(const Sequence& target_seq,
+                              DynamicContext& ctx) {
+  if (target_seq.size() == 1 && target_seq[0].is_node()) {
+    return target_seq[0].node()->document();
+  }
+  return ctx.scratch_document();
+}
+
+}  // namespace
+
 Result<Sequence> Evaluator::EvalInsert(const Expr& e, DynamicContext& ctx) {
-  XQ_ASSIGN_OR_RETURN(Sequence source, Eval(*e.kids[0], ctx));
-  XQ_ASSIGN_OR_RETURN(Sequence target_seq, Eval(*e.kids[1], ctx));
-  XQ_RETURN_NOT_OK(
-      valueops::BuildInsert(e.insert_mode, source, target_seq, &ctx.pul()));
+  Sequence source;
+  Sequence target_seq;
+  if (e.takes_fresh) {
+    // The target first: the source's trees are built in its document.
+    XQ_ASSIGN_OR_RETURN(target_seq, Eval(*e.kids[1], ctx));
+    XQ_ASSIGN_OR_RETURN(
+        source, EvalOperand(*e.kids[0], TargetDocument(target_seq, ctx), ctx));
+  } else {
+    XQ_ASSIGN_OR_RETURN(source, Eval(*e.kids[0], ctx));
+    XQ_ASSIGN_OR_RETURN(target_seq, Eval(*e.kids[1], ctx));
+  }
+  uint64_t copied = 0;
+  Status st = valueops::BuildInsert(e.insert_mode, source, target_seq,
+                                    e.takes_fresh, &ctx.pul(), &copied);
+  counters_->nodes_copied += copied;
+  XQ_RETURN_NOT_OK(st);
   return Sequence{};
 }
 
@@ -2239,9 +2291,16 @@ Result<Sequence> Evaluator::EvalDelete(const Expr& e, DynamicContext& ctx) {
 
 Result<Sequence> Evaluator::EvalReplace(const Expr& e, DynamicContext& ctx) {
   XQ_ASSIGN_OR_RETURN(Sequence target_seq, Eval(*e.kids[0], ctx));
-  XQ_ASSIGN_OR_RETURN(Sequence source, Eval(*e.kids[1], ctx));
-  XQ_RETURN_NOT_OK(valueops::BuildReplace(e.replace_value_of, target_seq,
-                                            source, &ctx.pul()));
+  XQ_ASSIGN_OR_RETURN(
+      Sequence source,
+      EvalOperand(*e.kids[1],
+                  e.takes_fresh ? TargetDocument(target_seq, ctx) : nullptr,
+                  ctx));
+  uint64_t copied = 0;
+  Status st = valueops::BuildReplace(e.replace_value_of, target_seq, source,
+                                     e.takes_fresh, &ctx.pul(), &copied);
+  counters_->nodes_copied += copied;
+  XQ_RETURN_NOT_OK(st);
   return Sequence{};
 }
 
@@ -2255,12 +2314,20 @@ Result<Sequence> Evaluator::EvalRename(const Expr& e, DynamicContext& ctx) {
 
 Result<Sequence> Evaluator::EvalTransform(const Expr& e,
                                           DynamicContext& ctx) {
-  XQ_ASSIGN_OR_RETURN(Sequence source, Eval(*e.kids[0], ctx));
+  xml::Document* doc = ctx.scratch_document();
+  XQ_ASSIGN_OR_RETURN(
+      Sequence source,
+      EvalOperand(*e.kids[0], e.takes_fresh ? doc : nullptr, ctx));
   if (source.size() != 1 || !source[0].is_node()) {
     return Status::Error("XUTY0013", "copy source must be a single node");
   }
-  xml::Document* doc = ctx.scratch_document();
-  xml::Node* copy = doc->ImportCopy(source[0].node());
+  // A source built in place for the copy is the copy.
+  xml::Node* copy = source[0].node();
+  if (!e.takes_fresh) {
+    const size_t before = doc->node_count();
+    copy = doc->ImportCopy(copy);
+    counters_->nodes_copied += doc->node_count() - before;
+  }
   ctx.env().PushScope();
   ctx.env().Bind(e.qname, Sequence{Item::Node(copy)});
   // The modify clause updates only the copy: evaluate it with a private

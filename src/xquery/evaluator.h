@@ -208,8 +208,17 @@ class Evaluator {
                                      DynamicContext& ctx);
   Result<xdm::Sequence> EvalComputedConstructor(const Expr& e,
                                                 DynamicContext& ctx);
+  // Adds `content` to the fresh `parent` in `doc`: its nodes are copied
+  // (nodes_copied), or taken as they are when `fresh` (they were built
+  // in place for this content).
   Status AppendContent(const xdm::Sequence& content, xml::Node* parent,
-                       xml::Document* doc);
+                       xml::Document* doc, bool fresh);
+  // Evaluates a consumer's operand. A non-null `build_in` is the
+  // document the operand's in-place constructors build in meanwhile
+  // (DynamicContext::BuildScope).
+  Result<xdm::Sequence> EvalOperand(const Expr& operand,
+                                    xml::Document* build_in,
+                                    DynamicContext& ctx);
   Result<xdm::Sequence> EvalInsert(const Expr& e, DynamicContext& ctx);
   Result<xdm::Sequence> EvalDelete(const Expr& e, DynamicContext& ctx);
   Result<xdm::Sequence> EvalReplace(const Expr& e, DynamicContext& ctx);

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
+#include <string>
 
 #include "xml/qname.h"
 #include "xquery/functions.h"
@@ -661,6 +663,141 @@ IsDeclared DeclaredFunctions(const Module* module,
   };
 }
 
+// ------------------------------------------------------ built in place ---
+
+bool IsConstructor(const Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kDirectElement:
+    case ExprKind::kComputedElement:
+    case ExprKind::kComputedAttribute:
+    case ExprKind::kComputedText:
+    case ExprKind::kComputedComment:
+    case ExprKind::kComputedPI:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Calls fn(t) for every tail of `e`: the expressions whose values make
+// up e's value as they are, through comma operands, a FLWOR's return,
+// if and typeswitch branches and enclosed expressions.
+template <typename Fn>
+void ForEachTail(Expr& e, const Fn& fn) {
+  switch (e.kind) {
+    case ExprKind::kSequence:
+      for (ExprPtr& kid : e.kids) ForEachTail(*kid, fn);
+      return;
+    case ExprKind::kFLWOR:
+    case ExprKind::kEnclosed:
+      ForEachTail(*e.kids[0], fn);
+      return;
+    case ExprKind::kIf:
+      ForEachTail(*e.kids[1], fn);
+      ForEachTail(*e.kids[2], fn);
+      return;
+    case ExprKind::kTypeswitch:
+      for (Clause& clause : e.clauses) ForEachTail(*clause.expr, fn);
+      ForEachTail(*e.kids[1], fn);
+      return;
+    default:
+      fn(e);
+  }
+}
+
+// Every node `operand` yields is a fresh tree that nothing else sees:
+// each tail is a constructor or a literal (which yields no node), and
+// at least one is a constructor.
+bool FreshTails(Expr& operand) {
+  bool fresh = true;
+  bool any = false;
+  ForEachTail(operand, [&](Expr& t) {
+    any |= IsConstructor(t);
+    fresh &= IsConstructor(t) || t.kind == ExprKind::kLiteral;
+  });
+  return fresh && any;
+}
+
+// Marks `operand`'s tail constructors built in place if FreshTails
+// holds; returns whether it did.
+bool MarkFreshTails(Expr& operand) {
+  if (!FreshTails(operand)) return false;
+  ForEachTail(operand, [](Expr& t) {
+    if (IsConstructor(t)) t.built_in_place = true;
+  });
+  return true;
+}
+
+void MarkDirectContent(DirectNode& d) {
+  for (auto& child : d.children) {
+    if (child->kind == DirectNode::Kind::kEnclosedExpr) {
+      child->takes_fresh = MarkFreshTails(*child->expr);
+    } else if (child->kind == DirectNode::Kind::kElement) {
+      MarkDirectContent(*child);
+    }
+  }
+}
+
+// The built-in-place pass (optimizer.h): marks each consumer whose
+// operand's tails are all fresh, and those tails.
+class InPlaceMarker {
+ public:
+  // Without facts every declared function is unknown code.
+  explicit InPlaceMarker(const analysis::AnalysisFacts* facts)
+      : functions_(facts != nullptr ? &facts->function_effects : &none_) {}
+
+  void Mark(Expr& e) {
+    switch (e.kind) {
+      case ExprKind::kInsert:
+        if (FreshTails(*e.kids[0]) && TargetFirstUnseen(e)) {
+          e.takes_fresh = MarkFreshTails(*e.kids[0]);
+        }
+        break;
+      case ExprKind::kReplace:
+        // The target is evaluated first either way.
+        if (!e.replace_value_of) e.takes_fresh = MarkFreshTails(*e.kids[1]);
+        break;
+      case ExprKind::kTransform:
+        e.takes_fresh = MarkFreshTails(*e.kids[0]);
+        break;
+      case ExprKind::kComputedElement: {
+        const size_t content = e.str == "computed-name" ? 1 : 0;
+        if (e.kids.size() > content) {
+          e.takes_fresh = MarkFreshTails(*e.kids[content]);
+        }
+        break;
+      }
+      case ExprKind::kDirectElement:
+        MarkDirectContent(*e.direct);
+        break;
+      default:
+        break;
+    }
+    // ExprPtr is shallow-const: the sub-expressions come out mutable.
+    ForEachSubExpr(e, [this](Expr& kid) { Mark(kid); });
+  }
+
+ private:
+  // Evaluating an insert's target before its source changes nothing
+  // anyone can see but a failing insert's error: neither operand
+  // updates, runs statements, observes the host or writes the fabric,
+  // and the target reads nothing outside the page.
+  bool TargetFirstUnseen(const Expr& insert) const {
+    const analysis::Effects source =
+        analysis::ExprEffects(*insert.kids[0], *functions_);
+    const analysis::Effects target =
+        analysis::ExprEffects(*insert.kids[1], *functions_);
+    auto quiet = [](const analysis::Effects& fx) {
+      return !fx.has_update && !fx.sequential && !fx.observes_host &&
+             !fx.writes_fabric;
+    };
+    return quiet(source) && quiet(target) && !target.reads_outside;
+  }
+
+  const std::map<std::string, analysis::Effects> none_;
+  const std::map<std::string, analysis::Effects>* functions_;
+};
+
 }  // namespace
 
 OptimizerStats OptimizeModule(Module* module,
@@ -674,6 +811,14 @@ OptimizerStats OptimizeModule(Module* module,
     if (fn->body != nullptr) rewriter.Rewrite(&fn->body);
   }
   if (module->body != nullptr) rewriter.Rewrite(&module->body);
+  InPlaceMarker marker(facts);
+  for (VarDecl& decl : module->variables) {
+    if (decl.init != nullptr) marker.Mark(*decl.init);
+  }
+  for (auto& fn : module->functions) {
+    if (fn->body != nullptr) marker.Mark(*fn->body);
+  }
+  if (module->body != nullptr) marker.Mark(*module->body);
   return stats;
 }
 

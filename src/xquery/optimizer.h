@@ -29,6 +29,28 @@
 //                             singleton-context child::/attribute::/
 //                             self:: chain) are annotated so the
 //                             evaluator skips SortDocumentOrderDedup
+//
+// After the rewrites, one marking pass (PERFORMANCE.md §4, "Tree
+// building"):
+//   * built in place        — a node constructor whose value reaches only
+//                             the node-keeping consumer around it, through
+//                             tail positions (comma operands, a FLWOR's
+//                             return, if and typeswitch branches, enclosed
+//                             expressions), is marked Expr::built_in_place
+//                             and its consumer Expr/DirectNode::takes_fresh.
+//                             The consumers are an insert's source, a
+//                             `replace node` source, a `copy $v :=` source
+//                             and the enclosed content of a direct or
+//                             computed element. Every tail must be a
+//                             constructor or a literal. The evaluator then
+//                             builds the tree in the consumer's document
+//                             and the consumer takes it without a copy. An
+//                             insert so marked evaluates its target first,
+//                             so it is marked only when that is unseen:
+//                             neither operand updates, runs statements
+//                             (analysis::Effects::sequential), observes the
+//                             host or writes the fabric, and the target
+//                             reads nothing outside the page.
 
 #ifndef XQIB_XQUERY_OPTIMIZER_H_
 #define XQIB_XQUERY_OPTIMIZER_H_
@@ -71,10 +93,12 @@ bool PositionFreePredicate(
     const std::function<bool(const std::string& key)>& is_declared);
 
 // Rewrites a whole module in place — global variable initializers,
-// function bodies and the query body — and returns rewrite statistics.
+// function bodies and the query body — then marks what is built in
+// place, and returns rewrite statistics.
 // `facts` (optional) supplies analyzer-inferred cardinalities keyed by
 // the pre-rewrite Expr nodes; run the analyzer on the same tree first.
-// Without them the inferred rewrites do nothing.
+// Without them the inferred rewrites do nothing, and no insert whose
+// operands call a declared function is built in place.
 OptimizerStats OptimizeModule(Module* module,
                               const analysis::AnalysisFacts* facts = nullptr);
 

@@ -1,5 +1,6 @@
 #include "xquery/value_ops.h"
 
+#include <cassert>
 #include <cmath>
 #include <string>
 
@@ -171,8 +172,27 @@ Result<Sequence> ArithSequences(ArithOp op, const Sequence& lhs,
 
 // ------------------------------------------- XQUF primitive builders ---
 
+namespace {
+
+// `src` in `doc`: itself when fresh (built there, never linked), else a
+// deep copy counted into `*copied`.
+xml::Node* TakeOrCopy(xml::Document* doc, xml::Node* src, bool fresh,
+                      uint64_t* copied) {
+  if (fresh) {
+    assert(src->document() == doc && src->parent() == nullptr);
+    return src;
+  }
+  const size_t before = doc->node_count();
+  xml::Node* copy = doc->ImportCopy(src);
+  *copied += doc->node_count() - before;
+  return copy;
+}
+
+}  // namespace
+
 Status BuildInsert(InsertMode mode, const Sequence& source,
-                   const Sequence& target_seq, PendingUpdateList* pul) {
+                   const Sequence& target_seq, bool fresh,
+                   PendingUpdateList* pul, uint64_t* copied) {
   if (target_seq.size() != 1 || !target_seq[0].is_node()) {
     return Status::Error("XUTY0008", "insert target must be a single node");
   }
@@ -199,7 +219,7 @@ Status BuildInsert(InsertMode mode, const Sequence& source,
       prim.content.push_back(doc->CreateText(item.atomic().ToXPathString()));
       continue;
     }
-    xml::Node* copy = doc->ImportCopy(item.node());
+    xml::Node* copy = TakeOrCopy(doc, item.node(), fresh, copied);
     if (copy->is_attribute()) {
       attr_prim.content.push_back(copy);
     } else {
@@ -247,7 +267,8 @@ Status BuildDelete(const Sequence& targets, PendingUpdateList* pul) {
 }
 
 Status BuildReplace(bool replace_value_of, const Sequence& target_seq,
-                    const Sequence& source, PendingUpdateList* pul) {
+                    const Sequence& source, bool fresh,
+                    PendingUpdateList* pul, uint64_t* copied) {
   if (target_seq.size() != 1 || !target_seq[0].is_node()) {
     return Status::Error("XUTY0008", "replace target must be a single node");
   }
@@ -274,7 +295,7 @@ Status BuildReplace(bool replace_value_of, const Sequence& target_seq,
     xml::Document* doc = target->document();
     for (const Item& item : source) {
       if (item.is_node()) {
-        prim.content.push_back(doc->ImportCopy(item.node()));
+        prim.content.push_back(TakeOrCopy(doc, item.node(), fresh, copied));
       } else {
         prim.content.push_back(doc->CreateText(item.atomic().ToXPathString()));
       }

@@ -6,6 +6,7 @@
 #ifndef XQIB_XQUERY_VALUE_OPS_H_
 #define XQIB_XQUERY_VALUE_OPS_H_
 
+#include <cstdint>
 #include <string_view>
 
 #include "base/result.h"
@@ -40,12 +41,19 @@ Result<xdm::Sequence> ArithSequences(ArithOp op, const xdm::Sequence& lhs,
 // Each builder performs the target/content checks of the corresponding
 // update expression and appends primitives to `pul`. The evaluating side
 // only contributes operand evaluation order.
+//
+// Insert and replace put the source's nodes into the target's document:
+// deep copies, adding the nodes copied to `*copied`; or, when `fresh`
+// (the source was built in place there, Expr::takes_fresh), the nodes
+// themselves.
 
 Status BuildInsert(InsertMode mode, const xdm::Sequence& source,
-                   const xdm::Sequence& target_seq, PendingUpdateList* pul);
+                   const xdm::Sequence& target_seq, bool fresh,
+                   PendingUpdateList* pul, uint64_t* copied);
 Status BuildDelete(const xdm::Sequence& targets, PendingUpdateList* pul);
 Status BuildReplace(bool replace_value_of, const xdm::Sequence& target_seq,
-                    const xdm::Sequence& source, PendingUpdateList* pul);
+                    const xdm::Sequence& source, bool fresh,
+                    PendingUpdateList* pul, uint64_t* copied);
 Status BuildRename(const xdm::Sequence& target_seq,
                    const xdm::Sequence& name_seq, PendingUpdateList* pul);
 

@@ -535,6 +535,68 @@ TEST_F(AnalyzerPluginTest, BodyMayCallFunctionFromLaterScript) {
   EXPECT_EQ(plugin_.alerts()[0], "hi");
 }
 
+TEST_F(AnalyzerPluginTest, BodyReadingALaterScriptsGlobalIsRejected) {
+  // The plug-in binds a script's globals just before its own body runs,
+  // so script 1's body cannot see script 2's global: XQSA001 at load,
+  // before any script runs, exactly as xq_lint reports it.
+  const std::string page =
+      "<html><head>"
+      "<script type=\"text/xquery\">browser:alert(string($later))</script>"
+      "<script type=\"text/xquery\">"
+      "declare variable $later := \"x\"; browser:alert($later)"
+      "</script>"
+      "</head><body/></html>";
+  Status st = LoadPage(page);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), "XQSA001");
+  EXPECT_TRUE(plugin_.alerts().empty());
+  auto lint = LintXhtml(page);
+  ASSERT_TRUE(lint.ok());
+  ASSERT_EQ(lint->units.size(), 2u);
+  ASSERT_EQ(lint->units[0].diagnostics.size(), 1u);
+  EXPECT_EQ(lint->units[0].diagnostics[0].code, "XQSA001");
+  EXPECT_TRUE(lint->units[1].diagnostics.empty());
+  std::vector<std::string> loaded;
+  for (const Diagnostic& d : plugin_.last_diagnostics()) {
+    loaded.push_back(d.Render());
+  }
+  EXPECT_EQ(loaded,
+            std::vector<std::string>{lint->units[0].diagnostics[0].Render()});
+  EXPECT_EQ(st.message(), lint->units[0].diagnostics[0].Render());
+}
+
+TEST_F(AnalyzerPluginTest, FunctionMayReadALaterScriptsGlobal) {
+  // A function runs after the load, when every script's globals are
+  // bound.
+  const std::string page =
+      "<html><head>"
+      "<script type=\"text/xquery\">"
+      "declare function local:show($evt, $obj) { browser:alert($later) };"
+      "on event \"onclick\" at //input[@id=\"b\"] "
+      "attach listener local:show"
+      "</script>"
+      "<script type=\"text/xquery\">"
+      "declare variable $later := \"x\"; ()"
+      "</script>"
+      "</head><body><input id=\"b\"/></body></html>";
+  Status st = LoadPage(page);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  auto lint = LintXhtml(page);
+  ASSERT_TRUE(lint.ok());
+  for (const LintUnit& unit : lint->units) {
+    EXPECT_TRUE(unit.diagnostics.empty());
+  }
+  xml::Node* button =
+      browser_.top_window()->document()->GetElementById("b");
+  ASSERT_NE(button, nullptr);
+  browser::Event click;
+  click.type = "onclick";
+  browser_.events().Dispatch(button, click);
+  EXPECT_TRUE(plugin_.last_script_error().ok());
+  ASSERT_EQ(plugin_.alerts().size(), 1u);
+  EXPECT_EQ(plugin_.alerts()[0], "x");
+}
+
 TEST_F(AnalyzerPluginTest, BrokenInlineHandlerRejectsPageBeforeAnyScript) {
   const std::string page =
       "<html><head><script type=\"text/xquery\">"

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "xml/serializer.h"
 #include "xml/xml_parser.h"
 #include "xpath_reference.h"
 #include "xquery/engine.h"
@@ -401,17 +402,28 @@ TEST(Differential, IndexAnswersScopedFormsOnly) {
 // name-index buckets splice: after every apply the order keys and the
 // buckets must hold (Document::CheckInvariants), and the scoped forms
 // and a batch of generated queries must still agree with the reference.
+// Every round also runs on a twin document compiled without the
+// optimizer: there each constructed tree is built and then copied (the
+// copy path), here the shapes marked kInPlace build it where it lands.
+// The twins must serialize byte-equal after every round.
 TEST(Differential, AgreeAcrossSeededUpdates) {
   auto doc = Parse(RandomPage(3, 8));
+  auto twin = Parse(RandomPage(3, 8));
   doc->set_delta_tracking(true);
+  twin->set_delta_tracking(true);
   uint32_t state = 12345;
   auto next = [&state](uint32_t n) {
     state = state * 1664525u + 1013904223u;
     return (state >> 16) % n;
   };
+  // What the optimized run may copy: nothing (every constructed tree is
+  // built in place), something (a shape that must stay on the copy
+  // path), or either (no constructed source).
+  enum Copies { kInPlace, kCopied, kNone };
   Generator gen(99);
   Checker check(doc.get());
-  for (int round = 0; round < 24; ++round) {
+  int copy_path_rounds = 0;
+  for (int round = 0; round < 44; ++round) {
     const int items =
         std::stoi(RunEngine("count(//item)", doc.get(), true));
     const int secs =
@@ -422,7 +434,8 @@ TEST(Differential, AgreeAcrossSeededUpdates) {
         "(//item)[" + std::to_string(1 + next(items > 0 ? items : 1)) + "]";
     const std::string sec = "(//sec)[" + std::to_string(1 + next(secs)) + "]";
     std::string update;
-    switch (items == 0 ? 0 : next(7)) {
+    Copies copies = kInPlace;
+    switch (items == 0 ? 0 : round % 22) {
       case 0:
         update = "insert node <item v=\"" + v + "\"><item v=\"" + v +
                  "\"/><leaf/></item> as first into " + sec;
@@ -432,9 +445,11 @@ TEST(Differential, AgreeAcrossSeededUpdates) {
         break;
       case 2:
         update = "delete node " + item;
+        copies = kNone;
         break;
       case 3:
         update = "rename node " + item + " as \"note\"";
+        copies = kNone;
         break;
       case 4:
         update = "replace node " + item + " with <item v=\"" + v +
@@ -443,17 +458,106 @@ TEST(Differential, AgreeAcrossSeededUpdates) {
       case 5:
         update = "replace value of node " + item + "/@v with \"" +
                  std::to_string(next(100)) + "\"";
+        copies = kNone;
         break;
-      default:
+      case 6:
         update = "rename node (//note, //leaf)[1] as \"item\"";
+        copies = kNone;
+        break;
+      case 7:  // FLWOR return, in enclosed content
+        update = "insert node <item v=\"" + v +
+                 "\">{for $i in 1 to 3 return <leaf n=\"{$i}\"/>}</item> "
+                 "before " + item;
+        break;
+      case 8:  // FLWOR with order by, as the insert's own source
+        update = "insert node for $i in (3, 1, 2) order by $i descending "
+                 "return <item v=\"{$i + " + v + "}\"><leaf/></item> into " +
+                 sec;
+        break;
+      case 9:  // both if branches
+        update = "insert node if (count(//item) mod 2 = 0) then <item v=\"" +
+                 v + "\"/> else <leaf n=\"" + v + "\"/> as last into " + sec;
+        break;
+      case 10:  // comma, nested enclosed content, a literal
+        update = "insert node (<item v=\"" + v + "\">{<leaf>{<item v=\"" +
+                 v + "\"/>, \"t\"}</leaf>}</item>, <leaf/>, \"u\") into " +
+                 sec;
+        break;
+      case 11:  // computed element, attribute and text constructors
+        update = "insert node element item {attribute v {" + v +
+                 "}, element leaf {text {\"t\"}}, text {\"u\"}} after " +
+                 item;
+        break;
+      case 12:  // attribute inserts
+        update = "insert node attribute w" + v + " {\"" + v + "\"} into " +
+                 item;
+        break;
+      case 13:
+        update = "insert node (attribute x" + v + " {1}, attribute y" + v +
+                 " {2}) before " + item;
+        break;
+      case 14:  // replace node with a FLWOR of constructors
+        update = "replace node " + item +
+                 " with for $i in 1 to 2 return <item v=\"{$i}\">{"
+                 "if ($i = 1) then <leaf/> else ()}</item>";
+        break;
+      case 15:  // typeswitch branches
+        update = "insert node typeswitch (" + item + ") case element(item) "
+                 "return <leaf n=\"" + v + "\"/> default return <item/> "
+                 "as first into " + sec;
+        break;
+      case 16:  // copy ... modify, itself built in place for the copy
+        update = "let $c := copy $n := <item v=\"" + v + "\"><leaf/></item> "
+                 "modify insert node <item v=\"" + v + "\"/> into $n return $n "
+                 "return replace value of node " + item + "/@v with $c/@v";
+        break;
+      case 17:  // copy ... modify as an insert source: copied into the page
+        update = "insert node copy $n := <item v=\"" + v + "\"/> modify "
+                 "insert node <leaf/> into $n return $n into " + sec;
+        copies = kCopied;
+        break;
+      case 18:  // a let-bound constructor inserted twice
+        update = "let $x := <item v=\"" + v + "\"/> return (insert node $x "
+                 "into " + sec + ", insert node $x after " + item + ")";
+        copies = kCopied;
+        break;
+      case 19:  // a mixed source
+        update = "let $x := " + item + " return insert node (<leaf/>, $x) "
+                 "into " + sec;
+        copies = kCopied;
+        break;
+      case 20:  // a target that calls fn:trace
+        update = "insert node <item v=\"" + v + "\"/> into trace(" + sec +
+                 ", \"t\")";
+        copies = kCopied;
+        break;
+      default:  // an insert inside a function body
+        update = "declare function local:row($v) { <item v=\"{$v}\"/> }; "
+                 "insert node <item>{<leaf/>, local:row(" + v + ")}</item> "
+                 "into " + sec;
+        copies = kCopied;  // the function's result is copied in
         break;
     }
-    ASSERT_EQ(RunEngine(update, doc.get(), true).find("ERROR"),
+    Counters stats;
+    ASSERT_EQ(RunEngine(update, doc.get(), true, &stats).find("ERROR"),
               std::string::npos)
         << update;
-    Status invariants = doc->CheckInvariants();
-    ASSERT_TRUE(invariants.ok())
-        << "after " << update << ": " << invariants.ToString();
+    ASSERT_EQ(RunEngine(update, twin.get(), false).find("ERROR"),
+              std::string::npos)
+        << update;
+    if (copies == kInPlace || copies == kNone) {
+      EXPECT_EQ(stats.nodes_copied, 0u) << update;
+    } else {
+      EXPECT_GT(stats.nodes_copied, 0u) << update;
+      ++copy_path_rounds;
+    }
+    for (xml::Document* d : {doc.get(), twin.get()}) {
+      Status invariants = d->CheckInvariants();
+      ASSERT_TRUE(invariants.ok())
+          << "after " << update << ": " << invariants.ToString();
+    }
+    ASSERT_EQ(xml::Serialize(doc->root()), xml::Serialize(twin->root()))
+        << "after " << update;
     const std::string where =
         "round " + std::to_string(round) + " after " + update;
     for (const Pinned& p : ScopedForms()) check.Expect(p.query, where);
@@ -461,6 +565,7 @@ TEST(Differential, AgreeAcrossSeededUpdates) {
   }
   EXPECT_EQ(check.failures(), 0);
   EXPECT_GT(doc->index_splices(), 0u);
+  EXPECT_EQ(copy_path_rounds, 10);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "xml/xml_parser.h"
 #include "xquery/engine.h"
 #include "xquery/optimizer.h"
@@ -268,6 +271,93 @@ class OptimizerPropertyTest
 
 TEST_P(OptimizerPropertyTest, OptimizedResultMatchesUnoptimized) {
   EvalBoth(GetParam(), "<r><a p='1'>x</a><a p='2'>y</a><b>z</b></r>");
+}
+
+// The built-in-place marks of one optimized query body, as text:
+// "I" for a marked insert/replace/copy, "C" for a constructor built in
+// place, "F" for an element content that takes fresh nodes.
+std::string InPlaceMarks(const std::string& query) {
+  ExprPtr body;
+  Optimize(query, &body);
+  std::string marks;
+  std::function<void(const DirectNode&)> direct = [&](const DirectNode& d) {
+    for (const auto& child : d.children) {
+      if (child->takes_fresh) marks += "F";
+      direct(*child);
+    }
+  };
+  std::function<void(const Expr&)> walk = [&](const Expr& e) {
+    const bool consumer = e.kind == ExprKind::kInsert ||
+                          e.kind == ExprKind::kReplace ||
+                          e.kind == ExprKind::kTransform;
+    if (e.takes_fresh) marks += consumer ? "I" : "F";
+    if (e.built_in_place) marks += "C";
+    if (e.direct != nullptr) direct(*e.direct);
+    ForEachSubExpr(e, walk);
+  };
+  walk(*body);
+  return marks;
+}
+
+TEST(BuiltInPlace, MarksOnlyTailsOfNodeKeepingConsumers) {
+  // Tails of an insert source, through every tail position.
+  EXPECT_EQ(InPlaceMarks("insert node <a/> into /r"), "IC");
+  EXPECT_EQ(InPlaceMarks("insert node (<a/>, \"t\", if (1) then <b/> "
+                         "else element c {()}) as first into /r"),
+            "ICCC");
+  EXPECT_EQ(InPlaceMarks("insert node for $i in 1 to 2 order by $i "
+                         "return text {$i} before /r"),
+            "IC");
+  EXPECT_EQ(InPlaceMarks("insert node typeswitch (1) case xs:integer "
+                         "return <a/> default return comment {1} after /r"),
+            "ICC");
+  // Nested enclosed content: <a>'s content takes <b>, <b>'s takes <c>.
+  EXPECT_EQ(InPlaceMarks("insert node <a>{<b>{<c/>}</b>}</a> into /r"),
+            "ICFCFC");
+  // The computed <a> takes fresh content ("F") and is built in place.
+  EXPECT_EQ(InPlaceMarks("replace node /r with element a {attribute b {1}}"),
+            "IFCC");
+  EXPECT_EQ(InPlaceMarks("copy $c := <a/> modify () return $c"), "IC");
+  // Atomizing consumers never mark: attribute value templates, computed
+  // attribute/text/comment/PI content, replace value of.
+  EXPECT_EQ(InPlaceMarks("<a b=\"{<c/>}\"/>"), "");
+  EXPECT_EQ(InPlaceMarks("(attribute a {<b/>}, text {<c/>}, comment {<d/>}, "
+                         "processing-instruction p {<e/>})"),
+            "");
+  EXPECT_EQ(InPlaceMarks("replace value of node /r with <a/>"), "");
+  // Not a tail, or not every tail fresh.
+  EXPECT_EQ(InPlaceMarks("insert node (<a/>, $x) into /r"), "");
+  EXPECT_EQ(InPlaceMarks("let $x := <a/> return insert node $x into /r"), "");
+  EXPECT_EQ(InPlaceMarks("insert node <a>{count(<b/>)}</a> into /r"), "IC");
+  EXPECT_EQ(InPlaceMarks("<a>{<b/>/..}</a>"), "");
+  EXPECT_EQ(InPlaceMarks("insert node \"t\" into /r"), "");
+  // An insert whose target-first order could be seen stays on the copy
+  // path: a target that observes the host or reads outside the page, a
+  // source that observes the host, a statement block in either, or a
+  // declared function with no effect summary (no analyzer facts here).
+  EXPECT_EQ(InPlaceMarks("insert node <a/> into trace(/r, \"t\")"), "");
+  EXPECT_EQ(InPlaceMarks("insert node <a/> into doc(\"x\")/r"), "");
+  EXPECT_EQ(InPlaceMarks("insert node <a>{trace(1, \"t\")}</a> into /r"),
+            "");
+  EXPECT_EQ(InPlaceMarks("insert node <a/> into {(); /r}"), "");
+  EXPECT_EQ(InPlaceMarks("declare function local:t() { /r }; "
+                         "insert node <a/> into local:t()"),
+            "");
+  // Content is marked whatever the insert decides.
+  EXPECT_EQ(InPlaceMarks("insert node <a>{<b/>}</a> into trace(/r, \"t\")"),
+            "FC");
+}
+
+TEST(BuiltInPlace, WithFactsAPureDeclaredTargetIsMarked) {
+  Engine engine;
+  auto q = engine.Compile(
+      "declare function local:t() { /r }; insert node <a/> into local:t()");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_TRUE((*q)->module().body->takes_fresh);
+  auto unoptimized = engine.Compile(
+      "insert node <a/> into /r", CompileOptions{.optimize = false});
+  ASSERT_TRUE(unoptimized.ok());
+  EXPECT_FALSE((*unoptimized)->module().body->takes_fresh);
 }
 
 INSTANTIATE_TEST_SUITE_P(

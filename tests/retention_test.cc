@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -32,6 +33,8 @@ struct PageCase {
   const char* name;
   std::function<Status(BrowserEnvironment&)> load;
   std::function<Status(BrowserEnvironment&, int)> click;
+  // Nodes the page document has created after 1,000 clicks, when pinned.
+  size_t page_nodes = 0;
 };
 
 Status LoadExample(BrowserEnvironment& env, const char* file,
@@ -227,7 +230,8 @@ std::vector<PageCase> Pages() {
                                          kCartPage);
                    },
                    ClickCycle({"laptop", "show-cart", "show-catalog", "mouse",
-                               "show-cart", "keyboard"})});
+                               "show-cart", "keyboard"}),
+                   1058});
   pages.push_back(
       {"browse",
        [](BrowserEnvironment& env) {
@@ -243,7 +247,8 @@ std::vector<PageCase> Pages() {
        },
        [](BrowserEnvironment& env, int i) {
          return env.ClickId("link-a-" + std::to_string(i * 7 % 96));
-       }});
+       },
+       28599});
   pages.push_back(
       {"mashup",
        [](BrowserEnvironment& env) {
@@ -268,7 +273,8 @@ std::vector<PageCase> Pages() {
          click.type = "onclick";
          click.value = "city" + std::to_string(i % 40);
          return env.Fire(env.ById("searchbtn"), click);
-       }});
+       },
+       19021});
   return pages;
 }
 
@@ -278,6 +284,7 @@ TEST(Retention, TenAndAThousandClicksRetainTheSame) {
     BrowserEnvironment env;
     Status loaded = page.load(env);
     ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    const uint64_t copied_by_load = env.plugin().counters().nodes_copied;
     XqibPlugin::Retained after_ten;
     for (int i = 0; i < 1000; ++i) {
       Status st = page.click(env, i);
@@ -290,6 +297,13 @@ TEST(Retention, TenAndAThousandClicksRetainTheSame) {
     // No global holds a constructed node on any of these pages.
     EXPECT_EQ(after_thousand.documents, 0u);
     EXPECT_EQ(after_thousand.nodes, 0u);
+    // A tree built in place lands exactly the nodes its copy landed: the
+    // page creates as many nodes as when each tree was built and copied.
+    if (page.page_nodes != 0) {
+      EXPECT_EQ(env.window()->document()->node_count(), page.page_nodes);
+      // Every click builds its rendered fragment where it lands.
+      EXPECT_EQ(env.plugin().counters().nodes_copied, copied_by_load);
+    }
     Status invariants = env.window()->document()->CheckInvariants();
     EXPECT_TRUE(invariants.ok()) << invariants.ToString();
   }
@@ -480,6 +494,31 @@ on event "onclick" at //input[@id="other"] attach listener local:other)");
     EXPECT_EQ(RetainedDocuments(), 0u);
   }
   EXPECT_EQ(env_.ById("log")->children().size(), 2u);
+}
+
+TEST_F(RootTest, FailedInPlaceBuildLeavesDetachedPageNodes) {
+  // The insert builds its source straight in the page document, then the
+  // listener fails: nothing applies and no document is retained, but the
+  // built nodes keep their page slots until removed nodes give them back
+  // (ROADMAP item 5).
+  Load(R"(
+declare updating function local:fail($evt, $obj) {
+  insert node <x n="{string($obj/@id)}">{for $i in 1 to 3 return <y/>}</x>
+    into //div[@id="log"],
+  error()
+};
+on event "onclick" at //input[@id="go"] attach listener local:fail)");
+  xml::Document* page = env_.window()->document();
+  for (int i = 0; i < 5; ++i) {
+    const size_t before = page->node_count();
+    EXPECT_FALSE(env_.ClickId("go").ok());
+    env_.plugin().ClearScriptError();
+    EXPECT_EQ(page->node_count() - before, 5u);  // <x>, @n, three <y>
+    EXPECT_EQ(RetainedDocuments(), 0u);
+    EXPECT_TRUE(env_.ById("log")->children().empty());
+  }
+  Status invariants = page->CheckInvariants();
+  EXPECT_TRUE(invariants.ok()) << invariants.ToString();
 }
 
 TEST_F(RootTest, ListenerOnAConstructedNodeKeepsItsDocument) {

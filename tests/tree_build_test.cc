@@ -2,8 +2,10 @@
 // building"). The parser and ImportCopy build a subtree on the document's
 // builder path and attach it with one AppendChild, so the counts below do
 // not grow with the tree: one mutation for a whole parse, none for a
-// copy, and a handful of intern lookups per distinct name. They are
-// counts, not timings, so they hold on any host.
+// copy, and a handful of intern lookups per distinct name. A constructed
+// tree that only an update or the content around it consumes is built
+// once, in the document it lands in: the nodes_copied counter pins that.
+// They are counts, not timings, so they hold on any host.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,9 @@
 #include <string>
 #include <utility>
 
+#include "app/elsevier.h"
+#include "app/environment.h"
+#include "plugin/plugin.h"
 #include "xml/dom.h"
 #include "xml/interning.h"
 #include "xml/serializer.h"
@@ -170,6 +175,157 @@ TEST(TreeBuildCounts, ConstructorsBuildOnTheBuilderPath) {
   EXPECT_EQ(Serialize(result->at(0).node()),
             "<a x=\"1\" y=\"2\" k=\"v\">t 3<s k=\"v\">x</s><b z=\"2\">1 2</b>"
             "<c w=\"4\">u</c></a>");
+}
+
+// Nodes of `n`'s subtree: itself, its attributes and its descendants.
+size_t SubtreeNodes(const Node* n) {
+  size_t count = 1 + n->attributes().size();
+  for (const Node* c : n->children()) count += SubtreeNodes(c);
+  return count;
+}
+
+constexpr const char* kList =
+    "<ul>{for $i in 1 to 50 return <li n=\"{$i}\">{$i}</li>}</ul>";
+constexpr size_t kListNodes = 1 + 50 * 3;  // <ul>, then <li>, @n, text
+
+// One update through Engine on a delta-tracked page, built in place
+// when `optimize`, else on the copy path (the reference).
+struct UpdateRun {
+  std::string page;  // the target document, serialized after the update
+  uint64_t copied = 0;
+  size_t grown = 0;  // nodes the target document gained
+  size_t owned = 0;  // nodes left in the context's own documents
+};
+
+UpdateRun RunUpdate(const std::string& update, bool optimize) {
+  UpdateRun run;
+  auto parsed = ParseDocument("<r><x id=\"1\"/><x id=\"2\"/></r>");
+  EXPECT_TRUE(parsed.ok());
+  Document* doc = parsed->get();
+  doc->set_delta_tracking(true);
+  doc->ElementsByName(QName("x"));  // an index for the apply to splice
+  xquery::Engine engine;
+  xquery::CompileOptions options;
+  options.optimize = optimize;
+  auto query = engine.Compile(update, options);
+  EXPECT_TRUE(query.ok()) << query.status().ToString();
+  if (!query.ok()) return run;
+  xquery::DynamicContext ctx;
+  xquery::DynamicContext::Focus focus;
+  focus.item = xdm::Item::Node(doc->root());
+  focus.position = focus.size = 1;
+  focus.has_item = true;
+  ctx.set_focus(focus);
+  const size_t before = doc->node_count();
+  auto result = (*query)->Run(ctx);
+  EXPECT_TRUE(result.ok()) << update << ": " << result.status().ToString();
+  run.copied = (*query)->evaluator().counters().nodes_copied;
+  run.grown = doc->node_count() - before;
+  run.owned = ctx.owned_nodes();
+  run.page = Serialize(doc->root());
+  Status st = doc->CheckInvariants();
+  EXPECT_TRUE(st.ok()) << update << ": " << st.ToString();
+  return run;
+}
+
+TEST(BuiltInPlace, UpdatesCopyNothingAndBuildInTheTarget) {
+  const std::string list = kList;
+  const std::string computed =
+      "element ul {for $i in 1 to 50 return "
+      "element li {attribute n {$i}, text {$i}}}";
+  struct Case {
+    std::string update;
+    size_t attached;
+  } cases[] = {
+      {"insert node " + list + " into /r", kListNodes},
+      {"insert node " + list + " as first into /r", kListNodes},
+      {"insert node " + list + " as last into /r", kListNodes},
+      {"insert node " + list + " before /r/x[1]", kListNodes},
+      {"insert node " + list + " after /r/x[1]", kListNodes},
+      {"insert node " + computed + " into /r", kListNodes},
+      {"insert node (" + list + ", <p/>, \"t\") into /r", kListNodes + 2},
+      {"replace node /r/x[2] with " + list, kListNodes},
+      {"insert node attribute a {\"v\"} into /r/x[1]", 1},
+      {"insert node (attribute a {1}, attribute b {2}) after /r/x[1]", 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.update);
+    const UpdateRun in_place = RunUpdate(c.update, /*optimize=*/true);
+    const UpdateRun copied = RunUpdate(c.update, /*optimize=*/false);
+    EXPECT_EQ(in_place.page, copied.page);
+    EXPECT_EQ(in_place.copied, 0u);
+    EXPECT_EQ(in_place.owned, 0u);
+    EXPECT_EQ(in_place.grown, c.attached);
+    // The copy path lands the same nodes, and builds them twice.
+    EXPECT_EQ(copied.grown, c.attached);
+    EXPECT_GT(copied.copied, 0u);
+  }
+}
+
+TEST(BuiltInPlace, CopyModifyTakesItsSourceAsTheCopy) {
+  // The copy lives in the construction document, as on the copy path;
+  // only one tree is built there, not the source and its copy.
+  const std::string update =
+      std::string("copy $c := ") + kList +
+      " modify insert node <li n=\"0\"/> as first into $c return $c";
+  for (bool optimize : {true, false}) {
+    SCOPED_TRACE(optimize ? "in place" : "copy path");
+    xquery::Engine engine;
+    xquery::CompileOptions options;
+    options.optimize = optimize;
+    auto query = engine.Compile(update, options);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    xquery::DynamicContext ctx;
+    auto result = (*query)->Run(ctx);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->size(), 1u);
+    const Node* copy = result->at(0).node();
+    EXPECT_EQ(SubtreeNodes(copy), kListNodes + 2);
+    EXPECT_EQ(Serialize(copy).substr(0, 31),
+              "<ul><li n=\"0\"/><li n=\"1\">1</li>");
+    const uint64_t copied = (*query)->evaluator().counters().nodes_copied;
+    if (optimize) {
+      EXPECT_EQ(copied, 0u);
+      // The tree, and the construction document's own node.
+      EXPECT_EQ(ctx.owned_nodes(), kListNodes + 2 + 1);
+    } else {
+      // Each <li> into the <ul>, the <ul> into the copy, and the
+      // inserted <li n="0"> into the copy.
+      EXPECT_EQ(copied, (kListNodes - 1) + kListNodes + 2);
+      EXPECT_GT(ctx.owned_nodes(), 2 * kListNodes);
+    }
+  }
+}
+
+// The Figure 2 client page: the load copies one corpus, the parsed
+// response's element into the cache <div>, and builds the cache <div>
+// and the table of contents straight in the page; a click copies
+// nothing.
+TEST(BuiltInPlace, BrowseLoadCopiesOneCorpusAndClicksNone) {
+  app::BrowserEnvironment env;
+  app::elsevier::CorpusOptions corpus;
+  corpus.journals = 2;
+  corpus.volumes = 2;
+  corpus.issues = 4;
+  corpus.articles_per_issue = 6;
+  ASSERT_TRUE(app::elsevier::BuildCorpus(&env.store(), corpus).ok());
+  ASSERT_TRUE(
+      app::elsevier::DeployServer(&env.store(), &env.fabric()).ok());
+  Status st = env.Navigate("http://elsevier.example.com/client.xhtml");
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  const Node* cache = env.ById("cache");
+  ASSERT_NE(cache, nullptr);
+  ASSERT_EQ(cache->children().size(), 1u);
+  const size_t one_corpus = SubtreeNodes(cache->children()[0]);
+  EXPECT_GT(one_corpus, 3000u);
+  EXPECT_EQ(env.plugin().counters().nodes_copied, one_corpus);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(env.ClickId("link-a-" + std::to_string(i * 7 % 96)).ok());
+    EXPECT_EQ(env.plugin().last_event_stats().nodes_copied, 0u) << i;
+  }
+  EXPECT_EQ(env.plugin().counters().nodes_copied, one_corpus);
+  st = env.window()->document()->CheckInvariants();
+  EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
 }  // namespace

@@ -291,9 +291,20 @@ TEST(Constructors, AgreeWithCastAs) {
       {"short", "\"x\"", "ERROR: FORG0001"},
       {"QName", "\"p\"", nullptr},
       {"QName", "1", nullptr},
-      {"duration", "\"PT5S\"", nullptr},
-      {"dayTimeDuration", "\"PT5S\"", nullptr},
-      {"dayTimeDuration", "5", nullptr},
+      {"duration", "\"PT5S\"", "PT5S"},
+      {"duration", "\"P1DT2H30M\"", "PT95400S"},
+      {"duration", "\"-PT1.5S\"", "-PT1.5S"},
+      {"duration", "\"P1Y\"", "ERROR: FORG0001"},
+      {"duration", "\"P2DT\"", "ERROR: FORG0001"},
+      {"dayTimeDuration", "\"PT5S\"", "PT5S"},
+      {"dayTimeDuration", "\" P1DT2H30M \"", "PT95400S"},
+      {"dayTimeDuration", "\"PT2M30S\"", "PT150S"},
+      {"dayTimeDuration", "\"P1M\"", "ERROR: FORG0001"},
+      {"dayTimeDuration", "\"PT1H2H\"", "ERROR: FORG0001"},
+      {"dayTimeDuration", "\"PT1.5M\"", "ERROR: FORG0001"},
+      {"dayTimeDuration", "\"P\"", "ERROR: FORG0001"},
+      {"dayTimeDuration", "\"5\"", "ERROR: FORG0001"},
+      {"dayTimeDuration", "5", "ERROR: XPTY0004"},
   };
   for (const Case& c : cases) {
     const std::string type = std::string("xs:") + c.type;

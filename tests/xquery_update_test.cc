@@ -256,5 +256,41 @@ TEST(UpdatingFunction, DeclaredAndCalled) {
   EXPECT_EQ(r.doc, "<a><n/></a>");
 }
 
+// An insert whose source is built in place (docs/LANGUAGE.md, "Update
+// Facility") evaluates its target first. Only a failing insert shows it:
+// when both operands fail, the target's error is raised, and a failing
+// target keeps the source from running. Without the optimizer the
+// source runs first, as XQUF writes it.
+TEST(Insert, BuiltInPlaceEvaluatesTheTargetFirst) {
+  auto run = [](const std::string& query, bool optimize, size_t* owned) {
+    Engine engine;
+    CompileOptions options;
+    options.optimize = optimize;
+    auto q = engine.Compile(query, options);
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    auto doc = std::move(xml::ParseDocument("<a/>")).value();
+    DynamicContext ctx;
+    DynamicContext::Focus f;
+    f.item = xdm::Item::Node(doc->root());
+    f.position = f.size = 1;
+    f.has_item = true;
+    ctx.set_focus(f);
+    auto r = (*q)->Run(ctx);
+    EXPECT_FALSE(r.ok()) << query;
+    *owned = ctx.owned_nodes();
+    return r.ok() ? std::string() : r.status().code();
+  };
+  size_t owned = 0;
+  const std::string both_fail =
+      "insert node <c>{xs:integer(\"x\")}</c> into /a[1 idiv 0]";
+  EXPECT_EQ(run(both_fail, true, &owned), "FOAR0001");
+  EXPECT_EQ(run(both_fail, false, &owned), "FORG0001");
+  const std::string target_fails = "insert node <c/> into /a[1 idiv 0]";
+  EXPECT_EQ(run(target_fails, true, &owned), "FOAR0001");
+  EXPECT_EQ(owned, 0u);  // the source never ran
+  EXPECT_EQ(run(target_fails, false, &owned), "FOAR0001");
+  EXPECT_GT(owned, 0u);  // the source built <c/> first
+}
+
 }  // namespace
 }  // namespace xqib::xquery
